@@ -59,28 +59,73 @@ impl std::fmt::Display for LoadError {
 
 impl std::error::Error for LoadError {}
 
-pub(crate) fn hex_encode(bytes: &[u8]) -> String {
-    let mut out = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        let _ = write!(out, "{b:02x}");
+/// Lowercase hex digits, indexed by nibble.
+const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
+
+/// Writes the lowercase hex digits of `bytes` into the first
+/// `2 * bytes.len()` bytes of `dst`.
+pub(crate) fn hex_digits(bytes: &[u8], dst: &mut [u8]) {
+    for (&b, pair) in bytes.iter().zip(dst.chunks_exact_mut(2)) {
+        pair[0] = HEX_DIGITS[usize::from(b >> 4)];
+        pair[1] = HEX_DIGITS[usize::from(b & 0xf)];
     }
-    if out.is_empty() {
-        out.push('-'); // explicit empty marker keeps the line format fixed
-    }
-    out
 }
 
+/// Appends `bytes` to `out` as lowercase hex, or the explicit empty
+/// marker `-` for an empty payload (keeps the line format fixed).
+pub(crate) fn hex_encode_into(bytes: &[u8], out: &mut String) {
+    if bytes.is_empty() {
+        out.push('-');
+        return;
+    }
+    out.reserve(bytes.len() * 2);
+    // Digits are staged on the stack so `out` takes one checked
+    // `push_str` per 128 input bytes instead of one `push` per digit.
+    let mut buf = [0u8; 256];
+    for chunk in bytes.chunks(buf.len() / 2) {
+        let digits = &mut buf[..2 * chunk.len()];
+        hex_digits(chunk, digits);
+        out.push_str(std::str::from_utf8(digits).expect("hex digits are ASCII"));
+    }
+}
+
+/// Hex digit values (either case) by byte; `0xff` marks a non-digit.
+/// A lookup, not a `match` on digit ranges: payload digits are
+/// effectively random, and the range branches mispredict.
+const HEX_VALUES: [u8; 256] = {
+    let mut table = [0xff; 256];
+    let mut i = 0;
+    while i < 16 {
+        table[HEX_DIGITS[i] as usize] = i as u8;
+        table[HEX_DIGITS[i].to_ascii_uppercase() as usize] = i as u8;
+        i += 1;
+    }
+    table
+};
+
+/// Decodes a payload written by [`hex_encode_into`]: `-` is empty,
+/// anything else must be pairs of `[0-9a-fA-F]`.
 pub(crate) fn hex_decode(s: &str) -> Result<Vec<u8>, String> {
     if s == "-" {
         return Ok(Vec::new());
     }
-    if !s.len().is_multiple_of(2) {
+    let hex = s.as_bytes();
+    if !hex.len().is_multiple_of(2) {
         return Err("odd-length hex payload".to_owned());
     }
-    (0..s.len())
-        .step_by(2)
-        .map(|i| u8::from_str_radix(&s[i..i + 2], 16).map_err(|e| e.to_string()))
-        .collect()
+    let mut out = Vec::with_capacity(hex.len() / 2);
+    for pair in hex.chunks_exact(2) {
+        let (hi, lo) = (
+            HEX_VALUES[usize::from(pair[0])],
+            HEX_VALUES[usize::from(pair[1])],
+        );
+        if (hi | lo) > 0xf {
+            let pair = String::from_utf8_lossy(pair);
+            return Err(format!("invalid hex pair {pair:?}"));
+        }
+        out.push(hi << 4 | lo);
+    }
+    Ok(out)
 }
 
 fn fmt_days(t: WorkDays) -> String {
@@ -103,14 +148,12 @@ impl MetadataDb {
             let output = self.output_class_of(activity).unwrap_or("-");
             let _ = writeln!(out, "container schedule {activity} {output}");
         }
-        for idx in 0..self.data_count() {
-            let d = self.data_object(DataObjectId::new(idx as u32, self.generation));
-            let _ = writeln!(
-                out,
-                "data {} {}",
-                hex_encode(d.name().as_bytes()),
-                hex_encode(d.content())
-            );
+        for d in &self.data {
+            out.push_str("data ");
+            hex_encode_into(d.name().as_bytes(), &mut out);
+            out.push(' ');
+            hex_encode_into(d.content(), &mut out);
+            out.push('\n');
         }
         for session in self.planning_sessions() {
             let _ = writeln!(out, "session {}", fmt_days(session.created_at()));
@@ -467,10 +510,57 @@ mod tests {
     #[test]
     fn hex_roundtrip() {
         for payload in [&b""[..], b"\x00\xff", b"hello world"] {
-            assert_eq!(hex_decode(&hex_encode(payload)).unwrap(), payload);
+            assert_eq!(hex_decode(&hex(payload)).unwrap(), payload);
         }
         assert!(hex_decode("abc").is_err());
         assert!(hex_decode("zz").is_err());
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        let mut out = String::new();
+        hex_encode_into(bytes, &mut out);
+        out
+    }
+
+    #[test]
+    fn hex_decode_accepts_exactly_hex_pairs() {
+        // `u8::from_str_radix` would take a leading sign: a damaged v1
+        // payload must fail, not load as a wrong byte.
+        for bad in ["+f", "-f", "zz", "0g", " 0", "abc", "a", "--"] {
+            assert!(hex_decode(bad).is_err(), "{bad:?} must be rejected");
+        }
+        assert_eq!(hex_decode("0F").unwrap(), [0x0f]);
+        assert_eq!(hex_decode("aB09").unwrap(), [0xab, 0x09]);
+        assert_eq!(hex_decode("-").unwrap(), Vec::<u8>::new());
+    }
+
+    #[test]
+    fn hex_encode_is_lowercase_pairs_with_empty_marker() {
+        assert_eq!(hex(b""), "-");
+        assert_eq!(hex(&[0x00, 0x0f, 0xa0, 0xff]), "000fa0ff");
+        let all: Vec<u8> = (0..=255).collect();
+        let expected: String = all.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex(&all), expected);
+        // Appends after existing text.
+        let mut out = String::from("x ");
+        hex_encode_into(b"\x01", &mut out);
+        assert_eq!(out, "x 01");
+    }
+
+    #[test]
+    fn hex_roundtrips_seeded_random_payloads() {
+        let mut rng = simtools::rng::SplitMix64::new(0x4E58);
+        // Lengths straddle the encoder's 128-byte chunk boundary.
+        for len in [0, 1, 2, 127, 128, 129, 1000, 4096] {
+            for _ in 0..8 {
+                let payload: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
+                let text = hex(&payload);
+                let expected: String = payload.iter().map(|b| format!("{b:02x}")).collect();
+                assert_eq!(text, if len == 0 { "-".to_owned() } else { expected });
+                assert_eq!(hex_decode(&text).unwrap(), payload, "len {len}");
+                assert_eq!(hex_decode(&text.to_uppercase()).unwrap(), payload);
+            }
+        }
     }
 
     #[test]

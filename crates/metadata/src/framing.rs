@@ -27,7 +27,8 @@
 //! it surfaces a typed corruption report and lets `fsck` rebuild from
 //! the longest valid prefix).
 
-use crate::journal::{parse_op_line, Journal};
+use crate::export::hex_digits;
+use crate::journal::{parse_op_line, Journal, JournalOp};
 
 /// CRC32 (IEEE 802.3, reflected) lookup tables for slicing-by-8,
 /// built at compile time. Table 0 is the classic byte-at-a-time
@@ -122,12 +123,36 @@ impl Framing {
         format!("{}\n", self.tail_header())
     }
 
-    /// Frames one journal op line as a tail record (newline included).
-    pub fn encode_tail_record(self, op_line: &str) -> String {
+    /// Appends `op` to `buf` as one tail record (newline included),
+    /// framed in place: v2 reserves the checksum field, writes the op
+    /// text after it, then back-fills the CRC32 of that text.
+    pub fn encode_tail_record_into(self, op: &JournalOp, buf: &mut String) {
         match self {
-            Framing::V1 => format!("{op_line}\n"),
-            Framing::V2 => format!("{:08x} {op_line}\n", crc32(op_line.as_bytes())),
+            Framing::V1 => op.write_line(buf),
+            Framing::V2 => {
+                const FIELD: &str = "00000000 ";
+                let start = buf.len();
+                buf.push_str(FIELD);
+                op.write_line(buf);
+                let crc = crc32(&buf.as_bytes()[start + FIELD.len()..]);
+                let mut digits = [0u8; 8];
+                hex_digits(&crc.to_be_bytes(), &mut digits);
+                buf.replace_range(
+                    start..start + digits.len(),
+                    std::str::from_utf8(&digits).expect("hex digits are ASCII"),
+                );
+            }
         }
+        buf.push('\n');
+    }
+
+    /// A whole tail file (header included) holding `journal`'s ops.
+    pub fn encode_tail(self, journal: &Journal) -> String {
+        let mut text = self.empty_tail();
+        for op in journal.ops() {
+            self.encode_tail_record_into(op, &mut text);
+        }
+        text
     }
 
     /// Frames a database dump as a snapshot file.
@@ -302,11 +327,7 @@ pub fn decode_tail(text: &str) -> TailScan {
 /// Decodes one record line under `framing` (v2: checksum first, then
 /// parse — a checksum pass with a parse failure still means the store
 /// wrote garbage and is reported as such).
-fn decode_record(
-    framing: Framing,
-    lineno0: usize,
-    line: &str,
-) -> Result<crate::journal::JournalOp, String> {
+fn decode_record(framing: Framing, lineno0: usize, line: &str) -> Result<JournalOp, String> {
     let op_text = match framing {
         Framing::V1 => line,
         Framing::V2 => {
@@ -362,19 +383,11 @@ mod tests {
         db.journal().unwrap().clone()
     }
 
-    fn encode_tail(framing: Framing, journal: &Journal) -> String {
-        let mut text = framing.empty_tail();
-        for op in journal.ops() {
-            text.push_str(&framing.encode_tail_record(&op.to_line()));
-        }
-        text
-    }
-
     #[test]
     fn tail_roundtrip_both_framings() {
         let journal = sample_journal();
         for framing in [Framing::V1, Framing::V2] {
-            let text = encode_tail(framing, &journal);
+            let text = framing.encode_tail(&journal);
             let scan = decode_tail(&text);
             assert_eq!(scan.framing, framing);
             assert_eq!(scan.journal, journal);
@@ -383,11 +396,194 @@ mod tests {
         }
     }
 
+    /// The op-line text form as written before records were framed in
+    /// place (`format!` per op, `{:02x}` per payload byte), kept here
+    /// as the byte-identity oracle.
+    fn reference_line(op: &JournalOp) -> String {
+        let hex = |bytes: &[u8]| {
+            if bytes.is_empty() {
+                "-".to_owned()
+            } else {
+                bytes.iter().map(|b| format!("{b:02x}")).collect()
+            }
+        };
+        match op {
+            JournalOp::DeclareEntityContainer { class } => format!("declare-entity {class}"),
+            JournalOp::DeclareScheduleContainer {
+                activity,
+                output_class,
+            } => format!("declare-schedule {activity} {output_class}"),
+            JournalOp::StoreData { name, content } => {
+                format!("store-data {} {}", hex(name.as_bytes()), hex(content))
+            }
+            JournalOp::BeginRun {
+                activity,
+                operator,
+                started_md,
+            } => format!("begin-run {activity} {operator} {started_md}"),
+            JournalOp::FinishRun {
+                run,
+                output_class,
+                data,
+                finished_md,
+                inputs,
+            } => {
+                let inputs = if inputs.is_empty() {
+                    "-".to_owned()
+                } else {
+                    let ids: Vec<String> = inputs.iter().map(|i| i.index().to_string()).collect();
+                    ids.join(",")
+                };
+                format!(
+                    "finish-run {} {output_class} {} {finished_md} inputs {inputs}",
+                    run.index(),
+                    data.index()
+                )
+            }
+            JournalOp::SupplyInput {
+                class,
+                creator,
+                created_md,
+                data,
+            } => format!(
+                "supply-input {class} {creator} {created_md} {}",
+                data.index()
+            ),
+            JournalOp::BeginPlanning { at_md } => format!("begin-planning {at_md}"),
+            JournalOp::PlanActivity {
+                session,
+                activity,
+                start_md,
+                duration_md,
+            } => format!(
+                "plan-activity {} {activity} {start_md} {duration_md}",
+                session.index()
+            ),
+            JournalOp::Assign { schedule, designer } => {
+                format!("assign {} {designer}", schedule.index())
+            }
+            JournalOp::LinkCompletion { schedule, entity } => {
+                format!("link {} {}", schedule.index(), entity.index())
+            }
+        }
+    }
+
+    /// Every op variant, with the payload edge cases: empty content, a
+    /// non-ASCII name, a 64 KiB payload, empty and multi-entry lists.
+    fn every_op_variant() -> Vec<JournalOp> {
+        use crate::ids::{
+            DataObjectId, EntityInstanceId, PlanningSessionId, RunId, ScheduleInstanceId,
+        };
+        let big: Vec<u8> = (0..64 * 1024).map(|i| (i * 7 + i / 251) as u8).collect();
+        vec![
+            JournalOp::DeclareEntityContainer {
+                class: "netlist".into(),
+            },
+            JournalOp::DeclareScheduleContainer {
+                activity: "Synthesize".into(),
+                output_class: "netlist".into(),
+            },
+            JournalOp::StoreData {
+                name: "empty.dat".into(),
+                content: Vec::new(),
+            },
+            JournalOp::StoreData {
+                name: String::new(),
+                content: b"x".to_vec(),
+            },
+            JournalOp::StoreData {
+                name: "résumé-€-設計.v".into(),
+                content: b"\x00\xff module top;".to_vec(),
+            },
+            JournalOp::StoreData {
+                name: "big.bin".into(),
+                content: big,
+            },
+            JournalOp::BeginRun {
+                activity: "Simulate".into(),
+                operator: "bob".into(),
+                started_md: -1500,
+            },
+            JournalOp::FinishRun {
+                run: RunId::new(3, 0),
+                output_class: "performance".into(),
+                data: DataObjectId::new(9, 0),
+                finished_md: 4250,
+                inputs: Vec::new(),
+            },
+            JournalOp::FinishRun {
+                run: RunId::new(12, 0),
+                output_class: "performance".into(),
+                data: DataObjectId::new(40, 0),
+                finished_md: 7000,
+                inputs: vec![EntityInstanceId::new(1, 0), EntityInstanceId::new(22, 0)],
+            },
+            JournalOp::SupplyInput {
+                class: "stimuli".into(),
+                creator: "carol".into(),
+                created_md: 0,
+                data: DataObjectId::new(0, 0),
+            },
+            JournalOp::BeginPlanning { at_md: 12_345 },
+            JournalOp::PlanActivity {
+                session: PlanningSessionId::new(2, 0),
+                activity: "Place".into(),
+                start_md: 1000,
+                duration_md: 2500,
+            },
+            JournalOp::Assign {
+                schedule: ScheduleInstanceId::new(5, 0),
+                designer: "dana".into(),
+            },
+            JournalOp::LinkCompletion {
+                schedule: ScheduleInstanceId::new(5, 0),
+                entity: EntityInstanceId::new(17, 0),
+            },
+        ]
+    }
+
+    #[test]
+    fn records_framed_in_place_match_the_reference_bytes() {
+        let ops = every_op_variant();
+        let mut kinds: Vec<&str> = ops.iter().map(JournalOp::kind).collect();
+        kinds.dedup();
+        assert_eq!(kinds.len(), 10, "every JournalOp variant is covered");
+        for framing in [Framing::V1, Framing::V2] {
+            let mut expected_tail = framing.empty_tail();
+            for op in &ops {
+                let line = reference_line(op);
+                let expected = match framing {
+                    Framing::V1 => format!("{line}\n"),
+                    Framing::V2 => format!("{:08x} {}\n", crc32(line.as_bytes()), line),
+                };
+                // Framed onto a buffer that already holds text, as the
+                // store's batched append does.
+                let mut buf = String::from("prefix\n");
+                framing.encode_tail_record_into(op, &mut buf);
+                assert_eq!(
+                    &buf["prefix\n".len()..],
+                    expected,
+                    "{framing:?} {}",
+                    op.kind()
+                );
+                expected_tail.push_str(&expected);
+            }
+            let journal = Journal::from_ops(ops.clone());
+            assert_eq!(framing.encode_tail(&journal), expected_tail);
+            let scan = decode_tail(&expected_tail);
+            assert_eq!(scan.issue, None);
+            assert_eq!(scan.journal, journal, "{framing:?} round-trips");
+        }
+        let journal = Journal::from_ops(ops);
+        assert_eq!(journal.to_text(), Framing::V1.encode_tail(&journal));
+        assert_eq!(journal.text_len(), journal.to_text().len() as u64);
+    }
+
     #[test]
     fn torn_last_record_is_classified_torn() {
         let journal = sample_journal();
         for framing in [Framing::V1, Framing::V2] {
-            let mut text = encode_tail(framing, &journal);
+            let mut text = framing.encode_tail(&journal);
             text.push_str("deadbeef begin-run Create al"); // partial, no newline
             let scan = decode_tail(&text);
             assert_eq!(scan.journal, journal, "valid prefix survives");
@@ -403,7 +599,7 @@ mod tests {
     fn interior_damage_is_classified_corrupt() {
         let journal = sample_journal();
         assert!(journal.len() >= 3);
-        let text = encode_tail(Framing::V2, &journal);
+        let text = Framing::V2.encode_tail(&journal);
         let mut lines: Vec<String> = text.lines().map(str::to_owned).collect();
         // Flip a byte inside the second record (header is line 0).
         let victim = 2;
@@ -423,11 +619,10 @@ mod tests {
         // A silent short write splices two records onto one line: the
         // crc of the splice matches neither record.
         let journal = sample_journal();
-        let a = journal.ops()[0].to_line();
-        let b = journal.ops()[1].to_line();
-        let splice = Framing::V2.encode_tail_record(&a);
-        let splice = splice.trim_end().to_owned() + &Framing::V2.encode_tail_record(&b);
-        let text = format!("{}{splice}", Framing::V2.empty_tail());
+        let mut text = Framing::V2.empty_tail();
+        Framing::V2.encode_tail_record_into(&journal.ops()[0], &mut text);
+        text.pop(); // the newline between the two records is lost
+        Framing::V2.encode_tail_record_into(&journal.ops()[1], &mut text);
         let scan = decode_tail(&text);
         assert!(scan.issue.is_some(), "splice must not decode");
     }

@@ -69,7 +69,8 @@ use std::fmt::Write as _;
 
 use crate::database::MetadataDb;
 use crate::error::MetadataError;
-use crate::export::{hex_decode, hex_encode, LoadError};
+use crate::export::{hex_decode, hex_encode_into, LoadError};
+use crate::framing::Framing;
 use crate::ids::{DataObjectId, EntityInstanceId, PlanningSessionId, RunId, ScheduleInstanceId};
 use crate::objects::{from_millidays, to_millidays};
 
@@ -164,15 +165,18 @@ pub enum JournalOp {
     },
 }
 
-fn fmt_ids(ids: &[EntityInstanceId]) -> String {
+/// Appends `ids` as a comma-separated index list, `-` when empty.
+fn write_ids(ids: &[EntityInstanceId], out: &mut String) -> std::fmt::Result {
     if ids.is_empty() {
-        "-".to_owned()
-    } else {
-        ids.iter()
-            .map(|i| i.index().to_string())
-            .collect::<Vec<_>>()
-            .join(",")
+        out.push('-');
     }
+    for (i, id) in ids.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        write!(out, "{}", id.index())?;
+    }
+    Ok(())
 }
 
 /// Cached [`obs::Metrics`] handles for journal telemetry — registry
@@ -211,63 +215,69 @@ impl JournalOp {
         }
     }
 
-    /// Renders the op as one line of the journal text form — the unit
-    /// the persistent store appends to its tail file.
-    pub(crate) fn to_line(&self) -> String {
-        match self {
-            JournalOp::DeclareEntityContainer { class } => format!("declare-entity {class}"),
+    /// Appends the op as one line of the journal text form (no
+    /// newline) to `out` — the unit the persistent store frames into
+    /// its tail file. Payloads are hex-encoded straight into `out`.
+    pub(crate) fn write_line(&self, out: &mut String) {
+        let _ = match self {
+            JournalOp::DeclareEntityContainer { class } => write!(out, "declare-entity {class}"),
             JournalOp::DeclareScheduleContainer {
                 activity,
                 output_class,
-            } => format!("declare-schedule {activity} {output_class}"),
-            JournalOp::StoreData { name, content } => format!(
-                "store-data {} {}",
-                hex_encode(name.as_bytes()),
-                hex_encode(content)
-            ),
+            } => write!(out, "declare-schedule {activity} {output_class}"),
+            JournalOp::StoreData { name, content } => {
+                out.push_str("store-data ");
+                hex_encode_into(name.as_bytes(), out);
+                out.push(' ');
+                hex_encode_into(content, out);
+                Ok(())
+            }
             JournalOp::BeginRun {
                 activity,
                 operator,
                 started_md,
-            } => format!("begin-run {activity} {operator} {started_md}"),
+            } => write!(out, "begin-run {activity} {operator} {started_md}"),
             JournalOp::FinishRun {
                 run,
                 output_class,
                 data,
                 finished_md,
                 inputs,
-            } => format!(
-                "finish-run {} {output_class} {} {finished_md} inputs {}",
+            } => write!(
+                out,
+                "finish-run {} {output_class} {} {finished_md} inputs ",
                 run.index(),
-                data.index(),
-                fmt_ids(inputs)
-            ),
+                data.index()
+            )
+            .and_then(|()| write_ids(inputs, out)),
             JournalOp::SupplyInput {
                 class,
                 creator,
                 created_md,
                 data,
-            } => format!(
+            } => write!(
+                out,
                 "supply-input {class} {creator} {created_md} {}",
                 data.index()
             ),
-            JournalOp::BeginPlanning { at_md } => format!("begin-planning {at_md}"),
+            JournalOp::BeginPlanning { at_md } => write!(out, "begin-planning {at_md}"),
             JournalOp::PlanActivity {
                 session,
                 activity,
                 start_md,
                 duration_md,
-            } => format!(
+            } => write!(
+                out,
                 "plan-activity {} {activity} {start_md} {duration_md}",
                 session.index()
             ),
             JournalOp::Assign { schedule, designer } => {
-                format!("assign {} {designer}", schedule.index())
+                write!(out, "assign {} {designer}", schedule.index())
             }
             JournalOp::LinkCompletion { schedule, entity } => {
-                format!("link {} {}", schedule.index(), entity.index())
+                write!(out, "link {} {}", schedule.index(), entity.index())
             }
-        }
+        };
     }
 }
 
@@ -312,13 +322,26 @@ impl Journal {
         }
     }
 
-    /// Serialises to the line-oriented text form.
+    /// Serialises to the line-oriented text form — exactly a v1 tail
+    /// file.
     pub fn to_text(&self) -> String {
-        let mut out = String::from("metadata-journal v1\n");
-        for op in &self.ops {
-            let _ = writeln!(out, "{}", op.to_line());
-        }
-        out
+        Framing::V1.encode_tail(self)
+    }
+
+    /// The length in bytes of [`to_text`](Journal::to_text), measured
+    /// one record at a time instead of building the whole text.
+    pub(crate) fn text_len(&self) -> u64 {
+        let mut record = String::new();
+        let records: usize = self
+            .ops
+            .iter()
+            .map(|op| {
+                record.clear();
+                Framing::V1.encode_tail_record_into(op, &mut record);
+                record.len()
+            })
+            .sum();
+        (Framing::V1.tail_header().len() + 1 + records) as u64
     }
 
     /// Synthesises the *minimal* redo journal whose replay reproduces

@@ -531,7 +531,7 @@ impl Store for ArenaStore {
         self.db.check_alive()?;
         let had_journal = self.db.journal().is_some();
         let (ops_before, bytes_before) = match self.db.journal() {
-            Some(j) => (j.len(), j.to_text().len() as u64),
+            Some(j) => (j.len(), j.text_len()),
             None => (0, 0),
         };
         // Reload from our own dump at a bumped generation: slots are
@@ -543,7 +543,7 @@ impl Store for ArenaStore {
         let compacted = Journal::compacted_from(&fresh);
         let (ops_after, bytes_after) = if had_journal {
             let len = compacted.len();
-            let bytes = compacted.to_text().len() as u64;
+            let bytes = compacted.text_len();
             fresh.journal = Some(compacted);
             (len, bytes)
         } else {
@@ -598,6 +598,10 @@ pub struct PersistentStore {
     /// The framing the live tail file uses for appends (v1 only when
     /// the store was opened from a pre-durability root).
     framing: Framing,
+    /// The live tail file, `dir/tail-<seq>.journal`.
+    tail_path: PathBuf,
+    /// Reused buffer the pending records of one append are framed in.
+    append_buf: String,
     /// When set, durability is lost (a tail append failed): every
     /// fallible mutation is refused with the stored reason.
     wedged: Option<String>,
@@ -658,7 +662,8 @@ impl PersistentStore {
             &dir.join(snapshot_name(seq)),
             &framing.encode_snapshot(&db.dump()),
         )?;
-        write_atomic(&*vfs, &dir.join(tail_name(seq)), &framing.empty_tail())?;
+        let tail_path = dir.join(tail_name(seq));
+        write_atomic(&*vfs, &tail_path, &framing.empty_tail())?;
         write_atomic(&*vfs, &current, &format!("{seq}\n"))?;
         Ok(PersistentStore {
             vfs,
@@ -667,6 +672,8 @@ impl PersistentStore {
             seq,
             tail_ops: 0,
             framing,
+            tail_path,
+            append_buf: String::new(),
             wedged: None,
         })
     }
@@ -723,11 +730,7 @@ impl PersistentStore {
             // onto the partial record and corrupt the log for the next
             // open.
             Some(TailIssue::Torn { .. }) => {
-                let mut kept = scan.framing.empty_tail();
-                for op in scan.journal.ops() {
-                    kept.push_str(&scan.framing.encode_tail_record(&op.to_line()));
-                }
-                write_atomic(&*vfs, &tail_path, &kept)?;
+                write_atomic(&*vfs, &tail_path, &scan.framing.encode_tail(&scan.journal))?;
             }
             Some(TailIssue::BadHeader) => {
                 return Err(corrupt(
@@ -758,6 +761,8 @@ impl PersistentStore {
             seq,
             tail_ops,
             framing,
+            tail_path,
+            append_buf: String::new(),
             wedged: None,
         })
     }
@@ -807,12 +812,13 @@ impl PersistentStore {
         if pending.is_empty() {
             return;
         }
-        let mut buf = String::new();
+        self.append_buf.clear();
         for op in pending {
-            buf.push_str(&self.framing.encode_tail_record(&op.to_line()));
+            self.framing
+                .encode_tail_record_into(op, &mut self.append_buf);
         }
-        let path = self.dir.join(tail_name(self.seq));
-        match self.vfs.append(&path, buf.as_bytes()) {
+        let path = &self.tail_path;
+        match self.vfs.append(path, self.append_buf.as_bytes()) {
             Ok(()) => self.tail_ops = journal.len(),
             Err(e) => {
                 let reason = format!("tail append failed at {}: {e}", path.display());
@@ -820,6 +826,16 @@ impl PersistentStore {
                 self.wedged = Some(reason);
             }
         }
+    }
+
+    /// Makes sequence `next` (already committed to `CURRENT`) the live
+    /// epoch, holding `db` with an empty v2 tail.
+    fn enter_epoch(&mut self, next: u64, db: MetadataDb) {
+        self.db = db;
+        self.seq = next;
+        self.tail_ops = 0;
+        self.framing = Framing::V2;
+        self.tail_path = self.dir.join(tail_name(next));
     }
 
     fn file_size(&self, name: &str) -> u64 {
@@ -1054,20 +1070,17 @@ impl Store for PersistentStore {
         if self.seq > 0 {
             self.remove_generation(self.seq - 1);
         }
-        self.db = db;
-        self.seq = next;
-        self.tail_ops = 0;
-        self.framing = Framing::V2;
+        self.enter_epoch(next, db);
         Ok(())
     }
 
     fn checkpoint(&mut self) -> Result<(), StoreError> {
         if let Some(reason) = &self.wedged {
-            return Err(io_err(&self.dir.join(tail_name(self.seq)), reason));
+            return Err(io_err(&self.tail_path, reason));
         }
         self.vfs
-            .sync_file(&self.dir.join(tail_name(self.seq)))
-            .map_err(|e| io_err(&self.dir.join(tail_name(self.seq)), e))
+            .sync_file(&self.tail_path)
+            .map_err(|e| io_err(&self.tail_path, e))
     }
 
     fn wedged_reason(&self) -> Option<&str> {
@@ -1120,10 +1133,7 @@ impl Store for PersistentStore {
         let generation = generation_of(next);
         let mut db = MetadataDb::load_at(&dump, generation)?;
         db.journal = Some(Journal::new());
-        self.db = db;
-        self.seq = next;
-        self.tail_ops = 0;
-        self.framing = Framing::V2;
+        self.enter_epoch(next, db);
 
         let bytes_after = self.file_size(&snapshot_name(next)) + self.file_size(&tail_name(next));
         span.record("tail_ops_folded", tail_ops_before);

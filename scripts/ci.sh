@@ -39,6 +39,9 @@
 #           simulated makespan; Fifo on one worker stays within 1.05x
 #           of the serial reference wall-clock)
 #   bench   bench_compare: fresh quick run vs committed BENCH_schedflow.json
+#   perfbench  the end-to-end benchmark (perfbench/, a package of its
+#           own built against the crates by path) still builds, and a
+#           one-second untraced plan_large run ends with "failed": 0
 #   doc     rustdoc builds cleanly
 #
 # Usage:
@@ -52,7 +55,7 @@
 set -uo pipefail
 cd "$(dirname "$0")/.."
 
-ALL_STAGES=(fmt clippy check golden chaos obs ws fsck serve scale exec bench doc)
+ALL_STAGES=(fmt clippy check golden chaos obs ws fsck serve scale exec bench perfbench doc)
 
 usage() {
     echo "usage: scripts/ci.sh [--stage NAME]... [--list]" >&2
@@ -295,6 +298,21 @@ stage_bench() {
         sleep 2
     done
     return 1
+}
+
+stage_perfbench() {
+    # The benchmark is outside the workspace, so `cargo build
+    # --workspace` never compiles it: build it here, so a crate API
+    # change that breaks it fails CI instead of the benchmark. The
+    # smoke run exercises every output check of one workload.
+    cargo build --release --offline --manifest-path perfbench/Cargo.toml || return 1
+    local result
+    result=$(cargo run -q --release --offline --manifest-path perfbench/Cargo.toml -- \
+        --workload plan_large --seconds 1 --trace 0 | tail -n 1) || return 1
+    grep -q '"failed": 0[,}]' <<<"$result" || {
+        echo "perfbench stage: plan_large smoke run failed ops: $result" >&2
+        return 1
+    }
 }
 
 stage_doc() {
