@@ -13,6 +13,9 @@
 //! * `open_v1/{n}` / `open_v2/{n}` — reopening the finished store:
 //!   snapshot decode (v2 verifies a whole-body CRC) plus tail replay
 //!   (v2 verifies one CRC per record).
+//! * `append_disk_v2/256` (`/64` when quick) — the v2 append session
+//!   on the real filesystem in a temp directory, store creation
+//!   untimed: the per-append I/O cost the `MemVfs` rows leave out.
 //!
 //! The gate (`tests/store_durability.rs`, EXPERIMENTS.md §B15): v2
 //! must stay within **1.2×** of v1 on both paths. The CRC is a
@@ -26,20 +29,17 @@ use harness::bench::{black_box, Record};
 use metadata::{Framing, MetadataDb, PersistentStore, Store};
 use schedule::WorkDays;
 use schema::examples;
-use simtools::vfs::{MemVfs, Vfs};
+use simtools::vfs::{MemVfs, RealVfs, Vfs};
 
-/// Drives `runs` begin/store/finish cycles against a fresh store on
-/// its own in-memory filesystem; returns the VFS for the reopen half.
-fn session(runs: usize, framing: Framing) -> Arc<MemVfs> {
-    let mem = MemVfs::new();
+/// A fresh store at `dir` on `vfs`, seeded with the circuit schema.
+fn create(vfs: Arc<dyn Vfs>, dir: &Path, framing: Framing) -> PersistentStore {
     let db = MetadataDb::for_schema(&examples::circuit_design());
-    let mut store = PersistentStore::create_with_framing(
-        mem.clone() as Arc<dyn Vfs>,
-        Path::new("/proj"),
-        db,
-        framing,
-    )
-    .expect("create on MemVfs");
+    PersistentStore::create_with_framing(vfs, dir, db, framing).expect("create a fresh store")
+}
+
+/// Drives one planned activity and then `runs` begin/store/finish
+/// cycles: three tail appends per cycle.
+fn drive(store: &mut PersistentStore, runs: usize) {
     let planning = store.begin_planning(WorkDays::ZERO);
     let plan = store
         .plan_activity(planning, "Create", WorkDays::ZERO, WorkDays::new(1.0))
@@ -57,6 +57,14 @@ fn session(runs: usize, framing: Framing) -> Arc<MemVfs> {
             .expect("valid finish");
         t += 0.01;
     }
+}
+
+/// Drives `runs` begin/store/finish cycles against a fresh store on
+/// its own in-memory filesystem; returns the VFS for the reopen half.
+fn session(runs: usize, framing: Framing) -> Arc<MemVfs> {
+    let mem = MemVfs::new();
+    let mut store = create(mem.clone(), Path::new("/proj"), framing);
+    drive(&mut store, runs);
     mem
 }
 
@@ -78,5 +86,19 @@ pub fn run(quick: bool) -> Vec<Record> {
             });
         }
     }
+    // The same session on the real filesystem, store creation (and its
+    // fsyncs) untimed: what the held tail handle saves per append.
+    let n = if quick { 64 } else { 256 };
+    let root = std::env::temp_dir().join(format!("schedflow-b15-disk-{}", std::process::id()));
+    suite.bench_with_setup(
+        &format!("append_disk_v2/{n}"),
+        Some(n as u64),
+        || {
+            let _ = std::fs::remove_dir_all(&root);
+            create(RealVfs::arc(), &root, Framing::V2)
+        },
+        |mut store| drive(&mut store, black_box(n)),
+    );
+    let _ = std::fs::remove_dir_all(&root);
     suite.into_records()
 }

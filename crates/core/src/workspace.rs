@@ -352,23 +352,42 @@ impl Workspace {
     /// directory exists but cannot be removed.
     pub fn remove_project(&self, name: &str) -> Result<(), WorkspaceError> {
         validate_name(name)?;
-        let registered = {
-            let mut projects = self.projects.write().unwrap_or_else(|e| e.into_inner());
-            projects.remove(name).is_some()
-        };
-        let mut on_disk = false;
-        if let Some(root) = &self.root {
-            let dir = root.join(name);
-            if dir.is_dir() {
-                on_disk = true;
-                fs::remove_dir_all(&dir).map_err(|e| {
-                    WorkspaceError::Store(StoreError::Io {
-                        path: dir,
-                        message: e.to_string(),
-                    })
-                })?;
-            }
+        let held = self.project(name);
+        // Other holders of the `Arc<Project>` may still mutate it. Keep
+        // the name registered and hold the project's write lock until
+        // its files are gone, so no concurrent open can start a second
+        // store on the directory. Close the store's held tail first:
+        // the next append then reopens by path and wedges on the
+        // missing file instead of writing to an orphaned inode.
+        let mut session = held
+            .as_ref()
+            .map(|p| p.manager.write().unwrap_or_else(|e| e.into_inner()));
+        if let Some(h) = session.as_mut() {
+            h.store.release_files();
         }
+        let dir = self.root.as_ref().map(|root| root.join(name));
+        let dir = dir.filter(|dir| dir.is_dir());
+        let on_disk = dir.is_some();
+        let deleted = dir.map_or(Ok(()), |dir| {
+            fs::remove_dir_all(&dir).map_err(|e| {
+                WorkspaceError::Store(StoreError::Io {
+                    path: dir,
+                    message: e.to_string(),
+                })
+            })
+        });
+        // Unregister only now, and only this registration: a second
+        // remover that waited on the same lock finds the name gone.
+        let registered = held.as_ref().is_some_and(|held| {
+            let mut projects = self.projects.write().unwrap_or_else(|e| e.into_inner());
+            let ours = projects.get(name).is_some_and(|p| Arc::ptr_eq(p, held));
+            if ours {
+                projects.remove(name);
+            }
+            ours
+        });
+        drop(session);
+        deleted?;
         if registered || on_disk {
             Ok(())
         } else {
@@ -765,6 +784,65 @@ mod tests {
         let ws = Workspace::persistent(&root);
         ws.remove_project("alu").unwrap();
         assert_eq!(Workspace::on_disk_projects(&root), Vec::<String>::new());
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn removed_project_wedges_its_remaining_holders() {
+        let root = scratch("remove-held");
+        let ws = Workspace::persistent(&root);
+        let alu = add(&ws, "alu");
+        alu.update(|h| h.plan("performance")).unwrap();
+        ws.remove_project("alu").unwrap();
+        // A session still holding the project must not acknowledge
+        // writes whose files are gone.
+        let err = alu.update(|h| h.plan("performance")).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                HerculesError::Metadata(metadata::MetadataError::StorageFailed(_))
+            ),
+            "{err:?}"
+        );
+        assert!(alu.read(|h| h.store().wedged_reason().is_some()));
+        assert!(!root.join("alu").exists(), "no file reappears");
+        assert_eq!(Workspace::on_disk_projects(&root), Vec::<String>::new());
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn removal_keeps_the_name_until_its_files_are_gone() {
+        let root = scratch("remove-race");
+        let ws = Workspace::persistent(&root);
+        let alu = add(&ws, "alu");
+        alu.update(|h| h.plan("performance")).unwrap();
+        std::thread::scope(|s| {
+            // A long plan or run holds the project while it is removed.
+            let session = alu.manager.write().unwrap();
+            let remover = s.spawn(|| ws.remove_project("alu"));
+            std::thread::sleep(std::time::Duration::from_millis(100));
+            // A served request that reopens the name meanwhile must not
+            // start a second store on the directory being deleted.
+            let reopened = ws.open_saved_project("alu");
+            assert!(
+                matches!(reopened, Err(WorkspaceError::DuplicateProject(_))),
+                "{:?}",
+                reopened.map(|p| p.lane())
+            );
+            assert!(ws.project("alu").is_some_and(|p| Arc::ptr_eq(&p, &alu)));
+            drop(session);
+            remover.join().unwrap().unwrap();
+        });
+        assert!(alu.update(|h| h.plan("performance")).is_err());
+        assert!(matches!(
+            ws.open_saved_project("alu"),
+            Err(WorkspaceError::UnknownProject(_))
+        ));
+        assert!(matches!(
+            ws.remove_project("alu"),
+            Err(WorkspaceError::UnknownProject(_))
+        ));
+        assert!(!root.join("alu").exists(), "no file reappears");
         let _ = fs::remove_dir_all(&root);
     }
 

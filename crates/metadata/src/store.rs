@@ -77,7 +77,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use schedule::WorkDays;
-use simtools::vfs::{RealVfs, Vfs};
+use simtools::vfs::{AppendFile, RealVfs, Vfs};
 
 use crate::database::MetadataDb;
 use crate::error::MetadataError;
@@ -391,6 +391,11 @@ pub trait Store: fmt::Debug + Send + Sync {
     fn wedged_reason(&self) -> Option<&str> {
         None
     }
+
+    /// Closes any file the backend holds open, so its directory can be
+    /// deleted under it; the next mutation reopens by path (and wedges
+    /// if the files are gone). No-op for the arena.
+    fn release_files(&mut self) {}
 }
 
 impl Clone for Box<dyn Store> {
@@ -600,6 +605,10 @@ pub struct PersistentStore {
     framing: Framing,
     /// The live tail file, `dir/tail-<seq>.journal`.
     tail_path: PathBuf,
+    /// The append handle on `tail_path`. Opened by the first append of
+    /// each epoch (so never before `open`'s torn-tail rewrite), dropped
+    /// at every epoch switch and by [`Store::release_files`].
+    tail: Option<Box<dyn AppendFile>>,
     /// Reused buffer the pending records of one append are framed in.
     append_buf: String,
     /// When set, durability is lost (a tail append failed): every
@@ -673,6 +682,7 @@ impl PersistentStore {
             tail_ops: 0,
             framing,
             tail_path,
+            tail: None,
             append_buf: String::new(),
             wedged: None,
         })
@@ -762,6 +772,7 @@ impl PersistentStore {
             tail_ops,
             framing,
             tail_path,
+            tail: None,
             append_buf: String::new(),
             wedged: None,
         })
@@ -795,8 +806,10 @@ impl PersistentStore {
     /// Flushes any journal ops not yet in the tail file. Runs after
     /// *every* mutation — including one torn by an injected crash,
     /// whose op was appended before the simulated death and therefore
-    /// must reach disk, exactly like a real WAL. If the append fails,
-    /// the store wedges (see the [module docs](self#wedging)) instead
+    /// must reach disk, exactly like a real WAL. The pending records go
+    /// out as one append through the held tail handle (reopened by
+    /// path when there is none). If the open or the append fails, the
+    /// store wedges (see the [module docs](self#wedging)) instead
     /// of panicking: durability is gone, so every further fallible
     /// mutation is refused with [`MetadataError::StorageFailed`].
     fn sync_tail(&mut self) {
@@ -818,8 +831,16 @@ impl PersistentStore {
                 .encode_tail_record_into(op, &mut self.append_buf);
         }
         let path = &self.tail_path;
-        match self.vfs.append(path, self.append_buf.as_bytes()) {
-            Ok(()) => self.tail_ops = journal.len(),
+        let appended = match self.tail.take() {
+            Some(tail) => Ok(tail),
+            None => Arc::clone(&self.vfs).open_append(path),
+        }
+        .and_then(|mut tail| tail.append(self.append_buf.as_bytes()).map(|()| tail));
+        match appended {
+            Ok(tail) => {
+                self.tail = Some(tail);
+                self.tail_ops = journal.len();
+            }
             Err(e) => {
                 let reason = format!("tail append failed at {}: {e}", path.display());
                 obs::event!("store.wedged", path = path.display().to_string());
@@ -836,6 +857,7 @@ impl PersistentStore {
         self.tail_ops = 0;
         self.framing = Framing::V2;
         self.tail_path = self.dir.join(tail_name(next));
+        self.tail = None;
     }
 
     fn file_size(&self, name: &str) -> u64 {
@@ -1157,6 +1179,10 @@ impl Store for PersistentStore {
 
     fn path(&self) -> Option<&Path> {
         Some(&self.dir)
+    }
+
+    fn release_files(&mut self) {
+        self.tail = None;
     }
 }
 

@@ -271,3 +271,88 @@ fn conformance_compact_survives_enospc_at_every_injection_point() {
     }
     assert!(k >= 2, "the sweep must actually exercise failing writes");
 }
+
+/// The real-filesystem backends: plain, and behind a no-fault
+/// [`FaultVfs`] (whose held append handle wraps the real one).
+fn real_vfs_backends() -> [Arc<dyn Vfs>; 2] {
+    [
+        RealVfs::arc(),
+        FaultVfs::new(RealVfs::arc(), VfsFaultPlan::none()) as Arc<dyn Vfs>,
+    ]
+}
+
+fn tail_len(dir: &std::path::Path, seq: u64) -> u64 {
+    fs::metadata(dir.join(format!("tail-{seq}.journal")))
+        .unwrap()
+        .len()
+}
+
+/// Appends land in the live tail across every epoch switch on disk:
+/// after `compact` and `replace_db` the store appends to the new tail,
+/// the superseded tail stops growing, and a reopen replays exactly the
+/// live state.
+#[test]
+fn real_fs_appends_follow_every_epoch_switch() {
+    for (i, vfs) in real_vfs_backends().into_iter().enumerate() {
+        let scratch = ScratchDir::new(&format!("epochs-{i}"));
+        let dir = &scratch.0;
+        let mut store = PersistentStore::create_on(Arc::clone(&vfs), dir, seed_db()).unwrap();
+        lifecycle(&mut store);
+        store.compact().unwrap();
+        let tail0 = tail_len(dir, 0);
+        let empty = tail_len(dir, 1);
+        lifecycle(&mut store);
+        assert_eq!(
+            tail_len(dir, 0),
+            tail0,
+            "superseded tail grew after compact"
+        );
+        assert!(
+            tail_len(dir, 1) > empty,
+            "compacted epoch's tail took no appends"
+        );
+        let mut other = seed_db();
+        other.begin_planning(WorkDays::new(3.0));
+        store.replace_db(other).unwrap();
+        let tail1 = tail_len(dir, 1);
+        lifecycle(&mut store);
+        assert_eq!(
+            tail_len(dir, 1),
+            tail1,
+            "superseded tail grew after replace_db"
+        );
+        assert!(
+            tail_len(dir, 2) > empty,
+            "replaced epoch's tail took no appends"
+        );
+        let dump = store.db().dump();
+        drop(store);
+        let reopened = PersistentStore::open_on(vfs, dir).unwrap();
+        assert_eq!(reopened.sequence(), 2);
+        assert_eq!(reopened.db().dump(), dump);
+        reopened.db().check_invariants().unwrap();
+    }
+}
+
+/// Opening a root whose tail ends in a torn record rewrites the tail
+/// (temp file + rename); appends after the open must reach the
+/// rewritten file, or the next open loses them.
+#[test]
+fn real_fs_appends_after_torn_tail_repair_survive_reopen() {
+    for (i, vfs) in real_vfs_backends().into_iter().enumerate() {
+        let scratch = ScratchDir::new(&format!("torn-{i}"));
+        let dir = &scratch.0;
+        let mut store = PersistentStore::create_on(Arc::clone(&vfs), dir, seed_db()).unwrap();
+        lifecycle(&mut store);
+        drop(store);
+        vfs.append(&dir.join("tail-0.journal"), b"0badc0de begin-run Create al")
+            .unwrap();
+        let mut store = PersistentStore::open_on(Arc::clone(&vfs), dir).unwrap();
+        lifecycle(&mut store);
+        let dump = store.db().dump();
+        drop(store);
+        let reopened = PersistentStore::open_on(vfs, dir).unwrap();
+        assert_eq!(reopened.db().dump(), dump);
+        reopened.db().check_invariants().unwrap();
+    }
+}

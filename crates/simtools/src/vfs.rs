@@ -58,9 +58,10 @@ use std::sync::{Arc, Mutex};
 use crate::rng::{mix, SplitMix64};
 
 /// The filesystem operations the persistent stores need — nothing
-/// more. All methods take `&self`: backends are internally synchronised
-/// so one `Arc<dyn Vfs>` can serve every store in a workspace.
-pub trait Vfs: fmt::Debug + Send + Sync {
+/// more. All methods take `&self` (or a shared `Arc<Self>`): backends
+/// are internally synchronised so one `Arc<dyn Vfs>` can serve every
+/// store in a workspace.
+pub trait Vfs: fmt::Debug + Send + Sync + 'static {
     /// Reads an entire file as UTF-8 text (every store file is text).
     ///
     /// # Errors
@@ -133,6 +134,49 @@ pub trait Vfs: fmt::Debug + Send + Sync {
     ///
     /// `NotFound` for a missing directory, or real/injected failure.
     fn list_dir(&self, path: &Path) -> io::Result<Vec<PathBuf>>;
+
+    /// Opens an existing file for repeated appends. Each
+    /// [`AppendFile::append`] has exactly the effect (and the faults)
+    /// of one [`append`](Vfs::append) on `path`.
+    ///
+    /// The default handle appends by path on every call, so a backend
+    /// only overrides this when holding the file open is cheaper.
+    ///
+    /// # Errors
+    ///
+    /// `NotFound` if the backend opens the file now and it is missing,
+    /// or real failure. The default handle defers every error to its
+    /// `append`.
+    fn open_append(self: Arc<Self>, path: &Path) -> io::Result<Box<dyn AppendFile>> {
+        Ok(Box::new(PathAppend {
+            vfs: self,
+            path: path.to_path_buf(),
+        }))
+    }
+}
+
+/// An append handle on one file, from [`Vfs::open_append`]. The
+/// persistent store holds one on its live journal tail.
+pub trait AppendFile: fmt::Debug + Send + Sync {
+    /// Appends `contents` to the end of the file.
+    ///
+    /// # Errors
+    ///
+    /// As [`Vfs::append`].
+    fn append(&mut self, contents: &[u8]) -> io::Result<()>;
+}
+
+/// The default [`AppendFile`]: a by-path [`Vfs::append`] per call.
+#[derive(Debug)]
+struct PathAppend<V: ?Sized> {
+    vfs: Arc<V>,
+    path: PathBuf,
+}
+
+impl<V: Vfs + ?Sized> AppendFile for PathAppend<V> {
+    fn append(&mut self, contents: &[u8]) -> io::Result<()> {
+        self.vfs.append(&self.path, contents)
+    }
 }
 
 // ----------------------------------------------------------------------
@@ -161,10 +205,7 @@ impl Vfs for RealVfs {
     }
 
     fn append(&self, path: &Path, contents: &[u8]) -> io::Result<()> {
-        use std::io::Write as _;
-        let mut f = std::fs::OpenOptions::new().append(true).open(path)?;
-        f.write_all(contents)?;
-        f.flush()
+        RealAppend::open(path)?.append(contents)
     }
 
     fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
@@ -211,6 +252,31 @@ impl Vfs for RealVfs {
         }
         out.sort();
         Ok(out)
+    }
+
+    fn open_append(self: Arc<Self>, path: &Path) -> io::Result<Box<dyn AppendFile>> {
+        Ok(Box::new(RealAppend::open(path)?))
+    }
+}
+
+/// A held `O_APPEND` file: one `write` per append. `File` is
+/// unbuffered, so there is nothing to flush.
+#[derive(Debug)]
+struct RealAppend(std::fs::File);
+
+impl RealAppend {
+    fn open(path: &Path) -> io::Result<RealAppend> {
+        std::fs::OpenOptions::new()
+            .append(true)
+            .open(path)
+            .map(RealAppend)
+    }
+}
+
+impl AppendFile for RealAppend {
+    fn append(&mut self, contents: &[u8]) -> io::Result<()> {
+        use std::io::Write as _;
+        self.0.write_all(contents)
     }
 }
 
@@ -574,16 +640,24 @@ impl FaultVfs {
         io::Error::other(format!("{}: injected EIO", path.display()))
     }
 
-    /// Applies a write-class fault: persists `frac` of the payload via
-    /// `put`, then errors (ENOSPC) or lies (short write).
+    /// The write-class fault model, shared by `write`, by-path
+    /// `append` and held append handles: the armed one-shot ENOSPC
+    /// first, then the seeded decision for this op's index. A planned
+    /// fault persists `frac` of the payload via `put`, then errors
+    /// (ENOSPC) or lies (short write).
     fn faulty_write(
         &self,
+        kind: OpKind,
         path: &Path,
         contents: &[u8],
-        fault: VfsFault,
-        frac: f64,
-        put: impl Fn(&[u8]) -> io::Result<()>,
+        mut put: impl FnMut(&[u8]) -> io::Result<()>,
     ) -> io::Result<()> {
+        if self.armed_fires() {
+            return Err(self.enospc(path));
+        }
+        let Some((fault, frac)) = self.plan.decide(self.next_index(), kind) else {
+            return put(contents);
+        };
         let keep = ((contents.len() as f64) * frac) as usize;
         put(&contents[..keep.min(contents.len())])?;
         match fault {
@@ -597,6 +671,25 @@ impl FaultVfs {
     }
 }
 
+/// A [`FaultVfs`] append handle: the inner backend's handle behind the
+/// same per-append fault decisions as [`FaultVfs::append`].
+#[derive(Debug)]
+struct FaultAppend {
+    fs: Arc<FaultVfs>,
+    path: PathBuf,
+    inner: Box<dyn AppendFile>,
+}
+
+impl AppendFile for FaultAppend {
+    fn append(&mut self, contents: &[u8]) -> io::Result<()> {
+        let inner = &mut self.inner;
+        self.fs
+            .faulty_write(OpKind::Append, &self.path, contents, |bytes| {
+                inner.append(bytes)
+            })
+    }
+}
+
 impl Vfs for FaultVfs {
     fn read_to_string(&self, path: &Path) -> io::Result<String> {
         if let Some((VfsFault::Eio, _)) = self.plan.decide(self.next_index(), OpKind::Read) {
@@ -606,27 +699,15 @@ impl Vfs for FaultVfs {
     }
 
     fn write(&self, path: &Path, contents: &[u8]) -> io::Result<()> {
-        if self.armed_fires() {
-            return Err(self.enospc(path));
-        }
-        match self.plan.decide(self.next_index(), OpKind::Write) {
-            Some((fault, frac)) => self.faulty_write(path, contents, fault, frac, |bytes| {
-                self.inner.write(path, bytes)
-            }),
-            None => self.inner.write(path, contents),
-        }
+        self.faulty_write(OpKind::Write, path, contents, |bytes| {
+            self.inner.write(path, bytes)
+        })
     }
 
     fn append(&self, path: &Path, contents: &[u8]) -> io::Result<()> {
-        if self.armed_fires() {
-            return Err(self.enospc(path));
-        }
-        match self.plan.decide(self.next_index(), OpKind::Append) {
-            Some((fault, frac)) => self.faulty_write(path, contents, fault, frac, |bytes| {
-                self.inner.append(path, bytes)
-            }),
-            None => self.inner.append(path, contents),
-        }
+        self.faulty_write(OpKind::Append, path, contents, |bytes| {
+            self.inner.append(path, bytes)
+        })
     }
 
     fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
@@ -672,6 +753,15 @@ impl Vfs for FaultVfs {
 
     fn list_dir(&self, path: &Path) -> io::Result<Vec<PathBuf>> {
         self.inner.list_dir(path)
+    }
+
+    fn open_append(self: Arc<Self>, path: &Path) -> io::Result<Box<dyn AppendFile>> {
+        let inner = Arc::clone(&self.inner).open_append(path)?;
+        Ok(Box::new(FaultAppend {
+            fs: self,
+            path: path.to_path_buf(),
+            inner,
+        }))
     }
 }
 
@@ -824,6 +914,56 @@ mod tests {
         panic!("no seed produced a short write on op 0");
     }
 
+    /// Drives 40 growing appends to one file through a [`FaultVfs`],
+    /// by path or through one held handle, and returns what is
+    /// observable: the bytes, each append's error kind, and the
+    /// decorator's counters.
+    fn drive_appends(
+        plan: VfsFaultPlan,
+        arm: Option<u64>,
+        held: bool,
+    ) -> (String, Vec<Option<io::ErrorKind>>, u64, u64) {
+        let mem = MemVfs::new();
+        mem.create_dir_all(&p("/db")).unwrap();
+        mem.write(&p("/db/tail"), b"").unwrap();
+        let fs = FaultVfs::new(mem.clone(), plan);
+        if let Some(k) = arm {
+            fs.arm_enospc_after(k);
+        }
+        let mut handle = held.then(|| Arc::clone(&fs).open_append(&p("/db/tail")).unwrap());
+        let errors = (0..40u8)
+            .map(|i| {
+                let record = vec![b'a' + i % 26; 1 + usize::from(i) * 7];
+                let result = match &mut handle {
+                    Some(h) => h.append(&record),
+                    None => fs.append(&p("/db/tail"), &record),
+                };
+                result.err().map(|e| e.kind())
+            })
+            .collect();
+        let bytes = mem.read_to_string(&p("/db/tail")).unwrap();
+        (bytes, errors, fs.write_ops(), fs.injected())
+    }
+
+    #[test]
+    fn held_handle_and_by_path_append_share_one_fault_model() {
+        let mut injected = 0;
+        for seed in 0..64 {
+            let plan = VfsFaultPlan::seeded(seed, 0.3);
+            let by_path = drive_appends(plan, None, false);
+            assert_eq!(by_path, drive_appends(plan, None, true), "seed {seed}");
+            injected += by_path.3;
+        }
+        assert!(injected > 0, "a 30% plan over 64 seeds must inject");
+        for k in [0, 1, 17, 39] {
+            let by_path = drive_appends(VfsFaultPlan::none(), Some(k), false);
+            assert_eq!(by_path, drive_appends(VfsFaultPlan::none(), Some(k), true));
+            let fired: Vec<usize> = (0..40).filter(|&i| by_path.1[i].is_some()).collect();
+            assert_eq!(fired, vec![k as usize], "armed ENOSPC fires at op {k}");
+            assert_eq!(by_path.1[k as usize], Some(io::ErrorKind::StorageFull));
+        }
+    }
+
     #[test]
     fn real_vfs_smoke() {
         let dir = std::env::temp_dir().join(format!(
@@ -839,8 +979,12 @@ mod tests {
         fs.sync_file(&f).unwrap();
         fs.sync_dir(&dir).unwrap();
         fs.append(&f, b" world").unwrap();
-        assert_eq!(fs.read_to_string(&f).unwrap(), "hello world");
-        assert_eq!(fs.file_size(&f), 11);
+        let mut held = Arc::new(fs).open_append(&f).unwrap();
+        held.append(b"!").unwrap();
+        assert_eq!(fs.read_to_string(&f).unwrap(), "hello world!");
+        assert_eq!(fs.file_size(&f), 12);
+        let missing = Arc::new(fs).open_append(&dir.join("nope")).unwrap_err();
+        assert_eq!(missing.kind(), io::ErrorKind::NotFound);
         assert_eq!(fs.list_dir(&dir).unwrap(), vec![f.clone()]);
         let g = dir.join("b.txt");
         fs.rename(&f, &g).unwrap();

@@ -40,8 +40,9 @@
 #           of the serial reference wall-clock)
 #   bench   bench_compare: fresh quick run vs committed BENCH_schedflow.json
 #   perfbench  the end-to-end benchmark (perfbench/, a package of its
-#           own built against the crates by path) still builds, and a
-#           one-second untraced plan_large run ends with "failed": 0
+#           own built against the crates by path) still builds, and
+#           one-second untraced plan_large and serve_mixed runs each
+#           end with "failed": 0
 #   doc     rustdoc builds cleanly
 #
 # Usage:
@@ -194,10 +195,13 @@ stage_obs() {
 stage_ws() {
     # Workspace-kernel gate: interleaved multi-session determinism,
     # snapshot + tail ≡ full replay on chaos seeds, both store
-    # backends through the shared conformance suite, and the B12
-    # lock-granularity scaling floor (≥2x throughput 1 -> 4 threads).
+    # backends through the shared conformance suite (epoch switches
+    # and torn-tail repair on the real filesystem included), project
+    # removal under live holders, and the B12 lock-granularity scaling
+    # floor (≥2x throughput 1 -> 4 threads).
     cargo test -q --offline --release -p metadata \
         --test store_conformance || return 1
+    cargo test -q --offline --release -p hercules --lib workspace || return 1
     cargo test -q --offline --release -p hercules \
         --test workspace_stress --test compaction_property || return 1
     cargo test -q --offline --release -p bench \
@@ -215,6 +219,9 @@ stage_fsck() {
     # repair — never silently wrong, never a panic. The corpus goldens
     # pin the scrub verdicts on committed damaged roots; the B15 gate
     # holds checksummed framing to <= 1.2x the un-checksummed paths.
+    # The vfs unit tests pin one fault model for by-path appends and
+    # held append handles.
+    cargo test -q --offline --release -p simtools --lib vfs || return 1
     cargo test -q --offline --release -p metadata \
         --test fault_chaos || return 1
     cargo test -q --offline --release -p dac95-schedflow \
@@ -304,15 +311,18 @@ stage_perfbench() {
     # The benchmark is outside the workspace, so `cargo build
     # --workspace` never compiles it: build it here, so a crate API
     # change that breaks it fails CI instead of the benchmark. The
-    # smoke run exercises every output check of one workload.
+    # smoke runs exercise every output check of the kernel path and of
+    # the served path.
     cargo build --release --offline --manifest-path perfbench/Cargo.toml || return 1
-    local result
-    result=$(cargo run -q --release --offline --manifest-path perfbench/Cargo.toml -- \
-        --workload plan_large --seconds 1 --trace 0 | tail -n 1) || return 1
-    grep -q '"failed": 0[,}]' <<<"$result" || {
-        echo "perfbench stage: plan_large smoke run failed ops: $result" >&2
-        return 1
-    }
+    local workload result
+    for workload in plan_large serve_mixed; do
+        result=$(cargo run -q --release --offline --manifest-path perfbench/Cargo.toml -- \
+            --workload "$workload" --seconds 1 --trace 0 | tail -n 1) || return 1
+        grep -q '"failed": 0[,}]' <<<"$result" || {
+            echo "perfbench stage: $workload smoke run failed ops: $result" >&2
+            return 1
+        }
+    done
 }
 
 stage_doc() {
