@@ -15,6 +15,7 @@ use std::io;
 use std::path::Path;
 use std::time::Instant;
 
+use obs::export::{escape_json, parse_json, JsonValue};
 pub use std::hint::black_box;
 
 /// Sampling plan for one suite.
@@ -225,21 +226,6 @@ impl Suite {
     }
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 fn json_f64(v: f64) -> String {
     if v.is_finite() {
         format!("{v:.1}")
@@ -254,12 +240,14 @@ pub fn to_json(records: &[Record]) -> String {
     let mut out = String::from("{\n  \"schema\": \"schedflow-bench/v1\",\n  \"kernels\": [\n");
     for (i, r) in records.iter().enumerate() {
         let elements = r.elements.map_or("null".to_owned(), |e| e.to_string());
+        out.push_str("    {\"kernel\": \"");
+        escape_json(&r.kernel, &mut out);
+        out.push_str("\", \"bench\": \"");
+        escape_json(&r.bench, &mut out);
         out.push_str(&format!(
-            "    {{\"kernel\": \"{kernel}\", \"bench\": \"{bench}\", \"elements\": {elements}, \
+            "\", \"elements\": {elements}, \
              \"samples\": {samples}, \"iters_per_sample\": {iters}, \
              \"median_ns\": {median}, \"p95_ns\": {p95}, \"min_ns\": {min}, \"mean_ns\": {mean}}}{comma}\n",
-            kernel = json_escape(&r.kernel),
-            bench = json_escape(&r.bench),
             samples = r.samples,
             iters = r.iters_per_sample,
             median = json_f64(r.stats.median_ns),
@@ -290,126 +278,65 @@ pub fn write_report(path: &Path, records: &[Record]) -> io::Result<()> {
 /// inverse of [`to_json`], used by the `bench_compare` CI gate to read
 /// the committed baseline and the fresh run.
 ///
-/// The parser accepts any whitespace layout but requires the schema
-/// marker and the flat record shape [`to_json`] emits.
+/// Built on the workspace's one JSON reader
+/// ([`obs::export::parse_json`]): any layout parses, but the schema
+/// marker and the flat record shape [`to_json`] emits are required.
 ///
 /// # Errors
 ///
 /// A human-readable description of the first malformed construct.
 pub fn parse_report(json: &str) -> Result<Vec<Record>, String> {
-    if !json.contains("schedflow-bench/v1") {
+    let root = parse_json(json)?;
+    if root.get("schema").and_then(JsonValue::as_str) != Some("schedflow-bench/v1") {
         return Err("not a schedflow-bench/v1 report (schema marker missing)".to_owned());
     }
-    let kernels_at = json
-        .find("\"kernels\"")
-        .ok_or_else(|| "missing \"kernels\" array".to_owned())?;
-    let body = &json[kernels_at..];
-    let open = body
-        .find('[')
-        .ok_or_else(|| "missing [ after \"kernels\"".to_owned())?;
-    let close = body
-        .rfind(']')
-        .ok_or_else(|| "missing ] closing \"kernels\"".to_owned())?;
-    if close < open {
-        return Err("malformed \"kernels\" array".to_owned());
-    }
-    let mut records = Vec::new();
-    let mut rest = &body[open + 1..close];
-    while let Some(start) = rest.find('{') {
-        let end = rest[start..]
-            .find('}')
-            .ok_or_else(|| "unterminated record object".to_owned())?
-            + start;
-        records.push(parse_record(&rest[start + 1..end])?);
-        rest = &rest[end + 1..];
-    }
-    Ok(records)
+    root.get("kernels")
+        .and_then(JsonValue::as_array)
+        .ok_or_else(|| "missing \"kernels\" array".to_owned())?
+        .iter()
+        .map(parse_record)
+        .collect()
 }
 
-fn parse_record(obj: &str) -> Result<Record, String> {
-    let elements = match raw_field(obj, "elements") {
-        None | Some("null") => None,
-        Some(raw) => Some(
-            raw.parse::<u64>()
-                .map_err(|_| format!("\"elements\" is not an integer: {raw}"))?,
+fn parse_record(obj: &JsonValue) -> Result<Record, String> {
+    let field = |key: &str| {
+        obj.get(key)
+            .ok_or_else(|| format!("missing field \"{key}\""))
+    };
+    let text = |key: &str| {
+        field(key)?
+            .as_str()
+            .map(str::to_owned)
+            .ok_or_else(|| format!("field \"{key}\" is not a string"))
+    };
+    // `to_json` writes a non-finite statistic as `null`.
+    let num = |key: &str| match field(key)? {
+        JsonValue::Null => Ok(f64::NAN),
+        v => v
+            .as_f64()
+            .ok_or_else(|| format!("field \"{key}\" is not a number")),
+    };
+    let elements = match obj.get("elements") {
+        None | Some(JsonValue::Null) => None,
+        Some(v) => Some(
+            v.as_f64()
+                .filter(|n| n.fract() == 0.0 && *n >= 0.0)
+                .ok_or_else(|| "\"elements\" is not an integer".to_owned())? as u64,
         ),
     };
     Ok(Record {
-        kernel: str_field(obj, "kernel")?,
-        bench: str_field(obj, "bench")?,
+        kernel: text("kernel")?,
+        bench: text("bench")?,
         elements,
-        samples: num_field(obj, "samples")? as u32,
-        iters_per_sample: num_field(obj, "iters_per_sample")? as u32,
+        samples: num("samples")? as u32,
+        iters_per_sample: num("iters_per_sample")? as u32,
         stats: Stats {
-            median_ns: num_field(obj, "median_ns")?,
-            p95_ns: num_field(obj, "p95_ns")?,
-            min_ns: num_field(obj, "min_ns")?,
-            mean_ns: num_field(obj, "mean_ns")?,
+            median_ns: num("median_ns")?,
+            p95_ns: num("p95_ns")?,
+            min_ns: num("min_ns")?,
+            mean_ns: num("mean_ns")?,
         },
     })
-}
-
-/// The raw (untrimmed-of-quotes) text of `key`'s value inside a flat
-/// JSON object body, cut at the next top-level comma.
-fn raw_field<'a>(obj: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\"");
-    let at = obj.find(&pat)?;
-    let after = &obj[at + pat.len()..];
-    let colon = after.find(':')?;
-    let val = after[colon + 1..].trim_start();
-    if val.starts_with('"') {
-        // String value: find the closing unescaped quote.
-        let mut escaped = false;
-        for (i, c) in val.char_indices().skip(1) {
-            match c {
-                '\\' if !escaped => escaped = true,
-                '"' if !escaped => return Some(&val[..=i]),
-                _ => escaped = false,
-            }
-        }
-        None
-    } else {
-        let end = val.find([',', '}']).unwrap_or(val.len());
-        Some(val[..end].trim())
-    }
-}
-
-fn str_field(obj: &str, key: &str) -> Result<String, String> {
-    let raw = raw_field(obj, key).ok_or_else(|| format!("missing field \"{key}\""))?;
-    if raw.len() < 2 || !raw.starts_with('"') || !raw.ends_with('"') {
-        return Err(format!("field \"{key}\" is not a string: {raw}"));
-    }
-    let mut out = String::new();
-    let mut chars = raw[1..raw.len() - 1].chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next() {
-            Some('"') => out.push('"'),
-            Some('\\') => out.push('\\'),
-            Some('n') => out.push('\n'),
-            Some('t') => out.push('\t'),
-            Some('u') => {
-                let code: String = chars.by_ref().take(4).collect();
-                let v = u32::from_str_radix(&code, 16)
-                    .map_err(|_| format!("bad \\u escape in \"{key}\""))?;
-                out.push(char::from_u32(v).ok_or_else(|| format!("bad codepoint in \"{key}\""))?);
-            }
-            other => return Err(format!("bad escape {other:?} in \"{key}\"")),
-        }
-    }
-    Ok(out)
-}
-
-fn num_field(obj: &str, key: &str) -> Result<f64, String> {
-    let raw = raw_field(obj, key).ok_or_else(|| format!("missing field \"{key}\""))?;
-    if raw == "null" {
-        return Ok(f64::NAN);
-    }
-    raw.parse::<f64>()
-        .map_err(|_| format!("field \"{key}\" is not a number: {raw}"))
 }
 
 #[cfg(test)]
@@ -471,7 +398,9 @@ mod tests {
 
     #[test]
     fn escape_handles_specials() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+        let mut records = sample_records();
+        records[0].bench = "a\"b\\c\nd".to_owned();
+        assert!(to_json(&records).contains(r#""bench": "a\"b\\c\nd""#));
     }
 
     fn sample_records() -> Vec<Record> {

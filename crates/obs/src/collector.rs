@@ -1,24 +1,35 @@
-//! The global collector: per-thread buffers behind a single runtime
-//! on/off switch, RAII span guards, and exclusive tracing sessions.
+//! The global collector: per-thread recording slots, explicit session
+//! membership, RAII span guards, and exclusive tracing sessions.
 //!
 //! Design constraints (see DESIGN.md §9):
 //!
-//! * **Free when off.** [`Collector::is_enabled`] is one relaxed atomic
-//!   load; the `span!`/`event!` macros check it *before* building any
-//!   argument vectors, so disabled instrumentation costs a predictable
-//!   branch. The `compile-off` cargo feature turns the check into a
-//!   constant `false` the optimizer strips entirely.
-//! * **No contention when on.** Each thread records into its own
-//!   buffer (a `thread_local` slot registered once with the global
-//!   registry); the only cross-thread synchronization on the hot path
-//!   is the thread's own uncontended mutex.
-//! * **Deterministic merge.** [`Collector::drain`] orders thread
-//!   buffers by `(lane, registration index)`. Threads doing
-//!   deterministic work under explicit lanes (e.g. Monte Carlo chunk
-//!   workers calling [`Collector::set_lane`]) therefore produce the
-//!   same [`Trace`] regardless of OS scheduling or thread count.
+//! * **Free when off.** While no session is open and the flight
+//!   recorder is off, [`Collector::is_enabled`] and
+//!   [`Collector::flight_enabled`] are one relaxed atomic load each;
+//!   the `span!`/`event!` macros check them *before* building any
+//!   argument vectors or touching thread-local state, so disabled
+//!   instrumentation costs a predictable branch.
+//! * **Membership, not a switch.** A session records only the threads
+//!   that are in it: the thread that opened it, and workers that
+//!   entered its [`TraceContext`]. Every other thread — another
+//!   tenant's request, a parallel test — records nothing into it, even
+//!   under the same request trace id.
+//! * **One recording path.** Every enter, exit and event goes through
+//!   one function that writes the thread's flight ring and, for
+//!   session members, its session buffer, under one lock with one
+//!   timestamp. A session drain and a flight dump are two readers of
+//!   the same slots, walked in the same merge order.
+//! * **No contention when on.** Each thread records into its own slot
+//!   (a `thread_local` registered once with the global registry); the
+//!   only synchronization on the hot path is the slot's own
+//!   uncontended mutex.
+//! * **Deterministic merge.** Drains and dumps order thread slots by
+//!   `(lane, registration index)`. Threads doing deterministic work
+//!   under explicit lanes (e.g. Monte Carlo chunk workers calling
+//!   [`Collector::set_lane`]) therefore produce the same [`Trace`]
+//!   regardless of OS scheduling or thread count.
 
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
@@ -26,10 +37,14 @@ use crate::flight::{self, FlightDump, FlightKind, FlightRecord, FlightRing, Flig
 use crate::metrics::{Counter, Metrics};
 use crate::trace::{Arg, ThreadTrace, Trace, TraceItem};
 
-/// Runtime switch. Relaxed is sufficient: enabling/disabling only
-/// needs to become visible eventually, and [`Collector::drain`] locks
-/// every slot mutex, which orders buffered items with the drain.
-static ENABLED: AtomicBool = AtomicBool::new(false);
+/// The open session's id (0 = none). Relaxed is sufficient: opening
+/// and closing only need to become visible eventually, and a drain
+/// locks every slot, which orders buffered items with it.
+static OPEN_SESSION: AtomicU64 = AtomicU64::new(0);
+
+/// Serializes tracing sessions (see [`Collector::session`]) and holds
+/// the last session id handed out.
+static SESSION: Mutex<u64> = Mutex::new(0);
 
 /// Epoch for the monotonic timestamp domain, fixed at first use so all
 /// `mono_ns` values share one origin.
@@ -40,17 +55,14 @@ static EPOCH: OnceLock<Instant> = OnceLock::new();
 /// never loses items recorded by short-lived worker threads.
 static REGISTRY: Mutex<Vec<Arc<ThreadSlot>>> = Mutex::new(Vec::new());
 
-/// Serializes tracing sessions (see [`Collector::session`]).
-static SESSION: Mutex<()> = Mutex::new(());
-
 /// Lane value meaning "never explicitly assigned": such threads merge
 /// after all explicitly-laned threads, in registration order.
 const UNASSIGNED_LANE: u64 = u64::MAX;
 
+const NO_SIM: i64 = i64::MIN;
+
 /// One thread's recording state.
 struct ThreadSlot {
-    /// Position in the registry — the merge tiebreak within a lane.
-    reg: usize,
     /// Deterministic merge key ([`Collector::set_lane`]).
     lane: AtomicU64,
     /// Simulated clock last published on this thread (milli-days;
@@ -59,32 +71,46 @@ struct ThreadSlot {
     /// Request trace id active on this thread (0 = none). Stamped into
     /// flight records; set via [`Collector::trace_scope`].
     trace_id: AtomicU64,
-    /// The buffer. Uncontended in steady state — only the owning
-    /// thread and a drain ever lock it.
-    items: Mutex<Vec<TraceItem>>,
-    /// The flight-recorder ring (see [`crate::flight`]). Same locking
-    /// discipline as `items`: the owning thread and dumps only.
-    flight: Mutex<FlightRing>,
+    /// The session this thread records into (0 = none). Kept apart
+    /// from `trace_id`: a client chooses its own `x-herc-trace`, so an
+    /// id match proves nothing about membership.
+    session: AtomicU64,
+    /// The session buffer and the flight ring. Uncontended in steady
+    /// state — only the owning thread, drains and dumps lock it.
+    buffers: Mutex<Buffers>,
 }
 
-const NO_SIM: i64 = i64::MIN;
+#[derive(Default)]
+struct Buffers {
+    items: Vec<TraceItem>,
+    flight: FlightRing,
+}
+
+impl ThreadSlot {
+    fn in_open_session(&self) -> bool {
+        let open = OPEN_SESSION.load(Ordering::Relaxed);
+        open != 0 && self.session.load(Ordering::Relaxed) == open
+    }
+}
 
 thread_local! {
     static SLOT: Arc<ThreadSlot> = register_slot();
 }
 
 fn register_slot() -> Arc<ThreadSlot> {
-    let mut reg = REGISTRY.lock().unwrap_or_else(|e| e.into_inner());
     let slot = Arc::new(ThreadSlot {
-        reg: reg.len(),
         lane: AtomicU64::new(UNASSIGNED_LANE),
         sim_md: AtomicI64::new(NO_SIM),
         trace_id: AtomicU64::new(0),
-        items: Mutex::new(Vec::new()),
-        flight: Mutex::new(FlightRing::default()),
+        session: AtomicU64::new(0),
+        buffers: Mutex::new(Buffers::default()),
     });
-    reg.push(Arc::clone(&slot));
+    lock(&REGISTRY).push(Arc::clone(&slot));
     slot
+}
+
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 fn now_ns() -> u64 {
@@ -96,30 +122,25 @@ fn with_slot<R>(f: impl FnOnce(&ThreadSlot) -> R) -> R {
     SLOT.with(|s| f(s))
 }
 
-fn push_item(item: TraceItem) {
-    with_slot(|slot| {
-        slot.items
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push(item);
-    });
-}
-
-/// Appends one record to this thread's flight ring (no-op while the
-/// recorder is disabled). The hot path after warmup: one thread-local
-/// access, one uncontended mutex, one slot write — no allocation.
-fn flight_record(kind: FlightKind, name: &'static str) {
-    let cap = flight::cap();
-    if cap == 0 {
-        return;
+/// The one recording path. Writes a flight record when `flight` is set
+/// and the recorder is on, and a session item when `args` is given and
+/// this thread is in the open session — both under the slot's lock,
+/// with one timestamp. Returns whether the session item was written.
+///
+/// With neither to write it returns before touching the clock or the
+/// thread-local slot; after warmup the flight-only path allocates
+/// nothing.
+fn record(kind: FlightKind, name: &'static str, flight: bool, args: Option<Vec<Arg>>) -> bool {
+    let cap = if flight { flight::cap() } else { 0 };
+    if cap == 0 && args.is_none() {
+        return false;
     }
     let mono_ns = now_ns();
     with_slot(|slot| {
-        let trace_id = slot.trace_id.load(Ordering::Relaxed);
-        slot.flight
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .record(
+        let mut buffers = lock(&slot.buffers);
+        if cap > 0 {
+            let trace_id = slot.trace_id.load(Ordering::Relaxed);
+            buffers.flight.record(
                 cap,
                 FlightRecord {
                     kind,
@@ -128,7 +149,62 @@ fn flight_record(kind: FlightKind, name: &'static str) {
                     trace_id,
                 },
             );
+        }
+        let Some(args) = args.filter(|_| slot.in_open_session()) else {
+            return false;
+        };
+        let md = slot.sim_md.load(Ordering::Relaxed);
+        let sim_md = (md != NO_SIM).then_some(md);
+        buffers.items.push(match kind {
+            FlightKind::Enter => TraceItem::Enter {
+                name,
+                mono_ns,
+                sim_md,
+                args,
+            },
+            FlightKind::Exit => TraceItem::Exit {
+                mono_ns,
+                sim_md,
+                args,
+            },
+            FlightKind::Event => TraceItem::Event {
+                name,
+                mono_ns,
+                sim_md,
+                args,
+            },
+        });
+        true
+    })
+}
+
+/// Applies `f` to every registered slot's buffers and returns the
+/// `Some` results with their lanes, in merge order: by lane, then by
+/// registration (the sort is stable over the registry's order).
+fn merge_walk<T>(mut f: impl FnMut(&mut Buffers) -> Option<T>) -> Vec<(u64, T)> {
+    let mut out: Vec<(u64, T)> = lock(&REGISTRY)
+        .iter()
+        .filter_map(|slot| {
+            let value = f(&mut lock(&slot.buffers))?;
+            Some((slot.lane.load(Ordering::Relaxed), value))
+        })
+        .collect();
+    out.sort_by_key(|(lane, _)| *lane);
+    out
+}
+
+/// Removes every buffered session item, merged by lane.
+fn drain_items() -> Trace {
+    let threads = merge_walk(|b| {
+        let items = std::mem::take(&mut b.items);
+        (!items.is_empty()).then_some(items)
     });
+    Trace {
+        threads: threads
+            .into_iter()
+            .map(|(lane, items)| ThreadTrace { lane, items })
+            .collect(),
+    }
 }
 
 /// Items discarded at session start because a predecessor never
@@ -143,76 +219,43 @@ fn discarded_counter() -> &'static Counter {
 pub struct Collector;
 
 impl Collector {
-    /// Whether tracing is currently recording. One relaxed atomic load
-    /// (a constant `false` under the `compile-off` feature); the
+    /// Whether this thread is recording into the open session. One
+    /// relaxed atomic load while no session is open anywhere; the
     /// macros call this before doing any other work.
     #[inline]
     pub fn is_enabled() -> bool {
-        #[cfg(feature = "compile-off")]
-        {
-            false
-        }
-        #[cfg(not(feature = "compile-off"))]
-        {
-            ENABLED.load(Ordering::Relaxed)
-        }
+        OPEN_SESSION.load(Ordering::Relaxed) != 0 && with_slot(ThreadSlot::in_open_session)
     }
 
-    /// Begins an **exclusive** tracing session: enables recording and
-    /// returns a guard whose [`finish`](Session::finish) disables it
-    /// and drains the trace. Sessions serialize on a process-wide lock
-    /// so concurrent tests (or a test and a CLI run in the same
-    /// process) never pollute each other's traces; any items left over
-    /// from a panicked predecessor are discarded at session start.
+    /// Begins an **exclusive** tracing session with the calling thread
+    /// as its first member, and returns a guard whose
+    /// [`finish`](Session::finish) closes it and drains the trace.
+    /// Other threads join only by entering this thread's
+    /// [`context`](Collector::context). Sessions serialize on a
+    /// process-wide lock; any items left over from a predecessor that
+    /// never drained are discarded at session start.
     pub fn session() -> Session {
-        let guard = SESSION.lock().unwrap_or_else(|e| e.into_inner());
+        let mut id = lock(&SESSION);
         // Discard leftovers from sessions that never drained — counted
         // into `obs.session.discarded` so leakage is visible, not
         // silent.
-        let leftovers = Self::drain_items();
-        let discarded: usize = leftovers.threads.iter().map(|t| t.items.len()).sum();
+        let discarded: usize = drain_items().threads.iter().map(|t| t.items.len()).sum();
         if discarded > 0 {
             discarded_counter().add(discarded as u64);
         }
+        *id += 1;
         // The thread opening the session is the orchestrator: lane 0
         // by convention (workers take 1+; see `set_lane`).
         Self::set_lane(0);
-        ENABLED.store(true, Ordering::Relaxed);
+        let scope = TraceContext {
+            session: *id,
+            ..Self::context()
+        }
+        .enter();
+        OPEN_SESSION.store(*id, Ordering::Relaxed);
         Session {
-            _guard: Some(guard),
-        }
-    }
-
-    /// Stops recording and removes every buffered item, merged
-    /// deterministically by `(lane, registration order)`. Threads that
-    /// never called [`set_lane`](Collector::set_lane) merge last.
-    pub fn drain() -> Trace {
-        ENABLED.store(false, Ordering::Relaxed);
-        Self::drain_items()
-    }
-
-    fn drain_items() -> Trace {
-        let slots: Vec<Arc<ThreadSlot>> = {
-            let reg = REGISTRY.lock().unwrap_or_else(|e| e.into_inner());
-            reg.iter().map(Arc::clone).collect()
-        };
-        let mut threads: Vec<(u64, usize, Vec<TraceItem>)> = Vec::new();
-        for slot in &slots {
-            let items: Vec<TraceItem> = {
-                let mut buf = slot.items.lock().unwrap_or_else(|e| e.into_inner());
-                std::mem::take(&mut *buf)
-            };
-            if items.is_empty() {
-                continue;
-            }
-            threads.push((slot.lane.load(Ordering::Relaxed), slot.reg, items));
-        }
-        threads.sort_by_key(|(lane, reg, _)| (*lane, *reg));
-        Trace {
-            threads: threads
-                .into_iter()
-                .map(|(lane, _, items)| ThreadTrace { lane, items })
-                .collect(),
+            _scope: scope,
+            _id: id,
         }
     }
 
@@ -236,28 +279,19 @@ impl Collector {
         Self::set_sim_md((days * 1000.0).round() as i64);
     }
 
-    /// Records a point event. Prefer the
+    /// Records a point event: into the session if this thread is in
+    /// it, and into the flight ring if the recorder is on. Prefer the
     /// [`event!`](crate::event) macro, which skips argument
-    /// construction when tracing is off.
+    /// construction outside a session.
     pub fn event(name: &'static str, args: Vec<Arg>) {
-        flight_event(name);
-        if !Self::is_enabled() {
-            return;
-        }
-        let sim_md = current_sim_md();
-        push_item(TraceItem::Event {
-            name,
-            mono_ns: now_ns(),
-            sim_md,
-            args,
-        });
+        record(FlightKind::Event, name, true, Some(args));
     }
 
     // --- flight recorder -------------------------------------------
 
-    /// Whether the flight recorder is on. Like [`is_enabled`]
-    /// (`Collector::is_enabled`): one relaxed load, constant `false`
-    /// under `compile-off`.
+    /// Whether the flight recorder is on. Like
+    /// [`is_enabled`](Collector::is_enabled) when no session is open:
+    /// one relaxed load.
     #[inline]
     pub fn flight_enabled() -> bool {
         flight::cap() > 0
@@ -281,227 +315,211 @@ impl Collector {
     /// Empties every thread's flight ring and drop counter. For tests
     /// and benchmarks that need a clean window.
     pub fn flight_clear() {
-        let slots: Vec<Arc<ThreadSlot>> = {
-            let reg = REGISTRY.lock().unwrap_or_else(|e| e.into_inner());
-            reg.iter().map(Arc::clone).collect()
-        };
-        for slot in &slots {
-            slot.flight
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .clear();
-        }
+        merge_walk(|b| {
+            b.flight.clear();
+            None::<()>
+        });
     }
 
-    /// Merges every thread's flight ring into one snapshot, ordered by
-    /// `(lane, registration)` like a session drain. Rings are *copied*,
-    /// not drained — recording continues, and a second dump sees the
-    /// same (plus newer) records.
+    /// Merges every thread's flight ring into one snapshot, in the
+    /// same `(lane, registration)` order as a session drain. Rings are
+    /// *copied*, not drained — recording continues, and a second dump
+    /// sees the same (plus newer) records.
     pub fn flight_dump() -> FlightDump {
-        let slots: Vec<Arc<ThreadSlot>> = {
-            let reg = REGISTRY.lock().unwrap_or_else(|e| e.into_inner());
-            reg.iter().map(Arc::clone).collect()
-        };
-        let mut threads: Vec<(u64, usize, FlightThread)> = Vec::new();
-        for slot in &slots {
-            let (records, dropped) = slot
-                .flight
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .drain_ordered();
-            if records.is_empty() && dropped == 0 {
-                continue;
-            }
-            let lane = slot.lane.load(Ordering::Relaxed);
-            threads.push((
-                lane,
-                slot.reg,
-                FlightThread {
+        let threads = merge_walk(|b| {
+            let (records, dropped) = b.flight.drain_ordered();
+            (!records.is_empty() || dropped > 0).then_some((records, dropped))
+        });
+        FlightDump {
+            threads: threads
+                .into_iter()
+                .map(|(lane, (records, dropped))| FlightThread {
                     lane,
                     dropped,
                     records,
-                },
-            ));
-        }
-        threads.sort_by_key(|(lane, reg, _)| (*lane, *reg));
-        FlightDump {
-            threads: threads.into_iter().map(|(_, _, t)| t).collect(),
+                })
+                .collect(),
         }
     }
 
-    // --- request trace ids -----------------------------------------
+    // --- request trace ids and membership --------------------------
+
+    /// This thread's trace membership — its request trace id and the
+    /// session it records into — for handing to worker threads (see
+    /// [`TraceContext::enter`]).
+    pub fn context() -> TraceContext {
+        with_slot(|slot| TraceContext {
+            trace_id: slot.trace_id.load(Ordering::Relaxed),
+            session: slot.session.load(Ordering::Relaxed),
+        })
+    }
 
     /// Installs `trace_id` as this thread's current request id for the
-    /// returned guard's lifetime; flight records written meanwhile are
-    /// stamped with it. Nested scopes restore the outer id on drop.
-    /// Id 0 means "no trace" and is never stamped.
+    /// returned guard's lifetime, keeping its session membership;
+    /// flight records written meanwhile are stamped with it. Nested
+    /// scopes restore the outer id on drop. Id 0 means "no trace" and
+    /// is never stamped.
     pub fn trace_scope(trace_id: u64) -> TraceScope {
-        let previous = with_slot(|slot| slot.trace_id.swap(trace_id, Ordering::Relaxed));
-        TraceScope { previous }
+        TraceContext {
+            trace_id,
+            ..Self::context()
+        }
+        .enter()
     }
 
     /// This thread's current request trace id (0 = none).
     pub fn current_trace_id() -> u64 {
-        with_slot(|slot| slot.trace_id.load(Ordering::Relaxed))
+        Self::context().trace_id
     }
 }
 
-/// Records a flight-only event: no argument vector is ever built.
-/// Used by `event!` when only the flight recorder is on (and by
-/// [`Collector::event`] so sessions and the recorder see the same
-/// stream).
+/// Records a flight-only event: no argument vector is ever built. Used
+/// by `event!` outside a session.
 pub fn flight_event(name: &'static str) {
-    flight_record(FlightKind::Event, name);
+    record(FlightKind::Event, name, true, None);
 }
 
-/// RAII guard restoring the thread's previous trace id
-/// (see [`Collector::trace_scope`]).
-#[must_use = "the trace id is cleared when this guard drops"]
+/// A thread's trace membership: its request trace id and the session
+/// it records into. Captured with [`Collector::context`] and installed
+/// on a worker with [`enter`](TraceContext::enter), so work fanned out
+/// to other threads stays in the caller's trace — and only there.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TraceContext {
+    trace_id: u64,
+    session: u64,
+}
+
+impl TraceContext {
+    /// Installs this context on the current thread until the returned
+    /// guard drops, which restores the thread's previous context.
+    pub fn enter(self) -> TraceScope {
+        TraceScope {
+            previous: self.install(),
+        }
+    }
+
+    /// Makes this the thread's context, returning the one it replaces.
+    fn install(self) -> TraceContext {
+        with_slot(|slot| TraceContext {
+            trace_id: slot.trace_id.swap(self.trace_id, Ordering::Relaxed),
+            session: slot.session.swap(self.session, Ordering::Relaxed),
+        })
+    }
+}
+
+/// RAII guard restoring the thread's previous [`TraceContext`] (see
+/// [`TraceContext::enter`] and [`Collector::trace_scope`]).
+#[must_use = "the trace context is restored when this guard drops"]
 pub struct TraceScope {
-    previous: u64,
+    previous: TraceContext,
 }
 
 impl Drop for TraceScope {
     fn drop(&mut self) {
-        with_slot(|slot| slot.trace_id.store(self.previous, Ordering::Relaxed));
+        self.previous.install();
     }
-}
-
-fn current_sim_md() -> Option<i64> {
-    with_slot(|slot| {
-        let md = slot.sim_md.load(Ordering::Relaxed);
-        (md != NO_SIM).then_some(md)
-    })
 }
 
 /// An exclusive tracing session (see [`Collector::session`]).
 ///
 /// Dropping the session without calling [`finish`](Session::finish)
-/// disables recording but leaves buffered items for the next session
-/// to discard — fine for panicking tests.
+/// closes it but leaves buffered items for the next session to discard
+/// — fine for panicking tests.
 pub struct Session {
-    _guard: Option<MutexGuard<'static, ()>>,
+    _scope: TraceScope,
+    _id: MutexGuard<'static, u64>,
 }
 
 impl Session {
-    /// Ends the session: disables recording and returns the merged
-    /// trace. The drain happens while the session lock is still held,
-    /// so a successor session can never observe this session's items.
+    /// Ends the session and returns the merged trace. The drain happens
+    /// while the session lock is still held, so a successor session can
+    /// never observe this session's items.
     pub fn finish(self) -> Trace {
-        let trace = Collector::drain();
-        drop(self); // releases the session lock (Drop re-disables, harmlessly)
-        trace
+        OPEN_SESSION.store(0, Ordering::Relaxed);
+        drain_items()
     }
 
     /// Drains the trace **without** ending the session — used by
     /// overhead benches that measure export cost in a loop. Recording
-    /// stays enabled.
+    /// continues.
     pub fn drain_partial(&self) -> Trace {
-        Collector::drain_items()
+        drain_items()
     }
 }
 
 impl Drop for Session {
     fn drop(&mut self) {
-        ENABLED.store(false, Ordering::Relaxed);
+        OPEN_SESSION.store(0, Ordering::Relaxed);
     }
 }
 
-/// RAII guard for one span: records `Enter` on creation (when active)
-/// and the matching `Exit` on drop. Create via the
+/// RAII guard for one span: records the enter on creation and the
+/// matching exit on drop, into the session when this thread is in it
+/// and into the flight ring when the recorder is on. Create via the
 /// [`span!`](crate::span) macro.
 #[must_use = "a span guard measures the scope it lives in; dropping it immediately closes the span"]
 pub struct SpanGuard {
-    active: bool,
-    /// Whether the exit must also be written to the flight ring.
+    /// Whether the enter went to the flight ring, so the exit must too.
     flight: bool,
     /// The span name, kept for the flight exit record.
     name: &'static str,
-    /// Annotations recorded during the span, attached to the exit.
-    exit_args: Vec<Arg>,
+    /// `Some` when the enter went to the session: annotations recorded
+    /// during the span, attached to the exit.
+    exit_args: Option<Vec<Arg>>,
 }
 
 impl SpanGuard {
-    /// Opens a span now. Callers should check
-    /// [`Collector::is_enabled`] first (the macro does) — an enter
-    /// recorded here is unconditional. The flight ring gets the same
-    /// enter when the recorder is on, so a session never blinds it.
+    /// Opens a span now, with `args` on its session enter. Outside a
+    /// session the arguments are dropped unrecorded; the
+    /// [`span!`](crate::span) macro avoids building them there.
     pub fn enter(name: &'static str, args: Vec<Arg>) -> Self {
+        Self::open(name, Some(args))
+    }
+
+    /// Opens a span with no session item and no argument vector — the
+    /// path the `span!` macro takes outside a session. Records into
+    /// the flight ring if the recorder is on, and nothing otherwise.
+    pub fn enter_flight(name: &'static str) -> Self {
+        Self::open(name, None)
+    }
+
+    fn open(name: &'static str, args: Option<Vec<Arg>>) -> Self {
         let flight = Collector::flight_enabled();
-        if flight {
-            flight_record(FlightKind::Enter, name);
-        }
-        let sim_md = current_sim_md();
-        push_item(TraceItem::Enter {
-            name,
-            mono_ns: now_ns(),
-            sim_md,
-            args,
-        });
+        let in_session = record(FlightKind::Enter, name, flight, args);
         SpanGuard {
-            active: true,
             flight,
             name,
-            exit_args: Vec::new(),
+            exit_args: in_session.then(Vec::new),
         }
     }
 
-    /// Opens a flight-only span: no session item, no argument vector —
-    /// the zero-alloc path the `span!` macro takes when only the
-    /// recorder is on.
-    pub fn enter_flight(name: &'static str) -> Self {
-        flight_record(FlightKind::Enter, name);
-        SpanGuard {
-            active: false,
-            flight: true,
-            name,
-            exit_args: Vec::new(),
-        }
-    }
-
-    /// A no-op guard for the disabled path.
-    pub fn inactive() -> Self {
-        SpanGuard {
-            active: false,
-            flight: false,
-            name: "",
-            exit_args: Vec::new(),
-        }
-    }
-
-    /// Whether this guard records anything.
+    /// Whether this guard records into a session.
     pub fn is_active(&self) -> bool {
-        self.active
+        self.exit_args.is_some()
     }
 
     /// Attaches an annotation to the span's exit — for results only
     /// known at the end (e.g. a dirty-set size computed inside the
-    /// span). No-op on inactive guards.
+    /// span). No-op outside a session.
     pub fn record(&mut self, key: &'static str, value: impl Into<crate::trace::ArgValue>) {
-        if self.active {
-            self.exit_args.push(Arg::new(key, value));
+        if let Some(args) = &mut self.exit_args {
+            args.push(Arg::new(key, value));
         }
     }
 }
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        if self.flight {
-            flight_record(FlightKind::Exit, self.name);
-        }
-        if !self.active {
-            return;
-        }
-        let sim_md = current_sim_md();
-        push_item(TraceItem::Exit {
-            mono_ns: now_ns(),
-            sim_md,
-            args: std::mem::take(&mut self.exit_args),
-        });
+        record(
+            FlightKind::Exit,
+            self.name,
+            self.flight,
+            self.exit_args.take(),
+        );
     }
 }
 
-#[cfg(all(test, not(feature = "compile-off")))]
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -535,11 +553,59 @@ mod tests {
         // No session: is_enabled is false, guards are inert.
         assert!(!Collector::is_enabled());
         Collector::event("dropped", Vec::new());
-        let g = SpanGuard::inactive();
+        let g = SpanGuard::enter("dropped", Vec::new());
         assert!(!g.is_active());
         drop(g);
         let trace = Collector::session().finish();
         assert!(trace.is_empty(), "leftovers: {trace:?}");
+    }
+
+    #[test]
+    fn a_session_records_only_its_members() {
+        const SESSION_TRACE: u64 = 0x5e55_1011;
+        let session = Collector::session();
+        let _scope = Collector::trace_scope(SESSION_TRACE);
+        let root = SpanGuard::enter("member.root", Vec::new());
+        let context = Collector::context();
+        std::thread::scope(|scope| {
+            // Not a member: records nothing into the session, even under
+            // the session's own trace id.
+            scope.spawn(|| {
+                for id in [0, SESSION_TRACE, 0xf0f0] {
+                    let _t = Collector::trace_scope(id);
+                    assert!(!Collector::is_enabled());
+                    let _g = crate::span!("foreign.span", id = id);
+                    crate::event!("foreign.event", id = id);
+                    let _d = SpanGuard::enter("foreign.direct", Vec::new());
+                    Collector::event("foreign.direct_event", Vec::new());
+                }
+            });
+            // A worker that entered the context is recorded.
+            scope.spawn(move || {
+                let _context = context.enter();
+                Collector::set_lane(1);
+                assert!(Collector::is_enabled());
+                let _g = crate::span!("member.worker");
+                crate::event!("member.event");
+            });
+        });
+        drop(root);
+        let trace = session.finish();
+        trace.validate().unwrap();
+        let names: Vec<&str> = trace
+            .threads
+            .iter()
+            .flat_map(|t| &t.items)
+            .filter_map(|item| match item {
+                TraceItem::Enter { name, .. } | TraceItem::Event { name, .. } => Some(*name),
+                TraceItem::Exit { .. } => None,
+            })
+            .collect();
+        assert_eq!(
+            names,
+            vec!["member.root", "member.worker", "member.event"],
+            "foreign items leaked into the session"
+        );
     }
 
     #[test]
@@ -611,9 +677,11 @@ mod tests {
     fn threads_merge_by_lane_not_schedule() {
         let session = Collector::session();
         Collector::set_lane(100); // main thread merges last
+        let context = Collector::context();
         std::thread::scope(|scope| {
             for lane in (0..4u64).rev() {
                 scope.spawn(move || {
+                    let _context = context.enter();
                     Collector::set_lane(lane);
                     let _g = SpanGuard::enter("work", vec![Arg::new("lane", lane)]);
                     Collector::event("tick", Vec::new());

@@ -26,8 +26,11 @@ pub enum Timebase {
     Logical,
 }
 
-/// Escapes `s` as the body of a JSON string literal.
-pub(crate) fn escape_json(s: &str, out: &mut String) {
+/// Escapes `s` as the body of a JSON string literal (appended to
+/// `out`, without the surrounding quotes). The one JSON string escaper
+/// in the workspace: exporters, the access log and bench reports all
+/// write through it.
+pub fn escape_json(s: &str, out: &mut String) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -305,22 +308,14 @@ fn sync_parent_dir(path: &Path) {
 }
 
 /// Validates that `text` is one well-formed JSON value (trailing
-/// whitespace allowed). A deliberately small recursive-descent checker
-/// so CI can gate exporter output without external tooling.
+/// whitespace allowed): [`parse_json`] with the tree discarded, so CI
+/// can gate exporter output without external tooling.
 ///
 /// # Errors
 ///
 /// A byte offset and description of the first syntax error.
 pub fn validate_json(text: &str) -> Result<(), String> {
-    let bytes = text.as_bytes();
-    let mut pos = 0usize;
-    skip_ws(bytes, &mut pos);
-    parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing data at byte {pos}"));
-    }
-    Ok(())
+    parse_json(text).map(drop)
 }
 
 /// Validates JSONL: every non-empty line is a JSON value.
@@ -458,26 +453,16 @@ fn validate_prom_labels(mut s: &str) -> Result<&str, String> {
     }
 }
 
+// ----------------------------------------------------------------------
+// JSON tree parsing — the workspace's one JSON reader: `validate_json`
+// discards the tree, and tools that read exporter output back (`herc
+// top` polling `/metrics`, `bench_compare` reading reports, e2e tests
+// asserting on access-log lines) consume it.
+// ----------------------------------------------------------------------
+
 fn skip_ws(b: &[u8], pos: &mut usize) {
     while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
         *pos += 1;
-    }
-}
-
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    skip_ws(b, pos);
-    let Some(&c) = b.get(*pos) else {
-        return Err(format!("unexpected end of input at byte {pos}"));
-    };
-    match c {
-        b'{' => parse_object(b, pos),
-        b'[' => parse_array(b, pos),
-        b'"' => parse_string(b, pos),
-        b't' => parse_lit(b, pos, "true"),
-        b'f' => parse_lit(b, pos, "false"),
-        b'n' => parse_lit(b, pos, "null"),
-        b'-' | b'0'..=b'9' => parse_number(b, pos),
-        c => Err(format!("unexpected byte {:?} at {pos}", c as char)),
     }
 }
 
@@ -552,64 +537,6 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<(), String> {
     }
     Err("unterminated string".to_owned())
 }
-
-fn parse_object(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    *pos += 1; // '{'
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(());
-    }
-    loop {
-        skip_ws(b, pos);
-        if b.get(*pos) != Some(&b'"') {
-            return Err(format!("expected object key at byte {pos}"));
-        }
-        parse_string(b, pos)?;
-        skip_ws(b, pos);
-        if b.get(*pos) != Some(&b':') {
-            return Err(format!("expected ':' at byte {pos}"));
-        }
-        *pos += 1;
-        parse_value(b, pos)?;
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(());
-            }
-            _ => return Err(format!("expected ',' or '}}' at byte {pos}")),
-        }
-    }
-}
-
-fn parse_array(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    *pos += 1; // '['
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(());
-    }
-    loop {
-        parse_value(b, pos)?;
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(());
-            }
-            _ => return Err(format!("expected ',' or ']' at byte {pos}")),
-        }
-    }
-}
-
-// ----------------------------------------------------------------------
-// JSON tree parsing — the consuming half of `validate_json`, for tools
-// that read exporter output back (`herc top` polling `/metrics`, e2e
-// tests asserting on access-log lines).
-// ----------------------------------------------------------------------
 
 /// A parsed JSON value. Objects keep their key order (the exporters
 /// emit deterministically ordered objects, and consumers may pin it).
@@ -792,8 +719,8 @@ fn tree_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                 let hex: String = chars.by_ref().take(4).collect();
                 let code =
                     u32::from_str_radix(&hex, 16).map_err(|_| format!("bad \\u escape {hex:?}"))?;
-                // Lone surrogates (the validator allows them) map to
-                // the replacement character rather than failing.
+                // Lone surrogates are well-formed JSON; they map to the
+                // replacement character rather than failing.
                 out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
             }
             _ => return Err("bad escape".to_owned()),

@@ -1,16 +1,18 @@
 //! The flight recorder: a lossy, always-on ring of recent spans and
 //! events that coexists with exclusive tracing sessions.
 //!
-//! Sessions (PR 4) are exclusive and lossless — exactly what a CLI
-//! trace run wants, and exactly what a live server cannot use. The
-//! flight recorder is the complement: every thread owns a
-//! fixed-capacity ring of [`FlightRecord`]s that the `span!`/`event!`
-//! macros feed whenever the recorder is enabled, whether or not a
-//! session is also running. When a ring is full the oldest record is
-//! overwritten (and counted), so memory is bounded no matter how long
-//! the process lives. A dump ([`crate::Collector::flight_dump`])
-//! merges the rings on demand — typically microseconds before an
-//! operator reads them from `GET /debug/flight`.
+//! Sessions are exclusive and lossless — exactly what a CLI trace run
+//! wants, and exactly what a live server cannot use. The flight
+//! recorder is the complement: every thread owns a fixed-capacity ring
+//! of [`FlightRecord`]s that the `span!`/`event!` macros feed whenever
+//! the recorder is enabled, whether or not the thread is also in a
+//! session. Both are written by the collector's one recording path, so
+//! a session member's ring sees exactly the stream its session does.
+//! When a ring is full the oldest record is overwritten (and counted),
+//! so memory is bounded no matter how long the process lives. A dump
+//! ([`crate::Collector::flight_dump`]) merges the rings on demand —
+//! typically microseconds before an operator reads them from
+//! `GET /debug/flight`.
 //!
 //! Cost model: recording appends into a preallocated buffer behind the
 //! thread's own (uncontended) mutex — no allocation after the ring
@@ -41,14 +43,7 @@ fn dropped_counter() -> &'static Counter {
 }
 
 pub(crate) fn cap() -> usize {
-    #[cfg(feature = "compile-off")]
-    {
-        0
-    }
-    #[cfg(not(feature = "compile-off"))]
-    {
-        FLIGHT_CAP.load(Ordering::Relaxed)
-    }
+    FLIGHT_CAP.load(Ordering::Relaxed)
 }
 
 pub(crate) fn set_cap(cap: usize) {

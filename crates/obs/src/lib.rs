@@ -14,15 +14,17 @@
 //!   deterministically by lane (see [`Collector::set_lane`]). Every
 //!   item carries two timestamp domains: real monotonic nanoseconds
 //!   and the simulated WorkDay clock (milli-days, when published via
-//!   [`Collector::set_sim_md`]). Tracing is **off by default**: the
-//!   macros cost one relaxed atomic load when disabled, and the
-//!   `compile-off` feature removes even that. Two recording modes
-//!   coexist: exclusive lossless **sessions**
-//!   ([`Collector::session`]) and the lossy always-on **flight
-//!   recorder** ([`Collector::enable_flight`], [`flight::FlightDump`])
-//!   — bounded per-thread rings a live server keeps running
-//!   permanently and dumps on demand, with per-request correlation
-//!   via [`Collector::trace_scope`].
+//!   [`Collector::set_sim_md`]). Tracing is **off by default**: with
+//!   no session open and the flight recorder off, the macros cost one
+//!   relaxed atomic load each. One recording path feeds two readers:
+//!   exclusive lossless **sessions** ([`Collector::session`]), which
+//!   record only their members — the opening thread and workers that
+//!   entered its [`TraceContext`] ([`Collector::context`]) — and the
+//!   lossy always-on **flight recorder**
+//!   ([`Collector::enable_flight`], [`flight::FlightDump`]): bounded
+//!   per-thread rings a live server keeps running permanently and
+//!   dumps on demand, with per-request correlation via
+//!   [`Collector::trace_scope`].
 //! * **Metrics** ([`Metrics`], [`Counter`], [`Gauge`], [`Histogram`])
 //!   — an always-on registry of named (optionally labeled) counters,
 //!   gauges, and fixed-bucket histograms replacing ad-hoc stats
@@ -40,7 +42,7 @@
 //! ```
 //! use obs::{span, event, Collector};
 //!
-//! let session = Collector::session(); // exclusive; enables recording
+//! let session = Collector::session(); // exclusive; this thread records
 //! {
 //!     let mut g = span!("hercules.plan", target = "signoff_report");
 //!     event!("plan.cache_hit", dirty = 3usize);
@@ -62,16 +64,16 @@ pub mod flight;
 mod metrics;
 mod trace;
 
-pub use collector::{flight_event, Collector, Session, SpanGuard, TraceScope};
+pub use collector::{flight_event, Collector, Session, SpanGuard, TraceContext, TraceScope};
 pub use flight::{FlightDump, FlightKind, FlightRecord, FlightThread};
 pub use metrics::{Counter, Gauge, Histogram, MetricSnapshot, Metrics};
 pub use trace::{Arg, ArgValue, SpanView, ThreadTrace, Trace, TraceItem};
 
 /// Opens a span: returns a [`SpanGuard`] that records entry now and
 /// exit when dropped. Arguments are `key = value` pairs (values:
-/// integers, floats, bools, strings). When tracing is disabled the
-/// expansion is one branch — **no argument expressions are
-/// evaluated**.
+/// integers, floats, bools, strings). Outside a session **no argument
+/// expressions are evaluated**: the span goes to the flight ring, if
+/// the recorder is on, and nowhere otherwise.
 ///
 /// ```
 /// # let _session = obs::Collector::session();
@@ -85,18 +87,15 @@ macro_rules! span {
                 $name,
                 ::std::vec![$($crate::Arg::new(stringify!($key), $value)),*],
             )
-        } else if $crate::Collector::flight_enabled() {
-            // Flight-only: ring record, no argument vector built.
-            $crate::SpanGuard::enter_flight($name)
         } else {
-            $crate::SpanGuard::inactive()
+            // Not in a session: no argument vector built.
+            $crate::SpanGuard::enter_flight($name)
         }
     };
 }
 
 /// Records a point event inside the current span. Same `key = value`
-/// argument form as [`span!`]; evaluates nothing when tracing is
-/// disabled.
+/// argument form as [`span!`]; evaluates nothing outside a session.
 ///
 /// ```
 /// # let _session = obs::Collector::session();
@@ -110,13 +109,13 @@ macro_rules! event {
                 $name,
                 ::std::vec![$($crate::Arg::new(stringify!($key), $value)),*],
             );
-        } else if $crate::Collector::flight_enabled() {
+        } else {
             $crate::flight_event($name);
         }
     };
 }
 
-#[cfg(all(test, not(feature = "compile-off")))]
+#[cfg(test)]
 mod macro_tests {
     use crate::Collector;
 
@@ -152,11 +151,6 @@ mod macro_tests {
     fn macros_feed_the_flight_recorder_without_a_session() {
         Collector::enable_flight(64);
         let _scope = Collector::trace_scope(0xabc123);
-        // A parallel test may hold a session right now, which routes
-        // the macros down the session path (args evaluated, and the
-        // flight ring still fed) — only assert the zero-eval claim
-        // when the flight-only branch actually ran.
-        let session_seen = Collector::is_enabled();
         let mut evaluated = false;
         {
             let _g = span!(
@@ -174,9 +168,7 @@ mod macro_tests {
                 }
             );
         }
-        if !session_seen && !Collector::is_enabled() {
-            assert!(!evaluated, "flight-only path must not build args");
-        }
+        assert!(!evaluated, "flight-only path must not build args");
         let dump = Collector::flight_dump().filter_trace(0xabc123);
         assert_eq!(dump.total_records(), 3, "{dump:?}");
         assert!(dump.to_json().contains("macro.flight.span"));

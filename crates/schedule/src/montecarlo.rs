@@ -219,15 +219,18 @@ pub fn simulate_threaded(
             ranges.push(start..start + len);
             start += len;
         }
+        let context = obs::Collector::context();
         let results: Vec<ChunkResult> = std::thread::scope(|scope| {
             let handles: Vec<_> = ranges
                 .into_iter()
                 .enumerate()
                 .map(|(k, range)| {
                     scope.spawn(move || {
-                        // Lane = 1 + chunk index (0 is the orchestrating
-                        // thread's convention): the merged trace is a
-                        // function of the chunking, not OS scheduling.
+                        // Workers join the caller's trace. Lane = 1 +
+                        // chunk index (0 is the orchestrating thread's
+                        // convention): the merged trace is a function
+                        // of the chunking, not OS scheduling.
+                        let _context = context.enter();
                         obs::Collector::set_lane(1 + k as u64);
                         let _chunk = obs::span!("mc.chunk", chunk = k, samples = range.len());
                         run_chunk(network, estimates, range, seed)

@@ -23,6 +23,8 @@ use std::path::Path;
 use std::sync::Mutex;
 use std::time::{SystemTime, UNIX_EPOCH};
 
+use obs::export::escape_json;
+
 /// One request's worth of access-log fields, filled by the router.
 #[derive(Debug, Clone)]
 pub struct AccessEntry {
@@ -89,8 +91,10 @@ fn render_line(entry: &AccessEntry) -> String {
     out.push_str(",\"tenant\":");
     match &entry.tenant {
         Some(tenant) => {
+            // Tenant names are operator-chosen: escape them so quotes
+            // and control characters cannot break the line format.
             out.push('"');
-            escape_into(tenant, &mut out);
+            escape_json(tenant, &mut out);
             out.push('"');
         }
         None => out.push_str("null"),
@@ -101,24 +105,6 @@ fn render_line(entry: &AccessEntry) -> String {
         entry.endpoint, entry.status, entry.latency_ms, entry.coalesced
     );
     out
-}
-
-/// Minimal JSON string escaping (tenant names are operator-chosen, so
-/// quotes and control characters must not break the line format).
-fn escape_into(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
 }
 
 #[cfg(test)]

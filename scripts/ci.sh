@@ -10,7 +10,9 @@
 #   check   scripts/check.sh (release build + full test suite + bench smoke)
 #   golden  committed paper artifacts still match the binaries
 #   chaos   herc chaos over the fixed seed set (failure semantics)
-#   obs     tracing gate: obs property + scenario tests, herc trace
+#   obs     tracing gate: obs property + scenario tests, session
+#           isolation (obs + hercules trace unit tests in debug, a
+#           trace taken under serve load), herc trace
 #           exports of fig8 + chaos validate as JSON, the end-to-end
 #           trace-id correlation suite, the B16 always-on flight
 #           recorder budget, and CLI-path checks that a traced oneshot
@@ -133,6 +135,14 @@ stage_obs() {
     # exact command a user runs — with the exports checked as JSON.
     cargo test -q --offline --release -p dac95-schedflow \
         --test obs_properties --test trace_scenarios || return 1
+    # Session isolation, in debug with default test threads — the
+    # setup where a session picking up other threads' spans shows: the
+    # collector's own tests, the scenario traces' determinism, and a
+    # `GET /trace/fig8` under status/replan load that must match the
+    # idle server's bytes.
+    cargo test -q --offline -p obs --lib || return 1
+    cargo test -q --offline -p hercules --lib trace || return 1
+    cargo test -q --offline -p serve --test trace_isolation || return 1
     # Live-telemetry correlation over real TCP: one trace id must show
     # up in the echoed header, the JSONL access log, the filtered
     # flight dump, and the labeled metrics (tests/serve_telemetry.rs).

@@ -57,10 +57,12 @@ fn forest(depth: usize, state: &mut u64) -> usize {
 /// session; returns the merged trace and the total span count.
 fn run_workload(seed: u64, threads: usize) -> (Trace, usize) {
     let session = Collector::session();
+    let context = Collector::context();
     let counts: Vec<usize> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)
             .map(|t| {
                 scope.spawn(move || {
+                    let _context = context.enter();
                     Collector::set_lane(1 + t as u64);
                     let mut state = seed ^ (t as u64).wrapping_mul(0xA076_1D64_78BD_642F);
                     forest(0, &mut state)
