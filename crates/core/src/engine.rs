@@ -137,7 +137,7 @@ impl Hercules {
             .map(|a| {
                 self.db()
                     .current_plan(a)
-                    .and_then(|p| p.assignees().first().cloned())
+                    .and_then(|p| p.assignees().first().map(|d| d.as_ref().to_owned()))
                     .unwrap_or_else(|| self.team.assignee_for(a).to_owned())
             })
             .collect();

@@ -343,7 +343,7 @@ impl Hercules {
             let assignee = self
                 .db()
                 .current_plan(activity)
-                .and_then(|p| p.assignees().first().cloned())
+                .and_then(|p| p.assignees().first().map(|d| d.as_ref().to_owned()))
                 .unwrap_or_else(|| self.team.assignee_for(activity).to_owned());
             // Ready when all inputs exist. An input can be missing only
             // when its producer blocked or was skipped upstream — then

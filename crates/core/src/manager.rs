@@ -219,8 +219,9 @@ impl Hercules {
     }
 
     /// Detaches and returns the store's journal, if journaling was
-    /// enabled — see [`Store::take_journal`]. Persistent stores return
-    /// a copy of their redo tail and keep journaling.
+    /// enabled — see [`Store::take_journal`]. Persistent stores keep
+    /// journaling and return a copy of their redo tail, read back from
+    /// the tail file (their memory holds no appended ops).
     pub fn take_journal(&mut self) -> Option<Journal> {
         self.store.take_journal()
     }

@@ -595,7 +595,7 @@ mod tests {
         let plan = h.plan("performance").unwrap();
         for pa in plan.activities() {
             let sc = h.db().schedule_instance(pa.schedule);
-            assert_eq!(sc.assignees(), std::slice::from_ref(&pa.assignee));
+            assert_eq!(sc.assignees(), [pa.assignee.as_str().into()]);
         }
     }
 }

@@ -1,3 +1,5 @@
+use std::collections::HashSet;
+
 use metadata::ScheduleInstanceId;
 use schedule::WorkDays;
 
@@ -138,26 +140,25 @@ impl Hercules {
             });
         }
         // Downstream cone: activities consuming this activity's output,
-        // transitively. Walk the schema rules.
-        let mut affected: Vec<String> = Vec::new();
-        let mut frontier = vec![activity.to_owned()];
+        // transitively, in depth-first discovery order.
+        let mut affected: Vec<&str> = Vec::new();
+        let mut seen: HashSet<&str> = HashSet::new();
+        let mut frontier = vec![activity];
         while let Some(current) = frontier.pop() {
-            let Some(rule) = self.schema.rule(&current) else {
-                return Err(HerculesError::UnknownActivity(current));
+            let Some(rule) = self.schema.rule(current) else {
+                return Err(HerculesError::UnknownActivity(current.to_owned()));
             };
-            let output = rule.output().to_owned();
-            for rule in self.schema.rules() {
-                if rule.inputs().contains(&output) && !affected.iter().any(|a| a == rule.activity())
-                {
-                    affected.push(rule.activity().to_owned());
-                    frontier.push(rule.activity().to_owned());
+            for consumer in self.schema.consumers_of(rule.output()) {
+                if seen.insert(consumer.activity()) {
+                    affected.push(consumer.activity());
+                    frontier.push(consumer.activity());
                 }
             }
         }
         let session = self.store.begin_planning(self.clock);
         let mut replanned = Vec::new();
         let mut project_finish = self.clock;
-        for name in &affected {
+        for &name in &affected {
             let Some(plan) = self.store.db().current_plan(name) else {
                 continue;
             };
@@ -177,7 +178,7 @@ impl Hercules {
             if finish.days() > project_finish.days() {
                 project_finish = finish;
             }
-            replanned.push((name.clone(), sc));
+            replanned.push((name.to_owned(), sc));
         }
         slip_span.record("slip_days", slip);
         slip_span.record("replanned", replanned.len());

@@ -1,4 +1,5 @@
 use std::fmt;
+use std::sync::Arc;
 
 use schedule::gantt::{self, GanttOptions, GanttRow};
 use schedule::variance::{self, ActivityStatus, VarianceSummary};
@@ -49,8 +50,9 @@ pub struct StatusRow {
     pub actual_start: Option<WorkDays>,
     /// Actual finish (linked completion).
     pub actual_finish: Option<WorkDays>,
-    /// Assigned designers from the latest plan.
-    pub assignees: Vec<String>,
+    /// Assigned designers from the latest plan (names shared with the
+    /// metadata database).
+    pub assignees: Vec<Arc<str>>,
     /// Finish slip in days against the latest plan, once complete.
     pub slip: Option<f64>,
 }

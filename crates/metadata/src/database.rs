@@ -1,5 +1,6 @@
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 use schedule::WorkDays;
 use schema::TaskSchema;
@@ -32,8 +33,9 @@ use crate::objects::{
 pub struct MetadataDb {
     /// Per entity class: instance ids in creation order.
     pub(crate) entity_containers: BTreeMap<String, Vec<EntityInstanceId>>,
-    /// Per activity: schedule instance ids in creation order.
-    pub(crate) schedule_containers: BTreeMap<String, Vec<ScheduleInstanceId>>,
+    /// Per activity: schedule instance ids in creation order. The key is
+    /// the name every schedule instance of the activity shares.
+    pub(crate) schedule_containers: BTreeMap<Arc<str>, Vec<ScheduleInstanceId>>,
     /// Per activity: its declared output class (for link validation).
     pub(crate) activity_outputs: BTreeMap<String, String>,
     pub(crate) entities: Vec<EntityInstance>,
@@ -41,6 +43,10 @@ pub struct MetadataDb {
     pub(crate) runs: Vec<Run>,
     pub(crate) sessions: Vec<PlanningSession>,
     pub(crate) data: Vec<DataObject>,
+    /// Every designer name assigned so far, first assignment first;
+    /// schedule instances share these instead of holding copies. A team
+    /// is a handful of designers, so it is searched linearly.
+    pub(crate) designers: Vec<Arc<str>>,
     /// Write-ahead journal (`None` when journaling is disabled).
     pub(crate) journal: Option<Journal>,
     /// Fallible mutations until an injected crash fires (`None`:
@@ -73,7 +79,7 @@ impl MetadataDb {
         }
         for rule in schema.rules() {
             db.schedule_containers
-                .insert(rule.activity().to_owned(), Vec::new());
+                .insert(Arc::from(rule.activity()), Vec::new());
             db.activity_outputs
                 .insert(rule.activity().to_owned(), rule.output().to_owned());
         }
@@ -120,7 +126,7 @@ impl MetadataDb {
 
     /// All activity container names, sorted.
     pub fn activities(&self) -> impl Iterator<Item = &str> + '_ {
-        self.schedule_containers.keys().map(String::as_str)
+        self.schedule_containers.keys().map(|a| &**a)
     }
 
     /// The output class an activity produces, per the schema.
@@ -145,7 +151,7 @@ impl MetadataDb {
             output_class: output_class.to_owned(),
         });
         self.schedule_containers
-            .entry(activity.to_owned())
+            .entry(Arc::from(activity))
             .or_default();
         self.activity_outputs
             .insert(activity.to_owned(), output_class.to_owned());
@@ -510,9 +516,10 @@ impl MetadataDb {
         if session.index() >= self.sessions.len() {
             return Err(MetadataError::UnknownId(session.to_string()));
         }
-        if !self.schedule_containers.contains_key(activity) {
+        let Some((name, _)) = self.schedule_containers.get_key_value(activity) else {
             return Err(MetadataError::UnknownActivity(activity.to_owned()));
-        }
+        };
+        let name = Arc::clone(name);
         self.journal_op(|| JournalOp::PlanActivity {
             session,
             activity: activity.to_owned(),
@@ -529,7 +536,7 @@ impl MetadataDb {
         let id = ScheduleInstanceId::new(self.schedules.len() as u32, self.generation);
         self.schedules.push(ScheduleInstance::new(
             id,
-            activity.to_owned(),
+            name,
             version,
             session,
             planned_start,
@@ -561,8 +568,20 @@ impl MetadataDb {
             designer: designer.to_owned(),
         });
         self.crash_point()?;
-        self.schedules[schedule.index()].assign(designer.to_owned());
+        let designer = self.designer_name(designer);
+        self.schedules[schedule.index()].assign(designer);
         Ok(())
+    }
+
+    /// The shared name for `designer`, added to the designer table on
+    /// first use.
+    fn designer_name(&mut self, designer: &str) -> Arc<str> {
+        if let Some(known) = self.designers.iter().find(|known| ***known == *designer) {
+            return Arc::clone(known);
+        }
+        let name: Arc<str> = Arc::from(designer);
+        self.designers.push(Arc::clone(&name));
+        name
     }
 
     /// The schedule instance behind `id`.
@@ -835,7 +854,7 @@ mod tests {
             .plan_activity(s, "Create", WorkDays::ZERO, WorkDays::new(1.0))
             .unwrap();
         db.assign(sc, "carol").unwrap();
-        assert_eq!(db.schedule_instance(sc).assignees(), ["carol"]);
+        assert_eq!(db.schedule_instance(sc).assignees(), [Arc::from("carol")]);
         assert!(db.assign(ScheduleInstanceId::new(5, 0), "x").is_err());
     }
 

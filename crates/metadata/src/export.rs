@@ -426,17 +426,25 @@ impl MetadataDb {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::{ArenaStore, Store};
     use schema::examples;
+    use std::sync::Arc;
 
     fn populated() -> MetadataDb {
         let mut db = MetadataDb::for_schema(&examples::circuit_design());
+        db.enable_journal();
         let session = db.begin_planning(WorkDays::ZERO);
         let sc = db
             .plan_activity(session, "Create", WorkDays::ZERO, WorkDays::new(2.0))
             .unwrap();
         db.assign(sc, "alice").unwrap();
-        db.plan_activity(session, "Simulate", WorkDays::new(2.0), WorkDays::new(3.0))
+        let sim = db
+            .plan_activity(session, "Simulate", WorkDays::new(2.0), WorkDays::new(3.0))
             .unwrap();
+        // Two assignees, and a repeated one: the spilled layout.
+        for designer in ["bob", "carol", "bob"] {
+            db.assign(sim, designer).unwrap();
+        }
         let stim = db.store_data("vec.stim", b"0101".to_vec());
         db.supply_input("stimuli", "bob", WorkDays::ZERO, stim)
             .unwrap();
@@ -455,8 +463,21 @@ mod tests {
     fn roundtrip_preserves_everything() {
         let db = populated();
         let dump = db.dump();
+        assert!(dump.contains("assignees bob,carol\n"), "{dump}");
         let loaded = MetadataDb::load(&dump).unwrap();
         assert_eq!(loaded.dump(), dump);
+        assert_eq!(
+            loaded.current_plan("Simulate").unwrap().assignees(),
+            [Arc::from("bob"), Arc::from("carol")]
+        );
+        // Journal replay and compaction reproduce the same bytes.
+        let replayed = MetadataDb::recover(db.journal().unwrap()).unwrap();
+        assert_eq!(replayed.dump(), dump);
+        let mut store = ArenaStore::new(db.clone());
+        store.compact().unwrap();
+        assert_eq!(store.db().dump(), dump);
+        let compacted = store.db().journal().unwrap();
+        assert_eq!(MetadataDb::recover(compacted).unwrap().dump(), dump);
         // Spot checks beyond the textual identity.
         assert_eq!(loaded.entity_count(), db.entity_count());
         assert_eq!(loaded.schedule_count(), db.schedule_count());

@@ -299,6 +299,12 @@ impl Journal {
         self.ops.push(op);
     }
 
+    /// Forgets every recorded op (the persistent store, once they are
+    /// in its tail file).
+    pub(crate) fn clear(&mut self) {
+        self.ops.clear();
+    }
+
     /// All ops, oldest first.
     pub fn ops(&self) -> &[JournalOp] {
         &self.ops
@@ -371,11 +377,11 @@ impl Journal {
         for activity in db.schedule_containers.keys() {
             let output_class = db
                 .activity_outputs
-                .get(activity)
+                .get(&**activity)
                 .cloned()
                 .unwrap_or_else(|| "-".to_owned());
             journal.record(JournalOp::DeclareScheduleContainer {
-                activity: activity.clone(),
+                activity: activity.as_ref().to_owned(),
                 output_class,
             });
         }
@@ -452,7 +458,7 @@ impl Journal {
             for designer in sc.assignees() {
                 journal.record(JournalOp::Assign {
                     schedule: sc.id(),
-                    designer: designer.clone(),
+                    designer: designer.as_ref().to_owned(),
                 });
             }
         }
@@ -627,11 +633,11 @@ impl MetadataDb {
         for activity in self.schedule_containers.keys() {
             let output_class = self
                 .activity_outputs
-                .get(activity)
+                .get(&**activity)
                 .cloned()
                 .unwrap_or_else(|| "-".to_owned());
             journal.record(JournalOp::DeclareScheduleContainer {
-                activity: activity.clone(),
+                activity: activity.as_ref().to_owned(),
                 output_class,
             });
         }
@@ -908,7 +914,7 @@ impl MetadataDb {
                 }
                 schedule_refs[id.index()] += 1;
                 let sc = &self.schedules[id.index()];
-                if sc.activity() != activity {
+                if sc.activity() != &**activity {
                     violations.push(format!(
                         "{id} is in container {activity:?} but plans {:?}",
                         sc.activity()

@@ -1,4 +1,5 @@
 use std::fmt;
+use std::sync::Arc;
 
 use schedule::WorkDays;
 
@@ -276,24 +277,56 @@ impl fmt::Display for Run {
 /// Records when the activity *should* run, for how long, and who is
 /// assigned; once the designer declares the activity done, a link to
 /// the final [`EntityInstance`] connects plan to reality.
+///
+/// Every plan and replan adds versions, so instances are kept compact:
+/// the activity name is shared with the database's schedule container
+/// and every other version of the activity, designer names with the
+/// database's designer table, and a single assignee is held inline.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScheduleInstance {
     id: ScheduleInstanceId,
-    activity: String,
+    activity: Arc<str>,
     version: u32,
     session: PlanningSessionId,
     planned_start_millidays: i64,
     planned_duration_millidays: i64,
-    assignees: Vec<String>,
+    assignees: Assignees,
     derived_from: Option<ScheduleInstanceId>,
     linked_entity: Option<EntityInstanceId>,
+}
+
+/// The designers assigned to one schedule instance: none or one inline,
+/// two or more spilled to the heap.
+#[derive(Debug, Clone, PartialEq)]
+enum Assignees {
+    Inline(Option<Arc<str>>),
+    Spilled(Vec<Arc<str>>),
+}
+
+impl Assignees {
+    fn as_slice(&self) -> &[Arc<str>] {
+        match self {
+            Assignees::Inline(one) => one.as_slice(),
+            Assignees::Spilled(all) => all,
+        }
+    }
+
+    fn push(&mut self, designer: Arc<str>) {
+        match self {
+            Assignees::Inline(None) => *self = Assignees::Inline(Some(designer)),
+            Assignees::Inline(Some(first)) => {
+                *self = Assignees::Spilled(vec![Arc::clone(first), designer]);
+            }
+            Assignees::Spilled(all) => all.push(designer),
+        }
+    }
 }
 
 impl ScheduleInstance {
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         id: ScheduleInstanceId,
-        activity: String,
+        activity: Arc<str>,
         version: u32,
         session: PlanningSessionId,
         planned_start: WorkDays,
@@ -307,14 +340,14 @@ impl ScheduleInstance {
             session,
             planned_start_millidays: to_millidays(planned_start),
             planned_duration_millidays: to_millidays(planned_duration),
-            assignees: Vec::new(),
+            assignees: Assignees::Inline(None),
             derived_from,
             linked_entity: None,
         }
     }
 
-    pub(crate) fn assign(&mut self, designer: String) {
-        if !self.assignees.contains(&designer) {
+    pub(crate) fn assign(&mut self, designer: Arc<str>) {
+        if !self.assignees().contains(&designer) {
             self.assignees.push(designer);
         }
     }
@@ -361,8 +394,8 @@ impl ScheduleInstance {
     }
 
     /// Designers assigned to the activity.
-    pub fn assignees(&self) -> &[String] {
-        &self.assignees
+    pub fn assignees(&self) -> &[Arc<str>] {
+        self.assignees.as_slice()
     }
 
     /// The prior schedule instance this plan was derived from, if any —
@@ -517,8 +550,28 @@ mod tests {
         );
         sc.assign("alice".into());
         sc.assign("alice".into());
+        assert_eq!(sc.assignees(), [Arc::from("alice")]);
         sc.assign("bob".into());
-        assert_eq!(sc.assignees(), ["alice", "bob"]);
+        assert_eq!(sc.assignees(), [Arc::from("alice"), Arc::from("bob")]);
+    }
+
+    #[test]
+    fn versions_share_name_allocations() {
+        let mut db = crate::MetadataDb::for_schema(&schema::examples::circuit_design());
+        let s = db.begin_planning(WorkDays::ZERO);
+        let mut plan = || {
+            let sc = db
+                .plan_activity(s, "Create", WorkDays::ZERO, WorkDays::new(1.0))
+                .unwrap();
+            db.assign(sc, "alice").unwrap();
+            sc
+        };
+        let (first, second) = (plan(), plan());
+        let v1 = &db.schedules[first.index()];
+        let v2 = &db.schedules[second.index()];
+        assert_eq!(v2.derived_from(), Some(first));
+        assert!(Arc::ptr_eq(&v1.activity, &v2.activity));
+        assert!(Arc::ptr_eq(&v1.assignees()[0], &v2.assignees()[0]));
     }
 
     #[test]

@@ -29,12 +29,15 @@
 //! Pre-durability v1 roots open read-compatibly and upgrade wholesale
 //! on their next compaction.
 //!
-//! Every mutation appends its op to the in-memory journal *and* the
-//! tail file before it is applied — including ops torn by an injected
-//! crash, which is exactly the write-ahead fidelity the chaos suite
-//! checks. All I/O goes through the [`Vfs`] seam so the chaos suite
-//! can inject storage failures (ENOSPC, EIO, short writes, lying
-//! fsync, dropped renames) deterministically.
+//! Every mutation records its op in the in-memory journal before it is
+//! applied, and the op is then appended to the tail file — including
+//! ops torn by an injected crash, which is exactly the write-ahead
+//! fidelity the chaos suite checks. The tail file *is* this store's
+//! journal: once an op is appended, memory drops it, so the in-memory
+//! journal only ever holds ops not yet in the file. All I/O goes
+//! through the [`Vfs`] seam so the chaos suite can inject storage
+//! failures (ENOSPC, EIO, short writes, lying fsync, dropped renames)
+//! deterministically.
 //!
 //! # Recovery policy
 //!
@@ -337,8 +340,14 @@ pub trait Store: fmt::Debug + Send + Sync {
     fn enable_journal(&mut self);
 
     /// Detaches the in-memory journal ([`MetadataDb::take_journal`]).
-    /// The persistent store returns a *copy* of its tail and keeps
-    /// journaling — its durability depends on it.
+    ///
+    /// The persistent store keeps journaling — its durability depends
+    /// on it — and returns a *copy* of its redo tail instead: the tail
+    /// file decoded through its [`Vfs`], followed by any op not yet
+    /// appended (only a wedged store holds such ops). Replayed onto the
+    /// live snapshot it reproduces the live state. `None` if the tail
+    /// file cannot be read. Meant for tests and diagnostics: it reads
+    /// the whole file.
     fn take_journal(&mut self) -> Option<Journal>;
 
     /// Arms a simulated crash ([`MetadataDb::inject_crash_after`]).
@@ -597,8 +606,8 @@ pub struct PersistentStore {
     /// Live sequence number (`CURRENT`'s content); also the store
     /// generation.
     seq: u64,
-    /// How many of the in-memory journal's ops are already in the tail
-    /// file.
+    /// How many ops the live tail file holds. The in-memory journal
+    /// holds only ops not yet appended to it.
     tail_ops: usize,
     /// The framing the live tail file uses for appends (v1 only when
     /// the store was opened from a pre-durability root).
@@ -763,7 +772,8 @@ impl PersistentStore {
         span.record("tail_ops", scan.journal.len());
         let tail_ops = scan.journal.len();
         let framing = scan.framing;
-        db.journal = Some(scan.journal);
+        // The replayed ops live on in the tail file; memory starts empty.
+        db.journal = Some(Journal::new());
         Ok(PersistentStore {
             vfs,
             dir,
@@ -803,14 +813,15 @@ impl PersistentStore {
         }
     }
 
-    /// Flushes any journal ops not yet in the tail file. Runs after
-    /// *every* mutation — including one torn by an injected crash,
-    /// whose op was appended before the simulated death and therefore
-    /// must reach disk, exactly like a real WAL. The pending records go
-    /// out as one append through the held tail handle (reopened by
-    /// path when there is none). If the open or the append fails, the
-    /// store wedges (see the [module docs](self#wedging)) instead
-    /// of panicking: durability is gone, so every further fallible
+    /// Appends the in-memory journal's ops to the tail file and drops
+    /// them from memory. Runs after *every* mutation — including one
+    /// torn by an injected crash, whose op was recorded before the
+    /// simulated death and therefore must reach disk, exactly like a
+    /// real WAL. The pending records go out as one append through the
+    /// held tail handle (reopened by path when there is none). If the
+    /// open or the append fails, the ops stay in memory and the store
+    /// wedges (see the [module docs](self#wedging)) instead of
+    /// panicking: durability is gone, so every further fallible
     /// mutation is refused with [`MetadataError::StorageFailed`].
     fn sync_tail(&mut self) {
         if self.wedged.is_some() {
@@ -819,14 +830,13 @@ impl PersistentStore {
         let journal = self
             .db
             .journal
-            .as_ref()
+            .as_mut()
             .expect("persistent store always journals");
-        let pending = &journal.ops()[self.tail_ops..];
-        if pending.is_empty() {
+        if journal.is_empty() {
             return;
         }
         self.append_buf.clear();
-        for op in pending {
+        for op in journal.ops() {
             self.framing
                 .encode_tail_record_into(op, &mut self.append_buf);
         }
@@ -839,7 +849,8 @@ impl PersistentStore {
         match appended {
             Ok(tail) => {
                 self.tail = Some(tail);
-                self.tail_ops = journal.len();
+                self.tail_ops += journal.len();
+                journal.clear();
             }
             Err(e) => {
                 let reason = format!("tail append failed at {}: {e}", path.display());
@@ -1048,9 +1059,14 @@ impl Store for PersistentStore {
     }
 
     fn take_journal(&mut self) -> Option<Journal> {
-        // Hand out a copy; detaching the live journal would silently
-        // stop persisting.
-        self.db.journal().cloned()
+        // Hand out a copy read back from the tail file; detaching the
+        // live journal would silently stop persisting.
+        let text = self.vfs.read_to_string(&self.tail_path).ok()?;
+        let mut journal = framing::decode_tail(&text).journal;
+        for op in self.db.journal().map_or(&[][..], Journal::ops) {
+            journal.record(op.clone());
+        }
+        Some(journal)
     }
 
     fn inject_crash_after(&mut self, after: u32) {
@@ -1396,6 +1412,48 @@ mod tests {
         let reopened = PersistentStore::open_on(mem, "/proj").unwrap();
         assert_eq!(reopened.db().dump(), dump);
         reopened.db().check_invariants().unwrap();
+    }
+
+    #[test]
+    fn persistent_store_keeps_only_unsynced_ops_in_memory() {
+        let mem = MemVfs::new();
+        let faulty = FaultVfs::new(mem.clone(), VfsFaultPlan::none());
+        let mut store =
+            PersistentStore::create_on(faulty as Arc<dyn Vfs>, "/proj", seed_db()).unwrap();
+        for round in 0..150 {
+            let at = WorkDays::new(f64::from(round));
+            let s = store.begin_planning(at);
+            for activity in ["Create", "Simulate"] {
+                let sc = store
+                    .plan_activity(s, activity, at, WorkDays::new(2.0))
+                    .unwrap();
+                store.assign(sc, "alice").unwrap();
+            }
+        }
+        assert_eq!(store.db().schedule_count(), 300);
+        // Every op is in the tail file, so memory holds none of them.
+        assert!(store.db().journal().unwrap().is_empty());
+        // take_journal is the tail file, decoded.
+        let journal = store.take_journal().unwrap();
+        let tail = mem
+            .read_to_string(&Path::new("/proj").join(tail_name(0)))
+            .unwrap();
+        assert_eq!(journal, framing::decode_tail(&tail).journal);
+        assert_eq!(journal.len(), 150 + 300 + 300);
+        // Replayed onto the snapshot, it reproduces the live state.
+        let snapshot = mem
+            .read_to_string(&Path::new("/proj").join(snapshot_name(0)))
+            .unwrap();
+        let body = decode_snapshot_file(Path::new("snapshot"), &snapshot).unwrap();
+        let mut replayed = MetadataDb::load_at(body, 0).unwrap();
+        replayed.apply_journal(&journal).unwrap();
+        let dump = store.db().dump();
+        assert_eq!(replayed.dump(), dump);
+        // A reopen replays the same tail and keeps none of it in memory.
+        drop(store);
+        let reopened = PersistentStore::open_on(mem, "/proj").unwrap();
+        assert_eq!(reopened.db().dump(), dump);
+        assert!(reopened.db().journal().unwrap().is_empty());
     }
 
     #[test]

@@ -43,8 +43,8 @@
 #   bench   bench_compare: fresh quick run vs committed BENCH_schedflow.json
 #   perfbench  the end-to-end benchmark (perfbench/, a package of its
 #           own built against the crates by path) still builds, and
-#           one-second untraced plan_large and serve_mixed runs each
-#           end with "failed": 0
+#           one-second untraced plan_large, serve_mixed and
+#           history_deep runs each end with "failed": 0
 #   doc     rustdoc builds cleanly
 #
 # Usage:
@@ -321,11 +321,13 @@ stage_perfbench() {
     # The benchmark is outside the workspace, so `cargo build
     # --workspace` never compiles it: build it here, so a crate API
     # change that breaks it fails CI instead of the benchmark. The
-    # smoke runs exercise every output check of the kernel path and of
-    # the served path.
+    # smoke runs exercise every output check of the kernel path, of
+    # the served path, and of the storage path: history_deep is the
+    # one workload that checks dumps stay byte-identical across a
+    # reopen and a gc.
     cargo build --release --offline --manifest-path perfbench/Cargo.toml || return 1
     local workload result
-    for workload in plan_large serve_mixed; do
+    for workload in plan_large serve_mixed history_deep; do
         result=$(cargo run -q --release --offline --manifest-path perfbench/Cargo.toml -- \
             --workload "$workload" --seconds 1 --trace 0 | tail -n 1) || return 1
         grep -q '"failed": 0[,}]' <<<"$result" || {
