@@ -10,7 +10,10 @@
 //!   full recompute at 10⁵ activities, with a dirty cone that never
 //!   grows with the schedule;
 //! * the level-parallel passes are thread-count invariant: one worker
-//!   and four produce the identical analysis, bit for bit.
+//!   and four produce the identical analysis, bit for bit;
+//! * a whole cache-hit plan (task-tree extraction, estimates, levelling
+//!   and the recorded versions) scales subquadratically from 501 to
+//!   2001 activities: every by-name lookup on the way is indexed.
 
 use bench::kernels::cpm_scale::scale_network;
 use schedule::WorkDays;
@@ -124,5 +127,52 @@ fn full_pass_subquadratic_and_incremental_stays_micro() {
          dirty-region engine has regressed",
         t_inc * 1e6,
         t5 * 1e3
+    );
+}
+
+/// A cache-hit in-memory plan of 4x the activities must cost under 8x
+/// the time. A lookup that scans the schema or the run history per
+/// activity makes the plan quadratic and the growth about 12x.
+#[cfg(not(debug_assertions))]
+#[test]
+fn plan_path_is_subquadratic() {
+    use hercules::Hercules;
+    use schema::examples;
+    use simtools::{workload::Team, ToolLibrary};
+
+    const TRIES: usize = 7;
+
+    let planner = |layers: usize| {
+        let mut h = Hercules::new(
+            examples::layered(layers, 50, 3),
+            ToolLibrary::standard(),
+            Team::of_size(8),
+            1995,
+        );
+        // The first plan builds the plan cache every later plan reuses.
+        h.plan("merged").expect("plan");
+        h
+    };
+    let mut small = planner(10);
+    let mut large = planner(40);
+    // Warmup.
+    small.plan("merged").expect("plan");
+    large.plan("merged").expect("plan");
+
+    let t_small = best_secs(TRIES, || small.plan("merged").expect("plan"));
+    let t_large = best_secs(TRIES, || large.plan("merged").expect("plan"));
+    let growth = t_large / t_small;
+    eprintln!(
+        "cpm_scale: cache-hit plan 501 activities {:.3} ms, 2001 {:.3} ms, growth {growth:.1}x for 4x activities",
+        t_small * 1e3,
+        t_large * 1e3
+    );
+    assert!(
+        growth < 8.0,
+        "a cache-hit plan grew {growth:.1}x for 4x the activities \
+         ({:.3} ms -> {:.3} ms); some lookup on the planning path has \
+         turned quadratic",
+        t_small * 1e3,
+        t_large * 1e3
     );
 }

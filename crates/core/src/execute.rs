@@ -393,7 +393,7 @@ impl Hercules {
             let mut converged = false;
             let mut blocked = false;
             let mut final_instance = None;
-            let prior_runs = self.store.db().runs_of(activity).len() as u32;
+            let prior_runs = self.store.db().run_count_of(activity) as u32;
             while iterations < ITERATION_CAP {
                 let req = ToolInvocation {
                     input_bytes,

@@ -1,4 +1,4 @@
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use metadata::{PlanningSessionId, ScheduleInstanceId};
 use schedule::{
@@ -184,10 +184,11 @@ impl Hercules {
         let tree = self.extract_task_tree(target)?;
         obs::Collector::set_sim_days(self.clock.days());
         let mut plan_span = obs::span!("hercules.plan", target = target, skipped = skip.len(),);
+        let skip: HashSet<&str> = skip.iter().map(String::as_str).collect();
         let in_scope: Vec<String> = tree
             .activities()
             .iter()
-            .filter(|a| !skip.contains(a))
+            .filter(|a| !skip.contains(a.as_str()))
             .cloned()
             .collect();
         // Reuse the cached network + incremental CPM state when the

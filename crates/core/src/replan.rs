@@ -1,5 +1,3 @@
-use std::collections::HashSet;
-
 use metadata::ScheduleInstanceId;
 use schedule::WorkDays;
 
@@ -118,9 +116,9 @@ impl Hercules {
     pub fn propagate_slip(&mut self, activity: &str) -> Result<ReplanOutcome, HerculesError> {
         obs::Collector::set_sim_days(self.clock.days());
         let mut slip_span = obs::span!("hercules.propagate_slip", activity = activity);
-        if self.schema.rule(activity).is_none() {
+        let Some(root) = self.schema.rule_position(activity) else {
             return Err(HerculesError::UnknownActivity(activity.to_owned()));
-        }
+        };
         let Some(slip) = self.store.db().finish_slip(activity) else {
             // Either not planned or not complete yet.
             if self.store.db().current_plan(activity).is_none() {
@@ -140,18 +138,18 @@ impl Hercules {
             });
         }
         // Downstream cone: activities consuming this activity's output,
-        // transitively, in depth-first discovery order.
+        // transitively, in depth-first discovery order — a walk over
+        // the schema's consumer index, by rule position.
+        let rules = self.schema.rules();
         let mut affected: Vec<&str> = Vec::new();
-        let mut seen: HashSet<&str> = HashSet::new();
-        let mut frontier = vec![activity];
+        let mut seen = vec![false; rules.len()];
+        let mut frontier = vec![root];
         while let Some(current) = frontier.pop() {
-            let Some(rule) = self.schema.rule(current) else {
-                return Err(HerculesError::UnknownActivity(current.to_owned()));
-            };
-            for consumer in self.schema.consumers_of(rule.output()) {
-                if seen.insert(consumer.activity()) {
-                    affected.push(consumer.activity());
-                    frontier.push(consumer.activity());
+            for &consumer in self.schema.consumer_positions(rules[current].output()) {
+                if !seen[consumer] {
+                    seen[consumer] = true;
+                    affected.push(rules[consumer].activity());
+                    frontier.push(consumer);
                 }
             }
         }

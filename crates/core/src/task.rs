@@ -1,6 +1,6 @@
 use std::collections::HashMap;
 
-use schema::{SchemaGraph, TaskSchema};
+use schema::TaskSchema;
 
 use crate::error::HerculesError;
 
@@ -33,25 +33,25 @@ pub struct TaskTree {
 
 impl TaskTree {
     /// Extracts the tree covering `target` (a data class or activity
-    /// name) from the schema.
+    /// name) from the schema: a walk of the target's input cone over
+    /// the schema's producer index, in O(activities + inputs) of the
+    /// cone.
     ///
     /// # Errors
     ///
     /// [`HerculesError::UnknownTarget`] if `target` names nothing.
     pub fn extract(schema: &TaskSchema, target: &str) -> Result<Self, HerculesError> {
-        let graph = SchemaGraph::for_schema(schema);
-        let activities = graph.activities_for_target(target);
-        if activities.is_empty() {
+        let rules = schema.rules_for_target(target);
+        if rules.is_empty() {
             return Err(HerculesError::UnknownTarget(target.to_owned()));
         }
-        let n = activities.len();
+        let n = rules.len();
+        let mut activities = Vec::with_capacity(n);
         let mut inputs = Vec::with_capacity(n);
         let mut outputs = Vec::with_capacity(n);
         let mut primary = Vec::new();
-        for activity in &activities {
-            let rule = schema
-                .rule(activity)
-                .expect("activities come from the schema");
+        for rule in rules {
+            activities.push(rule.activity().to_owned());
             inputs.push(rule.inputs().to_vec());
             outputs.push(rule.output().to_owned());
             for input in rule.inputs() {
@@ -230,6 +230,103 @@ mod tests {
         let consumers = tree.consumers_of_output("Synthesize");
         assert_eq!(consumers, vec!["Floorplan"]);
         assert!(tree.consumers_of_output("nonexistent").is_empty());
+    }
+
+    /// Extraction as done before the schema kept its indexes: the cone
+    /// and its order from a freshly built [`schema::SchemaGraph`],
+    /// producers found by scanning the rules.
+    fn graph_extract(schema: &TaskSchema, target: &str) -> Option<TaskTree> {
+        use schema::{SchemaGraph, SchemaNode};
+        let graph = SchemaGraph::for_schema(schema);
+        let root = graph
+            .data_node(target)
+            .or_else(|| graph.activity_node(target))?;
+        let cone = graph.dag().input_cone(&[root]);
+        let activities: Vec<String> = graph
+            .dag()
+            .topological_order()
+            .expect("acyclic")
+            .into_iter()
+            .filter(|id| cone.contains(id))
+            .filter_map(|id| match graph.dag().node_weight(id) {
+                Some(SchemaNode::Activity(name)) => Some(name.clone()),
+                _ => None,
+            })
+            .collect();
+        if activities.is_empty() {
+            return None;
+        }
+        let rules: Vec<_> = activities
+            .iter()
+            .map(|a| schema.rule(a).expect("scoped"))
+            .collect();
+        let mut primary: Vec<String> = Vec::new();
+        for input in rules.iter().flat_map(|r| r.inputs()) {
+            let produced = schema.rules().iter().any(|r| r.output() == input);
+            if !produced && !primary.contains(input) {
+                primary.push(input.clone());
+            }
+        }
+        let outputs: Vec<String> = rules.iter().map(|r| r.output().to_owned()).collect();
+        let consumers = (0..rules.len())
+            .map(|i| {
+                (0..rules.len())
+                    .filter(|&j| rules[j].inputs().contains(&outputs[i]))
+                    .collect()
+            })
+            .collect();
+        Some(TaskTree {
+            target: target.to_owned(),
+            index_of: activities
+                .iter()
+                .enumerate()
+                .map(|(i, a)| (a.clone(), i))
+                .collect(),
+            activities,
+            inputs: rules.iter().map(|r| r.inputs().to_vec()).collect(),
+            outputs,
+            consumers,
+            primary_inputs: primary,
+        })
+    }
+
+    #[test]
+    fn extract_matches_the_schema_graph_extraction() {
+        // Declared out of dependency order, with a class and an
+        // activity sharing a name (the data class wins).
+        let shuffled = schema::parse_schema(
+            "tool t; data c; data a; data b; data s; data Mk;\n\
+             activity Mk: c = t(b, s);\n\
+             activity MkB: b = t(a);\n\
+             activity MkA: a = t();\n\
+             activity MkS: Mk = t(a);",
+        )
+        .expect("valid");
+        let schemas = [
+            examples::circuit_design(),
+            examples::asic_flow(),
+            examples::board_flow(),
+            examples::soc_program(),
+            examples::pipeline(6),
+            examples::layered(3, 5, 2),
+            shuffled,
+        ];
+        for schema in &schemas {
+            let targets = schema
+                .classes()
+                .iter()
+                .map(|c| c.name())
+                .chain(schema.rules().iter().map(|r| r.activity()))
+                .chain(["nonsense"]);
+            for target in targets {
+                assert_eq!(
+                    TaskTree::extract(schema, target).ok(),
+                    graph_extract(schema, target),
+                    "schema {} target {target}",
+                    schema.name()
+                );
+            }
+        }
     }
 
     #[test]

@@ -1,4 +1,4 @@
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::sync::Arc;
 
@@ -41,6 +41,13 @@ pub struct MetadataDb {
     pub(crate) entities: Vec<EntityInstance>,
     pub(crate) schedules: Vec<ScheduleInstance>,
     pub(crate) runs: Vec<Run>,
+    /// Per activity: positions in `runs` of its runs, oldest first —
+    /// the history `runs_of`, `actual_start` and run iteration numbers
+    /// read instead of scanning every run. Kept in step by
+    /// [`begin_run`](Self::begin_run), the only place a run is created:
+    /// journal replay, `load` and compaction's reload all go through
+    /// it. The key is the activity's schedule-container name.
+    pub(crate) runs_by_activity: HashMap<Arc<str>, Vec<u32>>,
     pub(crate) sessions: Vec<PlanningSession>,
     pub(crate) data: Vec<DataObject>,
     /// Every designer name assigned so far, first assignment first;
@@ -208,21 +215,19 @@ impl MetadataDb {
         started_at: WorkDays,
     ) -> Result<RunId, MetadataError> {
         self.check_alive()?;
-        if !self.schedule_containers.contains_key(activity) {
+        let Some((name, _)) = self.schedule_containers.get_key_value(activity) else {
             return Err(MetadataError::UnknownActivity(activity.to_owned()));
-        }
+        };
+        let name = Arc::clone(name);
         self.journal_op(|| JournalOp::BeginRun {
             activity: activity.to_owned(),
             operator: operator.to_owned(),
             started_md: to_millidays(started_at),
         });
         self.crash_point()?;
-        let iteration = self
-            .runs
-            .iter()
-            .filter(|r| r.activity() == activity)
-            .count() as u32
-            + 1;
+        let history = self.runs_by_activity.entry(name).or_default();
+        let iteration = history.len() as u32 + 1;
+        history.push(self.runs.len() as u32);
         let id = RunId::new(self.runs.len() as u32, self.generation);
         self.runs.push(Run::new(
             id,
@@ -468,10 +473,25 @@ impl MetadataDb {
 
     /// Runs of one activity, oldest first.
     pub fn runs_of(&self, activity: &str) -> Vec<&Run> {
-        self.runs
+        self.history_of(activity).collect()
+    }
+
+    /// Number of runs of one activity — the iteration number its last
+    /// run carries.
+    pub fn run_count_of(&self, activity: &str) -> usize {
+        self.runs_by_activity.get(activity).map_or(0, Vec::len)
+    }
+
+    /// Runs of one activity, oldest first, read from the run index.
+    pub(crate) fn history_of<'a>(
+        &'a self,
+        activity: &str,
+    ) -> impl DoubleEndedIterator<Item = &'a Run> + 'a {
+        self.runs_by_activity
+            .get(activity)
+            .map_or(&[][..], Vec::as_slice)
             .iter()
-            .filter(|r| r.activity() == activity)
-            .collect()
+            .map(|&i| &self.runs[i as usize])
     }
 
     /// Number of entity instances across all containers.
@@ -677,9 +697,7 @@ impl MetadataDb {
     /// data instance for the particular task is created, the actual
     /// start date for the task is set" (§IV-C).
     pub fn actual_start(&self, activity: &str) -> Option<WorkDays> {
-        self.runs
-            .iter()
-            .filter(|r| r.activity() == activity)
+        self.history_of(activity)
             .map(Run::started_at)
             .min_by(|a, b| a.days().total_cmp(&b.days()))
     }

@@ -31,17 +31,13 @@ impl MetadataDb {
         {
             return Some(finish.saturating_sub(start));
         }
-        self.runs_of(activity)
-            .iter()
-            .rev()
-            .find_map(|r| r.duration())
+        self.history_of(activity).rev().find_map(|r| r.duration())
     }
 
     /// All measured run durations of `activity`, oldest first — the
     /// history a prediction model consumes.
     pub fn duration_history(&self, activity: &str) -> Vec<WorkDays> {
-        self.runs_of(activity)
-            .iter()
+        self.history_of(activity)
             .filter_map(|r| r.duration())
             .collect()
     }

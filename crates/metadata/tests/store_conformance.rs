@@ -216,6 +216,96 @@ fn conformance_compaction_preserves_state_and_stales_handles() {
     });
 }
 
+/// Asserts the run index answers what a scan over every run answers:
+/// per activity its runs in order, their iteration numbers, the run
+/// count, the actual start and the measured durations.
+fn assert_run_index_matches_scan(db: &MetadataDb, stage: &str) {
+    for activity in db.activities() {
+        let scanned: Vec<&metadata::Run> = db
+            .runs()
+            .iter()
+            .filter(|r| r.activity() == activity)
+            .collect();
+        let ids = |runs: &[&metadata::Run]| runs.iter().map(|r| r.id()).collect::<Vec<_>>();
+        assert_eq!(
+            ids(&db.runs_of(activity)),
+            ids(&scanned),
+            "{stage}: {activity}"
+        );
+        assert_eq!(
+            db.run_count_of(activity),
+            scanned.len(),
+            "{stage}: {activity}"
+        );
+        for (k, run) in scanned.iter().enumerate() {
+            assert_eq!(run.iteration() as usize, k + 1, "{stage}: {activity}");
+        }
+        let start = scanned
+            .iter()
+            .map(|r| r.started_at())
+            .min_by(|a, b| a.days().total_cmp(&b.days()));
+        assert_eq!(db.actual_start(activity), start, "{stage}: {activity}");
+        let history: Vec<WorkDays> = scanned.iter().filter_map(|r| r.duration()).collect();
+        assert_eq!(
+            db.duration_history(activity),
+            history,
+            "{stage}: {activity}"
+        );
+    }
+}
+
+/// Interleaved runs of both activities, started out of time order,
+/// every other one finished.
+fn run_history(store: &mut dyn Store, from: f64) {
+    let data = store.store_data("out", b"x".to_vec());
+    for k in 0..12u32 {
+        let (activity, class) = if k % 3 == 1 {
+            ("Simulate", "performance")
+        } else {
+            ("Create", "netlist")
+        };
+        let start = from + f64::from((k * 7) % 5);
+        let run = store
+            .begin_run(activity, "alice", WorkDays::new(start))
+            .unwrap();
+        if k % 2 == 0 {
+            store
+                .finish_run(run, class, data, WorkDays::new(start + 1.5), &[])
+                .unwrap();
+        }
+    }
+}
+
+#[test]
+fn conformance_run_index_matches_full_scan() {
+    for_each_backend("run-index", |store| {
+        run_history(store, 3.0);
+        assert_run_index_matches_scan(store.db(), "live");
+        let loaded = MetadataDb::load(&store.db().dump()).unwrap();
+        assert_run_index_matches_scan(&loaded, "load");
+        store.checkpoint().unwrap();
+        if let Some(dir) = store.path() {
+            let reopened = PersistentStore::open(dir).unwrap();
+            assert_run_index_matches_scan(reopened.db(), "tail replay");
+        }
+
+        store.compact().unwrap();
+        assert_run_index_matches_scan(store.db(), "compacted");
+        run_history(store, 0.5);
+        assert_run_index_matches_scan(store.db(), "runs after compaction");
+
+        store.replace_db(loaded).unwrap();
+        assert_run_index_matches_scan(store.db(), "replaced");
+        run_history(store, 1.0);
+        assert_run_index_matches_scan(store.db(), "runs after replacement");
+        store.checkpoint().unwrap();
+        if let Some(dir) = store.path() {
+            let reopened = PersistentStore::open(dir).unwrap();
+            assert_run_index_matches_scan(reopened.db(), "snapshot + tail replay");
+        }
+    });
+}
+
 #[test]
 fn conformance_clone_is_independent() {
     for_each_backend("clone", |store| {

@@ -51,9 +51,13 @@ impl LeveledSchedule {
 /// Event-list simulation of resource usage over time for one resource.
 #[derive(Debug, Default)]
 struct UsageProfile {
-    /// (time, delta) events; usage at `t` is the sum of deltas at or
-    /// before `t`.
+    /// (time, delta) events, sorted by time; events at equal times keep
+    /// the order they were reserved in. Usage at `t` is the sum of
+    /// deltas at or before `t`.
     events: Vec<(f64, i64)>,
+    /// `levels[k]`: the usage right after `events[k]`, i.e. the sum of
+    /// the deltas of `events[..=k]`.
+    levels: Vec<i64>,
 }
 
 impl UsageProfile {
@@ -61,38 +65,60 @@ impl UsageProfile {
     ///
     /// The usage level at time `t` is the sum of all event deltas with
     /// event time `<= t`; the peak is the maximum level attained at
-    /// `start` or at any event inside the interval.
+    /// `start` or at any event inside the interval. Two binary searches
+    /// find the events inside; only those are read.
     fn peak_in(&self, start: f64, finish: f64) -> i64 {
         if finish <= start {
             return 0;
         }
-        let mut events = self.events.clone();
-        events.sort_by(|a, b| a.0.total_cmp(&b.0));
-        let mut usage = 0i64;
-        let mut peak = 0i64;
-        let mut crossed_start = false;
-        for (t, delta) in events {
-            if t >= finish {
-                break;
-            }
-            if !crossed_start && t > start {
-                // Level carried into the interval from earlier events.
-                peak = peak.max(usage);
-                crossed_start = true;
-            }
-            usage += delta;
-            if t >= start {
-                peak = peak.max(usage);
-            }
+        let lo = self.events.partition_point(|&(t, _)| t < start);
+        let hi = lo + self.events[lo..].partition_point(|&(t, _)| t < finish);
+        // The level held approaching `finish` (the level at `start`
+        // when no event falls inside the interval).
+        let mut peak = self.level_before(hi).max(0);
+        // The level carried into the interval from earlier events,
+        // unless events at exactly `start` replace it.
+        let carried = lo + self.events[lo..hi].partition_point(|&(t, _)| t <= start);
+        if carried < hi {
+            peak = peak.max(self.level_before(carried));
         }
-        // Level at `start` when no event falls inside the interval, or
-        // the level held approaching `finish` — both are valid samples.
-        peak.max(usage)
+        self.levels[lo..hi]
+            .iter()
+            .fold(peak, |peak, &level| peak.max(level))
+    }
+
+    /// The usage before `events[k]` (after all events when `k` is the
+    /// length).
+    fn level_before(&self, k: usize) -> i64 {
+        k.checked_sub(1).map_or(0, |j| self.levels[j])
+    }
+
+    /// The earliest release (negative delta) strictly after `t`.
+    fn next_release_after(&self, t: f64) -> Option<f64> {
+        let after = self.events.partition_point(|&(et, _)| et <= t);
+        self.events[after..]
+            .iter()
+            .find(|&&(_, delta)| delta < 0)
+            .map(|&(et, _)| et)
     }
 
     fn reserve(&mut self, start: f64, finish: f64, units: i64) {
-        self.events.push((start, units));
-        self.events.push((finish, -units));
+        self.insert(start, units);
+        self.insert(finish, -units);
+    }
+
+    /// Inserts after every event at an equal time: the order a stable
+    /// sort of the events in reservation order gives. Every later
+    /// level moves by `delta`.
+    fn insert(&mut self, t: f64, delta: i64) {
+        let at = self
+            .events
+            .partition_point(|&(et, _)| et.total_cmp(&t).is_le());
+        self.events.insert(at, (t, delta));
+        self.levels.insert(at, self.level_before(at) + delta);
+        for level in &mut self.levels[at + 1..] {
+            *level += delta;
+        }
     }
 }
 
@@ -176,7 +202,7 @@ pub fn level_resources(
     let n = network.activity_count();
     let mut starts = vec![WorkDays::ZERO; n];
     let mut finishes = vec![WorkDays::ZERO; n];
-    let mut profiles: HashMap<String, UsageProfile> = HashMap::new();
+    let mut profiles: HashMap<&str, UsageProfile> = HashMap::new();
     let mut scheduled = vec![false; n];
     let mut makespan = 0.0f64;
 
@@ -198,8 +224,10 @@ pub fn level_resources(
             loop {
                 let fits = network.demands(id).iter().all(|(name, units)| {
                     let cap = pool.capacity_of(name).expect("validated above");
-                    let profile = profiles.entry(name.clone()).or_default();
-                    profile.peak_in(t, t + duration) + i64::from(*units) <= i64::from(cap)
+                    let peak = profiles
+                        .get(name.as_str())
+                        .map_or(0, |p| p.peak_in(t, t + duration));
+                    peak + i64::from(*units) <= i64::from(cap)
                 });
                 if fits {
                     break;
@@ -208,10 +236,8 @@ pub fn level_resources(
                 let next = network
                     .demands(id)
                     .iter()
-                    .filter_map(|(name, _)| profiles.get(name))
-                    .flat_map(|p| p.events.iter())
-                    .filter(|(et, delta)| *delta < 0 && *et > t)
-                    .map(|(et, _)| *et)
+                    .filter_map(|(name, _)| profiles.get(name.as_str()))
+                    .filter_map(|p| p.next_release_after(t))
                     .fold(f64::INFINITY, f64::min);
                 assert!(
                     next.is_finite(),
@@ -222,7 +248,7 @@ pub fn level_resources(
         }
         if duration > 0.0 {
             for (name, units) in network.demands(id) {
-                profiles.entry(name.clone()).or_default().reserve(
+                profiles.entry(name.as_str()).or_default().reserve(
                     t,
                     t + duration,
                     i64::from(*units),

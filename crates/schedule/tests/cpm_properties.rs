@@ -2,7 +2,7 @@
 //! the in-repo `harness` framework — offline, seeded, shrinking).
 
 use harness::prelude::*;
-use schedule::{level_resources, Resource, ResourcePool, ScheduleNetwork, WorkDays};
+use schedule::{level_resources, ActivityId, Resource, ResourcePool, ScheduleNetwork, WorkDays};
 
 /// Random acyclic network: forward edges over n activities with random
 /// small durations.
@@ -32,7 +32,200 @@ fn arb_network() -> impl Strategy<Value = ScheduleNetwork> {
         })
 }
 
+/// Resources the levelling oracle's networks compete for.
+const RESOURCES: [&str; 3] = ["designer", "license", "tester"];
+
+/// Random acyclic network built for ties: durations drawn from a few
+/// values (zero-duration activities included), and each activity
+/// demands up to three resources, several units at a time. Returns the
+/// network and a pool whose capacities cover every single demand.
+fn arb_contended_network() -> impl Strategy<Value = (ScheduleNetwork, ResourcePool)> {
+    (
+        2usize..40,
+        vec((any_u16(), any_u16()), 0..80),
+        vec(0u32..6, 2..40),
+        vec(any_u16(), 2..40),
+        vec(1u32..4, 3..4),
+    )
+        .prop_map(|(n, pairs, durations, demands, capacities)| {
+            const DAYS: [f64; 6] = [0.0, 0.5, 1.0, 1.0, 2.0, 2.5];
+            let mut net = ScheduleNetwork::new();
+            let ids: Vec<_> = (0..n)
+                .map(|i| {
+                    let d = DAYS[durations.get(i).copied().unwrap_or(2) as usize];
+                    net.add_activity(format!("t{i}"), WorkDays::new(d))
+                        .expect("unique names")
+                })
+                .collect();
+            for (a, b) in pairs {
+                let i = (a as usize) % n;
+                let j = (b as usize) % n;
+                if i < j {
+                    net.add_precedence(ids[i], ids[j]).expect("forward edges");
+                }
+            }
+            for (i, &id) in ids.iter().enumerate() {
+                // Two bits per resource: 0 = no demand, else 1..=cap units.
+                let bits = demands.get(i).copied().unwrap_or(1);
+                for (r, name) in RESOURCES.iter().enumerate() {
+                    let want = u32::from((bits >> (2 * r)) & 3);
+                    if want > 0 {
+                        net.add_demand(id, *name, want.min(capacities[r]))
+                            .expect("activity exists");
+                    }
+                }
+            }
+            let pool: ResourcePool = RESOURCES
+                .iter()
+                .zip(&capacities)
+                .map(|(name, &cap)| Resource::new(*name, cap))
+                .collect();
+            (net, pool)
+        })
+}
+
+/// Reference levelling: the serial schedule generation scheme with the
+/// usage profile kept as an unsorted event list that every probe
+/// clones and stably sorts. `level_resources` must reproduce its
+/// starts, finishes and makespan bit for bit.
+///
+/// `None` when an activity finds no slot: events at one time count one
+/// at a time, so on a resource of capacity 2 or more a level passed
+/// through between simultaneous events can block an activity after the
+/// last release. `level_resources` panics on exactly those inputs.
+fn reference_level(
+    net: &ScheduleNetwork,
+    pool: &ResourcePool,
+) -> Option<(Vec<f64>, Vec<f64>, f64)> {
+    fn peak_in(events: &[(f64, i64)], start: f64, finish: f64) -> i64 {
+        if finish <= start {
+            return 0;
+        }
+        let mut events = events.to_vec();
+        events.sort_by(|a, b| a.0.total_cmp(&b.0));
+        let mut usage = 0i64;
+        let mut peak = 0i64;
+        let mut crossed_start = false;
+        for (t, delta) in events {
+            if t >= finish {
+                break;
+            }
+            if !crossed_start && t > start {
+                peak = peak.max(usage);
+                crossed_start = true;
+            }
+            usage += delta;
+            if t >= start {
+                peak = peak.max(usage);
+            }
+        }
+        peak.max(usage)
+    }
+
+    let cpm = net.analyze().expect("acyclic");
+    let mut order: Vec<ActivityId> = net.activities().collect();
+    order.sort_by(|&x, &y| {
+        let (tx, ty) = (cpm.times(x), cpm.times(y));
+        tx.total_slack
+            .days()
+            .total_cmp(&ty.total_slack.days())
+            .then(tx.early_start.days().total_cmp(&ty.early_start.days()))
+            .then(x.cmp(&y))
+    });
+    let n = net.activity_count();
+    let mut priority = vec![0usize; n];
+    for (rank, &id) in order.iter().enumerate() {
+        priority[id.index()] = rank;
+    }
+    let mut remaining: Vec<usize> = net
+        .activities()
+        .map(|id| net.predecessors(id).count())
+        .collect();
+    let mut ready: Vec<ActivityId> = net
+        .activities()
+        .filter(|id| remaining[id.index()] == 0)
+        .collect();
+    let mut starts = vec![0.0; n];
+    let mut finishes = vec![0.0; n];
+    let mut profiles: std::collections::HashMap<String, Vec<(f64, i64)>> = Default::default();
+    let mut makespan = 0.0f64;
+    while let Some(pos) = ready
+        .iter()
+        .enumerate()
+        .min_by_key(|(_, id)| priority[id.index()])
+        .map(|(i, _)| i)
+    {
+        let id = ready.swap_remove(pos);
+        let duration = net.duration(id).days();
+        let mut t = net
+            .predecessors(id)
+            .map(|p| finishes[p.index()])
+            .fold(0.0f64, f64::max);
+        if duration > 0.0 {
+            loop {
+                let fits = net.demands(id).iter().all(|(name, units)| {
+                    let events = profiles.entry(name.clone()).or_default();
+                    peak_in(events, t, t + duration) + i64::from(*units)
+                        <= i64::from(pool.capacity_of(name).expect("pooled"))
+                });
+                if fits {
+                    break;
+                }
+                t = net
+                    .demands(id)
+                    .iter()
+                    .filter_map(|(name, _)| profiles.get(name))
+                    .flat_map(|events| events.iter())
+                    .filter(|(et, delta)| *delta < 0 && *et > t)
+                    .map(|(et, _)| *et)
+                    .fold(f64::INFINITY, f64::min);
+                if !t.is_finite() {
+                    return None;
+                }
+            }
+            for (name, units) in net.demands(id) {
+                let events = profiles.entry(name.clone()).or_default();
+                events.push((t, i64::from(*units)));
+                events.push((t + duration, -i64::from(*units)));
+            }
+        }
+        starts[id.index()] = t;
+        finishes[id.index()] = t + duration;
+        makespan = makespan.max(t + duration);
+        for s in net.successors(id) {
+            remaining[s.index()] -= 1;
+            if remaining[s.index()] == 0 {
+                ready.push(s);
+            }
+        }
+    }
+    Some((starts, finishes, makespan))
+}
+
 harness::props! {
+    fn leveling_matches_the_clone_and_sort_reference(case in arb_contended_network()) {
+        let (net, pool) = case;
+        let leveled = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            level_resources(&net, &pool).expect("every single demand fits the pool")
+        }));
+        match (leveled, reference_level(&net, &pool)) {
+            (Ok(lev), Some((starts, finishes, makespan))) => {
+                for id in net.activities() {
+                    prop_assert_eq!(lev.start(id).days().to_bits(), starts[id.index()].to_bits());
+                    prop_assert_eq!(lev.finish(id).days().to_bits(), finishes[id.index()].to_bits());
+                }
+                prop_assert_eq!(lev.makespan().days().to_bits(), makespan.to_bits());
+            }
+            (Err(_), None) => {}
+            (leveled, reference) => prop_assert!(
+                false,
+                "level_resources {} but the reference {}",
+                if leveled.is_ok() { "found a schedule" } else { "panicked" },
+                if reference.is_some() { "found one" } else { "found no slot" }
+            ),
+        }
+    }
+
     fn cpm_dates_are_consistent(net in arb_network()) {
         let cpm = net.analyze().expect("acyclic");
         for id in net.activities() {

@@ -44,6 +44,9 @@ impl std::fmt::Display for SchemaNode {
 /// from. Hercules initialises its task database by walking this graph
 /// and creating a container per entity ("the Hercules task database is
 /// initialized from the schema by generating a series of containers").
+/// Validation builds it once, to reject cycles and to fix the
+/// dependency order; the schema keeps that order, so extracting a task
+/// tree ([`TaskSchema::rules_for_target`]) does not rebuild the graph.
 ///
 /// # Example
 ///
@@ -171,28 +174,6 @@ impl SchemaGraph {
         out.push_str("}\n");
         out
     }
-
-    /// Activities in the input cone of `target` (a data class or
-    /// activity name): the scope a task tree for `target` must cover.
-    pub fn activities_for_target(&self, target: &str) -> Vec<String> {
-        let root = self
-            .data_node(target)
-            .or_else(|| self.activity_node(target));
-        let Some(root) = root else {
-            return Vec::new();
-        };
-        let cone = self.dag.input_cone(&[root]);
-        self.dag
-            .topological_order()
-            .expect("schema graphs are DAGs by construction")
-            .into_iter()
-            .filter(|id| cone.contains(id))
-            .filter_map(|id| match self.dag.node_weight(id) {
-                Some(SchemaNode::Activity(name)) => Some(name.clone()),
-                _ => None,
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -216,24 +197,6 @@ mod tests {
         let schema = examples::circuit_design();
         let g = SchemaGraph::for_schema(&schema);
         assert_eq!(g.activity_order(), vec!["Create", "Simulate"]);
-    }
-
-    #[test]
-    fn activities_for_target_scopes_cone() {
-        let schema = examples::asic_flow();
-        let g = SchemaGraph::for_schema(&schema);
-        let all = g.activity_order();
-        let for_netlist = g.activities_for_target("netlist");
-        assert!(for_netlist.len() < all.len());
-        assert!(for_netlist.contains(&"Synthesize".to_owned()));
-        assert!(!for_netlist.contains(&"Route".to_owned()));
-    }
-
-    #[test]
-    fn activities_for_unknown_target_is_empty() {
-        let schema = examples::circuit_design();
-        let g = SchemaGraph::for_schema(&schema);
-        assert!(g.activities_for_target("nonsense").is_empty());
     }
 
     #[test]

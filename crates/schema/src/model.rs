@@ -1,4 +1,4 @@
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fmt;
 
 use crate::error::SchemaError;
@@ -131,6 +131,12 @@ impl fmt::Display for ConstructionRule {
 /// * every rule references declared classes with the right kinds;
 /// * every data class is produced by at most one rule;
 /// * the rules' data-dependency relation is acyclic.
+///
+/// Validation also leaves behind the indexes every by-name lookup on
+/// the planning path reads: per class its producing rule and its
+/// consuming rules, and per rule its position in dependency order.
+/// They are derived from `classes` and `rules` once, in
+/// [`TaskSchemaBuilder::build`], and a schema is immutable after that.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TaskSchema {
     name: String,
@@ -138,6 +144,15 @@ pub struct TaskSchema {
     rules: Vec<ConstructionRule>,
     class_index: HashMap<String, usize>,
     rule_index: HashMap<String, usize>,
+    /// Per class (by declaration position): the rule producing it.
+    producers: Vec<Option<usize>>,
+    /// The rules consuming each class, in declaration order, flattened:
+    /// class `c`'s are `consumers[consumer_start[c]..consumer_start[c + 1]]`.
+    consumers: Vec<usize>,
+    consumer_start: Vec<usize>,
+    /// Per rule (by declaration position): its rank in
+    /// [`SchemaGraph::activity_order`](crate::SchemaGraph::activity_order).
+    ranks: Vec<usize>,
 }
 
 impl TaskSchema {
@@ -170,15 +185,73 @@ impl TaskSchema {
     /// producer are *primary inputs* the designer supplies directly
     /// (like `stimuli` in the paper's example).
     pub fn producer_of(&self, data_class: &str) -> Option<&ConstructionRule> {
-        self.rules.iter().find(|r| r.output() == data_class)
+        self.producer_position(data_class).map(|r| &self.rules[r])
     }
 
-    /// The rules that consume `data_class`.
+    /// The rules that consume `data_class`, in declaration order.
     pub fn consumers_of(&self, data_class: &str) -> Vec<&ConstructionRule> {
-        self.rules
+        self.consumer_positions(data_class)
             .iter()
-            .filter(|r| r.inputs().iter().any(|i| i == data_class))
+            .map(|&r| &self.rules[r])
             .collect()
+    }
+
+    /// Position in [`rules`](Self::rules) of the rule producing
+    /// `data_class`, if any.
+    fn producer_position(&self, data_class: &str) -> Option<usize> {
+        self.class_index
+            .get(data_class)
+            .and_then(|&c| self.producers[c])
+    }
+
+    /// Positions in [`rules`](Self::rules) of the rules consuming
+    /// `data_class`, ascending (declaration order).
+    pub fn consumer_positions(&self, data_class: &str) -> &[usize] {
+        self.class_index.get(data_class).map_or(&[], |&c| {
+            &self.consumers[self.consumer_start[c]..self.consumer_start[c + 1]]
+        })
+    }
+
+    /// Position in [`rules`](Self::rules) of the rule labelled
+    /// `activity`, if any.
+    pub fn rule_position(&self, activity: &str) -> Option<usize> {
+        self.rule_index.get(activity).copied()
+    }
+
+    /// The rules in the input cone of `target` (a data class or an
+    /// activity name), in dependency order: the scope a task tree for
+    /// `target` covers. A data class name wins over an equal activity
+    /// name. Empty if `target` names neither a produced data class nor
+    /// an activity.
+    ///
+    /// Costs O(rules in the cone + their inputs), plus one flag per
+    /// rule; the order is the schema graph's topological order
+    /// restricted to the cone.
+    pub fn rules_for_target(&self, target: &str) -> Vec<&ConstructionRule> {
+        let root = match self.class_index.get(target) {
+            Some(&c) if self.classes[c].kind() == EntityKind::Data => self.producers[c],
+            _ => self.rule_position(target),
+        };
+        let Some(root) = root else {
+            return Vec::new();
+        };
+        let mut in_cone = vec![false; self.rules.len()];
+        in_cone[root] = true;
+        let mut cone = vec![root];
+        let mut next = 0;
+        while let Some(&r) = cone.get(next) {
+            next += 1;
+            for input in self.rules[r].inputs() {
+                if let Some(p) = self.producer_position(input) {
+                    if !in_cone[p] {
+                        in_cone[p] = true;
+                        cone.push(p);
+                    }
+                }
+            }
+        }
+        cone.sort_unstable_by_key(|&r| self.ranks[r]);
+        cone.into_iter().map(|r| &self.rules[r]).collect()
     }
 
     /// Data classes never produced by any rule — the designer-supplied
@@ -327,7 +400,9 @@ impl TaskSchemaBuilder {
             }
         }
         let mut rule_index = HashMap::new();
-        let mut producers: HashMap<&str, &str> = HashMap::new();
+        let mut producers = vec![None; self.classes.len()];
+        // (class, rule) per input, rules ascending.
+        let mut uses: Vec<(usize, usize)> = Vec::new();
         for (i, rule) in self.rules.iter().enumerate() {
             if rule_index.insert(rule.activity().to_owned(), i).is_some() {
                 return Err(SchemaError::DuplicateActivity(rule.activity().to_owned()));
@@ -347,14 +422,14 @@ impl TaskSchemaBuilder {
                             expected: kind_word,
                         })
                     }
-                    Some(_) => Ok(()),
+                    Some(&ci) => Ok(ci),
                 };
-            check_kind(rule.output(), EntityKind::Data, "data")?;
+            let output = check_kind(rule.output(), EntityKind::Data, "data")?;
             check_kind(rule.tool(), EntityKind::Tool, "tool")?;
-            let mut seen_inputs = HashSet::new();
+            let first_use = uses.len();
             for input in rule.inputs() {
-                check_kind(input, EntityKind::Data, "data")?;
-                if !seen_inputs.insert(input.as_str()) {
+                let ci = check_kind(input, EntityKind::Data, "data")?;
+                if uses[first_use..].iter().any(|&(c, _)| c == ci) {
                     return Err(SchemaError::DuplicateInput {
                         class: input.clone(),
                         activity: rule.activity().to_owned(),
@@ -365,16 +440,24 @@ impl TaskSchemaBuilder {
                         activity: rule.activity().to_owned(),
                     });
                 }
+                uses.push((ci, i));
             }
-            if let Some(first) = producers.insert(rule.output(), rule.activity()) {
-                let _ = first;
+            if producers[output].replace(i).is_some() {
                 return Err(SchemaError::DuplicateProducer {
                     class: rule.output().to_owned(),
                     activity: rule.activity().to_owned(),
                 });
             }
         }
-        let schema = TaskSchema {
+        uses.sort_by_key(|&(c, _)| c); // stable: rules stay ascending
+        let mut consumer_start = vec![0; self.classes.len() + 1];
+        for &(c, _) in &uses {
+            consumer_start[c + 1] += 1;
+        }
+        for c in 0..self.classes.len() {
+            consumer_start[c + 1] += consumer_start[c];
+        }
+        let mut schema = TaskSchema {
             name: if self.name.is_empty() {
                 "schema".to_owned()
             } else {
@@ -384,11 +467,21 @@ impl TaskSchemaBuilder {
             rules: self.rules,
             class_index,
             rule_index,
+            producers,
+            consumers: uses.into_iter().map(|(_, r)| r).collect(),
+            consumer_start,
+            ranks: Vec::new(),
         };
         // Acyclicity: project onto the graph substrate, which rejects
-        // cycles at edge insertion.
-        crate::graph::SchemaGraph::new(&schema)
+        // cycles at edge insertion. Its topological order is the
+        // dependency order task trees list their activities in.
+        let graph = crate::graph::SchemaGraph::new(&schema)
             .map_err(|activity| SchemaError::CyclicSchema { activity })?;
+        let mut ranks = vec![0; schema.rules.len()];
+        for (rank, activity) in graph.activity_order().iter().enumerate() {
+            ranks[schema.rule_index[activity.as_str()]] = rank;
+        }
+        schema.ranks = ranks;
         Ok(schema)
     }
 }
@@ -438,6 +531,34 @@ mod tests {
         let consumers = s.consumers_of("netlist");
         assert_eq!(consumers.len(), 1);
         assert_eq!(consumers[0].activity(), "Simulate");
+    }
+
+    #[test]
+    fn rules_for_target_scopes_cone() {
+        let s = crate::examples::asic_flow();
+        let for_netlist: Vec<_> = s
+            .rules_for_target("netlist")
+            .iter()
+            .map(|r| r.activity())
+            .collect();
+        assert!(for_netlist.len() < s.rules().len());
+        assert!(for_netlist.contains(&"Synthesize"));
+        assert!(!for_netlist.contains(&"Route"));
+        // An activity name scopes the same cone as its output.
+        assert_eq!(
+            s.rules_for_target("Synthesize"),
+            s.rules_for_target("netlist")
+        );
+    }
+
+    #[test]
+    fn rules_for_unknown_or_primary_target_is_empty() {
+        let s = circuit().build().unwrap();
+        assert!(s.rules_for_target("nonsense").is_empty());
+        // A primary input has no producer, so no activity covers it; a
+        // tool is neither data nor an activity.
+        assert!(s.rules_for_target("stimuli").is_empty());
+        assert!(s.rules_for_target("simulator").is_empty());
     }
 
     #[test]

@@ -1,13 +1,17 @@
 //! Property-based tests for the schema DSL: round-tripping through
-//! `to_source`, parser totality on arbitrary input, and structural
-//! invariants of generated schemas.
+//! `to_source`, parser totality on arbitrary input, structural
+//! invariants of generated schemas, and the schema's lookup indexes
+//! against linear scans and the schema-graph walk.
 //!
 //! Ported to the in-repo `harness` framework: the proptest regex
 //! strategies become explicit character-class generators
 //! (`ident()`, `ascii_noise()`, `printable_noise()`).
 
 use harness::prelude::*;
-use schema::{parse_schema, EntityKind, SchemaError, TaskSchemaBuilder};
+use schema::{
+    parse_schema, ConstructionRule, EntityKind, SchemaError, SchemaGraph, SchemaNode, TaskSchema,
+    TaskSchemaBuilder,
+};
 
 /// Builds a random *valid* schema: `n` data classes in a random
 /// forest-like producer structure plus distinct tool names.
@@ -37,7 +41,121 @@ fn arb_schema_source() -> impl Strategy<Value = String> {
     })
 }
 
+/// Builds a random valid schema declared out of dependency order: `n`
+/// data classes, most produced by a rule from up to three earlier
+/// classes (the rest stay primary inputs), with classes and rules
+/// declared in a seed-shuffled order.
+fn arb_shuffled_schema_source() -> impl Strategy<Value = String> {
+    (2usize..16, any_u64()).prop_map(|(n, seed)| {
+        let mut state = seed;
+        let mut next = move |bound: usize| {
+            // SplitMix64 step.
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            ((z ^ (z >> 31)) % bound as u64) as usize
+        };
+        let mut classes: Vec<String> = (0..n)
+            .flat_map(|i| [format!("data d{i};"), format!("tool t{i};")])
+            .collect();
+        let mut rules = Vec::new();
+        for i in 0..n {
+            if next(4) == 0 {
+                continue; // a primary input
+            }
+            let mut inputs: Vec<String> = Vec::new();
+            for _ in 0..next(4).min(i) {
+                let input = format!("d{}", next(i));
+                if !inputs.contains(&input) {
+                    inputs.push(input);
+                }
+            }
+            rules.push(format!(
+                "activity A{i}: d{i} = t{i}({});",
+                inputs.join(", ")
+            ));
+        }
+        if rules.is_empty() {
+            rules.push("activity A0: d0 = t0();".to_owned());
+        }
+        for list in [&mut classes, &mut rules] {
+            for k in (1..list.len()).rev() {
+                list.swap(k, next(k + 1));
+            }
+        }
+        let mut src = classes.join("\n");
+        src.push('\n');
+        src.push_str(&rules.join("\n"));
+        src
+    })
+}
+
+/// Every name worth asking about: all classes, all activities, and one
+/// name the schema does not know.
+fn all_names(schema: &TaskSchema) -> Vec<String> {
+    let mut names: Vec<String> = schema
+        .classes()
+        .iter()
+        .map(|c| c.name().to_owned())
+        .collect();
+    names.extend(schema.rules().iter().map(|r| r.activity().to_owned()));
+    names.push("nonsense".to_owned());
+    names
+}
+
+/// The task-tree scope as the schema graph computes it: the target's
+/// input cone on the bipartite DAG, listed in the DAG's topological
+/// order — the reference for `TaskSchema::rules_for_target`.
+fn graph_scope(schema: &TaskSchema, target: &str) -> Vec<String> {
+    let graph = SchemaGraph::for_schema(schema);
+    let Some(root) = graph
+        .data_node(target)
+        .or_else(|| graph.activity_node(target))
+    else {
+        return Vec::new();
+    };
+    let cone = graph.dag().input_cone(&[root]);
+    graph
+        .dag()
+        .topological_order()
+        .expect("validated schemas are acyclic")
+        .into_iter()
+        .filter(|id| cone.contains(id))
+        .filter_map(|id| match graph.dag().node_weight(id) {
+            Some(SchemaNode::Activity(name)) => Some(name.clone()),
+            _ => None,
+        })
+        .collect()
+}
+
 harness::props! {
+    fn schema_indexes_match_linear_scans(src in arb_shuffled_schema_source()) {
+        let schema = parse_schema(&src).expect("generated source is valid");
+        for name in all_names(&schema) {
+            let producer = schema.rules().iter().find(|r| r.output() == name);
+            prop_assert_eq!(schema.producer_of(&name), producer);
+            let consumers: Vec<&ConstructionRule> = schema
+                .rules()
+                .iter()
+                .filter(|r| r.inputs().contains(&name))
+                .collect();
+            prop_assert_eq!(schema.consumers_of(&name), consumers);
+        }
+    }
+
+    fn rules_for_target_matches_the_schema_graph(src in arb_shuffled_schema_source()) {
+        let schema = parse_schema(&src).expect("generated source is valid");
+        for target in all_names(&schema) {
+            let scope: Vec<String> = schema
+                .rules_for_target(&target)
+                .iter()
+                .map(|r| r.activity().to_owned())
+                .collect();
+            prop_assert_eq!(scope, graph_scope(&schema, &target));
+        }
+    }
+
     fn valid_schemas_roundtrip(src in arb_schema_source()) {
         let schema = parse_schema(&src).expect("generated source is valid");
         let reparsed = parse_schema(&schema.to_source()).expect("to_source is valid DSL");

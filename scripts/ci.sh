@@ -32,7 +32,8 @@
 #           quick B13 latency-percentile artifact
 #   scale   data-oriented CPM gate: B14 shape tests (subquadratic
 #           full pass, >=100x incremental advantage, thread-count
-#           invariance) plus a quick 10^5-activity B14 artifact
+#           invariance, a cache-hit plan under 8x the time for 4x the
+#           activities) plus a quick 10^5-activity B14 artifact
 #   exec    policy-engine gate: the cross-policy property suite
 #           (outcome-set invariance, replay ≡ live for every policy,
 #           uniform-cluster equivalence), a per-policy chaos leg
@@ -267,10 +268,12 @@ stage_scale() {
     # *shape* of the flat core with host-independent ratios — the full
     # pass scales subquadratically 10^4 -> 10^5, a slack-absorbed leaf
     # slip stays >=100x faster than a full recompute with an O(1)
-    # dirty cone, and the level-parallel passes are bit-identical for
-    # any worker count. Release mode: debug builds cross-check every
-    # incremental update against a full pass, which is the very cost
-    # the gate measures.
+    # dirty cone, the level-parallel passes are bit-identical for any
+    # worker count, and a whole cache-hit `Hercules::plan` (extraction,
+    # estimates, levelling, recorded versions) costs under 8x the time
+    # for 4x the activities (501 -> 2001). Release mode: debug builds
+    # cross-check every incremental update against a full pass, which
+    # is the very cost the gate measures.
     cargo test -q --offline --release -p bench \
         --test cpm_scale || return 1
     # Quick B14 rerun at 10^5: the scale report CI uploads as an
