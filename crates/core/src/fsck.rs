@@ -114,12 +114,14 @@ fn looks_like_project(dir: &Path) -> bool {
         let name = name.to_string_lossy();
         (name.starts_with("snapshot-") && name.ends_with(".txt"))
             || (name.starts_with("tail-") && name.ends_with(".journal"))
+            || name == metadata::segment::DATA_SEGMENT
     })
 }
 
 /// Scrubs every project under `root`; with `repair`, rebuilds each
 /// damaged-but-repairable store from its best recoverable state
-/// (quarantining the damaged files). See [`metadata::fsck`] for the
+/// (quarantining the damaged files), and each healthy store whose data
+/// segment holds unreferenced bytes without them. See [`metadata::fsck`] for the
 /// per-store policy.
 ///
 /// # Errors
@@ -167,13 +169,15 @@ pub fn fsck_workspace(
             conf,
             repaired: None,
         };
-        if repair && !project.healthy() {
-            // Repair what repair *can* fix: the store. (A lost
+        if repair {
+            // Repair what repair *can* fix: the store, damaged or
+            // holding unreferenced data-segment bytes. (A lost
             // project.conf has no redundant copy to rebuild from; the
             // verdict tells the operator to re-open with an explicit
             // schema, which rewrites it.)
-            let store_unhealthy = !matches!(&project.store, Ok(s) if s.healthy);
-            if store_unhealthy {
+            let store_clean =
+                matches!(&project.store, Ok(s) if s.healthy && s.unreferenced_bytes == 0);
+            if !store_clean {
                 match metadata::fsck::repair(&vfs, &dir) {
                     Ok(outcome) => {
                         project.repaired = Some(outcome);

@@ -1,3 +1,4 @@
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::sync::Arc;
@@ -9,8 +10,10 @@ use crate::error::MetadataError;
 use crate::ids::{DataObjectId, EntityInstanceId, PlanningSessionId, RunId, ScheduleInstanceId};
 use crate::journal::{Journal, JournalOp};
 use crate::objects::{
-    to_millidays, DataObject, EntityInstance, PlanningSession, Run, ScheduleInstance,
+    to_millidays, DataBody, DataObject, EntityInstance, PlanningSession, Run, ScheduleInstance,
 };
+use crate::segment::{Extent, SegmentSource, DATA_SEGMENT};
+use crate::store::StoreError;
 
 /// The Hercules-style metadata database: entity containers (execution
 /// space), schedule containers (schedule space), runs, planning
@@ -50,6 +53,9 @@ pub struct MetadataDb {
     pub(crate) runs_by_activity: HashMap<Arc<str>, Vec<u32>>,
     pub(crate) sessions: Vec<PlanningSession>,
     pub(crate) data: Vec<DataObject>,
+    /// The data segment stored data objects live in — set by the
+    /// persistent store that holds this database; `None` in memory.
+    pub(crate) segment: Option<Arc<SegmentSource>>,
     /// Every designer name assigned so far, first assignment first;
     /// schedule instances share these instead of holding copies. A team
     /// is a handful of designers, so it is searched linearly.
@@ -180,8 +186,23 @@ impl MetadataDb {
             name: name.clone(),
             content: content.clone(),
         });
+        self.push_data(name, DataBody::Inline(content))
+    }
+
+    /// Records a data object whose bytes are already in the store's
+    /// data segment at `extent` — the replay of a `store-data-ref`
+    /// record or a snapshot's `data-ref` line.
+    pub(crate) fn attach_data(&mut self, name: String, extent: Extent) -> DataObjectId {
+        self.journal_op(|| JournalOp::StoreDataRef {
+            name: name.clone(),
+            extent,
+        });
+        self.push_data(name, DataBody::Stored(extent))
+    }
+
+    fn push_data(&mut self, name: String, body: DataBody) -> DataObjectId {
         let id = DataObjectId::new(self.data.len() as u32, self.generation);
-        self.data.push(DataObject::new(id, name, content));
+        self.data.push(DataObject::new(id, name, body));
         id
     }
 
@@ -192,6 +213,40 @@ impl MetadataDb {
     /// Panics if `id` is not from this database.
     pub fn data_object(&self, id: DataObjectId) -> &DataObject {
         &self.data[id.index()]
+    }
+
+    /// The bytes of the data object behind `id`: borrowed when held in
+    /// memory, read from the store's data segment (and checked against
+    /// the extent's CRC) when stored there.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::Corruption`] when the stored bytes do not verify;
+    /// [`StoreError::Io`] when the segment cannot be read.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is not from this database.
+    pub fn data_content(&self, id: DataObjectId) -> Result<Cow<'_, [u8]>, StoreError> {
+        let d = &self.data[id.index()];
+        match &d.body {
+            DataBody::Inline(bytes) => Ok(Cow::Borrowed(bytes)),
+            DataBody::Stored(extent) => {
+                let source = self.segment_source()?;
+                let segment = source.read()?;
+                Ok(Cow::Owned(
+                    source.resolve(&segment, d.name(), extent)?.to_vec(),
+                ))
+            }
+        }
+    }
+
+    /// The data segment this database's stored data lives in.
+    pub(crate) fn segment_source(&self) -> Result<&SegmentSource, StoreError> {
+        self.segment.as_deref().ok_or_else(|| StoreError::Io {
+            path: DATA_SEGMENT.into(),
+            message: "stored design data read without its store's data segment".to_owned(),
+        })
     }
 
     // ------------------------------------------------------------------
@@ -768,6 +823,7 @@ mod tests {
         assert_eq!(db.entity_container("netlist").unwrap().len(), 2);
         assert_eq!(db.entity_count(), 2);
         assert_eq!(db.data_object(d2).size(), 2);
+        assert_eq!(&*db.data_content(d2).unwrap(), b"bb");
     }
 
     #[test]

@@ -12,6 +12,7 @@
 //! container entity <class>
 //! container schedule <activity> <output-class>
 //! data <name-hex> <content-hex>
+//! data-ref <name-hex> <offset> <len> <crc08x>
 //! session <millidays>
 //! run <activity> <operator> <iteration> <started> [<finished>]
 //! entity <class> <created> <creator> [run <idx>] deps <i,j,...> data <idx>
@@ -20,6 +21,13 @@
 //!
 //! Objects are dumped in allocation order, so indices in the file are
 //! exactly the dense ids, and loading re-allocates identical ids.
+//!
+//! One writer emits Level-4 data two ways. The logical export
+//! ([`MetadataDb::dump`]) writes every datum's bytes inline as a
+//! `data` line, reading stored ones from the data segment. A storage-v3
+//! snapshot writes a stored datum as a `data-ref` line instead: its
+//! [`Extent`](crate::segment::Extent) in the segment, never its bytes.
+//! The loader accepts both.
 
 use std::fmt::Write as _;
 
@@ -27,6 +35,9 @@ use schedule::WorkDays;
 
 use crate::database::MetadataDb;
 use crate::ids::{DataObjectId, EntityInstanceId, PlanningSessionId, RunId};
+use crate::journal::{parse_extent, write_extent};
+use crate::objects::DataBody;
+use crate::store::StoreError;
 
 /// Errors produced while loading a database dump.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -128,6 +139,11 @@ pub(crate) fn hex_decode(s: &str) -> Result<Vec<u8>, String> {
     Ok(out)
 }
 
+/// Decodes a hex-encoded datum name, which must be UTF-8.
+pub(crate) fn hex_decode_name(s: &str) -> Result<String, String> {
+    String::from_utf8(hex_decode(s)?).map_err(|_| "data name is not UTF-8".to_owned())
+}
+
 fn fmt_days(t: WorkDays) -> String {
     format!("{}", (t.days() * 1000.0).round() as i64)
 }
@@ -137,9 +153,58 @@ fn parse_days(s: &str) -> Result<WorkDays, String> {
     WorkDays::try_new(md as f64 / 1000.0).map_err(|e| e.to_string())
 }
 
+/// How [`MetadataDb::write_dump`] writes stored Level-4 data.
+enum DataLines {
+    /// Every datum's bytes, as `data` lines; stored ones are resolved
+    /// in the data segment, read once.
+    Inline(Option<Vec<u8>>),
+    /// Stored data as `data-ref` lines (a storage-v3 snapshot).
+    ByRef,
+}
+
 impl MetadataDb {
-    /// Serialises the whole database to the dump format.
+    /// Serialises the whole database to the dump format — the logical
+    /// export, with every datum's bytes inline.
+    ///
+    /// # Panics
+    ///
+    /// Panics if stored design data cannot be read back or fails its
+    /// checksum; [`try_dump`](Self::try_dump) reports that instead.
     pub fn dump(&self) -> String {
+        self.try_dump()
+            .unwrap_or_else(|e| panic!("cannot dump the metadata database: {e}"))
+    }
+
+    /// [`dump`](Self::dump), reporting unreadable design data as an
+    /// error instead of panicking.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::Corruption`] when a stored datum fails its
+    /// checksum or lies past the segment's end; [`StoreError::Io`] when
+    /// the segment cannot be read.
+    pub fn try_dump(&self) -> Result<String, StoreError> {
+        let stored = self
+            .data
+            .iter()
+            .any(|d| matches!(d.body, DataBody::Stored(_)));
+        let segment = match stored {
+            true => Some(self.segment_source()?.read()?),
+            false => None,
+        };
+        self.write_dump(DataLines::Inline(segment))
+    }
+
+    /// The storage-v3 snapshot body: the dump with each stored datum as
+    /// a `data-ref` line. Reads no design data.
+    pub(crate) fn dump_by_ref(&self) -> String {
+        self.write_dump(DataLines::ByRef)
+            .expect("a by-reference dump reads nothing")
+    }
+
+    /// The one dump writer behind [`try_dump`](Self::try_dump) and
+    /// [`dump_by_ref`](Self::dump_by_ref).
+    fn write_dump(&self, data: DataLines) -> Result<String, StoreError> {
         let mut out = String::from("metadata-db v1\n");
         for class in self.entity_classes() {
             let _ = writeln!(out, "container entity {class}");
@@ -149,10 +214,24 @@ impl MetadataDb {
             let _ = writeln!(out, "container schedule {activity} {output}");
         }
         for d in &self.data {
+            let content = match (&d.body, &data) {
+                (DataBody::Stored(extent), DataLines::ByRef) => {
+                    out.push_str("data-ref ");
+                    hex_encode_into(d.name().as_bytes(), &mut out);
+                    let _ = write_extent(extent, &mut out);
+                    out.push('\n');
+                    continue;
+                }
+                (DataBody::Stored(extent), DataLines::Inline(segment)) => {
+                    let segment = segment.as_deref().unwrap_or_default();
+                    self.segment_source()?.resolve(segment, d.name(), extent)?
+                }
+                (DataBody::Inline(bytes), _) => &bytes[..],
+            };
             out.push_str("data ");
             hex_encode_into(d.name().as_bytes(), &mut out);
             out.push(' ');
-            hex_encode_into(d.content(), &mut out);
+            hex_encode_into(content, &mut out);
             out.push('\n');
         }
         for session in self.planning_sessions() {
@@ -225,7 +304,7 @@ impl MetadataDb {
             }
             out.push('\n');
         }
-        out
+        Ok(out)
     }
 
     /// Loads a database from a dump produced by
@@ -281,10 +360,18 @@ impl MetadataDb {
                     let [name, content] = rest.as_slice() else {
                         return Err(bad(lineno, "malformed data line"));
                     };
-                    let name = String::from_utf8(hex_decode(name).map_err(|m| bad(lineno, &m))?)
-                        .map_err(|_| bad(lineno, "data name is not UTF-8"))?;
+                    let name = hex_decode_name(name).map_err(|m| bad(lineno, &m))?;
                     let content = hex_decode(content).map_err(|m| bad(lineno, &m))?;
                     db.store_data(name, content);
+                }
+                "data-ref" => {
+                    let [name, offset, len, crc] = rest.as_slice() else {
+                        return Err(bad(lineno, "malformed data-ref line"));
+                    };
+                    let name = hex_decode_name(name).map_err(|m| bad(lineno, &m))?;
+                    let extent =
+                        parse_extent(offset, len, crc).map_err(|m: String| bad(lineno, &m))?;
+                    db.attach_data(name, extent);
                 }
                 "session" => {
                     let [at] = rest.as_slice() else {
@@ -488,8 +575,8 @@ mod tests {
         );
         assert_eq!(loaded.actual_start("Create"), db.actual_start("Create"));
         assert_eq!(
-            loaded.data_object(DataObjectId::new(1, 0)).content(),
-            db.data_object(DataObjectId::new(1, 0)).content()
+            loaded.data_content(DataObjectId::new(1, 0)).unwrap(),
+            db.data_content(DataObjectId::new(1, 0)).unwrap()
         );
     }
 

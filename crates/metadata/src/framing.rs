@@ -416,6 +416,13 @@ mod tests {
             JournalOp::StoreData { name, content } => {
                 format!("store-data {} {}", hex(name.as_bytes()), hex(content))
             }
+            JournalOp::StoreDataRef { name, extent } => format!(
+                "store-data-ref {} {} {} {:08x}",
+                hex(name.as_bytes()),
+                extent.offset,
+                extent.len,
+                extent.crc
+            ),
             JournalOp::BeginRun {
                 activity,
                 operator,
@@ -499,6 +506,22 @@ mod tests {
                 name: "big.bin".into(),
                 content: big,
             },
+            JournalOp::StoreDataRef {
+                name: "résumé.v".into(),
+                extent: crate::segment::Extent {
+                    offset: 0,
+                    len: 0,
+                    crc: 0,
+                },
+            },
+            JournalOp::StoreDataRef {
+                name: "big.bin".into(),
+                extent: crate::segment::Extent {
+                    offset: 1 << 40,
+                    len: 64 * 1024,
+                    crc: 0x0bad_c0de,
+                },
+            },
             JournalOp::BeginRun {
                 activity: "Simulate".into(),
                 operator: "bob".into(),
@@ -547,7 +570,7 @@ mod tests {
         let ops = every_op_variant();
         let mut kinds: Vec<&str> = ops.iter().map(JournalOp::kind).collect();
         kinds.dedup();
-        assert_eq!(kinds.len(), 10, "every JournalOp variant is covered");
+        assert_eq!(kinds.len(), 11, "every JournalOp variant is covered");
         for framing in [Framing::V1, Framing::V2] {
             let mut expected_tail = framing.empty_tail();
             for op in &ops {

@@ -3,24 +3,44 @@
 //!
 //! [`scrub`] is **read-only**: it walks every store file in a
 //! directory (`CURRENT`, all `snapshot-*.txt` / `tail-*.journal`
-//! generations, stray temp files), verifies headers and checksums, and
-//! returns a per-file verdict plus two summary bits:
+//! generations, the `data.seg` data segment, stray temp files),
+//! verifies headers and checksums, and returns a per-file verdict plus
+//! a summary:
 //!
-//! * `healthy` — opening the store would succeed (a torn trailing tail
-//!   record counts as healthy: open self-heals it, as ever);
-//! * `repairable` — some snapshot generation still loads, so
-//!   [`repair`] can rebuild a servable store.
+//! * `healthy` — the store opens *and* serves: a torn trailing tail
+//!   record counts as healthy (open self-heals it, as ever), and so
+//!   does a tail reference past the segment's end (open truncates the
+//!   tail there); every data reference the live state keeps must
+//!   resolve in the segment with a matching CRC, and a reference with
+//!   no segment at all is damage (`data.seg MISSING`), never a torn
+//!   tail;
+//! * `repairable` — some snapshot generation still loads and its data
+//!   references verify, so [`repair`] can rebuild a servable store;
+//! * `unreferenced_bytes` — segment bytes no verified reference covers
+//!   (a datum written before a crash took its record). Harmless to
+//!   serving; [`repair`] drops them.
 //!
-//! [`repair`] rebuilds from the **best recoverable state**: the newest
-//! generation whose snapshot loads, plus the longest prefix of its
-//! tail that verifies *and* replays. The rebuilt state is written as a
-//! brand-new generation (above every sequence number seen in the
-//! directory, so nothing is overwritten), damaged files are renamed to
-//! `<name>.quarantine` for post-mortems, and stray temp files are
+//! [`repair`] rebuilds from the **best recoverable state**: `CURRENT`'s
+//! generation when all of it serves, else the newest generation whose
+//! snapshot loads with verified data references, plus the longest
+//! prefix of its tail that verifies, replays, and whose data references
+//! verify. (A complete generation above `CURRENT` is a compaction that
+//! died before naming it; the store kept appending below it.) The
+//! rebuilt state is written as a brand-new generation (above every
+//! sequence number seen in the directory, so nothing is overwritten)
+//! in storage v3, with the data segment
+//! rewritten to hold exactly the data that state references. Damaged
+//! files are renamed to `<name>.quarantine` for post-mortems (a
+//! segment with failing references included), and stray temp files are
 //! removed. Repair never deletes evidence and never guesses across a
 //! checksum failure — ops after a corrupt interior record are
 //! unreachable by design, because their ordering against the damage is
 //! unknowable.
+//!
+//! A segment rewrite renames the new segment into place before
+//! `CURRENT` names the new generation. A crash between the two leaves
+//! the old generation pointing into the new layout, which fails its
+//! reference checks; a second `--repair` picks the new generation up.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -29,7 +49,9 @@ use simtools::vfs::Vfs;
 
 use crate::database::MetadataDb;
 use crate::framing::{self, Framing, TailIssue};
-use crate::journal::Journal;
+use crate::journal::{Journal, JournalOp};
+use crate::objects::DataBody;
+use crate::segment::{self, Extent, DATA_SEGMENT};
 use crate::store::{
     self, generation_of, snapshot_name, tail_name, CorruptionKind, CorruptionReport, StoreError,
 };
@@ -50,6 +72,9 @@ pub enum FileStatus {
     /// Not part of the live store: a leftover `.tmp` file or an
     /// earlier repair's `.quarantine` file.
     Stray,
+    /// The data segment serves every reference but also holds bytes no
+    /// reference covers (repair drops them).
+    Slack,
 }
 
 impl std::fmt::Display for FileStatus {
@@ -60,6 +85,7 @@ impl std::fmt::Display for FileStatus {
             FileStatus::Corrupt => "CORRUPT",
             FileStatus::Missing => "MISSING",
             FileStatus::Stray => "stray",
+            FileStatus::Slack => "slack",
         };
         f.write_str(s)
     }
@@ -83,12 +109,15 @@ pub struct StoreScrub {
     pub dir: PathBuf,
     /// The sequence `CURRENT` names, when it parses.
     pub current_seq: Option<u64>,
-    /// Per-file verdicts, `CURRENT` first, then by generation.
+    /// Per-file verdicts, `CURRENT` first, then by generation, then
+    /// the data segment.
     pub verdicts: Vec<FileVerdict>,
-    /// Whether opening the store would succeed.
+    /// Whether the store opens and serves every datum it references.
     pub healthy: bool,
     /// Whether [`repair`] could rebuild a servable store.
     pub repairable: bool,
+    /// Data-segment bytes no verified reference covers.
+    pub unreferenced_bytes: u64,
 }
 
 impl StoreScrub {
@@ -105,8 +134,8 @@ impl StoreScrub {
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum RepairOutcome {
-    /// The store already opened cleanly; only stray temp files (if
-    /// any) were removed.
+    /// The store already opened cleanly with nothing to drop; only
+    /// stray temp files (if any) were removed.
     AlreadyHealthy,
     /// The store was rebuilt.
     Repaired {
@@ -121,17 +150,94 @@ pub enum RepairOutcome {
     },
 }
 
+/// The data segment as the scrub found it.
+struct Segment {
+    /// Its bytes (empty when absent or unreadable).
+    bytes: Vec<u8>,
+    /// Its length as open sees it, `None` when it does not exist.
+    len: Option<u64>,
+    /// Why it could not be read, when it exists but could not.
+    unreadable: Option<String>,
+}
+
+impl Segment {
+    fn read(vfs: &dyn Vfs, dir: &Path) -> Segment {
+        let path = dir.join(DATA_SEGMENT);
+        let unreadable = |len, why: String| Segment {
+            bytes: Vec::new(),
+            len,
+            unreadable: Some(why),
+        };
+        let len = match vfs.file_len(&path) {
+            Ok(len) => len,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+                return Segment {
+                    bytes: Vec::new(),
+                    len: None,
+                    unreadable: None,
+                }
+            }
+            Err(e) => return unreadable(Some(0), e.to_string()),
+        };
+        match segment::read_segment(vfs, &path) {
+            Ok(bytes) => Segment {
+                len: Some(bytes.len() as u64),
+                bytes,
+                unreadable: None,
+            },
+            Err(e) => unreadable(Some(len), e.to_string()),
+        }
+    }
+
+    fn present(&self) -> bool {
+        self.len.is_some()
+    }
+}
+
 /// A generation's worth of evidence gathered during the scrub.
 #[derive(Debug)]
 struct GenerationScan {
     /// Loads successfully ⇒ the loaded database.
     snapshot: Option<MetadataDb>,
     /// The valid-prefix journal of `tail-<seq>`, when the tail exists
-    /// and its header parses.
+    /// and its header parses — cut at the first data reference past
+    /// the segment's end, as open cuts it.
     tail: Option<Journal>,
     /// The tail verified completely or was merely torn (open would
     /// proceed rather than refuse).
     tail_clean_or_torn: bool,
+}
+
+impl GenerationScan {
+    /// Every data reference this generation's state holds: the
+    /// snapshot's, then the kept tail's.
+    fn refs(&self) -> impl Iterator<Item = (&str, Extent)> {
+        let snapshot = self
+            .snapshot
+            .iter()
+            .flat_map(|db| db.data.iter())
+            .filter_map(|d| Some((d.name(), d.extent()?)));
+        let tail = self
+            .tail
+            .iter()
+            .flat_map(|journal| journal.ops())
+            .filter_map(|op| match op {
+                JournalOp::StoreDataRef { name, extent } => Some((name.as_str(), *extent)),
+                _ => None,
+            });
+        snapshot.chain(tail)
+    }
+
+    /// The snapshot, when it loads and every datum it references
+    /// verifies in `segment`.
+    fn serving_snapshot(&self, segment: &[u8]) -> Option<&MetadataDb> {
+        let db = self.snapshot.as_ref()?;
+        db.data
+            .iter()
+            .filter_map(|d| d.extent())
+            .all(|extent| extent.slice(segment).is_ok())
+            .then_some(db)
+    }
 }
 
 fn parse_store_name(name: &str) -> Option<(&'static str, u64)> {
@@ -147,12 +253,18 @@ fn parse_store_name(name: &str) -> Option<(&'static str, u64)> {
 }
 
 /// Replays ops one at a time, stopping at the first that refuses to
-/// apply; returns how many applied. (A refusal mid-tail means the ops
-/// beyond it were written against state we no longer have — replaying
-/// past it would fabricate history.)
-fn replay_prefix(db: &mut MetadataDb, journal: &Journal) -> usize {
+/// apply or references data that does not verify in `segment`; returns
+/// how many applied. (A refusal mid-tail means the ops beyond it were
+/// written against state we no longer have — replaying past it would
+/// fabricate history.)
+fn replay_prefix(db: &mut MetadataDb, journal: &Journal, segment: &[u8]) -> usize {
     let mut applied = 0;
     for op in journal.ops() {
+        if let JournalOp::StoreDataRef { extent, .. } = op {
+            if extent.slice(segment).is_err() {
+                break;
+            }
+        }
         let single = Journal::from_ops(vec![op.clone()]);
         if db.apply_journal(&single).is_err() {
             break;
@@ -200,7 +312,6 @@ pub fn scrub(vfs: &dyn Vfs, dir: &Path) -> Result<StoreScrub, StoreError> {
         message: e.to_string(),
     })?;
     listed.sort();
-    let mut seqs: Vec<u64> = Vec::new();
     for path in &listed {
         let name = match path.file_name().and_then(|n| n.to_str()) {
             Some(n) => n,
@@ -212,43 +323,47 @@ pub fn scrub(vfs: &dyn Vfs, dir: &Path) -> Result<StoreScrub, StoreError> {
                 status: FileStatus::Stray,
                 detail: "leftover temp file from an interrupted write".into(),
             });
-            continue;
-        }
-        if name.ends_with(".quarantine") {
+        } else if name.ends_with(".quarantine") {
             verdicts.push(FileVerdict {
                 path: path.clone(),
                 status: FileStatus::Stray,
                 detail: "quarantined by an earlier repair".into(),
             });
-            continue;
-        }
-        if let Some((_, seq)) = parse_store_name(name) {
-            if !seqs.contains(&seq) {
-                seqs.push(seq);
-            }
         }
     }
-    if let Some(seq) = current_seq {
-        if !seqs.contains(&seq) {
-            seqs.push(seq);
-        }
-    }
-    seqs.sort_unstable();
+    let seqs = generations(&listed, current_seq);
 
+    let segment = Segment::read(vfs, dir);
     let mut healthy = current_seq.is_some();
     let mut repairable = false;
+    let mut live = None;
+    let mut verified: Vec<Extent> = Vec::new();
     for &seq in &seqs {
         let is_live = current_seq == Some(seq);
-        let scan = scrub_generation(vfs, dir, seq, is_live, &mut verdicts);
-        if scan.snapshot.is_some() {
+        let scan = scrub_generation(vfs, dir, seq, is_live, &segment, &mut verdicts);
+        if scan.serving_snapshot(&segment.bytes).is_some() {
             repairable = true;
         }
+        verified.extend(
+            scan.refs()
+                .map(|(_, extent)| extent)
+                .filter(|extent| extent.slice(&segment.bytes).is_ok()),
+        );
         if is_live {
-            healthy &= generation_opens(&scan);
+            healthy &= generation_opens(&scan, &segment);
+            live = Some(scan);
         }
     }
     if current_seq.is_some() && !seqs.contains(&current_seq.unwrap()) {
         healthy = false;
+    }
+    let unreferenced_bytes = match segment.unreadable {
+        Some(_) => 0,
+        None => segment.bytes.len() as u64 - covered_bytes(&mut verified),
+    };
+    if let Some(verdict) = segment_verdict(dir, &segment, live.as_ref(), unreferenced_bytes) {
+        healthy &= !matches!(verdict.status, FileStatus::Corrupt | FileStatus::Missing);
+        verdicts.push(verdict);
     }
     Ok(StoreScrub {
         dir: dir.to_path_buf(),
@@ -256,21 +371,124 @@ pub fn scrub(vfs: &dyn Vfs, dir: &Path) -> Result<StoreScrub, StoreError> {
         verdicts,
         healthy,
         repairable,
+        unreferenced_bytes,
+    })
+}
+
+/// Every generation with a file in `listed`, plus the one `CURRENT`
+/// names, in ascending order.
+fn generations(listed: &[PathBuf], current_seq: Option<u64>) -> Vec<u64> {
+    let mut seqs: Vec<u64> = listed
+        .iter()
+        .filter_map(|path| parse_store_name(path.file_name()?.to_str()?))
+        .map(|(_, seq)| seq)
+        .chain(current_seq)
+        .collect();
+    seqs.sort_unstable();
+    seqs.dedup();
+    seqs
+}
+
+/// The bytes covered by the union of `extents`.
+fn covered_bytes(extents: &mut [Extent]) -> u64 {
+    extents.sort_unstable_by_key(|e| (e.offset, e.len));
+    let (mut covered, mut reach) = (0u64, 0u64);
+    for e in extents.iter() {
+        let from = e.offset.max(reach);
+        if e.end() > from {
+            covered += e.end() - from;
+            reach = e.end();
+        }
+    }
+    covered
+}
+
+/// The data segment's verdict: every reference the live state keeps
+/// must resolve, and bytes no verified reference covers are slack.
+/// `None` for a store that has no segment and references none.
+fn segment_verdict(
+    dir: &Path,
+    segment: &Segment,
+    live: Option<&GenerationScan>,
+    unreferenced: u64,
+) -> Option<FileVerdict> {
+    let path = dir.join(DATA_SEGMENT);
+    if let Some(why) = &segment.unreadable {
+        return Some(FileVerdict {
+            path,
+            status: FileStatus::Corrupt,
+            detail: format!("unreadable: {why}"),
+        });
+    }
+    let refs: Vec<(&str, Extent)> = live.map(|scan| scan.refs().collect()).unwrap_or_default();
+    if !segment.present() && refs.is_empty() {
+        return None;
+    }
+    let failing: Vec<String> = refs
+        .iter()
+        .filter_map(|(name, extent)| {
+            let issue = extent.slice(&segment.bytes).err()?;
+            Some(issue.describe(name, extent))
+        })
+        .collect();
+    let (status, detail) = if !segment.present() {
+        (
+            FileStatus::Missing,
+            format!("referenced by {} data refs but absent", refs.len()),
+        )
+    } else if let Some(first) = failing.first() {
+        (
+            FileStatus::Corrupt,
+            format!(
+                "{} of {} data refs do not resolve; first: {first}",
+                failing.len(),
+                refs.len()
+            ),
+        )
+    } else if unreferenced > 0 {
+        (
+            FileStatus::Slack,
+            format!(
+                "{} data refs verify; {unreferenced} of {} bytes unreferenced",
+                refs.len(),
+                segment.bytes.len()
+            ),
+        )
+    } else {
+        (
+            FileStatus::Ok,
+            format!(
+                "{} data refs verify ({} bytes)",
+                refs.len(),
+                segment.bytes.len()
+            ),
+        )
+    };
+    Some(FileVerdict {
+        path,
+        status,
+        detail,
     })
 }
 
 /// Whether `PersistentStore::open` would succeed on this generation:
-/// snapshot loads, tail is clean or merely torn, and the valid tail
-/// prefix replays completely.
-fn generation_opens(scan: &GenerationScan) -> bool {
+/// snapshot loads with every reference inside the segment, tail is
+/// clean or merely torn, its kept prefix references no data when there
+/// is no segment, and that prefix replays completely.
+fn generation_opens(scan: &GenerationScan, segment: &Segment) -> bool {
     let db = match &scan.snapshot {
         Some(db) => db,
         None => return false,
     };
+    if segment::first_snapshot_ref_past(db, segment.len).is_some() {
+        return false;
+    }
     match &scan.tail {
         Some(journal) => {
             let mut db = db.clone();
-            replay_prefix(&mut db, journal) == journal.len() && scan.tail_clean_or_torn
+            scan.tail_clean_or_torn
+                && segment::first_ref_past(journal.ops(), segment.len).is_none()
+                && db.apply_journal(journal).is_ok()
         }
         None => false,
     }
@@ -283,6 +501,7 @@ fn scrub_generation(
     dir: &Path,
     seq: u64,
     is_live: bool,
+    segment: &Segment,
     verdicts: &mut Vec<FileVerdict>,
 ) -> GenerationScan {
     let snap_path = dir.join(snapshot_name(seq));
@@ -345,34 +564,49 @@ fn scrub_generation(
             detail,
         }),
         ReadOutcome::Text(raw) => {
-            let scan = framing::decode_tail(&raw);
-            match &scan.issue {
-                None => {
-                    verdicts.push(FileVerdict {
-                        path: tail_path.clone(),
-                        status: FileStatus::Ok,
-                        detail: format!(
-                            "{}, {} ops",
-                            framing_label(scan.framing),
-                            scan.journal.len()
-                        ),
-                    });
-                    tail_clean_or_torn = true;
-                }
-                Some(issue @ TailIssue::Torn { .. }) => {
-                    verdicts.push(FileVerdict {
-                        path: tail_path.clone(),
-                        status: FileStatus::Torn,
-                        detail: format!("{issue}; {} ops verify", scan.journal.len()),
-                    });
-                    tail_clean_or_torn = true;
-                }
-                Some(issue) => verdicts.push(FileVerdict {
-                    path: tail_path.clone(),
-                    status: FileStatus::Corrupt,
-                    detail: format!("{issue}; {} ops verify before it", scan.journal.len()),
-                }),
+            let mut scan = framing::decode_tail(&raw);
+            // Open cuts the tail at a reference past the segment's end,
+            // but only when there is a segment: with none, the tail is
+            // kept whole and the segment's verdict reports it missing.
+            // Only the live tail is opened; an older one's references
+            // are checked when repair falls back to it.
+            let dangling = segment::first_ref_past(scan.journal.ops(), segment.len)
+                .filter(|_| segment.present());
+            let (status, detail) = match (&scan.issue, dangling.filter(|_| is_live)) {
+                (Some(issue @ (TailIssue::BadHeader | TailIssue::Corrupt { .. })), _) => (
+                    FileStatus::Corrupt,
+                    format!("{issue}; {} ops verify before it", scan.journal.len()),
+                ),
+                (_, Some((at, name, extent))) => (
+                    FileStatus::Torn,
+                    format!(
+                        "torn data reference in record {}: {}; {at} ops verify",
+                        at + 1,
+                        segment::describe_past(name, &extent, segment.len)
+                    ),
+                ),
+                (Some(issue), None) => (
+                    FileStatus::Torn,
+                    format!("{issue}; {} ops verify", scan.journal.len()),
+                ),
+                (None, None) => (
+                    FileStatus::Ok,
+                    format!(
+                        "{}, {} ops",
+                        framing_label(scan.framing),
+                        scan.journal.len()
+                    ),
+                ),
+            };
+            tail_clean_or_torn = status != FileStatus::Corrupt;
+            if let Some((at, ..)) = dangling {
+                scan.journal.truncate(at);
             }
+            verdicts.push(FileVerdict {
+                path: tail_path.clone(),
+                status,
+                detail,
+            });
             tail = Some(scan.journal);
         }
     }
@@ -407,15 +641,16 @@ fn read_text(vfs: &dyn Vfs, path: &Path) -> ReadOutcome {
     }
 }
 
-/// Rebuilds a damaged store from its best recoverable state. See the
+/// Rebuilds a damaged store from its best recoverable state, or drops
+/// a healthy store's unreferenced segment bytes. See the
 /// [module docs](self).
 ///
 /// # Errors
 ///
 /// * [`StoreError::Io`] if the directory is not a store or the rebuild
 ///   itself cannot be written.
-/// * [`StoreError::Corruption`] if **no** snapshot generation loads —
-///   there is nothing to rebuild from.
+/// * [`StoreError::Corruption`] if **no** snapshot generation loads
+///   with verified data references — there is nothing to rebuild from.
 pub fn repair(vfs: &Arc<dyn Vfs>, dir: &Path) -> Result<RepairOutcome, StoreError> {
     let report = scrub(&**vfs, dir)?;
 
@@ -426,41 +661,43 @@ pub fn repair(vfs: &Arc<dyn Vfs>, dir: &Path) -> Result<RepairOutcome, StoreErro
             let _ = vfs.remove_file(&v.path);
         }
     }
-    if report.healthy {
+    if report.healthy && report.unreferenced_bytes == 0 {
         return Ok(RepairOutcome::AlreadyHealthy);
     }
 
-    // Best recoverable state: the newest generation whose snapshot
-    // loads, plus the longest replayable prefix of its verified tail.
-    let mut seqs: Vec<u64> = Vec::new();
-    for v in &report.verdicts {
-        if let Some(name) = v.path.file_name().and_then(|n| n.to_str()) {
-            if let Some((_, seq)) = parse_store_name(name) {
-                if !seqs.contains(&seq) {
-                    seqs.push(seq);
-                }
+    // Best recoverable state: CURRENT's generation when all of it
+    // serves, else the newest generation whose snapshot serves, plus
+    // the longest replayable, verifying prefix of its tail. A complete
+    // generation above CURRENT that a compaction wrote but died before
+    // naming is stale while CURRENT's serves: the store went on
+    // appending to CURRENT's tail. (One a repair wrote before dying is
+    // taken up by the fallback: its new segment breaks CURRENT's
+    // references.)
+    let listed: Vec<PathBuf> = report.verdicts.iter().map(|v| v.path.clone()).collect();
+    let seqs = generations(&listed, report.current_seq);
+    let segment = Segment::read(&**vfs, dir);
+    let recover = |seq: u64| {
+        let scan = scrub_generation(&**vfs, dir, seq, false, &segment, &mut Vec::new());
+        let mut db = scan.serving_snapshot(&segment.bytes)?.clone();
+        let (replayed, whole) = match &scan.tail {
+            Some(journal) => {
+                let replayed = replay_prefix(&mut db, journal, &segment.bytes);
+                (
+                    replayed,
+                    scan.tail_clean_or_torn && replayed == journal.len(),
+                )
             }
-        }
-    }
-    if let Some(seq) = report.current_seq {
-        if !seqs.contains(&seq) {
-            seqs.push(seq);
-        }
-    }
-    seqs.sort_unstable();
-    let mut best: Option<(u64, MetadataDb, usize)> = None;
-    for &seq in seqs.iter().rev() {
-        let scan = scrub_generation(&**vfs, dir, seq, false, &mut Vec::new());
-        if let Some(mut db) = scan.snapshot {
-            let replayed = match &scan.tail {
-                Some(journal) => replay_prefix(&mut db, journal),
-                None => 0,
-            };
-            best = Some((seq, db, replayed));
-            break;
-        }
-    }
-    let (base_seq, db, ops_replayed) = match best {
+            None => (0, false),
+        };
+        Some((seq, db, replayed, whole))
+    };
+    let best = report
+        .current_seq
+        .and_then(recover)
+        .filter(|&(.., whole)| whole)
+        .or_else(|| seqs.iter().rev().find_map(|&seq| recover(seq)))
+        .map(|(seq, db, replayed, _)| (seq, db, replayed));
+    let (base_seq, mut db, ops_replayed) = match best {
         Some(b) => b,
         None => {
             let worst = report
@@ -476,33 +713,80 @@ pub fn repair(vfs: &Arc<dyn Vfs>, dir: &Path) -> Result<RepairOutcome, StoreErro
         }
     };
 
+    // The rebuilt data segment: exactly the data the state holds, in
+    // allocation order.
+    let seg_path = dir.join(DATA_SEGMENT);
+    let rebuilt = (segment.present() || !db.data.is_empty()).then(|| {
+        let mut bytes = Vec::new();
+        for d in &mut db.data {
+            let content = match &d.body {
+                DataBody::Inline(content) => &content[..],
+                DataBody::Stored(extent) => extent
+                    .slice(&segment.bytes)
+                    .expect("the serving state's references verify"),
+            };
+            let extent = Extent {
+                offset: bytes.len() as u64,
+                len: content.len() as u64,
+                crc: framing::crc32(content),
+            };
+            bytes.extend_from_slice(content);
+            d.body = DataBody::Stored(extent);
+        }
+        bytes
+    });
+
     // Write the rebuilt state as a brand-new generation above every
     // sequence number seen, so nothing — not even damaged evidence —
-    // is overwritten.
+    // is overwritten. The new segment goes in under its final name
+    // just before `CURRENT` moves; a damaged old one is quarantined.
     let new_seq = seqs.iter().copied().max().unwrap_or(base_seq) + 1;
-    let dump = db.dump();
+    let seg_tmp = seg_path.with_extension("seg.tmp");
+    if let Some(bytes) = &rebuilt {
+        vfs.write(&seg_tmp, bytes)
+            .and_then(|()| vfs.sync_file(&seg_tmp))
+            .map_err(|e| StoreError::Io {
+                path: seg_tmp.clone(),
+                message: e.to_string(),
+            })?;
+    }
     store::write_atomic(
         &**vfs,
         &dir.join(snapshot_name(new_seq)),
-        &Framing::V2.encode_snapshot(&dump),
+        &Framing::V2.encode_snapshot(&db.dump_by_ref()),
     )?;
     store::write_atomic(
         &**vfs,
         &dir.join(tail_name(new_seq)),
         &Framing::V2.empty_tail(),
     )?;
+    let mut quarantined = Vec::new();
+    if rebuilt.is_some() {
+        let segment_damaged = report
+            .damaged()
+            .any(|v| v.path == seg_path && v.status == FileStatus::Corrupt);
+        if segment_damaged {
+            let target = quarantine_path(&seg_path);
+            if vfs.rename(&seg_path, &target).is_ok() {
+                quarantined.push(target);
+            }
+        }
+        vfs.rename(&seg_tmp, &seg_path)
+            .and_then(|()| vfs.sync_dir(dir))
+            .map_err(|e| StoreError::Io {
+                path: seg_path.clone(),
+                message: e.to_string(),
+            })?;
+    }
     store::write_atomic(&**vfs, &dir.join(store::CURRENT), &format!("{new_seq}\n"))?;
 
     // Quarantine the damaged files (rename, never delete: they are the
     // post-mortem evidence).
-    let mut quarantined = Vec::new();
     for v in report.damaged() {
-        if v.status != FileStatus::Corrupt {
+        if v.status != FileStatus::Corrupt || v.path == seg_path {
             continue;
         }
-        let mut target = v.path.as_os_str().to_owned();
-        target.push(".quarantine");
-        let target = PathBuf::from(target);
+        let target = quarantine_path(&v.path);
         if vfs.rename(&v.path, &target).is_ok() {
             quarantined.push(target);
         }
@@ -513,6 +797,12 @@ pub fn repair(vfs: &Arc<dyn Vfs>, dir: &Path) -> Result<RepairOutcome, StoreErro
         ops_replayed,
         quarantined,
     })
+}
+
+fn quarantine_path(path: &Path) -> PathBuf {
+    let mut target = path.as_os_str().to_owned();
+    target.push(".quarantine");
+    PathBuf::from(target)
 }
 
 #[cfg(test)]
@@ -657,6 +947,70 @@ mod tests {
         assert!(!mem.exists(Path::new("/p/snapshot-9.tmp")));
         let reopened = PersistentStore::open_on(vfs, "/p").unwrap();
         assert_eq!(reopened.db().dump(), dump);
+    }
+
+    /// A compaction that dies before moving `CURRENT` leaves a complete
+    /// generation above it, and the store keeps appending below it.
+    /// Repairing slack must rebuild from `CURRENT`, not from the stale
+    /// generation, or every op since the compaction is lost.
+    #[test]
+    fn repair_prefers_current_over_a_stale_generation_above_it() {
+        let (mem, vfs, _) = seeded("/p");
+        let mut store = PersistentStore::open_on(vfs.clone(), "/p").unwrap();
+        store.compact().unwrap();
+        drop(store);
+        mem.write(Path::new("/p").join(store::CURRENT).as_path(), b"0\n")
+            .unwrap();
+        let mut store = PersistentStore::open_on(vfs.clone(), "/p").unwrap();
+        assert_eq!(store.sequence(), 0);
+        store.store_data("v2.net", b"module v2".to_vec());
+        store.begin_planning(WorkDays::new(3.0));
+        let dump = store.db().dump();
+        drop(store);
+        mem.append(&Path::new("/p").join(DATA_SEGMENT), b"orphan")
+            .unwrap();
+        let report = scrub(&*vfs, Path::new("/p")).unwrap();
+        assert!(report.healthy);
+        assert_eq!(report.unreferenced_bytes, 6);
+        match repair(&vfs, Path::new("/p")).unwrap() {
+            RepairOutcome::Repaired {
+                base_seq, new_seq, ..
+            } => {
+                assert_eq!(base_seq, 0, "CURRENT's generation");
+                assert_eq!(new_seq, 2);
+            }
+            other => panic!("expected a rebuild, got {other:?}"),
+        }
+        let reopened = PersistentStore::open_on(vfs.clone(), "/p").unwrap();
+        assert_eq!(reopened.db().dump(), dump);
+        let after = scrub(&*vfs, Path::new("/p")).unwrap();
+        assert!(after.healthy);
+        assert_eq!(after.unreferenced_bytes, 0);
+    }
+
+    /// A tail that references data with no segment is damage, not a
+    /// torn tail: the scrub reports the segment missing, and the tail
+    /// itself verifies whole.
+    #[test]
+    fn scrub_reports_a_missing_segment_under_tail_references() {
+        let (mem, vfs, _) = seeded("/p");
+        mem.remove_file(&Path::new("/p").join(DATA_SEGMENT))
+            .unwrap();
+        let report = scrub(&*vfs, Path::new("/p")).unwrap();
+        assert!(!report.healthy);
+        let verdict = |name: &str| {
+            report
+                .verdicts
+                .iter()
+                .find(|v| v.path.ends_with(name))
+                .unwrap_or_else(|| panic!("no verdict for {name}"))
+        };
+        assert_eq!(verdict(DATA_SEGMENT).status, FileStatus::Missing);
+        assert_eq!(
+            verdict(DATA_SEGMENT).detail,
+            "referenced by 1 data refs but absent"
+        );
+        assert_eq!(verdict(&tail_name(0)).status, FileStatus::Ok);
     }
 
     #[test]

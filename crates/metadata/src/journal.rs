@@ -23,6 +23,7 @@
 //! declare-entity <class>
 //! declare-schedule <activity> <output-class>
 //! store-data <name-hex> <content-hex>
+//! store-data-ref <name-hex> <offset> <len> <crc08x>
 //! begin-run <activity> <operator> <started-md>
 //! finish-run <run-idx> <class> <data-idx> <finished-md> inputs <i,j|->
 //! supply-input <class> <creator> <created-md> <data-idx>
@@ -69,10 +70,11 @@ use std::fmt::Write as _;
 
 use crate::database::MetadataDb;
 use crate::error::MetadataError;
-use crate::export::{hex_decode, hex_encode_into, LoadError};
+use crate::export::{hex_decode, hex_decode_name, hex_encode_into, LoadError};
 use crate::framing::Framing;
 use crate::ids::{DataObjectId, EntityInstanceId, PlanningSessionId, RunId, ScheduleInstanceId};
-use crate::objects::{from_millidays, to_millidays};
+use crate::objects::{from_millidays, to_millidays, DataBody};
+use crate::segment::Extent;
 
 /// One replayable mutation of a [`MetadataDb`] — the redo-log record
 /// appended by the corresponding mutating method before it applies.
@@ -99,6 +101,15 @@ pub enum JournalOp {
         name: String,
         /// Raw content bytes.
         content: Vec<u8>,
+    },
+    /// A datum whose bytes a persistent store wrote to its data
+    /// segment (see [`crate::segment`]): the record carries the
+    /// reference, not the bytes.
+    StoreDataRef {
+        /// File-like name of the datum.
+        name: String,
+        /// Where the bytes are in the data segment.
+        extent: Extent,
     },
     /// [`MetadataDb::begin_run`].
     BeginRun {
@@ -179,6 +190,31 @@ fn write_ids(ids: &[EntityInstanceId], out: &mut String) -> std::fmt::Result {
     Ok(())
 }
 
+/// Appends ` <offset> <len> <crc08x>`: an extent's fields as the
+/// journal and the dump write them.
+pub(crate) fn write_extent(extent: &Extent, out: &mut String) -> std::fmt::Result {
+    write!(out, " {} {} {:08x}", extent.offset, extent.len, extent.crc)
+}
+
+/// Parses the three fields [`write_extent`] writes.
+pub(crate) fn parse_extent(offset: &str, len: &str, crc: &str) -> Result<Extent, String> {
+    // Digits only: `u64::from_str` would also take a leading `+`.
+    let number = |s: &str| match s.bytes().all(|b| b.is_ascii_digit()) {
+        true => s
+            .parse::<u64>()
+            .map_err(|_| format!("bad extent field {s:?}")),
+        false => Err(format!("bad extent field {s:?}")),
+    };
+    if crc.len() != 8 || !crc.bytes().all(|b| b.is_ascii_hexdigit()) {
+        return Err(format!("bad extent checksum {crc:?}"));
+    }
+    Ok(Extent {
+        offset: number(offset)?,
+        len: number(len)?,
+        crc: u32::from_str_radix(crc, 16).map_err(|_| format!("bad extent checksum {crc:?}"))?,
+    })
+}
+
 /// Cached [`obs::Metrics`] handles for journal telemetry — registry
 /// lookup once, relaxed atomic adds afterwards (the append path runs
 /// inside every mutating database method).
@@ -205,6 +241,7 @@ impl JournalOp {
             JournalOp::DeclareEntityContainer { .. } => "declare-entity",
             JournalOp::DeclareScheduleContainer { .. } => "declare-schedule",
             JournalOp::StoreData { .. } => "store-data",
+            JournalOp::StoreDataRef { .. } => "store-data-ref",
             JournalOp::BeginRun { .. } => "begin-run",
             JournalOp::FinishRun { .. } => "finish-run",
             JournalOp::SupplyInput { .. } => "supply-input",
@@ -231,6 +268,11 @@ impl JournalOp {
                 out.push(' ');
                 hex_encode_into(content, out);
                 Ok(())
+            }
+            JournalOp::StoreDataRef { name, extent } => {
+                out.push_str("store-data-ref ");
+                hex_encode_into(name.as_bytes(), out);
+                write_extent(extent, out)
             }
             JournalOp::BeginRun {
                 activity,
@@ -310,6 +352,17 @@ impl Journal {
         &self.ops
     }
 
+    /// All ops, mutably (the persistent store turns pending data into
+    /// segment references before appending them).
+    pub(crate) fn ops_mut(&mut self) -> &mut [JournalOp] {
+        &mut self.ops
+    }
+
+    /// Keeps the first `n` ops.
+    pub(crate) fn truncate(&mut self, n: usize) {
+        self.ops.truncate(n);
+    }
+
     /// Number of ops recorded.
     pub fn len(&self) -> usize {
         self.ops.len()
@@ -385,11 +438,19 @@ impl Journal {
                 output_class,
             });
         }
-        // Level-4 data, in allocation order.
+        // Level-4 data, in allocation order: inline bytes, or the
+        // segment reference of stored ones (never read here).
         for d in &db.data {
-            journal.record(JournalOp::StoreData {
-                name: d.name().to_owned(),
-                content: d.content().to_vec(),
+            let name = d.name().to_owned();
+            journal.record(match &d.body {
+                DataBody::Inline(content) => JournalOp::StoreData {
+                    name,
+                    content: content.clone(),
+                },
+                DataBody::Stored(extent) => JournalOp::StoreDataRef {
+                    name,
+                    extent: *extent,
+                },
             });
         }
         // Planning sessions, in allocation order (instances re-attach
@@ -538,12 +599,18 @@ pub(crate) fn parse_op_line(lineno: usize, line: &str) -> Result<Option<JournalO
         },
         "store-data" => match rest.as_slice() {
             [name, content] => {
-                let name = String::from_utf8(hex_decode(name).map_err(|m| bad(lineno, &m))?)
-                    .map_err(|_| bad(lineno, "data name is not UTF-8"))?;
+                let name = hex_decode_name(name).map_err(|m| bad(lineno, &m))?;
                 let content = hex_decode(content).map_err(|m| bad(lineno, &m))?;
                 JournalOp::StoreData { name, content }
             }
             _ => return Err(bad(lineno, "malformed store-data line")),
+        },
+        "store-data-ref" => match rest.as_slice() {
+            [name, offset, len, crc] => JournalOp::StoreDataRef {
+                name: hex_decode_name(name).map_err(|m| bad(lineno, &m))?,
+                extent: parse_extent(offset, len, crc).map_err(|m: String| bad(lineno, &m))?,
+            },
+            _ => return Err(bad(lineno, "malformed store-data-ref line")),
         },
         "begin-run" => match rest.as_slice() {
             [activity, operator, started] => JournalOp::BeginRun {
@@ -777,6 +844,9 @@ impl MetadataDb {
             }
             JournalOp::StoreData { name, content } => {
                 self.store_data(name.clone(), content.clone());
+            }
+            JournalOp::StoreDataRef { name, extent } => {
+                self.attach_data(name.clone(), *extent);
             }
             JournalOp::BeginRun {
                 activity,

@@ -68,6 +68,7 @@ pub mod framing;
 pub mod fsck;
 pub mod journal;
 pub mod query;
+pub mod segment;
 pub mod store;
 
 pub use database::MetadataDb;

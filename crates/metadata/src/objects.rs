@@ -4,23 +4,35 @@ use std::sync::Arc;
 use schedule::WorkDays;
 
 use crate::ids::{DataObjectId, EntityInstanceId, PlanningSessionId, RunId, ScheduleInstanceId};
+use crate::segment::Extent;
 
 /// Level-4 actual design data — the bytes a tool produced.
 ///
-/// In the real Hercules this is a pointer into the design-data store;
-/// here the content is held inline (our tools are synthetic), which
-/// exercises the same code path: Level-3 metadata *links to* Level-4
-/// data rather than containing it.
+/// In the real Hercules this is a pointer into the design-data store.
+/// Here it is either held inline (an in-memory database, or data not
+/// yet written out) or, in a persistent store, an [`Extent`] in the
+/// store's data segment: Level-3 metadata *links to* Level-4 data
+/// rather than containing it. Read the bytes with
+/// [`MetadataDb::data_content`](crate::MetadataDb::data_content).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DataObject {
     id: DataObjectId,
     name: String,
-    content: Vec<u8>,
+    pub(crate) body: DataBody,
+}
+
+/// Where a [`DataObject`]'s bytes are.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) enum DataBody {
+    /// Held in memory.
+    Inline(Vec<u8>),
+    /// In the store's data segment.
+    Stored(Extent),
 }
 
 impl DataObject {
-    pub(crate) fn new(id: DataObjectId, name: String, content: Vec<u8>) -> Self {
-        DataObject { id, name, content }
+    pub(crate) fn new(id: DataObjectId, name: String, body: DataBody) -> Self {
+        DataObject { id, name, body }
     }
 
     /// This object's id.
@@ -33,14 +45,21 @@ impl DataObject {
         &self.name
     }
 
-    /// The raw content.
-    pub fn content(&self) -> &[u8] {
-        &self.content
+    /// Where the bytes live in the store's data segment, once written
+    /// there; `None` while they are held in memory.
+    pub fn extent(&self) -> Option<Extent> {
+        match self.body {
+            DataBody::Inline(_) => None,
+            DataBody::Stored(extent) => Some(extent),
+        }
     }
 
-    /// Content size in bytes.
+    /// Content size in bytes. Needs no I/O.
     pub fn size(&self) -> usize {
-        self.content.len()
+        match &self.body {
+            DataBody::Inline(bytes) => bytes.len(),
+            DataBody::Stored(extent) => extent.len as usize,
+        }
     }
 }
 
@@ -497,10 +516,23 @@ mod tests {
 
     #[test]
     fn data_object_accessors() {
-        let d = DataObject::new(DataObjectId::new(0, 0), "x.net".into(), vec![1, 2, 3]);
+        let d = DataObject::new(
+            DataObjectId::new(0, 0),
+            "x.net".into(),
+            DataBody::Inline(vec![1, 2, 3]),
+        );
         assert_eq!(d.size(), 3);
         assert_eq!(d.name(), "x.net");
+        assert_eq!(d.extent(), None);
         assert!(d.to_string().contains("3 bytes"));
+        let extent = Extent {
+            offset: 10,
+            len: 5,
+            crc: 7,
+        };
+        let stored = DataObject::new(d.id(), "y.net".into(), DataBody::Stored(extent));
+        assert_eq!(stored.size(), 5);
+        assert_eq!(stored.extent(), Some(extent));
     }
 
     #[test]

@@ -21,6 +21,7 @@
 //! <dir>/CURRENT            the live sequence number N (temp/renamed)
 //! <dir>/snapshot-N.txt     framed metadata-db dump at sequence N
 //! <dir>/tail-N.journal     framed redo ops since N
+//! <dir>/data.seg           raw design data, append-only (storage v3)
 //! ```
 //!
 //! Files are written in the checksummed **v2 framing**
@@ -28,6 +29,17 @@
 //! line, each snapshot a framing line whose CRC32 covers the dump.
 //! Pre-durability v1 roots open read-compatibly and upgrade wholesale
 //! on their next compaction.
+//!
+//! **Storage v3** keeps Level-4 design data out of those files. Each
+//! datum is appended once, raw, to the data segment
+//! ([`crate::segment`]) *before* the tail record that references it,
+//! `store-data-ref <name-hex> <offset> <len> <crc32>`; snapshots carry
+//! `data-ref` lines. Opening, compacting and snapshotting never read or
+//! copy design data; only the logical export, `take_journal` and
+//! `fsck` do, and every such read checks the datum's CRC. The segment
+//! is created by the first datum, so a store without design data has
+//! exactly the v2 files. v1 and v2 roots (inline `store-data` records
+//! and `data` lines) open unmodified; compaction writes v3.
 //!
 //! Every mutation records its op in the in-memory journal before it is
 //! applied, and the op is then appended to the tail file — including
@@ -45,7 +57,10 @@
 //!
 //! * **Torn tail** — only the *last* record is invalid: a process died
 //!   mid-append. The op was never acknowledged as durable, so open
-//!   truncates it and proceeds, as ever.
+//!   truncates it and proceeds, as ever. A `store-data-ref` record
+//!   whose extent ends past the data segment's end is torn the same
+//!   way (the datum's bytes did not survive), and the tail is
+//!   truncated there; appends resume at the segment's physical end.
 //! * **Corrupt interior** — an earlier record (or the snapshot) fails
 //!   its checksum while valid data follows: bit-rot or a silent short
 //!   write. Guessing would fabricate history, so open refuses with a
@@ -87,7 +102,9 @@ use crate::error::MetadataError;
 use crate::export::LoadError;
 use crate::framing::{self, Framing, SnapshotIssue, TailIssue};
 use crate::ids::{DataObjectId, EntityInstanceId, PlanningSessionId, RunId, ScheduleInstanceId};
-use crate::journal::Journal;
+use crate::journal::{Journal, JournalOp};
+use crate::objects::DataBody;
+use crate::segment::{self, SegmentWriter};
 
 /// What kind of damage a [`CorruptionReport`] describes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -111,6 +128,9 @@ pub enum CorruptionKind {
     SnapshotLoad,
     /// The tail's ops do not apply onto the snapshot they accompany.
     TailReplay,
+    /// A data reference does not resolve in the data segment: it ends
+    /// past the segment, or its bytes fail the reference's checksum.
+    DataRef,
 }
 
 impl fmt::Display for CorruptionKind {
@@ -124,6 +144,7 @@ impl fmt::Display for CorruptionKind {
             CorruptionKind::CorruptRecord => "corrupt record",
             CorruptionKind::SnapshotLoad => "snapshot does not load",
             CorruptionKind::TailReplay => "tail does not replay",
+            CorruptionKind::DataRef => "bad data reference",
         };
         f.write_str(s)
     }
@@ -203,14 +224,14 @@ impl From<LoadError> for StoreError {
     }
 }
 
-fn io_err(path: &Path, e: impl fmt::Display) -> StoreError {
+pub(crate) fn io_err(path: &Path, e: impl fmt::Display) -> StoreError {
     StoreError::Io {
         path: path.to_path_buf(),
         message: e.to_string(),
     }
 }
 
-fn corrupt(path: &Path, kind: CorruptionKind, detail: impl Into<String>) -> StoreError {
+pub(crate) fn corrupt(path: &Path, kind: CorruptionKind, detail: impl Into<String>) -> StoreError {
     StoreError::Corruption(CorruptionReport {
         path: path.to_path_buf(),
         kind,
@@ -228,7 +249,8 @@ pub struct CompactionStats {
     /// store; the compacted journal length for the arena).
     pub tail_ops_after: usize,
     /// Bytes held by the engine before (snapshot + tail files, or the
-    /// journal text for the arena).
+    /// journal text for the arena). The data segment, which compaction
+    /// never rewrites, is not counted.
     pub bytes_before: u64,
     /// Bytes held afterwards.
     pub bytes_after: u64,
@@ -620,6 +642,8 @@ pub struct PersistentStore {
     tail: Option<Box<dyn AppendFile>>,
     /// Reused buffer the pending records of one append are framed in.
     append_buf: String,
+    /// The data segment's append side (storage v3).
+    segment: SegmentWriter,
     /// When set, durability is lost (a tail append failed): every
     /// fallible mutation is refused with the stored reason.
     wedged: Option<String>,
@@ -674,11 +698,15 @@ impl PersistentStore {
         // The persistent store always journals; the snapshot covers the
         // declares, so the tail starts truly empty (no re-declares).
         db.journal = Some(Journal::new());
+        let mut segment = SegmentWriter::at(&*vfs, &dir)?;
+        segment.spill(&vfs, &mut db)?;
+        segment.sync(&*vfs)?;
+        db.segment = Some(segment.source(&vfs));
         let seq = 0u64;
         write_atomic(
             &*vfs,
             &dir.join(snapshot_name(seq)),
-            &framing.encode_snapshot(&db.dump()),
+            &framing.encode_snapshot(&db.dump_by_ref()),
         )?;
         let tail_path = dir.join(tail_name(seq));
         write_atomic(&*vfs, &tail_path, &framing.empty_tail())?;
@@ -693,6 +721,7 @@ impl PersistentStore {
             tail_path,
             tail: None,
             append_buf: String::new(),
+            segment,
             wedged: None,
         })
     }
@@ -739,18 +768,25 @@ impl PersistentStore {
         let generation = generation_of(seq);
         let mut db = MetadataDb::load_at(body, generation)
             .map_err(|e| corrupt(&snap_path, CorruptionKind::SnapshotLoad, e.to_string()))?;
+        // Open reads no design data: it only checks that every
+        // reference ends inside the segment.
+        let segment = SegmentWriter::at(&*vfs, &dir)?;
+        if let Some((name, extent)) = segment::first_snapshot_ref_past(&db, segment.len()) {
+            return Err(corrupt(
+                segment.path(),
+                CorruptionKind::DataRef,
+                format!(
+                    "{} references {}",
+                    snapshot_name(seq),
+                    segment::describe_past(name, &extent, segment.len())
+                ),
+            ));
+        }
         let tail_path = dir.join(tail_name(seq));
         let tail_text = read_store_file(&*vfs, &tail_path)?;
-        let scan = framing::decode_tail(&tail_text);
+        let mut scan = framing::decode_tail(&tail_text);
         match &scan.issue {
-            None => {}
-            // A torn trailing record must be *truncated* on disk, not
-            // merely skipped — otherwise the next append would splice
-            // onto the partial record and corrupt the log for the next
-            // open.
-            Some(TailIssue::Torn { .. }) => {
-                write_atomic(&*vfs, &tail_path, &scan.framing.encode_tail(&scan.journal))?;
-            }
+            None | Some(TailIssue::Torn { .. }) => {}
             Some(TailIssue::BadHeader) => {
                 return Err(corrupt(
                     &tail_path,
@@ -766,6 +802,35 @@ impl PersistentStore {
                 ))
             }
         }
+        // A reference past the segment's end is torn like a partial
+        // record: its datum's bytes never became durable. A reference
+        // with no segment at all is damage, and the tail is left as
+        // it is.
+        let dangling = match segment::first_ref_past(scan.journal.ops(), segment.len()) {
+            Some((at, name, extent)) if segment.len().is_none() => {
+                return Err(corrupt(
+                    segment.path(),
+                    CorruptionKind::DataRef,
+                    format!(
+                        "{} record {} references {}",
+                        tail_name(seq),
+                        at + 1,
+                        segment::describe_past(name, &extent, None)
+                    ),
+                ))
+            }
+            dangling => dangling.map(|(at, ..)| at),
+        };
+        if let Some(at) = dangling {
+            scan.journal.truncate(at);
+        }
+        // A torn trailing record must be *truncated* on disk, not
+        // merely skipped — otherwise the next append would splice
+        // onto the partial record and corrupt the log for the next
+        // open.
+        if dangling.is_some() || scan.issue.is_some() {
+            write_atomic(&*vfs, &tail_path, &scan.framing.encode_tail(&scan.journal))?;
+        }
         db.apply_journal(&scan.journal)
             .map_err(|e| corrupt(&tail_path, CorruptionKind::TailReplay, e.to_string()))?;
         span.record("seq", seq);
@@ -774,6 +839,7 @@ impl PersistentStore {
         let framing = scan.framing;
         // The replayed ops live on in the tail file; memory starts empty.
         db.journal = Some(Journal::new());
+        db.segment = Some(segment.source(&vfs));
         Ok(PersistentStore {
             vfs,
             dir,
@@ -784,6 +850,7 @@ impl PersistentStore {
             tail_path,
             tail: None,
             append_buf: String::new(),
+            segment,
             wedged: None,
         })
     }
@@ -817,10 +884,12 @@ impl PersistentStore {
     /// them from memory. Runs after *every* mutation — including one
     /// torn by an injected crash, whose op was recorded before the
     /// simulated death and therefore must reach disk, exactly like a
-    /// real WAL. The pending records go out as one append through the
-    /// held tail handle (reopened by path when there is none). If the
-    /// open or the append fails, the ops stay in memory and the store
-    /// wedges (see the [module docs](self#wedging)) instead of
+    /// real WAL. Each pending datum's bytes go to the data segment
+    /// first, and its op becomes the `store-data-ref` record that
+    /// follows them. The pending records go out as one append through
+    /// the held tail handle (reopened by path when there is none). If
+    /// a segment or tail write fails, the ops stay in memory and the
+    /// store wedges (see the [module docs](self#wedging)) instead of
     /// panicking: durability is gone, so every further fallible
     /// mutation is refused with [`MetadataError::StorageFailed`].
     fn sync_tail(&mut self) {
@@ -834,6 +903,37 @@ impl PersistentStore {
             .expect("persistent store always journals");
         if journal.is_empty() {
             return;
+        }
+        // Pending data are the newest data objects, in order.
+        let pending = journal
+            .ops()
+            .iter()
+            .filter(|op| matches!(op, JournalOp::StoreData { .. }))
+            .count();
+        let mut data = self.db.data.len() - pending..;
+        for op in journal.ops_mut() {
+            let JournalOp::StoreData { name, content } = op else {
+                continue;
+            };
+            match self.segment.append(&self.vfs, content) {
+                Ok(extent) => {
+                    let d = data.next().expect("one data object per pending datum");
+                    self.db.data[d].body = DataBody::Stored(extent);
+                    *op = JournalOp::StoreDataRef {
+                        name: std::mem::take(name),
+                        extent,
+                    };
+                }
+                Err(e) => {
+                    let path = self.segment.path();
+                    obs::event!("store.wedged", path = path.display().to_string());
+                    self.wedged = Some(format!(
+                        "data segment append failed at {}: {e}",
+                        path.display()
+                    ));
+                    return;
+                }
+            }
         }
         self.append_buf.clear();
         for op in journal.ops() {
@@ -1060,11 +1160,27 @@ impl Store for PersistentStore {
 
     fn take_journal(&mut self) -> Option<Journal> {
         // Hand out a copy read back from the tail file; detaching the
-        // live journal would silently stop persisting.
+        // live journal would silently stop persisting. Data references
+        // are resolved: the copy carries every datum's bytes.
         let text = self.vfs.read_to_string(&self.tail_path).ok()?;
         let mut journal = framing::decode_tail(&text).journal;
         for op in self.db.journal().map_or(&[][..], Journal::ops) {
             journal.record(op.clone());
+        }
+        let mut segment = None;
+        for op in journal.ops_mut() {
+            let JournalOp::StoreDataRef { name, extent } = op else {
+                continue;
+            };
+            let source = self.db.segment_source().ok()?;
+            if segment.is_none() {
+                segment = Some(source.read().ok()?);
+            }
+            let bytes = source.resolve(segment.as_deref()?, name, extent).ok()?;
+            *op = JournalOp::StoreData {
+                content: bytes.to_vec(),
+                name: std::mem::take(name),
+            };
         }
         Some(journal)
     }
@@ -1086,10 +1202,12 @@ impl Store for PersistentStore {
         db.generation = generation_of(next);
         db.journal = Some(Journal::new());
         let result = (|| {
+            self.segment.spill(&self.vfs, &mut db)?;
+            self.segment.sync(&*self.vfs)?;
             write_atomic(
                 &*self.vfs,
                 &self.dir.join(snapshot_name(next)),
-                &Framing::V2.encode_snapshot(&db.dump()),
+                &Framing::V2.encode_snapshot(&db.dump_by_ref()),
             )?;
             write_atomic(
                 &*self.vfs,
@@ -1108,6 +1226,7 @@ impl Store for PersistentStore {
         if self.seq > 0 {
             self.remove_generation(self.seq - 1);
         }
+        db.segment = Some(self.segment.source(&self.vfs));
         self.enter_epoch(next, db);
         Ok(())
     }
@@ -1116,6 +1235,8 @@ impl Store for PersistentStore {
         if let Some(reason) = &self.wedged {
             return Err(io_err(&self.tail_path, reason));
         }
+        // Data before the records that reference them.
+        self.segment.sync(&*self.vfs)?;
         self.vfs
             .sync_file(&self.tail_path)
             .map_err(|e| io_err(&self.tail_path, e))
@@ -1133,11 +1254,16 @@ impl Store for PersistentStore {
             self.file_size(&snapshot_name(self.seq)) + self.file_size(&tail_name(self.seq));
         let tail_ops_before = self.tail_ops;
 
-        // 1. Fresh snapshot + empty tail at the next sequence — always
-        //    v2, which is how a v1 root upgrades.
+        // 1. Data held inline (a v1/v2 root's) moves to the segment,
+        //    and the segment is made durable before anything refers
+        //    to it. Then a fresh snapshot + empty tail at the next
+        //    sequence — always v3 in v2 framing, which is how older
+        //    roots upgrade. The snapshot holds data references only.
         let next = self.seq + 1;
-        let dump = self.db.dump();
         let result = (|| {
+            self.segment.spill(&self.vfs, &mut self.db)?;
+            self.segment.sync(&*self.vfs)?;
+            let dump = self.db.dump_by_ref();
             write_atomic(
                 &*self.vfs,
                 &self.dir.join(snapshot_name(next)),
@@ -1151,15 +1277,20 @@ impl Store for PersistentStore {
             // 2. Commit point: CURRENT now names the new sequence. A
             //    crash on either side of this rename leaves a complete
             //    store.
-            write_atomic(&*self.vfs, &self.dir.join(CURRENT), &format!("{next}\n"))
+            write_atomic(&*self.vfs, &self.dir.join(CURRENT), &format!("{next}\n"))?;
+            Ok(dump)
         })();
-        if let Err(e) = result {
-            // Failed before the commit point: the live epoch is intact.
-            // Clean up whatever half of the next epoch was written
-            // (write_atomic already removed its own temp file).
-            self.remove_generation(next);
-            return Err(e);
-        }
+        let dump = match result {
+            Ok(dump) => dump,
+            Err(e) => {
+                // Failed before the commit point: the live epoch is
+                // intact. Clean up whatever half of the next epoch was
+                // written (write_atomic already removed its own temp
+                // file).
+                self.remove_generation(next);
+                return Err(e);
+            }
+        };
         // 3. Keep the superseded epoch as the fsck fallback state;
         //    best-effort removal of the one before it.
         if self.seq > 0 {
@@ -1168,9 +1299,11 @@ impl Store for PersistentStore {
 
         // 4. Reload at the bumped generation: identical state, fresh
         //    handle stamps — ids from before this call are now stale.
+        //    The dump holds metadata and data references only.
         let generation = generation_of(next);
         let mut db = MetadataDb::load_at(&dump, generation)?;
         db.journal = Some(Journal::new());
+        db.segment = Some(self.segment.source(&self.vfs));
         self.enter_epoch(next, db);
 
         let bytes_after = self.file_size(&snapshot_name(next)) + self.file_size(&tail_name(next));
@@ -1199,6 +1332,7 @@ impl Store for PersistentStore {
 
     fn release_files(&mut self) {
         self.tail = None;
+        self.segment.release();
     }
 }
 
@@ -1588,6 +1722,239 @@ mod tests {
         let again = PersistentStore::open_on(mem, "/proj").unwrap();
         assert_eq!(again.framing(), Framing::V2);
         assert_eq!(again.db().dump(), dump2);
+    }
+
+    /// A [`MemVfs`] with two data-segment faults: while `cut` is set,
+    /// appends silently keep only half their bytes (the lying short
+    /// write); while `stat_fails` is set, stats fail with EIO.
+    /// Everything else passes through.
+    #[derive(Debug)]
+    struct SegmentFaults {
+        mem: Arc<MemVfs>,
+        cut: std::sync::atomic::AtomicBool,
+        stat_fails: std::sync::atomic::AtomicBool,
+    }
+
+    impl SegmentFaults {
+        fn over(mem: &Arc<MemVfs>) -> Arc<SegmentFaults> {
+            Arc::new(SegmentFaults {
+                mem: mem.clone(),
+                cut: false.into(),
+                stat_fails: false.into(),
+            })
+        }
+    }
+
+    impl Vfs for SegmentFaults {
+        fn read_to_string(&self, path: &Path) -> std::io::Result<String> {
+            self.mem.read_to_string(path)
+        }
+        fn read(&self, path: &Path) -> std::io::Result<Vec<u8>> {
+            self.mem.read(path)
+        }
+        fn write(&self, path: &Path, contents: &[u8]) -> std::io::Result<()> {
+            self.mem.write(path, contents)
+        }
+        fn append(&self, path: &Path, contents: &[u8]) -> std::io::Result<()> {
+            let short = self.cut.load(std::sync::atomic::Ordering::SeqCst)
+                && path.ends_with(crate::segment::DATA_SEGMENT);
+            let keep = if short {
+                contents.len() / 2
+            } else {
+                contents.len()
+            };
+            self.mem.append(path, &contents[..keep])
+        }
+        fn rename(&self, from: &Path, to: &Path) -> std::io::Result<()> {
+            self.mem.rename(from, to)
+        }
+        fn remove_file(&self, path: &Path) -> std::io::Result<()> {
+            self.mem.remove_file(path)
+        }
+        fn create_dir_all(&self, path: &Path) -> std::io::Result<()> {
+            self.mem.create_dir_all(path)
+        }
+        fn sync_file(&self, path: &Path) -> std::io::Result<()> {
+            self.mem.sync_file(path)
+        }
+        fn sync_dir(&self, path: &Path) -> std::io::Result<()> {
+            self.mem.sync_dir(path)
+        }
+        fn exists(&self, path: &Path) -> bool {
+            self.mem.exists(path)
+        }
+        fn file_size(&self, path: &Path) -> u64 {
+            self.mem.file_size(path)
+        }
+        fn file_len(&self, path: &Path) -> std::io::Result<u64> {
+            if self.stat_fails.load(std::sync::atomic::Ordering::SeqCst) {
+                return Err(std::io::Error::other("injected EIO"));
+            }
+            self.mem.file_len(path)
+        }
+        fn list_dir(&self, path: &Path) -> std::io::Result<Vec<PathBuf>> {
+            self.mem.list_dir(path)
+        }
+    }
+
+    /// A datum the filesystem cut short is not acknowledged into the
+    /// tail: the store wedges, a reopen drops the partial bytes from
+    /// the state, and new data land after them at the segment's
+    /// physical end, each exactly where its reference says.
+    #[test]
+    fn short_segment_append_wedges_and_reopen_resumes_at_physical_end() {
+        let mem = MemVfs::new();
+        let vfs = SegmentFaults::over(&mem);
+        let mut store =
+            PersistentStore::create_on(vfs.clone() as Arc<dyn Vfs>, "/proj", seed_db()).unwrap();
+        store.store_data("a.net", vec![0xa0; 100]);
+        let dump = store.db().dump();
+        vfs.cut.store(true, std::sync::atomic::Ordering::SeqCst);
+        store.store_data("b.net", vec![0xb0; 100]);
+        let reason = store.wedged_reason().expect("a short append wedges");
+        assert!(reason.contains("short append"), "{reason}");
+        assert!(store.begin_run("Create", "alice", WorkDays::ZERO).is_err());
+        drop(store);
+        let seg = Path::new("/proj").join(crate::segment::DATA_SEGMENT);
+        assert_eq!(mem.file_size(&seg), 150, "the partial datum is on disk");
+
+        let mut store = PersistentStore::open_on(mem.clone() as Arc<dyn Vfs>, "/proj").unwrap();
+        assert_eq!(
+            store.db().dump(),
+            dump,
+            "the cut datum was never acknowledged"
+        );
+        let c = store.store_data("c.net", vec![0xc0; 100]);
+        assert_eq!(
+            store.db().data_object(c).extent().unwrap().offset,
+            150,
+            "appends resume at the physical end"
+        );
+        assert_eq!(&*store.db().data_content(c).unwrap(), &[0xc0; 100][..]);
+        let dump = store.db().dump();
+        drop(store);
+        let reopened = PersistentStore::open_on(mem as Arc<dyn Vfs>, "/proj").unwrap();
+        assert_eq!(reopened.db().dump(), dump);
+    }
+
+    /// A data reference in the tail that ends past the segment is torn:
+    /// open truncates the tail there, even ahead of later records.
+    #[test]
+    fn tail_reference_past_the_segment_end_is_torn() {
+        let (mem, mut store) = mem_store("/proj");
+        store.store_data("a.net", vec![1; 64]);
+        let dump = store.db().dump();
+        store.store_data("b.net", vec![2; 64]);
+        store.begin_planning(WorkDays::new(1.0));
+        drop(store);
+        // The segment loses b's bytes (an unsynced end torn by a crash).
+        let seg = Path::new("/proj").join(crate::segment::DATA_SEGMENT);
+        let bytes = mem.read(&seg).unwrap();
+        mem.write(&seg, &bytes[..64 + 10]).unwrap();
+        let reopened = PersistentStore::open_on(mem.clone() as Arc<dyn Vfs>, "/proj").unwrap();
+        assert_eq!(reopened.db().dump(), dump);
+        drop(reopened);
+        let tail = mem
+            .read_to_string(&Path::new("/proj").join(tail_name(0)))
+            .unwrap();
+        assert_eq!(tail.lines().count(), 2, "truncated on disk: {tail}");
+    }
+
+    /// A tail referencing data with no segment at all is not torn: the
+    /// segment's name is durable before any record refers to it, so no
+    /// crash leaves this. Open refuses with a typed report and leaves
+    /// the tail as it found it.
+    #[test]
+    fn missing_segment_under_tail_references_is_a_typed_report() {
+        let (mem, mut store) = mem_store("/proj");
+        store.store_data("a.net", vec![1; 64]);
+        store.begin_planning(WorkDays::new(1.0));
+        store.checkpoint().unwrap();
+        drop(store);
+        let seg = Path::new("/proj").join(crate::segment::DATA_SEGMENT);
+        let tail = Path::new("/proj").join(tail_name(0));
+        let tail_before = mem.read(&tail).unwrap();
+        mem.remove_file(&seg).unwrap();
+        let err = PersistentStore::open_on(mem.clone(), "/proj").unwrap_err();
+        match err {
+            StoreError::Corruption(report) => {
+                assert_eq!(report.kind, CorruptionKind::DataRef);
+                assert_eq!(report.path, seg);
+                assert!(report.detail.contains("no segment"), "{}", report.detail);
+            }
+            other => panic!("expected a corruption report, got {other:?}"),
+        }
+        assert_eq!(mem.read(&tail).unwrap(), tail_before, "tail untouched");
+    }
+
+    /// A segment that cannot be stat'ed is an I/O error, not an empty
+    /// segment that would cut the tail at its first data reference.
+    #[test]
+    fn failed_segment_stat_is_an_error_and_leaves_the_tail() {
+        let (mem, mut store) = mem_store("/proj");
+        store.store_data("a.net", vec![1; 64]);
+        let dump = store.db().dump();
+        drop(store);
+        let tail = Path::new("/proj").join(tail_name(0));
+        let tail_before = mem.read(&tail).unwrap();
+        let vfs = SegmentFaults::over(&mem);
+        vfs.stat_fails
+            .store(true, std::sync::atomic::Ordering::SeqCst);
+        let err = PersistentStore::open_on(vfs.clone(), "/proj").unwrap_err();
+        assert!(matches!(err, StoreError::Io { .. }), "{err:?}");
+        assert_eq!(mem.read(&tail).unwrap(), tail_before, "tail untouched");
+        vfs.stat_fails
+            .store(false, std::sync::atomic::Ordering::SeqCst);
+        let reopened = PersistentStore::open_on(vfs, "/proj").unwrap();
+        assert_eq!(reopened.db().dump(), dump);
+    }
+
+    /// A snapshot referencing data past the segment's end does not open:
+    /// acknowledged state is missing, so open reports, not guesses.
+    #[test]
+    fn snapshot_reference_past_the_segment_end_is_a_typed_report() {
+        let (mem, mut store) = mem_store("/proj");
+        store.store_data("a.net", vec![1; 64]);
+        store.compact().unwrap();
+        drop(store);
+        let seg = Path::new("/proj").join(crate::segment::DATA_SEGMENT);
+        mem.write(&seg, &[1; 10]).unwrap();
+        let err = PersistentStore::open_on(mem, "/proj").unwrap_err();
+        match err {
+            StoreError::Corruption(report) => {
+                assert_eq!(report.kind, CorruptionKind::DataRef);
+                assert_eq!(report.path, seg);
+            }
+            other => panic!("expected a corruption report, got {other:?}"),
+        }
+    }
+
+    /// Reads verify the checksum: a flipped byte is a typed corruption
+    /// from `try_dump` and `data_content`, never wrong bytes.
+    #[test]
+    fn flipped_segment_byte_is_a_typed_report_on_read() {
+        let (mem, mut store) = mem_store("/proj");
+        let a = store.store_data("a.net", vec![7; 64]);
+        let seg = Path::new("/proj").join(crate::segment::DATA_SEGMENT);
+        let mut bytes = mem.read(&seg).unwrap();
+        bytes[5] ^= 0x20;
+        mem.write(&seg, &bytes).unwrap();
+        for err in [
+            store.db().try_dump().unwrap_err(),
+            store.db().data_content(a).unwrap_err(),
+        ] {
+            assert!(
+                matches!(&err, StoreError::Corruption(r) if r.kind == CorruptionKind::DataRef),
+                "{err:?}"
+            );
+        }
+        assert!(
+            store.take_journal().is_none(),
+            "no journal with wrong bytes"
+        );
+        // Open reads no design data, so it still succeeds.
+        drop(store);
+        assert!(PersistentStore::open_on(mem, "/proj").is_ok());
     }
 
     #[test]

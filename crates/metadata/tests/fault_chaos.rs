@@ -17,6 +17,13 @@
 //!   it back to a servable store whose state is again an acknowledged
 //!   prefix.
 //!
+//! Sessions store design data big enough to go through the data
+//! segment (raw, non-UTF-8 payloads of kilobytes), so segment appends,
+//! the reference records that follow them, and the reads behind every
+//! dump all run under the fault plan. Open reads no design data, so
+//! "reopening" here is open plus a dump of the state: a datum that
+//! does not read back is a typed refusal like any other.
+//!
 //! Any panic, any untyped error, and any recovered state that never
 //! existed fails the sweep. A floor on fully-recovered sessions keeps
 //! the suite honest (a pass where nothing ever recovers would test
@@ -36,6 +43,32 @@ const SEEDS: u64 = 64;
 const FAULT_RATE: f64 = 0.05;
 const STEPS: usize = 40;
 
+/// A datum of `len` raw bytes, different per step and not UTF-8.
+fn payload(step: usize, len: usize) -> Vec<u8> {
+    (0..len).map(|i| (i * 31 + step * 7 + 0x80) as u8).collect()
+}
+
+/// The state the store holds: its dump. The dump reads design data
+/// back through the faulty filesystem, and an injected EIO on that
+/// read says nothing about the state, so the read is retried.
+fn ack(store: &PersistentStore) -> String {
+    loop {
+        match store.db().try_dump() {
+            Ok(dump) => return dump,
+            Err(StoreError::Io { .. }) => continue,
+            Err(e) => panic!("the live state does not read back: {e}"),
+        }
+    }
+}
+
+/// Reopens `dir` and reads the whole state back, as a restarted
+/// process serving it would.
+fn reopen(vfs: &Arc<dyn Vfs>, dir: &Path) -> Result<(PersistentStore, String), StoreError> {
+    let store = PersistentStore::open_on(Arc::clone(vfs), dir)?;
+    let dump = store.db().try_dump()?;
+    Ok((store, dump))
+}
+
 /// Everything one seeded session produced.
 struct SessionOutcome {
     /// Dumps of every state the session acknowledged (including the
@@ -51,8 +84,7 @@ struct SessionOutcome {
 /// that; what the script adds is that *no call may panic*.
 fn run_session(store: &mut PersistentStore, faulty: &FaultVfs) -> SessionOutcome {
     let mut acknowledged = HashSet::new();
-    acknowledged.insert(store.db().dump());
-    let ack = |store: &PersistentStore| store.db().dump();
+    acknowledged.insert(ack(store));
     for step in 0..STEPS {
         let t = WorkDays::new(step as f64 * 0.25);
         match step % 8 {
@@ -70,7 +102,7 @@ fn run_session(store: &mut PersistentStore, faulty: &FaultVfs) -> SessionOutcome
             }
             // Execute a run end to end.
             1 | 4 | 6 => {
-                let data = store.store_data(&format!("v{step}.net"), vec![b'x'; 64]);
+                let data = store.store_data(&format!("v{step}.net"), payload(step, 1024));
                 acknowledged.insert(ack(store));
                 if let Ok(run) = store.begin_run("Create", "alice", t) {
                     acknowledged.insert(ack(store));
@@ -84,7 +116,7 @@ fn run_session(store: &mut PersistentStore, faulty: &FaultVfs) -> SessionOutcome
             }
             // Supply an external input.
             2 | 7 => {
-                let data = store.store_data(&format!("in{step}.stim"), vec![b's'; 16]);
+                let data = store.store_data(&format!("in{step}.stim"), payload(step, 256));
                 acknowledged.insert(ack(store));
                 if store.supply_input("stimuli", "bob", t, data).is_ok() {
                     acknowledged.insert(ack(store));
@@ -143,9 +175,8 @@ fn run_seed(seed: u64) -> (bool, bool, u64) {
     }
     // Recovery runs fault-free, as a restarted process would.
     let plain: Arc<dyn Vfs> = mem.clone();
-    match PersistentStore::open_on(plain.clone(), dir) {
-        Ok(store) => {
-            let dump = store.db().dump();
+    match reopen(&plain, dir) {
+        Ok((store, dump)) => {
             assert!(
                 outcome.acknowledged.contains(&dump),
                 "seed {seed}: recovered a state that was never acknowledged:\n{dump}"
@@ -170,9 +201,8 @@ fn run_seed(seed: u64) -> (bool, bool, u64) {
                 Ok(_) => {}
                 Err(e) => panic!("seed {seed}: repairable scrub but repair failed: {e}"),
             }
-            let store = PersistentStore::open_on(plain, dir)
+            let (store, dump) = reopen(&plain, dir)
                 .unwrap_or_else(|e| panic!("seed {seed}: repaired store does not open: {e}"));
-            let dump = store.db().dump();
             assert!(
                 outcome.acknowledged.contains(&dump),
                 "seed {seed}: repair produced a state that was never acknowledged:\n{dump}"
@@ -233,9 +263,9 @@ fn hostile_fault_rate_never_panics_or_lies() {
             Err(_) => continue,
         };
         mem.crash();
-        match PersistentStore::open_on(mem.clone() as Arc<dyn Vfs>, dir) {
-            Ok(store) => assert!(
-                acknowledged.contains(&store.db().dump()),
+        match reopen(&(mem.clone() as Arc<dyn Vfs>), dir) {
+            Ok((_, dump)) => assert!(
+                acknowledged.contains(&dump),
                 "seed {seed}: unacknowledged state served"
             ),
             Err(StoreError::Corruption(_)) | Err(StoreError::Io { .. }) => {}

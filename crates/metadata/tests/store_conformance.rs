@@ -5,6 +5,10 @@
 //! drift from the in-memory semantics the rest of the workspace is
 //! tested against, and the fault-injection seam is proven
 //! behaviour-identical when no faults are planned.
+//!
+//! The persistent backends are storage v3: the lifecycle's design data
+//! are kilobytes of raw, non-UTF-8 bytes, written to the data segment
+//! and read back from it.
 
 use std::fs;
 use std::path::PathBuf;
@@ -65,6 +69,13 @@ fn for_each_backend(tag: &str, check: impl Fn(&mut dyn Store)) {
     assert_eq!(faulty.injected(), 0, "a no-fault plan must inject nothing");
 }
 
+/// A raw design datum of `len` bytes, not UTF-8.
+fn payload(tag: u8, len: usize) -> Vec<u8> {
+    (0..len)
+        .map(|i| (i as u8).wrapping_mul(37) ^ tag | 0x80)
+        .collect()
+}
+
 /// One planned + executed + completed activity; returns nothing so the
 /// same closure body type-checks for both backends.
 fn lifecycle(store: &mut dyn Store) {
@@ -73,14 +84,14 @@ fn lifecycle(store: &mut dyn Store) {
         .plan_activity(s, "Create", WorkDays::ZERO, WorkDays::new(2.0))
         .unwrap();
     store.assign(sc, "alice").unwrap();
-    let stim = store.store_data("vec.stim", b"0101".to_vec());
+    let stim = store.store_data("vec.stim", payload(1, 1500));
     store
         .supply_input("stimuli", "bob", WorkDays::ZERO, stim)
         .unwrap();
     let run = store
         .begin_run("Create", "alice", WorkDays::new(0.5))
         .unwrap();
-    let data = store.store_data("v1.net", b"module".to_vec());
+    let data = store.store_data("v1.net", payload(2, 5000));
     let e = store
         .finish_run(run, "netlist", data, WorkDays::new(1.5), &[])
         .unwrap();
@@ -96,6 +107,12 @@ fn conformance_lifecycle_state() {
         assert_eq!(db.schedule_count(), 1);
         assert_eq!(db.runs().len(), 1);
         assert_eq!(db.data_count(), 2);
+        for (class, tag, len) in [("stimuli", 1, 1500), ("netlist", 2, 5000)] {
+            let entity = db.entity_container(class).unwrap()[0];
+            let id = db.entity_instance(entity).data();
+            assert_eq!(db.data_object(id).size(), len);
+            assert_eq!(&*db.data_content(id).unwrap(), &payload(tag, len)[..]);
+        }
         assert!(db.current_plan("Create").unwrap().is_complete());
         assert_eq!(db.actual_start("Create"), Some(WorkDays::new(0.5)));
         assert_eq!(db.actual_finish("Create"), Some(WorkDays::new(1.5)));
@@ -375,6 +392,35 @@ fn conformance_compact_survives_enospc_at_every_injection_point() {
         assert!(k < 64, "compaction should need far fewer than 64 writes");
     }
     assert!(k >= 2, "the sweep must actually exercise failing writes");
+}
+
+/// Storage v3 on disk: the design data are in the data segment, raw and
+/// once, and the journal tail and every snapshot carry only references
+/// — through a reopen and a compaction.
+#[test]
+fn persistent_design_data_live_in_the_segment_only() {
+    for (i, vfs) in real_vfs_backends().into_iter().enumerate() {
+        let scratch = ScratchDir::new(&format!("segment-{i}"));
+        let dir = &scratch.0;
+        let mut store = PersistentStore::create_on(Arc::clone(&vfs), dir, seed_db()).unwrap();
+        assert!(!dir.join("data.seg").exists(), "no datum, no segment");
+        lifecycle(&mut store);
+        let expected = [payload(1, 1500), payload(2, 5000)].concat();
+        assert_eq!(fs::read(dir.join("data.seg")).unwrap(), expected);
+        let tail = fs::read_to_string(dir.join("tail-0.journal")).unwrap();
+        assert_eq!(tail.matches(" store-data-ref ").count(), 2, "{tail}");
+        assert!(tail.len() < 2000, "the tail holds no design data");
+        let dump = store.db().dump();
+        store.compact().unwrap();
+        assert_eq!(store.db().dump(), dump);
+        let snapshot = fs::read_to_string(dir.join("snapshot-1.txt")).unwrap();
+        assert_eq!(snapshot.matches("\ndata-ref ").count(), 2, "{snapshot}");
+        assert!(snapshot.len() < 2000, "the snapshot holds no design data");
+        assert_eq!(fs::read(dir.join("data.seg")).unwrap(), expected);
+        drop(store);
+        let reopened = PersistentStore::open_on(vfs, dir).unwrap();
+        assert_eq!(reopened.db().dump(), dump);
+    }
 }
 
 /// The real-filesystem backends: plain, and behind a no-fault

@@ -49,11 +49,15 @@ impl LeveledSchedule {
 }
 
 /// Event-list simulation of resource usage over time for one resource.
+///
+/// Usage is a step function: its level at `t` is the sum of the deltas
+/// of *every* event at or before `t`. Simultaneous events take effect
+/// together, so a level passed through between two events at the same
+/// time is never a usage level.
 #[derive(Debug, Default)]
 struct UsageProfile {
     /// (time, delta) events, sorted by time; events at equal times keep
-    /// the order they were reserved in. Usage at `t` is the sum of
-    /// deltas at or before `t`.
+    /// the order they were reserved in.
     events: Vec<(f64, i64)>,
     /// `levels[k]`: the usage right after `events[k]`, i.e. the sum of
     /// the deltas of `events[..=k]`.
@@ -61,30 +65,23 @@ struct UsageProfile {
 }
 
 impl UsageProfile {
-    /// Peak usage over the half-open interval `[start, finish)`.
-    ///
-    /// The usage level at time `t` is the sum of all event deltas with
-    /// event time `<= t`; the peak is the maximum level attained at
-    /// `start` or at any event inside the interval. Two binary searches
-    /// find the events inside; only those are read.
+    /// Peak usage over the half-open interval `[start, finish)`: the
+    /// level at `start`, or at any event time inside the interval,
+    /// sampled once per time after all of its events. Two binary
+    /// searches find the events inside; only those are read.
     fn peak_in(&self, start: f64, finish: f64) -> i64 {
         if finish <= start {
             return 0;
         }
-        let lo = self.events.partition_point(|&(t, _)| t < start);
-        let hi = lo + self.events[lo..].partition_point(|&(t, _)| t < finish);
-        // The level held approaching `finish` (the level at `start`
-        // when no event falls inside the interval).
-        let mut peak = self.level_before(hi).max(0);
-        // The level carried into the interval from earlier events,
-        // unless events at exactly `start` replace it.
-        let carried = lo + self.events[lo..hi].partition_point(|&(t, _)| t <= start);
-        if carried < hi {
-            peak = peak.max(self.level_before(carried));
-        }
-        self.levels[lo..hi]
-            .iter()
-            .fold(peak, |peak, &level| peak.max(level))
+        let inside = self.events.partition_point(|&(t, _)| t <= start);
+        let end = inside + self.events[inside..].partition_point(|&(t, _)| t < finish);
+        // The last event at each time inside carries that time's level;
+        // the event after the interval is at `finish` or later.
+        (inside..end)
+            .filter(|&k| k + 1 == end || self.events[k + 1].0 != self.events[k].0)
+            .fold(self.level_before(inside), |peak, k| {
+                peak.max(self.levels[k])
+            })
     }
 
     /// The usage before `events[k]` (after all events when `k` is the
@@ -382,6 +379,28 @@ mod tests {
         for &id in &ids {
             assert!(lev.start(id).days() >= cpm.times(id).early_start.days() - 1e-9);
         }
+    }
+
+    /// A level passed through between simultaneous events is not a
+    /// usage level: after t2 and t3 both release at day 1, the whole
+    /// capacity is free for t0, even though the profile's first release
+    /// at day 1 alone leaves one unit taken.
+    #[test]
+    fn simultaneous_releases_free_the_capacity_together() {
+        let mut net = ScheduleNetwork::new();
+        let t0 = net.add_activity("t0", WorkDays::new(0.5)).unwrap();
+        let t2 = net.add_activity("t2", WorkDays::new(1.0)).unwrap();
+        let t3 = net.add_activity("t3", WorkDays::new(1.0)).unwrap();
+        net.add_demand(t0, "designer", 2).unwrap();
+        net.add_demand(t2, "designer", 1).unwrap();
+        net.add_demand(t3, "designer", 1).unwrap();
+        let pool: ResourcePool = [Resource::new("designer", 2)].into_iter().collect();
+        let lev = level_resources(&net, &pool).unwrap();
+        assert_eq!(lev.start(t2), WorkDays::ZERO);
+        assert_eq!(lev.start(t3), WorkDays::ZERO);
+        assert_eq!(lev.start(t0), WorkDays::new(1.0));
+        assert_eq!(lev.finish(t0), WorkDays::new(1.5));
+        assert_eq!(lev.makespan(), WorkDays::new(1.5));
     }
 
     #[test]

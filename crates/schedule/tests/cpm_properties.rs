@@ -84,42 +84,38 @@ fn arb_contended_network() -> impl Strategy<Value = (ScheduleNetwork, ResourcePo
         })
 }
 
-/// Reference levelling: the serial schedule generation scheme with the
-/// usage profile kept as an unsorted event list that every probe
-/// clones and stably sorts. `level_resources` must reproduce its
+/// Reference levelling: the serial schedule generation scheme over a
+/// plain, unsorted event list. `level_resources` must reproduce its
 /// starts, finishes and makespan bit for bit.
 ///
-/// `None` when an activity finds no slot: events at one time count one
-/// at a time, so on a resource of capacity 2 or more a level passed
-/// through between simultaneous events can block an activity after the
-/// last release. `level_resources` panics on exactly those inputs.
+/// Usage is a step function: the level at `t` sums every event at or
+/// before `t`, so simultaneous events take effect together. A probe
+/// samples the level at its start and at each event time inside it.
+/// `None` when an activity finds no slot — which a validated input
+/// never does, since everything is released after the last event.
 fn reference_level(
     net: &ScheduleNetwork,
     pool: &ResourcePool,
 ) -> Option<(Vec<f64>, Vec<f64>, f64)> {
+    fn level_at(events: &[(f64, i64)], t: f64) -> i64 {
+        events
+            .iter()
+            .filter(|&&(et, _)| et <= t)
+            .map(|&(_, d)| d)
+            .sum()
+    }
     fn peak_in(events: &[(f64, i64)], start: f64, finish: f64) -> i64 {
         if finish <= start {
             return 0;
         }
-        let mut events = events.to_vec();
-        events.sort_by(|a, b| a.0.total_cmp(&b.0));
-        let mut usage = 0i64;
-        let mut peak = 0i64;
-        let mut crossed_start = false;
-        for (t, delta) in events {
-            if t >= finish {
-                break;
-            }
-            if !crossed_start && t > start {
-                peak = peak.max(usage);
-                crossed_start = true;
-            }
-            usage += delta;
-            if t >= start {
-                peak = peak.max(usage);
-            }
-        }
-        peak.max(usage)
+        events
+            .iter()
+            .map(|&(t, _)| t)
+            .filter(|&t| start < t && t < finish)
+            .chain([start])
+            .map(|t| level_at(events, t))
+            .max()
+            .unwrap_or(0)
     }
 
     let cpm = net.analyze().expect("acyclic");
@@ -203,27 +199,20 @@ fn reference_level(
 }
 
 harness::props! {
-    fn leveling_matches_the_clone_and_sort_reference(case in arb_contended_network()) {
+    fn leveling_matches_the_step_function_reference(case in arb_contended_network()) {
         let (net, pool) = case;
         let leveled = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             level_resources(&net, &pool).expect("every single demand fits the pool")
         }));
-        match (leveled, reference_level(&net, &pool)) {
-            (Ok(lev), Some((starts, finishes, makespan))) => {
-                for id in net.activities() {
-                    prop_assert_eq!(lev.start(id).days().to_bits(), starts[id.index()].to_bits());
-                    prop_assert_eq!(lev.finish(id).days().to_bits(), finishes[id.index()].to_bits());
-                }
-                prop_assert_eq!(lev.makespan().days().to_bits(), makespan.to_bits());
-            }
-            (Err(_), None) => {}
-            (leveled, reference) => prop_assert!(
-                false,
-                "level_resources {} but the reference {}",
-                if leveled.is_ok() { "found a schedule" } else { "panicked" },
-                if reference.is_some() { "found one" } else { "found no slot" }
-            ),
+        let reference = reference_level(&net, &pool);
+        prop_assert!(leveled.is_ok(), "level_resources rejected a validated input");
+        prop_assert!(reference.is_some(), "the reference found no slot for a validated input");
+        let (lev, (starts, finishes, makespan)) = (leveled.unwrap(), reference.unwrap());
+        for id in net.activities() {
+            prop_assert_eq!(lev.start(id).days().to_bits(), starts[id.index()].to_bits());
+            prop_assert_eq!(lev.finish(id).days().to_bits(), finishes[id.index()].to_bits());
         }
+        prop_assert_eq!(lev.makespan().days().to_bits(), makespan.to_bits());
     }
 
     fn cpm_dates_are_consistent(net in arb_network()) {

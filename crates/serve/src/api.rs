@@ -393,8 +393,10 @@ impl Api {
             Ok(p) => p,
             Err(resp) => return resp,
         };
-        let body = project.read(|h| h.db().dump());
-        Response::text(200, body)
+        match project.read(|h| h.db().try_dump()) {
+            Ok(body) => Response::text(200, body),
+            Err(e) => Response::error(500, e.to_string()),
+        }
     }
 
     fn project_plan(&self, name: &str, req: &Request) -> Response {

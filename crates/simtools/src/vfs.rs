@@ -70,6 +70,20 @@ pub trait Vfs: fmt::Debug + Send + Sync + 'static {
     /// content (bit-rot on a text file), or an injected/real I/O error.
     fn read_to_string(&self, path: &Path) -> io::Result<String>;
 
+    /// Reads an entire file as raw bytes — the persistent store's data
+    /// segment holds design data, which need not be text.
+    ///
+    /// The default reads through [`read_to_string`](Vfs::read_to_string),
+    /// so it fails with `InvalidData` on non-UTF-8 content; every
+    /// backend in this crate overrides it with a true binary read.
+    ///
+    /// # Errors
+    ///
+    /// `NotFound` for a missing file, or an injected/real I/O error.
+    fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
+        self.read_to_string(path).map(String::into_bytes)
+    }
+
     /// Creates or truncates `path` with `contents`.
     ///
     /// # Errors
@@ -127,6 +141,26 @@ pub trait Vfs: fmt::Debug + Send + Sync + 'static {
 
     /// A file's size in bytes (0 if absent — sizing is advisory).
     fn file_size(&self, path: &Path) -> u64;
+
+    /// A file's length in bytes, from a stat that reports its failure —
+    /// for callers that must tell an absent or unreadable file from an
+    /// empty one.
+    ///
+    /// The default derives it from [`exists`](Vfs::exists) and
+    /// [`file_size`](Vfs::file_size), so a stat that fails on an
+    /// existing file reads as length 0; every backend in this crate
+    /// overrides it with a true stat.
+    ///
+    /// # Errors
+    ///
+    /// `NotFound` for a missing file, or a real I/O error.
+    fn file_len(&self, path: &Path) -> io::Result<u64> {
+        if self.exists(path) {
+            Ok(self.file_size(path))
+        } else {
+            Err(not_found(path))
+        }
+    }
 
     /// The files (not directories) directly inside `path`.
     ///
@@ -200,6 +234,10 @@ impl Vfs for RealVfs {
         std::fs::read_to_string(path)
     }
 
+    fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
+        std::fs::read(path)
+    }
+
     fn write(&self, path: &Path, contents: &[u8]) -> io::Result<()> {
         std::fs::write(path, contents)
     }
@@ -240,6 +278,10 @@ impl Vfs for RealVfs {
 
     fn file_size(&self, path: &Path) -> u64 {
         std::fs::metadata(path).map(|m| m.len()).unwrap_or(0)
+    }
+
+    fn file_len(&self, path: &Path) -> io::Result<u64> {
+        std::fs::metadata(path).map(|m| m.len())
     }
 
     fn list_dir(&self, path: &Path) -> io::Result<Vec<PathBuf>> {
@@ -351,14 +393,18 @@ impl MemVfs {
 
 impl Vfs for MemVfs {
     fn read_to_string(&self, path: &Path) -> io::Result<String> {
-        let s = self.state.lock().expect("vfs lock");
-        let inode = s.live.get(path).ok_or_else(|| not_found(path))?;
-        String::from_utf8(inode.data.clone()).map_err(|_| {
+        String::from_utf8(self.read(path)?).map_err(|_| {
             io::Error::new(
                 io::ErrorKind::InvalidData,
                 format!("{}: not valid UTF-8", path.display()),
             )
         })
+    }
+
+    fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
+        let s = self.state.lock().expect("vfs lock");
+        let inode = s.live.get(path).ok_or_else(|| not_found(path))?;
+        Ok(inode.data.clone())
     }
 
     fn write(&self, path: &Path, contents: &[u8]) -> io::Result<()> {
@@ -458,6 +504,12 @@ impl Vfs for MemVfs {
         s.live.get(path).map(|i| i.data.len() as u64).unwrap_or(0)
     }
 
+    fn file_len(&self, path: &Path) -> io::Result<u64> {
+        let s = self.state.lock().expect("vfs lock");
+        let inode = s.live.get(path).ok_or_else(|| not_found(path))?;
+        Ok(inode.data.len() as u64)
+    }
+
     fn list_dir(&self, path: &Path) -> io::Result<Vec<PathBuf>> {
         let s = self.state.lock().expect("vfs lock");
         if !s.dirs.contains(&path.to_path_buf()) {
@@ -482,7 +534,7 @@ pub enum VfsFault {
     /// `write`/`append` fails with ENOSPC after persisting a prefix —
     /// a full disk tears the record it was writing.
     Enospc,
-    /// `read_to_string` fails with EIO (a bad sector).
+    /// `read_to_string` or `read` fails with EIO (a bad sector).
     Eio,
     /// `write`/`append` *reports success* but persists only a prefix —
     /// a short write the caller never learns about.
@@ -640,6 +692,15 @@ impl FaultVfs {
         io::Error::other(format!("{}: injected EIO", path.display()))
     }
 
+    /// The read fault model, shared by `read_to_string` and `read`: the
+    /// seeded decision for this op's index, EIO when it faults.
+    fn faulty_read(&self, path: &Path) -> io::Result<()> {
+        match self.plan.decide(self.next_index(), OpKind::Read) {
+            Some((VfsFault::Eio, _)) => Err(self.eio(path)),
+            _ => Ok(()),
+        }
+    }
+
     /// The write-class fault model, shared by `write`, by-path
     /// `append` and held append handles: the armed one-shot ENOSPC
     /// first, then the seeded decision for this op's index. A planned
@@ -692,10 +753,13 @@ impl AppendFile for FaultAppend {
 
 impl Vfs for FaultVfs {
     fn read_to_string(&self, path: &Path) -> io::Result<String> {
-        if let Some((VfsFault::Eio, _)) = self.plan.decide(self.next_index(), OpKind::Read) {
-            return Err(self.eio(path));
-        }
+        self.faulty_read(path)?;
         self.inner.read_to_string(path)
+    }
+
+    fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
+        self.faulty_read(path)?;
+        self.inner.read(path)
     }
 
     fn write(&self, path: &Path, contents: &[u8]) -> io::Result<()> {
@@ -749,6 +813,10 @@ impl Vfs for FaultVfs {
 
     fn file_size(&self, path: &Path) -> u64 {
         self.inner.file_size(path)
+    }
+
+    fn file_len(&self, path: &Path) -> io::Result<u64> {
+        self.inner.file_len(path)
     }
 
     fn list_dir(&self, path: &Path) -> io::Result<Vec<PathBuf>> {

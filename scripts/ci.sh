@@ -21,11 +21,15 @@
 #   ws      workspace kernel gate: threaded stress + compaction
 #           property + store conformance + B12 scaling tests, then the
 #           end-to-end create->plan->crash->recover->gc->query script
-#           (now ending in a corrupt->fsck->repair->re-serve leg)
+#           (with a storage-v3 leg: orphan data-segment bytes are
+#           tolerated on reopen, reported by fsck, dropped by
+#           --repair; then a corrupt->fsck->repair->re-serve leg)
 #   fsck    durability gate: the 64-seed fault-injection sweep over
 #           FaultVfs, the corruption-corpus goldens in
-#           artifacts/corrupt_roots/, and the B15 checksum-overhead
-#           gate (v2 framing <= 1.2x v1 on append and open)
+#           artifacts/corrupt_roots/ (v3 data-segment cases and their
+#           repair included), the storage-v3 goldens and v1/v2
+#           compatibility, and the B15 checksum-overhead gate (v2
+#           framing <= 1.2x v1 on append and open)
 #   serve   workspace-server gate: differential transport conformance,
 #           protocol fuzzer, 64-seed chaos-under-load sweep, herc
 #           serve CLI coverage, B13 scaling/coalescing floor, and a
@@ -218,7 +222,7 @@ stage_ws() {
     cargo test -q --offline --release -p bench \
         --test workspace_scaling || return 1
     # End-to-end lifecycle through the user-facing CLI, torn-tail
-    # crash included.
+    # crash and orphaned data-segment bytes included.
     scripts/ws_e2e.sh
 }
 
@@ -231,12 +235,17 @@ stage_fsck() {
     # pin the scrub verdicts on committed damaged roots; the B15 gate
     # holds checksummed framing to <= 1.2x the un-checksummed paths.
     # The vfs unit tests pin one fault model for by-path appends and
-    # held append handles.
+    # held append handles; the vfs conformance suite pins binary reads
+    # on every backend. Storage v3: golden snapshot/tail/segment
+    # bytes, and v1/v2 roots opening unmodified and compacting or
+    # repairing into v3 with byte-identical dumps.
     cargo test -q --offline --release -p simtools --lib vfs || return 1
+    cargo test -q --offline --release -p simtools \
+        --test vfs_conformance || return 1
     cargo test -q --offline --release -p metadata \
-        --test fault_chaos || return 1
+        --test fault_chaos --test store_v3_golden --test store_compat || return 1
     cargo test -q --offline --release -p dac95-schedflow \
-        --test fsck_corpus || return 1
+        --test fsck_corpus --test fsck_segment || return 1
     cargo test -q --offline --release -p bench \
         --test store_durability
 }

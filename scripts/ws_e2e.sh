@@ -5,7 +5,10 @@
 # the end of the project's tail file, exactly what a process killed
 # mid-write leaves behind. Reopening must shrug it off (and truncate
 # it), `herc gc` must fold the surviving ops into a fresh snapshot,
-# and every status query across the lifecycle must agree.
+# and every status query across the lifecycle must agree. A second
+# crash tears between a datum's write to the data segment and the
+# journal record that would reference it: reopening must ignore the
+# orphan bytes, `herc fsck` must report them and `--repair` drop them.
 #
 # Run directly or via `scripts/ci.sh --stage ws`.
 
@@ -74,6 +77,55 @@ cmp "$ROOT/status_before.txt" "$ROOT/status_after_gc.txt" || {
 $HERC ws "$ROOT/ws" plan beta "$ROOT/counter.schema" performance --seed 8 \
     > /dev/null
 $HERC ws "$ROOT/ws" list
+
+# -- crash between a datum and its record (storage v3) -----------------
+# Design data go to the project's data segment before the journal
+# record that references them. A crash in between leaves the first
+# bytes of a datum that no record points at.
+seg="$ROOT/ws/alpha/data.seg"
+test -s "$seg" || {
+    echo "ws_e2e: alpha's design data are not in a data segment" >&2
+    exit 1
+}
+seg_bytes=$(wc -c < "$seg")
+head -c 300 "$seg" > "$ROOT/partial_datum"
+cat "$ROOT/partial_datum" >> "$seg"
+$HERC ws "$ROOT/ws" status alpha "$ROOT/counter.schema" --seed 7 \
+    > "$ROOT/status_orphan.txt"
+cmp "$ROOT/status_before.txt" "$ROOT/status_orphan.txt" || {
+    echo "ws_e2e: status diverged across the orphaned datum" >&2
+    exit 1
+}
+$HERC fsck "$ROOT/ws" > "$ROOT/fsck_orphan.txt" || {
+    echo "ws_e2e: orphan segment bytes must not fail fsck:" >&2
+    cat "$ROOT/fsck_orphan.txt" >&2
+    exit 1
+}
+grep -q 'data.seg .*slack .*300 of [0-9]* bytes unreferenced' "$ROOT/fsck_orphan.txt" || {
+    echo "ws_e2e: fsck did not report the unreferenced bytes:" >&2
+    cat "$ROOT/fsck_orphan.txt" >&2
+    exit 1
+}
+$HERC fsck "$ROOT/ws" --repair > "$ROOT/fsck_orphan_repair.txt"
+grep -q 'repaired: rebuilt' "$ROOT/fsck_orphan_repair.txt" || {
+    echo "ws_e2e: repair did not rebuild alpha's segment:" >&2
+    cat "$ROOT/fsck_orphan_repair.txt" >&2
+    exit 1
+}
+test "$(wc -c < "$seg")" -eq "$seg_bytes" || {
+    echo "ws_e2e: repair left $(wc -c < "$seg") segment bytes, expected $seg_bytes" >&2
+    exit 1
+}
+if $HERC fsck "$ROOT/ws" | grep -q 'slack'; then
+    echo "ws_e2e: unreferenced bytes survived repair" >&2
+    exit 1
+fi
+$HERC ws "$ROOT/ws" status alpha "$ROOT/counter.schema" --seed 7 \
+    > "$ROOT/status_orphan_repaired.txt"
+cmp "$ROOT/status_before.txt" "$ROOT/status_orphan_repaired.txt" || {
+    echo "ws_e2e: status diverged across the segment repair" >&2
+    exit 1
+}
 
 # -- corruption: flip an interior record in beta's journal tail --------
 # (Not a torn tail: damage with valid records after it, which recovery
