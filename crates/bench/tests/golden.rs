@@ -2,7 +2,10 @@
 //! the experiment binaries actually print today.
 //!
 //! Deterministic binaries only (seeded simulation, no timing):
-//! `fig8_gantt` and `table1`. Comparison normalizes whitespace
+//! `fig5_planning`, `fig6_execution`, `fig7_completion`, `fig8_gantt`
+//! and `table1`. The Fig. 5–7 artifacts print the logical view of the
+//! versioned schedule space (instances, versions, provenance, links),
+//! so they also pin that how versions are stored never shows there. Comparison normalizes whitespace
 //! (trailing spaces and CR/LF) so editor churn doesn't fail the build;
 //! any real drift fails with a diff and a regeneration hint.
 
@@ -62,6 +65,33 @@ fn check_golden(bin_path: &str, bin_name: &str, golden_rel: &str) {
          if the change is intentional, regenerate with:\n  \
          cargo run --release -p bench --bin {bin_name} > {golden_rel}\n",
         first_diff(&expected, &actual)
+    );
+}
+
+#[test]
+fn fig5_planning_matches_golden() {
+    check_golden(
+        env!("CARGO_BIN_EXE_fig5_planning"),
+        "fig5_planning",
+        "artifacts/fig5_planning.txt",
+    );
+}
+
+#[test]
+fn fig6_execution_matches_golden() {
+    check_golden(
+        env!("CARGO_BIN_EXE_fig6_execution"),
+        "fig6_execution",
+        "artifacts/fig6_execution.txt",
+    );
+}
+
+#[test]
+fn fig7_completion_matches_golden() {
+    check_golden(
+        env!("CARGO_BIN_EXE_fig7_completion"),
+        "fig7_completion",
+        "artifacts/fig7_completion.txt",
     );
 }
 

@@ -267,41 +267,67 @@ impl Hercules {
         for designer in self.team.iter() {
             pool.add(Resource::new(designer, 1));
         }
-        let mut assignees = HashMap::new();
-        for (k, activity) in in_scope.iter().enumerate() {
-            assignees.insert(activity.clone(), self.team.assignee(k).to_owned());
-        }
         let cpm = inc.analysis(&net);
         let leveled = level_resources(&net, &pool)?;
 
-        // Record the simulated execution: one planning session, one
-        // schedule instance per activity, in post-order.
+        // Record the simulated execution: one planning session, one new
+        // schedule-instance version per activity, in post-order. A
+        // proposal equal to the activity's current plan joins a run of
+        // consecutive unchanged activities, and each run is carried as
+        // one store mutation; a changed one is planned and assigned.
         let session = self.store.begin_planning(self.clock);
         let offset = self.clock;
-        let mut activities = Vec::with_capacity(in_scope.len());
-        let mut project_finish = offset;
-        for activity in &in_scope {
-            let id = ids[activity.as_str()];
-            let start = offset + leveled.start(id);
-            let duration = net.duration(id);
-            let sc = self
-                .store
-                .plan_activity(session, activity, start, duration)?;
-            let assignee = assignees[activity].clone();
-            self.store.assign(sc, &assignee)?;
-            let finish = start + duration;
-            if finish.days() > project_finish.days() {
-                project_finish = finish;
-            }
-            activities.push(PlannedActivity {
-                activity: activity.clone(),
-                schedule: sc,
+        let proposal = |k: usize| {
+            let id = ids[in_scope[k].as_str()];
+            (offset + leveled.start(id), net.duration(id))
+        };
+        let planned = |k: usize, schedule: ScheduleInstanceId| {
+            let (start, duration) = proposal(k);
+            PlannedActivity {
+                activity: in_scope[k].clone(),
+                schedule,
                 start,
                 duration,
-                assignee,
-                critical: cpm.is_critical(id),
-            });
+                assignee: self.team.assignee(k).to_owned(),
+                critical: cpm.is_critical(ids[in_scope[k].as_str()]),
+            }
+        };
+        let changed: Vec<bool> = (0..in_scope.len())
+            .map(|k| {
+                let (start, duration) = proposal(k);
+                !self
+                    .store
+                    .db()
+                    .current_plan(&in_scope[k])
+                    .is_some_and(|current| {
+                        current.proposes(start, duration, &[self.team.assignee(k)])
+                    })
+            })
+            .collect();
+        let mut activities = Vec::with_capacity(in_scope.len());
+        let mut k = 0;
+        while k < in_scope.len() {
+            if changed[k] {
+                let (start, duration) = proposal(k);
+                let sc = self
+                    .store
+                    .plan_activity(session, &in_scope[k], start, duration)?;
+                self.store.assign(sc, self.team.assignee(k))?;
+                activities.push(planned(k, sc));
+                k += 1;
+            } else {
+                let end = k + changed[k..].iter().take_while(|&&c| !c).count();
+                let minted = self.store.carry_plan(session, &in_scope[k..end])?;
+                for (j, sc) in minted.into_iter().enumerate() {
+                    activities.push(planned(k + j, sc));
+                }
+                k = end;
+            }
         }
+        let project_finish = activities
+            .iter()
+            .map(|a| a.start + a.duration)
+            .fold(offset, WorkDays::max);
         self.plan_cache.insert(
             target.to_owned(),
             PlanCache {

@@ -193,17 +193,22 @@ impl Hercules {
     /// designer reports status to a project manager; the flow manager
     /// *is* the source of truth.
     pub fn status(&self) -> StatusReport {
+        let db = self.store.db();
         let rows = self
             .schema
             .rules()
             .iter()
             .map(|rule| {
                 let activity = rule.activity().to_owned();
-                let plan = self.store.db().current_plan(&activity);
+                // One lookup of the current plan serves the plan, the
+                // actual finish and the slip.
+                let plan = db.current_plan(&activity);
                 let planned = plan.map(|p| (p.planned_start(), p.planned_finish()));
                 let assignees = plan.map(|p| p.assignees().to_vec()).unwrap_or_default();
-                let actual_start = self.store.db().actual_start(&activity);
-                let actual_finish = self.store.db().actual_finish(&activity);
+                let actual_start = db.actual_start(&activity);
+                let actual_finish = plan
+                    .and_then(|p| p.linked_entity())
+                    .map(|e| db.entity_instance(e).created_at());
                 let complete = plan.is_some_and(|p| p.is_complete());
                 let state = if !complete && self.blocked.contains(&activity) {
                     ActivityState::Blocked
@@ -216,7 +221,9 @@ impl Hercules {
                         (Some(_), None, _) => ActivityState::Planned,
                     }
                 };
-                let slip = self.store.db().finish_slip(&activity);
+                let slip = planned
+                    .zip(actual_finish)
+                    .map(|((_, finish), actual)| actual.days() - finish.days());
                 StatusRow {
                     activity,
                     state,

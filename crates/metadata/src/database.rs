@@ -8,9 +8,10 @@ use schema::TaskSchema;
 
 use crate::error::MetadataError;
 use crate::ids::{DataObjectId, EntityInstanceId, PlanningSessionId, RunId, ScheduleInstanceId};
-use crate::journal::{Journal, JournalOp};
+use crate::journal::{Journal, JournalOp, SlotRange};
 use crate::objects::{
-    to_millidays, DataBody, DataObject, EntityInstance, PlanningSession, Run, ScheduleInstance,
+    to_millidays, DataBody, DataObject, EntityInstance, PlanBody, PlanningSession, Run,
+    ScheduleInstance,
 };
 use crate::segment::{Extent, SegmentSource, DATA_SEGMENT};
 use crate::store::StoreError;
@@ -602,25 +603,211 @@ impl MetadataDb {
             duration_md: to_millidays(planned_duration),
         });
         self.crash_point()?;
+        let body = PlanBody::new(name, planned_start, planned_duration);
+        Ok(self.push_version(session, Arc::new(body)))
+    }
+
+    /// Appends the next version of `body`'s activity to its container
+    /// and to `session`, derived from the activity's latest version.
+    /// The one place a schedule instance is created; callers have
+    /// checked the session and the container.
+    fn push_version(
+        &mut self,
+        session: PlanningSessionId,
+        body: Arc<PlanBody>,
+    ) -> ScheduleInstanceId {
         let container = self
             .schedule_containers
-            .get_mut(activity)
-            .expect("container existence checked above");
+            .get_mut(&**body.activity())
+            .expect("the caller checked the container exists");
+        let id = ScheduleInstanceId::new(self.schedules.len() as u32, self.generation);
         let version = container.len() as u32 + 1;
         let derived_from = container.last().copied();
-        let id = ScheduleInstanceId::new(self.schedules.len() as u32, self.generation);
+        container.push(id);
         self.schedules.push(ScheduleInstance::new(
             id,
-            name,
             version,
             session,
-            planned_start,
-            planned_duration,
+            body,
             derived_from,
         ));
-        container.push(id);
         self.sessions[session.index()].push(id);
-        Ok(id)
+        id
+    }
+
+    /// Carries the current plan of each of `activities` into `session`
+    /// unchanged: in order, mints for each a new version whose start,
+    /// duration and assignees are those of the activity's latest
+    /// version, derived from it — the version
+    /// [`plan_activity`](Self::plan_activity) plus
+    /// [`assign`](Self::assign) would mint for a proposal equal to the
+    /// current plan, as one mutation and one journal record
+    /// (`carry-plan`). Each new version shares its predecessor's plan
+    /// body instead of copying it. Returns the new ids, in order.
+    ///
+    /// # Errors
+    ///
+    /// * [`MetadataError::UnknownId`] — foreign session id.
+    /// * [`MetadataError::UnknownActivity`] — no container.
+    /// * [`MetadataError::CannotCarry`] — an activity has no version
+    ///   yet, or is listed twice.
+    pub fn carry_plan(
+        &mut self,
+        session: PlanningSessionId,
+        activities: &[String],
+    ) -> Result<Vec<ScheduleInstanceId>, MetadataError> {
+        self.check_alive()?;
+        self.check_gen(session.gen, session)?;
+        self.check_session(session)?;
+        let mut from = Vec::with_capacity(activities.len());
+        for activity in activities {
+            let Some(container) = self.schedule_containers.get(activity.as_str()) else {
+                return Err(MetadataError::UnknownActivity(activity.clone()));
+            };
+            let Some(&latest) = container.last() else {
+                return Err(MetadataError::CannotCarry(format!(
+                    "{activity:?}: it has no version to carry"
+                )));
+            };
+            from.push(latest);
+        }
+        self.check_listed_once(&from)?;
+        self.mint_carried(session, from)
+    }
+
+    /// The replay of a `carry-plan` record: [`carry_plan`]'s checks
+    /// for versions named by slot. Everything is checked before
+    /// anything is journaled or minted, so a record applies whole or
+    /// not at all: the session exists, and every version exists, is
+    /// the latest of its activity and is listed once.
+    ///
+    /// [`carry_plan`]: Self::carry_plan
+    pub(crate) fn replay_carry(
+        &mut self,
+        session: PlanningSessionId,
+        from: Vec<ScheduleInstanceId>,
+    ) -> Result<Vec<ScheduleInstanceId>, MetadataError> {
+        self.check_alive()?;
+        self.check_session(session)?;
+        for &pred in &from {
+            let Some(sc) = self.schedules.get(pred.index()) else {
+                return Err(MetadataError::CannotCarry(format!(
+                    "{pred}: no such version"
+                )));
+            };
+            let latest = self
+                .schedule_containers
+                .get(sc.activity())
+                .and_then(|container| container.last());
+            if latest != Some(&pred) {
+                return Err(MetadataError::CannotCarry(format!(
+                    "{pred}: not the latest version of {:?}",
+                    sc.activity()
+                )));
+            }
+        }
+        self.check_listed_once(&from)?;
+        self.mint_carried(session, from)
+    }
+
+    fn check_session(&self, session: PlanningSessionId) -> Result<(), MetadataError> {
+        match session.index() < self.sessions.len() {
+            true => Ok(()),
+            false => Err(MetadataError::UnknownId(session.to_string())),
+        }
+    }
+
+    /// Refuses a carry that lists one version twice: it would mint two
+    /// versions derived from the same predecessor.
+    fn check_listed_once(&self, from: &[ScheduleInstanceId]) -> Result<(), MetadataError> {
+        // Slots ascend in the usual case (a pass re-proposing the
+        // previous pass's versions in order), which rules out repeats.
+        if from.windows(2).all(|w| w[0].slot < w[1].slot) {
+            return Ok(());
+        }
+        let mut sorted = from.to_vec();
+        sorted.sort_unstable();
+        match sorted.windows(2).find(|w| w[0] == w[1]) {
+            Some(w) => Err(MetadataError::CannotCarry(format!(
+                "{:?}: listed twice",
+                self.schedules[w[0].index()].activity()
+            ))),
+            None => Ok(()),
+        }
+    }
+
+    /// Journals and applies a checked carry: one new version of each
+    /// predecessor in `from`, in order, sharing its plan body.
+    fn mint_carried(
+        &mut self,
+        session: PlanningSessionId,
+        from: Vec<ScheduleInstanceId>,
+    ) -> Result<Vec<ScheduleInstanceId>, MetadataError> {
+        if from.is_empty() {
+            return Ok(Vec::new());
+        }
+        self.journal_op(|| JournalOp::CarryPlan {
+            session,
+            from: SlotRange::runs_of(&from),
+        });
+        self.crash_point()?;
+        Ok(from
+            .into_iter()
+            .map(|pred| {
+                let body = Arc::clone(&self.schedules[pred.index()].body);
+                self.push_version(session, body)
+            })
+            .collect())
+    }
+
+    /// Restores one version from a dump's `sched` line. A version
+    /// that plans what its predecessor plans is minted as a carried
+    /// version, sharing the predecessor's plan body, so a reloaded
+    /// database holds carried versions the way a live one does.
+    pub(crate) fn restore_schedule(
+        &mut self,
+        session: PlanningSessionId,
+        activity: &str,
+        planned_start: WorkDays,
+        planned_duration: WorkDays,
+        assignees: &[&str],
+    ) -> Result<ScheduleInstanceId, MetadataError> {
+        self.check_gen(session.gen, session)?;
+        self.check_session(session)?;
+        let Some((name, container)) = self.schedule_containers.get_key_value(activity) else {
+            return Err(MetadataError::UnknownActivity(activity.to_owned()));
+        };
+        let name = Arc::clone(name);
+        let carried = container
+            .last()
+            .map(|pred| &self.schedules[pred.index()])
+            .filter(|pred| pred.proposes(planned_start, planned_duration, assignees))
+            .map(|pred| Arc::clone(&pred.body));
+        let body = match carried {
+            Some(body) => body,
+            None => {
+                let mut body = PlanBody::new(name, planned_start, planned_duration);
+                for designer in assignees {
+                    body.assign(self.designer_name(designer));
+                }
+                Arc::new(body)
+            }
+        };
+        Ok(self.push_version(session, body))
+    }
+
+    /// Number of distinct plan bodies the schedule instances hold: the
+    /// instance count less the versions that share an equal
+    /// predecessor's body.
+    pub fn plan_body_count(&self) -> usize {
+        let mut bodies: Vec<*const _> = self
+            .schedules
+            .iter()
+            .map(|sc| Arc::as_ptr(&sc.body))
+            .collect();
+        bodies.sort_unstable();
+        bodies.dedup();
+        bodies.len()
     }
 
     /// Assigns a designer to a planned activity.
@@ -930,6 +1117,86 @@ mod tests {
         db.assign(sc, "carol").unwrap();
         assert_eq!(db.schedule_instance(sc).assignees(), [Arc::from("carol")]);
         assert!(db.assign(ScheduleInstanceId::new(5, 0), "x").is_err());
+    }
+
+    fn carried() -> (MetadataDb, ScheduleInstanceId, ScheduleInstanceId) {
+        let mut db = db();
+        let s1 = db.begin_planning(WorkDays::ZERO);
+        let v1 = db
+            .plan_activity(s1, "Create", WorkDays::new(1.0), WorkDays::new(2.0))
+            .unwrap();
+        db.assign(v1, "alice").unwrap();
+        let s2 = db.begin_planning(WorkDays::new(0.5));
+        let v2 = db.carry_plan(s2, &["Create".to_owned()]).unwrap();
+        (db, v1, v2[0])
+    }
+
+    #[test]
+    fn carry_mints_a_version_sharing_its_predecessors_body() {
+        let (db, v1, v2) = carried();
+        let (old, new) = (db.schedule_instance(v1), db.schedule_instance(v2));
+        assert_eq!(new.version(), 2);
+        assert_eq!(new.derived_from(), Some(v1));
+        assert_eq!(new.session().index(), 1);
+        assert_eq!(db.planning_session(new.session()).instances(), [v2]);
+        assert_eq!(
+            (new.planned_start(), new.planned_duration(), new.assignees()),
+            (old.planned_start(), old.planned_duration(), old.assignees())
+        );
+        assert!(Arc::ptr_eq(&old.body, &new.body));
+        assert_eq!(db.current_plan("Create").unwrap().id(), v2);
+        assert_eq!((db.schedule_count(), db.plan_body_count()), (2, 1));
+        db.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn assign_copies_a_shared_body_before_changing_it() {
+        let (mut db, v1, v2) = carried();
+        db.assign(v2, "bob").unwrap();
+        assert_eq!(db.schedule_instance(v1).assignees(), [Arc::from("alice")]);
+        assert_eq!(
+            db.schedule_instance(v2).assignees(),
+            [Arc::from("alice"), Arc::from("bob")]
+        );
+        assert_eq!(db.plan_body_count(), 2);
+    }
+
+    #[test]
+    fn carry_refusals_are_typed_and_not_journaled() {
+        let (mut db, _, _) = carried();
+        db.enable_journal();
+        let before = db.journal().unwrap().len();
+        let s = db.begin_planning(WorkDays::ZERO);
+        let one = |name: &str| vec![name.to_owned()];
+        assert!(matches!(
+            db.carry_plan(PlanningSessionId::new(9, 0), &one("Create")),
+            Err(MetadataError::UnknownId(_))
+        ));
+        assert!(matches!(
+            db.carry_plan(s.with_gen(1), &one("Create")),
+            Err(MetadataError::StaleHandle(_))
+        ));
+        assert!(matches!(
+            db.carry_plan(s, &one("ghost")),
+            Err(MetadataError::UnknownActivity(_))
+        ));
+        assert!(matches!(
+            db.carry_plan(s, &one("Simulate")),
+            Err(MetadataError::CannotCarry(_))
+        ));
+        assert!(matches!(
+            db.carry_plan(s, &["Create".to_owned(), "Create".to_owned()]),
+            Err(MetadataError::CannotCarry(_))
+        ));
+        assert_eq!(
+            db.journal().unwrap().len(),
+            before + 1,
+            "begin-planning only"
+        );
+        assert_eq!(db.schedule_count(), 2);
+        // Nothing to carry is no mutation at all.
+        assert_eq!(db.carry_plan(s, &[]).unwrap(), []);
+        assert_eq!(db.journal().unwrap().len(), before + 1);
     }
 
     #[test]

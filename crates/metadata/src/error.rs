@@ -62,6 +62,12 @@ pub enum MetadataError {
     /// it cannot persist. Reads remain served; reopen the store to
     /// resume from the last durable prefix.
     StorageFailed(String),
+    /// A carry ([`MetadataDb::carry_plan`](crate::MetadataDb::carry_plan)
+    /// or the replay of its `carry-plan` record) names a version it
+    /// cannot carry: an activity with no version yet, a version that
+    /// does not exist or is no longer its activity's latest, or the
+    /// same activity twice.
+    CannotCarry(String),
 }
 
 impl fmt::Display for MetadataError {
@@ -110,6 +116,7 @@ impl fmt::Display for MetadataError {
                     "storage failed, store is wedged (reopen to resume): {detail}"
                 )
             }
+            MetadataError::CannotCarry(detail) => write!(f, "cannot carry {detail}"),
         }
     }
 }

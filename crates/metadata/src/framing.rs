@@ -466,6 +466,16 @@ mod tests {
                 "plan-activity {} {activity} {start_md} {duration_md}",
                 session.index()
             ),
+            JournalOp::CarryPlan { session, from } => {
+                let runs: Vec<String> = from
+                    .iter()
+                    .map(|run| match run.last > run.first {
+                        true => format!("{}-{}", run.first, run.last),
+                        false => run.first.to_string(),
+                    })
+                    .collect();
+                format!("carry-plan {} {}", session.index(), runs.join(","))
+            }
             JournalOp::Assign { schedule, designer } => {
                 format!("assign {} {designer}", schedule.index())
             }
@@ -554,6 +564,24 @@ mod tests {
                 start_md: 1000,
                 duration_md: 2500,
             },
+            JournalOp::CarryPlan {
+                session: PlanningSessionId::new(3, 0),
+                from: vec![crate::journal::SlotRange { first: 7, last: 7 }],
+            },
+            JournalOp::CarryPlan {
+                session: PlanningSessionId::new(4, 0),
+                from: vec![
+                    crate::journal::SlotRange {
+                        first: 100,
+                        last: 1100,
+                    },
+                    crate::journal::SlotRange { first: 3, last: 3 },
+                    crate::journal::SlotRange {
+                        first: 4_000_000_000,
+                        last: u32::MAX,
+                    },
+                ],
+            },
             JournalOp::Assign {
                 schedule: ScheduleInstanceId::new(5, 0),
                 designer: "dana".into(),
@@ -570,7 +598,7 @@ mod tests {
         let ops = every_op_variant();
         let mut kinds: Vec<&str> = ops.iter().map(JournalOp::kind).collect();
         kinds.dedup();
-        assert_eq!(kinds.len(), 11, "every JournalOp variant is covered");
+        assert_eq!(kinds.len(), 12, "every JournalOp variant is covered");
         for framing in [Framing::V1, Framing::V2] {
             let mut expected_tail = framing.empty_tail();
             for op in &ops {

@@ -4,8 +4,12 @@
 //! [`scrub`] is **read-only**: it walks every store file in a
 //! directory (`CURRENT`, all `snapshot-*.txt` / `tail-*.journal`
 //! generations, the `data.seg` data segment, stray temp files),
-//! verifies headers and checksums, and returns a per-file verdict plus
-//! a summary:
+//! verifies headers and checksums, replays every tail record that
+//! frames cleanly onto its generation's snapshot (a record can
+//! checksum and still name state the snapshot lacks, such as a
+//! `carry-plan` of a version that is no longer its activity's
+//! latest: the tail is then corrupt at that record), and returns a
+//! per-file verdict plus a summary:
 //!
 //! * `healthy` — the store opens *and* serves: a torn trailing tail
 //!   record counts as healthy (open self-heals it, as ever), and so
@@ -48,6 +52,7 @@ use std::sync::Arc;
 use simtools::vfs::Vfs;
 
 use crate::database::MetadataDb;
+use crate::error::MetadataError;
 use crate::framing::{self, Framing, TailIssue};
 use crate::journal::{Journal, JournalOp};
 use crate::objects::DataBody;
@@ -206,6 +211,8 @@ struct GenerationScan {
     /// The tail verified completely or was merely torn (open would
     /// proceed rather than refuse).
     tail_clean_or_torn: bool,
+    /// The snapshot loads and every kept tail record replays onto it.
+    tail_replays: bool,
 }
 
 impl GenerationScan {
@@ -485,10 +492,9 @@ fn generation_opens(scan: &GenerationScan, segment: &Segment) -> bool {
     }
     match &scan.tail {
         Some(journal) => {
-            let mut db = db.clone();
             scan.tail_clean_or_torn
                 && segment::first_ref_past(journal.ops(), segment.len).is_none()
-                && db.apply_journal(journal).is_ok()
+                && scan.tail_replays
         }
         None => false,
     }
@@ -548,6 +554,7 @@ fn scrub_generation(
     let tail_path = dir.join(tail_name(seq));
     let mut tail = None;
     let mut tail_clean_or_torn = false;
+    let mut tail_replays = false;
     match read_text(vfs, &tail_path) {
         ReadOutcome::Missing => {
             if is_live {
@@ -598,10 +605,29 @@ fn scrub_generation(
                     ),
                 ),
             };
-            tail_clean_or_torn = status != FileStatus::Corrupt;
             if let Some((at, ..)) = dangling {
                 scan.journal.truncate(at);
             }
+            // Every record that framed cleanly must also apply (see the
+            // module docs).
+            let unreplayable = match (&snapshot, status) {
+                (Some(db), FileStatus::Ok | FileStatus::Torn) => {
+                    first_unreplayable(db, &scan.journal)
+                }
+                _ => None,
+            };
+            tail_replays = snapshot.is_some() && unreplayable.is_none();
+            let (status, detail) = match unreplayable {
+                Some((at, e)) => (
+                    FileStatus::Corrupt,
+                    format!(
+                        "record {} does not replay: {e}; {at} ops apply before it",
+                        at + 1
+                    ),
+                ),
+                None => (status, detail),
+            };
+            tail_clean_or_torn = status != FileStatus::Corrupt;
             verdicts.push(FileVerdict {
                 path: tail_path.clone(),
                 status,
@@ -614,7 +640,19 @@ fn scrub_generation(
         snapshot,
         tail,
         tail_clean_or_torn,
+        tail_replays,
     }
+}
+
+/// The first record of `journal` that does not apply onto `snapshot`
+/// (after every record before it did), with the reason.
+fn first_unreplayable(snapshot: &MetadataDb, journal: &Journal) -> Option<(usize, MetadataError)> {
+    let mut db = snapshot.clone();
+    journal
+        .ops()
+        .iter()
+        .enumerate()
+        .find_map(|(at, op)| db.apply_op(op).err().map(|e| (at, e)))
 }
 
 fn framing_label(framing: Framing) -> &'static str {
@@ -856,6 +894,54 @@ mod tests {
         let report = scrub(&*vfs, Path::new("/p")).unwrap();
         assert!(report.healthy, "torn tails self-heal on open");
         assert!(report.verdicts.iter().any(|v| v.status == FileStatus::Torn));
+    }
+
+    /// A `carry-plan` record that frames cleanly but does not apply
+    /// (it names a version that is no longer its activity's latest) is
+    /// damage: open refuses it typed, the scrub marks the tail
+    /// corrupt, and repair keeps the records before it.
+    #[test]
+    fn scrub_validates_carry_records() {
+        let (mem, vfs, _) = seeded("/p");
+        let mut store = PersistentStore::open_on(vfs.clone(), "/p").unwrap();
+        let s = store.begin_planning(WorkDays::new(1.0));
+        store.carry_plan(s, &["Create".to_owned()]).unwrap();
+        let dump = store.db().dump();
+        drop(store);
+        let report = scrub(&*vfs, Path::new("/p")).unwrap();
+        assert!(report.healthy, "{:?}", report.verdicts);
+
+        let tail = Path::new("/p").join(tail_name(0));
+        let mut stale = String::new();
+        Framing::V2.encode_tail_record_into(
+            &JournalOp::CarryPlan {
+                session: crate::ids::PlanningSessionId::new(1, 0),
+                from: vec![crate::journal::SlotRange { first: 0, last: 0 }],
+            },
+            &mut stale,
+        );
+        mem.append(&tail, stale.as_bytes()).unwrap();
+        assert!(matches!(
+            PersistentStore::open_on(vfs.clone(), "/p"),
+            Err(StoreError::Corruption(CorruptionReport {
+                kind: CorruptionKind::TailReplay,
+                ..
+            }))
+        ));
+        let report = scrub(&*vfs, Path::new("/p")).unwrap();
+        assert!(!report.healthy && report.repairable);
+        let verdict = report.damaged().next().expect("the tail is damaged");
+        assert_eq!(verdict.path, tail);
+        assert!(
+            verdict
+                .detail
+                .starts_with("record 10 does not replay: cannot carry sc0"),
+            "{}",
+            verdict.detail
+        );
+        repair(&vfs, Path::new("/p")).unwrap();
+        let reopened = PersistentStore::open_on(vfs.clone(), "/p").unwrap();
+        assert_eq!(reopened.db().dump(), dump);
     }
 
     #[test]

@@ -29,6 +29,7 @@
 //! supply-input <class> <creator> <created-md> <data-idx>
 //! begin-planning <at-md>
 //! plan-activity <session-idx> <activity> <start-md> <duration-md>
+//! carry-plan <session-idx> <sched-idx>[-<sched-idx>][,...]
 //! assign <sched-idx> <designer>
 //! link <sched-idx> <entity-idx>
 //! ```
@@ -67,13 +68,14 @@
 //! ```
 
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 use crate::database::MetadataDb;
 use crate::error::MetadataError;
 use crate::export::{hex_decode, hex_decode_name, hex_encode_into, LoadError};
 use crate::framing::Framing;
 use crate::ids::{DataObjectId, EntityInstanceId, PlanningSessionId, RunId, ScheduleInstanceId};
-use crate::objects::{from_millidays, to_millidays, DataBody};
+use crate::objects::{from_millidays, to_millidays, DataBody, ScheduleInstance};
 use crate::segment::Extent;
 
 /// One replayable mutation of a [`MetadataDb`] — the redo-log record
@@ -160,6 +162,14 @@ pub enum JournalOp {
         /// Planned duration in milli-days.
         duration_md: i64,
     },
+    /// [`MetadataDb::carry_plan`]: one carried version of each listed
+    /// schedule instance, in order.
+    CarryPlan {
+        /// The owning planning session.
+        session: PlanningSessionId,
+        /// The versions carried, as runs of consecutive slots.
+        from: Vec<SlotRange>,
+    },
     /// [`MetadataDb::assign`].
     Assign {
         /// The schedule instance assigned.
@@ -174,6 +184,72 @@ pub enum JournalOp {
         /// The declared final entity instance.
         entity: EntityInstanceId,
     },
+}
+
+/// Consecutive schedule-instance slots `first..=last` — the unit a
+/// `carry-plan` record lists its versions in (`first-last`, or `first`
+/// alone when the run is one slot long).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SlotRange {
+    /// The first slot of the run.
+    pub first: u32,
+    /// The last slot of the run (`>= first`).
+    pub last: u32,
+}
+
+impl SlotRange {
+    /// `ids` as the fewest runs of ascending consecutive slots, in order.
+    pub(crate) fn runs_of(ids: &[ScheduleInstanceId]) -> Vec<SlotRange> {
+        let mut runs: Vec<SlotRange> = Vec::new();
+        for id in ids {
+            match runs.last_mut() {
+                Some(run) if run.last.checked_add(1) == Some(id.slot) => run.last = id.slot,
+                _ => runs.push(SlotRange {
+                    first: id.slot,
+                    last: id.slot,
+                }),
+            }
+        }
+        runs
+    }
+
+    /// Number of slots in the run.
+    pub(crate) fn count(self) -> u64 {
+        u64::from(self.last) - u64::from(self.first) + 1
+    }
+}
+
+/// Appends `runs` as a comma-separated list of `first-last` / `first`.
+fn write_slot_ranges(runs: &[SlotRange], out: &mut String) -> std::fmt::Result {
+    for (i, run) in runs.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        match run.first == run.last {
+            true => write!(out, "{}", run.first)?,
+            false => write!(out, "{}-{}", run.first, run.last)?,
+        }
+    }
+    Ok(())
+}
+
+/// Parses what [`write_slot_ranges`] writes, accepting only its
+/// canonical form: digits only, and `first-last` only with
+/// `first < last`.
+fn parse_slot_ranges(list: &str) -> Result<Vec<SlotRange>, String> {
+    let slot = |s: &str| match !s.is_empty() && s.bytes().all(|b| b.is_ascii_digit()) {
+        true => s.parse::<u32>().map_err(|_| format!("bad slot {s:?}")),
+        false => Err(format!("bad slot {s:?}")),
+    };
+    list.split(',')
+        .map(|part| match part.split_once('-') {
+            None => slot(part).map(|first| SlotRange { first, last: first }),
+            Some((first, last)) => match (slot(first)?, slot(last)?) {
+                (first, last) if first < last => Ok(SlotRange { first, last }),
+                _ => Err(format!("bad slot range {part:?}")),
+            },
+        })
+        .collect()
 }
 
 /// Appends `ids` as a comma-separated index list, `-` when empty.
@@ -247,6 +323,7 @@ impl JournalOp {
             JournalOp::SupplyInput { .. } => "supply-input",
             JournalOp::BeginPlanning { .. } => "begin-planning",
             JournalOp::PlanActivity { .. } => "plan-activity",
+            JournalOp::CarryPlan { .. } => "carry-plan",
             JournalOp::Assign { .. } => "assign",
             JournalOp::LinkCompletion { .. } => "link-completion",
         }
@@ -313,6 +390,10 @@ impl JournalOp {
                 "plan-activity {} {activity} {start_md} {duration_md}",
                 session.index()
             ),
+            JournalOp::CarryPlan { session, from } => {
+                write!(out, "carry-plan {} ", session.index())
+                    .and_then(|()| write_slot_ranges(from, out))
+            }
             JournalOp::Assign { schedule, designer } => {
                 write!(out, "assign {} {designer}", schedule.index())
             }
@@ -507,20 +588,68 @@ impl Journal {
         // Schedule space: instances in allocation order reproduce
         // per-container versions and `derived_from` chains; assignments
         // and completion links once everything they reference exists.
-        for sc in &db.schedules {
-            journal.record(JournalOp::PlanActivity {
-                session: sc.session(),
-                activity: sc.activity().to_owned(),
-                start_md: to_millidays(sc.planned_start()),
-                duration_md: to_millidays(sc.planned_duration()),
-            });
-        }
-        for sc in &db.schedules {
+        // A version sharing its predecessor's plan body is carried,
+        // consecutive ones of one session in one record, after the
+        // predecessors' own assignments (the body a carry shares must
+        // be complete).
+        let mut assigned = vec![false; db.schedules.len()];
+        let assign = |journal: &mut Journal, sc: &ScheduleInstance| {
             for designer in sc.assignees() {
                 journal.record(JournalOp::Assign {
                     schedule: sc.id(),
                     designer: designer.as_ref().to_owned(),
                 });
+            }
+        };
+        let mut carry: Vec<ScheduleInstanceId> = Vec::new();
+        let mut carry_first = 0;
+        for (slot, sc) in db.schedules.iter().enumerate() {
+            let carried_from = sc
+                .derived_from()
+                .filter(|pred| Arc::ptr_eq(&db.schedules[pred.index()].body, &sc.body));
+            // A record mints versions of distinct, already existing
+            // instances in one session.
+            let joins = carried_from.is_some_and(|pred| {
+                !carry.is_empty()
+                    && db.schedules[carry_first].session() == sc.session()
+                    && pred.index() < carry_first
+            });
+            if !joins && !carry.is_empty() {
+                let from = SlotRange::runs_of(&std::mem::take(&mut carry));
+                journal.record(JournalOp::CarryPlan {
+                    session: db.schedules[carry_first].session(),
+                    from,
+                });
+            }
+            match carried_from {
+                Some(pred) => {
+                    if !assigned[pred.index()] {
+                        assign(&mut journal, &db.schedules[pred.index()]);
+                        assigned[pred.index()] = true;
+                    }
+                    if carry.is_empty() {
+                        carry_first = slot;
+                    }
+                    carry.push(pred);
+                    assigned[slot] = true;
+                }
+                None => journal.record(JournalOp::PlanActivity {
+                    session: sc.session(),
+                    activity: sc.activity().to_owned(),
+                    start_md: to_millidays(sc.planned_start()),
+                    duration_md: to_millidays(sc.planned_duration()),
+                }),
+            }
+        }
+        if !carry.is_empty() {
+            journal.record(JournalOp::CarryPlan {
+                session: db.schedules[carry_first].session(),
+                from: SlotRange::runs_of(&carry),
+            });
+        }
+        for (sc, done) in db.schedules.iter().zip(&assigned) {
+            if !done {
+                assign(&mut journal, sc);
             }
         }
         for sc in &db.schedules {
@@ -661,6 +790,13 @@ pub(crate) fn parse_op_line(lineno: usize, line: &str) -> Result<Option<JournalO
                 duration_md: parse_md(lineno, duration)?,
             },
             _ => return Err(bad(lineno, "malformed plan-activity line")),
+        },
+        "carry-plan" => match rest.as_slice() {
+            [session, list] => JournalOp::CarryPlan {
+                session: PlanningSessionId::new(parse_idx(lineno, session)?, 0),
+                from: parse_slot_ranges(list).map_err(|m| bad(lineno, &m))?,
+            },
+            _ => return Err(bad(lineno, "malformed carry-plan line")),
         },
         "assign" => match rest.as_slice() {
             [schedule, designer] => JournalOp::Assign {
@@ -827,7 +963,7 @@ impl MetadataDb {
         Ok(applied)
     }
 
-    fn apply_op(&mut self, op: &JournalOp) -> Result<(), MetadataError> {
+    pub(crate) fn apply_op(&mut self, op: &JournalOp) -> Result<(), MetadataError> {
         // Journal text carries slots, not generations: restamp every
         // embedded id at the database's current generation so replay
         // works regardless of how many compactions preceded the tail.
@@ -899,6 +1035,38 @@ impl MetadataDb {
                     from_millidays(*start_md),
                     from_millidays(*duration_md),
                 )?;
+            }
+            JournalOp::CarryPlan { session, from } => {
+                // Bound the runs by the instances that exist before
+                // expanding them: a carried version is listed once.
+                let known = self.schedules.len() as u64;
+                let mut total = 0u64;
+                for run in from {
+                    if run.first > run.last {
+                        return Err(MetadataError::CannotCarry(format!(
+                            "slots {}-{}: not a run",
+                            run.first, run.last
+                        )));
+                    }
+                    if u64::from(run.last) >= known {
+                        let missing = ScheduleInstanceId::new(run.last, g);
+                        return Err(MetadataError::CannotCarry(format!(
+                            "{missing}: no such version"
+                        )));
+                    }
+                    total += run.count();
+                }
+                if total > known {
+                    return Err(MetadataError::CannotCarry(format!(
+                        "{total} versions: only {known} exist"
+                    )));
+                }
+                let ids = from
+                    .iter()
+                    .flat_map(|run| run.first..=run.last)
+                    .map(|slot| ScheduleInstanceId::new(slot, g))
+                    .collect();
+                self.replay_carry(session.with_gen(g), ids)?;
             }
             JournalOp::Assign { schedule, designer } => {
                 self.assign(schedule.with_gen(g), designer)?;
@@ -1359,6 +1527,119 @@ mod tests {
                 "split at {split} diverged from full replay"
             );
             assert_eq!(reopened.generation(), 1);
+        }
+    }
+
+    /// Two planning passes over both activities: the second carries
+    /// Create unchanged and moves Simulate.
+    fn carrying_session() -> MetadataDb {
+        let mut db = MetadataDb::for_schema(&examples::circuit_design());
+        db.enable_journal();
+        let s1 = db.begin_planning(WorkDays::ZERO);
+        for (activity, start, who) in [("Create", 0.0, "alice"), ("Simulate", 2.0, "bob")] {
+            let sc = db
+                .plan_activity(s1, activity, WorkDays::new(start), WorkDays::new(2.0))
+                .unwrap();
+            db.assign(sc, who).unwrap();
+        }
+        let s2 = db.begin_planning(WorkDays::new(1.0));
+        db.carry_plan(s2, &["Create".to_owned()]).unwrap();
+        let sc = db
+            .plan_activity(s2, "Simulate", WorkDays::new(3.0), WorkDays::new(2.0))
+            .unwrap();
+        db.assign(sc, "bob").unwrap();
+        let s3 = db.begin_planning(WorkDays::new(1.0));
+        db.carry_plan(s3, &["Create".to_owned(), "Simulate".to_owned()])
+            .unwrap();
+        db
+    }
+
+    #[test]
+    fn carry_record_replays_the_same_versions_and_bodies() {
+        let db = carrying_session();
+        let journal = db.journal().unwrap();
+        let carries: Vec<String> = journal
+            .ops()
+            .iter()
+            .filter(|op| op.kind() == "carry-plan")
+            .map(|op| Framing::V1.encode_tail(&Journal::from_ops(vec![op.clone()])))
+            .collect();
+        assert_eq!(
+            carries,
+            [
+                "metadata-journal v1\ncarry-plan 1 0\n",
+                "metadata-journal v1\ncarry-plan 2 2-3\n"
+            ]
+        );
+        let replayed = MetadataDb::recover(&Journal::parse(&journal.to_text()).unwrap()).unwrap();
+        let reloaded = MetadataDb::load(&db.dump()).unwrap();
+        for other in [&replayed, &reloaded] {
+            assert_eq!(other.dump(), db.dump());
+            assert_eq!(other.plan_body_count(), db.plan_body_count());
+            other.check_invariants().unwrap();
+        }
+        assert_eq!((db.schedule_count(), db.plan_body_count()), (6, 3));
+        // Compaction carries the shared versions too, never growing.
+        let compacted = Journal::compacted_from(&db);
+        assert!(compacted.len() <= journal.len());
+        let recompacted = MetadataDb::recover(&compacted).unwrap();
+        assert_eq!(recompacted.dump(), db.dump());
+        assert_eq!(recompacted.plan_body_count(), db.plan_body_count());
+    }
+
+    #[test]
+    fn bad_carry_records_refuse_whole() {
+        let db = carrying_session();
+        let session = |slot| PlanningSessionId::new(slot, 0);
+        let carry = |s, first, last| JournalOp::CarryPlan {
+            session: session(s),
+            from: vec![SlotRange { first, last }],
+        };
+        for (op, why) in [
+            (carry(9, 4, 5), "unknown id plan9"),
+            (carry(2, 4, 9), "cannot carry sc9: no such version"),
+            (carry(2, 0, 0), "not the latest version of \"Create\""),
+            (carry(2, 5, 4), "slots 5-4: not a run"),
+            (carry(2, 4, 5), "ok"),
+        ] {
+            let mut replica = MetadataDb::load(&db.dump()).unwrap();
+            let result = replica.apply_journal(&Journal::from_ops(vec![op]));
+            match result {
+                Ok(_) => assert_eq!(why, "ok"),
+                Err(e) => {
+                    assert!(e.to_string().contains(why), "{e} lacks {why:?}");
+                    assert_eq!(
+                        replica.dump(),
+                        db.dump(),
+                        "a refused record applies nothing"
+                    );
+                }
+            }
+        }
+        // The same version twice in one record.
+        let twice = JournalOp::CarryPlan {
+            session: session(2),
+            from: vec![
+                SlotRange { first: 4, last: 5 },
+                SlotRange { first: 4, last: 4 },
+            ],
+        };
+        let mut replica = MetadataDb::load(&db.dump()).unwrap();
+        assert!(matches!(
+            replica.apply_journal(&Journal::from_ops(vec![twice])),
+            Err(MetadataError::CannotCarry(_))
+        ));
+        // Malformed text is a parse error, never an expansion.
+        for line in [
+            "carry-plan 1",
+            "carry-plan 1 -",
+            "carry-plan 1 5-5",
+            "carry-plan 1 6-5",
+            "carry-plan 1 +5",
+            "carry-plan 1 0-99999999999",
+        ] {
+            let text = format!("metadata-journal v1\n{line}\n");
+            assert!(Journal::parse(&text).is_err(), "{line:?} parsed");
         }
     }
 

@@ -76,7 +76,7 @@ pub use error::MetadataError;
 pub use export::LoadError;
 pub use framing::Framing;
 pub use ids::{DataObjectId, EntityInstanceId, PlanningSessionId, RunId, ScheduleInstanceId};
-pub use journal::{Journal, JournalOp};
+pub use journal::{Journal, JournalOp, SlotRange};
 pub use objects::{DataObject, EntityInstance, PlanningSession, Run, RunState, ScheduleInstance};
 pub use store::{
     ArenaStore, CompactionStats, CorruptionKind, CorruptionReport, PersistentStore, Store,

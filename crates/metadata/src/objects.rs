@@ -297,21 +297,33 @@ impl fmt::Display for Run {
 /// assigned; once the designer declares the activity done, a link to
 /// the final [`EntityInstance`] connects plan to reality.
 ///
-/// Every plan and replan adds versions, so instances are kept compact:
-/// the activity name is shared with the database's schedule container
-/// and every other version of the activity, designer names with the
-/// database's designer table, and a single assignee is held inline.
+/// Every plan and replan adds versions, so instances are kept compact.
+/// What a version proposes — activity, start, duration, assignees — is
+/// its *plan body*, held behind a shared pointer: a version carried
+/// unchanged from its predecessor shares the predecessor's body instead
+/// of copying it, and [`MetadataDb::assign`](crate::MetadataDb::assign)
+/// copies a shared body before changing it. Within a body the activity
+/// name is shared with the database's schedule container, designer
+/// names with the database's designer table, and a single assignee is
+/// held inline.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScheduleInstance {
     id: ScheduleInstanceId,
-    activity: Arc<str>,
     version: u32,
     session: PlanningSessionId,
+    pub(crate) body: Arc<PlanBody>,
+    derived_from: Option<ScheduleInstanceId>,
+    linked_entity: Option<EntityInstanceId>,
+}
+
+/// What one schedule-instance version proposes. Equal bodies of
+/// consecutive versions are one allocation (see [`ScheduleInstance`]).
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct PlanBody {
+    activity: Arc<str>,
     planned_start_millidays: i64,
     planned_duration_millidays: i64,
     assignees: Assignees,
-    derived_from: Option<ScheduleInstanceId>,
-    linked_entity: Option<EntityInstanceId>,
 }
 
 /// The designers assigned to one schedule instance: none or one inline,
@@ -341,25 +353,48 @@ impl Assignees {
     }
 }
 
-impl ScheduleInstance {
-    #[allow(clippy::too_many_arguments)]
+impl PlanBody {
     pub(crate) fn new(
-        id: ScheduleInstanceId,
         activity: Arc<str>,
-        version: u32,
-        session: PlanningSessionId,
         planned_start: WorkDays,
         planned_duration: WorkDays,
+    ) -> Self {
+        PlanBody {
+            activity,
+            planned_start_millidays: to_millidays(planned_start),
+            planned_duration_millidays: to_millidays(planned_duration),
+            assignees: Assignees::Inline(None),
+        }
+    }
+
+    /// The shared name of the planned activity.
+    pub(crate) fn activity(&self) -> &Arc<str> {
+        &self.activity
+    }
+
+    /// Adds `designer` unless already assigned.
+    pub(crate) fn assign(&mut self, designer: Arc<str>) {
+        if !self.assignees.as_slice().contains(&designer) {
+            self.assignees.push(designer);
+        }
+    }
+}
+
+impl ScheduleInstance {
+    /// A version holding `body` — shared with its predecessor when the
+    /// version is carried unchanged.
+    pub(crate) fn new(
+        id: ScheduleInstanceId,
+        version: u32,
+        session: PlanningSessionId,
+        body: Arc<PlanBody>,
         derived_from: Option<ScheduleInstanceId>,
     ) -> Self {
         ScheduleInstance {
             id,
-            activity,
             version,
             session,
-            planned_start_millidays: to_millidays(planned_start),
-            planned_duration_millidays: to_millidays(planned_duration),
-            assignees: Assignees::Inline(None),
+            body,
             derived_from,
             linked_entity: None,
         }
@@ -367,7 +402,7 @@ impl ScheduleInstance {
 
     pub(crate) fn assign(&mut self, designer: Arc<str>) {
         if !self.assignees().contains(&designer) {
-            self.assignees.push(designer);
+            Arc::make_mut(&mut self.body).assign(designer);
         }
     }
 
@@ -382,7 +417,7 @@ impl ScheduleInstance {
 
     /// The planned activity.
     pub fn activity(&self) -> &str {
-        &self.activity
+        &self.body.activity
     }
 
     /// Version within the activity's schedule container (1-based) —
@@ -399,12 +434,12 @@ impl ScheduleInstance {
 
     /// Proposed start offset from project start.
     pub fn planned_start(&self) -> WorkDays {
-        from_millidays(self.planned_start_millidays)
+        from_millidays(self.body.planned_start_millidays)
     }
 
     /// Proposed duration.
     pub fn planned_duration(&self) -> WorkDays {
-        from_millidays(self.planned_duration_millidays)
+        from_millidays(self.body.planned_duration_millidays)
     }
 
     /// Proposed finish offset.
@@ -414,7 +449,21 @@ impl ScheduleInstance {
 
     /// Designers assigned to the activity.
     pub fn assignees(&self) -> &[Arc<str>] {
-        self.assignees.as_slice()
+        self.body.assignees.as_slice()
+    }
+
+    /// Whether this version proposes exactly `start`, `duration` and
+    /// `assignees` (in order) — compared at the database's own
+    /// milli-day resolution, so a proposal this returns `true` for
+    /// would be stored as this version's very plan.
+    pub fn proposes(&self, start: WorkDays, duration: WorkDays, assignees: &[&str]) -> bool {
+        self.body.planned_start_millidays == to_millidays(start)
+            && self.body.planned_duration_millidays == to_millidays(duration)
+            && self
+                .assignees()
+                .iter()
+                .map(|a| &**a)
+                .eq(assignees.iter().copied())
     }
 
     /// The prior schedule instance this plan was derived from, if any —
@@ -441,7 +490,7 @@ impl fmt::Display for ScheduleInstance {
             f,
             "{} {}@v{} [{} + {}]",
             self.id,
-            self.activity,
+            self.activity(),
             self.version,
             self.planned_start(),
             self.planned_duration()
@@ -555,13 +604,12 @@ mod tests {
 
     #[test]
     fn schedule_instance_dates() {
+        let body = PlanBody::new("Create".into(), WorkDays::new(1.0), WorkDays::new(2.0));
         let sc = ScheduleInstance::new(
             ScheduleInstanceId::new(0, 0),
-            "Create".into(),
             1,
             PlanningSessionId::new(0, 0),
-            WorkDays::new(1.0),
-            WorkDays::new(2.0),
+            Arc::new(body),
             None,
         );
         assert_eq!(sc.planned_finish(), WorkDays::new(3.0));
@@ -571,13 +619,12 @@ mod tests {
 
     #[test]
     fn assign_is_idempotent() {
+        let body = PlanBody::new("Create".into(), WorkDays::ZERO, WorkDays::ZERO);
         let mut sc = ScheduleInstance::new(
             ScheduleInstanceId::new(0, 0),
-            "Create".into(),
             1,
             PlanningSessionId::new(0, 0),
-            WorkDays::ZERO,
-            WorkDays::ZERO,
+            Arc::new(body),
             None,
         );
         sc.assign("alice".into());
@@ -585,6 +632,27 @@ mod tests {
         assert_eq!(sc.assignees(), [Arc::from("alice")]);
         sc.assign("bob".into());
         assert_eq!(sc.assignees(), [Arc::from("alice"), Arc::from("bob")]);
+    }
+
+    #[test]
+    fn proposes_compares_dates_in_millidays_and_every_assignee() {
+        let mut body = PlanBody::new("Create".into(), WorkDays::new(1.0), WorkDays::new(2.0));
+        body.assign("alice".into());
+        let sc = ScheduleInstance::new(
+            ScheduleInstanceId::new(0, 0),
+            1,
+            PlanningSessionId::new(0, 0),
+            Arc::new(body),
+            None,
+        );
+        let (start, duration) = (WorkDays::new(1.0), WorkDays::new(2.0));
+        assert!(sc.proposes(start, duration, &["alice"]));
+        assert!(sc.proposes(WorkDays::new(1.0004), duration, &["alice"]));
+        assert!(!sc.proposes(WorkDays::new(1.001), duration, &["alice"]));
+        assert!(!sc.proposes(start, WorkDays::new(2.5), &["alice"]));
+        assert!(!sc.proposes(start, duration, &["bob"]));
+        assert!(!sc.proposes(start, duration, &[]));
+        assert!(!sc.proposes(start, duration, &["alice", "bob"]));
     }
 
     #[test]
@@ -602,7 +670,7 @@ mod tests {
         let v1 = &db.schedules[first.index()];
         let v2 = &db.schedules[second.index()];
         assert_eq!(v2.derived_from(), Some(first));
-        assert!(Arc::ptr_eq(&v1.activity, &v2.activity));
+        assert!(Arc::ptr_eq(&v1.body.activity, &v2.body.activity));
         assert!(Arc::ptr_eq(&v1.assignees()[0], &v2.assignees()[0]));
     }
 

@@ -336,6 +336,17 @@ pub trait Store: fmt::Debug + Send + Sync {
         planned_duration: WorkDays,
     ) -> Result<ScheduleInstanceId, MetadataError>;
 
+    /// [`MetadataDb::carry_plan`]: one mutation, one journal record.
+    ///
+    /// # Errors
+    ///
+    /// As [`MetadataDb::carry_plan`].
+    fn carry_plan(
+        &mut self,
+        session: PlanningSessionId,
+        activities: &[String],
+    ) -> Result<Vec<ScheduleInstanceId>, MetadataError>;
+
     /// [`MetadataDb::assign`].
     ///
     /// # Errors
@@ -520,6 +531,14 @@ impl Store for ArenaStore {
     ) -> Result<ScheduleInstanceId, MetadataError> {
         self.db
             .plan_activity(session, activity, planned_start, planned_duration)
+    }
+
+    fn carry_plan(
+        &mut self,
+        session: PlanningSessionId,
+        activities: &[String],
+    ) -> Result<Vec<ScheduleInstanceId>, MetadataError> {
+        self.db.carry_plan(session, activities)
     }
 
     fn assign(
@@ -1128,6 +1147,17 @@ impl Store for PersistentStore {
         let r = self
             .db
             .plan_activity(session, activity, planned_start, planned_duration);
+        self.sync_tail();
+        r
+    }
+
+    fn carry_plan(
+        &mut self,
+        session: PlanningSessionId,
+        activities: &[String],
+    ) -> Result<Vec<ScheduleInstanceId>, MetadataError> {
+        self.check_wedged()?;
+        let r = self.db.carry_plan(session, activities);
         self.sync_tail();
         r
     }

@@ -17,6 +17,10 @@
 //!   it back to a servable store whose state is again an acknowledged
 //!   prefix.
 //!
+//! Sessions plan both in full (`plan-activity` + `assign`) and by
+//! carrying unchanged versions (`carry-plan`), so crashes land between
+//! carry records as well as inside full versions.
+//!
 //! Sessions store design data big enough to go through the data
 //! segment (raw, non-UTF-8 payloads of kilobytes), so segment appends,
 //! the reference records that follow them, and the reads behind every
@@ -90,7 +94,7 @@ fn run_session(store: &mut PersistentStore, faulty: &FaultVfs) -> SessionOutcome
         match step % 8 {
             // Plan a unit of work (fresh handles every time — earlier
             // ones may be stale after a compact).
-            0 | 3 => {
+            0 => {
                 let s = store.begin_planning(t);
                 acknowledged.insert(ack(store));
                 if let Ok(sc) = store.plan_activity(s, "Create", t, WorkDays::new(2.0)) {
@@ -98,6 +102,26 @@ fn run_session(store: &mut PersistentStore, faulty: &FaultVfs) -> SessionOutcome
                     if store.assign(sc, "alice").is_ok() {
                         acknowledged.insert(ack(store));
                     }
+                }
+            }
+            // A planning pass that carries Create's current plan
+            // unchanged in two carry runs around a changed Simulate, so
+            // faults and crashes fall between carry records too.
+            3 => {
+                let s = store.begin_planning(t);
+                acknowledged.insert(ack(store));
+                let create = ["Create".to_owned()];
+                if store.carry_plan(s, &create).is_ok() {
+                    acknowledged.insert(ack(store));
+                }
+                if let Ok(sc) = store.plan_activity(s, "Simulate", t, WorkDays::new(1.0)) {
+                    acknowledged.insert(ack(store));
+                    if store.assign(sc, "bob").is_ok() {
+                        acknowledged.insert(ack(store));
+                    }
+                }
+                if store.carry_plan(s, &create).is_ok() {
+                    acknowledged.insert(ack(store));
                 }
             }
             // Execute a run end to end.

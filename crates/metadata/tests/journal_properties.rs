@@ -28,6 +28,11 @@ enum Op {
     LinkLatest {
         activity: usize,
     },
+    /// One planning pass carrying the current plans of the activities
+    /// in the mask (bit per activity) that have one.
+    Carry {
+        mask: u32,
+    },
 }
 
 fn arb_op() -> impl Strategy<Value = Op> {
@@ -46,6 +51,7 @@ fn arb_op() -> impl Strategy<Value = Op> {
         (0usize..2)
             .prop_map(|activity| Op::LinkLatest { activity })
             .boxed(),
+        (1u32..4).prop_map(|mask| Op::Carry { mask }).boxed(),
     ])
 }
 
@@ -101,6 +107,17 @@ fn apply(db: &mut MetadataDb, op: &Op, clock: &mut f64) {
             if let Some(entity) = candidate {
                 db.link_completion(sc, entity).expect("valid link");
             }
+        }
+        Op::Carry { mask } => {
+            let session = db.begin_planning(WorkDays::new(*clock));
+            let carried: Vec<String> = ACTIVITIES
+                .iter()
+                .enumerate()
+                .filter(|&(k, name)| mask & (1 << k) != 0 && db.current_plan(name).is_some())
+                .map(|(_, name)| (*name).to_owned())
+                .collect();
+            db.carry_plan(session, &carried)
+                .expect("carryable activities");
         }
     }
 }

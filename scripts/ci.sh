@@ -9,6 +9,8 @@
 #   clippy  cargo clippy, all targets, warnings are errors
 #   check   scripts/check.sh (release build + full test suite + bench smoke)
 #   golden  committed paper artifacts still match the binaries
+#           (Fig. 5-7's logical schedule-space views included, so how
+#           plan versions are stored never shows in them)
 #   chaos   herc chaos over the fixed seed set (failure semantics)
 #   obs     tracing gate: obs property + scenario tests, session
 #           isolation (obs + hercules trace unit tests in debug, a
@@ -23,7 +25,10 @@
 #           end-to-end create->plan->crash->recover->gc->query script
 #           (with a storage-v3 leg: orphan data-segment bytes are
 #           tolerated on reopen, reported by fsck, dropped by
-#           --repair; then a corrupt->fsck->repair->re-serve leg)
+#           --repair; then a corrupt->fsck->repair->re-serve leg; then
+#           an unchanged re-plan that must append exactly two records,
+#           a carry-plan last, and read the same after reopen and gc),
+#           and the carried-versions differential test
 #   fsck    durability gate: the 64-seed fault-injection sweep over
 #           FaultVfs, the corruption-corpus goldens in
 #           artifacts/corrupt_roots/ (v3 data-segment cases and their
@@ -120,7 +125,8 @@ stage_check() {
 }
 
 stage_golden() {
-    # The golden-file diff: committed artifacts vs today's binaries.
+    # The golden-file diff: committed artifacts vs today's binaries,
+    # Fig. 5-8 and Table 1.
     cargo test -q --offline --release -p bench --test golden
 }
 
@@ -212,17 +218,21 @@ stage_ws() {
     # snapshot + tail ≡ full replay on chaos seeds, both store
     # backends through the shared conformance suite (epoch switches
     # and torn-tail repair on the real filesystem included), project
-    # removal under live holders, and the B12 lock-granularity scaling
-    # floor (≥2x throughput 1 -> 4 threads).
+    # removal under live holders, carried plan versions ≡ versions
+    # written in full (seeded op sequences, reopen ≡ live), and the
+    # B12 lock-granularity scaling floor (≥2x throughput 1 -> 4
+    # threads).
     cargo test -q --offline --release -p metadata \
         --test store_conformance || return 1
     cargo test -q --offline --release -p hercules --lib workspace || return 1
     cargo test -q --offline --release -p hercules \
-        --test workspace_stress --test compaction_property || return 1
+        --test workspace_stress --test compaction_property \
+        --test carry_differential || return 1
     cargo test -q --offline --release -p bench \
         --test workspace_scaling || return 1
     # End-to-end lifecycle through the user-facing CLI, torn-tail
-    # crash and orphaned data-segment bytes included.
+    # crash, orphaned data-segment bytes and a carried re-plan
+    # included.
     scripts/ws_e2e.sh
 }
 

@@ -9,6 +9,10 @@
 # crash tears between a datum's write to the data segment and the
 # journal record that would reference it: reopening must ignore the
 # orphan bytes, `herc fsck` must report them and `--repair` drop them.
+# Last, re-planning beta under unchanged estimates must carry its
+# versions: the live tail grows by exactly two records (the planning
+# session and one `carry-plan`), fsck stays clean, and the status
+# reads the same after a reopen and after gc.
 #
 # Run directly or via `scripts/ci.sh --stage ws`.
 
@@ -132,9 +136,11 @@ cmp "$ROOT/status_before.txt" "$ROOT/status_orphan_repaired.txt" || {
 # must refuse to guess around. fsck must flag it, --repair must rebuild
 # from snapshot + valid prefix, and the root must serve again. The
 # *live* generation is the one named by CURRENT — compact keeps the
-# previous one around, and damage there must not fail the store.)
+# previous one around, and damage there must not fail the store. The
+# damaged record is the tail's first: beta's last plan, an unchanged
+# one, appended two records, so only the first has one after it.)
 tail_file="$ROOT/ws/beta/tail-$(cat "$ROOT/ws/beta/CURRENT").journal"
-awk 'NR==3 { n=split($0,a,""); s=""; for (i=n; i>=1; i--) s=s a[i]; print s; next }
+awk 'NR==2 { n=split($0,a,""); s=""; for (i=n; i>=1; i--) s=s a[i]; print s; next }
      { print }' "$tail_file" > "$tail_file.rot" && mv "$tail_file.rot" "$tail_file"
 if $HERC fsck "$ROOT/ws" > "$ROOT/fsck_before.txt" 2>&1; then
     echo "ws_e2e: fsck passed on a corrupt root" >&2
@@ -162,6 +168,45 @@ $HERC ws "$ROOT/ws" status alpha "$ROOT/counter.schema" --seed 7 \
     > "$ROOT/status_after_fsck.txt"
 cmp "$ROOT/status_before.txt" "$ROOT/status_after_fsck.txt" || {
     echo "ws_e2e: alpha's state changed across beta's repair" >&2
+    exit 1
+}
+
+# -- re-plan unchanged: versions are carried, not copied ---------------
+beta_tail() { echo "$ROOT/ws/beta/tail-$(cat "$ROOT/ws/beta/CURRENT").journal"; }
+$HERC ws "$ROOT/ws" plan beta "$ROOT/counter.schema" performance --seed 8 \
+    > /dev/null
+$HERC ws "$ROOT/ws" status beta "$ROOT/counter.schema" --seed 8 \
+    > "$ROOT/beta_status_before.txt"
+records_before=$(wc -l < "$(beta_tail)")
+$HERC ws "$ROOT/ws" plan beta "$ROOT/counter.schema" performance --seed 8 \
+    > /dev/null
+records_after=$(wc -l < "$(beta_tail)")
+test $((records_after - records_before)) -eq 2 || {
+    echo "ws_e2e: an unchanged re-plan appended $((records_after - records_before)) records, expected 2:" >&2
+    tail -n 4 "$(beta_tail)" >&2
+    exit 1
+}
+tail -n 1 "$(beta_tail)" | grep -q ' carry-plan ' || {
+    echo "ws_e2e: an unchanged re-plan did not end in a carry-plan record:" >&2
+    tail -n 2 "$(beta_tail)" >&2
+    exit 1
+}
+$HERC fsck "$ROOT/ws" > "$ROOT/fsck_carry.txt" || {
+    echo "ws_e2e: fsck failed after the carried re-plan:" >&2
+    cat "$ROOT/fsck_carry.txt" >&2
+    exit 1
+}
+$HERC ws "$ROOT/ws" status beta "$ROOT/counter.schema" --seed 8 \
+    > "$ROOT/beta_status_reopened.txt"
+cmp "$ROOT/beta_status_before.txt" "$ROOT/beta_status_reopened.txt" || {
+    echo "ws_e2e: beta's status changed across the carried re-plan" >&2
+    exit 1
+}
+$HERC gc "$ROOT/ws" > /dev/null
+$HERC ws "$ROOT/ws" status beta "$ROOT/counter.schema" --seed 8 \
+    > "$ROOT/beta_status_after_gc.txt"
+cmp "$ROOT/beta_status_before.txt" "$ROOT/beta_status_after_gc.txt" || {
+    echo "ws_e2e: beta's status changed across gc of carried versions" >&2
     exit 1
 }
 

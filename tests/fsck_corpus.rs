@@ -1,7 +1,8 @@
 //! Golden tests over the committed corruption corpus in
-//! `artifacts/corrupt_roots/`: five copies of one small project, each
-//! with a different kind of damage (none, torn tail, corrupt interior
-//! record, rotted snapshot, missing `CURRENT`). The corpus pins the
+//! `artifacts/corrupt_roots/`: copies of one small project, each with a
+//! different kind of damage (none, torn tail, corrupt interior record,
+//! rotted snapshot, missing `CURRENT`, a `carry-plan` record that
+//! checksums but does not replay, and the data-segment cases). The corpus pins the
 //! scrub verdicts — exit code, per-file classification, detail text —
 //! so a recovery-policy change shows up as a reviewable diff, and the
 //! repair test proves `--repair` fixes exactly the repairable cases.
@@ -76,9 +77,10 @@ fn scratch_corpus() -> std::path::PathBuf {
 fn repair_fixes_exactly_the_repairable_cases() {
     let root = scratch_corpus();
     let root_str = root.to_str().expect("utf-8 path");
-    // Repair: the interior rot is rebuilt from snapshot + valid tail
-    // prefix; the rotted snapshot (no other generation) and the
-    // missing CURRENT stay damaged, so the exit code is still 1.
+    // Repair: the interior rot and the unreplayable carry are rebuilt
+    // from snapshot + valid tail prefix; the rotted snapshot (no other
+    // generation) and the missing CURRENT stay damaged, so the exit
+    // code is still 1.
     let out = herc(&["fsck", root_str, "--repair"]);
     assert_eq!(out.status.code(), Some(1));
     let stdout = String::from_utf8_lossy(&out.stdout);
@@ -88,6 +90,7 @@ fn repair_fixes_exactly_the_repairable_cases() {
     assert_eq!(out.status.code(), Some(1));
     let stdout = String::from_utf8_lossy(&out.stdout);
     for line in [
+        "project bad_carry: ok",
         "project healthy: ok",
         "project interior_rot: ok",
         "project torn_tail: ok",
