@@ -43,7 +43,8 @@ fn status_request() -> Request {
     }
 }
 
-/// A workspace-backed [`Api`] ready to answer [`status_request`].
+/// A workspace-backed [`Api`] ready to answer this kernel's status
+/// request.
 pub fn seeded_api() -> Api {
     let ws: Arc<Workspace> = serve_load::seeded_workspace();
     Api::new(ws, ApiConfig::default())

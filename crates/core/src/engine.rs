@@ -64,7 +64,7 @@ impl Hercules {
     ) -> Result<ExecutionReport, HerculesError> {
         obs::Collector::set_sim_days(self.clock.days());
         let mut exec_span = obs::span!("hercules.execute", target = target);
-        let tree = self.extract_task_tree(target)?;
+        let tree = self.task_tree(target)?;
         // Supply primary inputs up front.
         for class in tree.primary_inputs() {
             let designer = self.team.designer(0).to_owned();
@@ -101,9 +101,10 @@ impl Hercules {
         let mut slack = vec![WorkDays::ZERO; n];
         let mut rank = vec![WorkDays::ZERO; n];
         if policy.needs_schedule_metrics() {
+            self.sync_estimates();
             for (i, a) in names.iter().enumerate() {
                 if !done[i] {
-                    estimate[i] = self.duration_estimate(a)?;
+                    estimate[i] = self.estimate_at(tree.rule_position_at(i), a, &mut 0)?;
                 }
             }
             // Total slack over the scope (CPM), indexed by topo
@@ -562,24 +563,14 @@ impl Hercules {
         if !newly_blocked.is_empty() {
             for (name, burned) in &newly_blocked {
                 let base = self.duration_estimate(name)?;
-                self.estimates.insert(name.clone(), base + *burned);
+                self.set_estimate(name, base + *burned)?;
             }
             let any_planned = tree
                 .activities()
                 .iter()
                 .any(|a| self.store.db().current_plan(a).is_some());
             if any_planned {
-                let completed: Vec<String> = tree
-                    .activities()
-                    .iter()
-                    .filter(|a| {
-                        self.store
-                            .db()
-                            .current_plan(a)
-                            .is_some_and(|p| p.is_complete())
-                    })
-                    .cloned()
-                    .collect();
+                let completed = self.completed_mask(&tree);
                 let plan = self.plan_scope(target, &completed)?;
                 replanned = plan
                     .activities()

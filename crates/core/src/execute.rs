@@ -277,11 +277,11 @@ impl Hercules {
             );
         }
         // Completed activities contribute their linked instances.
-        for activity in tree.activities() {
+        for (i, activity) in tree.activities().iter().enumerate() {
             if let Some(plan) = self.store.db().current_plan(activity) {
                 if let Some(inst) = plan.linked_entity() {
                     let at = self.store.db().entity_instance(inst).created_at();
-                    data_ready.insert(tree.output_of(activity).to_owned(), (at, inst));
+                    data_ready.insert(tree.output_at(i).to_owned(), (at, inst));
                 }
             }
         }
@@ -328,7 +328,7 @@ impl Hercules {
         let mut skipped: Vec<String> = Vec::new();
         let mut newly_blocked: Vec<(String, WorkDays)> = Vec::new();
         let mut finished_at = self.clock;
-        for activity in tree.activities() {
+        for (i, activity) in tree.activities().iter().enumerate() {
             // Skip work already declared complete.
             if self
                 .db()
@@ -352,7 +352,7 @@ impl Hercules {
             let mut inputs: Vec<EntityInstanceId> = Vec::new();
             let mut input_bytes = 0u64;
             let mut inputs_missing = false;
-            for class in tree.inputs_of(activity) {
+            for class in tree.inputs_at(i) {
                 let Some(&(at, inst)) = data_ready.get(class) else {
                     inputs_missing = true;
                     break;
@@ -385,7 +385,7 @@ impl Hercules {
                 .rule(activity)
                 .ok_or_else(|| HerculesError::UnknownActivity(activity.to_owned()))?;
             let tool_name = rule.tool().to_owned();
-            let output_class = tree.output_of(activity).to_owned();
+            let output_class = tree.output_at(i).to_owned();
             let mut t = start;
             let mut iterations = 0u32;
             let mut attempts = 0u32;
@@ -553,24 +553,14 @@ impl Hercules {
         if !newly_blocked.is_empty() {
             for (name, burned) in &newly_blocked {
                 let base = self.duration_estimate(name)?;
-                self.estimates.insert(name.clone(), base + *burned);
+                self.set_estimate(name, base + *burned)?;
             }
             let any_planned = tree
                 .activities()
                 .iter()
                 .any(|a| self.store.db().current_plan(a).is_some());
             if any_planned {
-                let completed: Vec<String> = tree
-                    .activities()
-                    .iter()
-                    .filter(|a| {
-                        self.store
-                            .db()
-                            .current_plan(a)
-                            .is_some_and(|p| p.is_complete())
-                    })
-                    .cloned()
-                    .collect();
+                let completed = self.completed_mask(&tree);
                 let plan = self.plan_scope(target, &completed)?;
                 replanned = plan
                     .activities()

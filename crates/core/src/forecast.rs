@@ -1,5 +1,3 @@
-use std::collections::HashMap;
-
 use schedule::{ScheduleNetwork, WorkDays};
 
 use crate::error::HerculesError;
@@ -67,14 +65,14 @@ impl Hercules {
     /// # }
     /// ```
     pub fn forecast(&self, target: &str) -> Result<Forecast, HerculesError> {
-        let tree = self.extract_task_tree(target)?;
+        let tree = self.task_tree_ref(target)?;
         let mut net = ScheduleNetwork::new();
-        let mut ids = HashMap::new();
+        let mut ids = Vec::with_capacity(tree.len());
         let mut complete = 0usize;
         let mut open = 0usize;
         // Completed activities become zero-duration milestones pinned
         // at their actual finish via a leading "anchor" duration.
-        for activity in tree.activities() {
+        for (i, activity) in tree.activities().iter().enumerate() {
             let done = self
                 .db()
                 .current_plan(activity)
@@ -84,14 +82,13 @@ impl Hercules {
                 WorkDays::ZERO
             } else {
                 open += 1;
-                self.duration_estimate(activity)?
+                self.estimate_ref(tree.rule_position_at(i), activity)?
             };
-            let id = net.add_activity(activity.clone(), duration)?;
-            ids.insert(activity.clone(), id);
+            ids.push(net.add_activity(activity.clone(), duration)?);
         }
-        for activity in tree.activities() {
-            for consumer in tree.consumers_of_output(activity) {
-                net.add_precedence(ids[activity.as_str()], ids[consumer])?;
+        for (i, &id) in ids.iter().enumerate() {
+            for &j in tree.consumers_at(i) {
+                net.add_precedence(id, ids[j])?;
             }
         }
         let cpm = net.analyze()?;

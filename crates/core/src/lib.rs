@@ -66,6 +66,8 @@ mod retry;
 mod rollup;
 mod status;
 mod task;
+#[cfg(test)]
+mod view_properties;
 mod workspace;
 
 pub mod browse;

@@ -9,7 +9,7 @@ use simtools::{FaultInjector, ToolLibrary};
 use simtools::cluster::Cluster;
 
 use crate::error::HerculesError;
-use crate::plan::PlanCache;
+use crate::plan::PlanningView;
 use crate::policy::ExecutionPolicy;
 use crate::retry::RetryPolicy;
 use crate::task::TaskTree;
@@ -46,10 +46,10 @@ pub struct Hercules {
     pub(crate) clock: WorkDays,
     pub(crate) estimates: HashMap<String, WorkDays>,
     pub(crate) supplied: HashMap<String, EntityInstanceId>,
-    /// Per-target planning caches driving the incremental replan
-    /// engine: replanning an unchanged scope reuses the cached network
-    /// and only recomputes the dirty cone.
-    pub(crate) plan_cache: HashMap<String, PlanCache>,
+    /// What planning passes reuse: task trees, per-activity estimates
+    /// and the per-target plan caches driving the incremental replan
+    /// engine (see [`PlanningView`]).
+    pub(crate) view: PlanningView,
     /// The fault policy layered over tool invocations during
     /// [`execute`](Hercules::execute). Defaults to no faults.
     pub(crate) fault_injector: FaultInjector,
@@ -96,6 +96,7 @@ impl Hercules {
         seed: u64,
         store: Box<dyn Store>,
     ) -> Self {
+        let view = PlanningView::new(schema.rules().len());
         let mut h = Hercules {
             schema,
             store,
@@ -105,7 +106,7 @@ impl Hercules {
             clock: WorkDays::ZERO,
             estimates: HashMap::new(),
             supplied: HashMap::new(),
-            plan_cache: HashMap::new(),
+            view,
             fault_injector: FaultInjector::none(),
             retry_policy: RetryPolicy::default(),
             blocked: BTreeSet::new(),
@@ -256,7 +257,8 @@ impl Hercules {
     /// instances inside old [`SchedulePlan`](crate::SchedulePlan)s,
     /// cached primary inputs — become stale, so the manager drops its
     /// plan caches and rebuilds the primary-input registry from the
-    /// compacted state.
+    /// compacted state. It also drops the cached estimates, as a
+    /// restore does; the task trees stay.
     ///
     /// # Errors
     ///
@@ -268,7 +270,7 @@ impl Hercules {
         // the freshly-stamped database. Session-local state (clock,
         // blocked set, estimates) is untouched — gc is maintenance, not
         // a restore.
-        self.plan_cache.clear();
+        self.view.reset(self.store.db().runs().len());
         self.rebuild_supplied();
         Ok(stats)
     }
@@ -303,11 +305,20 @@ impl Hercules {
         activity: &str,
         duration: WorkDays,
     ) -> Result<(), HerculesError> {
-        if self.schema.rule(activity).is_none() {
+        let Some(rule) = self.schema.rule_position(activity) else {
             return Err(HerculesError::UnknownActivity(activity.to_owned()));
+        };
+        if self.estimates.insert(activity.to_owned(), duration) != Some(duration) {
+            self.view.drop_estimate(rule);
         }
-        self.estimates.insert(activity.to_owned(), duration);
         Ok(())
+    }
+
+    /// Replaces the design team. The plan caches name the old team's
+    /// designers, so they are dropped.
+    pub(crate) fn set_team(&mut self, team: Team) {
+        self.team = team;
+        self.view.drop_plans();
     }
 
     /// Extracts the task tree covering `target` — step 2 of the
@@ -378,7 +389,7 @@ impl Hercules {
 
     /// Recomputes session state (clock, primary-input registry) from
     /// the store and drops everything derived from the previous state
-    /// (plan caches, blocked set).
+    /// (plan caches, estimates, blocked set).
     fn adopt_store_state(&mut self) {
         let db = self.store.db();
         let mut clock = WorkDays::ZERO;
@@ -396,7 +407,7 @@ impl Hercules {
         self.rebuild_supplied();
         // The adopted history may change measured-duration estimates
         // arbitrarily; drop planning caches rather than trust them.
-        self.plan_cache.clear();
+        self.view.reset(self.store.db().runs().len());
         // Blocked state is session-local (it reflects this process's
         // retry bookkeeping, not database state): start fresh.
         self.blocked.clear();

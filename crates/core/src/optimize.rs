@@ -65,7 +65,7 @@ impl Hercules {
         let mut points = Vec::with_capacity(max_team);
         for team_size in 1..=max_team {
             let mut trial = self.clone();
-            trial.team = simtools::workload::Team::of_size(team_size);
+            trial.set_team(simtools::workload::Team::of_size(team_size));
             let plan = trial.plan(target)?;
             points.push(TeamPoint {
                 team_size,
@@ -213,6 +213,41 @@ mod tests {
         h.sweep_team_sizes("signoff_report", WorkDays::new(10.0), 3)
             .unwrap();
         assert_eq!(h.db().schedule_count(), before);
+    }
+
+    #[test]
+    fn sweep_on_a_planned_manager_equals_a_fresh_sweep() {
+        // Each trial plans under another team; the planned manager's
+        // plan cache demands its own team's designers and must not
+        // leak into the trials.
+        let fresh = Hercules::new(
+            examples::layered(4, 16, 2),
+            ToolLibrary::standard(),
+            Team::of_size(3),
+            5,
+        );
+        let mut planned = fresh.clone();
+        planned.plan("merged").unwrap();
+        let deadline = WorkDays::new(1e9);
+        assert_eq!(
+            planned.sweep_team_sizes("merged", deadline, 5).unwrap(),
+            fresh.sweep_team_sizes("merged", deadline, 5).unwrap()
+        );
+    }
+
+    #[test]
+    fn crash_advice_on_a_planned_manager_equals_cold_advice() {
+        // Each trial sets one estimate on a clone of the manager: the
+        // clone's cached estimate must follow, whatever the manager
+        // had cached.
+        let mut planned = asic(5);
+        planned.plan("signoff_report").unwrap();
+        let mut cold = planned.clone();
+        cold.view.reset(cold.db().runs().len());
+        assert_eq!(
+            planned.crash_advice("signoff_report", 0.5).unwrap(),
+            cold.crash_advice("signoff_report", 0.5).unwrap()
+        );
     }
 
     #[test]

@@ -1,12 +1,93 @@
-use std::collections::{HashMap, HashSet};
+use std::borrow::Cow;
+use std::collections::HashMap;
+use std::sync::Arc;
 
-use metadata::{PlanningSessionId, ScheduleInstanceId};
+use metadata::{MetadataDb, PlanningSessionId, ScheduleInstanceId};
 use schedule::{
     level_resources, ActivityId, IncrementalCpm, Resource, ResourcePool, ScheduleNetwork, WorkDays,
 };
 
 use crate::error::HerculesError;
 use crate::manager::Hercules;
+use crate::task::TaskTree;
+
+/// The manager's planning view: what a planning pass derives from
+/// inputs that seldom change, each part kept until the event that
+/// changes its inputs.
+///
+/// * **Task trees**, per target. The schema is fixed for the manager's
+///   life, so a tree, once extracted, never goes stale.
+/// * **Estimates**, by rule position: the last
+///   [`duration_estimate`](Hercules::duration_estimate) of each
+///   activity. An entry is dropped when
+///   [`set_estimate`](Hercules::set_estimate) changes the activity's
+///   intuition, when the run log gains a run of the activity (checked
+///   against `runs_seen`, a watermark over the append-only log), and
+///   when a pass re-versions a completed plan, whose link fed the
+///   measured duration.
+/// * **Plan caches**, per target: the last pass's network and CPM
+///   state. They name the team's designers, so a team change drops
+///   them.
+///
+/// Replacing or compacting the database drops every estimate and plan
+/// cache; the trees stay.
+#[derive(Debug, Clone)]
+pub(crate) struct PlanningView {
+    trees: HashMap<String, Arc<TaskTree>>,
+    plans: HashMap<String, PlanCache>,
+    estimates: Vec<Option<WorkDays>>,
+    runs_seen: usize,
+}
+
+impl PlanningView {
+    /// An empty view over a schema of `rules` rules.
+    pub(crate) fn new(rules: usize) -> Self {
+        PlanningView {
+            trees: HashMap::new(),
+            plans: HashMap::new(),
+            estimates: vec![None; rules],
+            runs_seen: 0,
+        }
+    }
+
+    /// Drops every estimate and plan cache, and accounts for the
+    /// `runs` runs the database now holds.
+    pub(crate) fn reset(&mut self, runs: usize) {
+        self.drop_plans();
+        self.estimates.fill(None);
+        self.runs_seen = runs;
+    }
+
+    /// Drops every plan cache.
+    pub(crate) fn drop_plans(&mut self) {
+        self.plans.clear();
+    }
+
+    /// Drops the estimate of the activity at rule position `rule`.
+    pub(crate) fn drop_estimate(&mut self, rule: usize) {
+        self.estimates[rule] = None;
+    }
+
+    /// The kept estimates, as (rule position, estimate) pairs.
+    #[cfg(test)]
+    pub(crate) fn kept_estimates(&self) -> impl Iterator<Item = (usize, WorkDays)> + '_ {
+        self.estimates
+            .iter()
+            .enumerate()
+            .filter_map(|(rule, e)| e.map(|e| (rule, e)))
+    }
+
+    /// The cached estimate at rule position `rule`, if it is still
+    /// valid for `db` — read-only callers cannot drop the entries of
+    /// runs past the watermark, so they trust none while any exist.
+    fn estimate(&self, rule: usize, db: &MetadataDb) -> Option<WorkDays> {
+        if self.runs_seen == db.runs().len() {
+            self.estimates[rule]
+        } else {
+            None
+        }
+    }
+}
 
 /// Cached planning state for one target: the precedence network built
 /// from the task tree plus the [`IncrementalCpm`] engine holding its
@@ -17,8 +98,10 @@ use crate::manager::Hercules;
 #[derive(Debug, Clone)]
 pub(crate) struct PlanCache {
     network: ScheduleNetwork,
-    ids: HashMap<String, ActivityId>,
-    in_scope: Vec<String>,
+    /// Tree positions of the activities in scope, ascending; the k-th
+    /// is network activity `ids[k]`.
+    in_scope: Vec<usize>,
+    ids: Vec<ActivityId>,
     inc: IncrementalCpm,
 }
 
@@ -33,6 +116,7 @@ struct PlanMetrics {
     full_rebuilds: obs::Counter,
     dirty: obs::Histogram,
     cpm_recomputed: obs::Histogram,
+    estimates_recomputed: obs::Histogram,
 }
 
 fn plan_metrics() -> &'static PlanMetrics {
@@ -48,6 +132,10 @@ fn plan_metrics() -> &'static PlanMetrics {
         cpm_recomputed: obs::Metrics::histogram(
             "hercules.plan.cpm_recomputed",
             &[0.0, 2.0, 8.0, 32.0, 128.0, 512.0, 2048.0, 8192.0],
+        ),
+        estimates_recomputed: obs::Metrics::histogram(
+            "hercules.plan.estimates_recomputed",
+            &[0.0, 1.0, 4.0, 16.0, 64.0, 256.0, 1024.0, 4096.0],
         ),
     })
 }
@@ -124,8 +212,9 @@ impl Hercules {
     ///
     /// Per activity, the proposed duration comes from
     /// [`duration_estimate`](Hercules::duration_estimate) (measured
-    /// history first, then designer intuition, then the tool model).
-    /// Proposed dates come from CPM over the task tree's precedence
+    /// history first, then designer intuition, then the tool model),
+    /// kept between passes until a new run, a new intuition or a new
+    /// version of a completed plan changes it. Proposed dates come from CPM over the task tree's precedence
     /// constraints, levelled against the design team (one designer per
     /// activity, round-robin assignment). Planning starts at the
     /// current project clock.
@@ -167,8 +256,9 @@ impl Hercules {
     }
 
     /// [`plan`](Hercules::plan) restricted to a sub-scope: activities
-    /// named in `skip` are left out of the network and get no new
-    /// schedule instance versions.
+    /// whose tree position is set in `skip` are left out of the
+    /// network and get no new schedule instance versions (an empty
+    /// `skip` skips nothing).
     ///
     /// This is what [`replan`](Hercules::replan) uses to honour the
     /// versioned-update contract — completed activities keep their
@@ -179,24 +269,25 @@ impl Hercules {
     pub(crate) fn plan_scope(
         &mut self,
         target: &str,
-        skip: &[String],
+        skip: &[bool],
     ) -> Result<SchedulePlan, HerculesError> {
-        let tree = self.extract_task_tree(target)?;
+        let tree = self.task_tree(target)?;
         obs::Collector::set_sim_days(self.clock.days());
-        let mut plan_span = obs::span!("hercules.plan", target = target, skipped = skip.len(),);
-        let skip: HashSet<&str> = skip.iter().map(String::as_str).collect();
-        let in_scope: Vec<String> = tree
-            .activities()
-            .iter()
-            .filter(|a| !skip.contains(a.as_str()))
-            .cloned()
+        let skipped = skip.iter().filter(|&&s| s).count();
+        let mut plan_span = obs::span!("hercules.plan", target = target, skipped = skipped,);
+        let names = tree.activities();
+        let in_scope: Vec<usize> = (0..tree.len())
+            .filter(|&i| !skip.get(i).copied().unwrap_or(false))
             .collect();
+        self.sync_estimates();
+        let mut recomputed = 0usize;
         // Reuse the cached network + incremental CPM state when the
         // scope is unchanged; only activities whose estimate moved are
         // marked dirty and recomputed. Scope changes (first plan, or a
         // replan that skips newly-completed activities) rebuild.
         let cached = self
-            .plan_cache
+            .view
+            .plans
             .remove(target)
             .filter(|c| c.in_scope == in_scope);
         let cpm_total = in_scope.len();
@@ -206,9 +297,10 @@ impl Hercules {
         let (net, ids, inc) = match cached {
             Some(mut c) => {
                 let mut dirty: Vec<ActivityId> = Vec::new();
-                for activity in &in_scope {
-                    let id = c.ids[activity.as_str()];
-                    let estimate = self.duration_estimate(activity)?;
+                for (k, &i) in in_scope.iter().enumerate() {
+                    let id = c.ids[k];
+                    let estimate =
+                        self.estimate_at(tree.rule_position_at(i), &names[i], &mut recomputed)?;
                     if (estimate.days() - c.network.duration(id).days()).abs() > 1e-12 {
                         c.network.set_duration(id, estimate)?;
                         dirty.push(id);
@@ -235,24 +327,26 @@ impl Hercules {
             None => {
                 // Build the precedence network with estimated durations.
                 let mut net = ScheduleNetwork::new();
-                let mut ids = HashMap::new();
-                for activity in &in_scope {
-                    let duration = self.duration_estimate(activity)?;
-                    let id = net.add_activity(activity.clone(), duration)?;
-                    ids.insert(activity.clone(), id);
+                let mut ids = Vec::with_capacity(in_scope.len());
+                // Tree position -> slot in `ids`, for in-scope activities.
+                let mut slot = vec![None; tree.len()];
+                for (k, &i) in in_scope.iter().enumerate() {
+                    let duration =
+                        self.estimate_at(tree.rule_position_at(i), &names[i], &mut recomputed)?;
+                    ids.push(net.add_activity(names[i].clone(), duration)?);
+                    slot[i] = Some(k);
                 }
-                for activity in &in_scope {
-                    for consumer in tree.consumers_of_output(activity) {
-                        if let Some(&consumer_id) = ids.get(consumer) {
-                            net.add_precedence(ids[activity.as_str()], consumer_id)?;
+                for (k, &i) in in_scope.iter().enumerate() {
+                    for &j in tree.consumers_at(i) {
+                        if let Some(consumer) = slot[j] {
+                            net.add_precedence(ids[k], ids[consumer])?;
                         }
                     }
                 }
                 // One demand per activity for its round-robin designer
                 // (recorded once; reused on every cache hit).
-                for (k, activity) in in_scope.iter().enumerate() {
-                    let designer = self.team.assignee(k).to_owned();
-                    net.add_demand(ids[activity.as_str()], designer, 1)?;
+                for (k, &id) in ids.iter().enumerate() {
+                    net.add_demand(id, self.team.assignee(k).to_owned(), 1)?;
                 }
                 let inc = net.analyze_incremental()?;
                 obs::event!("plan.cache_miss", scope = in_scope.len());
@@ -277,33 +371,32 @@ impl Hercules {
         // one store mutation; a changed one is planned and assigned.
         let session = self.store.begin_planning(self.clock);
         let offset = self.clock;
-        let proposal = |k: usize| {
-            let id = ids[in_scope[k].as_str()];
-            (offset + leveled.start(id), net.duration(id))
-        };
+        let name = |k: usize| names[in_scope[k]].as_str();
+        let proposal = |k: usize| (offset + leveled.start(ids[k]), net.duration(ids[k]));
         let planned = |k: usize, schedule: ScheduleInstanceId| {
             let (start, duration) = proposal(k);
             PlannedActivity {
-                activity: in_scope[k].clone(),
+                activity: name(k).to_owned(),
                 schedule,
                 start,
                 duration,
                 assignee: self.team.assignee(k).to_owned(),
-                critical: cpm.is_critical(ids[in_scope[k].as_str()]),
+                critical: cpm.is_critical(ids[k]),
             }
         };
-        let changed: Vec<bool> = (0..in_scope.len())
-            .map(|k| {
-                let (start, duration) = proposal(k);
-                !self
-                    .store
-                    .db()
-                    .current_plan(&in_scope[k])
-                    .is_some_and(|current| {
-                        current.proposes(start, duration, &[self.team.assignee(k)])
-                    })
-            })
-            .collect();
+        let mut changed = Vec::with_capacity(in_scope.len());
+        for (k, &i) in in_scope.iter().enumerate() {
+            let (start, duration) = proposal(k);
+            let current = self.store.db().current_plan(&names[i]);
+            // A new version of a completed plan drops its link, which
+            // the measured duration reads.
+            if current.is_some_and(|c| c.is_complete()) {
+                self.view.drop_estimate(tree.rule_position_at(i));
+            }
+            changed.push(!current.is_some_and(|current| {
+                current.proposes(start, duration, &[self.team.assignee(k)])
+            }));
+        }
         let mut activities = Vec::with_capacity(in_scope.len());
         let mut k = 0;
         while k < in_scope.len() {
@@ -311,13 +404,21 @@ impl Hercules {
                 let (start, duration) = proposal(k);
                 let sc = self
                     .store
-                    .plan_activity(session, &in_scope[k], start, duration)?;
+                    .plan_activity(session, name(k), start, duration)?;
                 self.store.assign(sc, self.team.assignee(k))?;
                 activities.push(planned(k, sc));
                 k += 1;
             } else {
                 let end = k + changed[k..].iter().take_while(|&&c| !c).count();
-                let minted = self.store.carry_plan(session, &in_scope[k..end])?;
+                // A run of tree neighbours is a slice of the tree's
+                // names; only a run across skipped activities copies.
+                let (first, last) = (in_scope[k], in_scope[end - 1]);
+                let run: Cow<'_, [String]> = if last - first == end - 1 - k {
+                    Cow::Borrowed(&names[first..=last])
+                } else {
+                    Cow::Owned((k..end).map(|j| name(j).to_owned()).collect())
+                };
+                let minted = self.store.carry_plan(session, &run)?;
                 for (j, sc) in minted.into_iter().enumerate() {
                     activities.push(planned(k + j, sc));
                 }
@@ -328,12 +429,12 @@ impl Hercules {
             .iter()
             .map(|a| a.start + a.duration)
             .fold(offset, WorkDays::max);
-        self.plan_cache.insert(
+        self.view.plans.insert(
             target.to_owned(),
             PlanCache {
                 network: net,
-                ids,
                 in_scope,
+                ids,
                 inc,
             },
         );
@@ -348,6 +449,7 @@ impl Hercules {
         }
         m.dirty.observe(dirty_count as f64);
         m.cpm_recomputed.observe(cpm_recomputed as f64);
+        m.estimates_recomputed.observe(recomputed as f64);
         plan_span.record("cache_hit", cache_hit);
         plan_span.record("dirty", dirty_count);
         plan_span.record("cpm_recomputed", cpm_recomputed);
@@ -359,6 +461,88 @@ impl Hercules {
             activities,
             project_finish,
         })
+    }
+
+    /// The task tree of `target`, extracted on first use and kept in
+    /// the planning view.
+    ///
+    /// # Errors
+    ///
+    /// [`HerculesError::UnknownTarget`] if `target` names nothing.
+    pub(crate) fn task_tree(&mut self, target: &str) -> Result<Arc<TaskTree>, HerculesError> {
+        if let Some(tree) = self.view.trees.get(target) {
+            return Ok(Arc::clone(tree));
+        }
+        let tree = Arc::new(self.extract_task_tree(target)?);
+        self.view.trees.insert(target.to_owned(), Arc::clone(&tree));
+        Ok(tree)
+    }
+
+    /// [`task_tree`](Hercules::task_tree) for read-only callers: the
+    /// kept tree, or a fresh extraction that is not kept.
+    pub(crate) fn task_tree_ref(&self, target: &str) -> Result<Arc<TaskTree>, HerculesError> {
+        match self.view.trees.get(target) {
+            Some(tree) => Ok(Arc::clone(tree)),
+            None => Ok(Arc::new(self.extract_task_tree(target)?)),
+        }
+    }
+
+    /// Drops the estimates of activities that gained runs since the
+    /// view last looked at the run log, and moves the watermark.
+    pub(crate) fn sync_estimates(&mut self) {
+        let db = self.store.db();
+        for run in &db.runs()[self.view.runs_seen..] {
+            if let Some(rule) = self.schema.rule_position(run.activity()) {
+                self.view.estimates[rule] = None;
+            }
+        }
+        self.view.runs_seen = db.runs().len();
+    }
+
+    /// The estimate of `activity` (at rule position `rule`) from the
+    /// view, computed and kept when missing; `recomputed` counts the
+    /// misses. Call [`sync_estimates`](Hercules::sync_estimates) first.
+    pub(crate) fn estimate_at(
+        &mut self,
+        rule: usize,
+        activity: &str,
+        recomputed: &mut usize,
+    ) -> Result<WorkDays, HerculesError> {
+        if let Some(estimate) = self.view.estimates[rule] {
+            return Ok(estimate);
+        }
+        let estimate = self.duration_estimate(activity)?;
+        self.view.estimates[rule] = Some(estimate);
+        *recomputed += 1;
+        Ok(estimate)
+    }
+
+    /// [`estimate_at`](Hercules::estimate_at) for read-only callers:
+    /// the kept estimate when valid, else a fresh one that is not kept.
+    pub(crate) fn estimate_ref(
+        &self,
+        rule: usize,
+        activity: &str,
+    ) -> Result<WorkDays, HerculesError> {
+        match self.view.estimate(rule, self.store.db()) {
+            Some(estimate) => Ok(estimate),
+            None => self.duration_estimate(activity),
+        }
+    }
+
+    /// Per tree position: whether the activity's current plan is
+    /// complete — the scope [`plan_scope`](Hercules::plan_scope) skips
+    /// when it replans open work.
+    pub(crate) fn completed_mask(&self, tree: &TaskTree) -> Vec<bool> {
+        tree.activities()
+            .iter()
+            .map(|a| {
+                self.store
+                    .db()
+                    .current_plan(a)
+                    .is_some_and(|p| p.is_complete())
+            })
+            .collect()
     }
 }
 
@@ -574,7 +758,7 @@ mod tests {
         assert!(!arg_bool(&plan_span(&session.finish()), "cache_hit"));
         // Restricting the scope (as replan does after completions)
         // invalidates the cached network.
-        let skip = vec!["Create".to_owned()];
+        let skip = [true, false]; // Create, Simulate
         let session = obs::Collector::session();
         let p = h.plan_scope("performance", &skip).unwrap();
         let stats = plan_span(&session.finish());

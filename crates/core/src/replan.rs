@@ -54,20 +54,11 @@ impl Hercules {
     pub fn replan(&mut self, target: &str) -> Result<ReplanOutcome, HerculesError> {
         obs::Collector::set_sim_days(self.clock.days());
         let mut replan_span = obs::span!("hercules.replan", target = target);
-        let tree = self.extract_task_tree(target)?;
-        let completed: Vec<String> = tree
-            .activities()
-            .iter()
-            .filter(|a| {
-                self.store
-                    .db()
-                    .current_plan(a)
-                    .is_some_and(|p| p.is_complete())
-            })
-            .cloned()
-            .collect();
-        replan_span.record("completed", completed.len());
-        if completed.len() == tree.len() {
+        let tree = self.task_tree(target)?;
+        let completed = self.completed_mask(&tree);
+        let completed_count = completed.iter().filter(|&&c| c).count();
+        replan_span.record("completed", completed_count);
+        if completed_count == tree.len() {
             replan_span.record("replanned", 0usize);
             return Ok(ReplanOutcome {
                 replanned: Vec::new(),
@@ -78,9 +69,12 @@ impl Hercules {
         // Planning starts no earlier than the actual finishes of
         // completed prerequisites, which `plan_scope` handles via the
         // clock: advance it to the latest completion in scope first.
-        let latest_done = completed
+        let latest_done = tree
+            .activities()
             .iter()
-            .filter_map(|a| self.store.db().actual_finish(a))
+            .zip(&completed)
+            .filter(|&(_, &done)| done)
+            .filter_map(|(a, _)| self.store.db().actual_finish(a))
             .fold(self.clock, WorkDays::max);
         self.advance_clock(latest_done);
         let plan: SchedulePlan = self.plan_scope(target, &completed)?;

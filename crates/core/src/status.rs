@@ -33,7 +33,7 @@ impl fmt::Display for ActivityState {
             ActivityState::Complete => "complete",
             ActivityState::Blocked => "blocked",
         };
-        write!(f, "{s}")
+        f.pad(s)
     }
 }
 
@@ -169,7 +169,7 @@ impl fmt::Display for StatusReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "status at day {}:", self.status_date)?;
         for row in &self.rows {
-            write!(f, "  {:<16} {:<12}", row.activity, row.state.to_string())?;
+            write!(f, "  {:<16} {:<12}", row.activity, row.state)?;
             if let Some((ps, pf)) = row.planned {
                 write!(f, " plan [{ps} .. {pf}]")?;
             }
@@ -351,6 +351,12 @@ mod tests {
         assert_eq!(ActivityState::InProgress.to_string(), "in progress");
         assert_eq!(ActivityState::Complete.to_string(), "complete");
         assert_eq!(ActivityState::Blocked.to_string(), "blocked");
+        // Width and alignment apply, as the status table needs.
+        assert_eq!(
+            format!("[{:<12}]", ActivityState::Planned),
+            "[planned     ]"
+        );
+        assert_eq!(format!("[{:>9}]", ActivityState::Complete), "[ complete]");
     }
 
     #[test]

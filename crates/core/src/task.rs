@@ -1,6 +1,6 @@
-use std::collections::HashMap;
+use std::sync::Arc;
 
-use schema::TaskSchema;
+use schema::{ConstructionRule, TaskSchema};
 
 use crate::error::HerculesError;
 
@@ -12,21 +12,28 @@ use crate::error::HerculesError;
 /// tree that covers the scope of the intended task" (§IV-A). The same
 /// tree serves both schedule planning and execution — that sharing is
 /// the point of the integrated system.
+///
+/// The tree reads each activity's inputs and output from the schema's
+/// shared rules rather than copying them, so a kept tree costs a few
+/// words per activity plus its name.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TaskTree {
     target: String,
+    /// The schema's rules; `rule_positions` index into them.
+    rules: Arc<[ConstructionRule]>,
     /// Activities in dependency order (inputs before outputs).
     activities: Vec<String>,
-    /// Activity name -> position in `activities`.
-    index_of: HashMap<String, usize>,
-    /// Per activity (by position): the data classes it consumes.
-    inputs: Vec<Vec<String>>,
-    /// Per activity (by position): the data class it produces.
-    outputs: Vec<String>,
+    /// Per activity (by position): its rule's position in the schema.
+    rule_positions: Vec<usize>,
+    /// Positions ordered by activity name, for lookups by name.
+    by_name: Vec<usize>,
     /// Per activity (by position): positions of the activities its
-    /// output feeds directly, ascending. Precomputed so execution and
-    /// planning never re-derive the adjacency by scanning.
-    consumers: Vec<Vec<usize>>,
+    /// output feeds directly, ascending, flattened: activity `i`'s are
+    /// `consumers[consumer_start[i]..consumer_start[i + 1]]`.
+    /// Precomputed so execution and planning never re-derive the
+    /// adjacency by scanning.
+    consumers: Vec<usize>,
+    consumer_start: Vec<usize>,
     /// Data classes with no producing activity — designer-supplied.
     primary_inputs: Vec<String>,
 }
@@ -35,60 +42,58 @@ impl TaskTree {
     /// Extracts the tree covering `target` (a data class or activity
     /// name) from the schema: a walk of the target's input cone over
     /// the schema's producer index, in O(activities + inputs) of the
-    /// cone.
+    /// cone, plus sorting the names.
     ///
     /// # Errors
     ///
     /// [`HerculesError::UnknownTarget`] if `target` names nothing.
     pub fn extract(schema: &TaskSchema, target: &str) -> Result<Self, HerculesError> {
-        let rules = schema.rules_for_target(target);
-        if rules.is_empty() {
+        let rule_positions = schema.rule_positions_for_target(target);
+        if rule_positions.is_empty() {
             return Err(HerculesError::UnknownTarget(target.to_owned()));
         }
-        let n = rules.len();
+        let rules = schema.shared_rules();
+        let n = rule_positions.len();
+        // Tree position of each rule in scope.
+        let mut position = vec![usize::MAX; rules.len()];
+        for (i, &r) in rule_positions.iter().enumerate() {
+            position[r] = i;
+        }
         let mut activities = Vec::with_capacity(n);
-        let mut inputs = Vec::with_capacity(n);
-        let mut outputs = Vec::with_capacity(n);
-        let mut primary = Vec::new();
-        for rule in rules {
+        let mut primary: Vec<String> = Vec::new();
+        // (producer, consumer) per input with a producer, consumers
+        // ascending: each input class resolves to its producer once.
+        let mut feeds: Vec<(usize, usize)> = Vec::new();
+        for (j, &r) in rule_positions.iter().enumerate() {
+            let rule = &rules[r];
             activities.push(rule.activity().to_owned());
-            inputs.push(rule.inputs().to_vec());
-            outputs.push(rule.output().to_owned());
             for input in rule.inputs() {
-                if schema.producer_of(input).is_none() && !primary.contains(input) {
-                    primary.push(input.clone());
+                match schema.producer_position(input) {
+                    // The cone holds every producer of its inputs.
+                    Some(p) => feeds.push((position[p], j)),
+                    None if !primary.contains(input) => primary.push(input.clone()),
+                    None => {}
                 }
             }
         }
-        let index_of: HashMap<String, usize> = activities
-            .iter()
-            .enumerate()
-            .map(|(i, a)| (a.clone(), i))
-            .collect();
-        // Direct consumers by position: resolve each input class to its
-        // in-scope producer once, while the edge list is in hand.
-        let producer_of: HashMap<&str, usize> = outputs
-            .iter()
-            .enumerate()
-            .map(|(i, o)| (o.as_str(), i))
-            .collect();
-        let mut consumers: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for (j, ins) in inputs.iter().enumerate() {
-            for class in ins {
-                if let Some(&i) = producer_of.get(class.as_str()) {
-                    if consumers[i].last() != Some(&j) {
-                        consumers[i].push(j);
-                    }
-                }
-            }
+        feeds.sort_by_key(|&(i, _)| i); // stable: consumers stay ascending
+        let mut consumer_start = vec![0; n + 1];
+        for &(i, _) in &feeds {
+            consumer_start[i + 1] += 1;
         }
+        for i in 0..n {
+            consumer_start[i + 1] += consumer_start[i];
+        }
+        let mut by_name: Vec<usize> = (0..n).collect();
+        by_name.sort_unstable_by(|&a, &b| activities[a].cmp(&activities[b]));
         Ok(TaskTree {
             target: target.to_owned(),
+            rules,
             activities,
-            index_of,
-            inputs,
-            outputs,
-            consumers,
+            rule_positions,
+            by_name,
+            consumers: feeds.into_iter().map(|(_, j)| j).collect(),
+            consumer_start,
             primary_inputs: primary,
         })
     }
@@ -115,9 +120,18 @@ impl TaskTree {
         self.activities.is_empty()
     }
 
+    /// The schema position of the rule behind the activity at position
+    /// `i` — the key of the manager's per-activity estimates.
+    pub(crate) fn rule_position_at(&self, i: usize) -> usize {
+        self.rule_positions[i]
+    }
+
     /// The position of `activity` in dependency order, if in scope.
     pub fn index_of(&self, activity: &str) -> Option<usize> {
-        self.index_of.get(activity).copied()
+        self.by_name
+            .binary_search_by(|&i| self.activities[i].as_str().cmp(activity))
+            .ok()
+            .map(|k| self.by_name[k])
     }
 
     /// Data classes `activity` consumes.
@@ -126,12 +140,12 @@ impl TaskTree {
     ///
     /// Panics if `activity` is not in this tree.
     pub fn inputs_of(&self, activity: &str) -> &[String] {
-        &self.inputs[self.index_of[activity]]
+        self.inputs_at(self.expect_index(activity))
     }
 
     /// Data classes the activity at position `i` consumes.
     pub fn inputs_at(&self, i: usize) -> &[String] {
-        &self.inputs[i]
+        self.rules[self.rule_positions[i]].inputs()
     }
 
     /// The data class `activity` produces.
@@ -140,17 +154,17 @@ impl TaskTree {
     ///
     /// Panics if `activity` is not in this tree.
     pub fn output_of(&self, activity: &str) -> &str {
-        &self.outputs[self.index_of[activity]]
+        self.output_at(self.expect_index(activity))
     }
 
     /// The data class the activity at position `i` produces.
     pub fn output_at(&self, i: usize) -> &str {
-        &self.outputs[i]
+        self.rules[self.rule_positions[i]].output()
     }
 
     /// Whether `activity` is part of this tree.
     pub fn contains(&self, activity: &str) -> bool {
-        self.index_of.contains_key(activity)
+        self.index_of(activity).is_some()
     }
 
     /// Designer-supplied data classes the tree needs (no producer in
@@ -165,7 +179,7 @@ impl TaskTree {
         let Some(i) = self.index_of(activity) else {
             return Vec::new();
         };
-        self.consumers[i]
+        self.consumers_at(i)
             .iter()
             .map(|&j| self.activities[j].as_str())
             .collect()
@@ -174,7 +188,12 @@ impl TaskTree {
     /// Positions of the activities fed directly by the output of the
     /// activity at position `i`, ascending.
     pub fn consumers_at(&self, i: usize) -> &[usize] {
-        &self.consumers[i]
+        &self.consumers[self.consumer_start[i]..self.consumer_start[i + 1]]
+    }
+
+    fn expect_index(&self, activity: &str) -> usize {
+        self.index_of(activity)
+            .unwrap_or_else(|| panic!("{activity:?} is not in the task tree"))
     }
 }
 
@@ -232,10 +251,32 @@ mod tests {
         assert!(tree.consumers_of_output("nonexistent").is_empty());
     }
 
+    /// What a tree shows through its accessors: activities, per
+    /// activity its inputs, output and direct consumers, and the
+    /// primary inputs.
+    type Shape = (
+        Vec<String>,
+        Vec<Vec<String>>,
+        Vec<String>,
+        Vec<Vec<usize>>,
+        Vec<String>,
+    );
+
+    fn shape(tree: &TaskTree) -> Shape {
+        let n = tree.len();
+        (
+            tree.activities().to_vec(),
+            (0..n).map(|i| tree.inputs_at(i).to_vec()).collect(),
+            (0..n).map(|i| tree.output_at(i).to_owned()).collect(),
+            (0..n).map(|i| tree.consumers_at(i).to_vec()).collect(),
+            tree.primary_inputs().to_vec(),
+        )
+    }
+
     /// Extraction as done before the schema kept its indexes: the cone
     /// and its order from a freshly built [`schema::SchemaGraph`],
     /// producers found by scanning the rules.
-    fn graph_extract(schema: &TaskSchema, target: &str) -> Option<TaskTree> {
+    fn graph_extract(schema: &TaskSchema, target: &str) -> Option<Shape> {
         use schema::{SchemaGraph, SchemaNode};
         let graph = SchemaGraph::for_schema(schema);
         let root = graph
@@ -275,19 +316,13 @@ mod tests {
                     .collect()
             })
             .collect();
-        Some(TaskTree {
-            target: target.to_owned(),
-            index_of: activities
-                .iter()
-                .enumerate()
-                .map(|(i, a)| (a.clone(), i))
-                .collect(),
+        Some((
             activities,
-            inputs: rules.iter().map(|r| r.inputs().to_vec()).collect(),
+            rules.iter().map(|r| r.inputs().to_vec()).collect(),
             outputs,
             consumers,
-            primary_inputs: primary,
-        })
+            primary,
+        ))
     }
 
     #[test]
@@ -319,12 +354,21 @@ mod tests {
                 .chain(schema.rules().iter().map(|r| r.activity()))
                 .chain(["nonsense"]);
             for target in targets {
+                let tree = TaskTree::extract(schema, target).ok();
                 assert_eq!(
-                    TaskTree::extract(schema, target).ok(),
+                    tree.as_ref().map(shape),
                     graph_extract(schema, target),
                     "schema {} target {target}",
                     schema.name()
                 );
+                // Lookups by name agree with positions.
+                let Some(tree) = tree else { continue };
+                for (i, activity) in tree.activities().iter().enumerate() {
+                    assert_eq!(tree.index_of(activity), Some(i));
+                    assert_eq!(tree.output_of(activity), tree.output_at(i));
+                    assert_eq!(tree.inputs_of(activity), tree.inputs_at(i));
+                }
+                assert_eq!(tree.index_of("nonsense"), None);
             }
         }
     }

@@ -194,7 +194,9 @@ impl Project {
     }
 }
 
-/// The sharded multi-project registry. See the [module docs](self).
+/// The sharded multi-project registry: one lock over the name →
+/// project map, and each [`Project`] its own shard behind its own
+/// lock, so sessions on different projects never contend.
 #[derive(Debug)]
 pub struct Workspace {
     /// Project-store root for persistent workspaces; `None` keeps every

@@ -1,5 +1,6 @@
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 use crate::error::SchemaError;
 
@@ -141,7 +142,8 @@ impl fmt::Display for ConstructionRule {
 pub struct TaskSchema {
     name: String,
     classes: Vec<EntityClass>,
-    rules: Vec<ConstructionRule>,
+    /// Shared, so a task tree reads its rules without copying them.
+    rules: Arc<[ConstructionRule]>,
     class_index: HashMap<String, usize>,
     rule_index: HashMap<String, usize>,
     /// Per class (by declaration position): the rule producing it.
@@ -171,6 +173,12 @@ impl TaskSchema {
         &self.rules
     }
 
+    /// [`rules`](Self::rules) as a shared handle, for holders that
+    /// outlive a borrow of the schema.
+    pub fn shared_rules(&self) -> Arc<[ConstructionRule]> {
+        Arc::clone(&self.rules)
+    }
+
     /// Looks up a class by name.
     pub fn class(&self, name: &str) -> Option<&EntityClass> {
         self.class_index.get(name).map(|&i| &self.classes[i])
@@ -198,7 +206,7 @@ impl TaskSchema {
 
     /// Position in [`rules`](Self::rules) of the rule producing
     /// `data_class`, if any.
-    fn producer_position(&self, data_class: &str) -> Option<usize> {
+    pub fn producer_position(&self, data_class: &str) -> Option<usize> {
         self.class_index
             .get(data_class)
             .and_then(|&c| self.producers[c])
@@ -228,6 +236,15 @@ impl TaskSchema {
     /// rule; the order is the schema graph's topological order
     /// restricted to the cone.
     pub fn rules_for_target(&self, target: &str) -> Vec<&ConstructionRule> {
+        self.rule_positions_for_target(target)
+            .into_iter()
+            .map(|r| &self.rules[r])
+            .collect()
+    }
+
+    /// [`rules_for_target`](Self::rules_for_target) as positions in
+    /// [`rules`](Self::rules).
+    pub fn rule_positions_for_target(&self, target: &str) -> Vec<usize> {
         let root = match self.class_index.get(target) {
             Some(&c) if self.classes[c].kind() == EntityKind::Data => self.producers[c],
             _ => self.rule_position(target),
@@ -251,7 +268,7 @@ impl TaskSchema {
             }
         }
         cone.sort_unstable_by_key(|&r| self.ranks[r]);
-        cone.into_iter().map(|r| &self.rules[r]).collect()
+        cone
     }
 
     /// Data classes never produced by any rule — the designer-supplied
@@ -282,7 +299,7 @@ impl TaskSchema {
         for class in &self.classes {
             out.push_str(&format!("{class};\n"));
         }
-        for rule in &self.rules {
+        for rule in self.rules.iter() {
             out.push_str(&format!(
                 "activity {}: {} = {}({});\n",
                 rule.activity(),
@@ -304,7 +321,7 @@ impl fmt::Display for TaskSchema {
             self.classes.len(),
             self.rules.len()
         )?;
-        for rule in &self.rules {
+        for rule in self.rules.iter() {
             writeln!(f, "  {rule}")?;
         }
         Ok(())
@@ -464,7 +481,7 @@ impl TaskSchemaBuilder {
                 self.name
             },
             classes: self.classes,
-            rules: self.rules,
+            rules: self.rules.into(),
             class_index,
             rule_index,
             producers,

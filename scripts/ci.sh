@@ -53,9 +53,10 @@
 #   bench   bench_compare: fresh quick run vs committed BENCH_schedflow.json
 #   perfbench  the end-to-end benchmark (perfbench/, a package of its
 #           own built against the crates by path) still builds, and
-#           one-second untraced plan_large, serve_mixed and
-#           history_deep runs each end with "failed": 0
-#   doc     rustdoc builds cleanly
+#           one-second plan_large, serve_mixed and history_deep runs,
+#           untraced and traced, each end with "correct": true and
+#           "failed": 0
+#   doc     rustdoc builds without warnings
 #
 # Usage:
 #   scripts/ci.sh                 run every stage, fail fast
@@ -346,21 +347,28 @@ stage_perfbench() {
     # smoke runs exercise every output check of the kernel path, of
     # the served path, and of the storage path: history_deep is the
     # one workload that checks dumps stay byte-identical across a
-    # reopen and a gc.
+    # reopen and a gc. The traced run (`--trace 1`) is the only one
+    # that also calls the kernel from outside, layer by layer
+    # (`extract_task_tree`, `duration_estimate`, `level_resources`), so
+    # each workload runs both ways.
     cargo build --release --offline --manifest-path perfbench/Cargo.toml || return 1
-    local workload result
+    local workload trace result
     for workload in plan_large serve_mixed history_deep; do
-        result=$(cargo run -q --release --offline --manifest-path perfbench/Cargo.toml -- \
-            --workload "$workload" --seconds 1 --trace 0 | tail -n 1) || return 1
-        grep -q '"failed": 0[,}]' <<<"$result" || {
-            echo "perfbench stage: $workload smoke run failed ops: $result" >&2
-            return 1
-        }
+        for trace in 0 1; do
+            result=$(cargo run -q --release --offline --manifest-path perfbench/Cargo.toml -- \
+                --workload "$workload" --seconds 1 --trace "$trace" | tail -n 1) || return 1
+            grep -q '"failed": 0[,}]' <<<"$result" && grep -q '"correct": true' <<<"$result" || {
+                echo "perfbench stage: $workload --trace $trace smoke run failed: $result" >&2
+                return 1
+            }
+        done
     done
 }
 
 stage_doc() {
-    cargo doc -q --offline --workspace --no-deps
+    # Warnings fail the stage: a broken or private intra-doc link is a
+    # documentation bug.
+    RUSTDOCFLAGS="-D warnings" cargo doc -q --offline --workspace --no-deps
 }
 
 declare -a RAN=() STATUS=() SECS=()
