@@ -1,8 +1,11 @@
+use std::cmp::Ordering;
 use std::fmt;
 use std::sync::Arc;
 
+use metadata::{Assignees, ScheduleInstanceId};
 use schedule::gantt::{self, GanttOptions, GanttRow};
-use schedule::variance::{self, ActivityStatus, VarianceSummary};
+use schedule::text::{write_padded, write_signed_days};
+use schedule::variance::{self, ActivityDates, VarianceSummary};
 use schedule::WorkDays;
 
 use crate::manager::Hercules;
@@ -24,24 +27,30 @@ pub enum ActivityState {
     Blocked,
 }
 
-impl fmt::Display for ActivityState {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
+impl ActivityState {
+    /// The state's label, as `Display` prints it.
+    pub fn label(self) -> &'static str {
+        match self {
             ActivityState::Unplanned => "unplanned",
             ActivityState::Planned => "planned",
             ActivityState::InProgress => "in progress",
             ActivityState::Complete => "complete",
             ActivityState::Blocked => "blocked",
-        };
-        f.pad(s)
+        }
+    }
+}
+
+impl fmt::Display for ActivityState {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.pad(self.label())
     }
 }
 
 /// One activity's row in a status report.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StatusRow {
-    /// The activity.
-    pub activity: String,
+    /// The activity (its name shared with the metadata database).
+    pub activity: Arc<str>,
     /// Lifecycle state.
     pub state: ActivityState,
     /// Proposed dates from the latest plan, if planned.
@@ -52,7 +61,7 @@ pub struct StatusRow {
     pub actual_finish: Option<WorkDays>,
     /// Assigned designers from the latest plan (names shared with the
     /// metadata database).
-    pub assignees: Vec<Arc<str>>,
+    pub assignees: Assignees,
     /// Finish slip in days against the latest plan, once complete.
     pub slip: Option<f64>,
 }
@@ -64,6 +73,10 @@ pub struct StatusRow {
 pub struct StatusReport {
     rows: Vec<StatusRow>,
     status_date: WorkDays,
+    /// Row positions sorted by activity name: the schema's
+    /// [`rule_positions_by_name`](schema::TaskSchema::rule_positions_by_name),
+    /// since rows follow the schema's rules.
+    by_name: Arc<[usize]>,
 }
 
 impl StatusReport {
@@ -72,9 +85,14 @@ impl StatusReport {
         &self.rows
     }
 
-    /// The row for `activity`, if present.
+    /// The row for `activity`, if present: a binary search over the
+    /// schema's rule positions in name order.
     pub fn row(&self, activity: &str) -> Option<&StatusRow> {
-        self.rows.iter().find(|r| r.activity == activity)
+        let i = self
+            .by_name
+            .binary_search_by(|&r| (*self.rows[r].activity).cmp(activity))
+            .ok()?;
+        Some(&self.rows[self.by_name[i]])
     }
 
     /// The project clock when the report was taken.
@@ -111,7 +129,7 @@ impl StatusReport {
                     r.actual_start.unwrap_or(WorkDays::ZERO),
                     r.actual_finish.or(r.actual_start).unwrap_or(WorkDays::ZERO),
                 ));
-                let mut row = GanttRow::planned(r.activity.clone(), ps, pf);
+                let mut row = GanttRow::planned(&*r.activity, ps, pf);
                 if let Some(start) = r.actual_start {
                     let end = r.actual_finish.unwrap_or(self.status_date);
                     row = row.with_actual(start, end, r.state == ActivityState::Complete);
@@ -130,21 +148,16 @@ impl StatusReport {
     /// Earned-value summary evaluated at an arbitrary status date —
     /// usually a *past* date, for reconstructing how SPI evolved.
     pub fn variance_at(&self, date: WorkDays) -> VarianceSummary {
-        let statuses: Vec<ActivityStatus> = self
-            .rows
-            .iter()
-            .filter_map(|r| {
-                let (ps, pf) = r.planned?;
-                Some(ActivityStatus {
-                    name: r.activity.clone(),
-                    planned_start: ps,
-                    planned_finish: pf,
-                    actual_start: r.actual_start,
-                    actual_finish: r.actual_finish,
-                })
+        let planned = self.rows.iter().filter_map(|r| {
+            let (planned_start, planned_finish) = r.planned?;
+            Some(ActivityDates {
+                planned_start,
+                planned_finish,
+                actual_start: r.actual_start,
+                actual_finish: r.actual_finish,
             })
-            .collect();
-        variance::summarize(&statuses, date)
+        });
+        variance::summarize_dates(planned, date)
     }
 
     /// The earned-value trajectory: one [`VarianceSummary`] per sample
@@ -163,25 +176,64 @@ impl StatusReport {
             })
             .collect()
     }
+
+    /// Writes the status table — a header line and one line per
+    /// activity with its state, plan, actuals and slip — to `out` in one
+    /// pass. `Display` prints the same text through this.
+    ///
+    /// # Errors
+    ///
+    /// Only what `out` returns; writing to a `String` cannot fail.
+    pub fn write_to<W: fmt::Write>(&self, out: &mut W) -> fmt::Result {
+        out.write_str("status at day ")?;
+        self.status_date.write_to(out)?;
+        out.write_str(":\n")?;
+        for row in &self.rows {
+            out.write_str("  ")?;
+            write_padded(out, &row.activity, 16)?;
+            out.write_char(' ')?;
+            write_padded(out, row.state.label(), 12)?;
+            if let Some((ps, pf)) = row.planned {
+                out.write_str(" plan [")?;
+                ps.write_to(out)?;
+                out.write_str(" .. ")?;
+                pf.write_to(out)?;
+                out.write_char(']')?;
+            }
+            if let (Some(s), Some(e)) = (row.actual_start, row.actual_finish) {
+                out.write_str(" actual [")?;
+                s.write_to(out)?;
+                out.write_str(" .. ")?;
+                e.write_to(out)?;
+                out.write_char(']')?;
+            }
+            if let Some(slip) = row.slip {
+                out.write_str(" slip ")?;
+                write_signed_days(out, slip)?;
+            }
+            out.write_char('\n')?;
+        }
+        Ok(())
+    }
+
+    /// A capacity that holds the [`write_to`](Self::write_to) text when
+    /// names fit their column and dates are under 10 000 days, for
+    /// sizing the buffer it is written into.
+    pub fn text_capacity(&self) -> usize {
+        // Per row: indent, two columns and the newline; a plan and
+        // actuals of two dates of up to 8 characters each; a slip.
+        let row = |r: &StatusRow| {
+            32 + if r.planned.is_some() { 28 } else { 0 }
+                + if r.actual_finish.is_some() { 30 } else { 0 }
+                + if r.slip.is_some() { 16 } else { 0 }
+        };
+        32 + self.rows.iter().map(row).sum::<usize>()
+    }
 }
 
 impl fmt::Display for StatusReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "status at day {}:", self.status_date)?;
-        for row in &self.rows {
-            write!(f, "  {:<16} {:<12}", row.activity, row.state)?;
-            if let Some((ps, pf)) = row.planned {
-                write!(f, " plan [{ps} .. {pf}]")?;
-            }
-            if let (Some(s), Some(e)) = (row.actual_start, row.actual_finish) {
-                write!(f, " actual [{s} .. {e}]")?;
-            }
-            if let Some(slip) = row.slip {
-                write!(f, " slip {slip:+.2}d")?;
-            }
-            writeln!(f)?;
-        }
-        Ok(())
+        self.write_to(f)
     }
 }
 
@@ -192,25 +244,61 @@ impl Hercules {
     /// This is the automatic update the paper's intro promises: no
     /// designer reports status to a project manager; the flow manager
     /// *is* the source of truth.
+    ///
+    /// One pass over the schema: each activity's schedule container is
+    /// found by walking the database's name-ordered containers beside
+    /// the schema's rules in name order, and its actual start is one
+    /// probe of the run index (none while nothing has run). Rows share
+    /// the database's activity and designer names.
     pub fn status(&self) -> StatusReport {
         let db = self.store.db();
-        let rows = self
-            .schema
-            .rules()
+        let rules = self.schema.rules();
+        let by_name = self.schema.rule_positions_by_name();
+        let mut containers: Vec<Option<(&Arc<str>, &[ScheduleInstanceId])>> =
+            vec![None; rules.len()];
+        let mut walk = db.schedule_containers_by_name().peekable();
+        for &r in by_name.iter() {
+            let activity = rules[r].activity();
+            while let Some(&(name, ids)) = walk.peek() {
+                match (**name).cmp(activity) {
+                    Ordering::Less => {
+                        walk.next();
+                    }
+                    Ordering::Equal => {
+                        containers[r] = Some((name, ids));
+                        walk.next();
+                        break;
+                    }
+                    Ordering::Greater => break,
+                }
+            }
+        }
+        let any_runs = !db.runs().is_empty();
+        let rows = rules
             .iter()
-            .map(|rule| {
-                let activity = rule.activity().to_owned();
-                // One lookup of the current plan serves the plan, the
-                // actual finish and the slip.
-                let plan = db.current_plan(&activity);
+            .zip(containers)
+            .map(|(rule, container)| {
+                // The current plan serves the plan, the actual finish
+                // and the slip.
+                let (activity, plan) = match container {
+                    Some((name, ids)) => (
+                        Arc::clone(name),
+                        ids.last().map(|&id| db.schedule_instance(id)),
+                    ),
+                    None => (Arc::from(rule.activity()), None),
+                };
                 let planned = plan.map(|p| (p.planned_start(), p.planned_finish()));
-                let assignees = plan.map(|p| p.assignees().to_vec()).unwrap_or_default();
-                let actual_start = db.actual_start(&activity);
+                let assignees = plan.map(|p| p.shared_assignees()).unwrap_or_default();
+                let actual_start = if any_runs {
+                    db.actual_start(&activity)
+                } else {
+                    None
+                };
                 let actual_finish = plan
                     .and_then(|p| p.linked_entity())
                     .map(|e| db.entity_instance(e).created_at());
                 let complete = plan.is_some_and(|p| p.is_complete());
-                let state = if !complete && self.blocked.contains(&activity) {
+                let state = if !complete && self.blocked.contains(&*activity) {
                     ActivityState::Blocked
                 } else {
                     match (plan, actual_start, actual_finish) {
@@ -238,6 +326,7 @@ impl Hercules {
         StatusReport {
             rows,
             status_date: self.clock,
+            by_name,
         }
     }
 }
@@ -373,5 +462,60 @@ mod tests {
             ActivityState::Planned
         );
         assert!(h.status().to_string().contains("blocked"));
+    }
+
+    #[test]
+    fn row_finds_every_activity_of_a_layered_flow() {
+        let mut h = Hercules::new(
+            examples::layered(20, 50, 3),
+            ToolLibrary::standard(),
+            Team::of_size(8),
+            1995,
+        );
+        h.plan("merged").unwrap();
+        let status = h.status();
+        assert_eq!(status.rows().len(), h.schema().rules().len());
+        for (rule, row) in h.schema().rules().iter().zip(status.rows()) {
+            assert_eq!(&*row.activity, rule.activity());
+            let found = status.row(rule.activity()).expect("a row per activity");
+            assert!(std::ptr::eq(found, row), "{}", rule.activity());
+        }
+        for missing in ["", "L0W", "L99W0", "Merge2", "merge"] {
+            assert!(status.row(missing).is_none(), "{missing}");
+        }
+        assert!(status.to_string().len() <= status.text_capacity());
+    }
+
+    #[test]
+    fn status_walks_past_missing_and_foreign_containers() {
+        // A store built by hand: Create has no container, and two
+        // containers name activities the schema does not have, one
+        // sorting before every activity and one between them.
+        let mut db = metadata::MetadataDb::new();
+        for class in ["netlist", "stimuli", "performance"] {
+            db.declare_entity_container(class);
+        }
+        db.declare_schedule_container("Aardvark", "netlist");
+        db.declare_schedule_container("Middle", "netlist");
+        db.declare_schedule_container("Simulate", "performance");
+        let h = Hercules::with_store(
+            examples::circuit_design(),
+            ToolLibrary::standard(),
+            Team::of_size(2),
+            42,
+            Box::new(metadata::ArenaStore::new(db)),
+        );
+        let status = h.status();
+        let names: Vec<&str> = status.rows().iter().map(|r| &*r.activity).collect();
+        assert_eq!(names, ["Create", "Simulate"]);
+        assert!(status
+            .rows()
+            .iter()
+            .all(|r| r.state == ActivityState::Unplanned));
+        assert_eq!(
+            status.row("Simulate").unwrap().activity.as_ref(),
+            "Simulate"
+        );
+        assert!(status.row("Aardvark").is_none());
     }
 }

@@ -45,13 +45,13 @@ pub struct MetadataDb {
     pub(crate) entities: Vec<EntityInstance>,
     pub(crate) schedules: Vec<ScheduleInstance>,
     pub(crate) runs: Vec<Run>,
-    /// Per activity: positions in `runs` of its runs, oldest first —
-    /// the history `runs_of`, `actual_start` and run iteration numbers
-    /// read instead of scanning every run. Kept in step by
-    /// [`begin_run`](Self::begin_run), the only place a run is created:
-    /// journal replay, `load` and compaction's reload all go through
-    /// it. The key is the activity's schedule-container name.
-    pub(crate) runs_by_activity: HashMap<Arc<str>, Vec<u32>>,
+    /// Per activity: its run history — the history `runs_of`,
+    /// `actual_start` and run iteration numbers read instead of scanning
+    /// every run. Kept in step by [`begin_run`](Self::begin_run), the
+    /// only place a run is created: journal replay, `load` and
+    /// compaction's reload all go through it. The key is the activity's
+    /// schedule-container name.
+    pub(crate) runs_by_activity: HashMap<Arc<str>, RunHistory>,
     pub(crate) sessions: Vec<PlanningSession>,
     pub(crate) data: Vec<DataObject>,
     /// The data segment stored data objects live in — set by the
@@ -74,6 +74,14 @@ pub struct MetadataDb {
     /// reject handles stamped with an older generation as
     /// [`MetadataError::StaleHandle`].
     pub(crate) generation: u32,
+}
+
+/// One activity's runs: their positions in `MetadataDb::runs`, oldest
+/// first, and the earliest start among them (the actual start).
+#[derive(Debug, Clone, Default)]
+pub(crate) struct RunHistory {
+    runs: Vec<u32>,
+    first_start: WorkDays,
 }
 
 impl MetadataDb {
@@ -131,6 +139,19 @@ impl MetadataDb {
     /// first; `None` if the activity has no container.
     pub fn schedule_container(&self, activity: &str) -> Option<&[ScheduleInstanceId]> {
         self.schedule_containers.get(activity).map(Vec::as_slice)
+    }
+
+    /// Every schedule container in activity-name order: the name the
+    /// activity's schedule instances share, and their ids, oldest first.
+    /// Walking it beside a name-sorted list of activities (such as
+    /// [`TaskSchema::rule_positions_by_name`]) finds every container
+    /// without a lookup.
+    pub fn schedule_containers_by_name(
+        &self,
+    ) -> impl Iterator<Item = (&Arc<str>, &[ScheduleInstanceId])> + '_ {
+        self.schedule_containers
+            .iter()
+            .map(|(name, ids)| (name, ids.as_slice()))
     }
 
     /// All entity-class container names, sorted.
@@ -281,17 +302,23 @@ impl MetadataDb {
             started_md: to_millidays(started_at),
         });
         self.crash_point()?;
-        let history = self.runs_by_activity.entry(name).or_default();
-        let iteration = history.len() as u32 + 1;
-        history.push(self.runs.len() as u32);
         let id = RunId::new(self.runs.len() as u32, self.generation);
-        self.runs.push(Run::new(
+        let history = self.runs_by_activity.entry(name).or_default();
+        let run = Run::new(
             id,
             activity.to_owned(),
             operator.to_owned(),
-            iteration,
+            history.runs.len() as u32 + 1,
             started_at,
-        ));
+        );
+        // The run holds its start in milli-days; the actual start is
+        // the earliest of those.
+        let start = run.started_at();
+        if history.runs.is_empty() || start.days().total_cmp(&history.first_start.days()).is_lt() {
+            history.first_start = start;
+        }
+        history.runs.push(id.index() as u32);
+        self.runs.push(run);
         Ok(id)
     }
 
@@ -535,7 +562,9 @@ impl MetadataDb {
     /// Number of runs of one activity — the iteration number its last
     /// run carries.
     pub fn run_count_of(&self, activity: &str) -> usize {
-        self.runs_by_activity.get(activity).map_or(0, Vec::len)
+        self.runs_by_activity
+            .get(activity)
+            .map_or(0, |h| h.runs.len())
     }
 
     /// Runs of one activity, oldest first, read from the run index.
@@ -545,7 +574,7 @@ impl MetadataDb {
     ) -> impl DoubleEndedIterator<Item = &'a Run> + 'a {
         self.runs_by_activity
             .get(activity)
-            .map_or(&[][..], Vec::as_slice)
+            .map_or(&[][..], |h| h.runs.as_slice())
             .iter()
             .map(|&i| &self.runs[i as usize])
     }
@@ -938,10 +967,10 @@ impl MetadataDb {
     /// Actual start of `activity`: the start of its first run. "Once a
     /// data instance for the particular task is created, the actual
     /// start date for the task is set" (§IV-C).
+    ///
+    /// One lookup: the run index keeps each activity's earliest start.
     pub fn actual_start(&self, activity: &str) -> Option<WorkDays> {
-        self.history_of(activity)
-            .map(Run::started_at)
-            .min_by(|a, b| a.days().total_cmp(&b.days()))
+        self.runs_by_activity.get(activity).map(|h| h.first_start)
     }
 
     /// Actual finish of `activity`: the creation time of the entity

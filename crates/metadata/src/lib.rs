@@ -77,7 +77,9 @@ pub use export::LoadError;
 pub use framing::Framing;
 pub use ids::{DataObjectId, EntityInstanceId, PlanningSessionId, RunId, ScheduleInstanceId};
 pub use journal::{Journal, JournalOp, SlotRange};
-pub use objects::{DataObject, EntityInstance, PlanningSession, Run, RunState, ScheduleInstance};
+pub use objects::{
+    Assignees, DataObject, EntityInstance, PlanningSession, Run, RunState, ScheduleInstance,
+};
 pub use store::{
     ArenaStore, CompactionStats, CorruptionKind, CorruptionReport, PersistentStore, Store,
     StoreError,

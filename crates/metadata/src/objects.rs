@@ -326,30 +326,52 @@ pub(crate) struct PlanBody {
     assignees: Assignees,
 }
 
-/// The designers assigned to one schedule instance: none or one inline,
-/// two or more spilled to the heap.
-#[derive(Debug, Clone, PartialEq)]
-enum Assignees {
+/// The designers assigned to one schedule instance, sharing the
+/// database's designer names: none or one held inline, two or more
+/// spilled to the heap, so a clone of a set of at most one designer
+/// allocates nothing. Reads as a slice.
+#[derive(Debug, Clone)]
+pub struct Assignees(AssigneeSet);
+
+#[derive(Debug, Clone)]
+enum AssigneeSet {
     Inline(Option<Arc<str>>),
     Spilled(Vec<Arc<str>>),
 }
 
+impl Default for Assignees {
+    /// No designer.
+    fn default() -> Self {
+        Assignees(AssigneeSet::Inline(None))
+    }
+}
+
 impl Assignees {
-    fn as_slice(&self) -> &[Arc<str>] {
-        match self {
-            Assignees::Inline(one) => one.as_slice(),
-            Assignees::Spilled(all) => all,
+    fn push(&mut self, designer: Arc<str>) {
+        match &mut self.0 {
+            AssigneeSet::Inline(None) => self.0 = AssigneeSet::Inline(Some(designer)),
+            AssigneeSet::Inline(Some(first)) => {
+                self.0 = AssigneeSet::Spilled(vec![Arc::clone(first), designer]);
+            }
+            AssigneeSet::Spilled(all) => all.push(designer),
         }
     }
+}
 
-    fn push(&mut self, designer: Arc<str>) {
-        match self {
-            Assignees::Inline(None) => *self = Assignees::Inline(Some(designer)),
-            Assignees::Inline(Some(first)) => {
-                *self = Assignees::Spilled(vec![Arc::clone(first), designer]);
-            }
-            Assignees::Spilled(all) => all.push(designer),
+impl std::ops::Deref for Assignees {
+    type Target = [Arc<str>];
+
+    fn deref(&self) -> &[Arc<str>] {
+        match &self.0 {
+            AssigneeSet::Inline(one) => one.as_slice(),
+            AssigneeSet::Spilled(all) => all,
         }
+    }
+}
+
+impl PartialEq for Assignees {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
     }
 }
 
@@ -363,7 +385,7 @@ impl PlanBody {
             activity,
             planned_start_millidays: to_millidays(planned_start),
             planned_duration_millidays: to_millidays(planned_duration),
-            assignees: Assignees::Inline(None),
+            assignees: Assignees::default(),
         }
     }
 
@@ -374,7 +396,7 @@ impl PlanBody {
 
     /// Adds `designer` unless already assigned.
     pub(crate) fn assign(&mut self, designer: Arc<str>) {
-        if !self.assignees.as_slice().contains(&designer) {
+        if !self.assignees.contains(&designer) {
             self.assignees.push(designer);
         }
     }
@@ -449,7 +471,14 @@ impl ScheduleInstance {
 
     /// Designers assigned to the activity.
     pub fn assignees(&self) -> &[Arc<str>] {
-        self.body.assignees.as_slice()
+        &self.body.assignees
+    }
+
+    /// The assigned designers as a shared set — for holders that outlive
+    /// a borrow of the database. Cloning it allocates only for two or
+    /// more designers.
+    pub fn shared_assignees(&self) -> Assignees {
+        self.body.assignees.clone()
     }
 
     /// Whether this version proposes exactly `start`, `duration` and

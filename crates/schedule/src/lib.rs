@@ -53,6 +53,7 @@ mod resource;
 pub mod gantt;
 pub mod montecarlo;
 pub mod pert;
+pub mod text;
 pub mod variance;
 
 pub use calendar::{CalDate, Calendar, Weekday};

@@ -14,7 +14,7 @@ use crate::error::ScheduleError;
 /// ([`Calendar`](crate::Calendar)) map them to civil dates. Fractional
 /// days are allowed (half-day tasks are common in tool runs).
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
-pub struct WorkDays(f64);
+pub struct WorkDays(pub(crate) f64);
 
 impl WorkDays {
     /// Zero duration.
@@ -81,16 +81,6 @@ impl Sub for WorkDays {
     type Output = WorkDays;
     fn sub(self, rhs: WorkDays) -> WorkDays {
         WorkDays(self.0 - rhs.0)
-    }
-}
-
-impl fmt::Display for WorkDays {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if (self.0 - self.0.round()).abs() < 1e-9 {
-            write!(f, "{}d", self.0.round() as i64)
-        } else {
-            write!(f, "{:.2}d", self.0)
-        }
     }
 }
 

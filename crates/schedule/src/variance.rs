@@ -26,6 +26,33 @@ pub struct ActivityStatus {
 }
 
 impl ActivityStatus {
+    /// The dates without the name: planned duration, variances and
+    /// whether it slipped are read from them.
+    pub fn dates(&self) -> ActivityDates {
+        ActivityDates {
+            planned_start: self.planned_start,
+            planned_finish: self.planned_finish,
+            actual_start: self.actual_start,
+            actual_finish: self.actual_finish,
+        }
+    }
+}
+
+/// One activity's planned and actual dates: an [`ActivityStatus`]
+/// without its name, built from borrowed rows at no cost.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ActivityDates {
+    /// Proposed start offset.
+    pub planned_start: WorkDays,
+    /// Proposed finish offset.
+    pub planned_finish: WorkDays,
+    /// Actual start, once work began.
+    pub actual_start: Option<WorkDays>,
+    /// Actual finish, once the designer declared completion.
+    pub actual_finish: Option<WorkDays>,
+}
+
+impl ActivityDates {
     /// Planned duration.
     pub fn planned_duration(&self) -> WorkDays {
         self.planned_finish.saturating_sub(self.planned_start)
@@ -115,6 +142,16 @@ impl fmt::Display for VarianceSummary {
 /// assert_eq!(s.worst_slip, 1.0);
 /// ```
 pub fn summarize(rows: &[ActivityStatus], status_date: WorkDays) -> VarianceSummary {
+    summarize_dates(rows.iter().map(ActivityStatus::dates), status_date)
+}
+
+/// [`summarize`] over each activity's dates, for callers that hold
+/// their rows in another shape and should not copy names to summarize
+/// them.
+pub fn summarize_dates(
+    rows: impl IntoIterator<Item = ActivityDates>,
+    status_date: WorkDays,
+) -> VarianceSummary {
     let now = status_date.days();
     let mut pv = 0.0;
     let mut ev = 0.0;
@@ -222,12 +259,12 @@ mod tests {
 
     #[test]
     fn status_accessors() {
-        let r = row("a", 1.0, 3.0, Some((2.0, 5.0)));
+        let r = row("a", 1.0, 3.0, Some((2.0, 5.0))).dates();
         assert_eq!(r.planned_duration(), WorkDays::new(2.0));
         assert_eq!(r.start_variance(), Some(1.0));
         assert_eq!(r.finish_variance(), Some(2.0));
         assert!(r.slipped());
-        let unstarted = row("b", 0.0, 1.0, None);
+        let unstarted = row("b", 0.0, 1.0, None).dates();
         assert_eq!(unstarted.start_variance(), None);
         assert!(!unstarted.slipped());
     }

@@ -155,6 +155,9 @@ pub struct TaskSchema {
     /// Per rule (by declaration position): its rank in
     /// [`SchemaGraph::activity_order`](crate::SchemaGraph::activity_order).
     ranks: Vec<usize>,
+    /// Rule positions sorted by activity name. Shared, so a status
+    /// report finds its rows by name without copying it.
+    by_name: Arc<[usize]>,
 }
 
 impl TaskSchema {
@@ -224,6 +227,14 @@ impl TaskSchema {
     /// `activity`, if any.
     pub fn rule_position(&self, activity: &str) -> Option<usize> {
         self.rule_index.get(activity).copied()
+    }
+
+    /// Positions in [`rules`](Self::rules) sorted by activity name (byte
+    /// order, as `str` compares): the order a name-keyed container
+    /// iterates in, so a reader can walk one beside the other. Shared
+    /// with the schema.
+    pub fn rule_positions_by_name(&self) -> Arc<[usize]> {
+        Arc::clone(&self.by_name)
     }
 
     /// The rules in the input cone of `target` (a data class or an
@@ -474,6 +485,8 @@ impl TaskSchemaBuilder {
         for c in 0..self.classes.len() {
             consumer_start[c + 1] += consumer_start[c];
         }
+        let mut by_name: Vec<usize> = (0..self.rules.len()).collect();
+        by_name.sort_unstable_by(|&a, &b| self.rules[a].activity().cmp(self.rules[b].activity()));
         let mut schema = TaskSchema {
             name: if self.name.is_empty() {
                 "schema".to_owned()
@@ -488,6 +501,7 @@ impl TaskSchemaBuilder {
             consumers: uses.into_iter().map(|(_, r)| r).collect(),
             consumer_start,
             ranks: Vec::new(),
+            by_name: by_name.into(),
         };
         // Acyclicity: project onto the graph substrate, which rejects
         // cycles at edge insertion. Its topological order is the
@@ -719,5 +733,16 @@ mod tests {
         let s = circuit().build().unwrap();
         let text = s.to_string();
         assert!(text.contains("Simulate: performance = simulator(netlist, stimuli)"));
+    }
+
+    #[test]
+    fn rule_positions_by_name_sort_activities() {
+        let s = crate::examples::layered(3, 12, 2);
+        let by_name = s.rule_positions_by_name();
+        assert_eq!(by_name.len(), s.rules().len());
+        let names: Vec<&str> = by_name.iter().map(|&r| s.rules()[r].activity()).collect();
+        assert!(names.windows(2).all(|w| w[0] < w[1]), "{names:?}");
+        // L0W10 sorts before L0W2: byte order, not declaration order.
+        assert_eq!(&names[..3], ["L0W0", "L0W1", "L0W10"]);
     }
 }

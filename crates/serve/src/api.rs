@@ -46,6 +46,7 @@ use hercules::{
     ExecutionReport, Hercules, Project, ReplanOutcome, SchedulePlan, Workspace, WorkspaceError,
 };
 use obs::{Collector, Metrics};
+use schedule::text::write_padded;
 use schema::parse_schema;
 use simtools::rng::SplitMix64;
 use simtools::workload::Team;
@@ -620,26 +621,43 @@ fn workspace_error(e: WorkspaceError) -> Response {
 
 /// The status body: byte-identical to `herc ws status` output.
 pub fn status_body(h: &Hercules) -> String {
+    let mut out = String::new();
+    write_status(&mut out, h);
+    out
+}
+
+/// Appends the status body to `out`: the report's table, written in
+/// one pass into a buffer sized for it, then the variance line.
+fn write_status(out: &mut String, h: &Hercules) {
+    use std::fmt::Write as _;
     let status = h.status();
-    format!("{status}variance: {}\n", status.variance())
+    out.reserve(status.text_capacity() + 96);
+    let _ = status.write_to(out);
+    let _ = writeln!(out, "variance: {}", status.variance());
 }
 
 /// The plan body: byte-identical to `herc ws plan` output.
 pub fn plan_body(project: &str, target: &str, plan: &SchedulePlan) -> String {
     use std::fmt::Write as _;
-    let mut out = format!("proposed schedule for {target:?} in project {project:?}:\n");
+    let mut out = String::with_capacity(96 + plan.activities().len() * 64);
+    let _ = writeln!(
+        out,
+        "proposed schedule for {target:?} in project {project:?}:"
+    );
     for pa in plan.activities() {
-        let _ = writeln!(
-            out,
-            "  {:<16} [{} .. {}] {} {}",
-            pa.activity,
-            pa.start,
-            pa.start + pa.duration,
-            if pa.critical { "*" } else { " " },
-            pa.assignee
-        );
+        out.push_str("  ");
+        let _ = write_padded(&mut out, &pa.activity, 16);
+        out.push_str(" [");
+        let _ = pa.start.write_to(&mut out);
+        out.push_str(" .. ");
+        let _ = (pa.start + pa.duration).write_to(&mut out);
+        out.push_str(if pa.critical { "] * " } else { "]   " });
+        out.push_str(&pa.assignee);
+        out.push('\n');
     }
-    let _ = writeln!(out, "proposed finish: day {}", plan.project_finish());
+    out.push_str("proposed finish: day ");
+    let _ = plan.project_finish().write_to(&mut out);
+    out.push('\n');
     out
 }
 
@@ -647,28 +665,38 @@ pub fn plan_body(project: &str, target: &str, plan: &SchedulePlan) -> String {
 /// finish.
 pub fn replan_body(target: &str, outcome: &ReplanOutcome) -> String {
     use std::fmt::Write as _;
-    let mut out = format!(
-        "replanned {} activit{} for {target:?}:\n",
+    let mut out = String::with_capacity(96 + outcome.len() * 32);
+    let _ = writeln!(
+        out,
+        "replanned {} activit{} for {target:?}:",
         outcome.len(),
         if outcome.len() == 1 { "y" } else { "ies" }
     );
     for (activity, id) in &outcome.replanned {
-        let _ = writeln!(out, "  {activity:<16} {id}");
+        out.push_str("  ");
+        let _ = write_padded(&mut out, activity, 16);
+        let _ = writeln!(out, " {id}");
     }
-    let _ = writeln!(out, "proposed finish: day {}", outcome.project_finish);
+    out.push_str("proposed finish: day ");
+    let _ = outcome.project_finish.write_to(&mut out);
+    out.push('\n');
     out
 }
 
 /// The run body: the `herc ws run` summary line plus the post-run
 /// status report.
 pub fn run_body(project: &str, report: &ExecutionReport, h: &Hercules) -> String {
-    format!(
-        "project {project:?}: executed {} activities in {} runs, finished day {}\n\n{}",
+    use std::fmt::Write as _;
+    let mut out = String::new();
+    let _ = write!(
+        out,
+        "project {project:?}: executed {} activities in {} runs, finished day {}\n\n",
         report.activities().len(),
         report.total_runs(),
-        report.finished_at(),
-        status_body(h)
-    )
+        report.finished_at()
+    );
+    write_status(&mut out, h);
+    out
 }
 
 /// Stable endpoint class for metrics/latency labels.
