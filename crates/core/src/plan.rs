@@ -1,10 +1,10 @@
-use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use metadata::{MetadataDb, PlanningSessionId, ScheduleInstanceId};
 use schedule::{
-    level_resources, ActivityId, IncrementalCpm, Resource, ResourcePool, ScheduleNetwork, WorkDays,
+    level_resources, ActivityId, IncrementalCpm, LeveledSchedule, Resource, ResourcePool,
+    ScheduleNetwork, WorkDays,
 };
 
 use crate::error::HerculesError;
@@ -25,8 +25,9 @@ use crate::task::TaskTree;
 ///   against `runs_seen`, a watermark over the append-only log), and
 ///   when a pass re-versions a completed plan, whose link fed the
 ///   measured duration.
-/// * **Plan caches**, per target: the last pass's network and CPM
-///   state. They name the team's designers, so a team change drops
+/// * **Plan caches**, per target: the last pass's network, CPM state
+///   and levelled schedule, and each activity's schedule-container
+///   slot. They name the team's designers, so a team change drops
 ///   them.
 ///
 /// Replacing or compacting the database drops every estimate and plan
@@ -94,7 +95,8 @@ impl PlanningView {
 /// last analysis. Replanning the same scope only touches activities
 /// whose duration estimates actually changed (the *dirty set*), so the
 /// CPM cost is proportional to the slip's cone of influence rather
-/// than the whole network.
+/// than the whole network; a pass with an empty dirty set levels
+/// nothing either.
 #[derive(Debug, Clone)]
 pub(crate) struct PlanCache {
     network: ScheduleNetwork,
@@ -102,7 +104,15 @@ pub(crate) struct PlanCache {
     /// is network activity `ids[k]`.
     in_scope: Vec<usize>,
     ids: Vec<ActivityId>,
+    /// The k-th in-scope activity's schedule-container slot (`None`
+    /// if the database has no container for it), so a pass reads
+    /// current plans by position. Slots hold for the database's life;
+    /// a gc or a restore, which replace it, drops every plan cache.
+    slots: Vec<Option<usize>>,
     inc: IncrementalCpm,
+    /// The last pass's levelled schedule: a pure function of `network`
+    /// and the team, so a pass whose dirty set is empty reuses it.
+    leveled: LeveledSchedule,
 }
 
 /// Cached handles into the [`obs::Metrics`] registry for the planner's
@@ -114,6 +124,7 @@ struct PlanMetrics {
     calls: obs::Counter,
     cache_hits: obs::Counter,
     full_rebuilds: obs::Counter,
+    level_reused: obs::Counter,
     dirty: obs::Histogram,
     cpm_recomputed: obs::Histogram,
     estimates_recomputed: obs::Histogram,
@@ -125,6 +136,7 @@ fn plan_metrics() -> &'static PlanMetrics {
         calls: obs::Metrics::counter("hercules.plan.calls"),
         cache_hits: obs::Metrics::counter("hercules.plan.cache_hits"),
         full_rebuilds: obs::Metrics::counter("hercules.plan.full_rebuilds"),
+        level_reused: obs::Metrics::counter("hercules.plan.level_reused"),
         dirty: obs::Metrics::histogram(
             "hercules.plan.dirty_size",
             &[0.0, 1.0, 4.0, 16.0, 64.0, 256.0, 1024.0, 4096.0],
@@ -155,6 +167,16 @@ pub struct PlannedActivity {
     pub assignee: String,
     /// Whether the activity is on the plan's critical path.
     pub critical: bool,
+}
+
+impl PlannedActivity {
+    /// The finish the database records for this proposal: start and
+    /// duration each rounded to the milli-day ([`WorkDays::recorded`]),
+    /// then added, as [`metadata::ScheduleInstance::planned_finish`]
+    /// does — the plan finish status shows.
+    pub fn recorded_finish(&self) -> WorkDays {
+        self.start.recorded() + self.duration.recorded()
+    }
 }
 
 /// The result of planning a target: the schedule instances created by
@@ -197,6 +219,17 @@ impl SchedulePlan {
     /// The proposed project finish (makespan under team constraints).
     pub fn project_finish(&self) -> WorkDays {
         self.project_finish
+    }
+
+    /// The proposed finish as the recorded plans give it: the latest
+    /// [`PlannedActivity::recorded_finish`], or
+    /// [`project_finish`](Self::project_finish) for an empty plan.
+    pub fn recorded_finish(&self) -> WorkDays {
+        self.activities
+            .iter()
+            .map(PlannedActivity::recorded_finish)
+            .reduce(WorkDays::max)
+            .unwrap_or(self.project_finish)
     }
 
     /// The entry for `activity`, if planned.
@@ -294,7 +327,7 @@ impl Hercules {
         let mut cache_hit = false;
         let dirty_count;
         let cpm_recomputed;
-        let (net, ids, inc) = match cached {
+        let (net, ids, slots, inc, kept) = match cached {
             Some(mut c) => {
                 let mut dirty: Vec<ActivityId> = Vec::new();
                 for (k, &i) in in_scope.iter().enumerate() {
@@ -322,7 +355,10 @@ impl Hercules {
                 cache_hit = true;
                 dirty_count = dirty.len();
                 cpm_recomputed = update.total_recomputed();
-                (c.network, c.ids, c.inc)
+                // No duration moved, so the network, and with it the
+                // levelled schedule, is the last pass's.
+                let kept = dirty.is_empty().then_some(c.leveled);
+                (c.network, c.ids, c.slots, c.inc, kept)
             }
             None => {
                 // Build the precedence network with estimated durations.
@@ -349,20 +385,32 @@ impl Hercules {
                     net.add_demand(id, self.team.assignee(k).to_owned(), 1)?;
                 }
                 let inc = net.analyze_incremental()?;
+                let db = self.store.db();
+                let slots = in_scope
+                    .iter()
+                    .map(|&i| db.container_slot(&names[i]))
+                    .collect();
                 obs::event!("plan.cache_miss", scope = in_scope.len());
                 dirty_count = in_scope.len();
                 cpm_recomputed = 2 * in_scope.len();
-                (net, ids, inc)
+                (net, ids, slots, inc, None)
             }
         };
-        // Assign designers round-robin in dependency order and level
-        // against the team: one designer works one activity at a time.
-        let mut pool = ResourcePool::new();
-        for designer in self.team.iter() {
-            pool.add(Resource::new(designer, 1));
-        }
+        let relevelled = kept.is_none();
+        let leveled = match kept {
+            Some(leveled) => leveled,
+            None => {
+                // Assign designers round-robin in dependency order and
+                // level against the team: one designer works one
+                // activity at a time.
+                let mut pool = ResourcePool::new();
+                for designer in self.team.iter() {
+                    pool.add(Resource::new(designer, 1));
+                }
+                level_resources(&net, &pool)?
+            }
+        };
         let cpm = inc.analysis(&net);
-        let leveled = level_resources(&net, &pool)?;
 
         // Record the simulated execution: one planning session, one new
         // schedule-instance version per activity, in post-order. A
@@ -384,23 +432,28 @@ impl Hercules {
                 critical: cpm.is_critical(ids[k]),
             }
         };
-        let mut changed = Vec::with_capacity(in_scope.len());
+        // Per activity, the current plan to carry, or `None` when the
+        // proposal changes it (or there is none).
+        let db = self.store.db();
+        let mut carry = Vec::with_capacity(in_scope.len());
         for (k, &i) in in_scope.iter().enumerate() {
             let (start, duration) = proposal(k);
-            let current = self.store.db().current_plan(&names[i]);
+            let current = slots[k].and_then(|slot| db.current_plan_at(slot));
             // A new version of a completed plan drops its link, which
             // the measured duration reads.
             if current.is_some_and(|c| c.is_complete()) {
                 self.view.drop_estimate(tree.rule_position_at(i));
             }
-            changed.push(!current.is_some_and(|current| {
-                current.proposes(start, duration, &[self.team.assignee(k)])
-            }));
+            carry.push(
+                current
+                    .filter(|c| c.proposes(start, duration, &[self.team.assignee(k)]))
+                    .map(|c| c.id()),
+            );
         }
         let mut activities = Vec::with_capacity(in_scope.len());
         let mut k = 0;
         while k < in_scope.len() {
-            if changed[k] {
+            if carry[k].is_none() {
                 let (start, duration) = proposal(k);
                 let sc = self
                     .store
@@ -409,20 +462,12 @@ impl Hercules {
                 activities.push(planned(k, sc));
                 k += 1;
             } else {
-                let end = k + changed[k..].iter().take_while(|&&c| !c).count();
-                // A run of tree neighbours is a slice of the tree's
-                // names; only a run across skipped activities copies.
-                let (first, last) = (in_scope[k], in_scope[end - 1]);
-                let run: Cow<'_, [String]> = if last - first == end - 1 - k {
-                    Cow::Borrowed(&names[first..=last])
-                } else {
-                    Cow::Owned((k..end).map(|j| name(j).to_owned()).collect())
-                };
+                let run: Vec<ScheduleInstanceId> = carry[k..].iter().map_while(|&c| c).collect();
                 let minted = self.store.carry_plan(session, &run)?;
                 for (j, sc) in minted.into_iter().enumerate() {
                     activities.push(planned(k + j, sc));
                 }
-                k = end;
+                k += run.len();
             }
         }
         let project_finish = activities
@@ -435,7 +480,9 @@ impl Hercules {
                 network: net,
                 in_scope,
                 ids,
+                slots,
                 inc,
+                leveled,
             },
         );
         // Publish the pass's instrumentation: the shared metrics
@@ -447,6 +494,9 @@ impl Hercules {
         if cache_hit {
             m.cache_hits.inc();
         }
+        if !relevelled {
+            m.level_reused.inc();
+        }
         m.dirty.observe(dirty_count as f64);
         m.cpm_recomputed.observe(cpm_recomputed as f64);
         m.estimates_recomputed.observe(recomputed as f64);
@@ -454,6 +504,7 @@ impl Hercules {
         plan_span.record("dirty", dirty_count);
         plan_span.record("cpm_recomputed", cpm_recomputed);
         plan_span.record("cpm_total", cpm_total);
+        plan_span.record("relevelled", relevelled);
         plan_span.record("project_finish_days", project_finish.days());
         Ok(SchedulePlan {
             session,
@@ -712,12 +763,14 @@ mod tests {
         let p1 = h.plan("performance").unwrap();
         let first = plan_span(&session.finish());
         assert!(!arg_bool(&first, "cache_hit"));
+        assert!(arg_bool(&first, "relevelled"));
         assert_eq!(arg_u64(&first, "dirty"), 2);
         assert_eq!(arg_u64(&first, "cpm_total"), 2);
         let session = obs::Collector::session();
         let p2 = h.plan("performance").unwrap();
         let second = plan_span(&session.finish());
         assert!(arg_bool(&second, "cache_hit"));
+        assert!(!arg_bool(&second, "relevelled"), "nothing changed");
         assert_eq!(arg_u64(&second, "dirty"), 0);
         assert_eq!(arg_u64(&second, "cpm_recomputed"), 0);
         // The registry aggregates the same passes (>= because other
@@ -743,6 +796,7 @@ mod tests {
         let p2 = h.plan("performance").unwrap();
         let stats = plan_span(&session.finish());
         assert!(arg_bool(&stats, "cache_hit"));
+        assert!(arg_bool(&stats, "relevelled"), "a duration moved");
         assert_eq!(arg_u64(&stats, "dirty"), 1);
         assert!(arg_u64(&stats, "cpm_recomputed") >= 1);
         assert!(arg_u64(&stats, "cpm_recomputed") <= 2 * arg_u64(&stats, "cpm_total"));

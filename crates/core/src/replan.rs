@@ -13,6 +13,10 @@ pub struct ReplanOutcome {
     pub replanned: Vec<(String, ScheduleInstanceId)>,
     /// The updated proposed finish of the affected scope.
     pub project_finish: WorkDays,
+    /// The same finish as the recorded versions give it (see
+    /// [`SchedulePlan::recorded_finish`]); `project_finish` when nothing
+    /// was replanned.
+    pub recorded_finish: WorkDays,
     /// The slip (in days) that triggered the replan, if it was a slip
     /// propagation.
     pub slip_days: Option<f64>,
@@ -63,6 +67,7 @@ impl Hercules {
             return Ok(ReplanOutcome {
                 replanned: Vec::new(),
                 project_finish: self.clock,
+                recorded_finish: self.clock,
                 slip_days: None,
             });
         }
@@ -87,6 +92,7 @@ impl Hercules {
         Ok(ReplanOutcome {
             replanned,
             project_finish: plan.project_finish(),
+            recorded_finish: plan.recorded_finish(),
             slip_days: None,
         })
     }
@@ -121,6 +127,7 @@ impl Hercules {
             return Ok(ReplanOutcome {
                 replanned: Vec::new(),
                 project_finish: self.clock,
+                recorded_finish: self.clock,
                 slip_days: None,
             });
         };
@@ -128,6 +135,7 @@ impl Hercules {
             return Ok(ReplanOutcome {
                 replanned: Vec::new(),
                 project_finish: self.clock,
+                recorded_finish: self.clock,
                 slip_days: Some(slip),
             });
         }
@@ -150,6 +158,7 @@ impl Hercules {
         let session = self.store.begin_planning(self.clock);
         let mut replanned = Vec::new();
         let mut project_finish = self.clock;
+        let mut recorded_finish: Option<WorkDays> = None;
         for &name in &affected {
             let Some(plan) = self.store.db().current_plan(name) else {
                 continue;
@@ -170,6 +179,8 @@ impl Hercules {
             if finish.days() > project_finish.days() {
                 project_finish = finish;
             }
+            let recorded = new_start.recorded() + duration.recorded();
+            recorded_finish = Some(recorded_finish.map_or(recorded, |r| r.max(recorded)));
             replanned.push((name.to_owned(), sc));
         }
         slip_span.record("slip_days", slip);
@@ -177,6 +188,7 @@ impl Hercules {
         Ok(ReplanOutcome {
             replanned,
             project_finish,
+            recorded_finish: recorded_finish.unwrap_or(project_finish),
             slip_days: Some(slip),
         })
     }

@@ -1,7 +1,9 @@
 //! Seeded property: the planning view never changes what planning
 //! computes. After any sequence of estimate changes, executions (some
-//! fault-injected, some of a prefix of the flow), plans, replans,
-//! slips, gc, restores and what-if trials:
+//! fault-injected, some of a prefix of the flow), plans, replans
+//! (alone or back to back, so passes that change nothing and reuse the
+//! levelled schedule are common), slips, team changes, gc, restores and
+//! what-if trials:
 //!
 //! * every estimate the view keeps, once it has seen the run log,
 //!   equals a fresh [`Hercules::duration_estimate`];
@@ -31,14 +33,14 @@ fn manager() -> Hercules {
 }
 
 /// A new manager over a copy of `warm`'s database, given `warm`'s
-/// intuition estimates and clock. The database keeps times in
+/// team, intuition estimates and clock. The database keeps times in
 /// millidays, so the clock is copied, not re-derived from it.
 fn cold(warm: &Hercules) -> Hercules {
     let store = ArenaStore::new(warm.db().clone());
     let mut cold = Hercules::with_store(
         examples::asic_flow(),
         ToolLibrary::standard(),
-        Team::of_size(2),
+        warm.team.clone(),
         11,
         Box::new(store),
     );
@@ -86,7 +88,7 @@ fn apply(warm: &mut Hercules, saved: &mut Option<String>, code: u64) {
         .map(|r| r.activity().to_owned())
         .collect();
     let activity = activities[arg as usize % activities.len()].as_str();
-    match code % 10 {
+    match code % 12 {
         // A small set of values, so some calls repeat the current one.
         0 | 1 => {
             let days = WorkDays::new(0.5 + (arg / 16 % 4) as f64);
@@ -109,6 +111,12 @@ fn apply(warm: &mut Hercules, saved: &mut Option<String>, code: u64) {
         7 => {
             warm.gc().expect("arena gc");
         }
+        // Team sizes 1 to 3 around the initial 2, so some changes keep
+        // the size.
+        10 => warm.set_team(Team::of_size(1 + arg as usize % 3)),
+        // Back to back: on the warm side every pass after the first
+        // changes nothing, so it reuses the kept levelled schedule.
+        11 => same_on_cold(warm, |h| (h.plan(TARGET), h.replan(TARGET), h.plan(TARGET))),
         // Save the database, or go back to the saved one: fewer runs,
         // older plans.
         8 => match saved.take() {
@@ -118,17 +126,18 @@ fn apply(warm: &mut Hercules, saved: &mut Option<String>, code: u64) {
             }
             _ => *saved = Some(warm.db().dump()),
         },
-        _ => {
+        9 => {
             same_on_cold(warm, |h| h.sweep_team_sizes(TARGET, WorkDays::new(60.0), 3));
             same_on_cold(warm, |h| h.crash_advice(TARGET, 0.5));
         }
+        _ => unreachable!("op codes are taken modulo 12"),
     }
 }
 
 props! {
     config(cases = 24);
 
-    fn the_view_never_changes_what_planning_computes(ops in vec(0u64..640, 4..40)) {
+    fn the_view_never_changes_what_planning_computes(ops in vec(0u64..768, 4..40)) {
         let mut warm = manager();
         let mut saved = None;
         for code in ops {

@@ -98,19 +98,19 @@ impl Store for FullVersions {
     fn carry_plan(
         &mut self,
         session: PlanningSessionId,
-        activities: &[String],
+        from: &[ScheduleInstanceId],
     ) -> Result<Vec<ScheduleInstanceId>, MetadataError> {
-        let mut minted = Vec::with_capacity(activities.len());
-        for activity in activities {
-            let current = self
-                .0
-                .db()
-                .current_plan(activity)
-                .ok_or_else(|| MetadataError::CannotCarry(activity.clone()))?;
+        let mut minted = Vec::with_capacity(from.len());
+        for &pred in from {
+            let current = self.0.db().schedule_instance(pred);
+            let activity = current.activity().to_owned();
+            if self.0.db().current_plan(&activity).map(|c| c.id()) != Some(pred) {
+                return Err(MetadataError::CannotCarry(pred.to_string()));
+            }
             let start = current.planned_start();
             let duration = current.planned_duration();
             let assignees = current.assignees().to_vec();
-            let sc = self.0.plan_activity(session, activity, start, duration)?;
+            let sc = self.0.plan_activity(session, &activity, start, duration)?;
             for designer in assignees {
                 self.0.assign(sc, &designer)?;
             }

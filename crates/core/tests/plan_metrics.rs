@@ -1,8 +1,16 @@
-//! The `hercules.plan.estimates_recomputed` histogram: each planning
-//! pass observes how many duration estimates it had to compute rather
-//! than read from the manager's planning view. This binary holds a
-//! single test, so no other pass observes into the process-wide
-//! registry while it reads the histogram.
+//! The planner's process-wide metrics, read around single passes:
+//!
+//! * the `hercules.plan.estimates_recomputed` histogram — how many
+//!   duration estimates a pass had to compute rather than read from the
+//!   manager's planning view;
+//! * the `hercules.plan.level_reused` counter — the passes that reused
+//!   the kept levelled schedule instead of levelling again.
+//!
+//! The registry is shared by the whole process, so each test holds
+//! [`REGISTRY`] while it plans: no other pass observes into it between
+//! a reading and the next.
+
+use std::sync::{Mutex, MutexGuard};
 
 use hercules::Hercules;
 use schedule::WorkDays;
@@ -10,6 +18,15 @@ use schema::examples;
 use simtools::{workload::Team, ToolLibrary};
 
 const TARGET: &str = "signoff_report";
+
+/// Serializes the tests of this binary over the shared registry.
+static REGISTRY: Mutex<()> = Mutex::new(());
+
+fn registry() -> MutexGuard<'static, ()> {
+    REGISTRY
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 /// Plans `TARGET` and returns the estimates the pass recomputed.
 fn recomputed_by_plan(h: &mut Hercules) -> f64 {
@@ -22,6 +39,7 @@ fn recomputed_by_plan(h: &mut Hercules) -> f64 {
 
 #[test]
 fn estimates_recomputed_counts_what_changed() {
+    let _registry = registry();
     let mut h = Hercules::new(
         examples::asic_flow(),
         ToolLibrary::standard(),
@@ -64,5 +82,83 @@ fn estimates_recomputed_counts_what_changed() {
         recomputed_by_plan(&mut h),
         n,
         "gc drops the view's estimates"
+    );
+}
+
+/// Runs `op` and returns how many planning passes it made and how many
+/// of them reused the kept levelled schedule.
+fn passes_and_reuses(h: &mut Hercules, op: impl FnOnce(&mut Hercules)) -> (u64, u64) {
+    let calls = obs::Metrics::counter("hercules.plan.calls");
+    let reused = obs::Metrics::counter("hercules.plan.level_reused");
+    let (calls_before, reused_before) = (calls.get(), reused.get());
+    op(h);
+    (calls.get() - calls_before, reused.get() - reused_before)
+}
+
+fn plan(h: &mut Hercules) {
+    h.plan(TARGET).expect("plannable");
+}
+
+fn replan(h: &mut Hercules) {
+    h.replan(TARGET).expect("replannable");
+}
+
+#[test]
+fn level_reused_counts_passes_that_changed_nothing() {
+    let _registry = registry();
+    let mut h = Hercules::new(
+        examples::asic_flow(),
+        ToolLibrary::standard(),
+        Team::of_size(3),
+        5,
+    );
+    assert_eq!(passes_and_reuses(&mut h, plan), (1, 0), "the first plan");
+    assert_eq!(
+        passes_and_reuses(&mut h, plan),
+        (1, 1),
+        "an unchanged re-plan"
+    );
+    assert_eq!(
+        passes_and_reuses(&mut h, replan),
+        (1, 1),
+        "an unchanged replan"
+    );
+
+    h.set_estimate("Synthesize", WorkDays::new(7.5))
+        .expect("activity");
+    assert_eq!(
+        passes_and_reuses(&mut h, plan),
+        (1, 0),
+        "a changed estimate"
+    );
+    assert_eq!(passes_and_reuses(&mut h, plan), (1, 1), "settled again");
+
+    // Every trial of a sweep plans under a new team.
+    let sweep = |h: &mut Hercules| {
+        h.sweep_team_sizes(TARGET, WorkDays::new(60.0), 3)
+            .expect("plannable");
+    };
+    assert_eq!(passes_and_reuses(&mut h, sweep), (3, 0), "team changes");
+
+    // Completing the front of the flow narrows a replan's scope.
+    h.execute("netlist").expect("executable");
+    assert_eq!(passes_and_reuses(&mut h, replan), (1, 0), "a scope change");
+    assert_eq!(passes_and_reuses(&mut h, replan), (1, 1), "the same scope");
+
+    h.gc().expect("arena gc");
+    assert_eq!(passes_and_reuses(&mut h, replan), (1, 0), "after gc");
+    assert_eq!(
+        passes_and_reuses(&mut h, replan),
+        (1, 1),
+        "settled after gc"
+    );
+
+    let db = metadata::MetadataDb::load(&h.db().dump()).expect("dump loads");
+    h.restore_db(db).expect("arena restore");
+    assert_eq!(passes_and_reuses(&mut h, replan), (1, 0), "after a restore");
+    assert_eq!(
+        passes_and_reuses(&mut h, replan),
+        (1, 1),
+        "settled after a restore"
     );
 }

@@ -10,8 +10,7 @@ use crate::error::MetadataError;
 use crate::ids::{DataObjectId, EntityInstanceId, PlanningSessionId, RunId, ScheduleInstanceId};
 use crate::journal::{Journal, JournalOp, SlotRange};
 use crate::objects::{
-    to_millidays, DataBody, DataObject, EntityInstance, PlanBody, PlanningSession, Run,
-    ScheduleInstance,
+    DataBody, DataObject, EntityInstance, PlanBody, PlanningSession, Run, ScheduleInstance,
 };
 use crate::segment::{Extent, SegmentSource, DATA_SEGMENT};
 use crate::store::StoreError;
@@ -37,9 +36,16 @@ use crate::store::StoreError;
 pub struct MetadataDb {
     /// Per entity class: instance ids in creation order.
     pub(crate) entity_containers: BTreeMap<String, Vec<EntityInstanceId>>,
-    /// Per activity: schedule instance ids in creation order. The key is
-    /// the name every schedule instance of the activity shares.
-    pub(crate) schedule_containers: BTreeMap<Arc<str>, Vec<ScheduleInstanceId>>,
+    /// Per activity: the slot of its schedule container in
+    /// `containers`. The key is the name every schedule instance of the
+    /// activity shares.
+    pub(crate) schedule_containers: BTreeMap<Arc<str>, u32>,
+    /// Schedule containers by slot, in declaration order: each
+    /// activity's schedule instance ids in creation order. Every
+    /// schedule instance records its container's slot, so versioning
+    /// an activity needs no name lookup. A schema, a dump and a journal
+    /// all declare containers in name order, so slots follow names.
+    pub(crate) containers: Vec<Vec<ScheduleInstanceId>>,
     /// Per activity: its declared output class (for link validation).
     pub(crate) activity_outputs: BTreeMap<String, String>,
     pub(crate) entities: Vec<EntityInstance>,
@@ -99,9 +105,11 @@ impl MetadataDb {
             db.entity_containers
                 .insert(class.name().to_owned(), Vec::new());
         }
-        for rule in schema.rules() {
-            db.schedule_containers
-                .insert(Arc::from(rule.activity()), Vec::new());
+        // Slots in name order, the order status walks the containers
+        // in, so that walk reads them in sequence.
+        for &position in schema.rule_positions_by_name().iter() {
+            let rule = &schema.rules()[position];
+            db.container_slot_or_new(rule.activity());
             db.activity_outputs
                 .insert(rule.activity().to_owned(), rule.output().to_owned());
         }
@@ -138,7 +146,30 @@ impl MetadataDb {
     /// Schedule instance ids in the container for `activity`, oldest
     /// first; `None` if the activity has no container.
     pub fn schedule_container(&self, activity: &str) -> Option<&[ScheduleInstanceId]> {
-        self.schedule_containers.get(activity).map(Vec::as_slice)
+        let slot = self.container_slot(activity)?;
+        Some(&self.containers[slot])
+    }
+
+    /// The slot of `activity`'s schedule container, if it has one: a
+    /// position [`current_plan_at`](Self::current_plan_at) reads
+    /// without a name lookup. A slot stays valid for the database's
+    /// life; another database — a reload of this one's dump, such as
+    /// compaction's — may number its containers differently.
+    pub fn container_slot(&self, activity: &str) -> Option<usize> {
+        self.schedule_containers.get(activity).map(|&s| s as usize)
+    }
+
+    /// The slot of `activity`'s schedule container, declaring an empty
+    /// container at the next slot if it has none.
+    fn container_slot_or_new(&mut self, activity: &str) -> usize {
+        if let Some(slot) = self.container_slot(activity) {
+            return slot;
+        }
+        let slot = self.containers.len();
+        self.containers.push(Vec::new());
+        self.schedule_containers
+            .insert(Arc::from(activity), slot as u32);
+        slot
     }
 
     /// Every schedule container in activity-name order: the name the
@@ -151,7 +182,7 @@ impl MetadataDb {
     ) -> impl Iterator<Item = (&Arc<str>, &[ScheduleInstanceId])> + '_ {
         self.schedule_containers
             .iter()
-            .map(|(name, ids)| (name, ids.as_slice()))
+            .map(|(name, &slot)| (name, self.containers[slot as usize].as_slice()))
     }
 
     /// All entity-class container names, sorted.
@@ -185,9 +216,7 @@ impl MetadataDb {
             activity: activity.to_owned(),
             output_class: output_class.to_owned(),
         });
-        self.schedule_containers
-            .entry(Arc::from(activity))
-            .or_default();
+        self.container_slot_or_new(activity);
         self.activity_outputs
             .insert(activity.to_owned(), output_class.to_owned());
     }
@@ -299,7 +328,7 @@ impl MetadataDb {
         self.journal_op(|| JournalOp::BeginRun {
             activity: activity.to_owned(),
             operator: operator.to_owned(),
-            started_md: to_millidays(started_at),
+            started_md: started_at.millidays(),
         });
         self.crash_point()?;
         let id = RunId::new(self.runs.len() as u32, self.generation);
@@ -389,7 +418,7 @@ impl MetadataDb {
             run,
             output_class: output_class.to_owned(),
             data,
-            finished_md: to_millidays(finished_at),
+            finished_md: finished_at.millidays(),
             inputs: inputs.to_vec(),
         });
         self.crash_point()?;
@@ -429,7 +458,7 @@ impl MetadataDb {
         self.journal_op(|| JournalOp::SupplyInput {
             class: class.to_owned(),
             creator: creator.to_owned(),
-            created_md: to_millidays(created_at),
+            created_md: created_at.millidays(),
             data,
         });
         self.crash_point()?;
@@ -591,7 +620,7 @@ impl MetadataDb {
     /// Opens a planning session (the schedule-space analog of a run).
     pub fn begin_planning(&mut self, at: WorkDays) -> PlanningSessionId {
         self.journal_op(|| JournalOp::BeginPlanning {
-            at_md: to_millidays(at),
+            at_md: at.millidays(),
         });
         let id = PlanningSessionId::new(self.sessions.len() as u32, self.generation);
         self.sessions.push(PlanningSession::new(id, at));
@@ -621,34 +650,32 @@ impl MetadataDb {
         if session.index() >= self.sessions.len() {
             return Err(MetadataError::UnknownId(session.to_string()));
         }
-        let Some((name, _)) = self.schedule_containers.get_key_value(activity) else {
+        let Some((name, &slot)) = self.schedule_containers.get_key_value(activity) else {
             return Err(MetadataError::UnknownActivity(activity.to_owned()));
         };
         let name = Arc::clone(name);
         self.journal_op(|| JournalOp::PlanActivity {
             session,
             activity: activity.to_owned(),
-            start_md: to_millidays(planned_start),
-            duration_md: to_millidays(planned_duration),
+            start_md: planned_start.millidays(),
+            duration_md: planned_duration.millidays(),
         });
         self.crash_point()?;
         let body = PlanBody::new(name, planned_start, planned_duration);
-        Ok(self.push_version(session, Arc::new(body)))
+        Ok(self.push_version(session, slot as usize, Arc::new(body)))
     }
 
-    /// Appends the next version of `body`'s activity to its container
-    /// and to `session`, derived from the activity's latest version.
-    /// The one place a schedule instance is created; callers have
-    /// checked the session and the container.
+    /// Appends the next version of `body`'s activity to its container,
+    /// at slot `slot`, and to `session`, derived from the activity's
+    /// latest version. The one place a schedule instance is created;
+    /// callers have checked the session and the container.
     fn push_version(
         &mut self,
         session: PlanningSessionId,
+        slot: usize,
         body: Arc<PlanBody>,
     ) -> ScheduleInstanceId {
-        let container = self
-            .schedule_containers
-            .get_mut(&**body.activity())
-            .expect("the caller checked the container exists");
+        let container = &mut self.containers[slot];
         let id = ScheduleInstanceId::new(self.schedules.len() as u32, self.generation);
         let version = container.len() as u32 + 1;
         let derived_from = container.last().copied();
@@ -656,6 +683,7 @@ impl MetadataDb {
         self.schedules.push(ScheduleInstance::new(
             id,
             version,
+            slot,
             session,
             body,
             derived_from,
@@ -664,78 +692,47 @@ impl MetadataDb {
         id
     }
 
-    /// Carries the current plan of each of `activities` into `session`
-    /// unchanged: in order, mints for each a new version whose start,
-    /// duration and assignees are those of the activity's latest
-    /// version, derived from it — the version
+    /// Carries each version in `from` into `session` unchanged: in
+    /// order, mints for each a new version of its activity with the
+    /// same start, duration and assignees, derived from it — the version
     /// [`plan_activity`](Self::plan_activity) plus
-    /// [`assign`](Self::assign) would mint for a proposal equal to the
-    /// current plan, as one mutation and one journal record
-    /// (`carry-plan`). Each new version shares its predecessor's plan
-    /// body instead of copying it. Returns the new ids, in order.
+    /// [`assign`](Self::assign) would mint for a proposal equal to it,
+    /// as one mutation and one journal record (`carry-plan`, which names
+    /// the same versions). Each new version shares its predecessor's
+    /// plan body instead of copying it. Everything is checked before
+    /// anything is journaled or minted, so a carry, live or replayed,
+    /// applies whole or not at all. Returns the new ids, in order.
     ///
     /// # Errors
     ///
+    /// * [`MetadataError::StaleHandle`] — an id from an older
+    ///   generation.
     /// * [`MetadataError::UnknownId`] — foreign session id.
-    /// * [`MetadataError::UnknownActivity`] — no container.
-    /// * [`MetadataError::CannotCarry`] — an activity has no version
-    ///   yet, or is listed twice.
+    /// * [`MetadataError::CannotCarry`] — a version does not exist, is
+    ///   not the latest of its activity, or is listed twice.
     pub fn carry_plan(
         &mut self,
         session: PlanningSessionId,
-        activities: &[String],
+        from: &[ScheduleInstanceId],
     ) -> Result<Vec<ScheduleInstanceId>, MetadataError> {
         self.check_alive()?;
         self.check_gen(session.gen, session)?;
         self.check_session(session)?;
-        let mut from = Vec::with_capacity(activities.len());
-        for activity in activities {
-            let Some(container) = self.schedule_containers.get(activity.as_str()) else {
-                return Err(MetadataError::UnknownActivity(activity.clone()));
-            };
-            let Some(&latest) = container.last() else {
-                return Err(MetadataError::CannotCarry(format!(
-                    "{activity:?}: it has no version to carry"
-                )));
-            };
-            from.push(latest);
-        }
-        self.check_listed_once(&from)?;
-        self.mint_carried(session, from)
-    }
-
-    /// The replay of a `carry-plan` record: [`carry_plan`]'s checks
-    /// for versions named by slot. Everything is checked before
-    /// anything is journaled or minted, so a record applies whole or
-    /// not at all: the session exists, and every version exists, is
-    /// the latest of its activity and is listed once.
-    ///
-    /// [`carry_plan`]: Self::carry_plan
-    pub(crate) fn replay_carry(
-        &mut self,
-        session: PlanningSessionId,
-        from: Vec<ScheduleInstanceId>,
-    ) -> Result<Vec<ScheduleInstanceId>, MetadataError> {
-        self.check_alive()?;
-        self.check_session(session)?;
-        for &pred in &from {
+        for &pred in from {
+            self.check_gen(pred.gen, pred)?;
             let Some(sc) = self.schedules.get(pred.index()) else {
                 return Err(MetadataError::CannotCarry(format!(
                     "{pred}: no such version"
                 )));
             };
-            let latest = self
-                .schedule_containers
-                .get(sc.activity())
-                .and_then(|container| container.last());
-            if latest != Some(&pred) {
+            if self.containers[sc.container()].last() != Some(&pred) {
                 return Err(MetadataError::CannotCarry(format!(
                     "{pred}: not the latest version of {:?}",
                     sc.activity()
                 )));
             }
         }
-        self.check_listed_once(&from)?;
+        self.check_listed_once(from)?;
         self.mint_carried(session, from)
     }
 
@@ -770,21 +767,22 @@ impl MetadataDb {
     fn mint_carried(
         &mut self,
         session: PlanningSessionId,
-        from: Vec<ScheduleInstanceId>,
+        from: &[ScheduleInstanceId],
     ) -> Result<Vec<ScheduleInstanceId>, MetadataError> {
         if from.is_empty() {
             return Ok(Vec::new());
         }
         self.journal_op(|| JournalOp::CarryPlan {
             session,
-            from: SlotRange::runs_of(&from),
+            from: SlotRange::runs_of(from),
         });
         self.crash_point()?;
         Ok(from
-            .into_iter()
-            .map(|pred| {
-                let body = Arc::clone(&self.schedules[pred.index()].body);
-                self.push_version(session, body)
+            .iter()
+            .map(|&pred| {
+                let pred = &self.schedules[pred.index()];
+                let (slot, body) = (pred.container(), Arc::clone(&pred.body));
+                self.push_version(session, slot, body)
             })
             .collect())
     }
@@ -803,11 +801,11 @@ impl MetadataDb {
     ) -> Result<ScheduleInstanceId, MetadataError> {
         self.check_gen(session.gen, session)?;
         self.check_session(session)?;
-        let Some((name, container)) = self.schedule_containers.get_key_value(activity) else {
+        let Some((name, &slot)) = self.schedule_containers.get_key_value(activity) else {
             return Err(MetadataError::UnknownActivity(activity.to_owned()));
         };
         let name = Arc::clone(name);
-        let carried = container
+        let carried = self.containers[slot as usize]
             .last()
             .map(|pred| &self.schedules[pred.index()])
             .filter(|pred| pred.proposes(planned_start, planned_duration, assignees))
@@ -822,7 +820,7 @@ impl MetadataDb {
                 Arc::new(body)
             }
         };
-        Ok(self.push_version(session, body))
+        Ok(self.push_version(session, slot as usize, body))
     }
 
     /// Number of distinct plan bodies the schedule instances hold: the
@@ -900,8 +898,17 @@ impl MetadataDb {
 
     /// The latest schedule instance for `activity`, if any.
     pub fn current_plan(&self, activity: &str) -> Option<&ScheduleInstance> {
-        self.schedule_containers
-            .get(activity)?
+        self.current_plan_at(self.container_slot(activity)?)
+    }
+
+    /// The latest schedule instance in the container at `slot` (see
+    /// [`container_slot`](Self::container_slot)), if any.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot` is not a container slot of this database.
+    pub fn current_plan_at(&self, slot: usize) -> Option<&ScheduleInstance> {
+        self.containers[slot]
             .last()
             .map(|&id| self.schedule_instance(id))
     }
@@ -1156,7 +1163,7 @@ mod tests {
             .unwrap();
         db.assign(v1, "alice").unwrap();
         let s2 = db.begin_planning(WorkDays::new(0.5));
-        let v2 = db.carry_plan(s2, &["Create".to_owned()]).unwrap();
+        let v2 = db.carry_plan(s2, &[v1]).unwrap();
         (db, v1, v2[0])
     }
 
@@ -1192,29 +1199,32 @@ mod tests {
 
     #[test]
     fn carry_refusals_are_typed_and_not_journaled() {
-        let (mut db, _, _) = carried();
+        let (mut db, v1, v2) = carried();
         db.enable_journal();
         let before = db.journal().unwrap().len();
         let s = db.begin_planning(WorkDays::ZERO);
-        let one = |name: &str| vec![name.to_owned()];
         assert!(matches!(
-            db.carry_plan(PlanningSessionId::new(9, 0), &one("Create")),
+            db.carry_plan(PlanningSessionId::new(9, 0), &[v2]),
             Err(MetadataError::UnknownId(_))
         ));
         assert!(matches!(
-            db.carry_plan(s.with_gen(1), &one("Create")),
+            db.carry_plan(s.with_gen(1), &[v2]),
             Err(MetadataError::StaleHandle(_))
         ));
         assert!(matches!(
-            db.carry_plan(s, &one("ghost")),
-            Err(MetadataError::UnknownActivity(_))
+            db.carry_plan(s, &[v2.with_gen(1)]),
+            Err(MetadataError::StaleHandle(_))
         ));
         assert!(matches!(
-            db.carry_plan(s, &one("Simulate")),
+            db.carry_plan(s, &[ScheduleInstanceId::new(9, 0)]),
             Err(MetadataError::CannotCarry(_))
         ));
         assert!(matches!(
-            db.carry_plan(s, &["Create".to_owned(), "Create".to_owned()]),
+            db.carry_plan(s, &[v1]),
+            Err(MetadataError::CannotCarry(_))
+        ));
+        assert!(matches!(
+            db.carry_plan(s, &[v2, v2]),
             Err(MetadataError::CannotCarry(_))
         ));
         assert_eq!(

@@ -585,7 +585,8 @@ mod tests {
             db.assign(sc, designer).unwrap();
         }
         let s = db.begin_planning(WorkDays::ZERO);
-        db.carry_plan(s, &["Create".to_owned()]).unwrap();
+        let latest = db.current_plan("Create").unwrap().id();
+        db.carry_plan(s, &[latest]).unwrap();
         let s = db.begin_planning(WorkDays::ZERO);
         let sc = db.plan_activity(s, "Create", start, duration).unwrap();
         db.assign(sc, "bob").unwrap();

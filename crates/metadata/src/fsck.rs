@@ -905,7 +905,8 @@ mod tests {
         let (mem, vfs, _) = seeded("/p");
         let mut store = PersistentStore::open_on(vfs.clone(), "/p").unwrap();
         let s = store.begin_planning(WorkDays::new(1.0));
-        store.carry_plan(s, &["Create".to_owned()]).unwrap();
+        let latest = store.db().current_plan("Create").unwrap().id();
+        store.carry_plan(s, &[latest]).unwrap();
         let dump = store.db().dump();
         drop(store);
         let report = scrub(&*vfs, Path::new("/p")).unwrap();

@@ -70,12 +70,14 @@
 use std::fmt::Write as _;
 use std::sync::Arc;
 
+use schedule::WorkDays;
+
 use crate::database::MetadataDb;
 use crate::error::MetadataError;
 use crate::export::{hex_decode, hex_decode_name, hex_encode_into, LoadError};
 use crate::framing::Framing;
 use crate::ids::{DataObjectId, EntityInstanceId, PlanningSessionId, RunId, ScheduleInstanceId};
-use crate::objects::{from_millidays, to_millidays, DataBody, ScheduleInstance};
+use crate::objects::{DataBody, ScheduleInstance};
 use crate::segment::Extent;
 
 /// One replayable mutation of a [`MetadataDb`] — the redo-log record
@@ -538,7 +540,7 @@ impl Journal {
         // themselves via the PlanActivity ops below).
         for session in &db.sessions {
             journal.record(JournalOp::BeginPlanning {
-                at_md: to_millidays(session.created_at()),
+                at_md: session.created_at().millidays(),
             });
         }
         // Execution space. Entities must be created in allocation order
@@ -550,7 +552,7 @@ impl Journal {
             journal.record(JournalOp::BeginRun {
                 activity: run.activity().to_owned(),
                 operator: run.operator().to_owned(),
-                started_md: to_millidays(run.started_at()),
+                started_md: run.started_at().millidays(),
             });
         };
         let mut runs_begun = 0usize; // runs [0, runs_begun) already emitted
@@ -566,7 +568,7 @@ impl Journal {
                         run: run_id,
                         output_class: e.class().to_owned(),
                         data: e.data(),
-                        finished_md: to_millidays(run.finished_at().unwrap_or(e.created_at())),
+                        finished_md: run.finished_at().unwrap_or(e.created_at()).millidays(),
                         inputs: e.depends_on().to_vec(),
                     });
                 }
@@ -574,7 +576,7 @@ impl Journal {
                     journal.record(JournalOp::SupplyInput {
                         class: e.class().to_owned(),
                         creator: e.creator().to_owned(),
-                        created_md: to_millidays(e.created_at()),
+                        created_md: e.created_at().millidays(),
                         data: e.data(),
                     });
                 }
@@ -636,8 +638,8 @@ impl Journal {
                 None => journal.record(JournalOp::PlanActivity {
                     session: sc.session(),
                     activity: sc.activity().to_owned(),
-                    start_md: to_millidays(sc.planned_start()),
-                    duration_md: to_millidays(sc.planned_duration()),
+                    start_md: sc.planned_start().millidays(),
+                    duration_md: sc.planned_duration().millidays(),
                 }),
             }
         }
@@ -989,7 +991,7 @@ impl MetadataDb {
                 operator,
                 started_md,
             } => {
-                self.begin_run(activity, operator, from_millidays(*started_md))?;
+                self.begin_run(activity, operator, WorkDays::from_millidays(*started_md))?;
             }
             JournalOp::FinishRun {
                 run,
@@ -1003,7 +1005,7 @@ impl MetadataDb {
                     run.with_gen(g),
                     output_class,
                     data.with_gen(g),
-                    from_millidays(*finished_md),
+                    WorkDays::from_millidays(*finished_md),
                     &inputs,
                 )?;
             }
@@ -1016,12 +1018,12 @@ impl MetadataDb {
                 self.supply_input(
                     class,
                     creator,
-                    from_millidays(*created_md),
+                    WorkDays::from_millidays(*created_md),
                     data.with_gen(g),
                 )?;
             }
             JournalOp::BeginPlanning { at_md } => {
-                self.begin_planning(from_millidays(*at_md));
+                self.begin_planning(WorkDays::from_millidays(*at_md));
             }
             JournalOp::PlanActivity {
                 session,
@@ -1032,8 +1034,8 @@ impl MetadataDb {
                 self.plan_activity(
                     session.with_gen(g),
                     activity,
-                    from_millidays(*start_md),
-                    from_millidays(*duration_md),
+                    WorkDays::from_millidays(*start_md),
+                    WorkDays::from_millidays(*duration_md),
                 )?;
             }
             JournalOp::CarryPlan { session, from } => {
@@ -1061,12 +1063,12 @@ impl MetadataDb {
                         "{total} versions: only {known} exist"
                     )));
                 }
-                let ids = from
+                let ids: Vec<ScheduleInstanceId> = from
                     .iter()
                     .flat_map(|run| run.first..=run.last)
                     .map(|slot| ScheduleInstanceId::new(slot, g))
                     .collect();
-                self.replay_carry(session.with_gen(g), ids)?;
+                self.carry_plan(session.with_gen(g), &ids)?;
             }
             JournalOp::Assign { schedule, designer } => {
                 self.assign(schedule.with_gen(g), designer)?;
@@ -1142,7 +1144,7 @@ impl MetadataDb {
 
         // Container membership: schedules, including provenance chains.
         let mut schedule_refs = vec![0usize; n_schedules];
-        for (activity, ids) in &self.schedule_containers {
+        for (activity, ids) in self.schedule_containers_by_name() {
             for (pos, id) in ids.iter().enumerate() {
                 if id.index() >= n_schedules {
                     violations.push(format!(
@@ -1536,21 +1538,22 @@ mod tests {
         let mut db = MetadataDb::for_schema(&examples::circuit_design());
         db.enable_journal();
         let s1 = db.begin_planning(WorkDays::ZERO);
+        let mut first = Vec::new();
         for (activity, start, who) in [("Create", 0.0, "alice"), ("Simulate", 2.0, "bob")] {
             let sc = db
                 .plan_activity(s1, activity, WorkDays::new(start), WorkDays::new(2.0))
                 .unwrap();
             db.assign(sc, who).unwrap();
+            first.push(sc);
         }
         let s2 = db.begin_planning(WorkDays::new(1.0));
-        db.carry_plan(s2, &["Create".to_owned()]).unwrap();
-        let sc = db
+        let create = db.carry_plan(s2, &first[..1]).unwrap()[0];
+        let simulate = db
             .plan_activity(s2, "Simulate", WorkDays::new(3.0), WorkDays::new(2.0))
             .unwrap();
-        db.assign(sc, "bob").unwrap();
+        db.assign(simulate, "bob").unwrap();
         let s3 = db.begin_planning(WorkDays::new(1.0));
-        db.carry_plan(s3, &["Create".to_owned(), "Simulate".to_owned()])
-            .unwrap();
+        db.carry_plan(s3, &[create, simulate]).unwrap();
         db
     }
 

@@ -102,7 +102,7 @@ impl EntityInstance {
             id,
             class,
             version,
-            created_at_millidays: to_millidays(created_at),
+            created_at_millidays: created_at.millidays(),
             creator,
             produced_by,
             depends_on,
@@ -127,7 +127,7 @@ impl EntityInstance {
 
     /// When the instance was created, as an offset from project start.
     pub fn created_at(&self) -> WorkDays {
-        from_millidays(self.created_at_millidays)
+        WorkDays::from_millidays(self.created_at_millidays)
     }
 
     /// Who created it ("when an activity is performed *and by whom*").
@@ -202,14 +202,14 @@ impl Run {
             activity,
             operator,
             iteration,
-            started_at_millidays: to_millidays(started_at),
+            started_at_millidays: started_at.millidays(),
             finished_at_millidays: None,
             output: None,
         }
     }
 
     pub(crate) fn finish(&mut self, finished_at: WorkDays, output: EntityInstanceId) {
-        self.finished_at_millidays = Some(to_millidays(finished_at));
+        self.finished_at_millidays = Some(finished_at.millidays());
         self.output = Some(output);
     }
 
@@ -235,12 +235,12 @@ impl Run {
 
     /// Start offset from project start.
     pub fn started_at(&self) -> WorkDays {
-        from_millidays(self.started_at_millidays)
+        WorkDays::from_millidays(self.started_at_millidays)
     }
 
     /// Finish offset, once finished.
     pub fn finished_at(&self) -> Option<WorkDays> {
-        self.finished_at_millidays.map(from_millidays)
+        self.finished_at_millidays.map(WorkDays::from_millidays)
     }
 
     /// Elapsed duration, once finished.
@@ -310,6 +310,8 @@ impl fmt::Display for Run {
 pub struct ScheduleInstance {
     id: ScheduleInstanceId,
     version: u32,
+    /// The slot of the activity's schedule container.
+    container: u32,
     session: PlanningSessionId,
     pub(crate) body: Arc<PlanBody>,
     derived_from: Option<ScheduleInstanceId>,
@@ -383,15 +385,10 @@ impl PlanBody {
     ) -> Self {
         PlanBody {
             activity,
-            planned_start_millidays: to_millidays(planned_start),
-            planned_duration_millidays: to_millidays(planned_duration),
+            planned_start_millidays: planned_start.millidays(),
+            planned_duration_millidays: planned_duration.millidays(),
             assignees: Assignees::default(),
         }
-    }
-
-    /// The shared name of the planned activity.
-    pub(crate) fn activity(&self) -> &Arc<str> {
-        &self.activity
     }
 
     /// Adds `designer` unless already assigned.
@@ -408,6 +405,7 @@ impl ScheduleInstance {
     pub(crate) fn new(
         id: ScheduleInstanceId,
         version: u32,
+        container: usize,
         session: PlanningSessionId,
         body: Arc<PlanBody>,
         derived_from: Option<ScheduleInstanceId>,
@@ -415,6 +413,7 @@ impl ScheduleInstance {
         ScheduleInstance {
             id,
             version,
+            container: container as u32,
             session,
             body,
             derived_from,
@@ -437,6 +436,11 @@ impl ScheduleInstance {
         self.id
     }
 
+    /// The slot of the activity's schedule container.
+    pub(crate) fn container(&self) -> usize {
+        self.container as usize
+    }
+
     /// The planned activity.
     pub fn activity(&self) -> &str {
         &self.body.activity
@@ -456,12 +460,12 @@ impl ScheduleInstance {
 
     /// Proposed start offset from project start.
     pub fn planned_start(&self) -> WorkDays {
-        from_millidays(self.body.planned_start_millidays)
+        WorkDays::from_millidays(self.body.planned_start_millidays)
     }
 
     /// Proposed duration.
     pub fn planned_duration(&self) -> WorkDays {
-        from_millidays(self.body.planned_duration_millidays)
+        WorkDays::from_millidays(self.body.planned_duration_millidays)
     }
 
     /// Proposed finish offset.
@@ -486,8 +490,8 @@ impl ScheduleInstance {
     /// milli-day resolution, so a proposal this returns `true` for
     /// would be stored as this version's very plan.
     pub fn proposes(&self, start: WorkDays, duration: WorkDays, assignees: &[&str]) -> bool {
-        self.body.planned_start_millidays == to_millidays(start)
-            && self.body.planned_duration_millidays == to_millidays(duration)
+        self.body.planned_start_millidays == start.millidays()
+            && self.body.planned_duration_millidays == duration.millidays()
             && self
                 .assignees()
                 .iter()
@@ -545,7 +549,7 @@ impl PlanningSession {
     pub(crate) fn new(id: PlanningSessionId, created_at: WorkDays) -> Self {
         PlanningSession {
             id,
-            created_at_millidays: to_millidays(created_at),
+            created_at_millidays: created_at.millidays(),
             instances: Vec::new(),
         }
     }
@@ -561,23 +565,13 @@ impl PlanningSession {
 
     /// When planning happened, as an offset from project start.
     pub fn created_at(&self) -> WorkDays {
-        from_millidays(self.created_at_millidays)
+        WorkDays::from_millidays(self.created_at_millidays)
     }
 
     /// Schedule instances created by this session, in planning order.
     pub fn instances(&self) -> &[ScheduleInstanceId] {
         &self.instances
     }
-}
-
-/// Timestamps are stored as integer milli-days so metadata objects stay
-/// `Eq`/hashable while keeping sub-minute planning resolution.
-pub(crate) fn to_millidays(t: WorkDays) -> i64 {
-    (t.days() * 1000.0).round() as i64
-}
-
-pub(crate) fn from_millidays(md: i64) -> WorkDays {
-    WorkDays::new(md as f64 / 1000.0)
 }
 
 #[cfg(test)]
@@ -588,7 +582,7 @@ mod tests {
     fn millidays_roundtrip() {
         for d in [0.0, 0.001, 1.5, 17.25, 9999.0] {
             let t = WorkDays::new(d);
-            assert_eq!(from_millidays(to_millidays(t)), t);
+            assert_eq!(WorkDays::from_millidays(t.millidays()), t);
         }
     }
 
@@ -637,6 +631,7 @@ mod tests {
         let sc = ScheduleInstance::new(
             ScheduleInstanceId::new(0, 0),
             1,
+            0,
             PlanningSessionId::new(0, 0),
             Arc::new(body),
             None,
@@ -652,6 +647,7 @@ mod tests {
         let mut sc = ScheduleInstance::new(
             ScheduleInstanceId::new(0, 0),
             1,
+            0,
             PlanningSessionId::new(0, 0),
             Arc::new(body),
             None,
@@ -670,6 +666,7 @@ mod tests {
         let sc = ScheduleInstance::new(
             ScheduleInstanceId::new(0, 0),
             1,
+            0,
             PlanningSessionId::new(0, 0),
             Arc::new(body),
             None,

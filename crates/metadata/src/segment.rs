@@ -268,7 +268,7 @@ impl SegmentWriter {
             }
         };
         handle.append(bytes)?;
-        let found = vfs.file_size(&self.path);
+        let found = handle.file_len()?;
         if found != extent.end() {
             return Err(io::Error::other(format!(
                 "short append: segment is {found} bytes, expected {}",

@@ -344,7 +344,7 @@ pub trait Store: fmt::Debug + Send + Sync {
     fn carry_plan(
         &mut self,
         session: PlanningSessionId,
-        activities: &[String],
+        from: &[ScheduleInstanceId],
     ) -> Result<Vec<ScheduleInstanceId>, MetadataError>;
 
     /// [`MetadataDb::assign`].
@@ -536,9 +536,9 @@ impl Store for ArenaStore {
     fn carry_plan(
         &mut self,
         session: PlanningSessionId,
-        activities: &[String],
+        from: &[ScheduleInstanceId],
     ) -> Result<Vec<ScheduleInstanceId>, MetadataError> {
-        self.db.carry_plan(session, activities)
+        self.db.carry_plan(session, from)
     }
 
     fn assign(
@@ -1154,10 +1154,10 @@ impl Store for PersistentStore {
     fn carry_plan(
         &mut self,
         session: PlanningSessionId,
-        activities: &[String],
+        from: &[ScheduleInstanceId],
     ) -> Result<Vec<ScheduleInstanceId>, MetadataError> {
         self.check_wedged()?;
-        let r = self.db.carry_plan(session, activities);
+        let r = self.db.carry_plan(session, from);
         self.sync_tail();
         r
     }

@@ -110,9 +110,12 @@ fn run_session(store: &mut PersistentStore, faulty: &FaultVfs) -> SessionOutcome
             3 => {
                 let s = store.begin_planning(t);
                 acknowledged.insert(ack(store));
-                let create = ["Create".to_owned()];
-                if store.carry_plan(s, &create).is_ok() {
-                    acknowledged.insert(ack(store));
+                let create =
+                    |store: &PersistentStore| store.db().current_plan("Create").map(|p| p.id());
+                if let Some(latest) = create(store) {
+                    if store.carry_plan(s, &[latest]).is_ok() {
+                        acknowledged.insert(ack(store));
+                    }
                 }
                 if let Ok(sc) = store.plan_activity(s, "Simulate", t, WorkDays::new(1.0)) {
                     acknowledged.insert(ack(store));
@@ -120,8 +123,10 @@ fn run_session(store: &mut PersistentStore, faulty: &FaultVfs) -> SessionOutcome
                         acknowledged.insert(ack(store));
                     }
                 }
-                if store.carry_plan(s, &create).is_ok() {
-                    acknowledged.insert(ack(store));
+                if let Some(latest) = create(store) {
+                    if store.carry_plan(s, &[latest]).is_ok() {
+                        acknowledged.insert(ack(store));
+                    }
                 }
             }
             // Execute a run end to end.

@@ -5,7 +5,7 @@
 //! must reproduce the live database byte-for-byte.
 
 use harness::prelude::*;
-use metadata::{Journal, MetadataDb};
+use metadata::{Journal, MetadataDb, ScheduleInstanceId};
 use schedule::WorkDays;
 use schema::examples;
 
@@ -110,11 +110,11 @@ fn apply(db: &mut MetadataDb, op: &Op, clock: &mut f64) {
         }
         Op::Carry { mask } => {
             let session = db.begin_planning(WorkDays::new(*clock));
-            let carried: Vec<String> = ACTIVITIES
+            let carried: Vec<ScheduleInstanceId> = ACTIVITIES
                 .iter()
                 .enumerate()
-                .filter(|&(k, name)| mask & (1 << k) != 0 && db.current_plan(name).is_some())
-                .map(|(_, name)| (*name).to_owned())
+                .filter(|&(k, _)| mask & (1 << k) != 0)
+                .filter_map(|(_, name)| db.current_plan(name).map(|plan| plan.id()))
                 .collect();
             db.carry_plan(session, &carried)
                 .expect("carryable activities");

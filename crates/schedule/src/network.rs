@@ -62,6 +62,30 @@ impl WorkDays {
             other
         }
     }
+
+    /// The nearest whole number of milli-days: the resolution the
+    /// metadata database records dates and durations at, as integers,
+    /// so its objects stay `Eq` and hashable while keeping sub-minute
+    /// planning resolution.
+    pub fn millidays(self) -> i64 {
+        (self.0 * 1000.0).round() as i64
+    }
+
+    /// A span of `md` milli-days.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `md` is negative.
+    pub fn from_millidays(md: i64) -> WorkDays {
+        WorkDays::new(md as f64 / 1000.0)
+    }
+
+    /// This span as the metadata database records it: rounded to the
+    /// nearest milli-day. Text that shows a date beside recorded ones
+    /// renders it through this, so one date never prints two ways.
+    pub fn recorded(self) -> WorkDays {
+        WorkDays::from_millidays(self.millidays())
+    }
 }
 
 impl Add for WorkDays {

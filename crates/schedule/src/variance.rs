@@ -169,8 +169,13 @@ pub fn summarize_dates(
         // EV: completed work earns its full planned duration; work in
         // progress earns nothing until the designer declares completion
         // (completion is a designer decision in the paper's model, so
-        // partial credit would be speculation).
-        if row.actual_finish.is_some_and(|f| f.days() <= now) {
+        // partial credit would be speculation). Finishes are recorded
+        // to the milli-day, so they are compared at that resolution: a
+        // finish recorded rounded up still earns at its own completion.
+        if row
+            .actual_finish
+            .is_some_and(|f| f.millidays() <= status_date.millidays())
+        {
             ev += planned;
         }
         if row.slipped() {
@@ -267,6 +272,25 @@ mod tests {
         let unstarted = row("b", 0.0, 1.0, None).dates();
         assert_eq!(unstarted.start_variance(), None);
         assert!(!unstarted.slipped());
+    }
+
+    #[test]
+    fn a_finish_recorded_rounded_up_earns_at_its_completion() {
+        // The activity finished at 3.6296; the database records 3.630.
+        // At a status date of the exact finish it is complete and earns
+        // its planned duration; a milli-day earlier it is not.
+        let rows = [row("a", 0.0, 3.6, Some((0.0, 3.63)))];
+        let at_finish = summarize(&rows, WorkDays::new(3.6296));
+        assert_eq!(at_finish.earned_value, 3.6);
+        let before = summarize(&rows, WorkDays::new(3.6286));
+        assert_eq!(before.earned_value, 0.0);
+    }
+
+    #[test]
+    fn millidays_round_to_the_recorded_value() {
+        assert_eq!(WorkDays::new(3.6296).millidays(), 3630);
+        assert_eq!(WorkDays::new(3.6296).recorded(), WorkDays::new(3.63));
+        assert_eq!(WorkDays::from_millidays(1585), WorkDays::new(1.585));
     }
 
     #[test]

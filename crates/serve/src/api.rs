@@ -636,7 +636,9 @@ fn write_status(out: &mut String, h: &Hercules) {
     let _ = writeln!(out, "variance: {}", status.variance());
 }
 
-/// The plan body: byte-identical to `herc ws plan` output.
+/// The plan body: byte-identical to `herc ws plan` output. Dates are
+/// the recorded ones ([`WorkDays::recorded`](schedule::WorkDays::recorded)),
+/// so they read as the status body reads the same version.
 pub fn plan_body(project: &str, target: &str, plan: &SchedulePlan) -> String {
     use std::fmt::Write as _;
     let mut out = String::with_capacity(96 + plan.activities().len() * 64);
@@ -648,21 +650,21 @@ pub fn plan_body(project: &str, target: &str, plan: &SchedulePlan) -> String {
         out.push_str("  ");
         let _ = write_padded(&mut out, &pa.activity, 16);
         out.push_str(" [");
-        let _ = pa.start.write_to(&mut out);
+        let _ = pa.start.recorded().write_to(&mut out);
         out.push_str(" .. ");
-        let _ = (pa.start + pa.duration).write_to(&mut out);
+        let _ = pa.recorded_finish().write_to(&mut out);
         out.push_str(if pa.critical { "] * " } else { "]   " });
         out.push_str(&pa.assignee);
         out.push('\n');
     }
     out.push_str("proposed finish: day ");
-    let _ = plan.project_finish().write_to(&mut out);
+    let _ = plan.recorded_finish().write_to(&mut out);
     out.push('\n');
     out
 }
 
 /// The replan body: new schedule-instance versions plus the proposed
-/// finish.
+/// finish as recorded.
 pub fn replan_body(target: &str, outcome: &ReplanOutcome) -> String {
     use std::fmt::Write as _;
     let mut out = String::with_capacity(96 + outcome.len() * 32);
@@ -678,7 +680,7 @@ pub fn replan_body(target: &str, outcome: &ReplanOutcome) -> String {
         let _ = writeln!(out, " {id}");
     }
     out.push_str("proposed finish: day ");
-    let _ = outcome.project_finish.write_to(&mut out);
+    let _ = outcome.recorded_finish.write_to(&mut out);
     out.push('\n');
     out
 }

@@ -14,7 +14,11 @@
 //!   rows carry actuals, slips, and whole and fractional dates.
 //!
 //! The artifacts were captured before the status renderer was
-//! rewritten; comparison is exact (no whitespace normalization).
+//! rewritten; comparison is exact (no whitespace normalization). Since
+//! then only two kinds of line were restated, each a fix: plan and
+//! replan bodies print the recorded (milli-day) dates the status body
+//! prints for the same version, and a variance line earns an activity
+//! whose recorded finish rounded up to the status date.
 
 use std::path::Path;
 

@@ -198,6 +198,15 @@ pub trait AppendFile: fmt::Debug + Send + Sync {
     ///
     /// As [`Vfs::append`].
     fn append(&mut self, contents: &[u8]) -> io::Result<()>;
+
+    /// The file's length in bytes, read through the handle where the
+    /// backend can (an `fstat` on a real file), so a caller can check
+    /// that an append landed whole without a by-path stat.
+    ///
+    /// # Errors
+    ///
+    /// Real failure of the stat.
+    fn file_len(&self) -> io::Result<u64>;
 }
 
 /// The default [`AppendFile`]: a by-path [`Vfs::append`] per call.
@@ -210,6 +219,10 @@ struct PathAppend<V: ?Sized> {
 impl<V: Vfs + ?Sized> AppendFile for PathAppend<V> {
     fn append(&mut self, contents: &[u8]) -> io::Result<()> {
         self.vfs.append(&self.path, contents)
+    }
+
+    fn file_len(&self) -> io::Result<u64> {
+        Ok(self.vfs.file_size(&self.path))
     }
 }
 
@@ -319,6 +332,10 @@ impl AppendFile for RealAppend {
     fn append(&mut self, contents: &[u8]) -> io::Result<()> {
         use std::io::Write as _;
         self.0.write_all(contents)
+    }
+
+    fn file_len(&self) -> io::Result<u64> {
+        self.0.metadata().map(|m| m.len())
     }
 }
 
@@ -748,6 +765,10 @@ impl AppendFile for FaultAppend {
             .faulty_write(OpKind::Append, &self.path, contents, |bytes| {
                 inner.append(bytes)
             })
+    }
+
+    fn file_len(&self) -> io::Result<u64> {
+        self.inner.file_len()
     }
 }
 

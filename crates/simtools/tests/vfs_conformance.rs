@@ -73,6 +73,8 @@ fn binary_round_trip_of_non_utf8_bytes() {
         assert_eq!(vfs.read(&seg).unwrap(), expected, "{name}: appends");
         assert_eq!(vfs.file_size(&seg), expected.len() as u64, "{name}");
         assert_eq!(vfs.file_len(&seg).unwrap(), expected.len() as u64, "{name}");
+        // The held handle stats the same file.
+        assert_eq!(held.file_len().unwrap(), expected.len() as u64, "{name}");
         // Text reads still refuse the same bytes.
         let err = vfs.read_to_string(&seg).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{name}");

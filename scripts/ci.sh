@@ -10,7 +10,8 @@
 #   check   scripts/check.sh (release build + full test suite + bench smoke)
 #   golden  committed paper artifacts still match the binaries
 #           (Fig. 5-7's logical schedule-space views included, so how
-#           plan versions are stored never shows in them)
+#           plan versions are stored never shows in them), and the
+#           served response bodies match artifacts/bodies_*.txt
 #   chaos   herc chaos over the fixed seed set (failure semantics)
 #   obs     tracing gate: obs property + scenario tests, session
 #           isolation (obs + hercules trace unit tests in debug, a
@@ -28,7 +29,8 @@
 #           --repair; then a corrupt->fsck->repair->re-serve leg; then
 #           an unchanged re-plan that must append exactly two records,
 #           a carry-plan last, and read the same after reopen and gc),
-#           and the carried-versions differential test
+#           the carried-versions differential test, the planning-view
+#           property and the planner-metrics tests
 #   fsck    durability gate: the 64-seed fault-injection sweep over
 #           FaultVfs, the corruption-corpus goldens in
 #           artifacts/corrupt_roots/ (v3 data-segment cases and their
@@ -127,8 +129,10 @@ stage_check() {
 
 stage_golden() {
     # The golden-file diff: committed artifacts vs today's binaries,
-    # Fig. 5-8 and Table 1.
-    cargo test -q --offline --release -p bench --test golden
+    # Fig. 5-8 and Table 1, then the served response bodies (status,
+    # plan, replan, run) byte for byte.
+    cargo test -q --offline --release -p bench --test golden || return 1
+    cargo test -q --offline --release -p serve --test golden_bodies
 }
 
 stage_chaos() {
@@ -226,9 +230,13 @@ stage_ws() {
     cargo test -q --offline --release -p metadata \
         --test store_conformance || return 1
     cargo test -q --offline --release -p hercules --lib workspace || return 1
+    # The planning view: a warm manager (kept estimates, plan caches,
+    # levelled schedules) plans as a cold one, and the planner's
+    # metrics count recomputed estimates and reused levelling.
+    cargo test -q --offline --release -p hercules --lib view_properties || return 1
     cargo test -q --offline --release -p hercules \
         --test workspace_stress --test compaction_property \
-        --test carry_differential || return 1
+        --test carry_differential --test plan_metrics || return 1
     cargo test -q --offline --release -p bench \
         --test workspace_scaling || return 1
     # End-to-end lifecycle through the user-facing CLI, torn-tail

@@ -221,13 +221,13 @@ fn cmd_plan(source: &str, target: &str, opts: &Options) -> Result<(), String> {
         println!(
             "  {:<16} [{} .. {}] {} {}",
             pa.activity,
-            pa.start,
-            pa.start + pa.duration,
+            pa.start.recorded(),
+            pa.recorded_finish(),
             if pa.critical { "*" } else { " " },
             pa.assignee
         );
     }
-    println!("proposed finish: day {}", plan.project_finish());
+    println!("proposed finish: day {}", plan.recorded_finish());
     Ok(())
 }
 
@@ -686,18 +686,7 @@ fn cmd_ws(args: &[String]) -> Result<(), String> {
             let plan = project
                 .update(|h| h.plan(target))
                 .map_err(|e| e.to_string())?;
-            println!("proposed schedule for {target:?} in project {name:?}:");
-            for pa in plan.activities() {
-                println!(
-                    "  {:<16} [{} .. {}] {} {}",
-                    pa.activity,
-                    pa.start,
-                    pa.start + pa.duration,
-                    if pa.critical { "*" } else { " " },
-                    pa.assignee
-                );
-            }
-            println!("proposed finish: day {}", plan.project_finish());
+            print!("{}", serve::plan_body(name, target, &plan));
             Ok(())
         }
         "run" => {
