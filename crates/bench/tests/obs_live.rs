@@ -12,17 +12,33 @@
 //! Both samples of a pair see the same host phase, so a slow patch on a
 //! shared host moves a pair's two times together instead of landing on
 //! one side of the ratio.
+//!
+//! Both tests toggle and clear the process-wide recorder, so each holds
+//! [`RECORDER`] for its whole body: otherwise one can empty the ring
+//! between the other's plan and its dump.
+
+use std::sync::{Mutex, MutexGuard};
 
 #[cfg(not(debug_assertions))]
 use bench::kernels::obs_live::seeded_api;
 use bench::kernels::obs_live::FLIGHT_CAP;
 use bench::pipeline_manager;
 
+/// Serializes the tests of this binary over the shared recorder.
+static RECORDER: Mutex<()> = Mutex::new(());
+
+fn recorder() -> MutexGuard<'static, ()> {
+    RECORDER
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
 /// Functional half of the gate, cheap enough for debug builds: the
 /// recorder must not change results, and the ring must actually hold
 /// the spans the timed variants record.
 #[test]
 fn flight_recording_preserves_results_and_captures_spans() {
+    let _recorder = recorder();
     let target = "d50";
     obs::Collector::disable_flight();
     let finish_off = pipeline_manager(50, 4, 1)
@@ -102,6 +118,7 @@ fn plan_pool_secs(calls: usize) -> f64 {
 #[cfg(not(debug_assertions))]
 #[test]
 fn flight_on_stays_within_budget() {
+    let _recorder = recorder();
     // Odd, so the median is one pair's ratio; more than the 7 + 7
     // samples the gate took as minima before it measured pairs.
     const PAIRS: usize = 15;

@@ -37,7 +37,7 @@
 use std::collections::{BTreeSet, HashMap, HashSet};
 
 use metadata::EntityInstanceId;
-use schedule::{ScheduleNetwork, WorkDays};
+use schedule::WorkDays;
 use simtools::cluster::Cluster;
 use simtools::{InjectedFault, ToolInvocation};
 
@@ -86,10 +86,7 @@ impl Hercules {
         // precomputed by [`TaskTree::extract`].
         let inputs_idx: Vec<&[String]> = (0..n).map(|i| tree.inputs_at(i)).collect();
         let output_idx: Vec<&str> = (0..n).map(|i| tree.output_at(i)).collect();
-        let done: Vec<bool> = names
-            .iter()
-            .map(|a| self.db().current_plan(a).is_some_and(|p| p.is_complete()))
-            .collect();
+        let done = self.completed_mask(&tree);
         // Dispatch-time estimates feed the policy inputs (slack, ranks,
         // finish estimates); completed work is a zero-duration
         // milestone, as in forecasting. Policies that decide purely
@@ -109,17 +106,8 @@ impl Hercules {
             }
             // Total slack over the scope (CPM), indexed by topo
             // position.
-            let mut net = ScheduleNetwork::new();
-            let mut ids = Vec::with_capacity(n);
-            for (i, a) in names.iter().enumerate() {
-                ids.push(net.add_activity(a.clone(), estimate[i])?);
-            }
-            for i in 0..n {
-                for &j in tree.consumers_at(i) {
-                    net.add_precedence(ids[i], ids[j])?;
-                }
-            }
-            slack = net.analyze()?.total_slacks();
+            let scope: Vec<usize> = (0..n).collect();
+            slack = tree.network(&scope, &estimate)?.0.analyze()?.total_slacks();
             // Upward rank: critical-path length from each activity to
             // the scope's sink, inclusive (HEFT's priority key).
             for i in (0..n).rev() {
@@ -431,9 +419,7 @@ impl Hercules {
                             attempt = attempts,
                             burned_days = burned.days(),
                         );
-                        if attempts >= retry.max_attempts
-                            || fault_time.days() > retry.activity_budget.days()
-                        {
+                        if attempts >= retry.max_attempts || fault_time > retry.activity_budget {
                             blocked = true;
                             break;
                         }
@@ -452,9 +438,7 @@ impl Hercules {
                             attempt = attempts,
                             burned_days = burned.days(),
                         );
-                        if attempts >= retry.max_attempts
-                            || fault_time.days() > retry.activity_budget.days()
-                        {
+                        if attempts >= retry.max_attempts || fault_time > retry.activity_budget {
                             blocked = true;
                             break;
                         }
@@ -479,9 +463,7 @@ impl Hercules {
                     runs_recorded: iterations,
                 });
                 worker_free[w] = t;
-                if t.days() > finished_at.days() {
-                    finished_at = t;
-                }
+                finished_at = finished_at.max(t);
                 // The output will never be published: doom the
                 // transitive consumers.
                 let mut worklist = vec![output_class];
@@ -512,9 +494,7 @@ impl Hercules {
                 produced_on.insert(output_class.clone(), w);
             }
             worker_free[w] = t;
-            if t.days() > finished_at.days() {
-                finished_at = t;
-            }
+            finished_at = finished_at.max(t);
             obs::Collector::set_sim_days(t.days());
             act_span.record("iterations", iterations);
             act_span.record("fault_attempts", attempts);
@@ -554,31 +534,7 @@ impl Hercules {
         );
 
         self.clock = finished_at;
-        // Graceful degradation: blocking failures trigger an automatic
-        // replan of the open scope. The blocked activities' burned time
-        // is folded into their duration estimates, so exactly they are
-        // dirty and the incremental CPM engine recomputes only their
-        // downstream cone.
-        let mut replanned = Vec::new();
-        if !newly_blocked.is_empty() {
-            for (name, burned) in &newly_blocked {
-                let base = self.duration_estimate(name)?;
-                self.set_estimate(name, base + *burned)?;
-            }
-            let any_planned = tree
-                .activities()
-                .iter()
-                .any(|a| self.store.db().current_plan(a).is_some());
-            if any_planned {
-                let completed = self.completed_mask(&tree);
-                let plan = self.plan_scope(target, &completed)?;
-                replanned = plan
-                    .activities()
-                    .iter()
-                    .map(|pa| (pa.activity.clone(), pa.schedule))
-                    .collect();
-            }
-        }
+        let replanned = self.degrade(target, &tree, &newly_blocked)?;
         obs::Collector::set_sim_days(finished_at.days());
         exec_span.record("executed", executions.len());
         exec_span.record("blocked", blocked_rows.len());

@@ -288,6 +288,46 @@ impl Hercules {
         data_ready
     }
 
+    /// Graceful degradation after a session that blocked the
+    /// `newly_blocked` activities: blocking failures trigger an
+    /// automatic replan of `target`'s open scope. The blocked
+    /// activities' burned time is folded into their duration estimates,
+    /// so exactly they are dirty and the incremental CPM engine
+    /// recomputes only their downstream cone. With no plan to revise,
+    /// an empty planning session records the clock the burned time
+    /// moved, so a manager reopened from the store resumes at it.
+    /// Returns the replanned versions.
+    pub(crate) fn degrade(
+        &mut self,
+        target: &str,
+        tree: &crate::task::TaskTree,
+        newly_blocked: &[(String, WorkDays)],
+    ) -> Result<Vec<(String, ScheduleInstanceId)>, HerculesError> {
+        if newly_blocked.is_empty() {
+            return Ok(Vec::new());
+        }
+        for (name, burned) in newly_blocked {
+            let base = self.duration_estimate(name)?;
+            self.set_estimate(name, base + *burned)?;
+        }
+        let db = self.store.db();
+        if !tree
+            .activities()
+            .iter()
+            .any(|a| db.current_plan(a).is_some())
+        {
+            self.store.begin_planning(self.clock);
+            return Ok(Vec::new());
+        }
+        let completed = self.completed_mask(tree);
+        let plan = self.plan_scope(target, &completed)?;
+        Ok(plan
+            .activities()
+            .iter()
+            .map(|pa| (pa.activity.clone(), pa.schedule))
+            .collect())
+    }
+
     /// The original single-pass serial executor: one linear walk over
     /// the task tree in dependency order, one activity at a time per
     /// designer. Kept as the *reference implementation* the policy
@@ -450,9 +490,7 @@ impl Hercules {
                             attempt = attempts,
                             burned_days = burned.days(),
                         );
-                        if attempts >= policy.max_attempts
-                            || fault_time.days() > policy.activity_budget.days()
-                        {
+                        if attempts >= policy.max_attempts || fault_time > policy.activity_budget {
                             blocked = true;
                             break;
                         }
@@ -471,9 +509,7 @@ impl Hercules {
                             attempt = attempts,
                             burned_days = burned.days(),
                         );
-                        if attempts >= policy.max_attempts
-                            || fault_time.days() > policy.activity_budget.days()
-                        {
+                        if attempts >= policy.max_attempts || fault_time > policy.activity_budget {
                             blocked = true;
                             break;
                         }
@@ -498,9 +534,7 @@ impl Hercules {
                     runs_recorded: iterations,
                 });
                 designer_free.insert(assignee, t);
-                if t.days() > finished_at.days() {
-                    finished_at = t;
-                }
+                finished_at = finished_at.max(t);
                 continue;
             }
             let final_instance = match final_instance {
@@ -524,9 +558,7 @@ impl Hercules {
             }
             data_ready.insert(output_class, (t, final_instance));
             designer_free.insert(assignee.clone(), t);
-            if t.days() > finished_at.days() {
-                finished_at = t;
-            }
+            finished_at = finished_at.max(t);
             obs::Collector::set_sim_days(t.days());
             act_span.record("iterations", iterations);
             act_span.record("fault_attempts", attempts);
@@ -544,31 +576,7 @@ impl Hercules {
             });
         }
         self.clock = finished_at;
-        // Graceful degradation: blocking failures trigger an automatic
-        // replan of the open scope. The blocked activities' burned time
-        // is folded into their duration estimates, so exactly they are
-        // dirty and the incremental CPM engine recomputes only their
-        // downstream cone.
-        let mut replanned = Vec::new();
-        if !newly_blocked.is_empty() {
-            for (name, burned) in &newly_blocked {
-                let base = self.duration_estimate(name)?;
-                self.set_estimate(name, base + *burned)?;
-            }
-            let any_planned = tree
-                .activities()
-                .iter()
-                .any(|a| self.store.db().current_plan(a).is_some());
-            if any_planned {
-                let completed = self.completed_mask(&tree);
-                let plan = self.plan_scope(target, &completed)?;
-                replanned = plan
-                    .activities()
-                    .iter()
-                    .map(|pa| (pa.activity.clone(), pa.schedule))
-                    .collect();
-            }
-        }
+        let replanned = self.degrade(target, &tree, &newly_blocked)?;
         obs::Collector::set_sim_days(finished_at.days());
         exec_span.record("executed", executions.len());
         exec_span.record("blocked", blocked_rows.len());

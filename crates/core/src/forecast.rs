@@ -1,4 +1,4 @@
-use schedule::{ScheduleNetwork, WorkDays};
+use schedule::WorkDays;
 
 use crate::error::HerculesError;
 use crate::manager::Hercules;
@@ -66,31 +66,25 @@ impl Hercules {
     /// ```
     pub fn forecast(&self, target: &str) -> Result<Forecast, HerculesError> {
         let tree = self.task_tree_ref(target)?;
-        let mut net = ScheduleNetwork::new();
-        let mut ids = Vec::with_capacity(tree.len());
-        let mut complete = 0usize;
-        let mut open = 0usize;
+        let done = self.completed_mask(&tree);
+        let complete = done.iter().filter(|&&d| d).count();
+        let open = tree.len() - complete;
         // Completed activities become zero-duration milestones pinned
         // at their actual finish via a leading "anchor" duration.
-        for (i, activity) in tree.activities().iter().enumerate() {
-            let done = self
-                .db()
-                .current_plan(activity)
-                .is_some_and(|p| p.is_complete());
-            let duration = if done {
-                complete += 1;
-                WorkDays::ZERO
-            } else {
-                open += 1;
-                self.estimate_ref(tree.rule_position_at(i), activity)?
-            };
-            ids.push(net.add_activity(activity.clone(), duration)?);
-        }
-        for (i, &id) in ids.iter().enumerate() {
-            for &j in tree.consumers_at(i) {
-                net.add_precedence(id, ids[j])?;
-            }
-        }
+        let durations = tree
+            .activities()
+            .iter()
+            .enumerate()
+            .map(|(i, activity)| {
+                if done[i] {
+                    Ok(WorkDays::ZERO)
+                } else {
+                    self.estimate_ref(tree.rule_position_at(i), activity)
+                }
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        let scope: Vec<usize> = (0..tree.len()).collect();
+        let (net, _) = tree.network(&scope, &durations)?;
         let cpm = net.analyze()?;
         // Base offset: open work cannot start before now or before the
         // latest data already available in scope — the same seeding the
@@ -106,7 +100,7 @@ impl Hercules {
         let critical = cpm
             .critical_path()
             .iter()
-            .filter(|&&id| net.duration(id).days() > 0.0)
+            .filter(|&&id| net.duration(id) > WorkDays::ZERO)
             .map(|&id| net.name(id).to_owned())
             .collect();
         Ok(Forecast {

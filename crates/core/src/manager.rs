@@ -288,9 +288,7 @@ impl Hercules {
     /// Advances the project clock (e.g. idle calendar time between
     /// planning and execution). The clock never moves backwards.
     pub fn advance_clock(&mut self, to: WorkDays) {
-        if to.days() > self.clock.days() {
-            self.clock = to;
-        }
+        self.clock = self.clock.max(to);
     }
 
     /// Records the designer's intuition estimate for an activity's

@@ -74,7 +74,7 @@ impl Hercules {
         }
         let minimal_team = points
             .iter()
-            .find(|p| p.finish.days() <= deadline.days() + 1e-9)
+            .find(|p| p.finish <= deadline)
             .map(|p| p.team_size);
         let best = points
             .iter()
@@ -82,7 +82,7 @@ impl Hercules {
             .fold(f64::INFINITY, f64::min);
         let saturation_team = points
             .iter()
-            .find(|p| p.finish.days() <= best * 1.01 + 1e-9)
+            .find(|p| p.finish.days() <= best * 1.01)
             .map(|p| p.team_size);
         Ok(TeamSweep {
             points,
@@ -133,12 +133,11 @@ impl Hercules {
                 .set_estimate(activity, crashed)
                 .expect("tree activities exist in the schema");
             let finish = trial.plan(target)?.project_finish();
-            let gain = baseline.days() - finish.days();
-            if gain > 1e-9 && best.as_ref().is_none_or(|b| gain > b.gain_days) {
+            if finish < baseline && best.as_ref().is_none_or(|b| finish < b.new_finish) {
                 best = Some(CrashAdvice {
                     activity: activity.clone(),
                     new_finish: finish,
-                    gain_days: gain,
+                    gain_days: baseline.days() - finish.days(),
                 });
             }
         }

@@ -3,7 +3,7 @@ use std::sync::Arc;
 
 use metadata::{MetadataDb, PlanningSessionId, ScheduleInstanceId};
 use schedule::{
-    level_resources, ActivityId, IncrementalCpm, LeveledSchedule, Resource, ResourcePool,
+    level_resources_with, ActivityId, IncrementalCpm, LeveledSchedule, Resource, ResourcePool,
     ScheduleNetwork, WorkDays,
 };
 
@@ -169,16 +169,6 @@ pub struct PlannedActivity {
     pub critical: bool,
 }
 
-impl PlannedActivity {
-    /// The finish the database records for this proposal: start and
-    /// duration each rounded to the milli-day ([`WorkDays::recorded`]),
-    /// then added, as [`metadata::ScheduleInstance::planned_finish`]
-    /// does — the plan finish status shows.
-    pub fn recorded_finish(&self) -> WorkDays {
-        self.start.recorded() + self.duration.recorded()
-    }
-}
-
 /// The result of planning a target: the schedule instances created by
 /// one simulated execution of the flow.
 #[derive(Debug, Clone, PartialEq)]
@@ -219,17 +209,6 @@ impl SchedulePlan {
     /// The proposed project finish (makespan under team constraints).
     pub fn project_finish(&self) -> WorkDays {
         self.project_finish
-    }
-
-    /// The proposed finish as the recorded plans give it: the latest
-    /// [`PlannedActivity::recorded_finish`], or
-    /// [`project_finish`](Self::project_finish) for an empty plan.
-    pub fn recorded_finish(&self) -> WorkDays {
-        self.activities
-            .iter()
-            .map(PlannedActivity::recorded_finish)
-            .reduce(WorkDays::max)
-            .unwrap_or(self.project_finish)
     }
 
     /// The entry for `activity`, if planned.
@@ -334,7 +313,7 @@ impl Hercules {
                     let id = c.ids[k];
                     let estimate =
                         self.estimate_at(tree.rule_position_at(i), &names[i], &mut recomputed)?;
-                    if (estimate.days() - c.network.duration(id).days()).abs() > 1e-12 {
+                    if estimate != c.network.duration(id) {
                         c.network.set_duration(id, estimate)?;
                         dirty.push(id);
                     }
@@ -362,23 +341,13 @@ impl Hercules {
             }
             None => {
                 // Build the precedence network with estimated durations.
-                let mut net = ScheduleNetwork::new();
-                let mut ids = Vec::with_capacity(in_scope.len());
-                // Tree position -> slot in `ids`, for in-scope activities.
-                let mut slot = vec![None; tree.len()];
-                for (k, &i) in in_scope.iter().enumerate() {
-                    let duration =
-                        self.estimate_at(tree.rule_position_at(i), &names[i], &mut recomputed)?;
-                    ids.push(net.add_activity(names[i].clone(), duration)?);
-                    slot[i] = Some(k);
-                }
-                for (k, &i) in in_scope.iter().enumerate() {
-                    for &j in tree.consumers_at(i) {
-                        if let Some(consumer) = slot[j] {
-                            net.add_precedence(ids[k], ids[consumer])?;
-                        }
-                    }
-                }
+                let durations = in_scope
+                    .iter()
+                    .map(|&i| {
+                        self.estimate_at(tree.rule_position_at(i), &names[i], &mut recomputed)
+                    })
+                    .collect::<Result<Vec<_>, _>>()?;
+                let (mut net, ids) = tree.network(&in_scope, &durations)?;
                 // One demand per activity for its round-robin designer
                 // (recorded once; reused on every cache hit).
                 for (k, &id) in ids.iter().enumerate() {
@@ -396,6 +365,7 @@ impl Hercules {
                 (net, ids, slots, inc, None)
             }
         };
+        let cpm = inc.analysis(&net);
         let relevelled = kept.is_none();
         let leveled = match kept {
             Some(leveled) => leveled,
@@ -407,10 +377,9 @@ impl Hercules {
                 for designer in self.team.iter() {
                     pool.add(Resource::new(designer, 1));
                 }
-                level_resources(&net, &pool)?
+                level_resources_with(&net, &pool, &cpm)?
             }
         };
-        let cpm = inc.analysis(&net);
 
         // Record the simulated execution: one planning session, one new
         // schedule-instance version per activity, in post-order. A
@@ -583,7 +552,8 @@ impl Hercules {
 
     /// Per tree position: whether the activity's current plan is
     /// complete — the scope [`plan_scope`](Hercules::plan_scope) skips
-    /// when it replans open work.
+    /// when it replans open work, the work a forecast takes as done and
+    /// execution does not run again.
     pub(crate) fn completed_mask(&self, tree: &TaskTree) -> Vec<bool> {
         tree.activities()
             .iter()

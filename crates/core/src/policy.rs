@@ -148,7 +148,7 @@ impl<'a> DispatchContext<'a> {
     pub fn earliest_free_worker(&self) -> usize {
         let mut best = 0;
         for (w, snap) in self.workers.iter().enumerate().skip(1) {
-            if snap.free_at.days() < self.workers[best].free_at.days() {
+            if snap.free_at < self.workers[best].free_at {
                 best = w;
             }
         }
@@ -165,7 +165,7 @@ impl<'a> DispatchContext<'a> {
         let mut best_finish = self.estimated_finish(task, 0);
         for w in 1..self.workers.len() {
             let finish = self.estimated_finish(task, w);
-            if finish.days() < best_finish.days() {
+            if finish < best_finish {
                 best = w;
                 best_finish = finish;
             }

@@ -13,10 +13,6 @@ pub struct ReplanOutcome {
     pub replanned: Vec<(String, ScheduleInstanceId)>,
     /// The updated proposed finish of the affected scope.
     pub project_finish: WorkDays,
-    /// The same finish as the recorded versions give it (see
-    /// [`SchedulePlan::recorded_finish`]); `project_finish` when nothing
-    /// was replanned.
-    pub recorded_finish: WorkDays,
     /// The slip (in days) that triggered the replan, if it was a slip
     /// propagation.
     pub slip_days: Option<f64>,
@@ -67,7 +63,6 @@ impl Hercules {
             return Ok(ReplanOutcome {
                 replanned: Vec::new(),
                 project_finish: self.clock,
-                recorded_finish: self.clock,
                 slip_days: None,
             });
         }
@@ -92,7 +87,6 @@ impl Hercules {
         Ok(ReplanOutcome {
             replanned,
             project_finish: plan.project_finish(),
-            recorded_finish: plan.recorded_finish(),
             slip_days: None,
         })
     }
@@ -127,15 +121,13 @@ impl Hercules {
             return Ok(ReplanOutcome {
                 replanned: Vec::new(),
                 project_finish: self.clock,
-                recorded_finish: self.clock,
                 slip_days: None,
             });
         };
-        if slip <= 1e-9 {
+        if slip <= 0.0 {
             return Ok(ReplanOutcome {
                 replanned: Vec::new(),
                 project_finish: self.clock,
-                recorded_finish: self.clock,
                 slip_days: Some(slip),
             });
         }
@@ -158,7 +150,6 @@ impl Hercules {
         let session = self.store.begin_planning(self.clock);
         let mut replanned = Vec::new();
         let mut project_finish = self.clock;
-        let mut recorded_finish: Option<WorkDays> = None;
         for &name in &affected {
             let Some(plan) = self.store.db().current_plan(name) else {
                 continue;
@@ -175,12 +166,7 @@ impl Hercules {
             for a in assignees {
                 self.store.assign(sc, &a)?;
             }
-            let finish = new_start + duration;
-            if finish.days() > project_finish.days() {
-                project_finish = finish;
-            }
-            let recorded = new_start.recorded() + duration.recorded();
-            recorded_finish = Some(recorded_finish.map_or(recorded, |r| r.max(recorded)));
+            project_finish = project_finish.max(new_start + duration);
             replanned.push((name.to_owned(), sc));
         }
         slip_span.record("slip_days", slip);
@@ -188,7 +174,6 @@ impl Hercules {
         Ok(ReplanOutcome {
             replanned,
             project_finish,
-            recorded_finish: recorded_finish.unwrap_or(project_finish),
             slip_days: Some(slip),
         })
     }
@@ -197,6 +182,7 @@ impl Hercules {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use metadata::{ArenaStore, MetadataDb};
     use schema::examples;
     use simtools::{workload::Team, ToolLibrary};
 
@@ -287,10 +273,10 @@ mod tests {
                 .find(|(n, _)| n == name)
                 .map(|(_, s)| *s)
                 .unwrap();
-            assert!(
-                (new_start.days() - old_start.days() - slip).abs() < 1e-9,
-                "{name} shifted by {} expected {slip}",
-                new_start.days() - old_start.days()
+            assert_eq!(
+                new_start - old_start,
+                WorkDays::new(slip),
+                "{name} shifted by other than the slip"
             );
         }
         // CaptureSpec is upstream: never replanned.
@@ -341,6 +327,53 @@ mod tests {
             h.propagate_slip("Ghost"),
             Err(HerculesError::UnknownActivity(_))
         ));
+    }
+
+    /// A manager over a circuit database in which Create, planned for
+    /// days 0 to 2, finished at `finish`, and Simulate is planned after
+    /// it.
+    fn create_finished_at(finish: WorkDays) -> Hercules {
+        let schema = examples::circuit_design();
+        let mut db = MetadataDb::for_schema(&schema);
+        let s = db.begin_planning(WorkDays::ZERO);
+        let create = db
+            .plan_activity(s, "Create", WorkDays::ZERO, WorkDays::new(2.0))
+            .unwrap();
+        db.plan_activity(s, "Simulate", WorkDays::new(2.0), WorkDays::new(1.0))
+            .unwrap();
+        let run = db.begin_run("Create", "alice", WorkDays::ZERO).unwrap();
+        let data = db.store_data("netlist.v1", vec![1]);
+        let netlist = db.finish_run(run, "netlist", data, finish, &[]).unwrap();
+        db.link_completion(create, netlist).unwrap();
+        Hercules::with_store(
+            schema,
+            ToolLibrary::standard(),
+            Team::of_size(2),
+            5,
+            Box::new(ArenaStore::new(db)),
+        )
+    }
+
+    #[test]
+    fn a_finish_on_plan_propagates_nothing() {
+        let mut h = create_finished_at(WorkDays::new(2.0));
+        let outcome = h.propagate_slip("Create").unwrap();
+        assert_eq!(outcome.slip_days, Some(0.0));
+        assert!(outcome.is_empty());
+    }
+
+    #[test]
+    fn a_finish_one_milli_day_late_shifts_its_cone() {
+        let mut h = create_finished_at(WorkDays::new(2.001));
+        let outcome = h.propagate_slip("Create").unwrap();
+        let [(name, sc)] = outcome.replanned.as_slice() else {
+            panic!("one activity downstream: {:?}", outcome.replanned);
+        };
+        assert_eq!(name, "Simulate");
+        let shifted = h.db().schedule_instance(*sc);
+        assert_eq!(shifted.planned_start(), WorkDays::new(2.001));
+        assert_eq!(shifted.planned_duration(), WorkDays::new(1.0));
+        assert_eq!(outcome.project_finish, WorkDays::new(3.001));
     }
 
     #[test]

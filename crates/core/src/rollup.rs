@@ -118,33 +118,21 @@ impl Hercules {
                 if let Some(plan) = self.store.db().current_plan(activity) {
                     let ps = plan.planned_start();
                     let pf = plan.planned_finish();
-                    planned_start =
-                        Some(
-                            planned_start.map_or(
-                                ps,
-                                |s: WorkDays| if ps.days() < s.days() { ps } else { s },
-                            ),
-                        );
+                    planned_start = Some(planned_start.map_or(ps, |s| s.min(ps)));
                     planned_finish = Some(planned_finish.map_or(pf, |f| f.max(pf)));
                     if plan.is_complete() {
                         complete += 1;
                     }
                 }
                 if let Some(a) = self.store.db().actual_start(activity) {
-                    actual_start =
-                        Some(
-                            actual_start
-                                .map_or(a, |s: WorkDays| if a.days() < s.days() { a } else { s }),
-                        );
+                    actual_start = Some(actual_start.map_or(a, |s| s.min(a)));
                 }
                 if let Some(f) = self.store.db().actual_finish(activity) {
                     finishes.push(f);
                 }
             }
             let actual_finish = if complete == activities.len() && !activities.is_empty() {
-                finishes
-                    .into_iter()
-                    .reduce(|a, b| if a.days() > b.days() { a } else { b })
+                finishes.into_iter().max()
             } else {
                 None
             };

@@ -113,7 +113,7 @@ impl StatusReport {
     pub fn slipped_count(&self) -> usize {
         self.rows
             .iter()
-            .filter(|r| r.slip.is_some_and(|s| s > 1e-9))
+            .filter(|r| r.slip.is_some_and(|s| s > 0.0))
             .count()
     }
 

@@ -1,5 +1,6 @@
 use std::sync::Arc;
 
+use schedule::{ActivityId, ScheduleError, ScheduleNetwork, WorkDays};
 use schema::{ConstructionRule, TaskSchema};
 
 use crate::error::HerculesError;
@@ -189,6 +190,35 @@ impl TaskTree {
     /// activity at position `i`, ascending.
     pub fn consumers_at(&self, i: usize) -> &[usize] {
         &self.consumers[self.consumer_start[i]..self.consumer_start[i + 1]]
+    }
+
+    /// The precedence network over the activities at tree positions
+    /// `scope` (ascending), the k-th taking `durations[k]`: one network
+    /// activity per position, in scope order, and a finish-to-start
+    /// constraint wherever one in-scope activity consumes another's
+    /// output. Returns the network and the k-th activity's id. Planning,
+    /// forecasting and dispatch all schedule the tree through this.
+    pub(crate) fn network(
+        &self,
+        scope: &[usize],
+        durations: &[WorkDays],
+    ) -> Result<(ScheduleNetwork, Vec<ActivityId>), ScheduleError> {
+        let mut net = ScheduleNetwork::new();
+        let mut ids = Vec::with_capacity(scope.len());
+        // Tree position -> index in `ids`, for in-scope activities.
+        let mut slot = vec![None; self.len()];
+        for (k, (&i, &duration)) in scope.iter().zip(durations).enumerate() {
+            ids.push(net.add_activity(self.activities[i].clone(), duration)?);
+            slot[i] = Some(k);
+        }
+        for (k, &i) in scope.iter().enumerate() {
+            for &j in self.consumers_at(i) {
+                if let Some(consumer) = slot[j] {
+                    net.add_precedence(ids[k], ids[consumer])?;
+                }
+            }
+        }
+        Ok((net, ids))
     }
 
     fn expect_index(&self, activity: &str) -> usize {

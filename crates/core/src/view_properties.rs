@@ -7,9 +7,10 @@
 //!
 //! * every estimate the view keeps, once it has seen the run log,
 //!   equals a fresh [`Hercules::duration_estimate`];
-//! * the warm manager plans, replans, forecasts, propagates slips and
-//!   runs trials exactly as a cold one built from the same database,
-//!   clock and intuition estimates, and both databases dump the same.
+//! * a cold manager built from the same database and intuition
+//!   estimates derives the warm one's clock, and the warm manager
+//!   plans, replans, forecasts, propagates slips and runs trials
+//!   exactly as the cold one, and both databases dump the same.
 
 use harness::prelude::*;
 use metadata::{ArenaStore, MetadataDb};
@@ -33,8 +34,8 @@ fn manager() -> Hercules {
 }
 
 /// A new manager over a copy of `warm`'s database, given `warm`'s
-/// team, intuition estimates and clock. The database keeps times in
-/// millidays, so the clock is copied, not re-derived from it.
+/// team and intuition estimates. Its clock is derived from the
+/// database, and must equal `warm`'s.
 fn cold(warm: &Hercules) -> Hercules {
     let store = ArenaStore::new(warm.db().clone());
     let mut cold = Hercules::with_store(
@@ -47,7 +48,7 @@ fn cold(warm: &Hercules) -> Hercules {
     for (activity, &days) in &warm.estimates {
         cold.set_estimate(activity, days).expect("schema activity");
     }
-    cold.clock = warm.clock;
+    prop_assert_eq!(cold.clock(), warm.clock());
     cold
 }
 

@@ -41,7 +41,7 @@ const PINS: [Pin; 2] = [
         schema: examples::asic_flow,
         target: "signoff_report",
         bytes: 1_130_576,
-        crc: 0xee71_d68a,
+        crc: 0x7047_6741,
     },
 ];
 

@@ -340,11 +340,9 @@ impl MetadataDb {
             history.runs.len() as u32 + 1,
             started_at,
         );
-        // The run holds its start in milli-days; the actual start is
-        // the earliest of those.
-        let start = run.started_at();
-        if history.runs.is_empty() || start.days().total_cmp(&history.first_start.days()).is_lt() {
-            history.first_start = start;
+        // The actual start is the earliest of the runs' starts.
+        if history.runs.is_empty() || started_at < history.first_start {
+            history.first_start = started_at;
         }
         history.runs.push(id.index() as u32);
         self.runs.push(run);
@@ -399,7 +397,7 @@ impl MetadataDb {
                 found: output_class.to_owned(),
             });
         }
-        if finished_at.days() < run_ref.started_at().days() {
+        if finished_at < run_ref.started_at() {
             return Err(MetadataError::InvalidTimestamps {
                 started: run_ref.started_at().days(),
                 finished: finished_at.days(),

@@ -145,12 +145,15 @@ pub(crate) fn hex_decode_name(s: &str) -> Result<String, String> {
 }
 
 fn fmt_days(t: WorkDays) -> String {
-    format!("{}", (t.days() * 1000.0).round() as i64)
+    t.millidays().to_string()
 }
 
 fn parse_days(s: &str) -> Result<WorkDays, String> {
     let md: i64 = s.parse().map_err(|e| format!("bad timestamp: {e}"))?;
-    WorkDays::try_new(md as f64 / 1000.0).map_err(|e| e.to_string())
+    if md < 0 {
+        return Err(format!("bad timestamp: {md} is negative"));
+    }
+    Ok(WorkDays::from_millidays(md))
 }
 
 /// How [`MetadataDb::write_dump`] writes stored Level-4 data.

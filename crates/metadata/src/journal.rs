@@ -1212,7 +1212,7 @@ impl MetadataDb {
             for dep in e.depends_on() {
                 if dep.index() >= n_entities {
                     violations.push(format!("{} depends on out-of-range {dep}", e.id()));
-                } else if self.entities[dep.index()].created_at().days() > e.created_at().days() {
+                } else if self.entities[dep.index()].created_at() > e.created_at() {
                     violations.push(format!(
                         "{} depends on {dep}, which was created later",
                         e.id()
@@ -1235,7 +1235,7 @@ impl MetadataDb {
             }
             match (run.finished_at(), run.output()) {
                 (Some(finished), Some(output)) => {
-                    if finished.days() < run.started_at().days() {
+                    if finished < run.started_at() {
                         violations.push(format!("{} finished before it started", run.id()));
                     }
                     if output.index() >= n_entities {
@@ -1328,7 +1328,7 @@ impl MetadataDb {
             if let (Some(start), Some(finish)) =
                 (self.actual_start(activity), self.actual_finish(activity))
             {
-                if finish.days() < start.days() {
+                if finish < start {
                     violations.push(format!(
                         "activity {activity:?} actually finished before it started"
                     ));

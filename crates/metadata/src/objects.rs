@@ -79,7 +79,7 @@ pub struct EntityInstance {
     id: EntityInstanceId,
     class: String,
     version: u32,
-    created_at_millidays: i64,
+    created_at: WorkDays,
     creator: String,
     produced_by: Option<RunId>,
     depends_on: Vec<EntityInstanceId>,
@@ -102,7 +102,7 @@ impl EntityInstance {
             id,
             class,
             version,
-            created_at_millidays: created_at.millidays(),
+            created_at,
             creator,
             produced_by,
             depends_on,
@@ -127,7 +127,7 @@ impl EntityInstance {
 
     /// When the instance was created, as an offset from project start.
     pub fn created_at(&self) -> WorkDays {
-        WorkDays::from_millidays(self.created_at_millidays)
+        self.created_at
     }
 
     /// Who created it ("when an activity is performed *and by whom*").
@@ -184,8 +184,8 @@ pub struct Run {
     activity: String,
     operator: String,
     iteration: u32,
-    started_at_millidays: i64,
-    finished_at_millidays: Option<i64>,
+    started_at: WorkDays,
+    finished_at: Option<WorkDays>,
     output: Option<EntityInstanceId>,
 }
 
@@ -202,14 +202,14 @@ impl Run {
             activity,
             operator,
             iteration,
-            started_at_millidays: started_at.millidays(),
-            finished_at_millidays: None,
+            started_at,
+            finished_at: None,
             output: None,
         }
     }
 
     pub(crate) fn finish(&mut self, finished_at: WorkDays, output: EntityInstanceId) {
-        self.finished_at_millidays = Some(finished_at.millidays());
+        self.finished_at = Some(finished_at);
         self.output = Some(output);
     }
 
@@ -235,12 +235,12 @@ impl Run {
 
     /// Start offset from project start.
     pub fn started_at(&self) -> WorkDays {
-        WorkDays::from_millidays(self.started_at_millidays)
+        self.started_at
     }
 
     /// Finish offset, once finished.
     pub fn finished_at(&self) -> Option<WorkDays> {
-        self.finished_at_millidays.map(WorkDays::from_millidays)
+        self.finished_at
     }
 
     /// Elapsed duration, once finished.
@@ -256,7 +256,7 @@ impl Run {
 
     /// Current state.
     pub fn state(&self) -> RunState {
-        if self.finished_at_millidays.is_some() {
+        if self.finished_at.is_some() {
             RunState::Finished
         } else {
             RunState::InProgress
@@ -323,8 +323,8 @@ pub struct ScheduleInstance {
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct PlanBody {
     activity: Arc<str>,
-    planned_start_millidays: i64,
-    planned_duration_millidays: i64,
+    planned_start: WorkDays,
+    planned_duration: WorkDays,
     assignees: Assignees,
 }
 
@@ -385,8 +385,8 @@ impl PlanBody {
     ) -> Self {
         PlanBody {
             activity,
-            planned_start_millidays: planned_start.millidays(),
-            planned_duration_millidays: planned_duration.millidays(),
+            planned_start,
+            planned_duration,
             assignees: Assignees::default(),
         }
     }
@@ -460,12 +460,12 @@ impl ScheduleInstance {
 
     /// Proposed start offset from project start.
     pub fn planned_start(&self) -> WorkDays {
-        WorkDays::from_millidays(self.body.planned_start_millidays)
+        self.body.planned_start
     }
 
     /// Proposed duration.
     pub fn planned_duration(&self) -> WorkDays {
-        WorkDays::from_millidays(self.body.planned_duration_millidays)
+        self.body.planned_duration
     }
 
     /// Proposed finish offset.
@@ -486,12 +486,11 @@ impl ScheduleInstance {
     }
 
     /// Whether this version proposes exactly `start`, `duration` and
-    /// `assignees` (in order) — compared at the database's own
-    /// milli-day resolution, so a proposal this returns `true` for
+    /// `assignees` (in order), so a proposal this returns `true` for
     /// would be stored as this version's very plan.
     pub fn proposes(&self, start: WorkDays, duration: WorkDays, assignees: &[&str]) -> bool {
-        self.body.planned_start_millidays == start.millidays()
-            && self.body.planned_duration_millidays == duration.millidays()
+        self.body.planned_start == start
+            && self.body.planned_duration == duration
             && self
                 .assignees()
                 .iter()
@@ -541,7 +540,7 @@ impl fmt::Display for ScheduleInstance {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PlanningSession {
     id: PlanningSessionId,
-    created_at_millidays: i64,
+    created_at: WorkDays,
     instances: Vec<ScheduleInstanceId>,
 }
 
@@ -549,7 +548,7 @@ impl PlanningSession {
     pub(crate) fn new(id: PlanningSessionId, created_at: WorkDays) -> Self {
         PlanningSession {
             id,
-            created_at_millidays: created_at.millidays(),
+            created_at,
             instances: Vec::new(),
         }
     }
@@ -565,7 +564,7 @@ impl PlanningSession {
 
     /// When planning happened, as an offset from project start.
     pub fn created_at(&self) -> WorkDays {
-        WorkDays::from_millidays(self.created_at_millidays)
+        self.created_at
     }
 
     /// Schedule instances created by this session, in planning order.
@@ -577,14 +576,6 @@ impl PlanningSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn millidays_roundtrip() {
-        for d in [0.0, 0.001, 1.5, 17.25, 9999.0] {
-            let t = WorkDays::new(d);
-            assert_eq!(WorkDays::from_millidays(t.millidays()), t);
-        }
-    }
 
     #[test]
     fn data_object_accessors() {

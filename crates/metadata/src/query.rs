@@ -143,28 +143,21 @@ impl MetadataDb {
     pub fn runs_between(&self, from: WorkDays, to: WorkDays) -> Vec<&crate::Run> {
         self.runs()
             .iter()
-            .filter(|r| {
-                let start = r.started_at().days();
-                let end = r.finished_at().map_or(f64::INFINITY, |f| f.days());
-                start < to.days() && end > from.days()
-            })
+            .filter(|r| r.started_at() < to && r.finished_at().is_none_or(|end| end > from))
             .collect()
     }
 
     /// Total measured run time per designer, sorted busiest first —
     /// the utilisation data resource optimization needs.
     pub fn workload_by_designer(&self) -> Vec<(String, WorkDays)> {
-        let mut totals: std::collections::BTreeMap<String, f64> = Default::default();
+        let mut totals: std::collections::BTreeMap<String, WorkDays> = Default::default();
         for run in self.runs() {
             if let Some(d) = run.duration() {
-                *totals.entry(run.operator().to_owned()).or_default() += d.days();
+                *totals.entry(run.operator().to_owned()).or_default() += d;
             }
         }
-        let mut out: Vec<(String, WorkDays)> = totals
-            .into_iter()
-            .map(|(name, days)| (name, WorkDays::new(days)))
-            .collect();
-        out.sort_by(|a, b| b.1.days().total_cmp(&a.1.days()).then(a.0.cmp(&b.0)));
+        let mut out: Vec<(String, WorkDays)> = totals.into_iter().collect();
+        out.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         out
     }
 }

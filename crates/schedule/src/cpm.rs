@@ -70,7 +70,7 @@ impl CpmAnalysis {
     ///
     /// Panics if `id` does not belong to the analyzed network.
     pub fn is_critical(&self, id: ActivityId) -> bool {
-        self.times[id.index()].total_slack.days() < 1e-9
+        self.times[id.index()].total_slack == WorkDays::ZERO
     }
 
     /// One critical path from a start activity to a finish activity, in
@@ -154,7 +154,7 @@ impl ScheduleNetwork {
         let critical = csr.walk_critical(&es, &ef, &tail, project);
         Ok(CpmAnalysis {
             times,
-            duration: WorkDays::new(project),
+            duration: WorkDays(project),
             critical,
         })
     }

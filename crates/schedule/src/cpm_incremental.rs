@@ -57,7 +57,7 @@
 use std::sync::Arc;
 
 use crate::cpm::{ActivityTimes, CpmAnalysis};
-use crate::csr::{default_threads, CsrTopology, DirtyBits, EPS};
+use crate::csr::{default_threads, CsrTopology, DirtyBits};
 use crate::error::ScheduleError;
 use crate::network::{ActivityId, ScheduleNetwork, WorkDays};
 
@@ -106,16 +106,16 @@ impl UpdateStats {
 pub struct IncrementalCpm {
     /// Shared flat topology (one structural revision of the network).
     csr: Arc<CsrTopology>,
-    /// Snapshot of activity durations the cached state was derived
-    /// from, in position order.
-    durations: Vec<f64>,
-    early_start: Vec<f64>,
-    early_finish: Vec<f64>,
+    /// Snapshot of activity durations (milli-days) the cached state
+    /// was derived from, in position order.
+    durations: Vec<i64>,
+    early_start: Vec<i64>,
+    early_finish: Vec<i64>,
     /// Longest duration-path from the activity's start through to the
     /// project end (includes the activity's own duration). Late dates
     /// derive from it: `late_start = project − tail`.
-    tail: Vec<f64>,
-    project: f64,
+    tail: Vec<i64>,
+    project: i64,
     structure_rev: u64,
     /// Reusable bitset worklists (self-clearing on drain).
     dirty_fwd: DirtyBits,
@@ -151,7 +151,7 @@ impl IncrementalCpm {
             early_start: Vec::new(),
             early_finish: Vec::new(),
             tail: Vec::new(),
-            project: 0.0,
+            project: 0,
             structure_rev: network.structure_revision(),
             dirty_fwd: DirtyBits::new(n),
             dirty_bwd: DirtyBits::new(n),
@@ -172,7 +172,7 @@ impl IncrementalCpm {
 
     /// Total project duration (max earliest finish).
     pub fn project_duration(&self) -> WorkDays {
-        WorkDays::new(self.project.max(0.0))
+        WorkDays(self.project)
     }
 
     /// Whether the activity is on a critical path (zero total slack).
@@ -181,7 +181,8 @@ impl IncrementalCpm {
     ///
     /// Panics if `id` does not belong to the analyzed network.
     pub fn is_critical(&self, id: ActivityId) -> bool {
-        self.raw_slack(self.position(id)).max(0.0) < EPS
+        let p = self.position(id);
+        self.project - self.tail[p] == self.early_start[p]
     }
 
     /// Earliest start of `id` from the cached forward pass.
@@ -190,7 +191,7 @@ impl IncrementalCpm {
     ///
     /// Panics if `id` does not belong to the analyzed network.
     pub fn early_start(&self, id: ActivityId) -> WorkDays {
-        WorkDays::new(self.early_start[self.position(id)].max(0.0))
+        WorkDays(self.early_start[self.position(id)])
     }
 
     /// Latest start of `id`, derived from the cached backward pass.
@@ -199,16 +200,12 @@ impl IncrementalCpm {
     ///
     /// Panics if `id` does not belong to the analyzed network.
     pub fn late_start(&self, id: ActivityId) -> WorkDays {
-        WorkDays::new((self.project - self.tail[self.position(id)]).max(0.0))
+        WorkDays(self.project - self.tail[self.position(id)])
     }
 
     /// Topological position of `id` (panics on foreign ids).
     fn position(&self, id: ActivityId) -> usize {
         self.csr.pos[id.index()] as usize
-    }
-
-    fn raw_slack(&self, p: usize) -> f64 {
-        (self.project - self.tail[p]) - self.early_start[p]
     }
 
     /// The four dates plus slack for one activity, identical to what
@@ -221,27 +218,14 @@ impl IncrementalCpm {
     /// via the structural revision).
     pub fn times(&self, network: &ScheduleNetwork, id: ActivityId) -> ActivityTimes {
         self.check_same_network(network);
-        let p = self.position(id);
-        let late_start = self.project - self.tail[p];
-        let late_finish = late_start + self.durations[p];
-        let succs = self.csr.succs_of(p);
-        let free = if succs.is_empty() {
-            (self.project - self.early_finish[p]).max(0.0)
-        } else {
-            let min_es = succs
-                .iter()
-                .map(|&q| self.early_start[q as usize])
-                .fold(f64::INFINITY, f64::min);
-            (min_es - self.early_finish[p]).max(0.0)
-        };
-        ActivityTimes {
-            early_start: WorkDays::new(self.early_start[p].max(0.0)),
-            early_finish: WorkDays::new(self.early_finish[p].max(0.0)),
-            late_start: WorkDays::new(late_start.max(0.0)),
-            late_finish: WorkDays::new(late_finish.max(0.0)),
-            total_slack: WorkDays::new((late_start - self.early_start[p]).max(0.0)),
-            free_slack: WorkDays::new(free),
-        }
+        self.csr.times_at(
+            self.position(id),
+            &self.durations,
+            &self.early_start,
+            &self.early_finish,
+            &self.tail,
+            self.project,
+        )
     }
 
     /// Materialises a full [`CpmAnalysis`] from the cached state —
@@ -321,7 +305,7 @@ impl IncrementalCpm {
         // Refresh the duration snapshot for the dirty region.
         for &id in dirty {
             let p = self.position(id);
-            self.durations[p] = network.duration(id).days();
+            self.durations[p] = network.duration(id).0;
         }
         let (forward_recomputed, forward_cutoff, project_dirty) = self.forward_sweep(dirty);
         let (backward_recomputed, backward_cutoff) = self.backward_sweep(dirty);
@@ -346,10 +330,12 @@ impl IncrementalCpm {
         Ok(stats)
     }
 
-    /// Verifies the cached state against a fresh full pass; returns a
-    /// description of the first divergence, if any. Called
-    /// automatically after every [`update`](IncrementalCpm::update) in
-    /// debug builds (`debug_assert`-style); tests may call it directly.
+    /// Verifies the cached state against a fresh full pass: every date,
+    /// every criticality and the project duration must be equal, since
+    /// both run on exact milli-days. Returns a description of the first
+    /// divergence, if any. Called automatically after every
+    /// [`update`](IncrementalCpm::update) in debug builds
+    /// (`debug_assert`-style); tests may call it directly.
     ///
     /// # Errors
     ///
@@ -358,23 +344,12 @@ impl IncrementalCpm {
         let full = network
             .analyze()
             .map_err(|e| format!("full CPM failed: {e}"))?;
-        let tol = 1e-6;
         for id in network.activities() {
-            let a = self.times(network, id);
-            let b = full.times(id);
-            for (what, x, y) in [
-                ("early_start", a.early_start, b.early_start),
-                ("early_finish", a.early_finish, b.early_finish),
-                ("late_start", a.late_start, b.late_start),
-                ("late_finish", a.late_finish, b.late_finish),
-                ("total_slack", a.total_slack, b.total_slack),
-                ("free_slack", a.free_slack, b.free_slack),
-            ] {
-                if (x.days() - y.days()).abs() > tol {
-                    return Err(format!(
-                        "{id}: {what} diverged: incremental {x} vs full {y}"
-                    ));
-                }
+            let (a, b) = (self.times(network, id), full.times(id));
+            if a != b {
+                return Err(format!(
+                    "{id}: dates diverged: incremental {a:?} vs full {b:?}"
+                ));
             }
             if self.is_critical(id) != full.is_critical(id) {
                 return Err(format!(
@@ -384,8 +359,7 @@ impl IncrementalCpm {
                 ));
             }
         }
-        let d = (self.project_duration().days() - full.project_duration().days()).abs();
-        if d > tol {
+        if self.project_duration() != full.project_duration() {
             return Err(format!(
                 "project duration diverged: incremental {} vs full {}",
                 self.project_duration(),
@@ -410,7 +384,7 @@ impl IncrementalCpm {
                 continue;
             }
             debug_assert!(
-                (network.duration(id).days() - self.durations[self.position(id)]).abs() < 1e-12,
+                network.duration(id).0 == self.durations[self.position(id)],
                 "activity {id} changed duration but was not declared dirty"
             );
         }
@@ -459,13 +433,13 @@ impl IncrementalCpm {
         let mut cutoff = 0usize;
         let mut project_dirty = false;
         while let Some(p) = self.dirty_fwd.pop_lowest() {
-            let mut es = 0.0f64;
+            let mut es = 0i64;
             for &q in self.csr.preds_of(p) {
                 es = es.max(self.early_finish[q as usize]);
             }
             let ef = es + self.durations[p];
             recomputed += 1;
-            // Early cutoff: bit-identical earliest dates mean nothing
+            // Early cutoff: equal earliest dates mean nothing
             // downstream can observe a change.
             if es == self.early_start[p] && ef == self.early_finish[p] {
                 cutoff += 1;
@@ -473,9 +447,9 @@ impl IncrementalCpm {
             }
             let succs = self.csr.succs_of(p);
             if succs.is_empty() && (self.early_finish[p] == self.project || ef > self.project) {
-                // The cached project is the exact max of the cached
-                // sink finishes, so bitwise equality identifies the
-                // sink(s) currently holding it.
+                // The cached project is the max of the cached sink
+                // finishes, so equality identifies the sink(s)
+                // currently holding it.
                 project_dirty = true;
             }
             self.early_start[p] = es;
@@ -497,7 +471,7 @@ impl IncrementalCpm {
         let mut recomputed = 0usize;
         let mut cutoff = 0usize;
         while let Some(p) = self.dirty_bwd.pop_highest() {
-            let mut t = 0.0f64;
+            let mut t = 0i64;
             for &q in self.csr.succs_of(p) {
                 t = t.max(self.tail[q as usize]);
             }

@@ -33,9 +33,6 @@ use flowgraph::NodeId;
 use crate::cpm::ActivityTimes;
 use crate::network::{ActivityId, ScheduleNetwork, WorkDays};
 
-/// Tolerance for "same date" float comparisons (criticality chaining).
-pub(crate) const EPS: f64 = 1e-9;
-
 /// Minimum level width before a level is split across threads: narrow
 /// levels are cheaper to sweep serially than to spawn for.
 #[cfg(not(test))]
@@ -172,7 +169,7 @@ impl CsrTopology {
     }
 
     /// Gathers an id-indexed array into position order.
-    pub(crate) fn gather(&self, by_id: &[f64]) -> Vec<f64> {
+    pub(crate) fn gather(&self, by_id: &[i64]) -> Vec<i64> {
         self.order.iter().map(|&id| by_id[id as usize]).collect()
     }
 
@@ -186,20 +183,20 @@ impl CsrTopology {
         &self.succs[self.succ_off[p] as usize..self.succ_off[p + 1] as usize]
     }
 
-    /// Forward pass over position-space durations: earliest start and
-    /// finish per position. Levels wider than the parallel threshold
-    /// are chunked across `threads` scoped workers; results are
-    /// bit-identical for any thread count because every position's
-    /// value is a pure fold over already-finished earlier levels, in
-    /// fixed CSR order.
-    pub(crate) fn forward(&self, dur: &[f64], threads: usize) -> (Vec<f64>, Vec<f64>) {
+    /// Forward pass over position-space durations (milli-days):
+    /// earliest start and finish per position. Levels wider than the
+    /// parallel threshold are chunked across `threads` scoped workers;
+    /// results are identical for any thread count because every
+    /// position's value is a pure fold over already-finished earlier
+    /// levels, in fixed CSR order.
+    pub(crate) fn forward(&self, dur: &[i64], threads: usize) -> (Vec<i64>, Vec<i64>) {
         let n = self.len();
-        let mut es = vec![0.0f64; n];
-        let mut ef = vec![0.0f64; n];
+        let mut es = vec![0i64; n];
+        let mut ef = vec![0i64; n];
         if threads <= 1 {
             // Positions are topologically sorted: one flat sweep.
             for p in 0..n {
-                let mut start = 0.0f64;
+                let mut start = 0i64;
                 for &q in self.preds_of(p) {
                     start = start.max(ef[q as usize]);
                 }
@@ -214,7 +211,7 @@ impl CsrTopology {
             let width = b - a;
             if width < MIN_PAR_LEVEL {
                 for p in a..b {
-                    let mut start = 0.0f64;
+                    let mut start = 0i64;
                     for &q in self.preds_of(p) {
                         start = start.max(ef[q as usize]);
                     }
@@ -230,7 +227,7 @@ impl CsrTopology {
             let ef_cur = &mut ef_rest[..width];
             let es_cur = &mut es[a..b];
             let chunk = width.div_ceil(threads);
-            let ef_done: &[f64] = ef_done;
+            let ef_done: &[i64] = ef_done;
             std::thread::scope(|scope| {
                 for (k, (es_chunk, ef_chunk)) in es_cur
                     .chunks_mut(chunk)
@@ -243,7 +240,7 @@ impl CsrTopology {
                             let p = base + i;
                             let lo = self.pred_off[p] as usize;
                             let hi = self.pred_off[p + 1] as usize;
-                            let mut start = 0.0f64;
+                            let mut start = 0i64;
                             for &q in &self.preds[lo..hi] {
                                 start = start.max(ef_done[q as usize]);
                             }
@@ -261,12 +258,12 @@ impl CsrTopology {
     /// longest duration path from its start to the project end
     /// (`tail[p] = dur[p] + max tail[succ]`). Late dates fall out as
     /// `late_start = project - tail`, `late_finish = late_start + dur`.
-    pub(crate) fn backward(&self, dur: &[f64], threads: usize) -> Vec<f64> {
+    pub(crate) fn backward(&self, dur: &[i64], threads: usize) -> Vec<i64> {
         let n = self.len();
-        let mut tail = vec![0.0f64; n];
+        let mut tail = vec![0i64; n];
         if threads <= 1 {
             for p in (0..n).rev() {
-                let mut t = 0.0f64;
+                let mut t = 0i64;
                 for &q in self.succs_of(p) {
                     t = t.max(tail[q as usize]);
                 }
@@ -280,7 +277,7 @@ impl CsrTopology {
             let width = b - a;
             if width < MIN_PAR_LEVEL {
                 for p in (a..b).rev() {
-                    let mut t = 0.0f64;
+                    let mut t = 0i64;
                     for &q in self.succs_of(p) {
                         t = t.max(tail[q as usize]);
                     }
@@ -292,7 +289,7 @@ impl CsrTopology {
             let (head, tail_done) = tail.split_at_mut(b);
             let cur = &mut head[a..b];
             let chunk = width.div_ceil(threads);
-            let tail_done: &[f64] = tail_done;
+            let tail_done: &[i64] = tail_done;
             std::thread::scope(|scope| {
                 for (k, cur_chunk) in cur.chunks_mut(chunk).enumerate() {
                     let base = a + k * chunk;
@@ -301,7 +298,7 @@ impl CsrTopology {
                             let p = base + i;
                             let lo = self.succ_off[p] as usize;
                             let hi = self.succ_off[p + 1] as usize;
-                            let mut t = 0.0f64;
+                            let mut t = 0i64;
                             for &q in &self.succs[lo..hi] {
                                 t = t.max(tail_done[q as usize - b]);
                             }
@@ -315,23 +312,25 @@ impl CsrTopology {
     }
 
     /// Project duration: max earliest finish over sinks (0 if empty).
-    pub(crate) fn project(&self, ef: &[f64]) -> f64 {
+    pub(crate) fn project(&self, ef: &[i64]) -> i64 {
         self.sink_pos
             .iter()
             .map(|&p| ef[p as usize])
-            .fold(0.0f64, f64::max)
+            .max()
+            .unwrap_or(0)
     }
 
     /// Assembles the public per-activity dates (id order) from the
-    /// position-space pass outputs, with the same clamping and
-    /// free-slack fold as the original per-node assembly.
+    /// position-space pass outputs, with the free-slack fold of the
+    /// original per-node assembly. Every date is exact, so none needs
+    /// clamping: `es + tail <= project` holds for every position.
     pub(crate) fn assemble_times(
         &self,
-        dur: &[f64],
-        es: &[f64],
-        ef: &[f64],
-        tail: &[f64],
-        project: f64,
+        dur: &[i64],
+        es: &[i64],
+        ef: &[i64],
+        tail: &[i64],
+        project: i64,
     ) -> Vec<ActivityTimes> {
         let n = self.len();
         let zero = ActivityTimes {
@@ -344,28 +343,36 @@ impl CsrTopology {
         };
         let mut times = vec![zero; n];
         for p in 0..n {
-            let late_start = project - tail[p];
-            let late_finish = late_start + dur[p];
-            let succs = self.succs_of(p);
-            let free = if succs.is_empty() {
-                project - ef[p]
-            } else {
-                succs
-                    .iter()
-                    .map(|&q| es[q as usize])
-                    .fold(f64::INFINITY, f64::min)
-                    - ef[p]
-            };
-            times[self.order[p] as usize] = ActivityTimes {
-                early_start: WorkDays::new(es[p].max(0.0)),
-                early_finish: WorkDays::new(ef[p].max(0.0)),
-                late_start: WorkDays::new(late_start.max(0.0)),
-                late_finish: WorkDays::new(late_finish.max(0.0)),
-                total_slack: WorkDays::new((late_start - es[p]).max(0.0)),
-                free_slack: WorkDays::new(free.max(0.0)),
-            };
+            times[self.order[p] as usize] = self.times_at(p, dur, es, ef, tail, project);
         }
         times
+    }
+
+    /// The public dates of position `p`.
+    pub(crate) fn times_at(
+        &self,
+        p: usize,
+        dur: &[i64],
+        es: &[i64],
+        ef: &[i64],
+        tail: &[i64],
+        project: i64,
+    ) -> ActivityTimes {
+        let late_start = project - tail[p];
+        let next_start = self
+            .succs_of(p)
+            .iter()
+            .map(|&q| es[q as usize])
+            .min()
+            .unwrap_or(project);
+        ActivityTimes {
+            early_start: WorkDays(es[p]),
+            early_finish: WorkDays(ef[p]),
+            late_start: WorkDays(late_start),
+            late_finish: WorkDays(late_start + dur[p]),
+            total_slack: WorkDays(late_start - es[p]),
+            free_slack: WorkDays(next_start - ef[p]),
+        }
     }
 
     /// Walks one critical path in position space: from the first
@@ -375,12 +382,12 @@ impl CsrTopology {
     /// deterministic tie-breaking the object-graph walk used.
     pub(crate) fn walk_critical(
         &self,
-        es: &[f64],
-        ef: &[f64],
-        tail: &[f64],
-        project: f64,
+        es: &[i64],
+        ef: &[i64],
+        tail: &[i64],
+        project: i64,
     ) -> Vec<ActivityId> {
-        let is_crit = |p: usize| ((project - tail[p]) - es[p]).abs() < EPS;
+        let is_crit = |p: usize| project - tail[p] == es[p];
         let mut critical = Vec::new();
         let sources = self.level_off.get(1).copied().unwrap_or(0) as usize;
         let mut cur = (0..sources).find(|&p| is_crit(p));
@@ -390,7 +397,7 @@ impl CsrTopology {
                 .succs_of(p)
                 .iter()
                 .map(|&q| q as usize)
-                .find(|&q| is_crit(q) && (es[q] - ef[p]).abs() < EPS);
+                .find(|&q| is_crit(q) && es[q] == ef[p]);
         }
         critical
     }

@@ -7,7 +7,7 @@ use crate::network::ActivityId;
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum ScheduleError {
-    /// A duration was negative or not finite.
+    /// A duration was negative, not finite, or more than 10^12 days.
     InvalidDuration(f64),
     /// An activity id did not refer to an activity of this network.
     UnknownActivity(ActivityId),
@@ -36,7 +36,10 @@ impl fmt::Display for ScheduleError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ScheduleError::InvalidDuration(d) => {
-                write!(f, "duration must be finite and non-negative, got {d}")
+                write!(
+                    f,
+                    "duration must be finite, non-negative and at most 1e12 days, got {d}"
+                )
             }
             ScheduleError::UnknownActivity(id) => write!(f, "unknown activity {id}"),
             ScheduleError::PrecedenceCycle { from, to } => {

@@ -56,9 +56,9 @@ impl LeveledSchedule {
 /// time is never a usage level.
 #[derive(Debug, Default)]
 struct UsageProfile {
-    /// (time, delta) events, sorted by time; events at equal times keep
-    /// the order they were reserved in.
-    events: Vec<(f64, i64)>,
+    /// (time in milli-days, delta) events, sorted by time; events at
+    /// equal times keep the order they were reserved in.
+    events: Vec<(i64, i64)>,
     /// `levels[k]`: the usage right after `events[k]`, i.e. the sum of
     /// the deltas of `events[..=k]`.
     levels: Vec<i64>,
@@ -69,7 +69,7 @@ impl UsageProfile {
     /// level at `start`, or at any event time inside the interval,
     /// sampled once per time after all of its events. Two binary
     /// searches find the events inside; only those are read.
-    fn peak_in(&self, start: f64, finish: f64) -> i64 {
+    fn peak_in(&self, start: i64, finish: i64) -> i64 {
         if finish <= start {
             return 0;
         }
@@ -91,7 +91,7 @@ impl UsageProfile {
     }
 
     /// The earliest release (negative delta) strictly after `t`.
-    fn next_release_after(&self, t: f64) -> Option<f64> {
+    fn next_release_after(&self, t: i64) -> Option<i64> {
         let after = self.events.partition_point(|&(et, _)| et <= t);
         self.events[after..]
             .iter()
@@ -99,7 +99,7 @@ impl UsageProfile {
             .map(|&(et, _)| et)
     }
 
-    fn reserve(&mut self, start: f64, finish: f64, units: i64) {
+    fn reserve(&mut self, start: i64, finish: i64, units: i64) {
         self.insert(start, units);
         self.insert(finish, -units);
     }
@@ -107,10 +107,8 @@ impl UsageProfile {
     /// Inserts after every event at an equal time: the order a stable
     /// sort of the events in reservation order gives. Every later
     /// level moves by `delta`.
-    fn insert(&mut self, t: f64, delta: i64) {
-        let at = self
-            .events
-            .partition_point(|&(et, _)| et.total_cmp(&t).is_le());
+    fn insert(&mut self, t: i64, delta: i64) {
+        let at = self.events.partition_point(|&(et, _)| et <= t);
         self.events.insert(at, (t, delta));
         self.levels.insert(at, self.level_before(at) + delta);
         for level in &mut self.levels[at + 1..] {
@@ -158,7 +156,26 @@ pub fn level_resources(
     network: &ScheduleNetwork,
     pool: &ResourcePool,
 ) -> Result<LeveledSchedule, ScheduleError> {
-    let cpm: CpmAnalysis = network.analyze()?;
+    level_resources_with(network, pool, &network.analyze()?)
+}
+
+/// [`level_resources`] with the network's critical-path analysis
+/// supplied by the caller — a planner that already holds `cpm` (for
+/// example from an [`IncrementalCpm`](crate::IncrementalCpm), which is
+/// exactly equal to a full pass) levels without a second one.
+///
+/// # Errors
+///
+/// As [`level_resources`].
+///
+/// # Panics
+///
+/// Panics if `cpm` does not cover every activity of `network`.
+pub fn level_resources_with(
+    network: &ScheduleNetwork,
+    pool: &ResourcePool,
+    cpm: &CpmAnalysis,
+) -> Result<LeveledSchedule, ScheduleError> {
     // Validate demands up front.
     for id in network.activities() {
         for (name, units) in network.demands(id) {
@@ -172,14 +189,9 @@ pub fn level_resources(
     }
     // Priority order: min-slack first, then early start, then id.
     let mut order: Vec<ActivityId> = network.activities().collect();
-    order.sort_by(|&x, &y| {
-        let tx = cpm.times(x);
-        let ty = cpm.times(y);
-        tx.total_slack
-            .days()
-            .total_cmp(&ty.total_slack.days())
-            .then(tx.early_start.days().total_cmp(&ty.early_start.days()))
-            .then(x.cmp(&y))
+    order.sort_by_key(|&id| {
+        let t = cpm.times(id);
+        (t.total_slack, t.early_start, id)
     });
     // But we must respect precedence: process in a precedence-feasible
     // sweep, selecting the highest-priority ready activity each step.
@@ -201,7 +213,7 @@ pub fn level_resources(
     let mut finishes = vec![WorkDays::ZERO; n];
     let mut profiles: HashMap<&str, UsageProfile> = HashMap::new();
     let mut scheduled = vec![false; n];
-    let mut makespan = 0.0f64;
+    let mut makespan = WorkDays::ZERO;
 
     while let Some(pos) = ready
         .iter()
@@ -210,14 +222,15 @@ pub fn level_resources(
         .map(|(i, _)| i)
     {
         let id = ready.swap_remove(pos);
-        let duration = network.duration(id).days();
+        let duration = network.duration(id).0;
         // Earliest precedence-feasible start.
         let mut t = network
             .predecessors(id)
-            .map(|p| finishes[p.index()].days())
-            .fold(0.0f64, f64::max);
+            .map(|p| finishes[p.index()].0)
+            .max()
+            .unwrap_or(0);
         // Candidate start times: only at t or at a release event after t.
-        if duration > 0.0 {
+        if duration > 0 {
             loop {
                 let fits = network.demands(id).iter().all(|(name, units)| {
                     let cap = pool.capacity_of(name).expect("validated above");
@@ -230,20 +243,16 @@ pub fn level_resources(
                     break;
                 }
                 // Advance to the next release event after t.
-                let next = network
+                t = network
                     .demands(id)
                     .iter()
                     .filter_map(|(name, _)| profiles.get(name.as_str()))
                     .filter_map(|p| p.next_release_after(t))
-                    .fold(f64::INFINITY, f64::min);
-                assert!(
-                    next.is_finite(),
-                    "demand validated against capacity, so a feasible slot must exist"
-                );
-                t = next;
+                    .min()
+                    .expect("demand validated against capacity, so a feasible slot must exist");
             }
         }
-        if duration > 0.0 {
+        if duration > 0 {
             for (name, units) in network.demands(id) {
                 profiles.entry(name.as_str()).or_default().reserve(
                     t,
@@ -252,9 +261,9 @@ pub fn level_resources(
                 );
             }
         }
-        starts[id.index()] = WorkDays::new(t);
-        finishes[id.index()] = WorkDays::new(t + duration);
-        makespan = makespan.max(t + duration);
+        starts[id.index()] = WorkDays(t);
+        finishes[id.index()] = WorkDays(t + duration);
+        makespan = makespan.max(WorkDays(t + duration));
         scheduled[id.index()] = true;
         for s in network.successors(id) {
             remaining_preds[s.index()] -= 1;
@@ -267,7 +276,7 @@ pub fn level_resources(
     Ok(LeveledSchedule {
         starts,
         finishes,
-        makespan: WorkDays::new(makespan),
+        makespan,
     })
 }
 
@@ -377,7 +386,7 @@ mod tests {
         let cpm = net.analyze().unwrap();
         let lev = level_resources(&net, &pool).unwrap();
         for &id in &ids {
-            assert!(lev.start(id).days() >= cpm.times(id).early_start.days() - 1e-9);
+            assert!(lev.start(id) >= cpm.times(id).early_start);
         }
     }
 

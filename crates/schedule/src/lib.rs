@@ -60,6 +60,6 @@ pub use calendar::{CalDate, Calendar, Weekday};
 pub use cpm::{ActivityTimes, CpmAnalysis};
 pub use cpm_incremental::{IncrementalCpm, UpdateStats};
 pub use error::ScheduleError;
-pub use leveling::{level_resources, LeveledSchedule};
+pub use leveling::{level_resources, level_resources_with, LeveledSchedule};
 pub use network::{ActivityId, ScheduleNetwork, WorkDays};
 pub use resource::{Resource, ResourceId, ResourcePool};

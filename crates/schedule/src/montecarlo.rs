@@ -80,7 +80,8 @@ fn triangular(rng: &mut Rng, a: f64, m: f64, b: f64) -> f64 {
 /// The result of a Monte Carlo schedule simulation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RiskAnalysis {
-    samples: Vec<f64>,
+    /// Simulated project durations, ascending.
+    samples: Vec<WorkDays>,
     criticality: Vec<f64>,
     mean: f64,
 }
@@ -105,16 +106,12 @@ impl RiskAnalysis {
     pub fn quantile(&self, q: f64) -> WorkDays {
         assert!((0.0..=1.0).contains(&q), "quantile must be in [0, 1]");
         let idx = ((self.samples.len() - 1) as f64 * q).round() as usize;
-        WorkDays::new(self.samples[idx])
+        self.samples[idx]
     }
 
     /// Probability the project finishes within `deadline`.
     pub fn probability_within(&self, deadline: WorkDays) -> f64 {
-        let n = self
-            .samples
-            .iter()
-            .filter(|&&d| d <= deadline.days() + 1e-12)
-            .count();
+        let n = self.samples.iter().filter(|&&d| d <= deadline).count();
         n as f64 / self.samples.len() as f64
     }
 
@@ -171,7 +168,7 @@ pub fn simulate(
 
 /// One worker's contribution: project durations for its sample range
 /// plus per-activity critical-path hit counts.
-type ChunkResult = Result<(Vec<f64>, Vec<usize>), ScheduleError>;
+type ChunkResult = Result<(Vec<WorkDays>, Vec<usize>), ScheduleError>;
 
 /// [`simulate`] with an explicit worker count.
 ///
@@ -253,8 +250,8 @@ pub fn simulate_threaded(
         }
         (durations, critical_hits)
     };
-    durations.sort_by(|a, b| a.total_cmp(b));
-    let mean = durations.iter().sum::<f64>() / samples as f64;
+    durations.sort_unstable();
+    let mean = durations.iter().map(|d| d.days()).sum::<f64>() / samples as f64;
     mc_span.record("mean_days", mean);
     let criticality = critical_hits
         .iter()
@@ -276,7 +273,7 @@ fn run_chunk(
     range: std::ops::Range<usize>,
     seed: u64,
 ) -> ChunkResult {
-    let mut durations: Vec<f64> = Vec::with_capacity(range.len());
+    let mut durations = Vec::with_capacity(range.len());
     let mut critical_hits = vec![0usize; network.activity_count()];
     let mut working = network.clone();
     for sample in range {
@@ -286,7 +283,7 @@ fn run_chunk(
             working.set_duration(*id, WorkDays::new(d))?;
         }
         let cpm: CpmAnalysis = working.analyze()?;
-        durations.push(cpm.project_duration().days());
+        durations.push(cpm.project_duration());
         for id in working.activities() {
             if cpm.is_critical(id) {
                 critical_hits[id.index()] += 1;

@@ -8,67 +8,63 @@ use flowgraph::{Dag, NodeId};
 use crate::csr::CsrTopology;
 use crate::error::ScheduleError;
 
-/// A duration (or offset) measured in working days.
+/// A duration (or offset) measured in working days, held as a whole
+/// number of milli-days.
 ///
 /// Working days are the paper-era planning unit: calendars
 /// ([`Calendar`](crate::Calendar)) map them to civil dates. Fractional
-/// days are allowed (half-day tasks are common in tool runs).
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
-pub struct WorkDays(pub(crate) f64);
+/// days are allowed (half-day tasks are common in tool runs) down to
+/// one milli-day, the resolution the metadata database records dates
+/// at. [`WorkDays::new`] is the one place a float becomes a duration:
+/// it rounds to the nearest milli-day, so every sum, comparison and
+/// critical-path date after it is exact.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
+pub struct WorkDays(pub(crate) i64);
 
 impl WorkDays {
     /// Zero duration.
-    pub const ZERO: WorkDays = WorkDays(0.0);
+    pub const ZERO: WorkDays = WorkDays(0);
 
-    /// Creates a duration.
+    /// Creates a duration of `days`, rounded to the nearest milli-day.
     ///
     /// # Panics
     ///
-    /// Panics if `days` is negative, NaN, or infinite. Use
-    /// [`WorkDays::try_new`] for fallible construction.
+    /// Panics if `days` is negative, NaN, infinite, or more than 10^12.
+    /// Use [`WorkDays::try_new`] for fallible construction.
     pub fn new(days: f64) -> Self {
         WorkDays::try_new(days).expect("duration must be finite and non-negative")
     }
 
-    /// Creates a duration, rejecting negative or non-finite values.
+    /// Creates a duration of `days`, rounded to the nearest milli-day,
+    /// rejecting negative or non-finite values. At most 10^12 days are
+    /// accepted, so a sum of thousands of the longest still fits the
+    /// count.
     ///
     /// # Errors
     ///
-    /// Returns [`ScheduleError::InvalidDuration`] for negative, NaN, or
-    /// infinite input.
+    /// Returns [`ScheduleError::InvalidDuration`] for negative, NaN,
+    /// infinite, or larger input.
     pub fn try_new(days: f64) -> Result<Self, ScheduleError> {
-        if days.is_finite() && days >= 0.0 {
-            Ok(WorkDays(days))
+        if (0.0..=1e12).contains(&days) {
+            Ok(WorkDays((days * 1000.0).round() as i64))
         } else {
             Err(ScheduleError::InvalidDuration(days))
         }
     }
 
-    /// The value in days.
+    /// The value in days, for display and statistics.
     pub fn days(self) -> f64 {
-        self.0
+        self.0 as f64 / 1000.0
     }
 
     /// Saturating subtraction: never goes below zero.
     pub fn saturating_sub(self, other: WorkDays) -> WorkDays {
-        WorkDays((self.0 - other.0).max(0.0))
+        WorkDays((self.0 - other.0).max(0))
     }
 
-    /// Returns the larger of two durations.
-    pub fn max(self, other: WorkDays) -> WorkDays {
-        if self.0 >= other.0 {
-            self
-        } else {
-            other
-        }
-    }
-
-    /// The nearest whole number of milli-days: the resolution the
-    /// metadata database records dates and durations at, as integers,
-    /// so its objects stay `Eq` and hashable while keeping sub-minute
-    /// planning resolution.
+    /// The whole number of milli-days.
     pub fn millidays(self) -> i64 {
-        (self.0 * 1000.0).round() as i64
+        self.0
     }
 
     /// A span of `md` milli-days.
@@ -77,14 +73,8 @@ impl WorkDays {
     ///
     /// Panics if `md` is negative.
     pub fn from_millidays(md: i64) -> WorkDays {
-        WorkDays::new(md as f64 / 1000.0)
-    }
-
-    /// This span as the metadata database records it: rounded to the
-    /// nearest milli-day. Text that shows a date beside recorded ones
-    /// renders it through this, so one date never prints two ways.
-    pub fn recorded(self) -> WorkDays {
-        WorkDays::from_millidays(self.millidays())
+        assert!(md >= 0, "duration must be finite and non-negative");
+        WorkDays(md)
     }
 }
 
@@ -156,10 +146,10 @@ pub(crate) struct ActivityData {
 #[derive(Debug, Default)]
 pub struct ScheduleNetwork {
     pub(crate) dag: Dag<ActivityData, ()>,
-    /// Durations in days, indexed by [`ActivityId::index`] — kept flat
-    /// (outside the per-node `ActivityData`) so the CPM passes read one
-    /// contiguous array instead of chasing node objects.
-    pub(crate) durations: Vec<f64>,
+    /// Durations in milli-days, indexed by [`ActivityId::index`] —
+    /// kept flat (outside the per-node `ActivityData`) so the CPM
+    /// passes read one contiguous array instead of chasing node objects.
+    pub(crate) durations: Vec<i64>,
     names: HashMap<String, ActivityId>,
     /// Bumped on every *structural* change (activities/constraints, not
     /// durations). Lets caches such as
@@ -233,7 +223,7 @@ impl ScheduleNetwork {
             demands: Vec::new(),
         }));
         debug_assert_eq!(id.index(), self.durations.len());
-        self.durations.push(duration.days());
+        self.durations.push(duration.0);
         self.names.insert(name, id);
         self.structure_rev += 1;
         Ok(id)
@@ -336,7 +326,7 @@ impl ScheduleNetwork {
             .durations
             .get_mut(id.index())
             .ok_or(ScheduleError::UnknownActivity(id))?;
-        *slot = duration.days();
+        *slot = duration.0;
         Ok(())
     }
 
@@ -450,8 +440,8 @@ impl ScheduleNetwork {
         csr
     }
 
-    /// Raw day-valued durations, indexed by [`ActivityId::index`].
-    pub(crate) fn durations_raw(&self) -> &[f64] {
+    /// Raw milli-day durations, indexed by [`ActivityId::index`].
+    pub(crate) fn durations_raw(&self) -> &[i64] {
         &self.durations
     }
 }
@@ -561,10 +551,26 @@ mod tests {
     }
 
     #[test]
+    fn workdays_round_to_the_milli_day() {
+        assert_eq!(WorkDays::new(3.6296).millidays(), 3630);
+        assert_eq!(WorkDays::new(0.0004), WorkDays::ZERO);
+        assert_eq!(WorkDays::from_millidays(1585), WorkDays::new(1.585));
+        // Sums of rounded values are exact: ten tenths are one day.
+        let tenth = WorkDays::new(0.1);
+        let mut sum = WorkDays::ZERO;
+        for _ in 0..10 {
+            sum += tenth;
+        }
+        assert_eq!(sum, WorkDays::new(1.0));
+    }
+
+    #[test]
     fn workdays_rejects_bad_values() {
         assert!(WorkDays::try_new(-0.5).is_err());
         assert!(WorkDays::try_new(f64::NAN).is_err());
         assert!(WorkDays::try_new(f64::INFINITY).is_err());
+        assert!(WorkDays::try_new(1e12).is_ok());
+        assert!(WorkDays::try_new(1.1e12).is_err());
         assert!(WorkDays::try_new(0.0).is_ok());
     }
 

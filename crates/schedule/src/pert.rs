@@ -121,7 +121,7 @@ pub fn completion_probability(
     let expected = cpm.project_duration();
     let std_dev = variance.sqrt();
     let probability = if std_dev == 0.0 {
-        if deadline.days() >= expected.days() {
+        if deadline >= expected {
             1.0
         } else {
             0.0

@@ -2,22 +2,25 @@
 //!
 //! Every date a status table or a plan body prints goes through here:
 //! [`WorkDays`]'s `Display` (`3d`, `2.50d`) and signed slips (`+0.03d`,
-//! `-0.55d`). The text is exactly what `{}` for a whole day and `{:.2}`
-//! otherwise print, but it is built with integer arithmetic into a
-//! stack buffer and written with one `write_str`. [`write_padded`] is
-//! the `{:<N}` of a table column.
+//! `-0.55d`). The text is built with integer arithmetic into a stack
+//! buffer and written with one `write_str`. [`write_padded`] is the
+//! `{:<N}` of a table column.
 //!
-//! Rounding to hundredths is decided from the float's bits, so it is
-//! exact: a value is rounded as its true binary value, and a value lying
-//! exactly on a tie (say 0.125) goes to the even hundredth, as `{:.2}`
-//! does. Past [`EXACT_LIMIT`] days, and for NaN and the infinities,
-//! the writer hands over to `{:.2}`.
+//! A [`WorkDays`] is a whole number of milli-days, an exact decimal:
+//! whole days print as `{}` prints them, and any other count is rounded
+//! to hundredths as a decimal, a half (say 0.125) away from zero.
+//!
+//! A slip is a float. Its text is exactly what `{:+.2}` prints: rounding
+//! to hundredths is decided from the float's bits, so a value is rounded
+//! as its true binary value, and a value lying exactly on a tie goes to
+//! the even hundredth. Past [`EXACT_LIMIT`] days, and for NaN and the
+//! infinities, the writer hands over to `{:+.2}`.
 
 use std::fmt;
 
 use crate::network::WorkDays;
 
-/// Magnitudes from here up are formatted by `{:.2}`: below it, a value
+/// Slip magnitudes from here up are formatted by `{:+.2}`: below it, a value
 /// times 100 fits the 64-bit integer path (2^32 days is about 16 million
 /// years of working days).
 pub const EXACT_LIMIT: f64 = 4_294_967_296.0;
@@ -94,9 +97,10 @@ fn write_fixed2<W: fmt::Write>(out: &mut W, sign: Option<u8>, magnitude: f64) ->
 }
 
 impl WorkDays {
-    /// Writes this count as its `Display` text — `3d` when it is within
-    /// 1e-9 of a whole day, `2.50d` otherwise — to `out`, for example a
-    /// `String` a response body is built in.
+    /// Writes this count as its `Display` text — `3d` for a whole
+    /// number of days, `2.50d` otherwise, rounded to hundredths with a
+    /// half away from zero — to `out`, for example a `String` a response
+    /// body is built in.
     ///
     /// ```
     /// use schedule::WorkDays;
@@ -105,30 +109,30 @@ impl WorkDays {
     /// WorkDays::new(3.0).write_to(&mut out).unwrap();
     /// out.push(' ');
     /// WorkDays::new(2.125).write_to(&mut out).unwrap();
-    /// assert_eq!(out, "3d 2.12d");
+    /// assert_eq!(out, "3d 2.13d");
     /// ```
     ///
     /// # Errors
     ///
     /// Only what `out` returns; writing to a `String` cannot fail.
     pub fn write_to<W: fmt::Write>(self, out: &mut W) -> fmt::Result {
-        let x = self.days();
-        if (x - x.round()).abs() < 1e-9 {
-            // `as` saturates, as the text of a huge whole count always has.
-            let whole = x.round() as i64;
-            let mut d = Digits::new();
-            d.push(b'd');
-            d.number(whole.unsigned_abs(), 1);
-            if whole < 0 {
-                d.push(b'-');
-            }
-            d.write_to(out)
-        } else if x.abs() < EXACT_LIMIT {
-            let sign = x.is_sign_negative().then_some(b'-');
-            write_fixed2(out, sign, x.abs())
+        let md = self.0.unsigned_abs();
+        let mut d = Digits::new();
+        d.push(b'd');
+        if md.is_multiple_of(1000) {
+            d.number(md / 1000, 1);
         } else {
-            write!(out, "{x:.2}d")
+            // Hundredths of the exact decimal value, halves away from
+            // zero.
+            let h = (md + 5) / 10;
+            d.number(h % 100, 2);
+            d.push(b'.');
+            d.number(h / 100, 1);
         }
+        if self.0 < 0 {
+            d.push(b'-');
+        }
+        d.write_to(out)
     }
 }
 
@@ -189,9 +193,12 @@ impl fmt::Display for WorkDays {
 mod tests {
     use super::*;
 
+    /// The text of the count nearest `x` days, of either sign.
     fn text(x: f64) -> String {
         let mut out = String::new();
-        WorkDays(x).write_to(&mut out).unwrap();
+        WorkDays((x * 1000.0).round() as i64)
+            .write_to(&mut out)
+            .unwrap();
         out
     }
 
@@ -215,23 +222,27 @@ mod tests {
     }
 
     #[test]
-    fn exact_ties_go_to_even() {
-        assert_eq!(text(0.125), "0.12d");
+    fn halves_go_away_from_zero() {
+        assert_eq!(text(0.125), "0.13d");
         assert_eq!(text(0.375), "0.38d");
-        assert_eq!(text(2.625), "2.62d");
+        assert_eq!(text(2.625), "2.63d");
+        assert_eq!(text(1.005), "1.01d");
+        assert_eq!(text(-0.125), "-0.13d");
     }
 
     #[test]
-    fn non_finite_and_huge_values_use_fmt() {
-        assert_eq!(text(f64::NAN), "NaNd");
-        assert_eq!(text(f64::INFINITY), "infd");
-        assert_eq!(text(1e300), format!("{}d", i64::MAX));
-        assert_eq!(
-            text(EXACT_LIMIT + 0.5),
-            format!("{:.2}d", EXACT_LIMIT + 0.5)
-        );
+    fn huge_counts_and_non_finite_slips() {
+        assert_eq!(text(1e12), "1000000000000d");
+        assert_eq!(text(EXACT_LIMIT + 0.5), "4294967296.50d");
+        assert_eq!(text(1e300), "9223372036854775.81d");
         assert_eq!(signed(-1e12), "-1000000000000.00d");
         assert_eq!(signed(f64::NAN), "NaNd");
+    }
+
+    #[test]
+    fn signed_ties_go_to_even() {
+        assert_eq!(signed(0.125), "+0.12d");
+        assert_eq!(signed(-2.625), "-2.62d");
     }
 
     #[test]

@@ -74,7 +74,7 @@ impl ActivityDates {
 
     /// Whether the activity finished later than planned.
     pub fn slipped(&self) -> bool {
-        self.finish_variance().is_some_and(|v| v > 1e-9)
+        self.actual_finish.is_some_and(|f| f > self.planned_finish)
     }
 }
 
@@ -169,13 +169,8 @@ pub fn summarize_dates(
         // EV: completed work earns its full planned duration; work in
         // progress earns nothing until the designer declares completion
         // (completion is a designer decision in the paper's model, so
-        // partial credit would be speculation). Finishes are recorded
-        // to the milli-day, so they are compared at that resolution: a
-        // finish recorded rounded up still earns at its own completion.
-        if row
-            .actual_finish
-            .is_some_and(|f| f.millidays() <= status_date.millidays())
-        {
+        // partial credit would be speculation).
+        if row.actual_finish.is_some_and(|f| f <= status_date) {
             ev += planned;
         }
         if row.slipped() {
@@ -275,22 +270,15 @@ mod tests {
     }
 
     #[test]
-    fn a_finish_recorded_rounded_up_earns_at_its_completion() {
-        // The activity finished at 3.6296; the database records 3.630.
-        // At a status date of the exact finish it is complete and earns
-        // its planned duration; a milli-day earlier it is not.
+    fn a_finish_earns_from_its_own_milli_day() {
+        // Dates are whole milli-days: a status date given as 3.6296
+        // is 3.630, the finish itself, so the activity has earned its
+        // planned duration; a milli-day earlier it has not.
         let rows = [row("a", 0.0, 3.6, Some((0.0, 3.63)))];
         let at_finish = summarize(&rows, WorkDays::new(3.6296));
         assert_eq!(at_finish.earned_value, 3.6);
-        let before = summarize(&rows, WorkDays::new(3.6286));
+        let before = summarize(&rows, WorkDays::new(3.629));
         assert_eq!(before.earned_value, 0.0);
-    }
-
-    #[test]
-    fn millidays_round_to_the_recorded_value() {
-        assert_eq!(WorkDays::new(3.6296).millidays(), 3630);
-        assert_eq!(WorkDays::new(3.6296).recorded(), WorkDays::new(3.63));
-        assert_eq!(WorkDays::from_millidays(1585), WorkDays::new(1.585));
     }
 
     #[test]

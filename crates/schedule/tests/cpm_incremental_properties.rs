@@ -3,15 +3,15 @@
 //! agree with a from-scratch [`ScheduleNetwork::analyze`] on every
 //! date, slack, criticality flag, and the project duration.
 //!
-//! Durations are kept dyadic (multiples of 0.5 working days) so both
-//! engines compute bit-identical floating-point values; the
-//! [`IncrementalCpm::cross_check`] comparison is exact up to 1e-6.
+//! Durations are whole milli-days, deliberately not binary fractions
+//! (multiples of 0.137 working days): both engines compute exactly
+//! equal dates, and [`IncrementalCpm::cross_check`] demands equality.
 
 use harness::prelude::*;
 use schedule::{ActivityId, IncrementalCpm, ScheduleNetwork, WorkDays};
 
 /// Random acyclic network: forward edges over n activities with random
-/// dyadic durations (same shape as `cpm_properties.rs`).
+/// milli-day durations (same shape as `cpm_properties.rs`).
 fn arb_network() -> impl Strategy<Value = ScheduleNetwork> {
     (
         2usize..25,
@@ -22,7 +22,7 @@ fn arb_network() -> impl Strategy<Value = ScheduleNetwork> {
             let mut net = ScheduleNetwork::new();
             let ids: Vec<_> = (0..n)
                 .map(|i| {
-                    let d = durations.get(i).copied().unwrap_or(1) as f64 * 0.5;
+                    let d = durations.get(i).copied().unwrap_or(1) as f64 * 0.137;
                     net.add_activity(format!("t{i}"), WorkDays::new(d))
                         .expect("unique names")
                 })
@@ -46,7 +46,7 @@ fn arb_pipeline() -> impl Strategy<Value = ScheduleNetwork> {
         let mut prev: Option<ActivityId> = None;
         for (i, d) in durations.iter().enumerate() {
             let id = net
-                .add_activity(format!("s{i}"), WorkDays::new(f64::from(*d) * 0.5))
+                .add_activity(format!("s{i}"), WorkDays::new(f64::from(*d) * 0.137))
                 .expect("unique names");
             if let Some(p) = prev {
                 net.add_precedence(p, id).expect("chain edge");
@@ -58,7 +58,7 @@ fn arb_pipeline() -> impl Strategy<Value = ScheduleNetwork> {
 }
 
 /// Random slip steps: each step re-estimates up to 7 activities (by
-/// index modulo n) to new dyadic durations. Steps may be empty and may
+/// index modulo n) to new milli-day durations. Steps may be empty and may
 /// repeat activities.
 fn arb_slips() -> impl Strategy<Value = Vec<Vec<(u16, u32)>>> {
     vec(vec((any_u16(), 0u32..20), 0..8), 1..5)
@@ -74,7 +74,7 @@ fn apply_step(
     let mut dirty = Vec::new();
     for &(who, dur) in step {
         let id = ids[(who as usize) % ids.len()];
-        net.set_duration(id, WorkDays::new(f64::from(dur) * 0.5))
+        net.set_duration(id, WorkDays::new(f64::from(dur) * 0.137))
             .expect("known activity");
         if !dirty.contains(&id) {
             dirty.push(id);
@@ -141,7 +141,7 @@ harness::props! {
         let mut inc = net.analyze_incremental().expect("acyclic");
         for (i, &id) in ids.iter().enumerate() {
             let d = durations.get(i % durations.len()).copied().unwrap_or(1);
-            net.set_duration(id, WorkDays::new(f64::from(d) * 0.5))
+            net.set_duration(id, WorkDays::new(f64::from(d) * 0.137))
                 .expect("known activity");
         }
         let stats = inc.update(&net, &ids).expect("whole graph dirty");
@@ -203,7 +203,7 @@ harness::props! {
         let mut inc = net.analyze_incremental().expect("acyclic");
         let ids: Vec<ActivityId> = net.activities().collect();
         let tail = net
-            .add_activity("grown", WorkDays::new(f64::from(dur) * 0.5))
+            .add_activity("grown", WorkDays::new(f64::from(dur) * 0.137))
             .expect("fresh name");
         let parent = ids[(attach as usize) % ids.len()];
         net.add_precedence(parent, tail).expect("forward edge");
@@ -213,7 +213,7 @@ harness::props! {
             panic!("post-rebuild state diverged: {e}");
         }
         // And the engine is reusable incrementally after the rebuild.
-        net.set_duration(tail, WorkDays::new(f64::from(dur) * 0.5 + 1.0))
+        net.set_duration(tail, WorkDays::new(f64::from(dur) * 0.137 + 1.0))
             .expect("known id");
         let stats = inc.update(&net, &[tail]).expect("valid dirty set");
         prop_assert!(!stats.full_rebuild, "duration slip is not structural");
@@ -248,7 +248,7 @@ fn incremental_cpm_is_reusable_across_many_structured_updates() {
     let mut recomputed = 0usize;
     for _ in 0..100 {
         let id = ids[(rng.next_u64() as usize) % ids.len()];
-        let d = 0.5 * ((rng.next_u64() % 12) as f64 + 1.0);
+        let d = 0.137 * ((rng.next_u64() % 12) as f64 + 1.0);
         net.set_duration(id, WorkDays::new(d)).expect("known id");
         let stats = inc.update(&net, &[id]).expect("single slip");
         recomputed += stats.total_recomputed();

@@ -1,42 +1,47 @@
-//! The day-count writer prints exactly what the `fmt` machinery prints.
+//! The day-count writer prints what the `fmt` machinery prints.
 //!
-//! Reference: `WorkDays`'s original `Display` — `{}d` of the rounded
-//! count within 1e-9 of a whole day, `{:.2}d` otherwise — and `{:+.2}d`
-//! for signed slips. Cases: every milliday value from 0 to 10^7
-//! (0–10 000 days, the database's resolution), both signs for the signed
-//! path; values on and next to every `x.xx5` tie up to 2 000 days;
-//! values around the magnitude bound; seeded random floats of every
-//! magnitude and bit pattern.
+//! A count is a whole number of milli-days. Reference for its `Display`:
+//! `{}d` of a whole number of days; otherwise `{:.2}d` of the count in
+//! days after a half (`x.xx5`) is moved one milli-day away from zero, so
+//! that the decimal half goes away from zero and no other value is near
+//! a tie. Cases: every milli-day value from 0 to 10^7 (0–10 000 days)
+//! with both signs, values around the slip magnitude bound and the ends
+//! of the range, and seeded random counts. Reference for signed slips,
+//! which are floats: `{:+.2}d`. Cases: values on and next to every
+//! `x.xx5` tie up to 2 000 days, values around the magnitude bound, and
+//! seeded random floats of every magnitude and bit pattern.
 
 use std::fmt::Write as _;
 
 use schedule::text::{write_signed_days, EXACT_LIMIT};
 use schedule::WorkDays;
 
-/// The text `WorkDays`'s `Display` printed before the writer existed,
-/// for any `f64` (a `WorkDays` difference can be negative).
-fn reference(x: f64, out: &mut String) {
-    if (x - x.round()).abs() < 1e-9 {
-        write!(out, "{}d", x.round() as i64).unwrap();
+/// Counts up to this many milli-days (10^12 days) are exact enough as
+/// floats for `{:.2}` to round them away from a tie.
+const REFERENCE_LIMIT: i64 = 1_000_000_000_000_000;
+
+/// The text of a count of `md` milli-days, `|md| <= REFERENCE_LIMIT`
+/// (a `WorkDays` difference can be negative).
+fn reference(md: i64, out: &mut String) {
+    if md % 1000 == 0 {
+        write!(out, "{}d", md / 1000).unwrap();
     } else {
-        write!(out, "{x:.2}d").unwrap();
+        let nudged = if md % 10 == 5 || md % 10 == -5 {
+            md + md.signum()
+        } else {
+            md
+        };
+        write!(out, "{:.2}d", nudged as f64 / 1000.0).unwrap();
     }
 }
 
-/// `WorkDays` for any `f64`: `WorkDays::new` refuses negative and
-/// non-finite values, but differences and sums of counts reach them.
-fn days(x: f64) -> WorkDays {
-    let inf = WorkDays::new(f64::MAX) + WorkDays::new(f64::MAX);
-    if x.is_finite() && x >= 0.0 {
-        WorkDays::new(x)
-    } else if x.is_nan() {
-        inf + (WorkDays::ZERO - inf)
-    } else if x == f64::INFINITY {
-        inf
-    } else if x == f64::NEG_INFINITY {
-        WorkDays::ZERO - inf
+/// The count of `md` milli-days, of either sign: `WorkDays::new`
+/// refuses negative values, but differences of counts reach them.
+fn count(md: i64) -> WorkDays {
+    if md >= 0 {
+        WorkDays::from_millidays(md)
     } else {
-        WorkDays::ZERO - WorkDays::new(-x)
+        WorkDays::ZERO - WorkDays::from_millidays(-(md + 1)) - WorkDays::from_millidays(1)
     }
 }
 
@@ -55,20 +60,17 @@ impl Checker {
         }
     }
 
-    /// Checks both paths for `x`: the unsigned `Display` text (for the
-    /// count `x` stands for) and the signed text.
-    fn check(&mut self, x: f64) {
-        let count = days(x);
-        assert!(
-            count.days().to_bits() == x.to_bits() || (x.is_nan() && count.days().is_nan()),
-            "{x:e} did not round-trip through WorkDays"
-        );
+    /// Checks the unsigned `Display` text of the count of `md`
+    /// milli-days.
+    fn check_count(&mut self, md: i64) {
+        let count = count(md);
+        assert_eq!(count.millidays(), md);
         self.ours.clear();
         self.std.clear();
         count.write_to(&mut self.ours).unwrap();
-        reference(count.days(), &mut self.std);
-        assert_eq!(self.ours, self.std, "Display of {x:e} ({:#x})", x.to_bits());
-        self.check_signed(x);
+        reference(md, &mut self.std);
+        assert_eq!(self.ours, self.std, "Display of {md} milli-days");
+        self.checked += 1;
     }
 
     /// Checks the signed text for `x`.
@@ -84,9 +86,9 @@ impl Checker {
     /// `x`, its negation, and both float neighbours of each.
     fn check_around(&mut self, x: f64) {
         for v in [x, -x] {
-            self.check(v);
-            self.check(v.next_up());
-            self.check(v.next_down());
+            self.check_signed(v);
+            self.check_signed(v.next_up());
+            self.check_signed(v.next_down());
         }
     }
 }
@@ -108,8 +110,8 @@ impl SplitMix {
     }
 }
 
-/// Every milliday value 0..=10^7, split across two threads (the test
-/// also runs unoptimized).
+/// Every milli-day value 0..=10^7, of both signs, split across two
+/// threads (the test also runs unoptimized).
 #[test]
 fn every_milliday_matches_fmt() {
     const LAST: i64 = 10_000_000;
@@ -119,16 +121,17 @@ fn every_milliday_matches_fmt() {
             s.spawn(move || {
                 let mut c = Checker::new();
                 for md in from..=to {
-                    let x = md as f64 / 1000.0;
-                    c.check(x);
-                    c.check_signed(-x);
+                    c.check_count(md);
+                    c.check_count(-md);
+                    c.check_signed(md as f64 / 1000.0);
+                    c.check_signed(-(md as f64) / 1000.0);
                 }
                 c.checked
             })
         });
         parts.into_iter().map(|p| p.join().unwrap()).sum()
     });
-    assert_eq!(checked, 2 * (LAST as u64 + 1));
+    assert_eq!(checked, 4 * (LAST as u64 + 1));
 }
 
 #[test]
@@ -158,6 +161,26 @@ fn ties_and_their_neighbours_match_fmt() {
 #[test]
 fn the_magnitude_bound_and_odd_values_match_fmt() {
     let mut c = Checker::new();
+    let bound = (EXACT_LIMIT * 1000.0) as i64;
+    for md in [
+        0,
+        bound / 2,
+        bound,
+        1_000_000_000_000,
+        REFERENCE_LIMIT - 1005,
+    ] {
+        for offset in -1005..=1005 {
+            c.check_count(md + offset);
+            c.check_count(-(md + offset));
+        }
+    }
+    // The ends of the range, past the reference's.
+    assert_eq!(count(i64::MAX).to_string(), "9223372036854775.81d");
+    assert_eq!(count(i64::MIN).to_string(), "-9223372036854775.81d");
+    assert_eq!(
+        count(i64::MAX / 1000 * 1000).to_string(),
+        "9223372036854775d"
+    );
     let mut x = EXACT_LIMIT;
     for _ in 0..64 {
         c.check_around(x);
@@ -194,17 +217,23 @@ fn the_magnitude_bound_and_odd_values_match_fmt() {
         9.2e18,
         -9.2e18,
     ] {
-        c.check(v);
+        c.check_signed(v);
     }
-    // `Display` is the writer.
-    for v in [0.0, 2.5, 3.0, 0.125, 1e300] {
-        assert_eq!(WorkDays::new(v).to_string(), c_text(v));
+    // `Display` is the writer; `new` rounds to the milli-day first.
+    for (v, md) in [
+        (0.0, 0),
+        (2.5, 2500),
+        (3.0, 3000),
+        (0.125, 125),
+        (2.0004, 2000),
+    ] {
+        assert_eq!(WorkDays::new(v).to_string(), c_text(md));
     }
 }
 
-fn c_text(x: f64) -> String {
+fn c_text(md: i64) -> String {
     let mut out = String::new();
-    reference(x, &mut out);
+    reference(md, &mut out);
     out
 }
 
@@ -214,11 +243,14 @@ fn seeded_random_values_match_fmt() {
     let mut c = Checker::new();
     for _ in 0..300_000 {
         // Uniform over the working range of a project.
-        c.check(rng.unit() * 20_000.0);
+        c.check_signed(rng.unit() * 20_000.0);
         // Log-uniform from 1e-12 to 1e12 days, either sign.
         let v = 10f64.powf(rng.unit() * 24.0 - 12.0);
-        c.check(if rng.next() & 1 == 0 { v } else { -v });
+        c.check_signed(if rng.next() & 1 == 0 { v } else { -v });
         // Any bit pattern: subnormals, huge values, NaNs, infinities.
-        c.check(f64::from_bits(rng.next()));
+        c.check_signed(f64::from_bits(rng.next()));
+        // Any count of milli-days the reference covers.
+        let md = (rng.next() % (2 * REFERENCE_LIMIT as u64 + 1)) as i64 - REFERENCE_LIMIT;
+        c.check_count(md);
     }
 }

@@ -15,10 +15,12 @@
 //!
 //! The artifacts were captured before the status renderer was
 //! rewritten; comparison is exact (no whitespace normalization). Since
-//! then only two kinds of line were restated, each a fix: plan and
-//! replan bodies print the recorded (milli-day) dates the status body
-//! prints for the same version, and a variance line earns an activity
-//! whose recorded finish rounded up to the status date.
+//! then three kinds of line were restated: plan and replan bodies print
+//! the recorded (milli-day) dates the status body prints for the same
+//! version; a variance line earns an activity whose recorded finish
+//! rounded up to the status date; and, once every duration became a
+//! whole number of milli-days, the layered flow's dates moved by the
+//! rounded durations summed along its levels (up to 0.04 days).
 
 use std::path::Path;
 

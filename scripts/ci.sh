@@ -30,7 +30,8 @@
 #           an unchanged re-plan that must append exactly two records,
 #           a carry-plan last, and read the same after reopen and gc),
 #           the carried-versions differential test, the planning-view
-#           property and the planner-metrics tests
+#           property, the restored-vs-live property and the
+#           planner-metrics tests
 #   fsck    durability gate: the 64-seed fault-injection sweep over
 #           FaultVfs, the corruption-corpus goldens in
 #           artifacts/corrupt_roots/ (v3 data-segment cases and their
@@ -232,11 +233,14 @@ stage_ws() {
     cargo test -q --offline --release -p hercules --lib workspace || return 1
     # The planning view: a warm manager (kept estimates, plan caches,
     # levelled schedules) plans as a cold one, and the planner's
-    # metrics count recomputed estimates and reused levelling.
+    # metrics count recomputed estimates and reused levelling. A
+    # manager restored from the dump reads the live one's clock and
+    # plans, forecasts and reports status as it does.
     cargo test -q --offline --release -p hercules --lib view_properties || return 1
     cargo test -q --offline --release -p hercules \
         --test workspace_stress --test compaction_property \
-        --test carry_differential --test plan_metrics || return 1
+        --test carry_differential --test plan_metrics \
+        --test restore_properties || return 1
     cargo test -q --offline --release -p bench \
         --test workspace_scaling || return 1
     # End-to-end lifecycle through the user-facing CLI, torn-tail

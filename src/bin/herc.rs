@@ -221,13 +221,13 @@ fn cmd_plan(source: &str, target: &str, opts: &Options) -> Result<(), String> {
         println!(
             "  {:<16} [{} .. {}] {} {}",
             pa.activity,
-            pa.start.recorded(),
-            pa.recorded_finish(),
+            pa.start,
+            pa.start + pa.duration,
             if pa.critical { "*" } else { " " },
             pa.assignee
         );
     }
-    println!("proposed finish: day {}", plan.recorded_finish());
+    println!("proposed finish: day {}", plan.project_finish());
     Ok(())
 }
 
