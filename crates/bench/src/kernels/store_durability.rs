@@ -29,12 +29,24 @@ use harness::bench::{black_box, Record};
 use metadata::{Framing, MetadataDb, PersistentStore, Store};
 use schedule::WorkDays;
 use schema::examples;
-use simtools::vfs::{MemVfs, RealVfs, Vfs};
+use simtools::vfs::{MemVfs, Vfs};
 
-/// A fresh store at `dir` on `vfs`, seeded with the circuit schema.
+/// A fresh store at `dir` on `vfs`, seeded with the circuit schema, in
+/// `framing`: its snapshot, empty tail and `CURRENT` written with the
+/// framing's encoders, then opened. The store appends in the framing
+/// its tail declares.
 fn create(vfs: Arc<dyn Vfs>, dir: &Path, framing: Framing) -> PersistentStore {
-    let db = MetadataDb::for_schema(&examples::circuit_design());
-    PersistentStore::create_with_framing(vfs, dir, db, framing).expect("create a fresh store")
+    let dump = MetadataDb::for_schema(&examples::circuit_design()).dump();
+    vfs.create_dir_all(dir).expect("make the store directory");
+    for (name, text) in [
+        ("snapshot-0.txt", framing.encode_snapshot(&dump)),
+        ("tail-0.journal", framing.empty_tail()),
+        ("CURRENT", "0\n".to_owned()),
+    ] {
+        vfs.write(&dir.join(name), text.as_bytes())
+            .expect("write a store file");
+    }
+    PersistentStore::open_on(vfs, dir).expect("open a fresh store")
 }
 
 /// Drives one planned activity and then `runs` begin/store/finish
@@ -61,7 +73,7 @@ fn drive(store: &mut PersistentStore, runs: usize) {
 
 /// Drives `runs` begin/store/finish cycles against a fresh store on
 /// its own in-memory filesystem; returns the VFS for the reopen half.
-fn session(runs: usize, framing: Framing) -> Arc<MemVfs> {
+pub fn session(runs: usize, framing: Framing) -> Arc<MemVfs> {
     let mem = MemVfs::new();
     let mut store = create(mem.clone(), Path::new("/proj"), framing);
     drive(&mut store, runs);
@@ -95,7 +107,8 @@ pub fn run(quick: bool) -> Vec<Record> {
         Some(n as u64),
         || {
             let _ = std::fs::remove_dir_all(&root);
-            create(RealVfs::arc(), &root, Framing::V2)
+            let db = MetadataDb::for_schema(&examples::circuit_design());
+            PersistentStore::create(&root, db).expect("create a fresh store")
         },
         |mut store| drive(&mut store, black_box(n)),
     );

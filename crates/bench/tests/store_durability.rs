@@ -13,9 +13,8 @@ use bench::kernels;
 // (see `checksum_overhead_within_1_2x_on_append_and_open` below).
 #[cfg(not(debug_assertions))]
 use {
-    metadata::{Framing, MetadataDb, PersistentStore, Store},
-    schedule::WorkDays,
-    schema::examples,
+    bench::kernels::store_durability::session,
+    metadata::{Framing, PersistentStore, Store},
     simtools::vfs::{MemVfs, Vfs},
     std::path::Path,
     std::sync::Arc,
@@ -39,39 +38,6 @@ fn kernel_covers_both_framings_and_paths() {
             "{required}: stats out of order"
         );
     }
-}
-
-/// A scripted session of `runs` tool cycles against a store created
-/// with the given framing; returns the filesystem it lives on.
-#[cfg(not(debug_assertions))]
-fn session(runs: usize, framing: Framing) -> Arc<MemVfs> {
-    let mem = MemVfs::new();
-    let db = MetadataDb::for_schema(&examples::circuit_design());
-    let mut store = PersistentStore::create_with_framing(
-        mem.clone() as Arc<dyn Vfs>,
-        Path::new("/proj"),
-        db,
-        framing,
-    )
-    .expect("create on MemVfs");
-    let planning = store.begin_planning(WorkDays::ZERO);
-    let plan = store
-        .plan_activity(planning, "Create", WorkDays::ZERO, WorkDays::new(1.0))
-        .expect("known activity");
-    store.assign(plan, "alice").expect("live plan");
-    let mut t = 0.0;
-    for i in 0..runs {
-        let run = store
-            .begin_run("Create", "alice", WorkDays::new(t))
-            .expect("known activity");
-        let data = store.store_data("n.net", vec![(i & 0xFF) as u8; 16]);
-        t += 0.25;
-        store
-            .finish_run(run, "netlist", data, WorkDays::new(t), &[])
-            .expect("valid finish");
-        t += 0.01;
-    }
-    mem
 }
 
 #[cfg(not(debug_assertions))]

@@ -62,7 +62,7 @@ impl Hercules {
         policy: &mut dyn SchedulingPolicy,
         cluster: Option<&Cluster>,
     ) -> Result<ExecutionReport, HerculesError> {
-        obs::Collector::set_sim_days(self.clock.days());
+        obs::Collector::set_sim_md(self.clock.millidays());
         let mut exec_span = obs::span!("hercules.execute", target = target);
         let tree = self.task_tree(target)?;
         // Supply primary inputs up front.
@@ -337,7 +337,7 @@ impl Hercules {
                 inputs.push(inst);
             }
             let start = ready_at.max(worker_free[w]);
-            obs::Collector::set_sim_days(start.days());
+            obs::Collector::set_sim_md(start.millidays());
             let mut act_span = obs::span!(
                 "execute.activity",
                 activity = activity.as_str(),
@@ -387,7 +387,7 @@ impl Hercules {
                             .store
                             .finish_run(run, &output_class, data, end, &inputs)?;
                         t = end;
-                        obs::Collector::set_sim_days(t.days());
+                        obs::Collector::set_sim_md(t.millidays());
                         obs::event!(
                             "execute.run",
                             activity = activity.as_str(),
@@ -412,7 +412,7 @@ impl Hercules {
                                 + retry.backoff(attempts);
                         fault_time += burned;
                         t += burned;
-                        obs::Collector::set_sim_days(t.days());
+                        obs::Collector::set_sim_md(t.millidays());
                         obs::event!(
                             "execute.retry",
                             activity = activity.as_str(),
@@ -431,7 +431,7 @@ impl Hercules {
                         let burned = retry.timeout + retry.backoff(attempts);
                         fault_time += burned;
                         t += burned;
-                        obs::Collector::set_sim_days(t.days());
+                        obs::Collector::set_sim_md(t.millidays());
                         obs::event!(
                             "execute.timeout",
                             activity = activity.as_str(),
@@ -495,7 +495,7 @@ impl Hercules {
             }
             worker_free[w] = t;
             finished_at = finished_at.max(t);
-            obs::Collector::set_sim_days(t.days());
+            obs::Collector::set_sim_md(t.millidays());
             act_span.record("iterations", iterations);
             act_span.record("fault_attempts", attempts);
             act_span.record("converged", converged);
@@ -535,7 +535,7 @@ impl Hercules {
 
         self.clock = finished_at;
         let replanned = self.degrade(target, &tree, &newly_blocked)?;
-        obs::Collector::set_sim_days(finished_at.days());
+        obs::Collector::set_sim_md(finished_at.millidays());
         exec_span.record("executed", executions.len());
         exec_span.record("blocked", blocked_rows.len());
         exec_span.record("skipped", skipped.len());

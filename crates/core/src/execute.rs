@@ -345,7 +345,7 @@ impl Hercules {
         &mut self,
         target: &str,
     ) -> Result<ExecutionReport, HerculesError> {
-        obs::Collector::set_sim_days(self.clock.days());
+        obs::Collector::set_sim_md(self.clock.millidays());
         let mut exec_span = obs::span!("hercules.execute", target = target);
         let tree = self.extract_task_tree(target)?;
         // Supply primary inputs up front.
@@ -411,7 +411,7 @@ impl Hercules {
             }
             let designer_at = designer_free.get(&assignee).copied().unwrap_or(self.clock);
             let start = ready.max(designer_at);
-            obs::Collector::set_sim_days(start.days());
+            obs::Collector::set_sim_md(start.millidays());
             let mut act_span = obs::span!(
                 "execute.activity",
                 activity = activity.as_str(),
@@ -459,7 +459,7 @@ impl Hercules {
                             .store
                             .finish_run(run, &output_class, data, end, &inputs)?;
                         t = end;
-                        obs::Collector::set_sim_days(t.days());
+                        obs::Collector::set_sim_md(t.millidays());
                         obs::event!(
                             "execute.run",
                             activity = activity.as_str(),
@@ -483,7 +483,7 @@ impl Hercules {
                             + policy.backoff(attempts);
                         fault_time += burned;
                         t += burned;
-                        obs::Collector::set_sim_days(t.days());
+                        obs::Collector::set_sim_md(t.millidays());
                         obs::event!(
                             "execute.retry",
                             activity = activity.as_str(),
@@ -502,7 +502,7 @@ impl Hercules {
                         let burned = policy.timeout + policy.backoff(attempts);
                         fault_time += burned;
                         t += burned;
-                        obs::Collector::set_sim_days(t.days());
+                        obs::Collector::set_sim_md(t.millidays());
                         obs::event!(
                             "execute.timeout",
                             activity = activity.as_str(),
@@ -559,7 +559,7 @@ impl Hercules {
             data_ready.insert(output_class, (t, final_instance));
             designer_free.insert(assignee.clone(), t);
             finished_at = finished_at.max(t);
-            obs::Collector::set_sim_days(t.days());
+            obs::Collector::set_sim_md(t.millidays());
             act_span.record("iterations", iterations);
             act_span.record("fault_attempts", attempts);
             act_span.record("converged", converged);
@@ -577,7 +577,7 @@ impl Hercules {
         }
         self.clock = finished_at;
         let replanned = self.degrade(target, &tree, &newly_blocked)?;
-        obs::Collector::set_sim_days(finished_at.days());
+        obs::Collector::set_sim_md(finished_at.millidays());
         exec_span.record("executed", executions.len());
         exec_span.record("blocked", blocked_rows.len());
         exec_span.record("skipped", skipped.len());

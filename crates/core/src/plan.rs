@@ -284,7 +284,7 @@ impl Hercules {
         skip: &[bool],
     ) -> Result<SchedulePlan, HerculesError> {
         let tree = self.task_tree(target)?;
-        obs::Collector::set_sim_days(self.clock.days());
+        obs::Collector::set_sim_md(self.clock.millidays());
         let skipped = skip.iter().filter(|&&s| s).count();
         let mut plan_span = obs::span!("hercules.plan", target = target, skipped = skipped,);
         let names = tree.activities();

@@ -52,7 +52,7 @@ impl Hercules {
     ///
     /// Same as [`plan`](Hercules::plan).
     pub fn replan(&mut self, target: &str) -> Result<ReplanOutcome, HerculesError> {
-        obs::Collector::set_sim_days(self.clock.days());
+        obs::Collector::set_sim_md(self.clock.millidays());
         let mut replan_span = obs::span!("hercules.replan", target = target);
         let tree = self.task_tree(target)?;
         let completed = self.completed_mask(&tree);
@@ -108,7 +108,7 @@ impl Hercules {
     ///   schema.
     /// * [`HerculesError::NotPlanned`] — no plan to compare against.
     pub fn propagate_slip(&mut self, activity: &str) -> Result<ReplanOutcome, HerculesError> {
-        obs::Collector::set_sim_days(self.clock.days());
+        obs::Collector::set_sim_md(self.clock.millidays());
         let mut slip_span = obs::span!("hercules.propagate_slip", activity = activity);
         let Some(root) = self.schema.rule_position(activity) else {
             return Err(HerculesError::UnknownActivity(activity.to_owned()));

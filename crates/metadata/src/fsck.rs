@@ -3,21 +3,22 @@
 //!
 //! [`scrub`] is **read-only**: it walks every store file in a
 //! directory (`CURRENT`, all `snapshot-*.txt` / `tail-*.journal`
-//! generations, the `data.seg` data segment, stray temp files),
-//! verifies headers and checksums, replays every tail record that
-//! frames cleanly onto its generation's snapshot (a record can
+//! generations, the `data.seg` data segment, stray temp files). It
+//! reads each generation with the store's own reader
+//! (`store::read_generation`, the one `PersistentStore::open` uses),
+//! which verifies headers and checksums and replays every tail record
+//! that frames cleanly onto its generation's snapshot (a record can
 //! checksum and still name state the snapshot lacks, such as a
-//! `carry-plan` of a version that is no longer its activity's
-//! latest: the tail is then corrupt at that record), and returns a
-//! per-file verdict plus a summary:
+//! `carry-plan` of a version that is no longer its activity's latest:
+//! the tail is then corrupt at that record). The scrub turns those
+//! findings into a per-file verdict plus a summary:
 //!
-//! * `healthy` — the store opens *and* serves: a torn trailing tail
-//!   record counts as healthy (open self-heals it, as ever), and so
-//!   does a tail reference past the segment's end (open truncates the
-//!   tail there); every data reference the live state keeps must
-//!   resolve in the segment with a matching CRC, and a reference with
-//!   no segment at all is damage (`data.seg MISSING`), never a torn
-//!   tail;
+//! * `healthy` — the store opens, by open's own verdict on the reader's
+//!   findings, *and* serves: every data reference the live state keeps
+//!   must resolve in the segment with a matching CRC. A torn trailing
+//!   tail record, or a tail reference past the segment's end, is torn
+//!   (open heals both); a reference with no segment at all is damage
+//!   (`data.seg MISSING`);
 //! * `repairable` — some snapshot generation still loads and its data
 //!   references verify, so [`repair`] can rebuild a servable store;
 //! * `unreferenced_bytes` — segment bytes no verified reference covers
@@ -30,9 +31,10 @@
 //! prefix of its tail that verifies, replays, and whose data references
 //! verify. (A complete generation above `CURRENT` is a compaction that
 //! died before naming it; the store kept appending below it.) The
-//! rebuilt state is written as a brand-new generation (above every
-//! sequence number seen in the directory, so nothing is overwritten)
-//! in storage v3, with the data segment
+//! rebuilt state is committed through the store's own commit
+//! (`store::commit_generation`) as a brand-new generation (above
+//! every sequence number seen in the directory, so nothing is
+//! overwritten) in storage v3, with the data segment
 //! rewritten to hold exactly the data that state references. Damaged
 //! files are renamed to `<name>.quarantine` for post-mortems (a
 //! segment with failing references included), and stray temp files are
@@ -51,14 +53,12 @@ use std::sync::Arc;
 
 use simtools::vfs::Vfs;
 
-use crate::database::MetadataDb;
-use crate::error::MetadataError;
-use crate::framing::{self, Framing, TailIssue};
-use crate::journal::{Journal, JournalOp};
+use crate::framing::{self, Framing, TailIssue, TailScan};
+use crate::journal::{JournalOp, ReplayStop};
 use crate::objects::DataBody;
 use crate::segment::{self, Extent, DATA_SEGMENT};
 use crate::store::{
-    self, generation_of, snapshot_name, tail_name, CorruptionKind, CorruptionReport, StoreError,
+    self, snapshot_name, tail_name, CorruptionKind, CorruptionReport, GenerationRead, StoreError,
 };
 
 /// How one store file fared under the scrub.
@@ -159,7 +159,7 @@ pub enum RepairOutcome {
 struct Segment {
     /// Its bytes (empty when absent or unreadable).
     bytes: Vec<u8>,
-    /// Its length as open sees it, `None` when it does not exist.
+    /// Its length, `None` when it does not exist.
     len: Option<u64>,
     /// Why it could not be read, when it exists but could not.
     unreadable: Option<String>,
@@ -199,35 +199,19 @@ impl Segment {
     }
 }
 
-/// A generation's worth of evidence gathered during the scrub.
-#[derive(Debug)]
-struct GenerationScan {
-    /// Loads successfully ⇒ the loaded database.
-    snapshot: Option<MetadataDb>,
-    /// The valid-prefix journal of `tail-<seq>`, when the tail exists
-    /// and its header parses — cut at the first data reference past
-    /// the segment's end, as open cuts it.
-    tail: Option<Journal>,
-    /// The tail verified completely or was merely torn (open would
-    /// proceed rather than refuse).
-    tail_clean_or_torn: bool,
-    /// The snapshot loads and every kept tail record replays onto it.
-    tail_replays: bool,
-}
-
-impl GenerationScan {
+impl GenerationRead {
     /// Every data reference this generation's state holds: the
-    /// snapshot's, then the kept tail's.
+    /// snapshot's, then the kept tail records'.
     fn refs(&self) -> impl Iterator<Item = (&str, Extent)> {
         let snapshot = self
-            .snapshot
+            .db
             .iter()
-            .flat_map(|db| db.data.iter())
+            .flat_map(|db| &db.data[..self.snapshot_data])
             .filter_map(|d| Some((d.name(), d.extent()?)));
         let tail = self
             .tail
             .iter()
-            .flat_map(|journal| journal.ops())
+            .flat_map(|scan| &scan.journal.ops()[..self.kept])
             .filter_map(|op| match op {
                 JournalOp::StoreDataRef { name, extent } => Some((name.as_str(), *extent)),
                 _ => None,
@@ -235,15 +219,27 @@ impl GenerationScan {
         snapshot.chain(tail)
     }
 
-    /// The snapshot, when it loads and every datum it references
+    /// Whether the snapshot loads and every datum it references
     /// verifies in `segment`.
-    fn serving_snapshot(&self, segment: &[u8]) -> Option<&MetadataDb> {
-        let db = self.snapshot.as_ref()?;
-        db.data
-            .iter()
-            .filter_map(|d| d.extent())
-            .all(|extent| extent.slice(segment).is_ok())
-            .then_some(db)
+    fn snapshot_serves(&self, segment: &[u8]) -> bool {
+        self.db.as_ref().is_some_and(|db| {
+            db.data[..self.snapshot_data]
+                .iter()
+                .filter_map(|d| d.extent())
+                .all(|extent| extent.slice(segment).is_ok())
+        })
+    }
+
+    /// Whether the tail's records frame cleanly (a torn last record
+    /// included) and every kept one replayed.
+    fn tail_whole(&self) -> bool {
+        matches!(
+            &self.tail,
+            Ok(TailScan {
+                issue: None | Some(TailIssue::Torn { .. }),
+                ..
+            })
+        ) && self.unreplayable.is_none()
     }
 }
 
@@ -259,28 +255,6 @@ fn parse_store_name(name: &str) -> Option<(&'static str, u64)> {
     None
 }
 
-/// Replays ops one at a time, stopping at the first that refuses to
-/// apply or references data that does not verify in `segment`; returns
-/// how many applied. (A refusal mid-tail means the ops beyond it were
-/// written against state we no longer have — replaying past it would
-/// fabricate history.)
-fn replay_prefix(db: &mut MetadataDb, journal: &Journal, segment: &[u8]) -> usize {
-    let mut applied = 0;
-    for op in journal.ops() {
-        if let JournalOp::StoreDataRef { extent, .. } = op {
-            if extent.slice(segment).is_err() {
-                break;
-            }
-        }
-        let single = Journal::from_ops(vec![op.clone()]);
-        if db.apply_journal(&single).is_err() {
-            break;
-        }
-        applied += 1;
-    }
-    applied
-}
-
 /// Read-only integrity scrub of one store directory. See the
 /// [module docs](self).
 ///
@@ -291,26 +265,16 @@ fn replay_prefix(db: &mut MetadataDb, journal: &Journal, segment: &[u8]) -> usiz
 /// from damage).
 pub fn scrub(vfs: &dyn Vfs, dir: &Path) -> Result<StoreScrub, StoreError> {
     let current_path = dir.join(store::CURRENT);
-    let current_text = vfs
-        .read_to_string(&current_path)
-        .map_err(|e| StoreError::Io {
-            path: current_path.clone(),
-            message: e.to_string(),
-        })?;
-    let mut verdicts = Vec::new();
-    let current_seq: Option<u64> = current_text.trim().parse().ok();
-    verdicts.push(match current_seq {
-        Some(seq) => FileVerdict {
-            path: current_path.clone(),
-            status: FileStatus::Ok,
-            detail: format!("sequence {seq}"),
-        },
-        None => FileVerdict {
-            path: current_path.clone(),
-            status: FileStatus::Corrupt,
-            detail: format!("not a sequence number: {:?}", current_text.trim()),
-        },
-    });
+    let (current_seq, current_verdict) = match store::read_current(vfs, dir) {
+        Ok(seq) => (Some(seq), (FileStatus::Ok, format!("sequence {seq}"))),
+        Err(StoreError::Corruption(report)) => (None, (FileStatus::Corrupt, report.detail)),
+        Err(e) => return Err(e),
+    };
+    let mut verdicts = vec![FileVerdict {
+        path: current_path,
+        status: current_verdict.0,
+        detail: current_verdict.1,
+    }];
 
     // Inventory the directory: every generation with any evidence,
     // plus strays.
@@ -347,22 +311,18 @@ pub fn scrub(vfs: &dyn Vfs, dir: &Path) -> Result<StoreScrub, StoreError> {
     let mut verified: Vec<Extent> = Vec::new();
     for &seq in &seqs {
         let is_live = current_seq == Some(seq);
-        let scan = scrub_generation(vfs, dir, seq, is_live, &segment, &mut verdicts);
-        if scan.serving_snapshot(&segment.bytes).is_some() {
-            repairable = true;
-        }
+        let read = store::read_generation(vfs, dir, seq, None);
+        scrub_generation(&read, is_live, &mut verdicts);
+        repairable |= read.snapshot_serves(&segment.bytes);
         verified.extend(
-            scan.refs()
+            read.refs()
                 .map(|(_, extent)| extent)
                 .filter(|extent| extent.slice(&segment.bytes).is_ok()),
         );
         if is_live {
-            healthy &= generation_opens(&scan, &segment);
-            live = Some(scan);
+            healthy &= read.opens();
+            live = Some(read);
         }
-    }
-    if current_seq.is_some() && !seqs.contains(&current_seq.unwrap()) {
-        healthy = false;
     }
     let unreferenced_bytes = match segment.unreadable {
         Some(_) => 0,
@@ -416,7 +376,7 @@ fn covered_bytes(extents: &mut [Extent]) -> u64 {
 fn segment_verdict(
     dir: &Path,
     segment: &Segment,
-    live: Option<&GenerationScan>,
+    live: Option<&GenerationRead>,
     unreferenced: u64,
 ) -> Option<FileVerdict> {
     let path = dir.join(DATA_SEGMENT);
@@ -427,7 +387,7 @@ fn segment_verdict(
             detail: format!("unreadable: {why}"),
         });
     }
-    let refs: Vec<(&str, Extent)> = live.map(|scan| scan.refs().collect()).unwrap_or_default();
+    let refs: Vec<(&str, Extent)> = live.map(|read| read.refs().collect()).unwrap_or_default();
     if !segment.present() && refs.is_empty() {
         return None;
     }
@@ -478,204 +438,114 @@ fn segment_verdict(
     })
 }
 
-/// Whether `PersistentStore::open` would succeed on this generation:
-/// snapshot loads with every reference inside the segment, tail is
-/// clean or merely torn, its kept prefix references no data when there
-/// is no segment, and that prefix replays completely.
-fn generation_opens(scan: &GenerationScan, segment: &Segment) -> bool {
-    let db = match &scan.snapshot {
-        Some(db) => db,
-        None => return false,
+/// Pushes the verdicts on one generation's snapshot and tail, as
+/// `store::read_generation` found them. A missing file is reported
+/// only in the live generation.
+fn scrub_generation(read: &GenerationRead, is_live: bool, verdicts: &mut Vec<FileVerdict>) {
+    let snap_path = read.dir.join(snapshot_name(read.seq));
+    let verdict = match &read.snapshot {
+        Ok((framing, bytes)) => Some((
+            FileStatus::Ok,
+            format!("{} ({bytes} bytes)", framing_label(*framing)),
+        )),
+        Err(e) => damage(e, is_live),
     };
-    if segment::first_snapshot_ref_past(db, segment.len).is_some() {
-        return false;
-    }
-    match &scan.tail {
-        Some(journal) => {
-            scan.tail_clean_or_torn
-                && segment::first_ref_past(journal.ops(), segment.len).is_none()
-                && scan.tail_replays
-        }
-        None => false,
-    }
-}
+    verdicts.extend(verdict.map(|(status, detail)| FileVerdict {
+        path: snap_path,
+        status,
+        detail,
+    }));
 
-/// Scrubs one generation's snapshot + tail, pushing verdicts and
-/// returning the evidence for repair.
-fn scrub_generation(
-    vfs: &dyn Vfs,
-    dir: &Path,
-    seq: u64,
-    is_live: bool,
-    segment: &Segment,
-    verdicts: &mut Vec<FileVerdict>,
-) -> GenerationScan {
-    let snap_path = dir.join(snapshot_name(seq));
-    let mut snapshot = None;
-    match read_text(vfs, &snap_path) {
-        ReadOutcome::Missing => {
-            if is_live {
-                verdicts.push(FileVerdict {
-                    path: snap_path.clone(),
-                    status: FileStatus::Missing,
-                    detail: "referenced by CURRENT but absent".into(),
-                });
-            }
-        }
-        ReadOutcome::Unreadable(detail) => verdicts.push(FileVerdict {
-            path: snap_path.clone(),
-            status: FileStatus::Corrupt,
-            detail,
-        }),
-        ReadOutcome::Text(raw) => match framing::decode_snapshot(&raw) {
-            Err(issue) => verdicts.push(FileVerdict {
-                path: snap_path.clone(),
-                status: FileStatus::Corrupt,
-                detail: issue.to_string(),
-            }),
-            Ok((framing, body)) => match MetadataDb::load_at(body, generation_of(seq)) {
-                Err(e) => verdicts.push(FileVerdict {
-                    path: snap_path.clone(),
-                    status: FileStatus::Corrupt,
-                    detail: format!("checksum ok but body does not load: {e}"),
-                }),
-                Ok(db) => {
-                    verdicts.push(FileVerdict {
-                        path: snap_path.clone(),
-                        status: FileStatus::Ok,
-                        detail: format!("{} ({} bytes)", framing_label(framing), raw.len()),
-                    });
-                    snapshot = Some(db);
-                }
-            },
-        },
-    }
-
-    let tail_path = dir.join(tail_name(seq));
-    let mut tail = None;
-    let mut tail_clean_or_torn = false;
-    let mut tail_replays = false;
-    match read_text(vfs, &tail_path) {
-        ReadOutcome::Missing => {
-            if is_live {
-                verdicts.push(FileVerdict {
-                    path: tail_path.clone(),
-                    status: FileStatus::Missing,
-                    detail: "referenced by CURRENT but absent".into(),
-                });
-            }
-        }
-        ReadOutcome::Unreadable(detail) => verdicts.push(FileVerdict {
-            path: tail_path.clone(),
-            status: FileStatus::Corrupt,
-            detail,
-        }),
-        ReadOutcome::Text(raw) => {
-            let mut scan = framing::decode_tail(&raw);
-            // Open cuts the tail at a reference past the segment's end,
-            // but only when there is a segment: with none, the tail is
-            // kept whole and the segment's verdict reports it missing.
-            // Only the live tail is opened; an older one's references
-            // are checked when repair falls back to it.
-            let dangling = segment::first_ref_past(scan.journal.ops(), segment.len)
-                .filter(|_| segment.present());
-            let (status, detail) = match (&scan.issue, dangling.filter(|_| is_live)) {
-                (Some(issue @ (TailIssue::BadHeader | TailIssue::Corrupt { .. })), _) => (
-                    FileStatus::Corrupt,
-                    format!("{issue}; {} ops verify before it", scan.journal.len()),
-                ),
-                (_, Some((at, name, extent))) => (
-                    FileStatus::Torn,
-                    format!(
-                        "torn data reference in record {}: {}; {at} ops verify",
-                        at + 1,
-                        segment::describe_past(name, &extent, segment.len)
-                    ),
-                ),
-                (Some(issue), None) => (
-                    FileStatus::Torn,
-                    format!("{issue}; {} ops verify", scan.journal.len()),
-                ),
-                (None, None) => (
-                    FileStatus::Ok,
-                    format!(
-                        "{}, {} ops",
-                        framing_label(scan.framing),
-                        scan.journal.len()
-                    ),
-                ),
-            };
-            if let Some((at, ..)) = dangling {
-                scan.journal.truncate(at);
-            }
-            // Every record that framed cleanly must also apply (see the
-            // module docs).
-            let unreplayable = match (&snapshot, status) {
-                (Some(db), FileStatus::Ok | FileStatus::Torn) => {
-                    first_unreplayable(db, &scan.journal)
-                }
-                _ => None,
-            };
-            tail_replays = snapshot.is_some() && unreplayable.is_none();
-            let (status, detail) = match unreplayable {
-                Some((at, e)) => (
-                    FileStatus::Corrupt,
-                    format!(
-                        "record {} does not replay: {e}; {at} ops apply before it",
-                        at + 1
-                    ),
-                ),
-                None => (status, detail),
-            };
-            tail_clean_or_torn = status != FileStatus::Corrupt;
-            verdicts.push(FileVerdict {
-                path: tail_path.clone(),
+    let scan = match &read.tail {
+        Ok(scan) => scan,
+        Err(e) => {
+            verdicts.extend(damage(e, is_live).map(|(status, detail)| FileVerdict {
+                path: read.dir.join(tail_name(read.seq)),
                 status,
                 detail,
-            });
-            tail = Some(scan.journal);
+            }));
+            return;
         }
-    }
-    GenerationScan {
-        snapshot,
-        tail,
-        tail_clean_or_torn,
-        tail_replays,
-    }
+    };
+    // A record referencing data past an existing segment's end tears
+    // the live tail there. Only the live tail is opened; an older
+    // one's references are checked when repair falls back to it.
+    let torn = read
+        .dangling
+        .as_ref()
+        .filter(|_| is_live && read.kept < scan.journal.len());
+    let ops = scan.journal.len();
+    let (status, detail) = match (&scan.issue, torn) {
+        (Some(issue @ (TailIssue::BadHeader | TailIssue::Corrupt { .. })), _) => (
+            FileStatus::Corrupt,
+            format!("{issue}; {ops} ops verify before it"),
+        ),
+        (_, Some((at, what))) => (
+            FileStatus::Torn,
+            format!(
+                "torn data reference in record {}: {what}; {at} ops verify",
+                at + 1
+            ),
+        ),
+        (Some(issue), None) => (FileStatus::Torn, format!("{issue}; {ops} ops verify")),
+        (None, None) => (
+            FileStatus::Ok,
+            format!("{}, {ops} ops", framing_label(scan.framing)),
+        ),
+    };
+    // Every record that framed cleanly must also apply (see the module
+    // docs).
+    let (status, detail) = match (&read.unreplayable, status) {
+        (
+            Some(ReplayStop {
+                at,
+                refused: Some(e),
+            }),
+            FileStatus::Ok | FileStatus::Torn,
+        ) => (
+            FileStatus::Corrupt,
+            format!(
+                "record {} does not replay: {e}; {at} ops apply before it",
+                at + 1
+            ),
+        ),
+        _ => (status, detail),
+    };
+    verdicts.push(FileVerdict {
+        path: read.dir.join(tail_name(read.seq)),
+        status,
+        detail,
+    });
 }
 
-/// The first record of `journal` that does not apply onto `snapshot`
-/// (after every record before it did), with the reason.
-fn first_unreplayable(snapshot: &MetadataDb, journal: &Journal) -> Option<(usize, MetadataError)> {
-    let mut db = snapshot.clone();
-    journal
-        .ops()
-        .iter()
-        .enumerate()
-        .find_map(|(at, op)| db.apply_op(op).err().map(|e| (at, e)))
+/// The verdict on a snapshot or tail that did not read or load: its
+/// status and detail, `None` for a missing file outside the live
+/// generation.
+fn damage(e: &StoreError, is_live: bool) -> Option<(FileStatus, String)> {
+    match e {
+        StoreError::Corruption(CorruptionReport {
+            kind: CorruptionKind::MissingFile,
+            detail,
+            ..
+        }) => is_live.then(|| (FileStatus::Missing, detail.clone())),
+        StoreError::Corruption(CorruptionReport {
+            kind: CorruptionKind::SnapshotLoad,
+            detail,
+            ..
+        }) => Some((
+            FileStatus::Corrupt,
+            format!("checksum ok but body does not load: {detail}"),
+        )),
+        StoreError::Corruption(report) => Some((FileStatus::Corrupt, report.detail.clone())),
+        StoreError::Io { message, .. } => Some((FileStatus::Corrupt, message.clone())),
+        e => Some((FileStatus::Corrupt, e.to_string())),
+    }
 }
 
 fn framing_label(framing: Framing) -> &'static str {
     match framing {
         Framing::V1 => "v1 (no checksums)",
         Framing::V2 => "v2 checksummed",
-    }
-}
-
-enum ReadOutcome {
-    Text(String),
-    Missing,
-    Unreadable(String),
-}
-
-fn read_text(vfs: &dyn Vfs, path: &Path) -> ReadOutcome {
-    match vfs.read_to_string(path) {
-        Ok(text) => ReadOutcome::Text(text),
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => ReadOutcome::Missing,
-        Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
-            ReadOutcome::Unreadable("not valid UTF-8".into())
-        }
-        Err(e) => ReadOutcome::Unreadable(e.to_string()),
     }
 }
 
@@ -715,19 +585,13 @@ pub fn repair(vfs: &Arc<dyn Vfs>, dir: &Path) -> Result<RepairOutcome, StoreErro
     let seqs = generations(&listed, report.current_seq);
     let segment = Segment::read(&**vfs, dir);
     let recover = |seq: u64| {
-        let scan = scrub_generation(&**vfs, dir, seq, false, &segment, &mut Vec::new());
-        let mut db = scan.serving_snapshot(&segment.bytes)?.clone();
-        let (replayed, whole) = match &scan.tail {
-            Some(journal) => {
-                let replayed = replay_prefix(&mut db, journal, &segment.bytes);
-                (
-                    replayed,
-                    scan.tail_clean_or_torn && replayed == journal.len(),
-                )
-            }
-            None => (0, false),
-        };
-        Some((seq, db, replayed, whole))
+        let read = store::read_generation(&**vfs, dir, seq, Some(&segment.bytes));
+        if !read.snapshot_serves(&segment.bytes) {
+            return None;
+        }
+        let whole = read.tail_whole();
+        let replayed = read.unreplayable.as_ref().map_or(read.kept, |stop| stop.at);
+        Some((seq, read.db?, replayed, whole))
     };
     let best = report
         .current_seq
@@ -788,18 +652,11 @@ pub fn repair(vfs: &Arc<dyn Vfs>, dir: &Path) -> Result<RepairOutcome, StoreErro
                 message: e.to_string(),
             })?;
     }
-    store::write_atomic(
-        &**vfs,
-        &dir.join(snapshot_name(new_seq)),
-        &Framing::V2.encode_snapshot(&db.dump_by_ref()),
-    )?;
-    store::write_atomic(
-        &**vfs,
-        &dir.join(tail_name(new_seq)),
-        &Framing::V2.empty_tail(),
-    )?;
     let mut quarantined = Vec::new();
-    if rebuilt.is_some() {
+    store::commit_generation(&**vfs, dir, new_seq, &db.dump_by_ref(), || {
+        if rebuilt.is_none() {
+            return Ok(());
+        }
         let segment_damaged = report
             .damaged()
             .any(|v| v.path == seg_path && v.status == FileStatus::Corrupt);
@@ -814,9 +671,8 @@ pub fn repair(vfs: &Arc<dyn Vfs>, dir: &Path) -> Result<RepairOutcome, StoreErro
             .map_err(|e| StoreError::Io {
                 path: seg_path.clone(),
                 message: e.to_string(),
-            })?;
-    }
-    store::write_atomic(&**vfs, &dir.join(store::CURRENT), &format!("{new_seq}\n"))?;
+            })
+    })?;
 
     // Quarantine the damaged files (rename, never delete: they are the
     // post-mortem evidence).
@@ -847,6 +703,7 @@ fn quarantine_path(path: &Path) -> PathBuf {
 mod tests {
     use super::*;
     use crate::store::{PersistentStore, Store};
+    use crate::MetadataDb;
     use schedule::WorkDays;
     use schema::examples;
     use simtools::vfs::MemVfs;

@@ -311,6 +311,24 @@ fn journal_metrics() -> &'static JournalMetrics {
     })
 }
 
+/// The op that stopped a [`MetadataDb::replay`]: its index (how many
+/// ops applied) and why it does not apply, `None` when its datum does
+/// not verify in the segment instead.
+#[derive(Debug)]
+pub(crate) struct ReplayStop {
+    pub(crate) at: usize,
+    pub(crate) refused: Option<MetadataError>,
+}
+
+impl ReplayStop {
+    /// Why the op does not apply. A replay without a segment stops only
+    /// on such an op.
+    pub(crate) fn into_refusal(self) -> MetadataError {
+        self.refused
+            .expect("a replay without a segment stops only on a refused op")
+    }
+}
+
 impl JournalOp {
     /// The op's stable kind tag — the first token of its text form,
     /// used by telemetry (`journal.append` events) and tooling.
@@ -929,13 +947,10 @@ impl MetadataDb {
         let mut span = obs::span!("journal.recover", ops = journal.len());
         journal_metrics().recoveries.inc();
         let mut db = MetadataDb::new();
-        let mut applied = 0usize;
-        for op in journal.ops() {
-            db.apply_op(op)?;
-            applied += 1;
+        if let Some(stop) = db.replay(journal.ops(), None) {
+            return Err(stop.into_refusal());
         }
-        journal_metrics().replayed.add(applied as u64);
-        span.record("applied", applied);
+        span.record("applied", journal.len());
         Ok(db)
     }
 
@@ -955,14 +970,40 @@ impl MetadataDb {
     /// does not belong to this snapshot).
     pub fn apply_journal(&mut self, journal: &Journal) -> Result<usize, MetadataError> {
         let mut span = obs::span!("journal.tail_replay", ops = journal.len());
-        let mut applied = 0usize;
-        for op in journal.ops() {
-            self.apply_op(op)?;
-            applied += 1;
+        if let Some(stop) = self.replay(journal.ops(), None) {
+            return Err(stop.into_refusal());
         }
+        span.record("applied", journal.len());
+        Ok(journal.len())
+    }
+
+    /// Replays `ops` onto this database in order: the one replay loop
+    /// behind recovery, open and fsck. It stops at the first op that
+    /// does not apply or, when `segment` is given, whose datum does not
+    /// verify in it; the ops past that one were written against state
+    /// this database does not have. Returns that op, `None` when every
+    /// op applied.
+    pub(crate) fn replay(
+        &mut self,
+        ops: &[JournalOp],
+        segment: Option<&[u8]>,
+    ) -> Option<ReplayStop> {
+        let stop = ops.iter().enumerate().find_map(|(at, op)| {
+            let unverified = matches!(
+                (op, segment),
+                (JournalOp::StoreDataRef { extent, .. }, Some(segment))
+                    if extent.slice(segment).is_err()
+            );
+            let refused = if unverified {
+                None
+            } else {
+                Some(self.apply_op(op).err()?)
+            };
+            Some(ReplayStop { at, refused })
+        });
+        let applied = stop.as_ref().map_or(ops.len(), |stop| stop.at);
         journal_metrics().replayed.add(applied as u64);
-        span.record("applied", applied);
-        Ok(applied)
+        stop
     }
 
     pub(crate) fn apply_op(&mut self, op: &JournalOp) -> Result<(), MetadataError> {

@@ -51,6 +51,19 @@
 //! failures (ENOSPC, EIO, short writes, lying fsync, dropped renames)
 //! deterministically.
 //!
+//! # One reader, one commit
+//!
+//! A generation is read in one place: `read_generation` reads its
+//! snapshot, stats the data segment, reads its tail and replays the
+//! tail onto the snapshot through `MetadataDb::replay`, the one
+//! replay loop. It returns findings; open refuses or heals on them, and
+//! [`crate::fsck`] turns the same findings into verdicts. A generation
+//! is written in one place too: `commit_generation` writes the
+//! snapshot, then an empty tail, then names the generation in
+//! `CURRENT`, the commit point. Create, [`replace_db`](Store::replace_db),
+//! [`compact`](Store::compact) and `fsck --repair` all commit through
+//! it.
+//!
 //! # Recovery policy
 //!
 //! Reopening distinguishes two failure shapes:
@@ -100,9 +113,9 @@ use simtools::vfs::{AppendFile, RealVfs, Vfs};
 use crate::database::MetadataDb;
 use crate::error::MetadataError;
 use crate::export::LoadError;
-use crate::framing::{self, Framing, SnapshotIssue, TailIssue};
+use crate::framing::{self, Framing, SnapshotIssue, TailIssue, TailScan};
 use crate::ids::{DataObjectId, EntityInstanceId, PlanningSessionId, RunId, ScheduleInstanceId};
-use crate::journal::{Journal, JournalOp};
+use crate::journal::{Journal, JournalOp, ReplayStop};
 use crate::objects::DataBody;
 use crate::segment::{self, SegmentWriter};
 
@@ -691,22 +704,6 @@ impl PersistentStore {
         dir: impl Into<PathBuf>,
         db: MetadataDb,
     ) -> Result<PersistentStore, StoreError> {
-        Self::create_with_framing(vfs, dir, db, Framing::V2)
-    }
-
-    /// [`create_on`](Self::create_on) pinned to a specific wire
-    /// framing. v1 exists for compatibility fixtures and the B15
-    /// checksum-overhead benchmark; production stores are v2.
-    ///
-    /// # Errors
-    ///
-    /// As [`create`](Self::create).
-    pub fn create_with_framing(
-        vfs: Arc<dyn Vfs>,
-        dir: impl Into<PathBuf>,
-        db: MetadataDb,
-        framing: Framing,
-    ) -> Result<PersistentStore, StoreError> {
         let dir = dir.into();
         vfs.create_dir_all(&dir).map_err(|e| io_err(&dir, e))?;
         let current = dir.join(CURRENT);
@@ -718,26 +715,19 @@ impl PersistentStore {
         // declares, so the tail starts truly empty (no re-declares).
         db.journal = Some(Journal::new());
         let mut segment = SegmentWriter::at(&*vfs, &dir)?;
+        let seq = 0u64;
         segment.spill(&vfs, &mut db)?;
         segment.sync(&*vfs)?;
+        commit_generation(&*vfs, &dir, seq, &db.dump_by_ref(), || Ok(()))?;
         db.segment = Some(segment.source(&vfs));
-        let seq = 0u64;
-        write_atomic(
-            &*vfs,
-            &dir.join(snapshot_name(seq)),
-            &framing.encode_snapshot(&db.dump_by_ref()),
-        )?;
-        let tail_path = dir.join(tail_name(seq));
-        write_atomic(&*vfs, &tail_path, &framing.empty_tail())?;
-        write_atomic(&*vfs, &current, &format!("{seq}\n"))?;
         Ok(PersistentStore {
             vfs,
+            tail_path: dir.join(tail_name(seq)),
             dir,
             db,
             seq,
             tail_ops: 0,
-            framing,
-            tail_path,
+            framing: Framing::V2,
             tail: None,
             append_buf: String::new(),
             segment,
@@ -770,92 +760,30 @@ impl PersistentStore {
     ) -> Result<PersistentStore, StoreError> {
         let dir = dir.into();
         let mut span = obs::span!("store.open");
-        let current = dir.join(CURRENT);
-        let current_text = vfs
-            .read_to_string(&current)
-            .map_err(|e| io_err(&current, e))?;
-        let seq: u64 = current_text.trim().parse().map_err(|_| {
-            corrupt(
-                &current,
-                CorruptionKind::BadCurrent,
-                format!("not a sequence number: {:?}", current_text.trim()),
-            )
-        })?;
-        let snap_path = dir.join(snapshot_name(seq));
-        let snapshot_raw = read_store_file(&*vfs, &snap_path)?;
-        let body = decode_snapshot_file(&snap_path, &snapshot_raw)?;
-        let generation = generation_of(seq);
-        let mut db = MetadataDb::load_at(body, generation)
-            .map_err(|e| corrupt(&snap_path, CorruptionKind::SnapshotLoad, e.to_string()))?;
-        // Open reads no design data: it only checks that every
-        // reference ends inside the segment.
-        let segment = SegmentWriter::at(&*vfs, &dir)?;
-        if let Some((name, extent)) = segment::first_snapshot_ref_past(&db, segment.len()) {
-            return Err(corrupt(
-                segment.path(),
-                CorruptionKind::DataRef,
-                format!(
-                    "{} references {}",
-                    snapshot_name(seq),
-                    segment::describe_past(name, &extent, segment.len())
-                ),
-            ));
+        let seq = read_current(&*vfs, &dir)?;
+        let read = read_generation(&*vfs, &dir, seq, None);
+        if let Some(refusal) = read.refusal() {
+            return Err(refusal);
         }
-        let tail_path = dir.join(tail_name(seq));
-        let tail_text = read_store_file(&*vfs, &tail_path)?;
-        let mut scan = framing::decode_tail(&tail_text);
-        match &scan.issue {
-            None | Some(TailIssue::Torn { .. }) => {}
-            Some(TailIssue::BadHeader) => {
-                return Err(corrupt(
-                    &tail_path,
-                    CorruptionKind::BadHeader,
-                    "unrecognized tail header",
-                ))
-            }
-            Some(issue @ TailIssue::Corrupt { .. }) => {
-                return Err(corrupt(
-                    &tail_path,
-                    CorruptionKind::CorruptRecord,
-                    issue.to_string(),
-                ))
-            }
-        }
-        // A reference past the segment's end is torn like a partial
-        // record: its datum's bytes never became durable. A reference
-        // with no segment at all is damage, and the tail is left as
-        // it is.
-        let dangling = match segment::first_ref_past(scan.journal.ops(), segment.len()) {
-            Some((at, name, extent)) if segment.len().is_none() => {
-                return Err(corrupt(
-                    segment.path(),
-                    CorruptionKind::DataRef,
-                    format!(
-                        "{} record {} references {}",
-                        tail_name(seq),
-                        at + 1,
-                        segment::describe_past(name, &extent, None)
-                    ),
-                ))
-            }
-            dangling => dangling.map(|(at, ..)| at),
+        let (Some(mut db), Ok(segment), Ok(mut scan)) = (read.db, read.segment, read.tail) else {
+            unreachable!("open refuses a generation whose files did not load")
         };
-        if let Some(at) = dangling {
-            scan.journal.truncate(at);
-        }
-        // A torn trailing record must be *truncated* on disk, not
-        // merely skipped — otherwise the next append would splice
-        // onto the partial record and corrupt the log for the next
-        // open.
-        if dangling.is_some() || scan.issue.is_some() {
+        let kept = read.kept;
+        let tail_path = dir.join(tail_name(seq));
+        // A torn trailing record, or a record referencing data past the
+        // segment's end, must be *truncated* on disk, not merely
+        // skipped — otherwise the next append would splice onto the
+        // partial record and corrupt the log for the next open.
+        if kept < scan.journal.len() || scan.issue.is_some() {
+            scan.journal.truncate(kept);
             write_atomic(&*vfs, &tail_path, &scan.framing.encode_tail(&scan.journal))?;
         }
-        db.apply_journal(&scan.journal)
-            .map_err(|e| corrupt(&tail_path, CorruptionKind::TailReplay, e.to_string()))?;
+        if let Some(stop) = read.unreplayable {
+            let refused = stop.into_refusal().to_string();
+            return Err(corrupt(&tail_path, CorruptionKind::TailReplay, refused));
+        }
         span.record("seq", seq);
-        span.record("tail_ops", scan.journal.len());
-        let tail_ops = scan.journal.len();
-        let framing = scan.framing;
+        span.record("tail_ops", kept);
         // The replayed ops live on in the tail file; memory starts empty.
         db.journal = Some(Journal::new());
         db.segment = Some(segment.source(&vfs));
@@ -864,8 +792,8 @@ impl PersistentStore {
             dir,
             db,
             seq,
-            tail_ops,
-            framing,
+            tail_ops: kept,
+            framing: scan.framing,
             tail_path,
             tail: None,
             append_buf: String::new(),
@@ -990,6 +918,32 @@ impl PersistentStore {
         self.tail = None;
     }
 
+    /// Commits `db` as the generation after the live one and returns
+    /// its dump. Its inline data move to the segment first, which is
+    /// made durable before anything refers to it. If the commit fails,
+    /// the live epoch is intact and whatever half of the next one was
+    /// written is removed. Once it succeeds, the superseded generation
+    /// stays as the fsck fallback and the one before it is removed.
+    fn commit_next(&mut self, db: &mut MetadataDb) -> Result<String, StoreError> {
+        let next = self.seq + 1;
+        let committed = (|| {
+            self.segment.spill(&self.vfs, db)?;
+            self.segment.sync(&*self.vfs)?;
+            let dump = db.dump_by_ref();
+            commit_generation(&*self.vfs, &self.dir, next, &dump, || Ok(()))?;
+            Ok(dump)
+        })();
+        let stale = if committed.is_ok() {
+            self.seq.checked_sub(1)
+        } else {
+            Some(next)
+        };
+        if let Some(seq) = stale {
+            self.remove_generation(seq);
+        }
+        committed
+    }
+
     fn file_size(&self, name: &str) -> u64 {
         self.vfs.file_size(&self.dir.join(name))
     }
@@ -1008,10 +962,164 @@ pub(crate) fn generation_of(seq: u64) -> u32 {
     u32::try_from(seq).unwrap_or(u32::MAX)
 }
 
+/// Reads the sequence number `CURRENT` names.
+///
+/// # Errors
+///
+/// [`StoreError::Io`] when `CURRENT` cannot be read (no store), a
+/// [`CorruptionKind::BadCurrent`] report when it holds no number.
+pub(crate) fn read_current(vfs: &dyn Vfs, dir: &Path) -> Result<u64, StoreError> {
+    let path = dir.join(CURRENT);
+    let text = vfs.read_to_string(&path).map_err(|e| io_err(&path, e))?;
+    text.trim().parse().map_err(|_| {
+        corrupt(
+            &path,
+            CorruptionKind::BadCurrent,
+            format!("not a sequence number: {:?}", text.trim()),
+        )
+    })
+}
+
+/// What reading one store generation found: the one reader behind
+/// [`PersistentStore::open_on`] and [`crate::fsck`]. It reads the
+/// snapshot, stats the data segment, reads the tail, and replays the
+/// tail onto the snapshot. It writes nothing and reads no design data.
+#[derive(Debug)]
+pub(crate) struct GenerationRead {
+    /// The store directory and the generation's sequence number.
+    pub(crate) dir: PathBuf,
+    pub(crate) seq: u64,
+    /// The snapshot's framing and size in bytes, or why it does not load.
+    pub(crate) snapshot: Result<(Framing, usize), StoreError>,
+    /// The data segment's append side, or why it cannot be stat'ed.
+    pub(crate) segment: Result<SegmentWriter, StoreError>,
+    /// The first datum the snapshot references past the segment's end,
+    /// described: acknowledged data that are lost, not torn.
+    pub(crate) lost_data: Option<String>,
+    /// The tail's valid record prefix and what stopped its decode, or
+    /// why it cannot be read.
+    pub(crate) tail: Result<TailScan, StoreError>,
+    /// The first record of that prefix referencing data past the
+    /// segment's end, described. With a segment there the tail is torn
+    /// at it; with none, it is damage.
+    pub(crate) dangling: Option<(usize, String)>,
+    /// How many records of the prefix are kept: those before a torn
+    /// data reference.
+    pub(crate) kept: usize,
+    /// The snapshot, whose data objects are the first `snapshot_data`,
+    /// with the kept records replayed onto it; `None` when it does not
+    /// load.
+    pub(crate) db: Option<MetadataDb>,
+    pub(crate) snapshot_data: usize,
+    /// The kept record that stopped the replay, if one did.
+    pub(crate) unreplayable: Option<ReplayStop>,
+}
+
+/// Reads generation `seq` of the store in `dir`. When `verify` holds the
+/// segment's bytes, the replay also stops at the first record whose
+/// datum does not verify in them.
+pub(crate) fn read_generation(
+    vfs: &dyn Vfs,
+    dir: &Path,
+    seq: u64,
+    verify: Option<&[u8]>,
+) -> GenerationRead {
+    let snap_path = dir.join(snapshot_name(seq));
+    let loaded = read_store_file(vfs, &snap_path).and_then(|raw| {
+        let (framing, body) = decode_snapshot_file(&snap_path, &raw)?;
+        let db = MetadataDb::load_at(body, generation_of(seq))
+            .map_err(|e| corrupt(&snap_path, CorruptionKind::SnapshotLoad, e.to_string()))?;
+        Ok(((framing, raw.len()), db))
+    });
+    let (snapshot, mut db) = match loaded {
+        Ok((found, db)) => (Ok(found), Some(db)),
+        Err(e) => (Err(e), None),
+    };
+    let snapshot_data = db.as_ref().map_or(0, |db| db.data.len());
+    let segment = SegmentWriter::at(vfs, dir);
+    // References are checked against an unstat-able segment as if empty.
+    let seg_len = segment.as_ref().map_or(Some(0), SegmentWriter::len);
+    let lost_data = db
+        .as_ref()
+        .and_then(|db| segment::first_snapshot_ref_past(db, seg_len))
+        .map(|(name, extent)| segment::describe_past(name, &extent, seg_len));
+    let tail =
+        read_store_file(vfs, &dir.join(tail_name(seq))).map(|raw| framing::decode_tail(&raw));
+    let ops = tail.as_ref().map_or(&[][..], |scan| scan.journal.ops());
+    let dangling = segment::first_ref_past(ops, seg_len)
+        .map(|(at, name, extent)| (at, segment::describe_past(name, &extent, seg_len)));
+    let kept = match (&dangling, seg_len) {
+        (Some((at, _)), Some(_)) => *at,
+        _ => ops.len(),
+    };
+    let _span = obs::span!("journal.tail_replay", ops = kept);
+    let unreplayable = db.as_mut().and_then(|db| db.replay(&ops[..kept], verify));
+    GenerationRead {
+        dir: dir.to_path_buf(),
+        seq,
+        snapshot,
+        segment,
+        lost_data,
+        tail,
+        dangling,
+        kept,
+        db,
+        snapshot_data,
+        unreplayable,
+    }
+}
+
+impl GenerationRead {
+    /// Why open refuses this generation before it heals the tail, in
+    /// the order open checks. A torn tail is no refusal (open truncates
+    /// it), nor is a record that does not replay: open reports that
+    /// after the heal.
+    pub(crate) fn refusal(&self) -> Option<StoreError> {
+        let segment = match (&self.snapshot, &self.segment) {
+            (Err(e), _) | (_, Err(e)) => return Some(e.clone()),
+            (_, Ok(segment)) => segment,
+        };
+        let data_ref = |detail| Some(corrupt(segment.path(), CorruptionKind::DataRef, detail));
+        if let Some(lost) = &self.lost_data {
+            return data_ref(format!("{} references {lost}", snapshot_name(self.seq)));
+        }
+        let tail_path = self.dir.join(tail_name(self.seq));
+        match self.tail.as_ref().map(|scan| &scan.issue) {
+            Err(e) => return Some(e.clone()),
+            Ok(None | Some(TailIssue::Torn { .. })) => {}
+            Ok(Some(issue @ TailIssue::BadHeader)) => {
+                return Some(corrupt(
+                    &tail_path,
+                    CorruptionKind::BadHeader,
+                    issue.to_string(),
+                ))
+            }
+            Ok(Some(issue @ TailIssue::Corrupt { .. })) => {
+                return Some(corrupt(
+                    &tail_path,
+                    CorruptionKind::CorruptRecord,
+                    issue.to_string(),
+                ))
+            }
+        }
+        let (at, what) = self.dangling.as_ref().filter(|_| segment.len().is_none())?;
+        data_ref(format!(
+            "{} record {} references {what}",
+            tail_name(self.seq),
+            at + 1
+        ))
+    }
+
+    /// Whether [`PersistentStore::open_on`] serves this generation.
+    pub(crate) fn opens(&self) -> bool {
+        self.refusal().is_none() && self.unreplayable.is_none()
+    }
+}
+
 /// Reads a store file, classifying a missing or non-text file as the
 /// corruption it is (the file is named by `CURRENT`, so its absence is
 /// damage, not a fresh directory).
-pub(crate) fn read_store_file(vfs: &dyn Vfs, path: &Path) -> Result<String, StoreError> {
+fn read_store_file(vfs: &dyn Vfs, path: &Path) -> Result<String, StoreError> {
     vfs.read_to_string(path).map_err(|e| match e.kind() {
         std::io::ErrorKind::NotFound => corrupt(
             path,
@@ -1027,20 +1135,40 @@ pub(crate) fn read_store_file(vfs: &dyn Vfs, path: &Path) -> Result<String, Stor
 
 /// Unwraps + checksum-verifies a snapshot file, mapping framing issues
 /// to typed corruption.
-pub(crate) fn decode_snapshot_file<'a>(path: &Path, raw: &'a str) -> Result<&'a str, StoreError> {
-    match framing::decode_snapshot(raw) {
-        Ok((_, body)) => Ok(body),
-        Err(SnapshotIssue::BadHeader) => Err(corrupt(
+fn decode_snapshot_file<'a>(path: &Path, raw: &'a str) -> Result<(Framing, &'a str), StoreError> {
+    framing::decode_snapshot(raw).map_err(|issue| match issue {
+        SnapshotIssue::BadHeader => corrupt(
             path,
             CorruptionKind::BadHeader,
             "unrecognized snapshot header",
-        )),
-        Err(issue @ SnapshotIssue::ChecksumMismatch { .. }) => Err(corrupt(
-            path,
-            CorruptionKind::ChecksumMismatch,
-            issue.to_string(),
-        )),
-    }
+        ),
+        SnapshotIssue::ChecksumMismatch { .. } => {
+            corrupt(path, CorruptionKind::ChecksumMismatch, issue.to_string())
+        }
+    })
+}
+
+/// Commits generation `seq` of the store in `dir`, holding the state
+/// `dump`: the one commit behind create, [`Store::replace_db`],
+/// [`Store::compact`] and `fsck --repair`. It writes the generation's
+/// v2 snapshot and an empty v2 tail, runs `before_current` (where
+/// repair puts its rewritten data segment in place), and then names
+/// `seq` in `CURRENT`. That rename is the commit point: every file goes
+/// in through [`write_atomic`], so a crash on either side of it leaves
+/// a complete store, the new generation or the one `CURRENT` named
+/// before.
+pub(crate) fn commit_generation(
+    vfs: &dyn Vfs,
+    dir: &Path,
+    seq: u64,
+    dump: &str,
+    before_current: impl FnOnce() -> Result<(), StoreError>,
+) -> Result<(), StoreError> {
+    let snapshot = Framing::V2.encode_snapshot(dump);
+    write_atomic(vfs, &dir.join(snapshot_name(seq)), &snapshot)?;
+    write_atomic(vfs, &dir.join(tail_name(seq)), &Framing::V2.empty_tail())?;
+    before_current()?;
+    write_atomic(vfs, &dir.join(CURRENT), &format!("{seq}\n"))
 }
 
 /// Writes `content` crash-consistently *and durably*: temp file in the
@@ -1227,37 +1355,12 @@ impl Store for PersistentStore {
         self.check_wedged()?;
         // A wholesale state replacement starts a new epoch on disk,
         // always in the current framing (v2 upgrade point).
-        let next = self.seq + 1;
         let mut db = db;
-        db.generation = generation_of(next);
+        db.generation = generation_of(self.seq + 1);
         db.journal = Some(Journal::new());
-        let result = (|| {
-            self.segment.spill(&self.vfs, &mut db)?;
-            self.segment.sync(&*self.vfs)?;
-            write_atomic(
-                &*self.vfs,
-                &self.dir.join(snapshot_name(next)),
-                &Framing::V2.encode_snapshot(&db.dump_by_ref()),
-            )?;
-            write_atomic(
-                &*self.vfs,
-                &self.dir.join(tail_name(next)),
-                &Framing::V2.empty_tail(),
-            )?;
-            write_atomic(&*self.vfs, &self.dir.join(CURRENT), &format!("{next}\n"))
-        })();
-        if let Err(e) = result {
-            // Leave the live epoch untouched; drop the half-written one.
-            self.remove_generation(next);
-            return Err(e);
-        }
-        // Keep the superseded epoch as the fsck fallback; drop the one
-        // before it.
-        if self.seq > 0 {
-            self.remove_generation(self.seq - 1);
-        }
+        self.commit_next(&mut db)?;
         db.segment = Some(self.segment.source(&self.vfs));
-        self.enter_epoch(next, db);
+        self.enter_epoch(self.seq + 1, db);
         Ok(())
     }
 
@@ -1284,52 +1387,19 @@ impl Store for PersistentStore {
             self.file_size(&snapshot_name(self.seq)) + self.file_size(&tail_name(self.seq));
         let tail_ops_before = self.tail_ops;
 
-        // 1. Data held inline (a v1/v2 root's) moves to the segment,
-        //    and the segment is made durable before anything refers
-        //    to it. Then a fresh snapshot + empty tail at the next
-        //    sequence — always v3 in v2 framing, which is how older
-        //    roots upgrade. The snapshot holds data references only.
+        // Data held inline (a v1/v2 root's) move to the segment, and
+        // the commit writes the next generation: always v3 in v2
+        // framing, which is how older roots upgrade. On failure the
+        // live state stays, its inline data spilled as before.
         let next = self.seq + 1;
-        let result = (|| {
-            self.segment.spill(&self.vfs, &mut self.db)?;
-            self.segment.sync(&*self.vfs)?;
-            let dump = self.db.dump_by_ref();
-            write_atomic(
-                &*self.vfs,
-                &self.dir.join(snapshot_name(next)),
-                &Framing::V2.encode_snapshot(&dump),
-            )?;
-            write_atomic(
-                &*self.vfs,
-                &self.dir.join(tail_name(next)),
-                &Framing::V2.empty_tail(),
-            )?;
-            // 2. Commit point: CURRENT now names the new sequence. A
-            //    crash on either side of this rename leaves a complete
-            //    store.
-            write_atomic(&*self.vfs, &self.dir.join(CURRENT), &format!("{next}\n"))?;
-            Ok(dump)
-        })();
-        let dump = match result {
-            Ok(dump) => dump,
-            Err(e) => {
-                // Failed before the commit point: the live epoch is
-                // intact. Clean up whatever half of the next epoch was
-                // written (write_atomic already removed its own temp
-                // file).
-                self.remove_generation(next);
-                return Err(e);
-            }
-        };
-        // 3. Keep the superseded epoch as the fsck fallback state;
-        //    best-effort removal of the one before it.
-        if self.seq > 0 {
-            self.remove_generation(self.seq - 1);
-        }
+        let mut db = std::mem::take(&mut self.db);
+        let committed = self.commit_next(&mut db);
+        self.db = db;
+        let dump = committed?;
 
-        // 4. Reload at the bumped generation: identical state, fresh
-        //    handle stamps — ids from before this call are now stale.
-        //    The dump holds metadata and data references only.
+        // Reload at the bumped generation: identical state, fresh
+        // handle stamps — ids from before this call are now stale. The
+        // dump holds metadata and data references only.
         let generation = generation_of(next);
         let mut db = MetadataDb::load_at(&dump, generation)?;
         db.journal = Some(Journal::new());
@@ -1608,7 +1678,7 @@ mod tests {
         let snapshot = mem
             .read_to_string(&Path::new("/proj").join(snapshot_name(0)))
             .unwrap();
-        let body = decode_snapshot_file(Path::new("snapshot"), &snapshot).unwrap();
+        let (_, body) = decode_snapshot_file(Path::new("snapshot"), &snapshot).unwrap();
         let mut replayed = MetadataDb::load_at(body, 0).unwrap();
         replayed.apply_journal(&journal).unwrap();
         let dump = store.db().dump();
@@ -1715,28 +1785,30 @@ mod tests {
 
     #[test]
     fn v1_root_reads_compatibly_and_upgrades_on_compact() {
+        // A pre-durability root: v1 snapshot, v1 tail, no checksums.
         let mem = MemVfs::new();
-        let mut store = PersistentStore::create_with_framing(
-            mem.clone() as Arc<dyn Vfs>,
-            "/proj",
-            seed_db(),
-            Framing::V1,
-        )
-        .unwrap();
+        let dir = Path::new("/proj");
+        let files = [
+            (
+                snapshot_name(0),
+                Framing::V1.encode_snapshot(&seed_db().dump()),
+            ),
+            (tail_name(0), Framing::V1.empty_tail()),
+            (CURRENT.to_owned(), "0\n".to_owned()),
+        ];
+        for (name, text) in files {
+            mem.write(&dir.join(name), text.as_bytes()).unwrap();
+        }
+        let mut store = PersistentStore::open_on(mem.clone() as Arc<dyn Vfs>, dir).unwrap();
+        assert_eq!(store.framing(), Framing::V1);
         mutate(&mut store);
         let dump = store.db().dump();
         drop(store);
-        // The files really are v1 (no checksums).
-        let tail_text = mem
-            .read_to_string(&Path::new("/proj").join(tail_name(0)))
-            .unwrap();
-        assert!(tail_text.starts_with("metadata-journal v1\n"));
-        let snap_text = mem
-            .read_to_string(&Path::new("/proj").join(snapshot_name(0)))
-            .unwrap();
-        assert!(snap_text.starts_with("metadata-db v1"));
-        // Open keeps appending v1 to the v1 tail...
-        let mut reopened = PersistentStore::open_on(mem.clone() as Arc<dyn Vfs>, "/proj").unwrap();
+        // The appends are v1 records: no checksum field.
+        let tail_text = mem.read_to_string(&dir.join(tail_name(0))).unwrap();
+        assert!(tail_text.starts_with("metadata-journal v1\nbegin-planning "));
+        // A reopen keeps appending v1 to the v1 tail...
+        let mut reopened = PersistentStore::open_on(mem.clone() as Arc<dyn Vfs>, dir).unwrap();
         assert_eq!(reopened.framing(), Framing::V1);
         assert_eq!(reopened.db().dump(), dump);
         reopened.begin_planning(WorkDays::new(4.0));

@@ -15,7 +15,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
-use metadata::{ArenaStore, MetadataDb, MetadataError, PersistentStore, Store};
+use metadata::{ArenaStore, MetadataDb, MetadataError, PersistentStore, Store, StoreError};
 use schedule::WorkDays;
 use schema::examples;
 use simtools::vfs::{FaultVfs, MemVfs, RealVfs, Vfs, VfsFaultPlan};
@@ -348,13 +348,16 @@ fn conformance_replace_db_swaps_state() {
     });
 }
 
-/// Property: ENOSPC at *every* write during `compact()` — first write,
-/// second, ... until the compaction finally succeeds — leaves the
-/// store usable in memory and reopenable from disk with its full
-/// pre-compaction contents. The commit protocol has no point of no
-/// return short of the `CURRENT` swap.
-#[test]
-fn conformance_compact_survives_enospc_at_every_injection_point() {
+/// Property: ENOSPC at *every* write of a commit — first write,
+/// second, ... until the commit finally succeeds — is a typed I/O
+/// error that leaves the live state unchanged and the disk reopening
+/// to the state before the call. The commit protocol has no point of
+/// no return short of the `CURRENT` swap. `commit` returns the state
+/// the store holds once it succeeds; the sweep returns how many writes
+/// the successful commit made.
+fn commit_survives_enospc_at_every_injection_point(
+    commit: impl Fn(&mut PersistentStore) -> Result<String, StoreError>,
+) -> u64 {
     let mut k = 0u64;
     loop {
         let mem = MemVfs::new();
@@ -362,36 +365,57 @@ fn conformance_compact_survives_enospc_at_every_injection_point() {
         let mut store =
             PersistentStore::create_on(faulty.clone() as Arc<dyn Vfs>, "/p", seed_db()).unwrap();
         lifecycle(&mut store);
-        let dump = store.db().dump();
+        let before = store.db().dump();
         faulty.arm_enospc_after(k);
-        let result = store.compact();
+        let result = commit(&mut store);
         faulty.disarm();
-        let succeeded = result.is_ok();
-        if !succeeded {
-            assert!(
-                matches!(result, Err(metadata::StoreError::Io { .. })),
-                "ENOSPC must surface as a typed I/O error: {result:?}"
-            );
-        }
-        // Either way: live state unchanged, disk state reopenable and
-        // byte-identical.
-        assert_eq!(store.db().dump(), dump);
+        let (expected, seq) = match result {
+            Ok(after) => (after, 1),
+            Err(e) => {
+                assert!(
+                    matches!(e, StoreError::Io { .. }),
+                    "ENOSPC must surface as a typed I/O error: {e:?}"
+                );
+                (before, 0)
+            }
+        };
+        assert_eq!(store.db().dump(), expected);
         drop(store);
         let reopened = PersistentStore::open_on(mem as Arc<dyn Vfs>, "/p").unwrap();
-        assert_eq!(reopened.db().dump(), dump);
-        if succeeded {
-            assert_eq!(reopened.sequence(), 1, "compaction committed");
-            break;
+        assert_eq!(reopened.db().dump(), expected);
+        assert_eq!(reopened.sequence(), seq, "the commit point is CURRENT");
+        if seq == 1 {
+            assert!(k >= 2, "the sweep must actually exercise failing writes");
+            return k;
         }
-        assert_eq!(
-            reopened.sequence(),
-            0,
-            "failed compaction left the old epoch"
-        );
         k += 1;
-        assert!(k < 64, "compaction should need far fewer than 64 writes");
+        assert!(k < 64, "a commit should need far fewer than 64 writes");
     }
-    assert!(k >= 2, "the sweep must actually exercise failing writes");
+}
+
+#[test]
+fn conformance_compact_survives_enospc_at_every_injection_point() {
+    let writes = commit_survives_enospc_at_every_injection_point(|store| {
+        let dump = store.db().dump();
+        store.compact()?;
+        Ok(dump)
+    });
+    println!("compact commits in {writes} writes");
+}
+
+/// The replacement carries inline design data, so the sweep also hits
+/// the segment appends that move it out before the snapshot.
+#[test]
+fn conformance_replace_db_survives_enospc_at_every_injection_point() {
+    let writes = commit_survives_enospc_at_every_injection_point(|store| {
+        let mut other = MetadataDb::load(&store.db().dump()).unwrap();
+        other.store_data("v3.net", payload(3, 2000));
+        other.begin_planning(WorkDays::new(3.0));
+        let dump = other.dump();
+        store.replace_db(other)?;
+        Ok(dump)
+    });
+    println!("replace_db commits in {writes} writes");
 }
 
 /// Storage v3 on disk: the design data are in the data segment, raw and

@@ -273,12 +273,6 @@ impl Collector {
         with_slot(|slot| slot.sim_md.store(md, Ordering::Relaxed));
     }
 
-    /// Publishes the simulated clock from fractional WorkDays
-    /// (converted to milli-days, the metadata crate's convention).
-    pub fn set_sim_days(days: f64) {
-        Self::set_sim_md((days * 1000.0).round() as i64);
-    }
-
     /// Records a point event: into the session if this thread is in
     /// it, and into the flight ring if the recorder is on. Prefer the
     /// [`event!`](crate::event) macro, which skips argument
@@ -527,7 +521,7 @@ mod tests {
     fn session_records_spans_events_and_sim_time() {
         let session = Collector::session();
         Collector::set_lane(0);
-        Collector::set_sim_days(1.5);
+        Collector::set_sim_md(1500);
         {
             let mut g = SpanGuard::enter("outer", vec![Arg::new("k", 7u64)]);
             Collector::event("ping", Vec::new());

@@ -103,3 +103,35 @@ fn repair_fixes_exactly_the_repairable_cases() {
     assert!(root.join("interior_rot/tail-0.journal.quarantine").exists());
     let _ = fs::remove_dir_all(&root);
 }
+
+/// Open and scrub read a generation through one reader, so they agree
+/// on which corpus roots open: torn tails and segment slack heal or
+/// serve, interior damage, a carry that does not replay, a rotted
+/// snapshot and a missing `CURRENT` are refused. `data_rot` opens
+/// because open reads no design data, yet fsck reports it damaged: its
+/// one rotted datum fails its checksum when read.
+#[test]
+fn open_agrees_with_scrub_on_every_corpus_root() {
+    let root = scratch_corpus();
+    let cases = [
+        ("healthy", true, true),
+        ("torn_tail", true, true),
+        ("short_segment", true, true),
+        ("segment_slack", true, true),
+        ("data_rot", true, false),
+        ("interior_rot", false, false),
+        ("bad_carry", false, false),
+        ("snapshot_rot", false, false),
+        ("headless", false, false),
+    ];
+    for (case, opens, healthy) in cases {
+        let dir = root.join(case);
+        // Scrub first: open heals a torn tail on disk.
+        let scrubbed =
+            metadata::fsck::scrub(&simtools::vfs::RealVfs, &dir).is_ok_and(|scrub| scrub.healthy);
+        assert_eq!(scrubbed, healthy, "{case}: scrub's verdict");
+        let opened = metadata::PersistentStore::open(&dir);
+        assert_eq!(opened.is_ok(), opens, "{case}: {opened:?}");
+    }
+    let _ = fs::remove_dir_all(&root);
+}
