@@ -34,7 +34,7 @@
 //! [`ExecutionReport`], store mutations, and trace byte-for-byte (the
 //! differential test in [`crate::execute`] pins this).
 
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap};
 
 use metadata::EntityInstanceId;
 use schedule::WorkDays;
@@ -76,24 +76,18 @@ impl Hercules {
         // absent = shared storage: supplied inputs, prior sessions).
         let mut produced_on: HashMap<String, usize> = HashMap::new();
 
+        // The dispatch loop reads the scope by tree position (inputs,
+        // output, consumers), never through string-keyed tree lookups.
         let names = tree.activities();
         let n = names.len();
-        // Position-indexed views over the scope: the hot dispatch loop
-        // never re-resolves producers/consumers through string-keyed
-        // tree lookups (the engine-overhead half of the B17
-        // `exec_policies` gate holds default execution to the serial
-        // executor's wall-clock). The consumer adjacency itself is
-        // precomputed by [`TaskTree::extract`].
-        let inputs_idx: Vec<&[String]> = (0..n).map(|i| tree.inputs_at(i)).collect();
-        let output_idx: Vec<&str> = (0..n).map(|i| tree.output_at(i)).collect();
-        let done = self.completed_mask(&tree);
+        let (done, _) = self.open_scope(&tree);
         // Dispatch-time estimates feed the policy inputs (slack, ranks,
         // finish estimates); completed work is a zero-duration
-        // milestone, as in forecasting. Policies that decide purely
-        // from topology and queue state (Fifo, WorkStealing) skip this
-        // whole pass — the CPM analysis is the engine's one
-        // non-trivial fixed cost, and the `exec_policies` bench gate
-        // holds default execution to the serial executor's wall-clock.
+        // milestone. Policies that decide purely from topology and
+        // queue state (Fifo, WorkStealing) skip this whole pass — the
+        // CPM analysis is the engine's one non-trivial fixed cost, and
+        // the `exec_policies` bench gate holds default execution to the
+        // serial executor's wall-clock.
         let mut estimate = vec![WorkDays::ZERO; n];
         let mut slack = vec![WorkDays::ZERO; n];
         let mut rank = vec![WorkDays::ZERO; n];
@@ -118,16 +112,17 @@ impl Hercules {
                 rank[i] = estimate[i] + best;
             }
         }
-        // Assignees: the plan's designer, else the stable name-hash
-        // fallback (plans cannot change mid-execution, so computing
+        // Assignees: the plan's designer, else the designer planning
+        // would give (plans cannot change mid-execution, so computing
         // these up front matches the serial scan).
         let assignee_of: Vec<String> = names
             .iter()
-            .map(|a| {
+            .enumerate()
+            .map(|(i, a)| {
                 self.db()
                     .current_plan(a)
                     .and_then(|p| p.assignees().first().map(|d| d.as_ref().to_owned()))
-                    .unwrap_or_else(|| self.team.assignee_for(a).to_owned())
+                    .unwrap_or_else(|| tree.assignee_at(i, &self.team).to_owned())
             })
             .collect();
 
@@ -171,52 +166,50 @@ impl Hercules {
         // Admission bookkeeping: per activity, the input classes not
         // yet published, plus the running max of its published inputs'
         // availability times (so admission is O(1) — no re-walk of the
-        // data_ready map when the last input lands). Classes that can
-        // never be published (their producer blocked, was skipped, or
-        // completed without a linked result) are *dead*; activities
-        // with a dead input are *doomed* and reported skipped, in
-        // dependency order, transitively.
+        // data_ready map when the last input lands). An activity whose
+        // producer blocked, was doomed, or completed without a linked
+        // result can never run: it is *doomed* and reported skipped, in
+        // dependency order, and so are its consumers, transitively.
         let mut avail: Vec<WorkDays> = vec![self.clock; n];
         let mut missing: Vec<Vec<&str>> = Vec::with_capacity(n);
-        for (i, ins) in inputs_idx.iter().enumerate() {
+        for (i, ready_at) in avail.iter_mut().enumerate() {
             let mut not_ready = Vec::new();
-            for class in ins.iter() {
+            for class in tree.inputs_at(i) {
                 match data_ready.get(class.as_str()) {
-                    Some(&(at, _)) => avail[i] = avail[i].max(at),
+                    Some(&(at, _)) => *ready_at = (*ready_at).max(at),
                     None => not_ready.push(class.as_str()),
                 }
             }
             missing.push(not_ready);
         }
         let mut dispatched = vec![false; n];
-        let mut dead: HashSet<String> = HashSet::new();
+        // Doomed activities not yet reported skipped, in position
+        // order, and every activity ever doomed.
         let mut doomed: BTreeSet<usize> = BTreeSet::new();
-        let doom_from = |worklist: &mut Vec<String>,
-                         dead: &mut HashSet<String>,
+        let mut is_doomed = vec![false; n];
+        // Dooms the open consumers of the activity at `producer`,
+        // whose output will never be published, transitively.
+        let doom_from = |producer: usize,
                          doomed: &mut BTreeSet<usize>,
+                         is_doomed: &mut [bool],
                          dispatched: &[bool]| {
-            while let Some(cls) = worklist.pop() {
-                if !dead.insert(cls.clone()) {
-                    continue;
-                }
-                for j in 0..n {
-                    if done[j] || dispatched[j] || doomed.contains(&j) {
+            let mut worklist = vec![producer];
+            while let Some(p) = worklist.pop() {
+                for &j in tree.consumers_at(p) {
+                    if done[j] || dispatched[j] || is_doomed[j] {
                         continue;
                     }
-                    if inputs_idx[j].contains(&cls) {
-                        doomed.insert(j);
-                        worklist.push(output_idx[j].to_owned());
-                    }
+                    is_doomed[j] = true;
+                    doomed.insert(j);
+                    worklist.push(j);
                 }
             }
         };
         // Completed activities whose result never got linked leave
         // their output class permanently missing.
-        let mut initial_dead: Vec<String> = (0..n)
-            .filter(|&i| done[i] && !data_ready.contains_key(output_idx[i]))
-            .map(|i| output_idx[i].to_owned())
-            .collect();
-        doom_from(&mut initial_dead, &mut dead, &mut doomed, &dispatched);
+        for i in (0..n).filter(|&i| done[i] && !data_ready.contains_key(tree.output_at(i))) {
+            doom_from(i, &mut doomed, &mut is_doomed, &dispatched);
+        }
 
         let admit = |i: usize,
                      ready_at: WorkDays,
@@ -230,7 +223,7 @@ impl Hercules {
             // cluster; the implicit substrate is shared team storage,
             // so skip the byte accounting there.
             if !implicit {
-                for class in inputs_idx[i] {
+                for class in tree.inputs_at(i) {
                     let &(_, inst) = data_ready.get(class).expect("admitted with all inputs");
                     let bytes = h
                         .db()
@@ -254,7 +247,7 @@ impl Hercules {
         };
         let mut ready: Vec<ReadyTask<'_>> = Vec::new();
         for i in 0..n {
-            if !done[i] && missing[i].is_empty() && !doomed.contains(&i) {
+            if !done[i] && missing[i].is_empty() && !is_doomed[i] {
                 ready.push(admit(i, avail[i], &data_ready, &produced_on, self));
             }
         }
@@ -319,7 +312,7 @@ impl Hercules {
             let mut ready_at = self.clock;
             let mut inputs: Vec<EntityInstanceId> = Vec::new();
             let mut input_bytes = 0u64;
-            for class in inputs_idx[i] {
+            for class in tree.inputs_at(i) {
                 let &(at, inst) = data_ready.get(class).expect("ready with all inputs");
                 let bytes = self
                     .db()
@@ -353,7 +346,7 @@ impl Hercules {
                 .rule(activity)
                 .ok_or_else(|| HerculesError::UnknownActivity(activity.to_owned()))?;
             let tool_name = rule.tool().to_owned();
-            let output_class = output_idx[i].to_owned();
+            let output_class = tree.output_at(i).to_owned();
             let mut t = start;
             let mut iterations = 0u32;
             let mut attempts = 0u32;
@@ -466,8 +459,7 @@ impl Hercules {
                 finished_at = finished_at.max(t);
                 // The output will never be published: doom the
                 // transitive consumers.
-                let mut worklist = vec![output_class];
-                doom_from(&mut worklist, &mut dead, &mut doomed, &dispatched);
+                doom_from(i, &mut doomed, &mut is_doomed, &dispatched);
                 continue;
             }
             let final_instance = match final_instance {
@@ -512,7 +504,7 @@ impl Hercules {
             });
             // Publishing the output may admit consumers.
             for &j in tree.consumers_at(i) {
-                if done[j] || dispatched[j] || doomed.contains(&j) {
+                if done[j] || dispatched[j] || is_doomed[j] {
                     continue;
                 }
                 missing[j].retain(|cls| *cls != output_class.as_str());
@@ -529,7 +521,7 @@ impl Hercules {
             skipped.push(names[j].clone());
         }
         debug_assert!(
-            (0..n).all(|i| done[i] || dispatched[i] || doomed.contains(&i)),
+            (0..n).all(|i| done[i] || dispatched[i] || is_doomed[i]),
             "every activity must be completed, dispatched, or skipped"
         );
 

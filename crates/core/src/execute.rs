@@ -263,7 +263,7 @@ impl Hercules {
     }
 
     /// Seeds the class → (availability time, instance) map execution
-    /// and forecasting start from: supplied primary inputs plus the
+    /// starts from: supplied primary inputs plus the
     /// linked results of already-completed plans in `tree`'s scope.
     pub(crate) fn seed_data_ready(
         &self,
@@ -319,13 +319,7 @@ impl Hercules {
             self.store.begin_planning(self.clock);
             return Ok(Vec::new());
         }
-        let completed = self.completed_mask(tree);
-        let plan = self.plan_scope(target, &completed)?;
-        Ok(plan
-            .activities()
-            .iter()
-            .map(|pa| (pa.activity.clone(), pa.schedule))
-            .collect())
+        Ok(self.replan(target)?.replanned)
     }
 
     /// The original single-pass serial executor: one linear walk over
@@ -377,14 +371,14 @@ impl Hercules {
             {
                 continue;
             }
-            // Fallback assignment keys on the activity's *name*, not
-            // its position in the tree: the same activity always lands
-            // on the same designer regardless of scope or policy.
+            // Without a plan, the designer planning would give: keyed
+            // by the activity's dependency rank, not its position in
+            // the tree, so scope and policy never move it.
             let assignee = self
                 .db()
                 .current_plan(activity)
                 .and_then(|p| p.assignees().first().map(|d| d.as_ref().to_owned()))
-                .unwrap_or_else(|| self.team.assignee_for(activity).to_owned());
+                .unwrap_or_else(|| tree.assignee_at(i, &self.team).to_owned());
             // Ready when all inputs exist. An input can be missing only
             // when its producer blocked or was skipped upstream — then
             // this activity is skipped too (degradation, not an error).
@@ -1067,9 +1061,10 @@ mod tests {
     }
 
     /// Regression for the positional-assignee bug: the fallback
-    /// assignment now keys on the activity's name, so the same activity
-    /// lands on the same designer whatever scope (tree position) it is
-    /// executed under.
+    /// assignment keys on the activity's dependency rank in the schema,
+    /// so the same activity lands on the same designer whatever scope
+    /// (tree position) it is executed under, and on the one a plan of
+    /// the whole schema gives it.
     #[test]
     fn fallback_assignee_is_stable_across_scopes() {
         let build = || {
@@ -1085,11 +1080,12 @@ mod tests {
         let narrow_report = narrow.execute("netlist").unwrap();
         let mut wide = build();
         let wide_report = wide.execute("signoff_report").unwrap();
+        let planned = build().plan("signoff_report").unwrap();
         for exec in narrow_report.activities() {
             assert_eq!(
                 exec.assignee,
-                narrow.team().assignee_for(&exec.activity),
-                "{} not on its stable designer",
+                planned.activity(&exec.activity).unwrap().assignee,
+                "{} not on its planned designer",
                 exec.activity
             );
             let same = wide_report.activity(&exec.activity).unwrap();

@@ -29,10 +29,11 @@ impl Forecast {
 }
 
 impl Hercules {
-    /// Forecasts the completion of `target` at the current clock:
-    /// completed activities contribute their *actual* finishes, open
-    /// activities their current duration estimates (history first),
-    /// and CPM over the remaining precedence network gives the finish.
+    /// Forecasts the completion of `target` at the current clock: the
+    /// proposal a [`replan`](Hercules::replan) would record now (open
+    /// work at its current estimates, history first, levelled against
+    /// the team), read from the kept schedule when the last planning
+    /// pass proposed the same, and recorded nowhere.
     ///
     /// This is the §I promise made operational: because flow state and
     /// schedule live in one system, "the project schedule can be
@@ -65,50 +66,14 @@ impl Hercules {
     /// # }
     /// ```
     pub fn forecast(&self, target: &str) -> Result<Forecast, HerculesError> {
-        let tree = self.task_tree_ref(target)?;
-        let done = self.completed_mask(&tree);
-        let complete = done.iter().filter(|&&d| d).count();
-        let open = tree.len() - complete;
-        // Completed activities become zero-duration milestones pinned
-        // at their actual finish via a leading "anchor" duration.
-        let durations = tree
-            .activities()
-            .iter()
-            .enumerate()
-            .map(|(i, activity)| {
-                if done[i] {
-                    Ok(WorkDays::ZERO)
-                } else {
-                    self.estimate_ref(tree.rule_position_at(i), activity)
-                }
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        let scope: Vec<usize> = (0..tree.len()).collect();
-        let (net, _) = tree.network(&scope, &durations)?;
-        let cpm = net.analyze()?;
-        // Base offset: open work cannot start before now or before the
-        // latest data already available in scope — the same seeding the
-        // executor's ready queue starts from (supplied inputs are
-        // always at or before the clock, so only completed actuals can
-        // push the base forward).
-        let base = self
-            .seed_data_ready(&tree)
-            .values()
-            .map(|&(at, _)| at)
-            .fold(self.clock, WorkDays::max);
-        let finish = base + cpm.project_duration();
-        let critical = cpm
-            .critical_path()
-            .iter()
-            .filter(|&&id| net.duration(id) > WorkDays::ZERO)
-            .map(|&id| net.name(id).to_owned())
-            .collect();
+        let open = self.open_work(target)?;
+        let proposal = self.proposal_ref(&open, &open.durations, &self.team)?;
         Ok(Forecast {
             as_of: self.clock,
-            finish,
-            complete,
-            open,
-            critical,
+            finish: proposal.finish(open.start),
+            complete: open.tree.len() - open.in_scope.len(),
+            open: open.in_scope.len(),
+            critical: proposal.critical_path(),
         })
     }
 }
@@ -135,10 +100,29 @@ mod tests {
         let f = h.forecast("signoff_report").unwrap();
         assert_eq!(f.complete, 0);
         assert_eq!(f.open, 9);
-        // The forecast ignores team capacity (pure CPM), so it can be
-        // at or below the levelled plan finish, never above.
-        assert!(f.finish.days() <= plan.project_finish().days() + 1e-9);
+        // The forecast is the plan's proposal, levelled against the
+        // team, so before any work it is the plan's finish.
+        assert_eq!(f.finish, plan.project_finish());
         assert!(!f.critical.is_empty());
+    }
+
+    /// A wide flow on a small team: the levelled finish is far past the
+    /// unlevelled critical path, and the forecast tells the former,
+    /// whether it reads the kept schedule or builds its own.
+    #[test]
+    fn forecast_respects_team_capacity() {
+        let mut h = Hercules::new(
+            examples::layered(20, 50, 3),
+            ToolLibrary::standard(),
+            Team::of_size(8),
+            5,
+        );
+        let target = "merged";
+        let cold = h.forecast(target).unwrap();
+        let plan = h.plan(target).unwrap();
+        assert_eq!(plan.project_finish().to_string(), "1045.20d");
+        assert_eq!(cold.finish, plan.project_finish());
+        assert_eq!(h.forecast(target).unwrap(), cold);
     }
 
     #[test]

@@ -275,7 +275,7 @@ impl Hercules {
         Ok(stats)
     }
 
-    /// The design team.
+    /// The design team, fixed for the manager's life like the schema.
     pub fn team(&self) -> &Team {
         &self.team
     }
@@ -310,13 +310,6 @@ impl Hercules {
             self.view.drop_estimate(rule);
         }
         Ok(())
-    }
-
-    /// Replaces the design team. The plan caches name the old team's
-    /// designers, so they are dropped.
-    pub(crate) fn set_team(&mut self, team: Team) {
-        self.team = team;
-        self.view.drop_plans();
     }
 
     /// Extracts the task tree covering `target` — step 2 of the

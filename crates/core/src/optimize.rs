@@ -1,4 +1,5 @@
 use schedule::WorkDays;
+use simtools::workload::Team;
 
 use crate::error::HerculesError;
 use crate::manager::Hercules;
@@ -39,14 +40,14 @@ pub struct CrashAdvice {
 }
 
 impl Hercules {
-    /// Sweeps team sizes `1..=max_team`, planning `target` under each,
-    /// and reports the finish curve, the minimal team meeting
-    /// `deadline`, and the saturation point — "previous schedule data
-    /// can be used ... to optimize the resources associated with future
-    /// projects" (§I).
+    /// Sweeps team sizes `1..=max_team`, proposing `target`'s open work
+    /// under each, and reports the finish curve, the minimal team
+    /// meeting `deadline`, and the saturation point — "previous
+    /// schedule data can be used ... to optimize the resources
+    /// associated with future projects" (§I).
     ///
-    /// The sweep plans on *clones*, so the manager's own database is
-    /// untouched.
+    /// Each trial is the proposal a [`forecast`](Hercules::forecast)
+    /// reads, under the trial team; nothing is recorded.
     ///
     /// # Errors
     ///
@@ -62,14 +63,14 @@ impl Hercules {
         max_team: usize,
     ) -> Result<TeamSweep, HerculesError> {
         assert!(max_team > 0, "sweep needs at least one team size");
+        let open = self.open_work(target)?;
         let mut points = Vec::with_capacity(max_team);
         for team_size in 1..=max_team {
-            let mut trial = self.clone();
-            trial.set_team(simtools::workload::Team::of_size(team_size));
-            let plan = trial.plan(target)?;
+            let team = Team::of_size(team_size);
+            let proposal = self.proposal_ref(&open, &open.durations, &team)?;
             points.push(TeamPoint {
                 team_size,
-                finish: plan.project_finish(),
+                finish: proposal.finish(open.start),
             });
         }
         let minimal_team = points
@@ -91,9 +92,14 @@ impl Hercules {
         })
     }
 
-    /// Crash analysis: tries shortening each open activity's estimate
-    /// by `fraction` (e.g. `0.5` halves it) and reports the activity
-    /// whose crash most improves the proposed finish of `target`.
+    /// Crash analysis: tries shortening each open activity's current
+    /// estimate (measured history first) by `fraction` (e.g. `0.5`
+    /// halves it) and reports the activity whose crash most improves
+    /// the proposed finish of `target`'s open work.
+    ///
+    /// The baseline is the [`forecast`](Hercules::forecast) finish, and
+    /// each trial is the same proposal with one duration crashed;
+    /// nothing is recorded.
     ///
     /// Returns `None` when nothing is open or no crash helps (the
     /// probed activities are all off the critical path).
@@ -114,28 +120,22 @@ impl Hercules {
             fraction > 0.0 && fraction < 1.0,
             "crash fraction must be in (0, 1)"
         );
-        let tree = self.extract_task_tree(target)?;
-        let mut baseline_trial = self.clone();
-        let baseline = baseline_trial.plan(target)?.project_finish();
+        let open = self.open_work(target)?;
+        let baseline = self
+            .proposal_ref(&open, &open.durations, &self.team)?
+            .finish(open.start);
         let mut best: Option<CrashAdvice> = None;
-        for activity in tree.activities() {
-            if self
-                .db()
-                .current_plan(activity)
-                .is_some_and(|p| p.is_complete())
-            {
-                continue;
-            }
-            let mut trial = self.clone();
-            let estimate = trial.duration_estimate(activity)?;
-            let crashed = WorkDays::new(estimate.days() * (1.0 - fraction));
-            trial
-                .set_estimate(activity, crashed)
-                .expect("tree activities exist in the schema");
-            let finish = trial.plan(target)?.project_finish();
+        let mut durations = open.durations.clone();
+        for (k, &i) in open.in_scope.iter().enumerate() {
+            let estimate = open.durations[k];
+            durations[k] = WorkDays::new(estimate.days() * (1.0 - fraction));
+            let finish = self
+                .proposal_ref(&open, &durations, &self.team)?
+                .finish(open.start);
+            durations[k] = estimate;
             if finish < baseline && best.as_ref().is_none_or(|b| finish < b.new_finish) {
                 best = Some(CrashAdvice {
-                    activity: activity.clone(),
+                    activity: open.tree.activities()[i].clone(),
                     new_finish: finish,
                     gain_days: baseline.days() - finish.days(),
                 });
@@ -266,6 +266,35 @@ mod tests {
             .unwrap();
         let finish = trial.plan("signoff_report").unwrap().project_finish();
         assert!((finish.days() - advice.new_finish.days()).abs() < 1e-6);
+    }
+
+    /// Crash trials shorten the current estimate, so an open activity
+    /// whose estimate is measured history can be advised: here the
+    /// re-planned front of the flow, whose plans are new versions
+    /// after its execution, against a back end estimated short.
+    #[test]
+    fn crash_advice_shortens_measured_history() {
+        let mut h = asic(5);
+        h.plan("signoff_report").unwrap();
+        let front = h.execute("netlist").unwrap();
+        for activity in ["Floorplan", "Place", "Cts", "Route", "Signoff"] {
+            h.set_estimate(activity, WorkDays::new(0.1)).unwrap();
+        }
+        h.plan("signoff_report").unwrap();
+        let advice = h
+            .crash_advice("signoff_report", 0.5)
+            .unwrap()
+            .expect("some activity helps");
+        assert!(
+            front.activity(&advice.activity).is_some(),
+            "{} was not executed",
+            advice.activity
+        );
+        let measured = h.db().last_duration(&advice.activity).unwrap();
+        // One designer works serially, so the crash saves its whole
+        // cut.
+        let cut = measured - WorkDays::new(measured.days() * 0.5);
+        assert_eq!(WorkDays::new(advice.gain_days), cut);
     }
 
     #[test]

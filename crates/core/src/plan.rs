@@ -1,11 +1,13 @@
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use metadata::{MetadataDb, PlanningSessionId, ScheduleInstanceId};
+use metadata::{PlanningSessionId, ScheduleInstanceId};
 use schedule::{
     level_resources_with, ActivityId, IncrementalCpm, LeveledSchedule, Resource, ResourcePool,
     ScheduleNetwork, WorkDays,
 };
+use simtools::workload::Team;
 
 use crate::error::HerculesError;
 use crate::manager::Hercules;
@@ -25,10 +27,10 @@ use crate::task::TaskTree;
 ///   against `runs_seen`, a watermark over the append-only log), and
 ///   when a pass re-versions a completed plan, whose link fed the
 ///   measured duration.
-/// * **Plan caches**, per target: the last pass's network, CPM state
-///   and levelled schedule, and each activity's schedule-container
-///   slot. They name the team's designers, so a team change drops
-///   them.
+/// * **Plan caches**, per target: the last pass's proposal — network,
+///   CPM state and levelled schedule — and each activity's
+///   schedule-container slot. They name the team's designers; the team,
+///   like the schema, is fixed for the manager's life.
 ///
 /// Replacing or compacting the database drops every estimate and plan
 /// cache; the trees stay.
@@ -54,14 +56,9 @@ impl PlanningView {
     /// Drops every estimate and plan cache, and accounts for the
     /// `runs` runs the database now holds.
     pub(crate) fn reset(&mut self, runs: usize) {
-        self.drop_plans();
+        self.plans.clear();
         self.estimates.fill(None);
         self.runs_seen = runs;
-    }
-
-    /// Drops every plan cache.
-    pub(crate) fn drop_plans(&mut self) {
-        self.plans.clear();
     }
 
     /// Drops the estimate of the activity at rule position `rule`.
@@ -77,26 +74,16 @@ impl PlanningView {
             .enumerate()
             .filter_map(|(rule, e)| e.map(|e| (rule, e)))
     }
-
-    /// The cached estimate at rule position `rule`, if it is still
-    /// valid for `db` — read-only callers cannot drop the entries of
-    /// runs past the watermark, so they trust none while any exist.
-    fn estimate(&self, rule: usize, db: &MetadataDb) -> Option<WorkDays> {
-        if self.runs_seen == db.runs().len() {
-            self.estimates[rule]
-        } else {
-            None
-        }
-    }
 }
 
-/// Cached planning state for one target: the precedence network built
-/// from the task tree plus the [`IncrementalCpm`] engine holding its
-/// last analysis. Replanning the same scope only touches activities
+/// A schedule proposal, kept per target as its plan cache: the
+/// precedence network built from the task tree plus the
+/// [`IncrementalCpm`] engine holding its last analysis, and the
+/// levelled schedule. Replanning the same scope only touches activities
 /// whose duration estimates actually changed (the *dirty set*), so the
-/// CPM cost is proportional to the slip's cone of influence rather
-/// than the whole network; a pass with an empty dirty set levels
-/// nothing either.
+/// CPM cost is proportional to the slip's cone of influence rather than
+/// the whole network; a pass with an empty dirty set levels nothing
+/// either.
 #[derive(Debug, Clone)]
 pub(crate) struct PlanCache {
     network: ScheduleNetwork,
@@ -115,11 +102,49 @@ pub(crate) struct PlanCache {
     leveled: LeveledSchedule,
 }
 
+impl PlanCache {
+    /// The proposed finish when the proposal starts at `start`.
+    pub(crate) fn finish(&self, start: WorkDays) -> WorkDays {
+        start + self.leveled.makespan()
+    }
+
+    /// The activities on one critical path, in precedence order.
+    pub(crate) fn critical_path(&self) -> Vec<String> {
+        let cpm = self.inc.analysis(&self.network);
+        let name = |&id| self.network.name(id).to_owned();
+        cpm.critical_path().iter().map(name).collect()
+    }
+}
+
+/// Levels `network` against `team`: one designer works one activity at
+/// a time.
+fn level(
+    network: &ScheduleNetwork,
+    inc: &IncrementalCpm,
+    team: &Team,
+) -> Result<LeveledSchedule, HerculesError> {
+    let mut pool = ResourcePool::new();
+    for designer in team.iter() {
+        pool.add(Resource::new(designer, 1));
+    }
+    let cpm = inc.analysis(network);
+    Ok(level_resources_with(network, &pool, &cpm)?)
+}
+
+/// The open work of a target: the activities whose current plan is not
+/// complete (tree positions, ascending), the day they can start, and
+/// their current estimates.
+pub(crate) struct OpenWork {
+    pub(crate) tree: Arc<TaskTree>,
+    pub(crate) in_scope: Vec<usize>,
+    pub(crate) start: WorkDays,
+    pub(crate) durations: Vec<WorkDays>,
+}
+
 /// Cached handles into the [`obs::Metrics`] registry for the planner's
 /// counters — looked up once, then every bump is a relaxed atomic add.
-/// This registry (plus the recorded `hercules.plan` span fields) is the
-/// planner's *only* instrumentation surface: the deprecated
-/// `PlanStats` accessor shims are gone (see DESIGN.md §7).
+/// With the recorded `hercules.plan` span fields, the planner's only
+/// instrumentation surface.
 struct PlanMetrics {
     calls: obs::Counter,
     cache_hits: obs::Counter,
@@ -226,10 +251,11 @@ impl Hercules {
     /// [`duration_estimate`](Hercules::duration_estimate) (measured
     /// history first, then designer intuition, then the tool model),
     /// kept between passes until a new run, a new intuition or a new
-    /// version of a completed plan changes it. Proposed dates come from CPM over the task tree's precedence
-    /// constraints, levelled against the design team (one designer per
-    /// activity, round-robin assignment). Planning starts at the
-    /// current project clock.
+    /// version of a completed plan changes it. Proposed dates come from
+    /// CPM over the task tree's precedence constraints, levelled
+    /// against the design team: one designer per activity, keyed by
+    /// its rule's dependency rank, works one activity at a time.
+    /// Planning starts at the current project clock.
     ///
     /// Replanning the same target later creates *new versions* of each
     /// schedule instance with provenance to the previous version —
@@ -269,15 +295,11 @@ impl Hercules {
 
     /// [`plan`](Hercules::plan) restricted to a sub-scope: activities
     /// whose tree position is set in `skip` are left out of the
-    /// network and get no new schedule instance versions (an empty
-    /// `skip` skips nothing).
-    ///
-    /// This is what [`replan`](Hercules::replan) uses to honour the
-    /// versioned-update contract — completed activities keep their
-    /// linked plans while open work is repriced. Ordering across the
-    /// cut is preserved by the caller advancing the project clock past
-    /// the skipped activities' actual finishes; precedence *within*
-    /// the remaining scope is kept intact here.
+    /// network and get no new versions (an empty `skip` skips nothing):
+    /// [`propose`](Hercules::propose), then
+    /// [`record`](Hercules::record). [`replan`](Hercules::replan) skips
+    /// completed work, whose linked plans stay, after moving the clock
+    /// past its actual finishes.
     pub(crate) fn plan_scope(
         &mut self,
         target: &str,
@@ -287,30 +309,41 @@ impl Hercules {
         obs::Collector::set_sim_md(self.clock.millidays());
         let skipped = skip.iter().filter(|&&s| s).count();
         let mut plan_span = obs::span!("hercules.plan", target = target, skipped = skipped,);
-        let names = tree.activities();
         let in_scope: Vec<usize> = (0..tree.len())
             .filter(|&i| !skip.get(i).copied().unwrap_or(false))
             .collect();
+        let proposal = self.propose(&tree, in_scope, &mut plan_span)?;
+        let plan = self.record(&tree, proposal)?;
+        plan_span.record("project_finish_days", plan.project_finish.days());
+        Ok(plan)
+    }
+
+    /// The proposal a planning pass over the activities of `tree` at
+    /// positions `in_scope` records: the kept plan cache, brought to the
+    /// current estimates, when it covers the same scope (only moved
+    /// estimates are dirty, and a pass that moves none reuses the
+    /// levelled schedule), else a fresh one. The cache leaves the view
+    /// until [`record`](Hercules::record) puts it back. The pass's
+    /// instrumentation goes to the metrics registry and to `span`.
+    fn propose(
+        &mut self,
+        tree: &TaskTree,
+        in_scope: Vec<usize>,
+        span: &mut obs::SpanGuard,
+    ) -> Result<PlanCache, HerculesError> {
         self.sync_estimates();
+        let names = tree.activities();
+        let scope = in_scope.len();
         let mut recomputed = 0usize;
-        // Reuse the cached network + incremental CPM state when the
-        // scope is unchanged; only activities whose estimate moved are
-        // marked dirty and recomputed. Scope changes (first plan, or a
-        // replan that skips newly-completed activities) rebuild.
         let cached = self
             .view
             .plans
-            .remove(target)
+            .remove(tree.target())
             .filter(|c| c.in_scope == in_scope);
-        let cpm_total = in_scope.len();
-        let mut cache_hit = false;
-        let dirty_count;
-        let cpm_recomputed;
-        let (net, ids, slots, inc, kept) = match cached {
+        let (proposal, cache_hit, dirty, cpm_recomputed) = match cached {
             Some(mut c) => {
                 let mut dirty: Vec<ActivityId> = Vec::new();
-                for (k, &i) in in_scope.iter().enumerate() {
-                    let id = c.ids[k];
+                for (&i, &id) in c.in_scope.iter().zip(&c.ids) {
                     let estimate =
                         self.estimate_at(tree.rule_position_at(i), &names[i], &mut recomputed)?;
                     if estimate != c.network.duration(id) {
@@ -331,103 +364,128 @@ impl Hercules {
                 if update.full_rebuild {
                     plan_metrics().full_rebuilds.inc();
                 }
-                cache_hit = true;
-                dirty_count = dirty.len();
-                cpm_recomputed = update.total_recomputed();
-                // No duration moved, so the network, and with it the
+                // With no duration moved, the network, and with it the
                 // levelled schedule, is the last pass's.
-                let kept = dirty.is_empty().then_some(c.leveled);
-                (c.network, c.ids, c.slots, c.inc, kept)
+                if !dirty.is_empty() {
+                    c.leveled = level(&c.network, &c.inc, &self.team)?;
+                }
+                (c, true, dirty.len(), update.total_recomputed())
             }
             None => {
-                // Build the precedence network with estimated durations.
                 let durations = in_scope
                     .iter()
                     .map(|&i| {
                         self.estimate_at(tree.rule_position_at(i), &names[i], &mut recomputed)
                     })
                     .collect::<Result<Vec<_>, _>>()?;
-                let (mut net, ids) = tree.network(&in_scope, &durations)?;
-                // One demand per activity for its round-robin designer
-                // (recorded once; reused on every cache hit).
-                for (k, &id) in ids.iter().enumerate() {
-                    net.add_demand(id, self.team.assignee(k).to_owned(), 1)?;
-                }
-                let inc = net.analyze_incremental()?;
-                let db = self.store.db();
-                let slots = in_scope
-                    .iter()
-                    .map(|&i| db.container_slot(&names[i]))
-                    .collect();
-                obs::event!("plan.cache_miss", scope = in_scope.len());
-                dirty_count = in_scope.len();
-                cpm_recomputed = 2 * in_scope.len();
-                (net, ids, slots, inc, None)
+                obs::event!("plan.cache_miss", scope = scope);
+                let fresh = self.fresh_proposal(tree, in_scope, &durations, &self.team)?;
+                (fresh, false, scope, 2 * scope)
             }
         };
-        let cpm = inc.analysis(&net);
-        let relevelled = kept.is_none();
-        let leveled = match kept {
-            Some(leveled) => leveled,
-            None => {
-                // Assign designers round-robin in dependency order and
-                // level against the team: one designer works one
-                // activity at a time.
-                let mut pool = ResourcePool::new();
-                for designer in self.team.iter() {
-                    pool.add(Resource::new(designer, 1));
-                }
-                level_resources_with(&net, &pool, &cpm)?
-            }
-        };
+        let relevelled = !cache_hit || dirty > 0;
+        let m = plan_metrics();
+        m.calls.inc();
+        m.cache_hits.add(u64::from(cache_hit));
+        m.level_reused.add(u64::from(!relevelled));
+        m.dirty.observe(dirty as f64);
+        m.cpm_recomputed.observe(cpm_recomputed as f64);
+        m.estimates_recomputed.observe(recomputed as f64);
+        span.record("cache_hit", cache_hit);
+        span.record("dirty", dirty);
+        span.record("cpm_recomputed", cpm_recomputed);
+        span.record("cpm_total", scope);
+        span.record("relevelled", relevelled);
+        Ok(proposal)
+    }
 
-        // Record the simulated execution: one planning session, one new
-        // schedule-instance version per activity, in post-order. A
-        // proposal equal to the activity's current plan joins a run of
-        // consecutive unchanged activities, and each run is carried as
-        // one store mutation; a changed one is planned and assigned.
+    /// A proposal built from nothing kept: the network over the
+    /// activities of `tree` at positions `in_scope`, the k-th taking
+    /// `durations[k]` and demanding its designer under `team`, levelled
+    /// against `team`.
+    fn fresh_proposal(
+        &self,
+        tree: &TaskTree,
+        in_scope: Vec<usize>,
+        durations: &[WorkDays],
+        team: &Team,
+    ) -> Result<PlanCache, HerculesError> {
+        let (mut network, ids) = tree.network(&in_scope, durations)?;
+        for (&i, &id) in in_scope.iter().zip(&ids) {
+            network.add_demand(id, tree.assignee_at(i, team).to_owned(), 1)?;
+        }
+        let inc = network.analyze_incremental()?;
+        let leveled = level(&network, &inc, team)?;
+        let db = self.store.db();
+        let names = tree.activities();
+        let slots = in_scope
+            .iter()
+            .map(|&i| db.container_slot(&names[i]))
+            .collect();
+        Ok(PlanCache {
+            network,
+            in_scope,
+            ids,
+            slots,
+            inc,
+            leveled,
+        })
+    }
+
+    /// Records proposal `c` as a simulated execution from the clock, and
+    /// keeps it as `tree`'s plan cache: one planning session, one new
+    /// schedule-instance version per activity, in post-order. A
+    /// proposal equal to the activity's current plan joins a run of
+    /// consecutive unchanged activities, and each run is carried as one
+    /// store mutation; a changed one is planned and assigned.
+    fn record(&mut self, tree: &TaskTree, c: PlanCache) -> Result<SchedulePlan, HerculesError> {
         let session = self.store.begin_planning(self.clock);
         let offset = self.clock;
-        let name = |k: usize| names[in_scope[k]].as_str();
-        let proposal = |k: usize| (offset + leveled.start(ids[k]), net.duration(ids[k]));
+        let names = tree.activities();
+        let name = |k: usize| names[c.in_scope[k]].as_str();
+        let assignee = |k: usize| tree.assignee_at(c.in_scope[k], &self.team);
+        let dates = |k: usize| {
+            let id = c.ids[k];
+            (offset + c.leveled.start(id), c.network.duration(id))
+        };
         let planned = |k: usize, schedule: ScheduleInstanceId| {
-            let (start, duration) = proposal(k);
+            let (start, duration) = dates(k);
             PlannedActivity {
                 activity: name(k).to_owned(),
                 schedule,
                 start,
                 duration,
-                assignee: self.team.assignee(k).to_owned(),
-                critical: cpm.is_critical(ids[k]),
+                assignee: assignee(k).to_owned(),
+                critical: c.inc.is_critical(c.ids[k]),
             }
         };
         // Per activity, the current plan to carry, or `None` when the
         // proposal changes it (or there is none).
         let db = self.store.db();
-        let mut carry = Vec::with_capacity(in_scope.len());
-        for (k, &i) in in_scope.iter().enumerate() {
-            let (start, duration) = proposal(k);
-            let current = slots[k].and_then(|slot| db.current_plan_at(slot));
+        let mut carry = Vec::with_capacity(c.in_scope.len());
+        for (k, &i) in c.in_scope.iter().enumerate() {
+            let (start, duration) = dates(k);
+            let current = c.slots[k].and_then(|slot| db.current_plan_at(slot));
             // A new version of a completed plan drops its link, which
             // the measured duration reads.
-            if current.is_some_and(|c| c.is_complete()) {
+            if current.is_some_and(|p| p.is_complete()) {
                 self.view.drop_estimate(tree.rule_position_at(i));
             }
             carry.push(
                 current
-                    .filter(|c| c.proposes(start, duration, &[self.team.assignee(k)]))
-                    .map(|c| c.id()),
+                    .filter(|p| p.proposes(start, duration, &[assignee(k)]))
+                    .map(|p| p.id()),
             );
         }
-        let mut activities = Vec::with_capacity(in_scope.len());
+        let mut activities = Vec::with_capacity(c.in_scope.len());
         let mut k = 0;
-        while k < in_scope.len() {
+        while k < c.in_scope.len() {
             if carry[k].is_none() {
-                let (start, duration) = proposal(k);
+                let (start, duration) = dates(k);
                 let sc = self
                     .store
                     .plan_activity(session, name(k), start, duration)?;
-                self.store.assign(sc, self.team.assignee(k))?;
+                self.store.assign(sc, assignee(k))?;
                 activities.push(planned(k, sc));
                 k += 1;
             } else {
@@ -439,48 +497,67 @@ impl Hercules {
                 k += run.len();
             }
         }
-        let project_finish = activities
-            .iter()
-            .map(|a| a.start + a.duration)
-            .fold(offset, WorkDays::max);
-        self.view.plans.insert(
-            target.to_owned(),
-            PlanCache {
-                network: net,
-                in_scope,
-                ids,
-                slots,
-                inc,
-                leveled,
-            },
-        );
-        // Publish the pass's instrumentation: the shared metrics
-        // registry (queryable aggregate) and the span's recorded fields
-        // (per-call detail) — the only surfaces since the `PlanStats`
-        // accessor shims were removed.
-        let m = plan_metrics();
-        m.calls.inc();
-        if cache_hit {
-            m.cache_hits.inc();
-        }
-        if !relevelled {
-            m.level_reused.inc();
-        }
-        m.dirty.observe(dirty_count as f64);
-        m.cpm_recomputed.observe(cpm_recomputed as f64);
-        m.estimates_recomputed.observe(recomputed as f64);
-        plan_span.record("cache_hit", cache_hit);
-        plan_span.record("dirty", dirty_count);
-        plan_span.record("cpm_recomputed", cpm_recomputed);
-        plan_span.record("cpm_total", cpm_total);
-        plan_span.record("relevelled", relevelled);
-        plan_span.record("project_finish_days", project_finish.days());
+        let project_finish = offset + c.leveled.makespan();
+        self.view.plans.insert(tree.target().to_owned(), c);
         Ok(SchedulePlan {
             session,
-            target: target.to_owned(),
+            target: tree.target().to_owned(),
             activities,
             project_finish,
         })
+    }
+
+    /// The open work of `target` as a [`replan`](Hercules::replan)
+    /// would propose it, read without changing the view.
+    pub(crate) fn open_work(&self, target: &str) -> Result<OpenWork, HerculesError> {
+        // The kept tree and estimates, or fresh ones that are not kept.
+        // A read cannot drop the estimates of runs past the watermark,
+        // so it trusts none while any exist.
+        let tree = match self.view.trees.get(target) {
+            Some(tree) => Arc::clone(tree),
+            None => Arc::new(self.extract_task_tree(target)?),
+        };
+        let (done, start) = self.open_scope(&tree);
+        let in_scope: Vec<usize> = (0..tree.len()).filter(|&i| !done[i]).collect();
+        let synced = self.view.runs_seen == self.store.db().runs().len();
+        let durations = in_scope
+            .iter()
+            .map(|&i| {
+                let kept = self.view.estimates[tree.rule_position_at(i)].filter(|_| synced);
+                kept.map_or_else(|| self.duration_estimate(&tree.activities()[i]), Ok)
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok(OpenWork {
+            tree,
+            in_scope,
+            start,
+            durations,
+        })
+    }
+
+    /// The proposal over `open` with `durations` under `team`: the kept
+    /// plan cache when it has the same scope and durations and `team` is
+    /// the manager's, else a fresh proposal that is not kept.
+    pub(crate) fn proposal_ref(
+        &self,
+        open: &OpenWork,
+        durations: &[WorkDays],
+        team: &Team,
+    ) -> Result<Cow<'_, PlanCache>, HerculesError> {
+        let kept = self.view.plans.get(open.tree.target()).filter(|c| {
+            *team == self.team
+                && c.in_scope == open.in_scope
+                && c.ids
+                    .iter()
+                    .zip(durations)
+                    .all(|(&id, &d)| c.network.duration(id) == d)
+        });
+        match kept {
+            Some(c) => Ok(Cow::Borrowed(c)),
+            None => self
+                .fresh_proposal(&open.tree, open.in_scope.clone(), durations, team)
+                .map(Cow::Owned),
+        }
     }
 
     /// The task tree of `target`, extracted on first use and kept in
@@ -496,15 +573,6 @@ impl Hercules {
         let tree = Arc::new(self.extract_task_tree(target)?);
         self.view.trees.insert(target.to_owned(), Arc::clone(&tree));
         Ok(tree)
-    }
-
-    /// [`task_tree`](Hercules::task_tree) for read-only callers: the
-    /// kept tree, or a fresh extraction that is not kept.
-    pub(crate) fn task_tree_ref(&self, target: &str) -> Result<Arc<TaskTree>, HerculesError> {
-        match self.view.trees.get(target) {
-            Some(tree) => Ok(Arc::clone(tree)),
-            None => Ok(Arc::new(self.extract_task_tree(target)?)),
-        }
     }
 
     /// Drops the estimates of activities that gained runs since the
@@ -537,33 +605,24 @@ impl Hercules {
         Ok(estimate)
     }
 
-    /// [`estimate_at`](Hercules::estimate_at) for read-only callers:
-    /// the kept estimate when valid, else a fresh one that is not kept.
-    pub(crate) fn estimate_ref(
-        &self,
-        rule: usize,
-        activity: &str,
-    ) -> Result<WorkDays, HerculesError> {
-        match self.view.estimate(rule, self.store.db()) {
-            Some(estimate) => Ok(estimate),
-            None => self.duration_estimate(activity),
-        }
-    }
-
-    /// Per tree position: whether the activity's current plan is
-    /// complete — the scope [`plan_scope`](Hercules::plan_scope) skips
-    /// when it replans open work, the work a forecast takes as done and
-    /// execution does not run again.
-    pub(crate) fn completed_mask(&self, tree: &TaskTree) -> Vec<bool> {
-        tree.activities()
+    /// Per tree position, whether the activity's current plan is
+    /// complete — the work a replan skips, a forecast takes as done and
+    /// execution does not run again — and the day open work can start:
+    /// the clock, or the latest actual finish of completed work.
+    pub(crate) fn open_scope(&self, tree: &TaskTree) -> (Vec<bool>, WorkDays) {
+        let db = self.store.db();
+        let activities = tree.activities();
+        let done: Vec<bool> = activities
             .iter()
-            .map(|a| {
-                self.store
-                    .db()
-                    .current_plan(a)
-                    .is_some_and(|p| p.is_complete())
-            })
-            .collect()
+            .map(|a| db.current_plan(a).is_some_and(|p| p.is_complete()))
+            .collect();
+        let start = activities
+            .iter()
+            .zip(&done)
+            .filter(|&(_, &done)| done)
+            .filter_map(|(a, _)| db.actual_finish(a))
+            .fold(self.clock, WorkDays::max);
+        (done, start)
     }
 }
 

@@ -3,7 +3,6 @@ use schedule::WorkDays;
 
 use crate::error::HerculesError;
 use crate::manager::Hercules;
-use crate::plan::SchedulePlan;
 
 /// The result of a replanning step: which schedule instances were
 /// created and the new proposed project finish.
@@ -55,29 +54,21 @@ impl Hercules {
         obs::Collector::set_sim_md(self.clock.millidays());
         let mut replan_span = obs::span!("hercules.replan", target = target);
         let tree = self.task_tree(target)?;
-        let completed = self.completed_mask(&tree);
+        let (completed, start) = self.open_scope(&tree);
         let completed_count = completed.iter().filter(|&&c| c).count();
         replan_span.record("completed", completed_count);
         if completed_count == tree.len() {
             replan_span.record("replanned", 0usize);
             return Ok(ReplanOutcome {
                 replanned: Vec::new(),
-                project_finish: self.clock,
+                project_finish: start,
                 slip_days: None,
             });
         }
-        // Planning starts no earlier than the actual finishes of
-        // completed prerequisites, which `plan_scope` handles via the
-        // clock: advance it to the latest completion in scope first.
-        let latest_done = tree
-            .activities()
-            .iter()
-            .zip(&completed)
-            .filter(|&(_, &done)| done)
-            .filter_map(|(a, _)| self.store.db().actual_finish(a))
-            .fold(self.clock, WorkDays::max);
-        self.advance_clock(latest_done);
-        let plan: SchedulePlan = self.plan_scope(target, &completed)?;
+        // Open work starts no earlier than the actual finishes of
+        // completed prerequisites; `plan_scope` plans from the clock.
+        self.advance_clock(start);
+        let plan = self.plan_scope(target, &completed)?;
         let replanned: Vec<(String, ScheduleInstanceId)> = plan
             .activities()
             .iter()
@@ -211,6 +202,26 @@ mod tests {
         // New versions have provenance.
         for (_, sc) in &outcome.replanned {
             assert!(h.db().schedule_instance(*sc).version() >= 2);
+        }
+    }
+
+    /// Completing the front of the flow moves no open activity to
+    /// another designer: an assignee keys on its rule's dependency
+    /// rank, not on its position in the replanned scope.
+    #[test]
+    fn replan_keeps_every_open_assignee() {
+        let mut h = asic();
+        let plan = h.plan("signoff_report").unwrap();
+        h.execute("spec").unwrap();
+        let outcome = h.replan("signoff_report").unwrap();
+        assert_eq!(outcome.len(), 8);
+        for (name, sc) in &outcome.replanned {
+            let planned = &plan.activity(name).unwrap().assignee;
+            assert_eq!(
+                h.db().schedule_instance(*sc).assignees(),
+                [planned.as_str().into()],
+                "{name} moved to another designer"
+            );
         }
     }
 

@@ -2,6 +2,7 @@ use std::sync::Arc;
 
 use schedule::{ActivityId, ScheduleError, ScheduleNetwork, WorkDays};
 use schema::{ConstructionRule, TaskSchema};
+use simtools::workload::Team;
 
 use crate::error::HerculesError;
 
@@ -26,6 +27,8 @@ pub struct TaskTree {
     activities: Vec<String>,
     /// Per activity (by position): its rule's position in the schema.
     rule_positions: Vec<usize>,
+    /// Per activity (by position): its rule's rank in the schema.
+    ranks: Vec<usize>,
     /// Positions ordered by activity name, for lookups by name.
     by_name: Vec<usize>,
     /// Per activity (by position): positions of the activities its
@@ -91,6 +94,10 @@ impl TaskTree {
             target: target.to_owned(),
             rules,
             activities,
+            ranks: rule_positions
+                .iter()
+                .map(|&r| schema.rule_rank(r))
+                .collect(),
             rule_positions,
             by_name,
             consumers: feeds.into_iter().map(|(_, j)| j).collect(),
@@ -125,6 +132,13 @@ impl TaskTree {
     /// `i` — the key of the manager's per-activity estimates.
     pub(crate) fn rule_position_at(&self, i: usize) -> usize {
         self.rule_positions[i]
+    }
+
+    /// The designer `team` gives the activity at position `i`, keyed by
+    /// its rule's rank in the schema, not by the scope: plan, forecast
+    /// and execution all assign through this.
+    pub(crate) fn assignee_at<'t>(&self, i: usize, team: &'t Team) -> &'t str {
+        team.assignee(self.ranks[i])
     }
 
     /// The position of `activity` in dependency order, if in scope.

@@ -2,15 +2,18 @@
 //! computes. After any sequence of estimate changes, executions (some
 //! fault-injected, some of a prefix of the flow), plans, replans
 //! (alone or back to back, so passes that change nothing and reuse the
-//! levelled schedule are common), slips, team changes, gc, restores and
-//! what-if trials:
+//! levelled schedule are common), slips, gc, restores and what-if
+//! trials:
 //!
 //! * every estimate the view keeps, once it has seen the run log,
 //!   equals a fresh [`Hercules::duration_estimate`];
 //! * a cold manager built from the same database and intuition
 //!   estimates derives the warm one's clock, and the warm manager
 //!   plans, replans, forecasts, propagates slips and runs trials
-//!   exactly as the cold one, and both databases dump the same.
+//!   exactly as the cold one, and both databases dump the same;
+//! * a forecast is the replan it forecasts: its finish is the finish
+//!   of a replan on a copy, with as many open activities, and before
+//!   any work completes it is the finish of a plan.
 
 use harness::prelude::*;
 use metadata::{ArenaStore, MetadataDb};
@@ -112,9 +115,16 @@ fn apply(warm: &mut Hercules, saved: &mut Option<String>, code: u64) {
         7 => {
             warm.gc().expect("arena gc");
         }
-        // Team sizes 1 to 3 around the initial 2, so some changes keep
-        // the size.
-        10 => warm.set_team(Team::of_size(1 + arg as usize % 3)),
+        10 => {
+            let forecast = warm.forecast(TARGET).expect("forecastable");
+            if forecast.complete == 0 {
+                let plan = warm.clone().plan(TARGET).expect("plannable");
+                prop_assert_eq!(plan.project_finish(), forecast.finish);
+            }
+            let replan = warm.clone().replan(TARGET).expect("replannable");
+            prop_assert_eq!(replan.project_finish, forecast.finish);
+            prop_assert_eq!(replan.len(), forecast.open);
+        }
         // Back to back: on the warm side every pass after the first
         // changes nothing, so it reuses the kept levelled schedule.
         11 => same_on_cold(warm, |h| (h.plan(TARGET), h.replan(TARGET), h.plan(TARGET))),

@@ -133,12 +133,24 @@ fn level_reused_counts_passes_that_changed_nothing() {
     );
     assert_eq!(passes_and_reuses(&mut h, plan), (1, 1), "settled again");
 
-    // Every trial of a sweep plans under a new team.
+    // What-if trials and forecasts propose without recording: they
+    // make no planning pass and leave the kept schedule for the next.
     let sweep = |h: &mut Hercules| {
         h.sweep_team_sizes(TARGET, WorkDays::new(60.0), 3)
             .expect("plannable");
     };
-    assert_eq!(passes_and_reuses(&mut h, sweep), (3, 0), "team changes");
+    assert_eq!(passes_and_reuses(&mut h, sweep), (0, 0), "a team sweep");
+    assert_eq!(passes_and_reuses(&mut h, plan), (1, 1), "after a sweep");
+    let advice = |h: &mut Hercules| {
+        h.crash_advice(TARGET, 0.5).expect("plannable");
+    };
+    assert_eq!(passes_and_reuses(&mut h, advice), (0, 0), "crash advice");
+    assert_eq!(passes_and_reuses(&mut h, plan), (1, 1), "after advice");
+    let forecast = |h: &mut Hercules| {
+        h.forecast(TARGET).expect("forecastable");
+    };
+    assert_eq!(passes_and_reuses(&mut h, forecast), (0, 0), "a forecast");
+    assert_eq!(passes_and_reuses(&mut h, plan), (1, 1), "after a forecast");
 
     // Completing the front of the flow narrows a replan's scope.
     h.execute("netlist").expect("executable");

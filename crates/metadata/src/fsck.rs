@@ -802,6 +802,33 @@ mod tests {
         assert_eq!(reopened.db().dump(), dump);
     }
 
+    /// An open that refuses a record that does not replay leaves the
+    /// tail as it found it, torn record and all, for the scrub to read.
+    #[test]
+    fn refused_open_leaves_a_torn_tail_untouched() {
+        let (mem, vfs, _) = seeded("/p");
+        let tail = Path::new("/p").join(tail_name(0));
+        let mut damage = String::new();
+        Framing::V2.encode_tail_record_into(
+            &JournalOp::CarryPlan {
+                session: crate::ids::PlanningSessionId::new(1, 0),
+                from: vec![crate::journal::SlotRange { first: 0, last: 0 }],
+            },
+            &mut damage,
+        );
+        damage.push_str("deadbeef begin-run xx");
+        mem.append(&tail, damage.as_bytes()).unwrap();
+        let before = mem.read_to_string(&tail).unwrap();
+        assert!(matches!(
+            PersistentStore::open_on(vfs.clone(), "/p"),
+            Err(StoreError::Corruption(CorruptionReport {
+                kind: CorruptionKind::TailReplay,
+                ..
+            }))
+        ));
+        assert_eq!(mem.read_to_string(&tail).unwrap(), before);
+    }
+
     #[test]
     fn scrub_on_non_store_is_an_io_error() {
         let mem = MemVfs::new();

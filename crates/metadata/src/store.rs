@@ -770,6 +770,11 @@ impl PersistentStore {
         };
         let kept = read.kept;
         let tail_path = dir.join(tail_name(seq));
+        // Refuse before healing, so `fsck` scrubs the files as found.
+        if let Some(stop) = read.unreplayable {
+            let refused = stop.into_refusal().to_string();
+            return Err(corrupt(&tail_path, CorruptionKind::TailReplay, refused));
+        }
         // A torn trailing record, or a record referencing data past the
         // segment's end, must be *truncated* on disk, not merely
         // skipped — otherwise the next append would splice onto the
@@ -777,10 +782,6 @@ impl PersistentStore {
         if kept < scan.journal.len() || scan.issue.is_some() {
             scan.journal.truncate(kept);
             write_atomic(&*vfs, &tail_path, &scan.framing.encode_tail(&scan.journal))?;
-        }
-        if let Some(stop) = read.unreplayable {
-            let refused = stop.into_refusal().to_string();
-            return Err(corrupt(&tail_path, CorruptionKind::TailReplay, refused));
         }
         span.record("seq", seq);
         span.record("tail_ops", kept);

@@ -229,6 +229,14 @@ impl TaskSchema {
         self.rule_index.get(activity).copied()
     }
 
+    /// The place of the rule at position `rule` in the schema's
+    /// dependency order, the key
+    /// [`rule_positions_for_target`](Self::rule_positions_for_target)
+    /// sorts by. Panics if `rule` is out of range.
+    pub fn rule_rank(&self, rule: usize) -> usize {
+        self.ranks[rule]
+    }
+
     /// Positions in [`rules`](Self::rules) sorted by activity name (byte
     /// order, as `str` compares): the order a name-keyed container
     /// iterates in, so a reader can walk one beside the other. Shared

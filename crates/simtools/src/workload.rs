@@ -74,16 +74,6 @@ impl Team {
         &self.names[k % self.names.len()]
     }
 
-    /// Stable fallback assignee for a named activity, keyed on a hash
-    /// of the name rather than a positional index — so the assignment
-    /// does not shift when surrounding activities complete, the scope
-    /// changes, or a scheduling policy reorders dispatch between
-    /// sessions.
-    pub fn assignee_for(&self, activity: &str) -> &str {
-        let i = (hash_str(activity) % self.names.len() as u64) as usize;
-        &self.names[i]
-    }
-
     /// Iterates over designer names.
     pub fn iter(&self) -> impl Iterator<Item = &str> + '_ {
         self.names.iter().map(String::as_str)
@@ -133,26 +123,6 @@ mod tests {
         assert_eq!(t.assignee(2), "designer0");
         assert!(!t.is_empty());
         assert_eq!(t.iter().count(), 2);
-    }
-
-    #[test]
-    fn stable_assignee_depends_on_name_only() {
-        let t = Team::of_size(3);
-        // Same activity, same designer — regardless of any positional
-        // context the caller might have.
-        assert_eq!(t.assignee_for("Synthesize"), t.assignee_for("Synthesize"));
-        // Distinct activities spread across the team.
-        let spread: std::collections::BTreeSet<&str> =
-            ["Create", "Simulate", "Route", "Place", "Cts"]
-                .iter()
-                .map(|a| t.assignee_for(a))
-                .collect();
-        assert!(
-            spread.len() > 1,
-            "hash assignment never spreads: {spread:?}"
-        );
-        // The designer is always a team member.
-        assert!(t.iter().any(|d| d == t.assignee_for("Signoff")));
     }
 
     #[test]
