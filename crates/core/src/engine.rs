@@ -46,6 +46,17 @@ use crate::execute::{ActivityExecution, BlockedActivity, ExecutionReport, ITERAT
 use crate::manager::Hercules;
 use crate::policy::{DispatchContext, ReadyTask, SchedulingPolicy, WorkerSnapshot};
 
+/// What one activity step left: the time it reached, its runs and
+/// failed attempts, the time faults burned, and its final instance —
+/// `None` when the retry policy gave up and the activity is blocked.
+struct Step {
+    t: WorkDays,
+    iterations: u32,
+    attempts: u32,
+    fault_time: WorkDays,
+    completed: Option<EntityInstanceId>,
+}
+
 impl Hercules {
     /// Executes `target` through the ready-queue engine under `policy`.
     ///
@@ -337,108 +348,152 @@ impl Hercules {
                 assignee = assignee.as_str(),
             );
 
-            // Iterate runs until convergence, absorbing injected faults
-            // through the retry policy — the serial executor's loop,
-            // with run durations scaled by the worker's speed (timeouts
-            // and backoffs are wall-clock and stay unscaled).
             let rule = self
                 .schema
                 .rule(activity)
                 .ok_or_else(|| HerculesError::UnknownActivity(activity.to_owned()))?;
             let tool_name = rule.tool().to_owned();
             let output_class = tree.output_at(i).to_owned();
-            let mut t = start;
-            let mut iterations = 0u32;
-            let mut attempts = 0u32;
-            let mut fault_time = WorkDays::ZERO;
-            let mut converged = false;
-            let mut blocked = false;
-            let mut final_instance = None;
-            let prior_runs = self.store.db().run_count_of(activity) as u32;
-            while iterations < ITERATION_CAP {
-                let req = ToolInvocation {
-                    input_bytes,
-                    iteration: prior_runs + iterations + 1,
-                    seed: self.seed,
-                };
-                let attempted =
-                    self.tools
-                        .invoke_with_faults(&tool_name, &req, &injector, attempts + 1);
-                match attempted.fault {
-                    // A clean run, or one whose output was silently
-                    // corrupted: both finish and leave auditable
-                    // metadata; only the clean one can converge.
-                    None | Some(InjectedFault::CorruptOutput) => {
-                        iterations += 1;
-                        let run = self.store.begin_run(activity, &assignee, t)?;
-                        let end = t + WorkDays::new(attempted.outcome.duration_days / speed);
-                        let data = self.store.store_data(
-                            &format!("{output_class}.v{}", prior_runs + iterations),
-                            attempted.outcome.output,
-                        );
-                        let inst = self
-                            .store
-                            .finish_run(run, &output_class, data, end, &inputs)?;
-                        t = end;
-                        obs::Collector::set_sim_md(t.millidays());
-                        obs::event!(
-                            "execute.run",
-                            activity = activity.as_str(),
-                            iteration = iterations,
-                            converged = attempted.outcome.converged,
-                            corrupt = attempted.fault.is_some(),
-                        );
-                        final_instance = Some(inst);
-                        if attempted.outcome.converged {
-                            converged = true;
-                            break;
+            // The activity's step — its runs and, once it converges, its
+            // completion link — reaches the store as one write group.
+            let step = self.in_write_group(|h| {
+                // Iterate runs until convergence, absorbing injected
+                // faults through the retry policy — the serial
+                // executor's loop, with run durations scaled by the
+                // worker's speed (timeouts and backoffs are wall-clock
+                // and stay unscaled).
+                let mut t = start;
+                let mut iterations = 0u32;
+                let mut attempts = 0u32;
+                let mut fault_time = WorkDays::ZERO;
+                let mut converged = false;
+                let mut blocked = false;
+                let mut final_instance = None;
+                let prior_runs = h.store.db().run_count_of(activity) as u32;
+                while iterations < ITERATION_CAP {
+                    let req = ToolInvocation {
+                        input_bytes,
+                        iteration: prior_runs + iterations + 1,
+                        seed: h.seed,
+                    };
+                    let attempted =
+                        h.tools
+                            .invoke_with_faults(&tool_name, &req, &injector, attempts + 1);
+                    match attempted.fault {
+                        // A clean run, or one whose output was silently
+                        // corrupted: both finish and leave auditable
+                        // metadata; only the clean one can converge.
+                        None | Some(InjectedFault::CorruptOutput) => {
+                            iterations += 1;
+                            let run = h.store.begin_run(activity, &assignee, t)?;
+                            let end = t + WorkDays::new(attempted.outcome.duration_days / speed);
+                            let data = h.store.store_data(
+                                &format!("{output_class}.v{}", prior_runs + iterations),
+                                attempted.outcome.output,
+                            );
+                            let inst =
+                                h.store.finish_run(run, &output_class, data, end, &inputs)?;
+                            t = end;
+                            obs::Collector::set_sim_md(t.millidays());
+                            obs::event!(
+                                "execute.run",
+                                activity = activity.as_str(),
+                                iteration = iterations,
+                                converged = attempted.outcome.converged,
+                                corrupt = attempted.fault.is_some(),
+                            );
+                            final_instance = Some(inst);
+                            if attempted.outcome.converged {
+                                converged = true;
+                                break;
+                            }
                         }
-                    }
-                    // The run died partway: charge the elapsed fraction
-                    // plus backoff, then retry (no metadata recorded —
-                    // the tool never finished).
-                    Some(InjectedFault::Transient) => {
-                        attempts += 1;
-                        let frac = injector.crash_fraction(&tool_name, &req, attempts);
-                        let burned =
-                            WorkDays::new((attempted.outcome.duration_days / speed) * frac)
-                                + retry.backoff(attempts);
-                        fault_time += burned;
-                        t += burned;
-                        obs::Collector::set_sim_md(t.millidays());
-                        obs::event!(
-                            "execute.retry",
-                            activity = activity.as_str(),
-                            attempt = attempts,
-                            burned_days = burned.days(),
-                        );
-                        if attempts >= retry.max_attempts || fault_time > retry.activity_budget {
-                            blocked = true;
-                            break;
+                        // The run died partway: charge the elapsed
+                        // fraction plus backoff, then retry (no metadata
+                        // recorded — the tool never finished).
+                        Some(InjectedFault::Transient) => {
+                            attempts += 1;
+                            let frac = injector.crash_fraction(&tool_name, &req, attempts);
+                            let burned =
+                                WorkDays::new((attempted.outcome.duration_days / speed) * frac)
+                                    + retry.backoff(attempts);
+                            fault_time += burned;
+                            t += burned;
+                            obs::Collector::set_sim_md(t.millidays());
+                            obs::event!(
+                                "execute.retry",
+                                activity = activity.as_str(),
+                                attempt = attempts,
+                                burned_days = burned.days(),
+                            );
+                            if attempts >= retry.max_attempts || fault_time > retry.activity_budget
+                            {
+                                blocked = true;
+                                break;
+                            }
                         }
-                    }
-                    // The run hung: kill it at the timeout, backoff,
-                    // retry.
-                    Some(InjectedFault::Hang) => {
-                        attempts += 1;
-                        let burned = retry.timeout + retry.backoff(attempts);
-                        fault_time += burned;
-                        t += burned;
-                        obs::Collector::set_sim_md(t.millidays());
-                        obs::event!(
-                            "execute.timeout",
-                            activity = activity.as_str(),
-                            attempt = attempts,
-                            burned_days = burned.days(),
-                        );
-                        if attempts >= retry.max_attempts || fault_time > retry.activity_budget {
-                            blocked = true;
-                            break;
+                        // The run hung: kill it at the timeout, backoff,
+                        // retry.
+                        Some(InjectedFault::Hang) => {
+                            attempts += 1;
+                            let burned = retry.timeout + retry.backoff(attempts);
+                            fault_time += burned;
+                            t += burned;
+                            obs::Collector::set_sim_md(t.millidays());
+                            obs::event!(
+                                "execute.timeout",
+                                activity = activity.as_str(),
+                                attempt = attempts,
+                                burned_days = burned.days(),
+                            );
+                            if attempts >= retry.max_attempts || fault_time > retry.activity_budget
+                            {
+                                blocked = true;
+                                break;
+                            }
                         }
                     }
                 }
-            }
-            if blocked {
+                let step = Step {
+                    t,
+                    iterations,
+                    attempts,
+                    fault_time,
+                    completed: None,
+                };
+                if blocked {
+                    return Ok(step);
+                }
+                let final_instance = match final_instance {
+                    Some(inst) if converged => inst,
+                    // The loop can only exit unconverged-and-unblocked
+                    // by exhausting the iteration cap.
+                    _ => {
+                        return Err(HerculesError::IterationLimit {
+                            activity: activity.clone(),
+                            cap: ITERATION_CAP,
+                        })
+                    }
+                };
+                // Designer declares completion: link plan to final
+                // result.
+                if let Some(plan) = h.store.db().current_plan(activity) {
+                    let sc = plan.id();
+                    h.store.link_completion(sc, final_instance)?;
+                }
+                Ok(Step {
+                    completed: Some(final_instance),
+                    ..step
+                })
+            })?;
+            let Step {
+                t,
+                iterations,
+                attempts,
+                fault_time,
+                completed,
+            } = step;
+            let Some(final_instance) = completed else {
                 obs::event!(
                     "execute.blocked",
                     activity = activity.as_str(),
@@ -461,26 +516,10 @@ impl Hercules {
                 // transitive consumers.
                 doom_from(i, &mut doomed, &mut is_doomed, &dispatched);
                 continue;
-            }
-            let final_instance = match final_instance {
-                Some(inst) if converged => inst,
-                // The loop can only exit unconverged-and-unblocked by
-                // exhausting the iteration cap.
-                _ => {
-                    return Err(HerculesError::IterationLimit {
-                        activity: activity.clone(),
-                        cap: ITERATION_CAP,
-                    })
-                }
             };
             // The activity recovered (or never faulted): it is not
             // blocked, whatever earlier sessions concluded.
             self.blocked.remove(activity);
-            // Designer declares completion: link plan to final result.
-            if let Some(plan) = self.store.db().current_plan(activity) {
-                let sc = plan.id();
-                self.store.link_completion(sc, final_instance)?;
-            }
             data_ready.insert(output_class.clone(), (t, final_instance));
             if !implicit {
                 produced_on.insert(output_class.clone(), w);
@@ -490,14 +529,14 @@ impl Hercules {
             obs::Collector::set_sim_md(t.millidays());
             act_span.record("iterations", iterations);
             act_span.record("fault_attempts", attempts);
-            act_span.record("converged", converged);
+            act_span.record("converged", true);
             executions.push(ActivityExecution {
                 activity: activity.clone(),
                 assignee,
                 started: start,
                 finished: t,
                 iterations,
-                converged,
+                converged: true,
                 final_instance,
                 fault_attempts: attempts,
                 fault_time,

@@ -1,4 +1,5 @@
 use std::collections::{BTreeSet, HashMap};
+use std::panic::{self, AssertUnwindSafe};
 
 use metadata::{ArenaStore, CompactionStats, EntityInstanceId, Journal, MetadataDb, Store};
 use schedule::WorkDays;
@@ -275,6 +276,27 @@ impl Hercules {
         Ok(stats)
     }
 
+    /// Runs `body` as one store write group (see
+    /// [`Store::begin_write_group`]): a persistent store writes the
+    /// records of its mutations together, one segment write and one
+    /// tail append, when the group closes. The group closes on every
+    /// exit of `body`, an error or a panic included, so a torn op still
+    /// reaches disk. A close that finds the store wedged fails the call
+    /// with [`metadata::MetadataError::StorageFailed`], unless `body`
+    /// already failed: nothing `body` did is acknowledged before its
+    /// records are written.
+    pub(crate) fn in_write_group<T>(
+        &mut self,
+        body: impl FnOnce(&mut Hercules) -> Result<T, HerculesError>,
+    ) -> Result<T, HerculesError> {
+        self.store.begin_write_group();
+        let result = panic::catch_unwind(AssertUnwindSafe(|| body(self)));
+        let closed = self.store.end_write_group();
+        let value = result.unwrap_or_else(|payload| panic::resume_unwind(payload))?;
+        closed?;
+        Ok(value)
+    }
+
     /// The design team, fixed for the manager's life like the schema.
     pub fn team(&self) -> &Team {
         &self.team
@@ -469,6 +491,45 @@ mod tests {
         assert_eq!(h.clock(), WorkDays::ZERO);
         assert_eq!(h.team().len(), 2);
         assert_eq!(h.schema().name(), "circuit");
+    }
+
+    /// A write group closes on every exit of its body: after an error
+    /// and after a panic, what the body recorded is in the tail file.
+    #[test]
+    fn write_group_closes_on_error_and_panic() {
+        use metadata::PersistentStore;
+        use simtools::vfs::{MemVfs, Vfs};
+        use std::sync::Arc;
+        let schema = examples::circuit_design();
+        let mem = MemVfs::new();
+        let db = MetadataDb::for_schema(&schema);
+        let store = PersistentStore::create_on(mem.clone() as Arc<dyn Vfs>, "/p", db).unwrap();
+        let mut h = Hercules::with_store(
+            schema,
+            ToolLibrary::standard(),
+            Team::of_size(2),
+            7,
+            Box::new(store),
+        );
+        let tail_records = |mem: &MemVfs| {
+            let text = mem.read_to_string(std::path::Path::new("/p/tail-0.journal"));
+            metadata::framing::decode_tail(&text.unwrap()).journal.len()
+        };
+        let failed = h.in_write_group(|h| {
+            h.store.begin_planning(WorkDays::ZERO);
+            Err::<(), _>(HerculesError::UnknownActivity("nowhere".to_owned()))
+        });
+        assert!(failed.is_err());
+        assert_eq!(tail_records(&mem), 1);
+        let panicked = panic::catch_unwind(AssertUnwindSafe(|| {
+            h.in_write_group(|h| -> Result<(), HerculesError> {
+                h.store.begin_planning(WorkDays::ZERO);
+                panic!("mid-group");
+            })
+        }));
+        assert!(panicked.is_err());
+        assert_eq!(tail_records(&mem), 2);
+        assert!(h.store().wedged_reason().is_none());
     }
 
     #[test]

@@ -437,8 +437,18 @@ impl Hercules {
     /// schedule-instance version per activity, in post-order. A
     /// proposal equal to the activity's current plan joins a run of
     /// consecutive unchanged activities, and each run is carried as one
-    /// store mutation; a changed one is planned and assigned.
+    /// store mutation; a changed one is planned and assigned. The pass
+    /// is one store write group: its records reach disk together.
     fn record(&mut self, tree: &TaskTree, c: PlanCache) -> Result<SchedulePlan, HerculesError> {
+        self.in_write_group(|h| h.record_pass(tree, c))
+    }
+
+    /// [`record`](Hercules::record) inside its write group.
+    fn record_pass(
+        &mut self,
+        tree: &TaskTree,
+        c: PlanCache,
+    ) -> Result<SchedulePlan, HerculesError> {
         let session = self.store.begin_planning(self.clock);
         let offset = self.clock;
         let names = tree.activities();

@@ -240,6 +240,24 @@ impl MetadataDb {
         self.push_data(name, DataBody::Inline(content))
     }
 
+    /// Stores a datum bound for the store's data segment at `extent`:
+    /// the journal records the reference, and the database holds the
+    /// bytes, once, until the store has written them there — how a
+    /// persistent store stages a datum.
+    pub(crate) fn store_data_at(
+        &mut self,
+        name: &str,
+        content: Vec<u8>,
+        extent: Extent,
+    ) -> DataObjectId {
+        debug_assert_eq!(extent.len, content.len() as u64);
+        self.journal_op(|| JournalOp::StoreDataRef {
+            name: name.to_owned(),
+            extent,
+        });
+        self.push_data(name.to_owned(), DataBody::Inline(content))
+    }
+
     /// Records a data object whose bytes are already in the store's
     /// data segment at `extent` — the replay of a `store-data-ref`
     /// record or a snapshot's `data-ref` line.

@@ -34,10 +34,21 @@ use crate::journal::{parse_op_line, Journal, JournalOp};
 /// built at compile time. Table 0 is the classic byte-at-a-time
 /// table; table `t` advances a byte `t` positions further through the
 /// polynomial, letting [`crc32`] fold eight input bytes per step —
-/// snapshot bodies run to tens of kilobytes, so the verify pass on
-/// open is worth keeping off the byte loop (the B15 gate holds it to
-/// 1.2× of the un-checksummed read).
+/// snapshot bodies run to tens of kilobytes and design data to
+/// megabytes, so checksumming is worth keeping off the byte loop (the
+/// B15 gate holds it to 1.2× of the un-checksummed read).
 const CRC_TABLES: [[u32; 256]; 8] = build_crc_tables();
+
+/// Bytes per lane of [`crc32`]'s interleaved kernel.
+const LANE: usize = 512;
+/// Lanes the kernel runs side by side: one block is `LANES * LANE`
+/// bytes, the shortest input that takes the lane path.
+const LANES: usize = 4;
+
+/// The CRC register advanced through [`LANE`] zero bytes, one table
+/// per register byte: [`shift_lane`] moves a lane's partial CRC past
+/// the lane that follows it.
+const SHIFT_TABLES: [[u32; 256]; 4] = build_shift_tables();
 
 const fn build_crc_tables() -> [[u32; 256]; 8] {
     let mut tables = [[0u32; 256]; 8];
@@ -69,22 +80,103 @@ const fn build_crc_tables() -> [[u32; 256]; 8] {
     tables
 }
 
+/// Advancing the register through zero bytes is linear over GF(2), so
+/// the shift of any register is the XOR of the shifts of its set bits:
+/// the 32 single-bit images are computed first, then each table entry
+/// is assembled from them.
+const fn build_shift_tables() -> [[u32; 256]; 4] {
+    let table = CRC_TABLES;
+    let mut bit_images = [0u32; 32];
+    let mut bit = 0;
+    while bit < 32 {
+        let mut c = 1u32 << bit;
+        let mut n = 0;
+        while n < LANE {
+            c = table[0][(c & 0xFF) as usize] ^ (c >> 8);
+            n += 1;
+        }
+        bit_images[bit] = c;
+        bit += 1;
+    }
+    let mut tables = [[0u32; 256]; 4];
+    let mut byte = 0;
+    while byte < 4 {
+        let mut v = 0;
+        while v < 256 {
+            let mut image = 0u32;
+            let mut b = 0;
+            while b < 8 {
+                if v & (1 << b) != 0 {
+                    image ^= bit_images[byte * 8 + b];
+                }
+                b += 1;
+            }
+            tables[byte][v] = image;
+            v += 1;
+        }
+        byte += 1;
+    }
+    tables
+}
+
+/// Folds eight bytes into register `c` (slicing-by-8).
+#[inline(always)]
+fn fold8(c: u32, chunk: &[u8]) -> u32 {
+    let lo = u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]) ^ c;
+    let hi = u32::from_le_bytes([chunk[4], chunk[5], chunk[6], chunk[7]]);
+    CRC_TABLES[7][(lo & 0xFF) as usize]
+        ^ CRC_TABLES[6][((lo >> 8) & 0xFF) as usize]
+        ^ CRC_TABLES[5][((lo >> 16) & 0xFF) as usize]
+        ^ CRC_TABLES[4][(lo >> 24) as usize]
+        ^ CRC_TABLES[3][(hi & 0xFF) as usize]
+        ^ CRC_TABLES[2][((hi >> 8) & 0xFF) as usize]
+        ^ CRC_TABLES[1][((hi >> 16) & 0xFF) as usize]
+        ^ CRC_TABLES[0][(hi >> 24) as usize]
+}
+
+/// Register `c` advanced through one lane of zero bytes.
+#[inline(always)]
+fn shift_lane(c: u32) -> u32 {
+    SHIFT_TABLES[0][(c & 0xFF) as usize]
+        ^ SHIFT_TABLES[1][((c >> 8) & 0xFF) as usize]
+        ^ SHIFT_TABLES[2][((c >> 16) & 0xFF) as usize]
+        ^ SHIFT_TABLES[3][(c >> 24) as usize]
+}
+
 /// The CRC32 (IEEE) of `bytes` — the checksum v2 framing stores per
-/// record and per snapshot.
+/// record and per snapshot, and the data segment per datum.
+///
+/// Inputs of at least `LANES * LANE` bytes go through four lanes of
+/// slicing-by-8 at once. Lane 0 carries the running register; lanes 1
+/// to 3 start from zero. The register is linear in its start value, so
+/// each lane's result moves past the lanes after it through
+/// `SHIFT_TABLES` and the four combine by XOR. The four independent
+/// table-lookup chains keep the CPU's load units busy where one chain
+/// waits on its own result.
 pub fn crc32(bytes: &[u8]) -> u32 {
     let mut c = 0xFFFF_FFFFu32;
-    let mut chunks = bytes.chunks_exact(8);
+    let mut blocks = bytes.chunks_exact(LANES * LANE);
+    for block in &mut blocks {
+        let (l0, rest) = block.split_at(LANE);
+        let (l1, rest) = rest.split_at(LANE);
+        let (l2, l3) = rest.split_at(LANE);
+        let (mut c0, mut c1, mut c2, mut c3) = (c, 0u32, 0u32, 0u32);
+        for (((a, b), d), e) in l0
+            .chunks_exact(8)
+            .zip(l1.chunks_exact(8))
+            .zip(l2.chunks_exact(8))
+            .zip(l3.chunks_exact(8))
+        {
+            c0 = fold8(c0, a);
+            c1 = fold8(c1, b);
+            c2 = fold8(c2, d);
+            c3 = fold8(c3, e);
+        }
+        c = shift_lane(shift_lane(shift_lane(c0) ^ c1) ^ c2) ^ c3;
+    }
+    let mut chunks = blocks.remainder().chunks_exact(8);
     for chunk in &mut chunks {
-        let lo = u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]) ^ c;
-        let hi = u32::from_le_bytes([chunk[4], chunk[5], chunk[6], chunk[7]]);
-        c = CRC_TABLES[7][(lo & 0xFF) as usize]
-            ^ CRC_TABLES[6][((lo >> 8) & 0xFF) as usize]
-            ^ CRC_TABLES[5][((lo >> 16) & 0xFF) as usize]
-            ^ CRC_TABLES[4][(lo >> 24) as usize]
-            ^ CRC_TABLES[3][(hi & 0xFF) as usize]
-            ^ CRC_TABLES[2][((hi >> 8) & 0xFF) as usize]
-            ^ CRC_TABLES[1][((hi >> 16) & 0xFF) as usize]
-            ^ CRC_TABLES[0][(hi >> 24) as usize];
+        c = fold8(c, chunk);
     }
     for &b in chunks.remainder() {
         c = CRC_TABLES[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
@@ -368,6 +460,52 @@ mod tests {
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
         assert_ne!(crc32(b"a"), crc32(b"b"));
+    }
+
+    /// The CRC32 register after `bytes`, one bit at a time from the
+    /// polynomial: no tables, no lanes.
+    fn crc_register_bitwise(mut c: u32, bytes: &[u8]) -> u32 {
+        for &b in bytes {
+            c ^= u32::from(b);
+            for _ in 0..8 {
+                c = if c & 1 != 0 {
+                    (c >> 1) ^ 0xEDB8_8320
+                } else {
+                    c >> 1
+                };
+            }
+        }
+        c
+    }
+
+    #[test]
+    fn crc32_equals_the_bitwise_reference_at_every_length() {
+        assert_eq!(
+            crc_register_bitwise(!0, b"123456789") ^ !0,
+            crc32(b"123456789")
+        );
+        // Every length up to three blocks and a remainder, so each
+        // multiple of the block (2048 bytes) is met with one byte less
+        // and one more. The reference advances one byte per length.
+        const MAX: usize = 3 * LANES * LANE + 17;
+        let mut g = simtools::rng::SplitMix64::new(0x00C3_C32A);
+        let bytes: Vec<u8> = (0..MAX).map(|_| g.next_u64() as u8).collect();
+        let mut register = !0u32;
+        for len in 0..=MAX {
+            assert_eq!(crc32(&bytes[..len]), register ^ !0, "length {len}");
+            if len < MAX {
+                register = crc_register_bitwise(register, &bytes[len..=len]);
+            }
+        }
+        // Lanes start anywhere in a buffer.
+        for skip in 1..9 {
+            let tail = &bytes[skip..];
+            assert_eq!(
+                crc32(tail),
+                crc_register_bitwise(!0, tail) ^ !0,
+                "skip {skip}"
+            );
+        }
     }
 
     fn sample_journal() -> Journal {

@@ -453,8 +453,8 @@ impl Journal {
         &self.ops
     }
 
-    /// All ops, mutably (the persistent store turns pending data into
-    /// segment references before appending them).
+    /// All ops, mutably (the persistent store resolves segment
+    /// references into data when it hands out its journal).
     pub(crate) fn ops_mut(&mut self) -> &mut [JournalOp] {
         &mut self.ops
     }

@@ -40,6 +40,15 @@ pub struct Extent {
 }
 
 impl Extent {
+    /// The extent of `bytes` written at `offset`.
+    pub(crate) fn of(offset: u64, bytes: &[u8]) -> Extent {
+        Extent {
+            offset,
+            len: bytes.len() as u64,
+            crc: crc32(bytes),
+        }
+    }
+
     /// The first byte past the datum. Extents are read from files, so
     /// an end past `u64::MAX` saturates: it is past any segment's end.
     pub fn end(&self) -> u64 {
@@ -240,21 +249,19 @@ impl SegmentWriter {
         &self.path
     }
 
-    /// Appends one datum and returns its extent. The segment is created
-    /// (and its name made durable) by the first datum. A write the
-    /// filesystem cut short is an error, as a failed one is: the next
-    /// datum must land exactly where its extent says.
+    /// Appends `bytes` (one datum, or the data of one write group laid
+    /// end to end) in one write and returns the offset they start at.
+    /// The segment is created (and its name made durable) by the first
+    /// append. A write the filesystem cut short is an error, as a
+    /// failed one is: the next append must land exactly where the
+    /// extents of this one end.
     ///
     /// # Errors
     ///
     /// The I/O error of the create, the append, or a short append.
-    pub(crate) fn append(&mut self, vfs: &Arc<dyn Vfs>, bytes: &[u8]) -> io::Result<Extent> {
-        let mut span = obs::span!("store.data_append", bytes = bytes.len());
-        let extent = Extent {
-            offset: self.len.unwrap_or(0),
-            len: bytes.len() as u64,
-            crc: crc32(bytes),
-        };
+    pub(crate) fn append(&mut self, vfs: &Arc<dyn Vfs>, bytes: &[u8]) -> io::Result<u64> {
+        let offset = self.len.unwrap_or(0);
+        let end = offset + bytes.len() as u64;
         let mut handle = match self.handle.take() {
             Some(handle) => handle,
             None => {
@@ -269,16 +276,14 @@ impl SegmentWriter {
         };
         handle.append(bytes)?;
         let found = handle.file_len()?;
-        if found != extent.end() {
+        if found != end {
             return Err(io::Error::other(format!(
-                "short append: segment is {found} bytes, expected {}",
-                extent.end()
+                "short append: segment is {found} bytes, expected {end}"
             )));
         }
         self.handle = Some(handle);
-        self.len = Some(extent.end());
-        span.record("offset", extent.offset);
-        Ok(extent)
+        self.len = Some(end);
+        Ok(offset)
     }
 
     /// Makes the segment's bytes durable (no-op while it holds none).
@@ -313,8 +318,8 @@ impl SegmentWriter {
     ) -> Result<(), StoreError> {
         for d in &mut db.data {
             if let DataBody::Inline(bytes) = &d.body {
-                let extent = self.append(vfs, bytes).map_err(|e| io_err(&self.path, e))?;
-                d.body = DataBody::Stored(extent);
+                let offset = self.append(vfs, bytes).map_err(|e| io_err(&self.path, e))?;
+                d.body = DataBody::Stored(Extent::of(offset, bytes));
             }
         }
         Ok(())

@@ -42,11 +42,17 @@
 //! and `data` lines) open unmodified; compaction writes v3.
 //!
 //! Every mutation records its op in the in-memory journal before it is
-//! applied, and the op is then appended to the tail file — including
-//! ops torn by an injected crash, which is exactly the write-ahead
-//! fidelity the chaos suite checks. The tail file *is* this store's
-//! journal: once an op is appended, memory drops it, so the in-memory
-//! journal only ever holds ops not yet in the file. All I/O goes
+//! applied; right after, the store frames the op into a staged tail
+//! buffer and drops it from memory — including ops torn by an injected
+//! crash, which is exactly the write-ahead fidelity the chaos suite
+//! checks. Each record is appended to the tail file by the end of its
+//! engine step or planning pass, and nothing is acknowledged before
+//! then: the flow manager wraps each in a *write group*
+//! ([`Store::begin_write_group`]), whose close writes the group's data
+//! to the segment in one write and its records to the tail in one
+//! append. A mutation outside a group is written before it returns.
+//! The tail file *is* this store's journal: memory holds only the
+//! staged bytes of an open group, never ops. All I/O goes
 //! through the [`Vfs`] seam so the chaos suite can inject storage
 //! failures (ENOSPC, EIO, short writes, lying fsync, dropped renames)
 //! deterministically.
@@ -82,13 +88,14 @@
 //!
 //! # Wedging
 //!
-//! If a tail append itself fails (disk full, I/O error) the store
-//! **wedges**: every further fallible mutation returns
+//! If a segment write or tail append fails (disk full, I/O error) the
+//! store **wedges**: every further fallible mutation returns
 //! [`MetadataError::StorageFailed`], because acknowledging writes that
-//! cannot be persisted would break the write-ahead contract. (The op
-//! whose append failed has already applied in memory — it reports
-//! success but may not survive a reopen; everything acknowledged
-//! before it is durable.) Reads keep working; reopening the directory
+//! cannot be persisted would break the write-ahead contract, and so
+//! does the close of the write group whose write failed. (The ops
+//! whose records were not written have already applied in memory —
+//! they may not survive a reopen; everything acknowledged before them
+//! is durable.) Reads keep working; reopening the directory
 //! resumes from the last durable prefix. (Earlier revisions panicked here; a
 //! million-user workspace must degrade, not abort.)
 //!
@@ -117,7 +124,7 @@ use crate::framing::{self, Framing, SnapshotIssue, TailIssue, TailScan};
 use crate::ids::{DataObjectId, EntityInstanceId, PlanningSessionId, RunId, ScheduleInstanceId};
 use crate::journal::{Journal, JournalOp, ReplayStop};
 use crate::objects::DataBody;
-use crate::segment::{self, SegmentWriter};
+use crate::segment::{self, Extent, SegmentWriter};
 
 /// What kind of damage a [`CorruptionReport`] describes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -378,6 +385,28 @@ pub trait Store: fmt::Debug + Send + Sync {
         schedule: ScheduleInstanceId,
         entity: EntityInstanceId,
     ) -> Result<(), MetadataError>;
+
+    // -- write groups ---------------------------------------------------
+
+    /// Opens a write group. Until it closes, a backend may stage the
+    /// records of the mutations that follow and write them together at
+    /// [`end_write_group`](Store::end_write_group). Groups nest; the
+    /// outermost close writes. Outside a group every mutation is
+    /// written before it returns. No-op for the arena.
+    fn begin_write_group(&mut self) {}
+
+    /// Closes a write group. The persistent store writes what the
+    /// group staged — the data segment in one write, then the tail in
+    /// one append — and nothing the group did is durable before this
+    /// returns `Ok`. No-op for the arena.
+    ///
+    /// # Errors
+    ///
+    /// [`MetadataError::StorageFailed`] when the store is wedged, by
+    /// this write or an earlier one.
+    fn end_write_group(&mut self) -> Result<(), MetadataError> {
+        Ok(())
+    }
 
     // -- journal & crash control ---------------------------------------
 
@@ -672,13 +701,58 @@ pub struct PersistentStore {
     /// each epoch (so never before `open`'s torn-tail rewrite), dropped
     /// at every epoch switch and by [`Store::release_files`].
     tail: Option<Box<dyn AppendFile>>,
-    /// Reused buffer the pending records of one append are framed in.
-    append_buf: String,
+    /// What the next flush writes; see [`Staged`].
+    staged: Staged,
+    /// Open write groups: a flush waits for the outermost to close.
+    groups: u32,
     /// The data segment's append side (storage v3).
     segment: SegmentWriter,
-    /// When set, durability is lost (a tail append failed): every
-    /// fallible mutation is refused with the stored reason.
+    /// When set, durability is lost (a segment write or tail append
+    /// failed): every fallible mutation is refused with the stored
+    /// reason.
     wedged: Option<String>,
+}
+
+/// The mutations a [`PersistentStore`] has applied but not yet written:
+/// encoded bytes only, never ops, so a group's memory is its records.
+#[derive(Debug, Default)]
+struct Staged {
+    /// The framed tail records, in order.
+    tail: String,
+    /// How many records `tail` holds.
+    records: usize,
+    /// The staged data objects by index, with the extent each record
+    /// names. Their bytes stay in the database, inline, until the
+    /// segment write, so a read inside a group still finds them.
+    data: Vec<(usize, Extent)>,
+    /// Reused buffer the staged data are gathered in for the one
+    /// segment write.
+    gather: Vec<u8>,
+}
+
+impl Staged {
+    fn is_empty(&self) -> bool {
+        self.records == 0
+    }
+
+    /// Where the next staged datum lands: past the staged ones, which
+    /// land at the segment's end `seg_len`.
+    fn data_end(&self, seg_len: Option<u64>) -> u64 {
+        self.data
+            .last()
+            .map_or(seg_len.unwrap_or(0), |(_, extent)| extent.end())
+    }
+}
+
+/// The bytes of the staged data objects `data` of `db`, in order.
+fn staged_bytes<'a>(
+    db: &'a MetadataDb,
+    data: &'a [(usize, Extent)],
+) -> impl Iterator<Item = &'a [u8]> + 'a {
+    data.iter().map(|&(d, _)| match &db.data[d].body {
+        DataBody::Inline(bytes) => bytes.as_slice(),
+        DataBody::Stored(_) => unreachable!("a staged datum is held inline"),
+    })
 }
 
 impl PersistentStore {
@@ -729,7 +803,8 @@ impl PersistentStore {
             tail_ops: 0,
             framing: Framing::V2,
             tail: None,
-            append_buf: String::new(),
+            staged: Staged::default(),
+            groups: 0,
             segment,
             wedged: None,
         })
@@ -797,7 +872,8 @@ impl PersistentStore {
             framing: scan.framing,
             tail_path,
             tail: None,
-            append_buf: String::new(),
+            staged: Staged::default(),
+            groups: 0,
             segment,
             wedged: None,
         })
@@ -828,50 +904,59 @@ impl PersistentStore {
         }
     }
 
-    /// Appends the in-memory journal's ops to the tail file and drops
-    /// them from memory. Runs after *every* mutation — including one
-    /// torn by an injected crash, whose op was recorded before the
-    /// simulated death and therefore must reach disk, exactly like a
-    /// real WAL. Each pending datum's bytes go to the data segment
-    /// first, and its op becomes the `store-data-ref` record that
-    /// follows them. The pending records go out as one append through
-    /// the held tail handle (reopened by path when there is none). If
-    /// a segment or tail write fails, the ops stay in memory and the
-    /// store wedges (see the [module docs](self#wedging)) instead of
-    /// panicking: durability is gone, so every further fallible
-    /// mutation is refused with [`MetadataError::StorageFailed`].
-    fn sync_tail(&mut self) {
-        if self.wedged.is_some() {
-            return;
-        }
+    /// Frames the op the last mutation recorded in the in-memory
+    /// journal into the staged tail and drops it from memory, then
+    /// flushes unless a write group is open. Runs after *every*
+    /// mutation — including one torn by an injected crash, whose op
+    /// was recorded before the simulated death and therefore must
+    /// reach disk, exactly like a real WAL. Each record is appended by
+    /// the end of its engine step or planning pass (the write group the
+    /// flow manager opens around it); nothing is acknowledged before
+    /// then.
+    fn stage(&mut self) {
         let journal = self
             .db
             .journal
             .as_mut()
             .expect("persistent store always journals");
-        if journal.is_empty() {
+        for op in journal.ops() {
+            self.framing
+                .encode_tail_record_into(op, &mut self.staged.tail);
+        }
+        self.staged.records += journal.len();
+        journal.clear();
+        if self.groups == 0 {
+            self.flush();
+        }
+    }
+
+    /// Writes what is staged: the staged data in one segment write,
+    /// checked for a short append, then the staged records in one tail
+    /// append through the held handle (reopened by path when there is
+    /// none). Data go before the records that reference them; a datum's
+    /// body points at its extent only once the segment write is done.
+    /// If either write fails, what remains staged stays in memory and
+    /// the store wedges (see the [module docs](self#wedging)) instead
+    /// of panicking: durability is gone, so every further fallible
+    /// mutation is refused with [`MetadataError::StorageFailed`].
+    fn flush(&mut self) {
+        if self.wedged.is_some() || self.staged.is_empty() {
             return;
         }
-        // Pending data are the newest data objects, in order.
-        let pending = journal
-            .ops()
-            .iter()
-            .filter(|op| matches!(op, JournalOp::StoreData { .. }))
-            .count();
-        let mut data = self.db.data.len() - pending..;
-        for op in journal.ops_mut() {
-            let JournalOp::StoreData { name, content } = op else {
-                continue;
-            };
-            match self.segment.append(&self.vfs, content) {
-                Ok(extent) => {
-                    let d = data.next().expect("one data object per pending datum");
-                    self.db.data[d].body = DataBody::Stored(extent);
-                    *op = JournalOp::StoreDataRef {
-                        name: std::mem::take(name),
-                        extent,
-                    };
-                }
+        let staged = &mut self.staged;
+        let mut span = obs::span!(
+            "store.flush",
+            records = staged.records,
+            tail_bytes = staged.tail.len(),
+        );
+        if !staged.data.is_empty() {
+            staged.gather.clear();
+            for bytes in staged_bytes(&self.db, &staged.data) {
+                staged.gather.extend_from_slice(bytes);
+            }
+            span.record("data_bytes", staged.gather.len());
+            match self.segment.append(&self.vfs, &staged.gather) {
+                Ok(offset) => debug_assert_eq!(offset, staged.data[0].1.offset),
                 Err(e) => {
                     let path = self.segment.path();
                     obs::event!("store.wedged", path = path.display().to_string());
@@ -882,23 +967,22 @@ impl PersistentStore {
                     return;
                 }
             }
-        }
-        self.append_buf.clear();
-        for op in journal.ops() {
-            self.framing
-                .encode_tail_record_into(op, &mut self.append_buf);
+            for (d, extent) in staged.data.drain(..) {
+                self.db.data[d].body = DataBody::Stored(extent);
+            }
         }
         let path = &self.tail_path;
         let appended = match self.tail.take() {
             Some(tail) => Ok(tail),
             None => Arc::clone(&self.vfs).open_append(path),
         }
-        .and_then(|mut tail| tail.append(self.append_buf.as_bytes()).map(|()| tail));
+        .and_then(|mut tail| tail.append(staged.tail.as_bytes()).map(|()| tail));
         match appended {
             Ok(tail) => {
                 self.tail = Some(tail);
-                self.tail_ops += journal.len();
-                journal.clear();
+                self.tail_ops += staged.records;
+                staged.records = 0;
+                staged.tail.clear();
             }
             Err(e) => {
                 let reason = format!("tail append failed at {}: {e}", path.display());
@@ -1204,17 +1288,22 @@ impl Store for PersistentStore {
 
     fn declare_entity_container(&mut self, class: &str) {
         self.db.declare_entity_container(class);
-        self.sync_tail();
+        self.stage();
     }
 
     fn declare_schedule_container(&mut self, activity: &str, output_class: &str) {
         self.db.declare_schedule_container(activity, output_class);
-        self.sync_tail();
+        self.stage();
     }
 
     fn store_data(&mut self, name: &str, content: Vec<u8>) -> DataObjectId {
-        let id = self.db.store_data(name, content);
-        self.sync_tail();
+        // The datum's place in the segment is fixed now, so its record
+        // can be framed at once; the bytes follow at the flush.
+        let offset = self.staged.data_end(self.segment.len());
+        let extent = Extent::of(offset, &content);
+        let id = self.db.store_data_at(name, content, extent);
+        self.staged.data.push((id.index(), extent));
+        self.stage();
         id
     }
 
@@ -1226,7 +1315,7 @@ impl Store for PersistentStore {
     ) -> Result<RunId, MetadataError> {
         self.check_wedged()?;
         let r = self.db.begin_run(activity, operator, started_at);
-        self.sync_tail();
+        self.stage();
         r
     }
 
@@ -1242,7 +1331,7 @@ impl Store for PersistentStore {
         let r = self
             .db
             .finish_run(run, output_class, data, finished_at, inputs);
-        self.sync_tail();
+        self.stage();
         r
     }
 
@@ -1255,13 +1344,13 @@ impl Store for PersistentStore {
     ) -> Result<EntityInstanceId, MetadataError> {
         self.check_wedged()?;
         let r = self.db.supply_input(class, creator, created_at, data);
-        self.sync_tail();
+        self.stage();
         r
     }
 
     fn begin_planning(&mut self, at: WorkDays) -> PlanningSessionId {
         let id = self.db.begin_planning(at);
-        self.sync_tail();
+        self.stage();
         id
     }
 
@@ -1276,7 +1365,7 @@ impl Store for PersistentStore {
         let r = self
             .db
             .plan_activity(session, activity, planned_start, planned_duration);
-        self.sync_tail();
+        self.stage();
         r
     }
 
@@ -1287,7 +1376,7 @@ impl Store for PersistentStore {
     ) -> Result<Vec<ScheduleInstanceId>, MetadataError> {
         self.check_wedged()?;
         let r = self.db.carry_plan(session, from);
-        self.sync_tail();
+        self.stage();
         r
     }
 
@@ -1298,7 +1387,7 @@ impl Store for PersistentStore {
     ) -> Result<(), MetadataError> {
         self.check_wedged()?;
         let r = self.db.assign(schedule, designer);
-        self.sync_tail();
+        self.stage();
         r
     }
 
@@ -1309,7 +1398,7 @@ impl Store for PersistentStore {
     ) -> Result<(), MetadataError> {
         self.check_wedged()?;
         let r = self.db.link_completion(schedule, entity);
-        self.sync_tail();
+        self.stage();
         r
     }
 
@@ -1318,14 +1407,13 @@ impl Store for PersistentStore {
     }
 
     fn take_journal(&mut self) -> Option<Journal> {
-        // Hand out a copy read back from the tail file; detaching the
-        // live journal would silently stop persisting. Data references
-        // are resolved: the copy carries every datum's bytes.
-        let text = self.vfs.read_to_string(&self.tail_path).ok()?;
+        // Hand out a copy read back from the tail file and the staged
+        // records; detaching the live journal would silently stop
+        // persisting. Data references are resolved: the copy carries
+        // every datum's bytes, the staged ones from memory.
+        let mut text = self.vfs.read_to_string(&self.tail_path).ok()?;
+        text.push_str(&self.staged.tail);
         let mut journal = framing::decode_tail(&text).journal;
-        for op in self.db.journal().map_or(&[][..], Journal::ops) {
-            journal.record(op.clone());
-        }
         let mut segment = None;
         for op in journal.ops_mut() {
             let JournalOp::StoreDataRef { name, extent } = op else {
@@ -1333,7 +1421,18 @@ impl Store for PersistentStore {
             };
             let source = self.db.segment_source().ok()?;
             if segment.is_none() {
-                segment = Some(source.read().ok()?);
+                // The written segment, then the staged data where the
+                // flush will put them.
+                let written = self.segment.len().unwrap_or(0);
+                let mut bytes = match written {
+                    0 => Vec::new(),
+                    _ => source.read().ok()?,
+                };
+                bytes.truncate(written as usize);
+                for staged in staged_bytes(&self.db, &self.staged.data) {
+                    bytes.extend_from_slice(staged);
+                }
+                segment = Some(bytes);
             }
             let bytes = source.resolve(segment.as_deref()?, name, extent).ok()?;
             *op = JournalOp::StoreData {
@@ -1353,6 +1452,7 @@ impl Store for PersistentStore {
     }
 
     fn replace_db(&mut self, db: MetadataDb) -> Result<(), StoreError> {
+        self.flush();
         self.check_wedged()?;
         // A wholesale state replacement starts a new epoch on disk,
         // always in the current framing (v2 upgrade point).
@@ -1366,6 +1466,7 @@ impl Store for PersistentStore {
     }
 
     fn checkpoint(&mut self) -> Result<(), StoreError> {
+        self.flush();
         if let Some(reason) = &self.wedged {
             return Err(io_err(&self.tail_path, reason));
         }
@@ -1382,6 +1483,7 @@ impl Store for PersistentStore {
 
     fn compact(&mut self) -> Result<CompactionStats, StoreError> {
         self.db.check_alive()?;
+        self.flush();
         self.check_wedged()?;
         let mut span = obs::span!("store.compact", seq = self.seq);
         let bytes_before =
@@ -1434,6 +1536,21 @@ impl Store for PersistentStore {
     fn release_files(&mut self) {
         self.tail = None;
         self.segment.release();
+    }
+
+    fn begin_write_group(&mut self) {
+        self.groups += 1;
+    }
+
+    fn end_write_group(&mut self) -> Result<(), MetadataError> {
+        self.groups = self
+            .groups
+            .checked_sub(1)
+            .expect("a write group closes only after it opened");
+        if self.groups == 0 {
+            self.flush();
+        }
+        self.check_wedged()
     }
 }
 
@@ -1935,6 +2052,79 @@ mod tests {
         );
         assert_eq!(&*store.db().data_content(c).unwrap(), &[0xc0; 100][..]);
         let dump = store.db().dump();
+        drop(store);
+        let reopened = PersistentStore::open_on(mem as Arc<dyn Vfs>, "/proj").unwrap();
+        assert_eq!(reopened.db().dump(), dump);
+    }
+
+    /// A write group stages until it closes: the files do not change
+    /// inside it, a datum read there returns its bytes, `take_journal`
+    /// includes the staged records, and the close writes exactly the
+    /// bytes per-mutation appends write.
+    #[test]
+    fn write_group_stages_until_close_and_writes_the_same_bytes() {
+        let script = |store: &mut PersistentStore| {
+            let run = store.begin_run("Create", "alice", WorkDays::ZERO).unwrap();
+            let a = store.store_data("a.net", vec![0xa0; 100]);
+            store
+                .finish_run(run, "netlist", a, WorkDays::new(1.0), &[])
+                .unwrap();
+            (a, store.store_data("b.net", vec![0xb0; 50]))
+        };
+        let (plain_mem, mut plain) = mem_store("/proj");
+        script(&mut plain);
+        let (mem, mut store) = mem_store("/proj");
+        let tail = Path::new("/proj").join(tail_name(0));
+        let seg = Path::new("/proj").join(crate::segment::DATA_SEGMENT);
+        let empty_tail = mem.read(&tail).unwrap();
+        store.begin_write_group();
+        let (a, b) = script(&mut store);
+        assert_eq!(mem.read(&tail).unwrap(), empty_tail, "no record yet");
+        assert!(!mem.exists(&seg), "no datum yet");
+        assert_eq!(store.db().data_object(b).extent(), None, "held inline");
+        assert_eq!(&*store.db().data_content(b).unwrap(), &[0xb0; 50][..]);
+        assert_eq!(store.take_journal(), plain.take_journal());
+        store.end_write_group().unwrap();
+        for file in [&tail, &seg] {
+            assert_eq!(mem.read(file).unwrap(), plain_mem.read(file).unwrap());
+        }
+        for d in [a, b] {
+            let extent = store.db().data_object(d).extent();
+            assert!(extent.is_some());
+            assert_eq!(extent, plain.db().data_object(d).extent());
+        }
+        drop(store);
+        let reopened = PersistentStore::open_on(mem as Arc<dyn Vfs>, "/proj").unwrap();
+        assert_eq!(reopened.db().dump(), plain.db().dump());
+    }
+
+    /// A write that fails at a group's close wedges the store, and the
+    /// close says so; the state reopens without the group.
+    #[test]
+    fn write_group_close_reports_a_failed_write() {
+        let mem = MemVfs::new();
+        let faulty = FaultVfs::new(mem.clone(), VfsFaultPlan::none());
+        let mut store =
+            PersistentStore::create_on(faulty.clone() as Arc<dyn Vfs>, "/proj", seed_db()).unwrap();
+        mutate(&mut store);
+        let dump = store.db().dump();
+        faulty.arm_enospc_after(0);
+        store.begin_write_group();
+        let run = store
+            .begin_run("Create", "bob", WorkDays::new(2.0))
+            .unwrap();
+        let data = store.store_data("v2.net", b"module v2".to_vec());
+        store
+            .finish_run(run, "netlist", data, WorkDays::new(3.0), &[])
+            .unwrap();
+        assert!(matches!(
+            store.end_write_group(),
+            Err(MetadataError::StorageFailed(_))
+        ));
+        assert!(store.wedged_reason().is_some());
+        assert!(store
+            .begin_run("Create", "bob", WorkDays::new(3.0))
+            .is_err());
         drop(store);
         let reopened = PersistentStore::open_on(mem as Arc<dyn Vfs>, "/proj").unwrap();
         assert_eq!(reopened.db().dump(), dump);

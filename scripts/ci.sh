@@ -36,8 +36,12 @@
 #           FaultVfs, the corruption-corpus goldens in
 #           artifacts/corrupt_roots/ (v3 data-segment cases and their
 #           repair included), the storage-v3 goldens and v1/v2
-#           compatibility, and the B15 checksum-overhead gate (v2
-#           framing <= 1.2x v1 on append and open)
+#           compatibility, write groups (ENOSPC at every write point
+#           and a crash at every mutation of plan + execute, the
+#           tail/segment golden of an asic_flow run, the store's group
+#           unit tests), the CRC32 lane kernel against a bitwise
+#           reference, and the B15 checksum-overhead gate (v2 framing
+#           <= 1.2x v1 on append and open)
 #   serve   workspace-server gate: differential transport conformance,
 #           protocol fuzzer, 64-seed chaos-under-load sweep, herc
 #           serve CLI coverage, B13 scaling/coalescing floor, and a
@@ -261,8 +265,18 @@ stage_fsck() {
     # held append handles; the vfs conformance suite pins binary reads
     # on every backend. Storage v3: golden snapshot/tail/segment
     # bytes, and v1/v2 roots opening unmodified and compacting or
-    # repairing into v3 with byte-identical dumps.
+    # repairing into v3 with byte-identical dumps. Write groups: a
+    # planning pass and each activity step reach the store as one
+    # segment write and one tail append, under the same ENOSPC, crash
+    # and golden-bytes contract as per-op appends; the CRC32 lane
+    # kernel must equal a bit-at-a-time reference at every length.
     cargo test -q --offline --release -p simtools --lib vfs || return 1
+    cargo test -q --offline --release -p metadata --lib -- \
+        framing::tests::crc32 store::tests::write_group || return 1
+    cargo test -q --offline --release -p hercules --lib -- \
+        manager::tests::write_group || return 1
+    cargo test -q --offline --release -p hercules \
+        --test store_write_groups || return 1
     cargo test -q --offline --release -p simtools \
         --test vfs_conformance || return 1
     cargo test -q --offline --release -p metadata \
