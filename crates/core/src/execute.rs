@@ -342,11 +342,8 @@ impl Hercules {
         obs::Collector::set_sim_md(self.clock.millidays());
         let mut exec_span = obs::span!("hercules.execute", target = target);
         let tree = self.extract_task_tree(target)?;
-        // Supply primary inputs up front.
-        for class in tree.primary_inputs() {
-            let designer = self.team.designer(0).to_owned();
-            self.supply_primary_input(class, &designer)?;
-        }
+        // Supply primary inputs up front, as one write group.
+        self.supply_primary_inputs(&tree)?;
         // data_ready: class -> (time available, instance).
         let mut data_ready = self.seed_data_ready(&tree);
         let mut designer_free: HashMap<String, WorkDays> = self

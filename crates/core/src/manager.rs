@@ -445,6 +445,20 @@ impl Hercules {
         self.supplied = supplied;
     }
 
+    /// Supplies every primary input of `tree` not yet supplied, by the
+    /// team's first designer, as one write group: the supply step of an
+    /// execution, one segment write and one tail append however many
+    /// inputs it supplies.
+    pub(crate) fn supply_primary_inputs(&mut self, tree: &TaskTree) -> Result<(), HerculesError> {
+        self.in_write_group(|h| {
+            for class in tree.primary_inputs() {
+                let designer = h.team.designer(0).to_owned();
+                h.supply_primary_input(class, &designer)?;
+            }
+            Ok(())
+        })
+    }
+
     /// Supplies a primary-input instance for `class` (synthetic content
     /// derived from the project seed), or returns the already-supplied
     /// instance — primary inputs are provided once, like the paper's

@@ -245,27 +245,26 @@ impl Hercules {
     /// designer reports status to a project manager; the flow manager
     /// *is* the source of truth.
     ///
-    /// One pass over the schema: each activity's schedule container is
-    /// found by walking the database's name-ordered containers beside
-    /// the schema's rules in name order, and its actual start is one
-    /// probe of the run index (none while nothing has run). Rows share
-    /// the database's activity and designer names.
+    /// One pass over the schema: each activity's schedule container,
+    /// with its actual start, is found by walking the database's
+    /// name-ordered containers beside the schema's rules in name order.
+    /// Rows share the database's activity and designer names.
     pub fn status(&self) -> StatusReport {
         let db = self.store.db();
         let rules = self.schema.rules();
         let by_name = self.schema.rule_positions_by_name();
-        let mut containers: Vec<Option<(&Arc<str>, &[ScheduleInstanceId])>> =
-            vec![None; rules.len()];
+        type Container<'a> = (&'a Arc<str>, &'a [ScheduleInstanceId], Option<WorkDays>);
+        let mut containers: Vec<Option<Container>> = vec![None; rules.len()];
         let mut walk = db.schedule_containers_by_name().peekable();
         for &r in by_name.iter() {
             let activity = rules[r].activity();
-            while let Some(&(name, ids)) = walk.peek() {
+            while let Some(&(name, ids, started)) = walk.peek() {
                 match (**name).cmp(activity) {
                     Ordering::Less => {
                         walk.next();
                     }
                     Ordering::Equal => {
-                        containers[r] = Some((name, ids));
+                        containers[r] = Some((name, ids, started));
                         walk.next();
                         break;
                     }
@@ -273,27 +272,22 @@ impl Hercules {
                 }
             }
         }
-        let any_runs = !db.runs().is_empty();
         let rows = rules
             .iter()
             .zip(containers)
             .map(|(rule, container)| {
                 // The current plan serves the plan, the actual finish
                 // and the slip.
-                let (activity, plan) = match container {
-                    Some((name, ids)) => (
+                let (activity, plan, actual_start) = match container {
+                    Some((name, ids, started)) => (
                         Arc::clone(name),
                         ids.last().map(|&id| db.schedule_instance(id)),
+                        started,
                     ),
-                    None => (Arc::from(rule.activity()), None),
+                    None => (Arc::from(rule.activity()), None, None),
                 };
                 let planned = plan.map(|p| (p.planned_start(), p.planned_finish()));
                 let assignees = plan.map(|p| p.shared_assignees()).unwrap_or_default();
-                let actual_start = if any_runs {
-                    db.actual_start(&activity)
-                } else {
-                    None
-                };
                 let actual_finish = plan
                     .and_then(|p| p.linked_entity())
                     .map(|e| db.entity_instance(e).created_at());

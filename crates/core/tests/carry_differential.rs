@@ -393,7 +393,7 @@ fn a_one_estimate_replan_writes_only_what_moved() {
             JournalOp::PlanActivity { activity, .. } => {
                 let next = appended.get(i + 1);
                 assert!(matches!(next, Some(JournalOp::Assign { .. })), "{next:?}");
-                planned.push(activity.as_str());
+                planned.push(&**activity);
             }
             JournalOp::CarryPlan { from, .. } => {
                 carried += from

@@ -41,12 +41,12 @@ const TEAM: usize = 2;
 const FILES: [&str; 2] = ["tail-0.journal", "data.seg"];
 
 /// Write and append calls one fault-free plan + execute makes, counted
-/// by the ENOSPC sweep: one tail append for the planning pass; four
-/// for the primary input (the segment's creation, its datum, its
-/// record, its supply), which is no write group; then per activity
-/// step, nine of them, one segment write and one tail append. The
-/// per-op appends before write groups made 88.
-const WRITE_POINTS: u64 = 23;
+/// by the ENOSPC sweep: one tail append for the planning pass; three
+/// for the supply step, one write group (the segment's creation, the
+/// primary input's datum, and one tail append of its two records);
+/// then per activity step, nine of them, one segment write and one
+/// tail append. The per-op appends before write groups made 88.
+const WRITE_POINTS: u64 = 22;
 
 fn manager(store: Box<dyn Store>) -> Hercules {
     Hercules::with_store(

@@ -1,5 +1,4 @@
 use std::borrow::Cow;
-use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::sync::Arc;
 
@@ -9,6 +8,7 @@ use schema::TaskSchema;
 use crate::error::MetadataError;
 use crate::ids::{DataObjectId, EntityInstanceId, PlanningSessionId, RunId, ScheduleInstanceId};
 use crate::journal::{Journal, JournalOp, SlotRange};
+use crate::names::Names;
 use crate::objects::{
     DataBody, DataObject, EntityInstance, PlanBody, PlanningSession, Run, ScheduleInstance,
 };
@@ -34,38 +34,35 @@ use crate::store::StoreError;
 /// via [`recover`](MetadataDb::recover) — see [`crate::journal`].
 #[derive(Debug, Clone, Default)]
 pub struct MetadataDb {
-    /// Per entity class: instance ids in creation order.
-    pub(crate) entity_containers: BTreeMap<String, Vec<EntityInstanceId>>,
+    /// Per entity class: the slot of its entity container in
+    /// `class_containers`, under the name every instance of the class
+    /// shares.
+    pub(crate) entity_containers: Names,
+    /// Entity containers by slot, in declaration order: each class's
+    /// instance ids in creation order.
+    pub(crate) class_containers: Vec<Vec<EntityInstanceId>>,
     /// Per activity: the slot of its schedule container in
-    /// `containers`. The key is the name every schedule instance of the
-    /// activity shares.
-    pub(crate) schedule_containers: BTreeMap<Arc<str>, u32>,
-    /// Schedule containers by slot, in declaration order: each
-    /// activity's schedule instance ids in creation order. Every
-    /// schedule instance records its container's slot, so versioning
-    /// an activity needs no name lookup. A schema, a dump and a journal
-    /// all declare containers in name order, so slots follow names.
-    pub(crate) containers: Vec<Vec<ScheduleInstanceId>>,
-    /// Per activity: its declared output class (for link validation).
-    pub(crate) activity_outputs: BTreeMap<String, String>,
+    /// `containers`, under the name every schedule instance and every
+    /// run of the activity shares.
+    pub(crate) schedule_containers: Names,
+    /// Schedule containers by slot, in declaration order. Every
+    /// schedule instance and every run records its container's slot,
+    /// so versioning an activity or finishing a run needs no name
+    /// lookup. A schema, a dump and a journal all declare containers in
+    /// name order, so slots follow names.
+    pub(crate) containers: Vec<ActivityContainer>,
     pub(crate) entities: Vec<EntityInstance>,
     pub(crate) schedules: Vec<ScheduleInstance>,
     pub(crate) runs: Vec<Run>,
-    /// Per activity: its run history — the history `runs_of`,
-    /// `actual_start` and run iteration numbers read instead of scanning
-    /// every run. Kept in step by [`begin_run`](Self::begin_run), the
-    /// only place a run is created: journal replay, `load` and
-    /// compaction's reload all go through it. The key is the activity's
-    /// schedule-container name.
-    pub(crate) runs_by_activity: HashMap<Arc<str>, RunHistory>,
     pub(crate) sessions: Vec<PlanningSession>,
     pub(crate) data: Vec<DataObject>,
     /// The data segment stored data objects live in — set by the
     /// persistent store that holds this database; `None` in memory.
     pub(crate) segment: Option<Arc<SegmentSource>>,
-    /// Every designer name assigned so far, first assignment first;
-    /// schedule instances share these instead of holding copies. A team
-    /// is a handful of designers, so it is searched linearly.
+    /// Every designer name seen so far — assignees, run operators and
+    /// entity creators — first use first; records share these instead
+    /// of holding copies. A team is a handful of designers, so it is
+    /// searched linearly.
     pub(crate) designers: Vec<Arc<str>>,
     /// Write-ahead journal (`None` when journaling is disabled).
     pub(crate) journal: Option<Journal>,
@@ -82,12 +79,27 @@ pub struct MetadataDb {
     pub(crate) generation: u32,
 }
 
-/// One activity's runs: their positions in `MetadataDb::runs`, oldest
-/// first, and the earliest start among them (the actual start).
-#[derive(Debug, Clone, Default)]
-pub(crate) struct RunHistory {
+/// One activity's schedule container: its schedule instance ids in
+/// creation order, its declared output class (shared with the entity
+/// container of that class when there is one), and its run history —
+/// the positions of its runs in `MetadataDb::runs`, oldest first, and
+/// the earliest start among them (the actual start). The history is
+/// what `runs_of`, `actual_start` and run iteration numbers read
+/// instead of scanning every run; [`MetadataDb::begin_run`], the only
+/// place a run is created, keeps it in step.
+#[derive(Debug, Clone)]
+pub(crate) struct ActivityContainer {
+    pub(crate) versions: Vec<ScheduleInstanceId>,
+    pub(crate) output: Arc<str>,
     runs: Vec<u32>,
     first_start: WorkDays,
+}
+
+impl ActivityContainer {
+    /// The earliest start among the runs; `None` before the first.
+    fn actual_start(&self) -> Option<WorkDays> {
+        (!self.runs.is_empty()).then_some(self.first_start)
+    }
 }
 
 impl MetadataDb {
@@ -102,16 +114,14 @@ impl MetadataDb {
     pub fn for_schema(schema: &TaskSchema) -> Self {
         let mut db = MetadataDb::new();
         for class in schema.classes() {
-            db.entity_containers
-                .insert(class.name().to_owned(), Vec::new());
+            db.declare_class(class.name());
         }
         // Slots in name order, the order status walks the containers
         // in, so that walk reads them in sequence.
         for &position in schema.rule_positions_by_name().iter() {
             let rule = &schema.rules()[position];
-            db.container_slot_or_new(rule.activity());
-            db.activity_outputs
-                .insert(rule.activity().to_owned(), rule.output().to_owned());
+            let output = db.entity_containers.shared(rule.output());
+            db.declare_activity(rule.activity(), output);
         }
         db
     }
@@ -140,14 +150,15 @@ impl MetadataDb {
     /// Instance ids in the container for `class`, oldest first; `None`
     /// if the class has no container.
     pub fn entity_container(&self, class: &str) -> Option<&[EntityInstanceId]> {
-        self.entity_containers.get(class).map(Vec::as_slice)
+        let slot = self.entity_containers.slot(class)?;
+        Some(&self.class_containers[slot])
     }
 
     /// Schedule instance ids in the container for `activity`, oldest
     /// first; `None` if the activity has no container.
     pub fn schedule_container(&self, activity: &str) -> Option<&[ScheduleInstanceId]> {
         let slot = self.container_slot(activity)?;
-        Some(&self.containers[slot])
+        Some(&self.containers[slot].versions)
     }
 
     /// The slot of `activity`'s schedule container, if it has one: a
@@ -156,69 +167,91 @@ impl MetadataDb {
     /// life; another database — a reload of this one's dump, such as
     /// compaction's — may number its containers differently.
     pub fn container_slot(&self, activity: &str) -> Option<usize> {
-        self.schedule_containers.get(activity).map(|&s| s as usize)
+        self.schedule_containers.slot(activity)
     }
 
-    /// The slot of `activity`'s schedule container, declaring an empty
-    /// container at the next slot if it has none.
-    fn container_slot_or_new(&mut self, activity: &str) -> usize {
-        if let Some(slot) = self.container_slot(activity) {
-            return slot;
+    /// Declares the schedule container of `activity` with output class
+    /// `output`: an empty container at the next slot if it has none,
+    /// else the existing one, whose output becomes `output`. Returns the
+    /// activity's shared name.
+    fn declare_activity(&mut self, activity: &str, output: Arc<str>) -> Arc<str> {
+        let (name, slot, new) = self.schedule_containers.insert(activity);
+        match new {
+            false => self.containers[slot].output = output,
+            true => self.containers.push(ActivityContainer {
+                versions: Vec::new(),
+                output,
+                runs: Vec::new(),
+                first_start: WorkDays::ZERO,
+            }),
         }
-        let slot = self.containers.len();
-        self.containers.push(Vec::new());
-        self.schedule_containers
-            .insert(Arc::from(activity), slot as u32);
-        slot
+        name
+    }
+
+    /// Declares an empty entity container for `class` at the next slot,
+    /// unless the class has one; returns the class's shared name.
+    fn declare_class(&mut self, class: &str) -> Arc<str> {
+        let (name, _, new) = self.entity_containers.insert(class);
+        if new {
+            self.class_containers.push(Vec::new());
+        }
+        name
     }
 
     /// Every schedule container in activity-name order: the name the
-    /// activity's schedule instances share, and their ids, oldest first.
-    /// Walking it beside a name-sorted list of activities (such as
+    /// activity's schedule instances share, their ids, oldest first,
+    /// and the activity's actual start (see
+    /// [`actual_start`](Self::actual_start)). Walking it beside a
+    /// name-sorted list of activities (such as
     /// [`TaskSchema::rule_positions_by_name`]) finds every container
     /// without a lookup.
     pub fn schedule_containers_by_name(
         &self,
-    ) -> impl Iterator<Item = (&Arc<str>, &[ScheduleInstanceId])> + '_ {
-        self.schedule_containers
-            .iter()
-            .map(|(name, &slot)| (name, self.containers[slot as usize].as_slice()))
+    ) -> impl Iterator<Item = (&Arc<str>, &[ScheduleInstanceId], Option<WorkDays>)> + '_ {
+        self.schedule_containers.by_name().map(|(name, slot)| {
+            let container = &self.containers[slot];
+            (
+                name,
+                container.versions.as_slice(),
+                container.actual_start(),
+            )
+        })
     }
 
     /// All entity-class container names, sorted.
     pub fn entity_classes(&self) -> impl Iterator<Item = &str> + '_ {
-        self.entity_containers.keys().map(String::as_str)
+        self.entity_containers.by_name().map(|(class, _)| &**class)
     }
 
     /// All activity container names, sorted.
     pub fn activities(&self) -> impl Iterator<Item = &str> + '_ {
-        self.schedule_containers.keys().map(|a| &**a)
+        self.schedule_containers
+            .by_name()
+            .map(|(activity, _)| &**activity)
     }
 
     /// The output class an activity produces, per the schema.
     pub fn output_class_of(&self, activity: &str) -> Option<&str> {
-        self.activity_outputs.get(activity).map(String::as_str)
+        let slot = self.container_slot(activity)?;
+        Some(&self.containers[slot].output)
     }
 
     /// Declares an entity container without a schema (used by the dump
     /// loader and by callers assembling databases by hand). Idempotent.
     pub fn declare_entity_container(&mut self, class: &str) {
-        self.journal_op(|| JournalOp::DeclareEntityContainer {
-            class: class.to_owned(),
-        });
-        self.entity_containers.entry(class.to_owned()).or_default();
+        let class = self.declare_class(class);
+        self.journal_op(|| JournalOp::DeclareEntityContainer { class });
     }
 
     /// Declares a schedule container and its activity's output class.
     /// Idempotent.
     pub fn declare_schedule_container(&mut self, activity: &str, output_class: &str) {
+        let output_class = self.entity_containers.shared(output_class);
+        let activity = self.declare_activity(activity, Arc::clone(&output_class));
         self.journal_op(|| JournalOp::DeclareScheduleContainer {
-            activity: activity.to_owned(),
-            output_class: output_class.to_owned(),
+            activity,
+            output_class,
         });
-        self.container_slot_or_new(activity);
-        self.activity_outputs
-            .insert(activity.to_owned(), output_class.to_owned());
     }
 
     /// Number of Level-4 data objects stored.
@@ -339,31 +372,27 @@ impl MetadataDb {
         started_at: WorkDays,
     ) -> Result<RunId, MetadataError> {
         self.check_alive()?;
-        let Some((name, _)) = self.schedule_containers.get_key_value(activity) else {
+        let Some((name, slot)) = self.schedule_containers.get(activity) else {
             return Err(MetadataError::UnknownActivity(activity.to_owned()));
         };
         let name = Arc::clone(name);
+        let operator = self.designer_name(operator);
         self.journal_op(|| JournalOp::BeginRun {
-            activity: activity.to_owned(),
-            operator: operator.to_owned(),
+            activity: Arc::clone(&name),
+            operator: Arc::clone(&operator),
             started_md: started_at.millidays(),
         });
         self.crash_point()?;
         let id = RunId::new(self.runs.len() as u32, self.generation);
-        let history = self.runs_by_activity.entry(name).or_default();
-        let run = Run::new(
-            id,
-            activity.to_owned(),
-            operator.to_owned(),
-            history.runs.len() as u32 + 1,
-            started_at,
-        );
+        let container = &mut self.containers[slot];
+        let iteration = container.runs.len() as u32 + 1;
         // The actual start is the earliest of the runs' starts.
-        if history.runs.is_empty() || started_at < history.first_start {
-            history.first_start = started_at;
+        if container.runs.is_empty() || started_at < container.first_start {
+            container.first_start = started_at;
         }
-        history.runs.push(id.index() as u32);
-        self.runs.push(run);
+        container.runs.push(id.index() as u32);
+        self.runs
+            .push(Run::new(id, name, slot, operator, iteration, started_at));
         Ok(id)
     }
 
@@ -400,18 +429,14 @@ impl MetadataDb {
         if run_ref.finished_at().is_some() {
             return Err(MetadataError::RunAlreadyFinished(run));
         }
-        if !self.entity_containers.contains_key(output_class) {
+        let Some((class, class_slot)) = self.entity_containers.get(output_class) else {
             return Err(MetadataError::UnknownClass(output_class.to_owned()));
-        }
-        let expected = self
-            .activity_outputs
-            .get(run_ref.activity())
-            .cloned()
-            .unwrap_or_else(|| output_class.to_owned());
-        if expected != output_class {
+        };
+        let expected = &self.containers[run_ref.container()].output;
+        if **expected != *output_class {
             return Err(MetadataError::WrongOutputClass {
                 run,
-                expected,
+                expected: expected.to_string(),
                 found: output_class.to_owned(),
             });
         }
@@ -429,17 +454,19 @@ impl MetadataDb {
         if data.index() >= self.data.len() {
             return Err(MetadataError::UnknownId(data.to_string()));
         }
-        let operator = run_ref.operator().to_owned();
+        let class = Arc::clone(class);
+        let operator = Arc::clone(&run_ref.operator);
         self.journal_op(|| JournalOp::FinishRun {
             run,
-            output_class: output_class.to_owned(),
+            output_class: Arc::clone(&class),
             data,
             finished_md: finished_at.millidays(),
             inputs: inputs.to_vec(),
         });
         self.crash_point()?;
         let id = self.insert_entity(
-            output_class,
+            class_slot,
+            class,
             finished_at,
             operator,
             Some(run),
@@ -465,47 +492,43 @@ impl MetadataDb {
     ) -> Result<EntityInstanceId, MetadataError> {
         self.check_alive()?;
         self.check_gen(data.gen, data)?;
-        if !self.entity_containers.contains_key(class) {
+        let Some((name, slot)) = self.entity_containers.get(class) else {
             return Err(MetadataError::UnknownClass(class.to_owned()));
-        }
+        };
+        let name = Arc::clone(name);
         if data.index() >= self.data.len() {
             return Err(MetadataError::UnknownId(data.to_string()));
         }
+        let creator = self.designer_name(creator);
         self.journal_op(|| JournalOp::SupplyInput {
-            class: class.to_owned(),
-            creator: creator.to_owned(),
+            class: Arc::clone(&name),
+            creator: Arc::clone(&creator),
             created_md: created_at.millidays(),
             data,
         });
         self.crash_point()?;
-        Ok(self.insert_entity(
-            class,
-            created_at,
-            creator.to_owned(),
-            None,
-            Vec::new(),
-            data,
-        ))
+        Ok(self.insert_entity(slot, name, created_at, creator, None, Vec::new(), data))
     }
 
+    /// Appends an instance of class `class`, whose container is at
+    /// `slot`: the one place an entity instance is created.
+    #[allow(clippy::too_many_arguments)]
     fn insert_entity(
         &mut self,
-        class: &str,
+        slot: usize,
+        class: Arc<str>,
         created_at: WorkDays,
-        creator: String,
+        creator: Arc<str>,
         produced_by: Option<RunId>,
         depends_on: Vec<EntityInstanceId>,
         data: DataObjectId,
     ) -> EntityInstanceId {
-        let container = self
-            .entity_containers
-            .get_mut(class)
-            .expect("caller checked the container exists");
+        let container = &mut self.class_containers[slot];
         let version = container.len() as u32 + 1;
         let id = EntityInstanceId::new(self.entities.len() as u32, self.generation);
         self.entities.push(EntityInstance::new(
             id,
-            class.to_owned(),
+            class,
             version,
             created_at,
             creator,
@@ -544,9 +567,10 @@ impl MetadataDb {
         depends_on: Vec<EntityInstanceId>,
         data: DataObjectId,
     ) -> Result<EntityInstanceId, MetadataError> {
-        if !self.entity_containers.contains_key(class) {
+        let Some((name, slot)) = self.entity_containers.get(class) else {
             return Err(MetadataError::UnknownClass(class.to_owned()));
-        }
+        };
+        let name = Arc::clone(name);
         if let Some(run) = produced_by {
             if run.index() >= self.runs.len() {
                 return Err(MetadataError::UnknownId(run.to_string()));
@@ -560,10 +584,12 @@ impl MetadataDb {
         if data.index() >= self.data.len() {
             return Err(MetadataError::UnknownId(data.to_string()));
         }
+        let creator = self.designer_name(creator);
         let id = self.insert_entity(
-            class,
+            slot,
+            name,
             created_at,
-            creator.to_owned(),
+            creator,
             produced_by,
             depends_on,
             data,
@@ -607,9 +633,7 @@ impl MetadataDb {
     /// Number of runs of one activity — the iteration number its last
     /// run carries.
     pub fn run_count_of(&self, activity: &str) -> usize {
-        self.runs_by_activity
-            .get(activity)
-            .map_or(0, |h| h.runs.len())
+        self.history_slots(activity).len()
     }
 
     /// Runs of one activity, oldest first, read from the run index.
@@ -617,11 +641,15 @@ impl MetadataDb {
         &'a self,
         activity: &str,
     ) -> impl DoubleEndedIterator<Item = &'a Run> + 'a {
-        self.runs_by_activity
-            .get(activity)
-            .map_or(&[][..], |h| h.runs.as_slice())
+        self.history_slots(activity)
             .iter()
             .map(|&i| &self.runs[i as usize])
+    }
+
+    /// The positions of `activity`'s runs in `runs`, oldest first.
+    fn history_slots(&self, activity: &str) -> &[u32] {
+        self.container_slot(activity)
+            .map_or(&[][..], |slot| &self.containers[slot].runs)
     }
 
     /// Number of entity instances across all containers.
@@ -666,19 +694,19 @@ impl MetadataDb {
         if session.index() >= self.sessions.len() {
             return Err(MetadataError::UnknownId(session.to_string()));
         }
-        let Some((name, &slot)) = self.schedule_containers.get_key_value(activity) else {
+        let Some((name, slot)) = self.schedule_containers.get(activity) else {
             return Err(MetadataError::UnknownActivity(activity.to_owned()));
         };
         let name = Arc::clone(name);
         self.journal_op(|| JournalOp::PlanActivity {
             session,
-            activity: activity.to_owned(),
+            activity: Arc::clone(&name),
             start_md: planned_start.millidays(),
             duration_md: planned_duration.millidays(),
         });
         self.crash_point()?;
         let body = PlanBody::new(name, planned_start, planned_duration);
-        Ok(self.push_version(session, slot as usize, Arc::new(body)))
+        Ok(self.push_version(session, slot, Arc::new(body)))
     }
 
     /// Appends the next version of `body`'s activity to its container,
@@ -691,7 +719,7 @@ impl MetadataDb {
         slot: usize,
         body: Arc<PlanBody>,
     ) -> ScheduleInstanceId {
-        let container = &mut self.containers[slot];
+        let container = &mut self.containers[slot].versions;
         let id = ScheduleInstanceId::new(self.schedules.len() as u32, self.generation);
         let version = container.len() as u32 + 1;
         let derived_from = container.last().copied();
@@ -741,7 +769,7 @@ impl MetadataDb {
                     "{pred}: no such version"
                 )));
             };
-            if self.containers[sc.container()].last() != Some(&pred) {
+            if self.containers[sc.container()].versions.last() != Some(&pred) {
                 return Err(MetadataError::CannotCarry(format!(
                     "{pred}: not the latest version of {:?}",
                     sc.activity()
@@ -817,11 +845,12 @@ impl MetadataDb {
     ) -> Result<ScheduleInstanceId, MetadataError> {
         self.check_gen(session.gen, session)?;
         self.check_session(session)?;
-        let Some((name, &slot)) = self.schedule_containers.get_key_value(activity) else {
+        let Some((name, slot)) = self.schedule_containers.get(activity) else {
             return Err(MetadataError::UnknownActivity(activity.to_owned()));
         };
         let name = Arc::clone(name);
-        let carried = self.containers[slot as usize]
+        let carried = self.containers[slot]
+            .versions
             .last()
             .map(|pred| &self.schedules[pred.index()])
             .filter(|pred| pred.proposes(planned_start, planned_duration, assignees))
@@ -836,7 +865,7 @@ impl MetadataDb {
                 Arc::new(body)
             }
         };
-        Ok(self.push_version(session, slot as usize, body))
+        Ok(self.push_version(session, slot, body))
     }
 
     /// Number of distinct plan bodies the schedule instances hold: the
@@ -868,12 +897,12 @@ impl MetadataDb {
         if schedule.index() >= self.schedules.len() {
             return Err(MetadataError::UnknownId(schedule.to_string()));
         }
+        let designer = self.designer_name(designer);
         self.journal_op(|| JournalOp::Assign {
             schedule,
-            designer: designer.to_owned(),
+            designer: Arc::clone(&designer),
         });
         self.crash_point()?;
-        let designer = self.designer_name(designer);
         self.schedules[schedule.index()].assign(designer);
         Ok(())
     }
@@ -925,6 +954,7 @@ impl MetadataDb {
     /// Panics if `slot` is not a container slot of this database.
     pub fn current_plan_at(&self, slot: usize) -> Option<&ScheduleInstance> {
         self.containers[slot]
+            .versions
             .last()
             .map(|&id| self.schedule_instance(id))
     }
@@ -968,14 +998,12 @@ impl MetadataDb {
         if self.schedules[schedule.index()].linked_entity().is_some() {
             return Err(MetadataError::AlreadyLinked(schedule));
         }
-        let activity = self.schedules[schedule.index()].activity().to_owned();
+        let slot = self.schedules[schedule.index()].container();
         let inst = &self.entities[entity.index()];
-        let class_ok = self
-            .activity_outputs
-            .get(&activity)
-            .is_none_or(|out| out == inst.class());
+        let output = &self.containers[slot].output;
+        let class_ok = Arc::ptr_eq(output, &inst.class) || **output == *inst.class;
         let producer_ok = match inst.produced_by() {
-            Some(run) => self.runs[run.index()].activity() == activity,
+            Some(run) => self.runs[run.index()].container() == slot,
             None => false,
         };
         if !(class_ok && producer_ok) {
@@ -993,7 +1021,7 @@ impl MetadataDb {
     ///
     /// One lookup: the run index keeps each activity's earliest start.
     pub fn actual_start(&self, activity: &str) -> Option<WorkDays> {
-        self.runs_by_activity.get(activity).map(|h| h.first_start)
+        self.containers[self.container_slot(activity)?].actual_start()
     }
 
     /// Actual finish of `activity`: the creation time of the entity

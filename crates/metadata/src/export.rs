@@ -34,6 +34,7 @@ use std::fmt::Write as _;
 use schedule::WorkDays;
 
 use crate::database::MetadataDb;
+use crate::fields::{items, parse_int, Fields};
 use crate::ids::{DataObjectId, EntityInstanceId, PlanningSessionId, RunId};
 use crate::journal::{parse_extent, write_extent};
 use crate::objects::DataBody;
@@ -114,6 +115,15 @@ const HEX_VALUES: [u8; 256] = {
     table
 };
 
+/// The value of eight hex digits (either case), most significant
+/// first; `None` when one is not a hex digit.
+pub(crate) fn hex_u32(digits: [u8; 8]) -> Option<u32> {
+    digits.iter().try_fold(0u32, |value, &digit| {
+        let nibble = HEX_VALUES[usize::from(digit)];
+        (nibble <= 0xf).then_some(value << 4 | u32::from(nibble))
+    })
+}
+
 /// Decodes a payload written by [`hex_encode_into`]: `-` is empty,
 /// anything else must be pairs of `[0-9a-fA-F]`.
 pub(crate) fn hex_decode(s: &str) -> Result<Vec<u8>, String> {
@@ -149,7 +159,7 @@ fn fmt_days(t: WorkDays) -> String {
 }
 
 fn parse_days(s: &str) -> Result<WorkDays, String> {
-    let md: i64 = s.parse().map_err(|e| format!("bad timestamp: {e}"))?;
+    let md: i64 = parse_int(s).map_err(|e| format!("bad timestamp: {e}"))?;
     if md < 0 {
         return Err(format!("bad timestamp: {md} is negative"));
     }
@@ -341,171 +351,186 @@ impl MetadataDb {
         }
         let mut db = MetadataDb::new();
         db.generation = generation;
-        let bad = |line: usize, message: &str| LoadError::BadLine {
-            line: line + 1,
-            message: message.to_owned(),
-        };
+        let mut scratch = LineScratch::default();
+        // A dump is ASCII unless a name is not: one test for all lines.
+        let ascii = text.is_ascii();
         for (lineno, line) in lines {
-            let mut fields = line.split_whitespace();
-            let Some(kind) = fields.next() else {
-                continue; // blank line
+            let fields = match ascii {
+                true => Fields::ascii(line),
+                false => Fields::new(line),
             };
-            let rest: Vec<&str> = fields.collect();
-            match kind {
-                "container" => match rest.as_slice() {
-                    ["entity", class] => db.declare_entity_container(class),
-                    ["schedule", activity, output] => {
-                        db.declare_schedule_container(activity, output)
-                    }
-                    _ => return Err(bad(lineno, "malformed container line")),
-                },
-                "data" => {
-                    let [name, content] = rest.as_slice() else {
-                        return Err(bad(lineno, "malformed data line"));
-                    };
-                    let name = hex_decode_name(name).map_err(|m| bad(lineno, &m))?;
-                    let content = hex_decode(content).map_err(|m| bad(lineno, &m))?;
-                    db.store_data(name, content);
-                }
-                "data-ref" => {
-                    let [name, offset, len, crc] = rest.as_slice() else {
-                        return Err(bad(lineno, "malformed data-ref line"));
-                    };
-                    let name = hex_decode_name(name).map_err(|m| bad(lineno, &m))?;
-                    let extent =
-                        parse_extent(offset, len, crc).map_err(|m: String| bad(lineno, &m))?;
-                    db.attach_data(name, extent);
-                }
-                "session" => {
-                    let [at] = rest.as_slice() else {
-                        return Err(bad(lineno, "malformed session line"));
-                    };
-                    db.begin_planning(parse_days(at).map_err(|m| bad(lineno, &m))?);
-                }
-                "run" => {
-                    let (activity, operator, started, finished) = match rest.as_slice() {
-                        [a, o, _iter, s] => (a, o, s, None),
-                        [a, o, _iter, s, f] => (a, o, s, Some(*f)),
-                        _ => return Err(bad(lineno, "malformed run line")),
-                    };
-                    let started = parse_days(started).map_err(|m| bad(lineno, &m))?;
-                    let run = db
-                        .begin_run(activity, operator, started)
-                        .map_err(|e| LoadError::Inconsistent(e.to_string()))?;
-                    if let Some(f) = finished {
-                        let finished = parse_days(f).map_err(|m| bad(lineno, &m))?;
-                        db.restore_run_finish(run, finished);
-                    }
-                }
-                "entity" => {
-                    // entity <class> <created> <creator> [run <idx>]
-                    //        deps <list> data <idx>
-                    let mut it = rest.iter();
-                    let (Some(class), Some(created), Some(creator)) =
-                        (it.next(), it.next(), it.next())
-                    else {
-                        return Err(bad(lineno, "malformed entity line"));
-                    };
-                    let created = parse_days(created).map_err(|m| bad(lineno, &m))?;
-                    let mut produced_by = None;
-                    let mut deps = Vec::new();
-                    let mut data = None;
-                    let mut next = it.next();
-                    while let Some(word) = next {
-                        match *word {
-                            "run" => {
-                                let idx: usize = it
-                                    .next()
-                                    .ok_or_else(|| bad(lineno, "run needs an index"))?
-                                    .parse()
-                                    .map_err(|_| bad(lineno, "bad run index"))?;
-                                produced_by = Some(RunId::new(idx as u32, db.generation));
-                            }
-                            "deps" => {
-                                let list =
-                                    it.next().ok_or_else(|| bad(lineno, "deps needs a list"))?;
-                                if *list != "-" {
-                                    for part in list.split(',') {
-                                        let idx: usize = part
-                                            .parse()
-                                            .map_err(|_| bad(lineno, "bad dep index"))?;
-                                        deps.push(EntityInstanceId::new(idx as u32, db.generation));
-                                    }
-                                }
-                            }
-                            "data" => {
-                                let idx: usize = it
-                                    .next()
-                                    .ok_or_else(|| bad(lineno, "data needs an index"))?
-                                    .parse()
-                                    .map_err(|_| bad(lineno, "bad data index"))?;
-                                data = Some(DataObjectId::new(idx as u32, db.generation));
-                            }
-                            other => {
-                                return Err(bad(lineno, &format!("unknown entity field {other:?}")))
-                            }
-                        }
-                        next = it.next();
-                    }
-                    let data = data.ok_or_else(|| bad(lineno, "entity without data"))?;
-                    db.restore_entity(class, created, creator, produced_by, deps, data)
-                        .map_err(|e| LoadError::Inconsistent(e.to_string()))?;
-                }
-                "sched" => {
-                    // sched <activity> <session> <start> <duration>
-                    //       assignees <list> [link <idx>]
-                    let mut it = rest.iter();
-                    let (Some(activity), Some(session), Some(start), Some(duration)) =
-                        (it.next(), it.next(), it.next(), it.next())
-                    else {
-                        return Err(bad(lineno, "malformed sched line"));
-                    };
-                    let session_idx: usize = session
-                        .parse()
-                        .map_err(|_| bad(lineno, "bad session index"))?;
-                    let start = parse_days(start).map_err(|m| bad(lineno, &m))?;
-                    let duration = parse_days(duration).map_err(|m| bad(lineno, &m))?;
-                    let mut assignees: Vec<&str> = Vec::new();
-                    let mut links: Vec<usize> = Vec::new();
-                    let mut next = it.next();
-                    while let Some(word) = next {
-                        match *word {
-                            "assignees" => {
-                                let list = it
-                                    .next()
-                                    .ok_or_else(|| bad(lineno, "assignees needs a list"))?;
-                                if *list != "-" {
-                                    assignees.extend(list.split(','));
-                                }
-                            }
-                            "link" => links.push(
-                                it.next()
-                                    .ok_or_else(|| bad(lineno, "link needs an index"))?
-                                    .parse()
-                                    .map_err(|_| bad(lineno, "bad link index"))?,
-                            ),
-                            other => {
-                                return Err(bad(lineno, &format!("unknown sched field {other:?}")))
-                            }
-                        }
-                        next = it.next();
-                    }
-                    let inconsistent =
-                        |e: crate::MetadataError| LoadError::Inconsistent(e.to_string());
-                    let session = PlanningSessionId::new(session_idx as u32, db.generation);
-                    let sc = db
-                        .restore_schedule(session, activity, start, duration, &assignees)
-                        .map_err(inconsistent)?;
-                    for idx in links {
-                        db.link_completion(sc, EntityInstanceId::new(idx as u32, db.generation))
-                            .map_err(inconsistent)?;
-                    }
-                }
-                other => return Err(bad(lineno, &format!("unknown record kind {other:?}"))),
-            }
+            db.load_line(lineno, fields, &mut scratch)?;
         }
         Ok(db)
     }
+
+    /// Loads line `lineno` (0-based) of a dump, read through `fields`,
+    /// into this database: one field walk, names resolved once, in the
+    /// database's tables. A blank line loads nothing.
+    fn load_line<'a>(
+        &mut self,
+        lineno: usize,
+        mut fields: Fields<'a>,
+        scratch: &mut LineScratch<'a>,
+    ) -> Result<(), LoadError> {
+        let bad = |message: &str| LoadError::BadLine {
+            line: lineno + 1,
+            message: message.to_owned(),
+        };
+        let inconsistent = |e: crate::MetadataError| LoadError::Inconsistent(e.to_string());
+        let days = |s: &str| parse_days(s).map_err(|m| bad(&m));
+        // Indices parse as `usize` and are stored as `u32`, as the
+        // writer's ids are.
+        let index = |s: &str, what: &str| {
+            parse_int::<usize>(s)
+                .map(|i| i as u32)
+                .map_err(|_| bad(what))
+        };
+        let g = self.generation;
+        let Some(kind) = fields.next() else {
+            return Ok(()); // blank line
+        };
+        match kind {
+            "container" => {
+                let malformed = || bad("malformed container line");
+                match fields.next() {
+                    Some("entity") => {
+                        let [class] = fields.exactly().ok_or_else(malformed)?;
+                        self.declare_entity_container(class);
+                    }
+                    Some("schedule") => {
+                        let [activity, output] = fields.exactly().ok_or_else(malformed)?;
+                        self.declare_schedule_container(activity, output);
+                    }
+                    _ => return Err(malformed()),
+                }
+            }
+            "data" => {
+                let [name, content] = fields.exactly().ok_or_else(|| bad("malformed data line"))?;
+                let name = hex_decode_name(name).map_err(|m| bad(&m))?;
+                let content = hex_decode(content).map_err(|m| bad(&m))?;
+                self.store_data(name, content);
+            }
+            "data-ref" => {
+                let [name, offset, len, crc] = fields
+                    .exactly()
+                    .ok_or_else(|| bad("malformed data-ref line"))?;
+                let name = hex_decode_name(name).map_err(|m| bad(&m))?;
+                let extent = parse_extent(offset, len, crc).map_err(|m| bad(&m))?;
+                self.attach_data(name, extent);
+            }
+            "session" => {
+                let [at] = fields
+                    .exactly()
+                    .ok_or_else(|| bad("malformed session line"))?;
+                self.begin_planning(days(at)?);
+            }
+            "run" => {
+                // run <activity> <operator> <iteration> <started> [<finished>]
+                let (Some(activity), Some(operator), Some(_iteration), Some(started)) =
+                    (fields.next(), fields.next(), fields.next(), fields.next())
+                else {
+                    return Err(bad("malformed run line"));
+                };
+                let finished = fields.next();
+                if fields.next().is_some() {
+                    return Err(bad("malformed run line"));
+                }
+                let run = self
+                    .begin_run(activity, operator, days(started)?)
+                    .map_err(inconsistent)?;
+                if let Some(finished) = finished {
+                    self.restore_run_finish(run, days(finished)?);
+                }
+            }
+            "entity" => {
+                // entity <class> <created> <creator> [run <idx>]
+                //        deps <list> data <idx>
+                let (Some(class), Some(created), Some(creator)) =
+                    (fields.next(), fields.next(), fields.next())
+                else {
+                    return Err(bad("malformed entity line"));
+                };
+                let created = days(created)?;
+                let mut produced_by = None;
+                let mut deps = Vec::new();
+                let mut data = None;
+                while let Some(word) = fields.next() {
+                    match word {
+                        "run" => {
+                            let idx = fields.next().ok_or_else(|| bad("run needs an index"))?;
+                            produced_by = Some(RunId::new(index(idx, "bad run index")?, g));
+                        }
+                        "deps" => {
+                            let list = fields.next().ok_or_else(|| bad("deps needs a list"))?;
+                            if list != "-" {
+                                for part in items(list) {
+                                    let idx = index(part, "bad dep index")?;
+                                    deps.push(EntityInstanceId::new(idx, g));
+                                }
+                            }
+                        }
+                        "data" => {
+                            let idx = fields.next().ok_or_else(|| bad("data needs an index"))?;
+                            data = Some(DataObjectId::new(index(idx, "bad data index")?, g));
+                        }
+                        other => return Err(bad(&format!("unknown entity field {other:?}"))),
+                    }
+                }
+                let data = data.ok_or_else(|| bad("entity without data"))?;
+                self.restore_entity(class, created, creator, produced_by, deps, data)
+                    .map_err(inconsistent)?;
+            }
+            "sched" => {
+                // sched <activity> <session> <start> <duration>
+                //       assignees <list> [link <idx>]
+                let (Some(activity), Some(session), Some(start), Some(duration)) =
+                    (fields.next(), fields.next(), fields.next(), fields.next())
+                else {
+                    return Err(bad("malformed sched line"));
+                };
+                let session = PlanningSessionId::new(index(session, "bad session index")?, g);
+                let start = days(start)?;
+                let duration = days(duration)?;
+                let LineScratch { assignees, links } = scratch;
+                assignees.clear();
+                links.clear();
+                while let Some(word) = fields.next() {
+                    match word {
+                        "assignees" => {
+                            let list =
+                                fields.next().ok_or_else(|| bad("assignees needs a list"))?;
+                            if list != "-" {
+                                assignees.extend(items(list));
+                            }
+                        }
+                        "link" => {
+                            let idx = fields.next().ok_or_else(|| bad("link needs an index"))?;
+                            links.push(index(idx, "bad link index")?);
+                        }
+                        other => return Err(bad(&format!("unknown sched field {other:?}"))),
+                    }
+                }
+                let sc = self
+                    .restore_schedule(session, activity, start, duration, assignees)
+                    .map_err(inconsistent)?;
+                for &idx in links.iter() {
+                    self.link_completion(sc, EntityInstanceId::new(idx, g))
+                        .map_err(inconsistent)?;
+                }
+            }
+            other => return Err(bad(&format!("unknown record kind {other:?}"))),
+        }
+        Ok(())
+    }
+}
+
+/// Buffers [`MetadataDb::load_line`] reuses from one `sched` line to
+/// the next.
+#[derive(Default)]
+struct LineScratch<'a> {
+    assignees: Vec<&'a str>,
+    links: Vec<u32>,
 }
 
 #[cfg(test)]

@@ -29,6 +29,7 @@
 
 use crate::export::hex_digits;
 use crate::journal::{parse_op_line, Journal, JournalOp};
+use crate::names::NameCache;
 
 /// CRC32 (IEEE 802.3, reflected) lookup tables for slicing-by-8,
 /// built at compile time. Table 0 is the classic byte-at-a-time
@@ -382,6 +383,7 @@ pub fn decode_tail(text: &str) -> TailScan {
     };
     let total_lines = text.lines().count();
     let mut ops = Vec::new();
+    let mut names = NameCache::default();
     let mut records = 0usize;
     let mut issue = None;
     for (idx, line) in lines {
@@ -390,7 +392,7 @@ pub fn decode_tail(text: &str) -> TailScan {
         }
         records += 1;
         let lineno = idx + 1;
-        match decode_record(framing, idx, line) {
+        match decode_record(framing, idx, line, &mut names) {
             Ok(op) => ops.push(op),
             Err(message) => {
                 issue = Some(if lineno == total_lines {
@@ -419,7 +421,12 @@ pub fn decode_tail(text: &str) -> TailScan {
 /// Decodes one record line under `framing` (v2: checksum first, then
 /// parse — a checksum pass with a parse failure still means the store
 /// wrote garbage and is reported as such).
-fn decode_record(framing: Framing, lineno0: usize, line: &str) -> Result<JournalOp, String> {
+fn decode_record<'a>(
+    framing: Framing,
+    lineno0: usize,
+    line: &'a str,
+    names: &mut NameCache<'a>,
+) -> Result<JournalOp, String> {
     let op_text = match framing {
         Framing::V1 => line,
         Framing::V2 => {
@@ -440,7 +447,7 @@ fn decode_record(framing: Framing, lineno0: usize, line: &str) -> Result<Journal
             rest
         }
     };
-    match parse_op_line(lineno0, op_text) {
+    match parse_op_line(lineno0, op_text, names) {
         Ok(Some(op)) => Ok(op),
         Ok(None) => Err("blank op after checksum".to_owned()),
         Err(e) => Err(e.to_string()),

@@ -74,9 +74,11 @@ use schedule::WorkDays;
 
 use crate::database::MetadataDb;
 use crate::error::MetadataError;
-use crate::export::{hex_decode, hex_decode_name, hex_encode_into, LoadError};
+use crate::export::{hex_decode, hex_decode_name, hex_encode_into, hex_u32, LoadError};
+use crate::fields::{items, parse_int, Fields};
 use crate::framing::Framing;
 use crate::ids::{DataObjectId, EntityInstanceId, PlanningSessionId, RunId, ScheduleInstanceId};
+use crate::names::NameCache;
 use crate::objects::{DataBody, ScheduleInstance};
 use crate::segment::Extent;
 
@@ -85,19 +87,21 @@ use crate::segment::Extent;
 ///
 /// Timestamps are stored as integer milli-days (`*_md`), the same
 /// representation the database itself stores, so replay is exact.
+/// Activity, class and designer names are the database's shared names,
+/// so recording an op copies none; a datum's name is its own.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum JournalOp {
     /// [`MetadataDb::declare_entity_container`].
     DeclareEntityContainer {
         /// The entity class declared.
-        class: String,
+        class: Arc<str>,
     },
     /// [`MetadataDb::declare_schedule_container`].
     DeclareScheduleContainer {
         /// The activity declared.
-        activity: String,
+        activity: Arc<str>,
         /// The activity's output class.
-        output_class: String,
+        output_class: Arc<str>,
     },
     /// [`MetadataDb::store_data`].
     StoreData {
@@ -118,9 +122,9 @@ pub enum JournalOp {
     /// [`MetadataDb::begin_run`].
     BeginRun {
         /// The activity being run.
-        activity: String,
+        activity: Arc<str>,
         /// The designer operating the tool.
-        operator: String,
+        operator: Arc<str>,
         /// Start offset in milli-days.
         started_md: i64,
     },
@@ -129,7 +133,7 @@ pub enum JournalOp {
         /// The run being finished.
         run: RunId,
         /// The output entity class.
-        output_class: String,
+        output_class: Arc<str>,
         /// The produced Level-4 data object.
         data: DataObjectId,
         /// Finish offset in milli-days.
@@ -140,9 +144,9 @@ pub enum JournalOp {
     /// [`MetadataDb::supply_input`].
     SupplyInput {
         /// The entity class supplied.
-        class: String,
+        class: Arc<str>,
         /// The supplying designer.
-        creator: String,
+        creator: Arc<str>,
         /// Creation offset in milli-days.
         created_md: i64,
         /// The supplied Level-4 data object.
@@ -158,7 +162,7 @@ pub enum JournalOp {
         /// The owning planning session.
         session: PlanningSessionId,
         /// The planned activity.
-        activity: String,
+        activity: Arc<str>,
         /// Planned start in milli-days.
         start_md: i64,
         /// Planned duration in milli-days.
@@ -177,7 +181,7 @@ pub enum JournalOp {
         /// The schedule instance assigned.
         schedule: ScheduleInstanceId,
         /// The designer assigned.
-        designer: String,
+        designer: Arc<str>,
     },
     /// [`MetadataDb::link_completion`].
     LinkCompletion {
@@ -240,10 +244,10 @@ fn write_slot_ranges(runs: &[SlotRange], out: &mut String) -> std::fmt::Result {
 /// `first < last`.
 fn parse_slot_ranges(list: &str) -> Result<Vec<SlotRange>, String> {
     let slot = |s: &str| match !s.is_empty() && s.bytes().all(|b| b.is_ascii_digit()) {
-        true => s.parse::<u32>().map_err(|_| format!("bad slot {s:?}")),
+        true => parse_int::<u32>(s).map_err(|_| format!("bad slot {s:?}")),
         false => Err(format!("bad slot {s:?}")),
     };
-    list.split(',')
+    items(list)
         .map(|part| match part.split_once('-') {
             None => slot(part).map(|first| SlotRange { first, last: first }),
             Some((first, last)) => match (slot(first)?, slot(last)?) {
@@ -278,18 +282,20 @@ pub(crate) fn write_extent(extent: &Extent, out: &mut String) -> std::fmt::Resul
 pub(crate) fn parse_extent(offset: &str, len: &str, crc: &str) -> Result<Extent, String> {
     // Digits only: `u64::from_str` would also take a leading `+`.
     let number = |s: &str| match s.bytes().all(|b| b.is_ascii_digit()) {
-        true => s
-            .parse::<u64>()
-            .map_err(|_| format!("bad extent field {s:?}")),
+        true => parse_int::<u64>(s).map_err(|_| format!("bad extent field {s:?}")),
         false => Err(format!("bad extent field {s:?}")),
     };
-    if crc.len() != 8 || !crc.bytes().all(|b| b.is_ascii_hexdigit()) {
+    let checksum = match <[u8; 8]>::try_from(crc.as_bytes()) {
+        Ok(digits) => hex_u32(digits),
+        Err(_) => None,
+    };
+    let Some(crc) = checksum else {
         return Err(format!("bad extent checksum {crc:?}"));
-    }
+    };
     Ok(Extent {
         offset: number(offset)?,
         len: number(len)?,
-        crc: u32::from_str_radix(crc, 16).map_err(|_| format!("bad extent checksum {crc:?}"))?,
+        crc,
     })
 }
 
@@ -523,22 +529,7 @@ impl Journal {
     pub fn compacted_from(db: &MetadataDb) -> Journal {
         let mut journal = Journal::new();
         // Declares — same order as `enable_journal`'s snapshot.
-        for class in db.entity_containers.keys() {
-            journal.record(JournalOp::DeclareEntityContainer {
-                class: class.clone(),
-            });
-        }
-        for activity in db.schedule_containers.keys() {
-            let output_class = db
-                .activity_outputs
-                .get(&**activity)
-                .cloned()
-                .unwrap_or_else(|| "-".to_owned());
-            journal.record(JournalOp::DeclareScheduleContainer {
-                activity: activity.as_ref().to_owned(),
-                output_class,
-            });
-        }
+        db.record_declares(&mut journal);
         // Level-4 data, in allocation order: inline bytes, or the
         // segment reference of stored ones (never read here).
         for d in &db.data {
@@ -568,8 +559,8 @@ impl Journal {
         // run up to each entity's producer on demand.
         let begin_run = |journal: &mut Journal, run: &crate::objects::Run| {
             journal.record(JournalOp::BeginRun {
-                activity: run.activity().to_owned(),
-                operator: run.operator().to_owned(),
+                activity: Arc::clone(&run.activity),
+                operator: Arc::clone(&run.operator),
                 started_md: run.started_at().millidays(),
             });
         };
@@ -584,7 +575,7 @@ impl Journal {
                     let run = &db.runs[run_id.index()];
                     journal.record(JournalOp::FinishRun {
                         run: run_id,
-                        output_class: e.class().to_owned(),
+                        output_class: Arc::clone(&e.class),
                         data: e.data(),
                         finished_md: run.finished_at().unwrap_or(e.created_at()).millidays(),
                         inputs: e.depends_on().to_vec(),
@@ -592,8 +583,8 @@ impl Journal {
                 }
                 None => {
                     journal.record(JournalOp::SupplyInput {
-                        class: e.class().to_owned(),
-                        creator: e.creator().to_owned(),
+                        class: Arc::clone(&e.class),
+                        creator: Arc::clone(&e.creator),
                         created_md: e.created_at().millidays(),
                         data: e.data(),
                     });
@@ -617,7 +608,7 @@ impl Journal {
             for designer in sc.assignees() {
                 journal.record(JournalOp::Assign {
                     schedule: sc.id(),
-                    designer: designer.as_ref().to_owned(),
+                    designer: Arc::clone(designer),
                 });
             }
         };
@@ -655,7 +646,7 @@ impl Journal {
                 }
                 None => journal.record(JournalOp::PlanActivity {
                     session: sc.session(),
-                    activity: sc.activity().to_owned(),
+                    activity: Arc::clone(&sc.body.activity),
                     start_md: sc.planned_start().millidays(),
                     duration_md: sc.planned_duration().millidays(),
                 }),
@@ -700,8 +691,9 @@ impl Journal {
             _ => return Err(LoadError::BadHeader),
         }
         let mut ops = Vec::new();
+        let mut names = NameCache::default();
         for (lineno, line) in lines {
-            if let Some(op) = parse_op_line(lineno, line)? {
+            if let Some(op) = parse_op_line(lineno, line, &mut names)? {
                 ops.push(op);
             }
         }
@@ -713,126 +705,128 @@ impl Journal {
 /// 0-based line index (errors report 1-based, matching
 /// [`LoadError::BadLine`]); returns `Ok(None)` for a blank line. This
 /// is the per-record parser the checksummed framing layer
-/// ([`crate::framing`]) shares with [`Journal::parse`].
-pub(crate) fn parse_op_line(lineno: usize, line: &str) -> Result<Option<JournalOp>, LoadError> {
-    let bad = |line: usize, message: &str| LoadError::BadLine {
-        line: line + 1,
+/// ([`crate::framing`]) shares with [`Journal::parse`]. Activity,
+/// class and designer names come from `names`, so the records of one
+/// text share them.
+pub(crate) fn parse_op_line<'a>(
+    lineno: usize,
+    line: &'a str,
+    names: &mut NameCache<'a>,
+) -> Result<Option<JournalOp>, LoadError> {
+    let bad = |message: &str| LoadError::BadLine {
+        line: lineno + 1,
         message: message.to_owned(),
     };
-    let parse_md = |line: usize, s: &str| -> Result<i64, LoadError> {
-        s.parse()
-            .map_err(|_| bad(line, &format!("bad milli-day timestamp {s:?}")))
+    let md = |s: &str| -> Result<i64, LoadError> {
+        parse_int(s).map_err(|_| bad(&format!("bad milli-day timestamp {s:?}")))
     };
-    let parse_idx = |line: usize, s: &str| -> Result<u32, LoadError> {
-        s.parse()
-            .map_err(|_| bad(line, &format!("bad index {s:?}")))
+    let idx = |s: &str| -> Result<u32, LoadError> {
+        parse_int(s).map_err(|_| bad(&format!("bad index {s:?}")))
     };
-    let mut fields = line.split_whitespace();
+    let mut fields = Fields::new(line);
     let Some(kind) = fields.next() else {
         return Ok(None); // blank line
     };
-    let rest: Vec<&str> = fields.collect();
+    let malformed = || bad(&format!("malformed {kind} line"));
     let op = match kind {
-        "declare-entity" => match rest.as_slice() {
-            [class] => JournalOp::DeclareEntityContainer {
-                class: (*class).to_owned(),
-            },
-            _ => return Err(bad(lineno, "malformed declare-entity line")),
-        },
-        "declare-schedule" => match rest.as_slice() {
-            [activity, output] => JournalOp::DeclareScheduleContainer {
-                activity: (*activity).to_owned(),
-                output_class: (*output).to_owned(),
-            },
-            _ => return Err(bad(lineno, "malformed declare-schedule line")),
-        },
-        "store-data" => match rest.as_slice() {
-            [name, content] => {
-                let name = hex_decode_name(name).map_err(|m| bad(lineno, &m))?;
-                let content = hex_decode(content).map_err(|m| bad(lineno, &m))?;
-                JournalOp::StoreData { name, content }
+        "declare-entity" => {
+            let [class] = fields.exactly().ok_or_else(malformed)?;
+            JournalOp::DeclareEntityContainer {
+                class: names.get(class),
             }
-            _ => return Err(bad(lineno, "malformed store-data line")),
-        },
-        "store-data-ref" => match rest.as_slice() {
-            [name, offset, len, crc] => JournalOp::StoreDataRef {
-                name: hex_decode_name(name).map_err(|m| bad(lineno, &m))?,
-                extent: parse_extent(offset, len, crc).map_err(|m: String| bad(lineno, &m))?,
-            },
-            _ => return Err(bad(lineno, "malformed store-data-ref line")),
-        },
-        "begin-run" => match rest.as_slice() {
-            [activity, operator, started] => JournalOp::BeginRun {
-                activity: (*activity).to_owned(),
-                operator: (*operator).to_owned(),
-                started_md: parse_md(lineno, started)?,
-            },
-            _ => return Err(bad(lineno, "malformed begin-run line")),
-        },
-        "finish-run" => match rest.as_slice() {
-            [run, class, data, finished, "inputs", list] => {
-                let mut inputs = Vec::new();
-                if *list != "-" {
-                    for part in list.split(',') {
-                        inputs.push(EntityInstanceId::new(parse_idx(lineno, part)?, 0));
-                    }
-                }
-                JournalOp::FinishRun {
-                    run: RunId::new(parse_idx(lineno, run)?, 0),
-                    output_class: (*class).to_owned(),
-                    data: DataObjectId::new(parse_idx(lineno, data)?, 0),
-                    finished_md: parse_md(lineno, finished)?,
-                    inputs,
+        }
+        "declare-schedule" => {
+            let [activity, output] = fields.exactly().ok_or_else(malformed)?;
+            JournalOp::DeclareScheduleContainer {
+                activity: names.get(activity),
+                output_class: names.get(output),
+            }
+        }
+        "store-data" => {
+            let [name, content] = fields.exactly().ok_or_else(malformed)?;
+            let name = hex_decode_name(name).map_err(|m| bad(&m))?;
+            let content = hex_decode(content).map_err(|m| bad(&m))?;
+            JournalOp::StoreData { name, content }
+        }
+        "store-data-ref" => {
+            let [name, offset, len, crc] = fields.exactly().ok_or_else(malformed)?;
+            JournalOp::StoreDataRef {
+                name: hex_decode_name(name).map_err(|m| bad(&m))?,
+                extent: parse_extent(offset, len, crc).map_err(|m| bad(&m))?,
+            }
+        }
+        "begin-run" => {
+            let [activity, operator, started] = fields.exactly().ok_or_else(malformed)?;
+            JournalOp::BeginRun {
+                activity: names.get(activity),
+                operator: names.get(operator),
+                started_md: md(started)?,
+            }
+        }
+        "finish-run" => {
+            let [run, class, data, finished, word, list] =
+                fields.exactly().ok_or_else(malformed)?;
+            if word != "inputs" {
+                return Err(malformed());
+            }
+            let mut inputs = Vec::new();
+            if list != "-" {
+                for part in items(list) {
+                    inputs.push(EntityInstanceId::new(idx(part)?, 0));
                 }
             }
-            _ => return Err(bad(lineno, "malformed finish-run line")),
-        },
-        "supply-input" => match rest.as_slice() {
-            [class, creator, created, data] => JournalOp::SupplyInput {
-                class: (*class).to_owned(),
-                creator: (*creator).to_owned(),
-                created_md: parse_md(lineno, created)?,
-                data: DataObjectId::new(parse_idx(lineno, data)?, 0),
-            },
-            _ => return Err(bad(lineno, "malformed supply-input line")),
-        },
-        "begin-planning" => match rest.as_slice() {
-            [at] => JournalOp::BeginPlanning {
-                at_md: parse_md(lineno, at)?,
-            },
-            _ => return Err(bad(lineno, "malformed begin-planning line")),
-        },
-        "plan-activity" => match rest.as_slice() {
-            [session, activity, start, duration] => JournalOp::PlanActivity {
-                session: PlanningSessionId::new(parse_idx(lineno, session)?, 0),
-                activity: (*activity).to_owned(),
-                start_md: parse_md(lineno, start)?,
-                duration_md: parse_md(lineno, duration)?,
-            },
-            _ => return Err(bad(lineno, "malformed plan-activity line")),
-        },
-        "carry-plan" => match rest.as_slice() {
-            [session, list] => JournalOp::CarryPlan {
-                session: PlanningSessionId::new(parse_idx(lineno, session)?, 0),
-                from: parse_slot_ranges(list).map_err(|m| bad(lineno, &m))?,
-            },
-            _ => return Err(bad(lineno, "malformed carry-plan line")),
-        },
-        "assign" => match rest.as_slice() {
-            [schedule, designer] => JournalOp::Assign {
-                schedule: ScheduleInstanceId::new(parse_idx(lineno, schedule)?, 0),
-                designer: (*designer).to_owned(),
-            },
-            _ => return Err(bad(lineno, "malformed assign line")),
-        },
-        "link" => match rest.as_slice() {
-            [schedule, entity] => JournalOp::LinkCompletion {
-                schedule: ScheduleInstanceId::new(parse_idx(lineno, schedule)?, 0),
-                entity: EntityInstanceId::new(parse_idx(lineno, entity)?, 0),
-            },
-            _ => return Err(bad(lineno, "malformed link line")),
-        },
-        other => return Err(bad(lineno, &format!("unknown op kind {other:?}"))),
+            JournalOp::FinishRun {
+                run: RunId::new(idx(run)?, 0),
+                output_class: names.get(class),
+                data: DataObjectId::new(idx(data)?, 0),
+                finished_md: md(finished)?,
+                inputs,
+            }
+        }
+        "supply-input" => {
+            let [class, creator, created, data] = fields.exactly().ok_or_else(malformed)?;
+            JournalOp::SupplyInput {
+                class: names.get(class),
+                creator: names.get(creator),
+                created_md: md(created)?,
+                data: DataObjectId::new(idx(data)?, 0),
+            }
+        }
+        "begin-planning" => {
+            let [at] = fields.exactly().ok_or_else(malformed)?;
+            JournalOp::BeginPlanning { at_md: md(at)? }
+        }
+        "plan-activity" => {
+            let [session, activity, start, duration] = fields.exactly().ok_or_else(malformed)?;
+            JournalOp::PlanActivity {
+                session: PlanningSessionId::new(idx(session)?, 0),
+                activity: names.get(activity),
+                start_md: md(start)?,
+                duration_md: md(duration)?,
+            }
+        }
+        "carry-plan" => {
+            let [session, list] = fields.exactly().ok_or_else(malformed)?;
+            JournalOp::CarryPlan {
+                session: PlanningSessionId::new(idx(session)?, 0),
+                from: parse_slot_ranges(list).map_err(|m| bad(&m))?,
+            }
+        }
+        "assign" => {
+            let [schedule, designer] = fields.exactly().ok_or_else(malformed)?;
+            JournalOp::Assign {
+                schedule: ScheduleInstanceId::new(idx(schedule)?, 0),
+                designer: names.get(designer),
+            }
+        }
+        "link" => {
+            let [schedule, entity] = fields.exactly().ok_or_else(malformed)?;
+            JournalOp::LinkCompletion {
+                schedule: ScheduleInstanceId::new(idx(schedule)?, 0),
+                entity: EntityInstanceId::new(idx(entity)?, 0),
+            }
+        }
+        other => return Err(bad(&format!("unknown op kind {other:?}"))),
     };
     Ok(Some(op))
 }
@@ -848,23 +842,25 @@ impl MetadataDb {
     /// Re-enabling replaces the existing journal.
     pub fn enable_journal(&mut self) {
         let mut journal = Journal::new();
-        for class in self.entity_containers.keys() {
-            journal.record(JournalOp::DeclareEntityContainer {
-                class: class.clone(),
-            });
-        }
-        for activity in self.schedule_containers.keys() {
-            let output_class = self
-                .activity_outputs
-                .get(&**activity)
-                .cloned()
-                .unwrap_or_else(|| "-".to_owned());
-            journal.record(JournalOp::DeclareScheduleContainer {
-                activity: activity.as_ref().to_owned(),
-                output_class,
-            });
-        }
+        self.record_declares(&mut journal);
         self.journal = Some(journal);
+    }
+
+    /// Records the container declarations, entity classes and then
+    /// activities, each in name order: how every journal that rebuilds
+    /// this database from empty starts.
+    fn record_declares(&self, journal: &mut Journal) {
+        for (class, _) in self.entity_containers.by_name() {
+            journal.record(JournalOp::DeclareEntityContainer {
+                class: Arc::clone(class),
+            });
+        }
+        for (activity, slot) in self.schedule_containers.by_name() {
+            journal.record(JournalOp::DeclareScheduleContainer {
+                activity: Arc::clone(activity),
+                output_class: Arc::clone(&self.containers[slot].output),
+            });
+        }
     }
 
     /// The write-ahead journal, if journaling is enabled.
@@ -1151,8 +1147,8 @@ impl MetadataDb {
 
         // Container membership: entities.
         let mut entity_refs = vec![0usize; n_entities];
-        for (class, ids) in &self.entity_containers {
-            for (pos, id) in ids.iter().enumerate() {
+        for (class, slot) in self.entity_containers.by_name() {
+            for (pos, id) in self.class_containers[slot].iter().enumerate() {
                 if id.index() >= n_entities {
                     violations.push(format!(
                         "entity container {class:?} holds out-of-range {id}"
@@ -1161,7 +1157,7 @@ impl MetadataDb {
                 }
                 entity_refs[id.index()] += 1;
                 let e = &self.entities[id.index()];
-                if e.class() != class {
+                if e.class() != &**class {
                     violations.push(format!(
                         "{id} is in container {class:?} but has class {:?}",
                         e.class()
@@ -1185,7 +1181,7 @@ impl MetadataDb {
 
         // Container membership: schedules, including provenance chains.
         let mut schedule_refs = vec![0usize; n_schedules];
-        for (activity, ids) in self.schedule_containers_by_name() {
+        for (activity, ids, _) in self.schedule_containers_by_name() {
             for (pos, id) in ids.iter().enumerate() {
                 if id.index() >= n_schedules {
                     violations.push(format!(
@@ -1238,7 +1234,7 @@ impl MetadataDb {
                             run.output()
                         ));
                     }
-                    if let Some(expected) = self.activity_outputs.get(run.activity()) {
+                    if let Some(expected) = self.output_class_of(run.activity()) {
                         if expected != e.class() {
                             violations.push(format!(
                                 "{} has class {:?} but its producing activity {:?} outputs {expected:?}",
@@ -1267,7 +1263,7 @@ impl MetadataDb {
 
         // Runs: activity known, timestamps ordered, output mutual.
         for run in &self.runs {
-            if !self.schedule_containers.contains_key(run.activity()) {
+            if self.container_slot(run.activity()).is_none() {
                 violations.push(format!(
                     "{} executes undeclared activity {:?}",
                     run.id(),
@@ -1322,7 +1318,7 @@ impl MetadataDb {
                     continue;
                 }
                 let e = &self.entities[entity.index()];
-                if let Some(expected) = self.activity_outputs.get(sc.activity()) {
+                if let Some(expected) = self.output_class_of(sc.activity()) {
                     if expected != e.class() {
                         violations.push(format!(
                             "{} completes {:?} with a {:?} instance (expected {expected:?})",
@@ -1365,7 +1361,7 @@ impl MetadataDb {
         }
 
         // Schedule ↔ run date monotonicity per activity.
-        for activity in self.schedule_containers.keys() {
+        for activity in self.activities() {
             if let (Some(start), Some(finish)) =
                 (self.actual_start(activity), self.actual_finish(activity))
             {

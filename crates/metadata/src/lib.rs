@@ -60,7 +60,9 @@
 
 mod database;
 mod error;
+mod fields;
 mod ids;
+mod names;
 mod objects;
 
 pub mod export;

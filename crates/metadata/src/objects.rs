@@ -74,13 +74,15 @@ impl fmt::Display for DataObject {
 /// Created when a run of an activity completes: records *when* the
 /// datum was produced, *by whom*, which run produced it, which other
 /// instances it was derived from, and where the Level-4 data lives.
+/// The class name is shared with the database's entity container, the
+/// creator's with its designer table.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EntityInstance {
     id: EntityInstanceId,
-    class: String,
+    pub(crate) class: Arc<str>,
     version: u32,
     created_at: WorkDays,
-    creator: String,
+    pub(crate) creator: Arc<str>,
     produced_by: Option<RunId>,
     depends_on: Vec<EntityInstanceId>,
     data: DataObjectId,
@@ -90,10 +92,10 @@ impl EntityInstance {
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         id: EntityInstanceId,
-        class: String,
+        class: Arc<str>,
         version: u32,
         created_at: WorkDays,
-        creator: String,
+        creator: Arc<str>,
         produced_by: Option<RunId>,
         depends_on: Vec<EntityInstanceId>,
         data: DataObjectId,
@@ -177,12 +179,16 @@ pub enum RunState {
 
 /// One execution of an activity — "tools are not tied to specific
 /// tasks and iterations of tasks can be performed", so an activity's
-/// container accumulates a run per iteration.
+/// container accumulates a run per iteration. The activity name is
+/// shared with the database's schedule container, whose slot the run
+/// also records, the operator's with its designer table.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Run {
     id: RunId,
-    activity: String,
-    operator: String,
+    pub(crate) activity: Arc<str>,
+    /// The slot of the activity's schedule container.
+    container: u32,
+    pub(crate) operator: Arc<str>,
     iteration: u32,
     started_at: WorkDays,
     finished_at: Option<WorkDays>,
@@ -192,14 +198,16 @@ pub struct Run {
 impl Run {
     pub(crate) fn new(
         id: RunId,
-        activity: String,
-        operator: String,
+        activity: Arc<str>,
+        container: usize,
+        operator: Arc<str>,
         iteration: u32,
         started_at: WorkDays,
     ) -> Self {
         Run {
             id,
             activity,
+            container: container as u32,
             operator,
             iteration,
             started_at,
@@ -221,6 +229,11 @@ impl Run {
     /// The activity executed.
     pub fn activity(&self) -> &str {
         &self.activity
+    }
+
+    /// The slot of the activity's schedule container.
+    pub(crate) fn container(&self) -> usize {
+        self.container as usize
     }
 
     /// The designer who ran it.
@@ -322,7 +335,7 @@ pub struct ScheduleInstance {
 /// consecutive versions are one allocation (see [`ScheduleInstance`]).
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct PlanBody {
-    activity: Arc<str>,
+    pub(crate) activity: Arc<str>,
     planned_start: WorkDays,
     planned_duration: WorkDays,
     assignees: Assignees,
@@ -603,6 +616,7 @@ mod tests {
         let mut run = Run::new(
             RunId::new(0, 0),
             "Simulate".into(),
+            0,
             "bob".into(),
             1,
             WorkDays::new(2.0),

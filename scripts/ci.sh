@@ -40,8 +40,9 @@
 #           and a crash at every mutation of plan + execute, the
 #           tail/segment golden of an asic_flow run, the store's group
 #           unit tests), the CRC32 lane kernel against a bitwise
-#           reference, and the B15 checksum-overhead gate (v2 framing
-#           <= 1.2x v1 on append and open)
+#           reference, the snapshot/tail parser corpus and properties,
+#           and the B15 checksum-overhead gate (v2 framing <= 1.2x v1
+#           on append and open)
 #   serve   workspace-server gate: differential transport conformance,
 #           protocol fuzzer, 64-seed chaos-under-load sweep, herc
 #           serve CLI coverage, B13 scaling/coalescing floor, and a
@@ -281,6 +282,12 @@ stage_fsck() {
         --test vfs_conformance || return 1
     cargo test -q --offline --release -p metadata \
         --test fault_chaos --test store_v3_golden --test store_compat || return 1
+    # The snapshot and tail line parsers: the corpus pins what each
+    # accepts and refuses (line and message); the seeded properties
+    # round-trip random databases and read random edits of snapshots
+    # and journals as the split_whitespace readers before them did.
+    cargo test -q --offline --release -p metadata \
+        --test parse_corpus --test parse_properties || return 1
     cargo test -q --offline --release -p dac95-schedflow \
         --test fsck_corpus --test fsck_segment || return 1
     cargo test -q --offline --release -p bench \
