@@ -28,18 +28,24 @@ pub const SEED: u64 = 2024;
 /// Workers in the heterogeneous cluster.
 pub const CLUSTER_WORKERS: usize = 6;
 
+/// A manager over the contended layered flow, not yet planned: its
+/// first execution builds the proposal the policies read.
+pub fn unplanned_manager(team: usize) -> Hercules {
+    Hercules::new(
+        examples::layered(LAYERS, WIDTH, FANIN),
+        ToolLibrary::standard(),
+        Team::of_size(team),
+        SEED,
+    )
+}
+
 /// A planned manager over the contended layered flow.
 ///
 /// # Panics
 ///
 /// Panics if the generated flow fails to plan (a bench bug).
 pub fn contended_manager(team: usize) -> Hercules {
-    let mut h = Hercules::new(
-        examples::layered(LAYERS, WIDTH, FANIN),
-        ToolLibrary::standard(),
-        Team::of_size(team),
-        SEED,
-    );
+    let mut h = unplanned_manager(team);
     h.plan("merged").expect("contended flow plans");
     h
 }
@@ -94,19 +100,25 @@ pub fn run(quick: bool) -> Vec<Record> {
         || contended_manager(1),
         |mut h| h.execute("merged").expect("fifo executes"),
     );
-    // The policy field on the heterogeneous cluster.
+    // The policy field on the heterogeneous cluster, planned first and
+    // with no plan kept (the execution then builds the proposal).
     let cluster = contended_cluster();
-    for policy in ExecutionPolicy::ALL {
-        let cluster = cluster.clone();
-        suite.bench_with_setup(
-            &format!("{}/cluster", policy.name()),
-            Some(activities),
-            || contended_manager(3),
-            move |mut h| {
-                h.execute_with("merged", policy, Some(&cluster))
-                    .expect("policy executes")
-            },
-        );
+    for (suffix, manager) in [
+        ("", contended_manager as fn(usize) -> Hercules),
+        ("_unplanned", unplanned_manager),
+    ] {
+        for policy in ExecutionPolicy::ALL {
+            let cluster = cluster.clone();
+            suite.bench_with_setup(
+                &format!("{}{suffix}/cluster", policy.name()),
+                Some(activities),
+                move || manager(3),
+                move |mut h| {
+                    h.execute_with("merged", policy, Some(&cluster))
+                        .expect("policy executes")
+                },
+            );
+        }
     }
     suite.into_records()
 }

@@ -89,35 +89,16 @@ impl Hercules {
         let names = tree.activities();
         let n = names.len();
         let (done, _) = self.open_scope(&tree);
-        // Dispatch-time estimates feed the policy inputs (slack, ranks,
-        // finish estimates); completed work is a zero-duration
-        // milestone. Policies that decide purely from topology and
-        // queue state (Fifo, WorkStealing) skip this whole pass — the
-        // CPM analysis is the engine's one non-trivial fixed cost, and
-        // the `exec_policies` bench gate holds default execution to the
-        // serial executor's wall-clock.
-        let mut estimate = vec![WorkDays::ZERO; n];
-        let mut slack = vec![WorkDays::ZERO; n];
-        let mut rank = vec![WorkDays::ZERO; n];
+        // Estimates, slack and upward ranks come from the open work's
+        // proposal, the one planning reads. Fifo and WorkStealing skip
+        // it: the `exec_policies` gate holds default execution to serial.
+        let mut metrics = vec![(WorkDays::ZERO, WorkDays::ZERO, WorkDays::ZERO); n];
         if policy.needs_schedule_metrics() {
             self.sync_estimates();
-            for (i, a) in names.iter().enumerate() {
-                if !done[i] {
-                    estimate[i] = self.estimate_at(tree.rule_position_at(i), a, &mut 0)?;
-                }
-            }
-            // Total slack over the scope (CPM), indexed by topo
-            // position.
-            let scope: Vec<usize> = (0..n).collect();
-            slack = tree.network(&scope, &estimate)?.0.analyze()?.total_slacks();
-            // Upward rank: critical-path length from each activity to
-            // the scope's sink, inclusive (HEFT's priority key).
-            for i in (0..n).rev() {
-                let mut best = WorkDays::ZERO;
-                for &j in tree.consumers_at(i) {
-                    best = best.max(rank[j]);
-                }
-                rank[i] = estimate[i] + best;
+            let open = self.open_work(target)?;
+            let estimates = open.in_scope.iter().zip(&open.durations);
+            for ((&i, &d), (s, r)) in estimates.zip(self.slack_and_rank(&open)?) {
+                metrics[i] = (d, s, r);
             }
         }
         // Assignees: the plan's designer, else the designer planning
@@ -241,12 +222,13 @@ impl Hercules {
                     inputs.push((produced_on.get(class).copied(), bytes));
                 }
             }
+            let (estimate, slack, rank) = metrics[i];
             ReadyTask {
                 activity: &names[i],
                 topo_index: i,
-                estimate: estimate[i],
-                slack: slack[i],
-                rank: rank[i],
+                estimate,
+                slack,
+                rank,
                 ready_at,
                 input_bytes,
                 inputs,

@@ -554,20 +554,52 @@ impl Hercules {
         durations: &[WorkDays],
         team: &Team,
     ) -> Result<Cow<'_, PlanCache>, HerculesError> {
-        let kept = self.view.plans.get(open.tree.target()).filter(|c| {
+        match self.kept(open, durations, team) {
+            Some(c) => Ok(Cow::Borrowed(c)),
+            None => self
+                .fresh_proposal(&open.tree, open.in_scope.clone(), durations, team)
+                .map(Cow::Owned),
+        }
+    }
+
+    /// The kept plan cache of `open`'s target when it has the same
+    /// scope and durations and `team` is the manager's.
+    fn kept(&self, open: &OpenWork, durations: &[WorkDays], team: &Team) -> Option<&PlanCache> {
+        self.view.plans.get(open.tree.target()).filter(|c| {
             *team == self.team
                 && c.in_scope == open.in_scope
                 && c.ids
                     .iter()
                     .zip(durations)
                     .all(|(&id, &d)| c.network.duration(id) == d)
-        });
-        match kept {
-            Some(c) => Ok(Cow::Borrowed(c)),
-            None => self
-                .fresh_proposal(&open.tree, open.in_scope.clone(), durations, team)
-                .map(Cow::Owned),
-        }
+        })
+    }
+
+    /// Per activity of `open`: its total slack (late − early start) and
+    /// upward rank (project duration − late start, the critical path
+    /// from it to the sink) in its proposal's unlevelled CPM, the kept
+    /// plan cache's or else one computed without levelling.
+    pub(crate) fn slack_and_rank(
+        &self,
+        open: &OpenWork,
+    ) -> Result<Vec<(WorkDays, WorkDays)>, HerculesError> {
+        let fresh;
+        let (ids, inc) = match self.kept(open, &open.durations, &self.team) {
+            Some(c) => (&c.ids, &c.inc),
+            None => {
+                let (network, ids) = open.tree.network(&open.in_scope, &open.durations)?;
+                fresh = (ids, network.analyze_incremental()?);
+                (&fresh.0, &fresh.1)
+            }
+        };
+        let end = inc.project_duration();
+        let of = |&id| {
+            (
+                inc.late_start(id) - inc.early_start(id),
+                end - inc.late_start(id),
+            )
+        };
+        Ok(ids.iter().map(of).collect())
     }
 
     /// The task tree of `target`, extracted on first use and kept in

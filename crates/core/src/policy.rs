@@ -41,11 +41,11 @@ pub struct ReadyTask<'a> {
     /// The manager's current duration estimate (history first, then
     /// intuition, then the tool model).
     pub estimate: WorkDays,
-    /// Total slack from CPM over the execution scope at dispatch-time
-    /// estimates; zero on the critical path.
+    /// Total slack in the open work's proposal; zero on the critical path.
     pub slack: WorkDays,
-    /// Upward rank: estimated critical-path length from this activity
-    /// (inclusive) to the scope's sink — HEFT's priority key.
+    /// Upward rank: the proposal's critical-path length from this
+    /// activity (inclusive) to the scope's sink, project duration −
+    /// late start — HEFT's priority key.
     pub rank: WorkDays,
     /// When the inputs are all available, before any transfer delay.
     pub ready_at: WorkDays,
@@ -204,7 +204,7 @@ pub trait SchedulingPolicy: fmt::Debug {
 
     /// Whether the policy reads the schedule-derived metrics on
     /// [`ReadyTask`] (`estimate`, `slack`, `rank`). The engine skips
-    /// the CPM pass that computes them for policies answering `false`
+    /// reading the open work's proposal for policies answering `false`
     /// — those fields are then zero. Defaults to `true`; override only
     /// in policies that decide purely from topology, queue state, and
     /// data locality.
@@ -240,8 +240,8 @@ impl SchedulingPolicy for Fifo {
 
 /// Critical-path-first dispatch: the ready task with the least total
 /// slack (ties to dependency order), placed on the worker with the
-/// earliest estimated finish. Fed by the `schedule` crate's CPM slack
-/// arrays over the execution scope.
+/// earliest estimated finish. The slack is the open work's proposal's,
+/// the one planning reads.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct MinSlack;
 

@@ -380,7 +380,7 @@ impl MetadataDb {
         self.journal_op(|| JournalOp::BeginRun {
             activity: Arc::clone(&name),
             operator: Arc::clone(&operator),
-            started_md: started_at.millidays(),
+            started: started_at,
         });
         self.crash_point()?;
         let id = RunId::new(self.runs.len() as u32, self.generation);
@@ -460,7 +460,7 @@ impl MetadataDb {
             run,
             output_class: Arc::clone(&class),
             data,
-            finished_md: finished_at.millidays(),
+            finished: finished_at,
             inputs: inputs.to_vec(),
         });
         self.crash_point()?;
@@ -503,7 +503,7 @@ impl MetadataDb {
         self.journal_op(|| JournalOp::SupplyInput {
             class: Arc::clone(&name),
             creator: Arc::clone(&creator),
-            created_md: created_at.millidays(),
+            created: created_at,
             data,
         });
         self.crash_point()?;
@@ -663,9 +663,7 @@ impl MetadataDb {
 
     /// Opens a planning session (the schedule-space analog of a run).
     pub fn begin_planning(&mut self, at: WorkDays) -> PlanningSessionId {
-        self.journal_op(|| JournalOp::BeginPlanning {
-            at_md: at.millidays(),
-        });
+        self.journal_op(|| JournalOp::BeginPlanning { at });
         let id = PlanningSessionId::new(self.sessions.len() as u32, self.generation);
         self.sessions.push(PlanningSession::new(id, at));
         id
@@ -701,8 +699,8 @@ impl MetadataDb {
         self.journal_op(|| JournalOp::PlanActivity {
             session,
             activity: Arc::clone(&name),
-            start_md: planned_start.millidays(),
-            duration_md: planned_duration.millidays(),
+            start: planned_start,
+            duration: planned_duration,
         });
         self.crash_point()?;
         let body = PlanBody::new(name, planned_start, planned_duration);

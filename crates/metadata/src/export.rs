@@ -31,12 +31,10 @@
 
 use std::fmt::Write as _;
 
-use schedule::WorkDays;
-
 use crate::database::MetadataDb;
-use crate::fields::{items, parse_int, Fields};
+use crate::fields::{days, index, indices, items, Fields};
 use crate::ids::{DataObjectId, EntityInstanceId, PlanningSessionId, RunId};
-use crate::journal::{parse_extent, write_extent};
+use crate::journal::{parse_extent, write_extent, write_list};
 use crate::objects::DataBody;
 use crate::store::StoreError;
 
@@ -154,18 +152,6 @@ pub(crate) fn hex_decode_name(s: &str) -> Result<String, String> {
     String::from_utf8(hex_decode(s)?).map_err(|_| "data name is not UTF-8".to_owned())
 }
 
-fn fmt_days(t: WorkDays) -> String {
-    t.millidays().to_string()
-}
-
-fn parse_days(s: &str) -> Result<WorkDays, String> {
-    let md: i64 = parse_int(s).map_err(|e| format!("bad timestamp: {e}"))?;
-    if md < 0 {
-        return Err(format!("bad timestamp: {md} is negative"));
-    }
-    Ok(WorkDays::from_millidays(md))
-}
-
 /// How [`MetadataDb::write_dump`] writes stored Level-4 data.
 enum DataLines {
     /// Every datum's bytes, as `data` lines; stored ones are resolved
@@ -248,7 +234,7 @@ impl MetadataDb {
             out.push('\n');
         }
         for session in self.planning_sessions() {
-            let _ = writeln!(out, "session {}", fmt_days(session.created_at()));
+            let _ = writeln!(out, "session {}", session.created_at().millidays());
         }
         for run in self.runs() {
             let _ = write!(
@@ -257,10 +243,10 @@ impl MetadataDb {
                 run.activity(),
                 run.operator(),
                 run.iteration(),
-                fmt_days(run.started_at())
+                run.started_at().millidays()
             );
             if let Some(f) = run.finished_at() {
-                let _ = write!(out, " {}", fmt_days(f));
+                let _ = write!(out, " {}", f.millidays());
             }
             out.push('\n');
         }
@@ -270,48 +256,30 @@ impl MetadataDb {
                 out,
                 "entity {} {} {}",
                 e.class(),
-                fmt_days(e.created_at()),
+                e.created_at().millidays(),
                 e.creator()
             );
             if let Some(run) = e.produced_by() {
                 let _ = write!(out, " run {}", run.index());
             }
-            let deps: Vec<String> = e
-                .depends_on()
-                .iter()
-                .map(|d| d.index().to_string())
-                .collect();
-            let _ = write!(
-                out,
-                " deps {} data {}",
-                if deps.is_empty() {
-                    "-".to_owned()
-                } else {
-                    deps.join(",")
-                },
-                e.data().index()
-            );
-            out.push('\n');
+            out.push_str(" deps ");
+            let _ = write_list(e.depends_on().iter().map(|d| d.index()), &mut out);
+            let _ = writeln!(out, " data {}", e.data().index());
         }
         for idx in 0..self.schedule_count() {
             let sc = self.schedule_instance(crate::ids::ScheduleInstanceId::new(
                 idx as u32,
                 self.generation,
             ));
-            let assignees = if sc.assignees().is_empty() {
-                "-".to_owned()
-            } else {
-                sc.assignees().join(",")
-            };
             let _ = write!(
                 out,
-                "sched {} {} {} {} assignees {}",
+                "sched {} {} {} {} assignees ",
                 sc.activity(),
                 sc.session().index(),
-                fmt_days(sc.planned_start()),
-                fmt_days(sc.planned_duration()),
-                assignees
+                sc.planned_start().millidays(),
+                sc.planned_duration().millidays(),
             );
+            let _ = write_list(sc.assignees(), &mut out);
             if let Some(link) = sc.linked_entity() {
                 let _ = write!(out, " link {}", link.index());
             }
@@ -378,14 +346,8 @@ impl MetadataDb {
             message: message.to_owned(),
         };
         let inconsistent = |e: crate::MetadataError| LoadError::Inconsistent(e.to_string());
-        let days = |s: &str| parse_days(s).map_err(|m| bad(&m));
-        // Indices parse as `usize` and are stored as `u32`, as the
-        // writer's ids are.
-        let index = |s: &str, what: &str| {
-            parse_int::<usize>(s)
-                .map(|i| i as u32)
-                .map_err(|_| bad(what))
-        };
+        let time = |s: &str| days(s).map_err(|e| bad(&format!("bad timestamp: {e}")));
+        let slot = |s: &str, what: &str| index(s).ok_or_else(|| bad(what));
         let g = self.generation;
         let Some(kind) = fields.next() else {
             return Ok(()); // blank line
@@ -423,11 +385,11 @@ impl MetadataDb {
                 let [at] = fields
                     .exactly()
                     .ok_or_else(|| bad("malformed session line"))?;
-                self.begin_planning(days(at)?);
+                self.begin_planning(time(at)?);
             }
             "run" => {
                 // run <activity> <operator> <iteration> <started> [<finished>]
-                let (Some(activity), Some(operator), Some(_iteration), Some(started)) =
+                let (Some(activity), Some(operator), Some(iteration), Some(started)) =
                     (fields.next(), fields.next(), fields.next(), fields.next())
                 else {
                     return Err(bad("malformed run line"));
@@ -436,11 +398,20 @@ impl MetadataDb {
                 if fields.next().is_some() {
                     return Err(bad("malformed run line"));
                 }
+                let iteration = slot(iteration, "bad run iteration")?;
                 let run = self
-                    .begin_run(activity, operator, days(started)?)
+                    .begin_run(activity, operator, time(started)?)
                     .map_err(inconsistent)?;
+                // The iteration is the run's count in its activity's
+                // history, which loading derives again.
+                let derived = self.run(run).iteration();
+                if iteration != derived {
+                    return Err(bad(&format!(
+                        "run iteration {iteration} disagrees with the derived {derived}"
+                    )));
+                }
                 if let Some(finished) = finished {
-                    self.restore_run_finish(run, days(finished)?);
+                    self.restore_run_finish(run, time(finished)?);
                 }
             }
             "entity" => {
@@ -451,7 +422,7 @@ impl MetadataDb {
                 else {
                     return Err(bad("malformed entity line"));
                 };
-                let created = days(created)?;
+                let created = time(created)?;
                 let mut produced_by = None;
                 let mut deps = Vec::new();
                 let mut data = None;
@@ -459,20 +430,18 @@ impl MetadataDb {
                     match word {
                         "run" => {
                             let idx = fields.next().ok_or_else(|| bad("run needs an index"))?;
-                            produced_by = Some(RunId::new(index(idx, "bad run index")?, g));
+                            produced_by = Some(RunId::new(slot(idx, "bad run index")?, g));
                         }
                         "deps" => {
                             let list = fields.next().ok_or_else(|| bad("deps needs a list"))?;
-                            if list != "-" {
-                                for part in items(list) {
-                                    let idx = index(part, "bad dep index")?;
-                                    deps.push(EntityInstanceId::new(idx, g));
-                                }
+                            for idx in indices(list) {
+                                let idx = idx.map_err(|_| bad("bad dep index"))?;
+                                deps.push(EntityInstanceId::new(idx, g));
                             }
                         }
                         "data" => {
                             let idx = fields.next().ok_or_else(|| bad("data needs an index"))?;
-                            data = Some(DataObjectId::new(index(idx, "bad data index")?, g));
+                            data = Some(DataObjectId::new(slot(idx, "bad data index")?, g));
                         }
                         other => return Err(bad(&format!("unknown entity field {other:?}"))),
                     }
@@ -489,9 +458,9 @@ impl MetadataDb {
                 else {
                     return Err(bad("malformed sched line"));
                 };
-                let session = PlanningSessionId::new(index(session, "bad session index")?, g);
-                let start = days(start)?;
-                let duration = days(duration)?;
+                let session = PlanningSessionId::new(slot(session, "bad session index")?, g);
+                let start = time(start)?;
+                let duration = time(duration)?;
                 let LineScratch { assignees, links } = scratch;
                 assignees.clear();
                 links.clear();
@@ -506,7 +475,7 @@ impl MetadataDb {
                         }
                         "link" => {
                             let idx = fields.next().ok_or_else(|| bad("link needs an index"))?;
-                            links.push(index(idx, "bad link index")?);
+                            links.push(slot(idx, "bad link index")?);
                         }
                         other => return Err(bad(&format!("unknown sched field {other:?}"))),
                     }
@@ -537,6 +506,7 @@ struct LineScratch<'a> {
 mod tests {
     use super::*;
     use crate::store::{ArenaStore, Store};
+    use schedule::WorkDays;
     use schema::examples;
     use std::sync::Arc;
 

@@ -13,8 +13,14 @@
 //! [`parse_int`] reads a field of digits straight from its bytes and
 //! leaves every other field to `str::parse`, so both accept, refuse
 //! and describe exactly what `split_whitespace` and `str::parse` do.
+//!
+//! Both parsers decode each kind of field through one typed reader:
+//! [`days`] a time into a [`WorkDays`], [`index`] an index into a
+//! `u32`, [`indices`] an index list. No stored byte skips the check.
 
 use std::str::FromStr;
+
+use schedule::WorkDays;
 
 /// Whether `b` is an ASCII white-space character, as
 /// `char::is_whitespace` decides it: `\t`, `\n`, `\x0B`, `\x0C`, `\r`
@@ -126,6 +132,29 @@ pub(crate) fn items(list: &str) -> impl Iterator<Item = &str> + '_ {
     })
 }
 
+/// Reads a time or duration field: any non-negative `i64` of
+/// milli-days, what [`WorkDays::try_from_millidays`] accepts and every
+/// writer can emit. A refusal says why.
+pub(crate) fn days(field: &str) -> Result<WorkDays, String> {
+    let md = parse_int::<i64>(field).map_err(|e| e.to_string())?;
+    WorkDays::try_from_millidays(md).map_err(|_| format!("{md} is negative"))
+}
+
+/// Reads an index (or a count) field as the `u32` every id's slot is.
+pub(crate) fn index(field: &str) -> Option<u32> {
+    parse_int(field).ok()
+}
+
+/// Reads an index list: `-` for none, else comma-separated indices.
+/// An item that is not an index is handed back as the error.
+pub(crate) fn indices(list: &str) -> impl Iterator<Item = Result<u32, &str>> {
+    (list != "-")
+        .then(|| items(list))
+        .into_iter()
+        .flatten()
+        .map(|item| index(item).ok_or(item))
+}
+
 /// Parses `field` as `str::parse::<T>` does. A field of 1 to 18 ASCII
 /// digits, the form every writer uses, is read straight from its bytes;
 /// any other field (a sign, more digits, anything else) goes to
@@ -227,6 +256,43 @@ mod tests {
         assert_eq!(Fields::new("a").exactly::<2>(), None);
         assert_eq!(Fields::new("a b c").exactly::<2>(), None);
         assert_eq!(Fields::new("").exactly::<0>(), Some([]));
+    }
+
+    #[test]
+    fn days_take_every_non_negative_count() {
+        for md in [0, 1, 1585, 1_000_000_000_000_001, i64::MAX] {
+            let read = days(&md.to_string()).unwrap();
+            assert_eq!(read.millidays(), md);
+        }
+        let refusals = [
+            ("-5", "-5 is negative"),
+            ("-9223372036854775808", "-9223372036854775808 is negative"),
+            (
+                "9223372036854775808",
+                "number too large to fit in target type",
+            ),
+            ("x", "invalid digit found in string"),
+            ("", "cannot parse integer from empty string"),
+        ];
+        for (field, message) in refusals {
+            assert_eq!(days(field).unwrap_err(), message, "{field:?}");
+        }
+        assert_eq!(days("+5").unwrap().millidays(), 5);
+        assert_eq!(days("-0").unwrap(), WorkDays::ZERO);
+    }
+
+    #[test]
+    fn indices_are_u32_items_or_none() {
+        assert_eq!(index("4294967295"), Some(u32::MAX));
+        assert_eq!(index("4294967296"), None);
+        assert_eq!(index("+1"), Some(1));
+        assert_eq!(index("-1"), None);
+        let read = |list| indices(list).collect::<Vec<_>>();
+        assert_eq!(read("-"), []);
+        assert_eq!(read("0,7"), [Ok(0), Ok(7)]);
+        assert_eq!(read("1,,2"), [Ok(1), Err(""), Ok(2)]);
+        assert_eq!(read("4294967296"), [Err("4294967296")]);
+        assert_eq!(read(""), [Err("")]);
     }
 
     #[test]

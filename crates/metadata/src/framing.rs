@@ -27,7 +27,7 @@
 //! it surfaces a typed corruption report and lets `fsck` rebuild from
 //! the longest valid prefix).
 
-use crate::export::hex_digits;
+use crate::export::{hex_digits, LoadError};
 use crate::journal::{parse_op_line, Journal, JournalOp};
 use crate::names::NameCache;
 
@@ -332,6 +332,14 @@ pub enum TailIssue {
         /// Why the record failed.
         message: String,
     },
+    /// A record whose checksum verifies but whose op does not parse: the
+    /// store wrote it so, wherever it stands; report, never truncate.
+    Unparsable {
+        /// 1-based line number of the record.
+        line: usize,
+        /// Why the op does not parse.
+        message: String,
+    },
 }
 
 impl std::fmt::Display for TailIssue {
@@ -343,6 +351,9 @@ impl std::fmt::Display for TailIssue {
             }
             TailIssue::Corrupt { line, message } => {
                 write!(f, "corrupt interior record at line {line}: {message}")
+            }
+            TailIssue::Unparsable { line, message } => {
+                write!(f, "unparsable checksummed record at line {line}: {message}")
             }
         }
     }
@@ -391,20 +402,14 @@ pub fn decode_tail(text: &str) -> TailScan {
             continue;
         }
         records += 1;
-        let lineno = idx + 1;
         match decode_record(framing, idx, line, &mut names) {
             Ok(op) => ops.push(op),
-            Err(message) => {
-                issue = Some(if lineno == total_lines {
-                    TailIssue::Torn {
-                        line: lineno,
-                        message,
-                    }
-                } else {
-                    TailIssue::Corrupt {
-                        line: lineno,
-                        message,
-                    }
+            Err((message, checksummed)) => {
+                let line = idx + 1;
+                issue = Some(match (checksummed, line == total_lines) {
+                    (true, _) => TailIssue::Unparsable { line, message },
+                    (false, true) => TailIssue::Torn { line, message },
+                    (false, false) => TailIssue::Corrupt { line, message },
                 });
                 break;
             }
@@ -419,38 +424,42 @@ pub fn decode_tail(text: &str) -> TailScan {
 }
 
 /// Decodes one record line under `framing` (v2: checksum first, then
-/// parse — a checksum pass with a parse failure still means the store
-/// wrote garbage and is reported as such).
+/// parse). A refusal says why and whether the record's checksum
+/// verified: a checksum pass with a parse failure means the store wrote
+/// garbage, never that an append was torn.
 fn decode_record<'a>(
     framing: Framing,
     lineno0: usize,
     line: &'a str,
     names: &mut NameCache<'a>,
-) -> Result<JournalOp, String> {
+) -> Result<JournalOp, (String, bool)> {
     let op_text = match framing {
         Framing::V1 => line,
         Framing::V2 => {
+            let unframed = |message: String| (message, false);
             let (crc_hex, rest) = line
                 .split_once(' ')
-                .ok_or_else(|| "missing checksum field".to_owned())?;
+                .ok_or_else(|| unframed("missing checksum field".to_owned()))?;
             let stored = u32::from_str_radix(crc_hex, 16)
-                .map_err(|_| format!("bad checksum field {crc_hex:?}"))?;
+                .map_err(|_| unframed(format!("bad checksum field {crc_hex:?}")))?;
             if crc_hex.len() != 8 {
-                return Err(format!("bad checksum field {crc_hex:?}"));
+                return Err(unframed(format!("bad checksum field {crc_hex:?}")));
             }
             let computed = crc32(rest.as_bytes());
             if stored != computed {
-                return Err(format!(
+                return Err(unframed(format!(
                     "checksum mismatch: record says {stored:08x}, content is {computed:08x}"
-                ));
+                )));
             }
             rest
         }
     };
+    let checksummed = framing == Framing::V2;
     match parse_op_line(lineno0, op_text, names) {
         Ok(Some(op)) => Ok(op),
-        Ok(None) => Err("blank op after checksum".to_owned()),
-        Err(e) => Err(e.to_string()),
+        Ok(None) => Err(("blank op after checksum".to_owned(), checksummed)),
+        Err(LoadError::BadLine { message, .. }) => Err((message, checksummed)),
+        Err(e) => Err((e.to_string(), checksummed)),
     }
 }
 
@@ -571,13 +580,13 @@ mod tests {
             JournalOp::BeginRun {
                 activity,
                 operator,
-                started_md,
-            } => format!("begin-run {activity} {operator} {started_md}"),
+                started,
+            } => format!("begin-run {activity} {operator} {}", started.millidays()),
             JournalOp::FinishRun {
                 run,
                 output_class,
                 data,
-                finished_md,
+                finished,
                 inputs,
             } => {
                 let inputs = if inputs.is_empty() {
@@ -587,29 +596,33 @@ mod tests {
                     ids.join(",")
                 };
                 format!(
-                    "finish-run {} {output_class} {} {finished_md} inputs {inputs}",
+                    "finish-run {} {output_class} {} {} inputs {inputs}",
                     run.index(),
-                    data.index()
+                    data.index(),
+                    finished.millidays()
                 )
             }
             JournalOp::SupplyInput {
                 class,
                 creator,
-                created_md,
+                created,
                 data,
             } => format!(
-                "supply-input {class} {creator} {created_md} {}",
+                "supply-input {class} {creator} {} {}",
+                created.millidays(),
                 data.index()
             ),
-            JournalOp::BeginPlanning { at_md } => format!("begin-planning {at_md}"),
+            JournalOp::BeginPlanning { at } => format!("begin-planning {}", at.millidays()),
             JournalOp::PlanActivity {
                 session,
                 activity,
-                start_md,
-                duration_md,
+                start,
+                duration,
             } => format!(
-                "plan-activity {} {activity} {start_md} {duration_md}",
-                session.index()
+                "plan-activity {} {activity} {} {}",
+                session.index(),
+                start.millidays(),
+                duration.millidays()
             ),
             JournalOp::CarryPlan { session, from } => {
                 let runs: Vec<String> = from
@@ -631,11 +644,13 @@ mod tests {
     }
 
     /// Every op variant, with the payload edge cases: empty content, a
-    /// non-ASCII name, a 64 KiB payload, empty and multi-entry lists.
+    /// non-ASCII name, a 64 KiB payload, empty and multi-entry lists,
+    /// and the largest time a record can carry (`i64::MAX` milli-days).
     fn every_op_variant() -> Vec<JournalOp> {
         use crate::ids::{
             DataObjectId, EntityInstanceId, PlanningSessionId, RunId, ScheduleInstanceId,
         };
+        let md = |md| schedule::WorkDays::try_from_millidays(md).expect("in range");
         let big: Vec<u8> = (0..64 * 1024).map(|i| (i * 7 + i / 251) as u8).collect();
         vec![
             JournalOp::DeclareEntityContainer {
@@ -680,34 +695,34 @@ mod tests {
             JournalOp::BeginRun {
                 activity: "Simulate".into(),
                 operator: "bob".into(),
-                started_md: -1500,
+                started: md(i64::MAX),
             },
             JournalOp::FinishRun {
                 run: RunId::new(3, 0),
                 output_class: "performance".into(),
                 data: DataObjectId::new(9, 0),
-                finished_md: 4250,
+                finished: md(4250),
                 inputs: Vec::new(),
             },
             JournalOp::FinishRun {
                 run: RunId::new(12, 0),
                 output_class: "performance".into(),
                 data: DataObjectId::new(40, 0),
-                finished_md: 7000,
+                finished: md(7000),
                 inputs: vec![EntityInstanceId::new(1, 0), EntityInstanceId::new(22, 0)],
             },
             JournalOp::SupplyInput {
                 class: "stimuli".into(),
                 creator: "carol".into(),
-                created_md: 0,
+                created: md(0),
                 data: DataObjectId::new(0, 0),
             },
-            JournalOp::BeginPlanning { at_md: 12_345 },
+            JournalOp::BeginPlanning { at: md(12_345) },
             JournalOp::PlanActivity {
                 session: PlanningSessionId::new(2, 0),
                 activity: "Place".into(),
-                start_md: 1000,
-                duration_md: 2500,
+                start: md(1000),
+                duration: md(2500),
             },
             JournalOp::CarryPlan {
                 session: PlanningSessionId::new(3, 0),

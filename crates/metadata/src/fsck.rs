@@ -476,7 +476,7 @@ fn scrub_generation(read: &GenerationRead, is_live: bool, verdicts: &mut Vec<Fil
         .filter(|_| is_live && read.kept < scan.journal.len());
     let ops = scan.journal.len();
     let (status, detail) = match (&scan.issue, torn) {
-        (Some(issue @ (TailIssue::BadHeader | TailIssue::Corrupt { .. })), _) => (
+        (Some(issue), _) if !matches!(issue, TailIssue::Torn { .. }) => (
             FileStatus::Corrupt,
             format!("{issue}; {ops} ops verify before it"),
         ),

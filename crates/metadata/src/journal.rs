@@ -75,7 +75,7 @@ use schedule::WorkDays;
 use crate::database::MetadataDb;
 use crate::error::MetadataError;
 use crate::export::{hex_decode, hex_decode_name, hex_encode_into, hex_u32, LoadError};
-use crate::fields::{items, parse_int, Fields};
+use crate::fields::{days, index, indices, items, parse_int, Fields};
 use crate::framing::Framing;
 use crate::ids::{DataObjectId, EntityInstanceId, PlanningSessionId, RunId, ScheduleInstanceId};
 use crate::names::NameCache;
@@ -85,8 +85,9 @@ use crate::segment::Extent;
 /// One replayable mutation of a [`MetadataDb`] — the redo-log record
 /// appended by the corresponding mutating method before it applies.
 ///
-/// Timestamps are stored as integer milli-days (`*_md`), the same
-/// representation the database itself stores, so replay is exact.
+/// Times are [`WorkDays`]: written as whole milli-days and read back
+/// through the one time reader, so replay is exact and a value out of
+/// range never becomes an op.
 /// Activity, class and designer names are the database's shared names,
 /// so recording an op copies none; a datum's name is its own.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -125,8 +126,8 @@ pub enum JournalOp {
         activity: Arc<str>,
         /// The designer operating the tool.
         operator: Arc<str>,
-        /// Start offset in milli-days.
-        started_md: i64,
+        /// Start offset.
+        started: WorkDays,
     },
     /// [`MetadataDb::finish_run`].
     FinishRun {
@@ -136,8 +137,8 @@ pub enum JournalOp {
         output_class: Arc<str>,
         /// The produced Level-4 data object.
         data: DataObjectId,
-        /// Finish offset in milli-days.
-        finished_md: i64,
+        /// Finish offset.
+        finished: WorkDays,
         /// Input instances consumed by the run.
         inputs: Vec<EntityInstanceId>,
     },
@@ -147,15 +148,15 @@ pub enum JournalOp {
         class: Arc<str>,
         /// The supplying designer.
         creator: Arc<str>,
-        /// Creation offset in milli-days.
-        created_md: i64,
+        /// Creation offset.
+        created: WorkDays,
         /// The supplied Level-4 data object.
         data: DataObjectId,
     },
     /// [`MetadataDb::begin_planning`].
     BeginPlanning {
-        /// Session creation offset in milli-days.
-        at_md: i64,
+        /// Session creation offset.
+        at: WorkDays,
     },
     /// [`MetadataDb::plan_activity`].
     PlanActivity {
@@ -163,10 +164,10 @@ pub enum JournalOp {
         session: PlanningSessionId,
         /// The planned activity.
         activity: Arc<str>,
-        /// Planned start in milli-days.
-        start_md: i64,
-        /// Planned duration in milli-days.
-        duration_md: i64,
+        /// Planned start.
+        start: WorkDays,
+        /// Planned duration.
+        duration: WorkDays,
     },
     /// [`MetadataDb::carry_plan`]: one carried version of each listed
     /// schedule instance, in order.
@@ -243,9 +244,11 @@ fn write_slot_ranges(runs: &[SlotRange], out: &mut String) -> std::fmt::Result {
 /// canonical form: digits only, and `first-last` only with
 /// `first < last`.
 fn parse_slot_ranges(list: &str) -> Result<Vec<SlotRange>, String> {
-    let slot = |s: &str| match !s.is_empty() && s.bytes().all(|b| b.is_ascii_digit()) {
-        true => parse_int::<u32>(s).map_err(|_| format!("bad slot {s:?}")),
-        false => Err(format!("bad slot {s:?}")),
+    let digits = |s: &str| s.bytes().all(|b| b.is_ascii_digit());
+    let slot = |s: &str| {
+        index(s)
+            .filter(|_| digits(s))
+            .ok_or_else(|| format!("bad slot {s:?}"))
     };
     items(list)
         .map(|part| match part.split_once('-') {
@@ -258,16 +261,21 @@ fn parse_slot_ranges(list: &str) -> Result<Vec<SlotRange>, String> {
         .collect()
 }
 
-/// Appends `ids` as a comma-separated index list, `-` when empty.
-fn write_ids(ids: &[EntityInstanceId], out: &mut String) -> std::fmt::Result {
-    if ids.is_empty() {
+/// Appends `items` comma-separated, `-` when there are none: every
+/// index and name list the journal and the dump write.
+pub(crate) fn write_list<T: std::fmt::Display>(
+    items: impl IntoIterator<Item = T>,
+    out: &mut String,
+) -> std::fmt::Result {
+    let mut items = items.into_iter().peekable();
+    if items.peek().is_none() {
         out.push('-');
     }
-    for (i, id) in ids.iter().enumerate() {
+    for (i, item) in items.enumerate() {
         if i > 0 {
             out.push(',');
         }
-        write!(out, "{}", id.index())?;
+        write!(out, "{item}")?;
     }
     Ok(())
 }
@@ -380,41 +388,51 @@ impl JournalOp {
             JournalOp::BeginRun {
                 activity,
                 operator,
-                started_md,
-            } => write!(out, "begin-run {activity} {operator} {started_md}"),
+                started,
+            } => write!(
+                out,
+                "begin-run {activity} {operator} {}",
+                started.millidays()
+            ),
             JournalOp::FinishRun {
                 run,
                 output_class,
                 data,
-                finished_md,
+                finished,
                 inputs,
             } => write!(
                 out,
-                "finish-run {} {output_class} {} {finished_md} inputs ",
+                "finish-run {} {output_class} {} {} inputs ",
                 run.index(),
-                data.index()
+                data.index(),
+                finished.millidays()
             )
-            .and_then(|()| write_ids(inputs, out)),
+            .and_then(|()| write_list(inputs.iter().map(|i| i.index()), out)),
             JournalOp::SupplyInput {
                 class,
                 creator,
-                created_md,
+                created,
                 data,
             } => write!(
                 out,
-                "supply-input {class} {creator} {created_md} {}",
+                "supply-input {class} {creator} {} {}",
+                created.millidays(),
                 data.index()
             ),
-            JournalOp::BeginPlanning { at_md } => write!(out, "begin-planning {at_md}"),
+            JournalOp::BeginPlanning { at } => {
+                write!(out, "begin-planning {}", at.millidays())
+            }
             JournalOp::PlanActivity {
                 session,
                 activity,
-                start_md,
-                duration_md,
+                start,
+                duration,
             } => write!(
                 out,
-                "plan-activity {} {activity} {start_md} {duration_md}",
-                session.index()
+                "plan-activity {} {activity} {} {}",
+                session.index(),
+                start.millidays(),
+                duration.millidays()
             ),
             JournalOp::CarryPlan { session, from } => {
                 write!(out, "carry-plan {} ", session.index())
@@ -549,7 +567,7 @@ impl Journal {
         // themselves via the PlanActivity ops below).
         for session in &db.sessions {
             journal.record(JournalOp::BeginPlanning {
-                at_md: session.created_at().millidays(),
+                at: session.created_at(),
             });
         }
         // Execution space. Entities must be created in allocation order
@@ -561,7 +579,7 @@ impl Journal {
             journal.record(JournalOp::BeginRun {
                 activity: Arc::clone(&run.activity),
                 operator: Arc::clone(&run.operator),
-                started_md: run.started_at().millidays(),
+                started: run.started_at(),
             });
         };
         let mut runs_begun = 0usize; // runs [0, runs_begun) already emitted
@@ -577,7 +595,7 @@ impl Journal {
                         run: run_id,
                         output_class: Arc::clone(&e.class),
                         data: e.data(),
-                        finished_md: run.finished_at().unwrap_or(e.created_at()).millidays(),
+                        finished: run.finished_at().unwrap_or(e.created_at()),
                         inputs: e.depends_on().to_vec(),
                     });
                 }
@@ -585,7 +603,7 @@ impl Journal {
                     journal.record(JournalOp::SupplyInput {
                         class: Arc::clone(&e.class),
                         creator: Arc::clone(&e.creator),
-                        created_md: e.created_at().millidays(),
+                        created: e.created_at(),
                         data: e.data(),
                     });
                 }
@@ -647,8 +665,8 @@ impl Journal {
                 None => journal.record(JournalOp::PlanActivity {
                     session: sc.session(),
                     activity: Arc::clone(&sc.body.activity),
-                    start_md: sc.planned_start().millidays(),
-                    duration_md: sc.planned_duration().millidays(),
+                    start: sc.planned_start(),
+                    duration: sc.planned_duration(),
                 }),
             }
         }
@@ -717,12 +735,9 @@ pub(crate) fn parse_op_line<'a>(
         line: lineno + 1,
         message: message.to_owned(),
     };
-    let md = |s: &str| -> Result<i64, LoadError> {
-        parse_int(s).map_err(|_| bad(&format!("bad milli-day timestamp {s:?}")))
-    };
-    let idx = |s: &str| -> Result<u32, LoadError> {
-        parse_int(s).map_err(|_| bad(&format!("bad index {s:?}")))
-    };
+    let time = |s: &str| days(s).map_err(|_| bad(&format!("bad milli-day timestamp {s:?}")));
+    let bad_index = |s: &str| bad(&format!("bad index {s:?}"));
+    let idx = |s: &str| index(s).ok_or_else(|| bad_index(s));
     let mut fields = Fields::new(line);
     let Some(kind) = fields.next() else {
         return Ok(None); // blank line
@@ -760,7 +775,7 @@ pub(crate) fn parse_op_line<'a>(
             JournalOp::BeginRun {
                 activity: names.get(activity),
                 operator: names.get(operator),
-                started_md: md(started)?,
+                started: time(started)?,
             }
         }
         "finish-run" => {
@@ -769,17 +784,14 @@ pub(crate) fn parse_op_line<'a>(
             if word != "inputs" {
                 return Err(malformed());
             }
-            let mut inputs = Vec::new();
-            if list != "-" {
-                for part in items(list) {
-                    inputs.push(EntityInstanceId::new(idx(part)?, 0));
-                }
-            }
+            let inputs = indices(list)
+                .map(|i| i.map(|i| EntityInstanceId::new(i, 0)).map_err(bad_index))
+                .collect::<Result<_, _>>()?;
             JournalOp::FinishRun {
                 run: RunId::new(idx(run)?, 0),
                 output_class: names.get(class),
                 data: DataObjectId::new(idx(data)?, 0),
-                finished_md: md(finished)?,
+                finished: time(finished)?,
                 inputs,
             }
         }
@@ -788,21 +800,21 @@ pub(crate) fn parse_op_line<'a>(
             JournalOp::SupplyInput {
                 class: names.get(class),
                 creator: names.get(creator),
-                created_md: md(created)?,
+                created: time(created)?,
                 data: DataObjectId::new(idx(data)?, 0),
             }
         }
         "begin-planning" => {
             let [at] = fields.exactly().ok_or_else(malformed)?;
-            JournalOp::BeginPlanning { at_md: md(at)? }
+            JournalOp::BeginPlanning { at: time(at)? }
         }
         "plan-activity" => {
             let [session, activity, start, duration] = fields.exactly().ok_or_else(malformed)?;
             JournalOp::PlanActivity {
                 session: PlanningSessionId::new(idx(session)?, 0),
                 activity: names.get(activity),
-                start_md: md(start)?,
-                duration_md: md(duration)?,
+                start: time(start)?,
+                duration: time(duration)?,
             }
         }
         "carry-plan" => {
@@ -1026,15 +1038,15 @@ impl MetadataDb {
             JournalOp::BeginRun {
                 activity,
                 operator,
-                started_md,
+                started,
             } => {
-                self.begin_run(activity, operator, WorkDays::from_millidays(*started_md))?;
+                self.begin_run(activity, operator, *started)?;
             }
             JournalOp::FinishRun {
                 run,
                 output_class,
                 data,
-                finished_md,
+                finished,
                 inputs,
             } => {
                 let inputs: Vec<EntityInstanceId> = inputs.iter().map(|i| i.with_gen(g)).collect();
@@ -1042,38 +1054,28 @@ impl MetadataDb {
                     run.with_gen(g),
                     output_class,
                     data.with_gen(g),
-                    WorkDays::from_millidays(*finished_md),
+                    *finished,
                     &inputs,
                 )?;
             }
             JournalOp::SupplyInput {
                 class,
                 creator,
-                created_md,
+                created,
                 data,
             } => {
-                self.supply_input(
-                    class,
-                    creator,
-                    WorkDays::from_millidays(*created_md),
-                    data.with_gen(g),
-                )?;
+                self.supply_input(class, creator, *created, data.with_gen(g))?;
             }
-            JournalOp::BeginPlanning { at_md } => {
-                self.begin_planning(WorkDays::from_millidays(*at_md));
+            JournalOp::BeginPlanning { at } => {
+                self.begin_planning(*at);
             }
             JournalOp::PlanActivity {
                 session,
                 activity,
-                start_md,
-                duration_md,
+                start,
+                duration,
             } => {
-                self.plan_activity(
-                    session.with_gen(g),
-                    activity,
-                    WorkDays::from_millidays(*start_md),
-                    WorkDays::from_millidays(*duration_md),
-                )?;
+                self.plan_activity(session.with_gen(g), activity, *start, *duration)?;
             }
             JournalOp::CarryPlan { session, from } => {
                 // Bound the runs by the instances that exist before

@@ -1179,7 +1179,7 @@ impl GenerationRead {
                     issue.to_string(),
                 ))
             }
-            Ok(Some(issue @ TailIssue::Corrupt { .. })) => {
+            Ok(Some(issue @ (TailIssue::Corrupt { .. } | TailIssue::Unparsable { .. }))) => {
                 return Some(corrupt(
                     &tail_path,
                     CorruptionKind::CorruptRecord,

@@ -5,6 +5,13 @@
 //! the loaded state in canonical text or the exact [`LoadError`], is
 //! in `artifacts/parse_corpus.txt`.
 //!
+//! Both parsers decode a field of each kind through the same typed
+//! reader, so they agree on what a value may be: a time or duration is
+//! a non-negative `i64` of milli-days (cases at `i64::MAX`, one past
+//! it and below zero), an index is a `u32` (a wider one is refused,
+//! never wrapped), and a snapshot `run` line's iteration must be the
+//! one loading derives.
+//!
 //! The cases cover every error message of both parsers and every
 //! separator `str::split_whitespace` accepts (tab, doubled space,
 //! `\x0B`, `\x0C`, U+0085, U+00A0, U+2003, U+3000, a trailing `\r`,
@@ -196,10 +203,12 @@ fn snapshot_cases() -> Vec<(String, String)> {
         ("run_short", "run Create alice 1"),
         ("run_long", "run Create alice 1 5 6 7"),
         ("run_word_iteration", "run Create alice x 5"),
-        ("run_negative_start", "run Create alice 1 -5"),
-        ("run_plus_start", "run Create alice 1 +5"),
-        ("run_bad_finish", "run Create alice 1 5 x"),
-        ("run_finish_before_start", "run Create alice 1 5 4"),
+        ("run_negative_start", "run Create alice 3 -5"),
+        ("run_plus_start", "run Create alice 3 +5"),
+        ("run_bad_finish", "run Create alice 3 5 x"),
+        ("run_finish_before_start", "run Create alice 3 5 4"),
+        ("run_iteration_disagrees", "run Create alice 1 5"),
+        ("run_iteration_wraps", "run Create alice 4294967299 5"),
         ("run_unknown_activity", "run Ghost alice 1 5"),
         ("run_unknown_activity_bad_finish", "run Ghost alice 1 5 x"),
         ("run_bad_start_unknown_activity", "run Ghost alice 1 x"),
@@ -332,6 +341,10 @@ fn journal_cases() -> Vec<(String, String)> {
         (
             "begin_run_min_md",
             "begin-run Create alice -9223372036854775808",
+        ),
+        (
+            "begin_run_max_md",
+            "begin-run Create alice 9223372036854775807",
         ),
         ("finish_run_short", "finish-run 0 netlist 0 5 inputs"),
         (

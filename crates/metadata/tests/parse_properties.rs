@@ -1,6 +1,7 @@
 //! Seeded properties of the two line parsers: the snapshot loader
 //! ([`MetadataDb::load`]) and the journal record parser
-//! ([`Journal::parse`]).
+//! ([`Journal::parse`]), and of the open and scrub that read a store
+//! through them.
 //!
 //! * Databases built by random op sequences round-trip dump → load →
 //!   dump byte for byte.
@@ -8,6 +9,10 @@
 //!   same through the parsers as through [`parent`], the readers as
 //!   they were before the one field reader: `split_whitespace`, a
 //!   collected field vector and `str::parse`, kept here as the oracle.
+//!   The oracle accepts what the typed field readers accept: a time is
+//!   a non-negative `i64` in both parsers, a snapshot index is a
+//!   `u32`, and a `run` line's iteration is a `u32` that the loader
+//!   checks against the one it derives.
 //!   The oracle does not build a database (that needs crate-private
 //!   constructors); it reads each line into the canonical line the
 //!   writer would emit for the same values, and stops at the first line
@@ -16,14 +21,29 @@
 //!   there comes first), else the oracle's refusal, else the loader's
 //!   result on all canonical lines; a journal's is the canonical text
 //!   or the refusal.
+//! * Random byte edits of a store's live snapshot, live tail and data
+//!   segment never make [`PersistentStore::open_on`] or
+//!   [`fsck::scrub`] panic, and open (plus a read of every datum)
+//!   serves the store exactly when the scrub calls it healthy. Half the
+//!   edits of a snapshot or tail are checksummed again, so they reach
+//!   the parsers instead of stopping at the checksum. Seeds
+//!   `0x5EED_0033`..`0x5EED_0035`, 120 random edits per file; on top,
+//!   every field of the snapshot and the tail is given a leading `-`
+//!   and checksummed again (a negative time or index must be refused).
 
-use metadata::{Journal, LoadError, MetadataDb};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::path::{Path, PathBuf};
+use std::sync::Arc;
+
+use metadata::framing::crc32;
+use metadata::{fsck, Framing, Journal, LoadError, MetadataDb, PersistentStore, Store};
 use schedule::WorkDays;
 use simtools::rng::SplitMix64;
+use simtools::vfs::{MemVfs, Vfs};
 
 /// The readers before the one field reader, reading into canonical
 /// lines. Each function keeps the original's checks, in its order, and
-/// its messages.
+/// its messages, with the typed readers' ranges.
 mod parent {
     use metadata::LoadError;
     use std::fmt::Write as _;
@@ -106,8 +126,10 @@ mod parent {
     /// One journal op line, canonical; `None` for a blank line.
     pub fn parse_op_line(lineno: usize, line: &str) -> Result<Option<String>, LoadError> {
         let md = |s: &str| -> Result<i64, LoadError> {
-            s.parse()
-                .map_err(|_| bad(lineno, &format!("bad milli-day timestamp {s:?}")))
+            match s.parse() {
+                Ok(md) if md >= 0 => Ok(md),
+                _ => Err(bad(lineno, &format!("bad milli-day timestamp {s:?}"))),
+            }
         };
         let idx = |s: &str| -> Result<u32, LoadError> {
             s.parse()
@@ -269,7 +291,7 @@ mod parent {
         let bad = |message: &str| (None, bad(lineno, message));
         let days = |s: &str| parse_days(s).map_err(|m| bad(&m));
         let index = |s: &str, what: &str| -> Result<u32, LineError> {
-            s.parse::<usize>().map(|i| i as u32).map_err(|_| bad(what))
+            s.parse::<u32>().map_err(|_| bad(what))
         };
         let mut fields = line.split_whitespace();
         let Some(kind) = fields.next() else {
@@ -306,12 +328,14 @@ mod parent {
                 write!(out, "session {}", days(at)?).unwrap();
             }
             "run" => {
-                let (activity, operator, started, finished) = match rest.as_slice() {
-                    [a, o, _iter, s] => (a, o, s, None),
-                    [a, o, _iter, s, f] => (a, o, s, Some(*f)),
+                let (activity, operator, iteration, started, finished) = match rest.as_slice() {
+                    [a, o, i, s] => (a, o, i, s, None),
+                    [a, o, i, s, f] => (a, o, i, s, Some(*f)),
                     _ => return Err(bad("malformed run line")),
                 };
-                write!(out, "run {activity} {operator} 1 {}", days(started)?).unwrap();
+                let iteration = index(iteration, "bad run iteration")?;
+                let started = days(started)?;
+                write!(out, "run {activity} {operator} {iteration} {started}").unwrap();
                 if let Some(f) = finished {
                     match days(f) {
                         Ok(f) => write!(out, " {f}").unwrap(),
@@ -444,14 +468,15 @@ fn random_db(rng: &mut SplitMix64, ops: usize) -> MetadataDb {
     let mut session = None;
     for _ in 0..ops {
         clock += (rng.next_u64() % 3000) as i64;
-        let at = WorkDays::from_millidays(clock);
+        let md = |md: i64| WorkDays::try_from_millidays(md).unwrap();
+        let at = md(clock);
         match rng.next_u64() % 7 {
             0 => session = Some(db.begin_planning(at)),
             1 => {
                 let Some(s) = session else { continue };
                 let activity = *pick(rng, &activities);
-                let start = WorkDays::from_millidays(clock + (rng.next_u64() % 500) as i64);
-                let duration = WorkDays::from_millidays((rng.next_u64() % 4000) as i64);
+                let start = md(clock + (rng.next_u64() % 500) as i64);
+                let duration = md((rng.next_u64() % 4000) as i64);
                 let sc = db.plan_activity(s, activity, start, duration).unwrap();
                 for _ in 0..rng.next_u64() % 3 {
                     db.assign(sc, designer(rng)).unwrap();
@@ -487,7 +512,7 @@ fn random_db(rng: &mut SplitMix64, ops: usize) -> MetadataDb {
                     .filter_map(|r| r.output())
                     .filter(|_| n > 0 && rng.next_u64().is_multiple_of(3))
                     .collect();
-                let finished = WorkDays::from_millidays(clock + (rng.next_u64() % 2000) as i64);
+                let finished = md(clock + (rng.next_u64() % 2000) as i64);
                 let e = db.finish_run(run, output, data, finished, &inputs).unwrap();
                 if let Some(plan) = db.current_plan(activity).filter(|p| !p.is_complete()) {
                     if rng.next_u64().is_multiple_of(2) {
@@ -609,4 +634,215 @@ fn edited_journals_parse_as_the_parent_reader_parses_them() {
             );
         }
     }
+}
+
+/// The files of a store on `MemVfs` whose live generation has a
+/// snapshot with history in it, a tail with more, and a data segment
+/// that both reference.
+fn store_files(dir: &Path) -> Vec<(PathBuf, Vec<u8>)> {
+    let mem = MemVfs::new();
+    let db = MetadataDb::for_schema(&schema::examples::circuit_design());
+    let mut store = PersistentStore::create_on(mem.clone() as Arc<dyn Vfs>, dir, db).unwrap();
+    let payload = |seed: usize, len: usize| -> Vec<u8> {
+        (0..len).map(|i| (i * 31 + seed * 7 + 0x80) as u8).collect()
+    };
+    for round in 0..2 {
+        let t = |days: f64| WorkDays::new(10.0 * round as f64 + days);
+        let session = store.begin_planning(t(0.0));
+        let sc = store
+            .plan_activity(session, "Create", t(0.0), t(2.0))
+            .unwrap();
+        store.assign(sc, "alice").unwrap();
+        let input = store.store_data(&format!("in{round}.stim"), payload(round, 300));
+        store.supply_input("stimuli", "bob", t(0.0), input).unwrap();
+        let run = store.begin_run("Create", "alice", t(0.5)).unwrap();
+        let data = store.store_data(&format!("v{round}.net"), payload(round + 2, 1024));
+        let e = store.finish_run(run, "netlist", data, t(1.5), &[]).unwrap();
+        store.link_completion(sc, e).unwrap();
+        if round == 0 {
+            store.compact().unwrap();
+        }
+    }
+    drop(store);
+    let mut paths = mem.list_dir(dir).unwrap();
+    paths.sort();
+    paths
+        .into_iter()
+        .map(|path| {
+            let bytes = mem.read(&path).unwrap();
+            (path, bytes)
+        })
+        .collect()
+}
+
+/// Bytes an edit writes: separators, signs, digits, a list comma and
+/// bytes that are not UTF-8 on their own.
+const EDIT_BYTES: [u8; 12] = [
+    b' ', b'\n', b'\t', b'-', b'+', b',', b'0', b'9', b'x', 0x00, 0xA0, 0xFF,
+];
+
+/// `bytes` with one byte replaced, inserted or deleted.
+fn byte_edited(bytes: &[u8], rng: &mut SplitMix64) -> Vec<u8> {
+    let at = (rng.next_u64() % (bytes.len() as u64 + 1)) as usize;
+    let with = *pick(rng, &EDIT_BYTES);
+    let mut out = bytes.to_vec();
+    match (rng.next_u64() % 3, at < bytes.len()) {
+        (0, true) => out[at] = with,
+        (1, true) => {
+            out.remove(at);
+        }
+        _ => out.insert(at, with),
+    }
+    out
+}
+
+/// A snapshot or tail checksummed again after an edit, so the edit
+/// reaches the parser: the snapshot's framing line over its body, and
+/// each tail record's checksum field over its op. Bytes that are not
+/// UTF-8 are left as they are.
+fn rechecksummed(name: &str, bytes: Vec<u8>) -> Vec<u8> {
+    let Ok(text) = String::from_utf8(bytes.clone()) else {
+        return bytes;
+    };
+    if name.starts_with("snapshot-") {
+        let framed = Framing::V2.encode_snapshot("");
+        let magic = &framed[..framed.len() - "00000000\n".len()];
+        return match text
+            .strip_prefix(magic)
+            .and_then(|rest| rest.split_once('\n'))
+        {
+            Some((_, body)) => Framing::V2.encode_snapshot(body).into_bytes(),
+            None => bytes,
+        };
+    }
+    let mut out = String::new();
+    for (i, line) in text.split_inclusive('\n').enumerate() {
+        let (record, end) = match line.strip_suffix('\n') {
+            Some(record) => (record, "\n"),
+            None => (line, ""),
+        };
+        match record.split_once(' ') {
+            Some((crc, op)) if i > 0 && crc.len() == 8 => {
+                out.push_str(&format!("{:08x} {op}{end}", crc32(op.as_bytes())));
+            }
+            _ => out.push_str(line),
+        }
+    }
+    out.into_bytes()
+}
+
+/// Scrubs, then opens and reads every datum of, `files` on a fresh
+/// `MemVfs`: the scrub's health and whether the store served. Scrub
+/// goes first because open heals a torn tail.
+fn scrub_then_open(dir: &Path, files: &[(PathBuf, Vec<u8>)]) -> (bool, Result<(), String>) {
+    let mem = MemVfs::new();
+    mem.create_dir_all(dir).unwrap();
+    for (path, bytes) in files {
+        mem.write(path, bytes).unwrap();
+    }
+    let vfs: Arc<dyn Vfs> = mem;
+    let healthy = fsck::scrub(&*vfs, dir).is_ok_and(|scrub| scrub.healthy);
+    let served = PersistentStore::open_on(Arc::clone(&vfs), dir)
+        .and_then(|store| store.db().try_dump().map(drop))
+        .map_err(|e| e.to_string());
+    (healthy, served)
+}
+
+#[test]
+fn byte_edits_of_a_store_never_panic_and_open_agrees_with_scrub() {
+    let dir = Path::new("/proj");
+    let files = store_files(dir);
+    let (healthy, served) = scrub_then_open(dir, &files);
+    assert!(healthy && served.is_ok(), "the unedited store: {served:?}");
+    let current = files
+        .iter()
+        .find(|(path, _)| path.ends_with("CURRENT"))
+        .map(|(_, bytes)| String::from_utf8_lossy(bytes).trim().to_owned())
+        .expect("a CURRENT file");
+    let targets = [
+        (format!("snapshot-{current}.txt"), 0x5EED_0033),
+        (format!("tail-{current}.journal"), 0x5EED_0034),
+        ("data.seg".to_owned(), 0x5EED_0035),
+    ];
+    for (name, seed) in targets {
+        let slot = files
+            .iter()
+            .position(|(path, _)| path.ends_with(&name))
+            .unwrap_or_else(|| panic!("no {name} among {files:?}"));
+        let original = &files[slot].1;
+        let mut rng = SplitMix64::new(seed);
+        let random = (0..120).map(|_| {
+            let edited = byte_edited(original, &mut rng);
+            match name != "data.seg" && rng.next_u64().is_multiple_of(2) {
+                true => rechecksummed(&name, edited),
+                false => edited,
+            }
+        });
+        let field_starts = (0..original.len())
+            .filter(|&i| original[i] != b' ' && (i == 0 || original[i - 1] == b' '))
+            .filter(|_| name != "data.seg");
+        let negated = field_starts.map(|at| {
+            let mut edited = original.clone();
+            edited.insert(at, b'-');
+            rechecksummed(&name, edited)
+        });
+        for (edit, edited) in random
+            .collect::<Vec<_>>()
+            .into_iter()
+            .chain(negated)
+            .enumerate()
+        {
+            let mut case = files.clone();
+            case[slot].1 = edited;
+            let outcome = catch_unwind(AssertUnwindSafe(|| scrub_then_open(dir, &case)));
+            let (healthy, served) = outcome.unwrap_or_else(|panic| {
+                let message = panic
+                    .downcast_ref::<String>()
+                    .cloned()
+                    .or_else(|| panic.downcast_ref::<&str>().map(|s| (*s).to_owned()));
+                panic!("{name}, edit {edit}: open or scrub panicked: {message:?}")
+            });
+            assert_eq!(
+                healthy,
+                served.is_ok(),
+                "{name}, edit {edit}: scrub and open disagree: {served:?}"
+            );
+        }
+    }
+}
+
+/// A time past one duration's cap (10^12 days) is a sum of durations —
+/// a planned start, a run's finish, the clock — that the store writes,
+/// so every reader takes it back: a store whose run finishes past
+/// 10^15 milli-days reopens from its tail, reloads from its dump (as
+/// gc does) and reopens from the snapshot compaction writes, and the
+/// scrub calls it healthy.
+#[test]
+fn times_past_one_durations_cap_reopen_reload_and_compact() {
+    let long = WorkDays::new(1e12);
+    let finish = long + long;
+    assert!(finish.millidays() > 1_000_000_000_000_000);
+    let dir = Path::new("/late");
+    let vfs: Arc<dyn Vfs> = MemVfs::new();
+    let db = MetadataDb::for_schema(&schema::examples::circuit_design());
+    let mut store = PersistentStore::create_on(Arc::clone(&vfs), dir, db).unwrap();
+    let session = store.begin_planning(long);
+    let sc = store.plan_activity(session, "Create", long, long).unwrap();
+    store.assign(sc, "alice").unwrap();
+    let run = store.begin_run("Create", "alice", long).unwrap();
+    let data = store.store_data("v.net", b"netlist".to_vec());
+    let e = store.finish_run(run, "netlist", data, finish, &[]).unwrap();
+    store.link_completion(sc, e).unwrap();
+    store.begin_planning(finish);
+    let dump = store.db().try_dump().unwrap();
+    drop(store);
+
+    let mut reopened = PersistentStore::open_on(Arc::clone(&vfs), dir).unwrap();
+    assert_eq!(reopened.db().try_dump().unwrap(), dump);
+    assert_eq!(MetadataDb::load(&dump).unwrap().try_dump().unwrap(), dump);
+    reopened.compact().unwrap();
+    drop(reopened);
+    let compacted = PersistentStore::open_on(Arc::clone(&vfs), dir).unwrap();
+    assert_eq!(compacted.db().try_dump().unwrap(), dump);
+    assert!(fsck::scrub(&*vfs, dir).unwrap().healthy);
 }

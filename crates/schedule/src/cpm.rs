@@ -79,13 +79,6 @@ impl CpmAnalysis {
         &self.critical
     }
 
-    /// The flat total-slack array, indexed by activity index — the
-    /// contiguous view dispatch policies (e.g. min-slack ready-queue
-    /// ordering) consume without per-id lookups.
-    pub fn total_slacks(&self) -> Vec<WorkDays> {
-        self.times.iter().map(|t| t.total_slack).collect()
-    }
-
     /// Number of activities analyzed.
     pub fn len(&self) -> usize {
         self.times.len()

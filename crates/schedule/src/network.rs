@@ -67,14 +67,17 @@ impl WorkDays {
         self.0
     }
 
-    /// A span of `md` milli-days.
+    /// A span of `md` milli-days: any non-negative count, since sums of
+    /// durations (a start, a finish, the clock) pass `try_new`'s cap.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `md` is negative.
-    pub fn from_millidays(md: i64) -> WorkDays {
-        assert!(md >= 0, "duration must be finite and non-negative");
-        WorkDays(md)
+    /// Returns [`ScheduleError::InvalidDuration`] for a negative count.
+    pub fn try_from_millidays(md: i64) -> Result<WorkDays, ScheduleError> {
+        match md >= 0 {
+            true => Ok(WorkDays(md)),
+            false => Err(ScheduleError::InvalidDuration(md as f64 / 1000.0)),
+        }
     }
 }
 
@@ -554,7 +557,16 @@ mod tests {
     fn workdays_round_to_the_milli_day() {
         assert_eq!(WorkDays::new(3.6296).millidays(), 3630);
         assert_eq!(WorkDays::new(0.0004), WorkDays::ZERO);
-        assert_eq!(WorkDays::from_millidays(1585), WorkDays::new(1.585));
+        assert_eq!(WorkDays::try_from_millidays(1585), Ok(WorkDays::new(1.585)));
+        // The milli-day constructor takes every non-negative count.
+        assert_eq!(WorkDays::try_from_millidays(0), Ok(WorkDays::ZERO));
+        assert_eq!(
+            WorkDays::try_from_millidays(i64::MAX).map(WorkDays::millidays),
+            Ok(i64::MAX)
+        );
+        for md in [-1, i64::MIN] {
+            assert!(WorkDays::try_from_millidays(md).is_err(), "{md}");
+        }
         // Sums of rounded values are exact: ten tenths are one day.
         let tenth = WorkDays::new(0.1);
         let mut sum = WorkDays::ZERO;

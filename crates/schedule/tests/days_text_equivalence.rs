@@ -35,13 +35,15 @@ fn reference(md: i64, out: &mut String) {
     }
 }
 
-/// The count of `md` milli-days, of either sign: `WorkDays::new`
-/// refuses negative values, but differences of counts reach them.
+/// The count of `md` milli-days, of either sign: the milli-day
+/// constructor refuses negative counts, but differences of counts reach
+/// them.
 fn count(md: i64) -> WorkDays {
+    let from = |md| WorkDays::try_from_millidays(md).unwrap();
     if md >= 0 {
-        WorkDays::from_millidays(md)
+        from(md)
     } else {
-        WorkDays::ZERO - WorkDays::from_millidays(-(md + 1)) - WorkDays::from_millidays(1)
+        WorkDays::ZERO - from(-(md + 1)) - from(1)
     }
 }
 

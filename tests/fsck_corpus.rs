@@ -2,7 +2,9 @@
 //! `artifacts/corrupt_roots/`: copies of one small project, each with a
 //! different kind of damage (none, torn tail, corrupt interior record,
 //! rotted snapshot, missing `CURRENT`, a `carry-plan` record that
-//! checksums but does not replay, and the data-segment cases). The corpus pins the
+//! checksums but does not replay, a last record that checksums but does
+//! not parse (`negative_md`: a negative milli-day), and the data-segment
+//! cases). The corpus pins the
 //! scrub verdicts — exit code, per-file classification, detail text —
 //! so a recovery-policy change shows up as a reviewable diff, and the
 //! repair test proves `--repair` fixes exactly the repairable cases.
@@ -17,6 +19,8 @@
 use std::fs;
 use std::path::Path;
 use std::process::Command;
+
+use metadata::Store;
 
 /// Runs `herc` from the workspace root (the corpus verdicts embed
 /// root-relative paths, so the cwd matters).
@@ -93,6 +97,7 @@ fn repair_fixes_exactly_the_repairable_cases() {
         "project bad_carry: ok",
         "project healthy: ok",
         "project interior_rot: ok",
+        "project negative_md: ok",
         "project torn_tail: ok",
         "project headless: DAMAGED",
         "project snapshot_rot: DAMAGED",
@@ -101,6 +106,29 @@ fn repair_fixes_exactly_the_repairable_cases() {
     }
     // The damage was quarantined, not deleted.
     assert!(root.join("interior_rot/tail-0.journal.quarantine").exists());
+    let _ = fs::remove_dir_all(&root);
+}
+
+/// A last record that checksums but does not parse is damage, not a
+/// torn append: open refuses it typed, and repair rebuilds the store
+/// from the snapshot and every record before it, so the repaired
+/// project holds what the same root without the bad record holds.
+#[test]
+fn repair_keeps_every_record_before_an_unparsable_one() {
+    let root = scratch_corpus();
+    let dir = root.join("negative_md");
+    let refused = metadata::PersistentStore::open(&dir).expect_err("open refuses the root");
+    assert!(
+        refused
+            .to_string()
+            .contains("unparsable checksummed record"),
+        "{refused}"
+    );
+    herc(&["fsck", root.to_str().expect("utf-8 path"), "--repair"]);
+    let repaired = metadata::PersistentStore::open(&dir).expect("the repaired root opens");
+    let healthy = metadata::PersistentStore::open(root.join("healthy")).expect("healthy opens");
+    assert_eq!(repaired.db().dump(), healthy.db().dump());
+    assert_eq!(repaired.db().schedule_count(), 2);
     let _ = fs::remove_dir_all(&root);
 }
 
@@ -121,6 +149,7 @@ fn open_agrees_with_scrub_on_every_corpus_root() {
         ("data_rot", true, false),
         ("interior_rot", false, false),
         ("bad_carry", false, false),
+        ("negative_md", false, false),
         ("snapshot_rot", false, false),
         ("headless", false, false),
     ];
