@@ -3,15 +3,18 @@
 //! parallel sibling test would pollute):
 //!
 //! 1. **Worker scaling** — request throughput through the server must
-//!    rise ≥2× from 1 to 4 pool workers. Every request burns the same
-//!    simulated session latency under its project's lock, so a flat
-//!    curve means the worker pool (or the admission path in front of
-//!    it) serializes independent projects' sessions.
+//!    rise ≥2× from 1 to 4 pool workers. Every replan burns the same
+//!    simulated commit latency under its project's lock (the bench's
+//!    `slow_manager` store), so a flat curve means the worker pool (or
+//!    the admission path in front of it) serializes independent
+//!    projects' sessions.
 //! 2. **Replan coalescing** — a burst of concurrent replans against
 //!    one project must complete with *fewer kernel passes than
 //!    requests*: `serve::Coalescer` folds waiters arriving during a
 //!    pass into the next one, and every follower still gets a result
-//!    from a pass that started at-or-after its arrival.
+//!    from a pass that started at-or-after its arrival. The test holds
+//!    the project's write lock until the whole burst has arrived, so
+//!    the first pass is still running when the rest queue behind it.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -70,26 +73,34 @@ fn assert_replan_coalescing() {
         Arc::clone(&ws),
         ServerConfig {
             workers: BURST,
-            // Long enough that the whole burst is in flight while the
-            // first pass still holds the project lock.
-            session_latency: Duration::from_millis(20),
             ..ServerConfig::default()
         },
     )
     .expect("bind");
     let addr = server.addr();
 
-    let requests_before = obs::Metrics::counter("serve.replan.requests").get();
+    let requests = obs::Metrics::counter("serve.replan.requests");
+    let requests_before = requests.get();
     let passes_before = obs::Metrics::counter("serve.replan.kernel_passes").get();
+    let p0 = ws.project("p0").expect("seeded project");
     std::thread::scope(|scope| {
-        for _ in 0..BURST {
-            scope.spawn(move || {
-                let resp = Client::new(addr)
-                    .post("/projects/p0/replan?target=signoff_report", b"")
-                    .expect("burst replan");
-                assert_eq!(resp.status, 200, "{}", resp.body);
-            });
-        }
+        // The first pass blocks on the lock this thread holds; the
+        // rest of the burst arrives while it waits.
+        p0.update(|_| {
+            for _ in 0..BURST {
+                scope.spawn(move || {
+                    let resp = Client::new(addr)
+                        .post("/projects/p0/replan?target=signoff_report", b"")
+                        .expect("burst replan");
+                    assert_eq!(resp.status, 200, "{}", resp.body);
+                });
+            }
+            let deadline = Instant::now() + Duration::from_secs(30);
+            while requests.get() - requests_before < BURST as u64 {
+                assert!(Instant::now() < deadline, "the burst never arrived");
+                std::thread::yield_now();
+            }
+        });
     });
     server.shutdown();
     let requests = obs::Metrics::counter("serve.replan.requests").get() - requests_before;

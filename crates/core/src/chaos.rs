@@ -162,7 +162,6 @@ impl ChaosScenario {
             Team::of_size(self.team_size),
             self.project_seed,
         );
-        h.set_execution_policy(self.policy);
         h.enable_journal();
         if let Err(e) = h.plan(&self.target) {
             report.violations.push(format!("plan failed: {e}"));
@@ -174,7 +173,7 @@ impl ChaosScenario {
         h.set_fault_plan(FaultPlan::seeded(self.fault_seed).with_persistent_rate(0.25));
 
         // Property 1: injected tool faults never abort the session.
-        let exec = match h.execute(&self.target) {
+        let exec = match h.execute_with(&self.target, self.policy, None) {
             Ok(r) => r,
             Err(e) => {
                 report
@@ -252,7 +251,7 @@ impl ChaosScenario {
         h2.inject_db_crash_after(self.crash_after);
         let followup: Result<(), HerculesError> = (|| {
             h2.replan(&self.target)?;
-            h2.execute(&self.target)?;
+            h2.execute_with(&self.target, self.policy, None)?;
             Ok(())
         })();
         report.crash_fired = h2.db().has_crashed();

@@ -45,6 +45,7 @@ use crate::error::HerculesError;
 use crate::execute::{ActivityExecution, BlockedActivity, ExecutionReport, ITERATION_CAP};
 use crate::manager::Hercules;
 use crate::policy::{DispatchContext, ReadyTask, SchedulingPolicy, WorkerSnapshot};
+use crate::retry;
 
 /// What one activity step left: the time it reached, its runs and
 /// failed attempts, the time faults burned, and its final instance —
@@ -243,7 +244,6 @@ impl Hercules {
         }
 
         let injector = self.fault_injector.clone();
-        let retry = self.retry_policy;
         let mut executions = Vec::new();
         let mut blocked_rows: Vec<BlockedActivity> = Vec::new();
         let mut skipped: Vec<String> = Vec::new();
@@ -395,7 +395,7 @@ impl Hercules {
                             let frac = injector.crash_fraction(&tool_name, &req, attempts);
                             let burned =
                                 WorkDays::new((attempted.outcome.duration_days / speed) * frac)
-                                    + retry.backoff(attempts);
+                                    + retry::backoff(attempts);
                             fault_time += burned;
                             t += burned;
                             obs::Collector::set_sim_md(t.millidays());
@@ -405,8 +405,7 @@ impl Hercules {
                                 attempt = attempts,
                                 burned_days = burned.days(),
                             );
-                            if attempts >= retry.max_attempts || fault_time > retry.activity_budget
-                            {
+                            if retry::exhausted(attempts, fault_time) {
                                 blocked = true;
                                 break;
                             }
@@ -415,7 +414,7 @@ impl Hercules {
                         // retry.
                         Some(InjectedFault::Hang) => {
                             attempts += 1;
-                            let burned = retry.timeout + retry.backoff(attempts);
+                            let burned = retry::timeout() + retry::backoff(attempts);
                             fault_time += burned;
                             t += burned;
                             obs::Collector::set_sim_md(t.millidays());
@@ -425,8 +424,7 @@ impl Hercules {
                                 attempt = attempts,
                                 burned_days = burned.days(),
                             );
-                            if attempts >= retry.max_attempts || fault_time > retry.activity_budget
-                            {
+                            if retry::exhausted(attempts, fault_time) {
                                 blocked = true;
                                 break;
                             }

@@ -8,6 +8,7 @@ use simtools::{InjectedFault, ToolInvocation};
 use crate::error::HerculesError;
 use crate::manager::Hercules;
 use crate::policy::{ExecutionPolicy, SchedulingPolicy};
+use crate::retry;
 
 /// Hard cap on iterations per activity, so a pathological tool model
 /// cannot spin forever. Real tool models converge far earlier. Hitting
@@ -177,23 +178,20 @@ impl Hercules {
     /// complete are skipped (their final instance is reused), so
     /// re-executing after replanning only redoes open work.
     ///
-    /// Dispatch runs through the policy engine under the manager's
-    /// configured [`ExecutionPolicy`] and simulated
-    /// [`Cluster`](simtools::cluster::Cluster) (see
-    /// [`set_execution_policy`](Hercules::set_execution_policy) and
-    /// [`set_cluster`](Hercules::set_cluster)). The defaults — the
+    /// Dispatch runs through the policy engine under the
     /// [`Fifo`](crate::policy::Fifo) policy on the implicit
-    /// one-worker-per-designer cluster — reproduce the original serial
-    /// topo-order executor exactly, report and store mutations alike
-    /// ([`execute_serial_reference`](Hercules::execute_serial_reference)
-    /// is the pinned oracle).
+    /// one-worker-per-designer cluster, which reproduces the original
+    /// serial topo-order executor exactly, report and store mutations
+    /// alike ([`execute_serial_reference`](Hercules::execute_serial_reference)
+    /// is the pinned oracle). [`execute_with`](Hercules::execute_with)
+    /// picks another [`ExecutionPolicy`] or a simulated
+    /// [`Cluster`](simtools::cluster::Cluster).
     ///
     /// # Failure semantics
     ///
     /// When a fault plan is installed
     /// ([`set_fault_plan`](Hercules::set_fault_plan)), tool attempts
-    /// may fail. The [`RetryPolicy`](crate::RetryPolicy) governs the
-    /// response:
+    /// may fail. The fixed retry policy governs the response:
     ///
     /// * **Transient** crashes charge the elapsed fraction of the run
     ///   plus a capped exponential backoff, then retry.
@@ -222,14 +220,11 @@ impl Hercules {
     /// * [`HerculesError::Metadata`] — database integrity failure,
     ///   including an armed crash injection firing mid-execution.
     pub fn execute(&mut self, target: &str) -> Result<ExecutionReport, HerculesError> {
-        let policy = self.execution_policy;
-        let cluster = self.cluster.clone();
-        self.execute_with(target, policy, cluster.as_ref())
+        self.execute_with(target, ExecutionPolicy::Fifo, None)
     }
 
     /// [`execute`](Hercules::execute) under an explicit policy and
-    /// cluster, overriding the manager's configured defaults for this
-    /// call only. `cluster = None` selects the implicit
+    /// cluster. `cluster = None` selects the implicit
     /// one-worker-per-designer substrate.
     ///
     /// # Errors
@@ -353,7 +348,6 @@ impl Hercules {
             .collect();
 
         let injector = self.fault_injector.clone();
-        let policy = self.retry_policy;
         let mut executions = Vec::new();
         let mut blocked_rows: Vec<BlockedActivity> = Vec::new();
         let mut skipped: Vec<String> = Vec::new();
@@ -471,7 +465,7 @@ impl Hercules {
                         attempts += 1;
                         let frac = injector.crash_fraction(&tool_name, &req, attempts);
                         let burned = WorkDays::new(attempted.outcome.duration_days * frac)
-                            + policy.backoff(attempts);
+                            + retry::backoff(attempts);
                         fault_time += burned;
                         t += burned;
                         obs::Collector::set_sim_md(t.millidays());
@@ -481,7 +475,7 @@ impl Hercules {
                             attempt = attempts,
                             burned_days = burned.days(),
                         );
-                        if attempts >= policy.max_attempts || fault_time > policy.activity_budget {
+                        if retry::exhausted(attempts, fault_time) {
                             blocked = true;
                             break;
                         }
@@ -490,7 +484,7 @@ impl Hercules {
                     // retry.
                     Some(InjectedFault::Hang) => {
                         attempts += 1;
-                        let burned = policy.timeout + policy.backoff(attempts);
+                        let burned = retry::timeout() + retry::backoff(attempts);
                         fault_time += burned;
                         t += burned;
                         obs::Collector::set_sim_md(t.millidays());
@@ -500,7 +494,7 @@ impl Hercules {
                             attempt = attempts,
                             burned_days = burned.days(),
                         );
-                        if attempts >= policy.max_attempts || fault_time > policy.activity_budget {
+                        if retry::exhausted(attempts, fault_time) {
                             blocked = true;
                             break;
                         }
@@ -762,7 +756,7 @@ mod tests {
         assert!(report.is_degraded());
         assert!(!report.all_converged());
         let b = report.blocked_activity("Create").unwrap();
-        assert_eq!(b.attempts, h.retry_policy().max_attempts);
+        assert_eq!(b.attempts, retry::MAX_ATTEMPTS);
         assert!(b.fault_time.days() > 0.0);
         assert_eq!(b.runs_recorded, 0, "broken tool never finished a run");
         assert_eq!(report.skipped(), ["Simulate".to_owned()]);
@@ -1170,10 +1164,9 @@ mod tests {
         let baseline = build().execute("merged").unwrap();
         for policy in crate::policy::ExecutionPolicy::ALL {
             let run = || {
-                let mut h = build();
-                h.set_execution_policy(policy);
-                h.set_cluster(cluster.clone());
-                h.execute("merged").unwrap()
+                build()
+                    .execute_with("merged", policy, Some(&cluster))
+                    .unwrap()
             };
             let a = run();
             assert_eq!(a, run(), "{policy} not deterministic on the cluster");

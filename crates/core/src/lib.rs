@@ -85,7 +85,6 @@ pub use optimize::{CrashAdvice, TeamPoint, TeamSweep};
 pub use plan::{PlannedActivity, SchedulePlan};
 pub use policy::{ExecutionPolicy, SchedulingPolicy};
 pub use replan::ReplanOutcome;
-pub use retry::RetryPolicy;
 pub use rollup::{BlockStatus, Decomposition};
 pub use status::{ActivityState, StatusReport};
 pub use task::TaskTree;

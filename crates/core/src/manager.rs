@@ -7,12 +7,8 @@ use schema::TaskSchema;
 use simtools::workload::{primary_input_data, Team};
 use simtools::{FaultInjector, ToolLibrary};
 
-use simtools::cluster::Cluster;
-
 use crate::error::HerculesError;
 use crate::plan::PlanningView;
-use crate::policy::ExecutionPolicy;
-use crate::retry::RetryPolicy;
 use crate::task::TaskTree;
 
 /// The integrated workflow manager: one object owning the task schema
@@ -54,19 +50,8 @@ pub struct Hercules {
     /// The fault policy layered over tool invocations during
     /// [`execute`](Hercules::execute). Defaults to no faults.
     pub(crate) fault_injector: FaultInjector,
-    /// How execution reacts to injected faults: retries, backoff,
-    /// timeouts, and the blocked-activity budget.
-    pub(crate) retry_policy: RetryPolicy,
     /// Activities declared blocked after exhausting the retry policy.
     pub(crate) blocked: BTreeSet<String>,
-    /// The scheduling policy [`execute`](Hercules::execute) dispatches
-    /// under. Defaults to [`ExecutionPolicy::Fifo`], which on the
-    /// default implicit cluster reproduces the serial executor.
-    pub(crate) execution_policy: ExecutionPolicy,
-    /// The simulated cluster execution dispatches onto. `None` (the
-    /// default) is the implicit substrate: one full-speed worker per
-    /// designer, activities bound to their assignee's worker.
-    pub(crate) cluster: Option<Cluster>,
 }
 
 impl Hercules {
@@ -109,10 +94,7 @@ impl Hercules {
             supplied: HashMap::new(),
             view,
             fault_injector: FaultInjector::none(),
-            retry_policy: RetryPolicy::default(),
             blocked: BTreeSet::new(),
-            execution_policy: ExecutionPolicy::default(),
-            cluster: None,
         };
         h.adopt_store_state();
         h
@@ -125,73 +107,6 @@ impl Hercules {
     /// [`FaultInjector`].
     pub fn set_fault_plan(&mut self, faults: impl Into<FaultInjector>) {
         self.fault_injector = faults.into();
-    }
-
-    /// Builder-style variant of [`set_fault_plan`](Hercules::set_fault_plan).
-    #[must_use]
-    pub fn with_fault_plan(mut self, faults: impl Into<FaultInjector>) -> Self {
-        self.set_fault_plan(faults);
-        self
-    }
-
-    /// The installed fault policy.
-    pub fn fault_injector(&self) -> &FaultInjector {
-        &self.fault_injector
-    }
-
-    /// Replaces the retry policy governing fault handling during
-    /// execution.
-    pub fn set_retry_policy(&mut self, policy: RetryPolicy) {
-        self.retry_policy = policy;
-    }
-
-    /// Selects the scheduling policy subsequent
-    /// [`execute`](Hercules::execute) calls dispatch under. The default
-    /// [`ExecutionPolicy::Fifo`] reproduces the serial dependency-order
-    /// executor on the implicit cluster.
-    pub fn set_execution_policy(&mut self, policy: ExecutionPolicy) {
-        self.execution_policy = policy;
-    }
-
-    /// Builder-style variant of
-    /// [`set_execution_policy`](Hercules::set_execution_policy).
-    #[must_use]
-    pub fn with_execution_policy(mut self, policy: ExecutionPolicy) -> Self {
-        self.set_execution_policy(policy);
-        self
-    }
-
-    /// The configured execution policy.
-    pub fn execution_policy(&self) -> ExecutionPolicy {
-        self.execution_policy
-    }
-
-    /// Installs (or with `None`, removes) the simulated cluster
-    /// subsequent [`execute`](Hercules::execute) calls dispatch onto.
-    /// Without one, execution runs on the implicit substrate: one
-    /// full-speed worker per designer, each activity bound to its
-    /// assignee. With an explicit cluster, the policy places every
-    /// activity on any worker; durations scale with worker speed and
-    /// entity hand-off pays the cluster's seeded network delay.
-    pub fn set_cluster(&mut self, cluster: impl Into<Option<Cluster>>) {
-        self.cluster = cluster.into();
-    }
-
-    /// Builder-style variant of [`set_cluster`](Hercules::set_cluster).
-    #[must_use]
-    pub fn with_cluster(mut self, cluster: impl Into<Option<Cluster>>) -> Self {
-        self.set_cluster(cluster);
-        self
-    }
-
-    /// The configured simulated cluster, if any.
-    pub fn cluster(&self) -> Option<&Cluster> {
-        self.cluster.as_ref()
-    }
-
-    /// The retry policy governing fault handling during execution.
-    pub fn retry_policy(&self) -> RetryPolicy {
-        self.retry_policy
     }
 
     /// Activities currently declared blocked (retry policy exhausted by

@@ -338,7 +338,7 @@ where
 
 /// The built-in policies, selectable by name — the form the CLI
 /// (`herc ws run --policy`), the serve `run` endpoint (`?policy=`),
-/// and [`Hercules::set_execution_policy`](crate::Hercules::set_execution_policy)
+/// and [`Hercules::execute_with`](crate::Hercules::execute_with)
 /// traffic in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ExecutionPolicy {

@@ -1,4 +1,4 @@
-//! Retry and timeout policy for fault-tolerant execution.
+//! Retry and timeout rules for fault-tolerant execution.
 //!
 //! When the tool substrate injects failures (see
 //! [`simtools::FaultPlan`]), the execution engine does what a real
@@ -6,81 +6,63 @@
 //! runs at a timeout, and — when an activity keeps failing — mark it
 //! *blocked* and replan around it rather than abort the session.
 //!
+//! The rules are fixed: up to [`MAX_ATTEMPTS`] failed attempts with
+//! backoff 0.25 → 0.5 → 1.0 → 2.0 days (capped at 2 days), hangs killed
+//! after 1 working day, and an activity blocked once faults have burned
+//! more than 10 working days.
+//!
 //! All budgets are expressed in simulated [`WorkDays`], the same unit
 //! as tool durations, so fault handling shows up in the schedule like
 //! any other work: a transient crash costs the fraction of the run
 //! that elapsed before the crash plus the backoff; a hang costs the
-//! full [`timeout`](RetryPolicy::timeout).
+//! full [`timeout`].
 
 use schedule::WorkDays;
 
-/// How the execution engine responds to injected tool failures: capped
-/// exponential backoff between retries, a kill timeout for hangs, and
-/// two exhaustion criteria (attempt count, burned time) after which the
-/// activity is declared blocked.
-///
-/// The default policy retries up to [`max_attempts`] times with
-/// backoff 0.25 → 0.5 → 1.0 → 2.0 days (capped at
-/// [`max_backoff`]), kills hangs after 1 working day, and blocks an
-/// activity once faults have burned more than 10 working days.
-///
-/// [`max_attempts`]: RetryPolicy::max_attempts
-/// [`max_backoff`]: RetryPolicy::max_backoff
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RetryPolicy {
-    /// Maximum failed attempts (transient or hang) per activity before
-    /// it is declared blocked. Successful runs and corrupt-output runs
-    /// do not count against this budget — they are *iterations*, not
-    /// attempts.
-    pub max_attempts: u32,
-    /// Backoff after the first failed attempt.
-    pub base_backoff: WorkDays,
-    /// Multiplier applied to the backoff after each further failure.
-    pub backoff_factor: f64,
-    /// Upper bound on any single backoff interval.
-    pub max_backoff: WorkDays,
-    /// Wall-clock budget charged for a hung run before it is killed.
-    pub timeout: WorkDays,
-    /// Total simulated time an activity may burn on faults (crash
-    /// fractions, timeouts, backoffs) before it is declared blocked,
-    /// regardless of the attempt count.
-    pub activity_budget: WorkDays,
+/// Maximum failed attempts (transient or hang) per activity before it
+/// is declared blocked. Successful runs and corrupt-output runs do not
+/// count against this budget — they are *iterations*, not attempts.
+pub(crate) const MAX_ATTEMPTS: u32 = 4;
+
+/// Backoff after the first failed attempt, in milli-days; each further
+/// failure doubles it.
+const BASE_BACKOFF_MD: i64 = 250;
+
+/// Upper bound on any single backoff interval, in milli-days.
+const MAX_BACKOFF_MD: i64 = 2_000;
+
+/// Time charged for a hung run before it is killed, in milli-days.
+const TIMEOUT_MD: i64 = 1_000;
+
+/// Total simulated time an activity may burn on faults (crash
+/// fractions, timeouts, backoffs) before it is declared blocked,
+/// regardless of the attempt count, in milli-days.
+const ACTIVITY_BUDGET_MD: i64 = 10_000;
+
+fn millidays(md: i64) -> WorkDays {
+    WorkDays::try_from_millidays(md).expect("retry constants are non-negative")
 }
 
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 4,
-            base_backoff: WorkDays::new(0.25),
-            backoff_factor: 2.0,
-            max_backoff: WorkDays::new(2.0),
-            timeout: WorkDays::new(1.0),
-            activity_budget: WorkDays::new(10.0),
-        }
+/// The backoff interval after the `attempt`-th failed attempt
+/// (1-based): `0.25 × 2^(attempt−1)` days, capped at 2 days. Attempt 0
+/// returns zero.
+pub(crate) fn backoff(attempt: u32) -> WorkDays {
+    if attempt == 0 {
+        return WorkDays::ZERO;
     }
+    let doublings = (attempt - 1).min(32);
+    millidays((BASE_BACKOFF_MD << doublings).min(MAX_BACKOFF_MD))
 }
 
-impl RetryPolicy {
-    /// The backoff interval after the `attempt`-th failed attempt
-    /// (1-based): `base * factor^(attempt-1)`, capped at
-    /// [`max_backoff`](RetryPolicy::max_backoff). Attempt 0 returns
-    /// zero.
-    pub fn backoff(&self, attempt: u32) -> WorkDays {
-        if attempt == 0 {
-            return WorkDays::ZERO;
-        }
-        let exp = (attempt - 1).min(63) as i32;
-        let raw = self.base_backoff.days() * self.backoff_factor.powi(exp);
-        WorkDays::new(raw.min(self.max_backoff.days()))
-    }
+/// The time a hung run burns before it is killed.
+pub(crate) fn timeout() -> WorkDays {
+    millidays(TIMEOUT_MD)
+}
 
-    /// Total backoff time if all `attempts` failed — an upper bound the
-    /// chaos suite uses to sanity-check burned fault time.
-    pub fn total_backoff(&self, attempts: u32) -> WorkDays {
-        (1..=attempts)
-            .map(|a| self.backoff(a))
-            .fold(WorkDays::ZERO, |acc, b| acc + b)
-    }
+/// Whether an activity with `attempts` failed attempts and
+/// `fault_time` burned on faults is blocked.
+pub(crate) fn exhausted(attempts: u32, fault_time: WorkDays) -> bool {
+    attempts >= MAX_ATTEMPTS || fault_time.millidays() > ACTIVITY_BUDGET_MD
 }
 
 #[cfg(test)]
@@ -89,26 +71,18 @@ mod tests {
 
     #[test]
     fn default_backoff_doubles_and_caps() {
-        let p = RetryPolicy::default();
-        assert_eq!(p.backoff(0), WorkDays::ZERO);
-        assert_eq!(p.backoff(1), WorkDays::new(0.25));
-        assert_eq!(p.backoff(2), WorkDays::new(0.5));
-        assert_eq!(p.backoff(3), WorkDays::new(1.0));
-        assert_eq!(p.backoff(4), WorkDays::new(2.0));
+        assert_eq!(backoff(0), WorkDays::ZERO);
+        assert_eq!(backoff(1), WorkDays::new(0.25));
+        assert_eq!(backoff(2), WorkDays::new(0.5));
+        assert_eq!(backoff(3), WorkDays::new(1.0));
+        assert_eq!(backoff(4), WorkDays::new(2.0));
         // Capped from here on.
-        assert_eq!(p.backoff(5), WorkDays::new(2.0));
-        assert_eq!(p.backoff(40), WorkDays::new(2.0));
-    }
-
-    #[test]
-    fn total_backoff_sums_intervals() {
-        let p = RetryPolicy::default();
-        assert_eq!(p.total_backoff(3), WorkDays::new(0.25 + 0.5 + 1.0));
+        assert_eq!(backoff(5), WorkDays::new(2.0));
+        assert_eq!(backoff(40), WorkDays::new(2.0));
     }
 
     #[test]
     fn huge_attempt_does_not_overflow() {
-        let p = RetryPolicy::default();
-        assert_eq!(p.backoff(u32::MAX), p.max_backoff);
+        assert_eq!(backoff(u32::MAX), WorkDays::new(2.0));
     }
 }

@@ -397,7 +397,17 @@ impl Workspace {
         }
     }
 
-    fn register(&self, name: &str, manager: Hercules) -> Result<Arc<Project>, WorkspaceError> {
+    /// Registers a manager the caller built, under `name` and the next
+    /// obs lane: the seam for a project over a [`Store`] of the
+    /// caller's own (see [`Hercules::with_store`]). The workspace
+    /// takes the manager as it is and writes nothing under its root.
+    ///
+    /// # Errors
+    ///
+    /// [`WorkspaceError::InvalidName`] for unusable names, or
+    /// [`WorkspaceError::DuplicateProject`] if the name is taken.
+    pub fn register(&self, name: &str, manager: Hercules) -> Result<Arc<Project>, WorkspaceError> {
+        validate_name(name)?;
         let mut projects = self.projects.write().unwrap_or_else(|e| e.into_inner());
         if projects.contains_key(name) {
             return Err(WorkspaceError::DuplicateProject(name.to_owned()));
@@ -645,6 +655,39 @@ mod tests {
         let b = add(&ws, "b");
         let c = add(&ws, "c");
         assert_eq!((a.lane(), b.lane(), c.lane()), (1, 2, 3));
+    }
+
+    #[test]
+    fn register_assigns_lanes_and_refuses_taken_or_bad_names() {
+        let ws = Workspace::in_memory();
+        let manager = || {
+            Hercules::new(
+                examples::circuit_design(),
+                ToolLibrary::standard(),
+                Team::of_size(2),
+                7,
+            )
+        };
+        let a = add(&ws, "a");
+        let b = ws.register("b", manager()).unwrap();
+        let c = add(&ws, "c");
+        assert_eq!((a.lane(), b.lane(), c.lane()), (1, 2, 3));
+        assert!(Arc::ptr_eq(&ws.project("b").unwrap(), &b));
+        for taken in ["a", "b"] {
+            assert!(matches!(
+                ws.register(taken, manager()),
+                Err(WorkspaceError::DuplicateProject(_))
+            ));
+        }
+        for bad in ["", "..", "a/b", ".hidden"] {
+            assert!(matches!(
+                ws.register(bad, manager()),
+                Err(WorkspaceError::InvalidName(_))
+            ));
+        }
+        // A refused registration takes no lane.
+        assert_eq!(add(&ws, "d").lane(), 4);
+        assert_eq!(ws.names(), ["a", "b", "c", "d"]);
     }
 
     #[test]

@@ -49,4 +49,4 @@ pub mod builder;
 pub use analysis::{GraphStats, LongestPath};
 pub use dag::{Dag, EdgeId, EdgeRef, NodeId, NodeRef};
 pub use error::GraphError;
-pub use traversal::{Bfs, Dfs, PostOrder, ReverseBfs};
+pub use traversal::{Bfs, Dfs, PostOrder};

@@ -124,35 +124,6 @@ impl<N, E> Dag<N, E> {
             visited,
         }
     }
-
-    /// Reverse-reachability iterator: breadth-first order over
-    /// *predecessors* starting from `roots` (multi-root).
-    ///
-    /// Yields every node that can reach some root — the *backward cone*
-    /// a schedule change invalidates late dates/slack for. The forward
-    /// mirror is [`bfs`](Dag::bfs) / [`output_cone`](Dag::output_cone);
-    /// this iterator streams the cone instead of materialising a set,
-    /// which is what the incremental CPM engine wants for dirty-region
-    /// invalidation.
-    ///
-    /// Duplicate roots are visited once. Each root is yielded first (in
-    /// the order given), then predecessors layer by layer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any root is not a node of this graph.
-    pub fn reverse_bfs(&self, roots: &[NodeId]) -> ReverseBfs {
-        let mut visited = vec![false; self.node_count()];
-        let mut queue = VecDeque::with_capacity(roots.len());
-        for &root in roots {
-            assert!(self.contains_node(root), "unknown root {root}");
-            if !visited[root.index()] {
-                visited[root.index()] = true;
-                queue.push_back(root);
-            }
-        }
-        ReverseBfs { queue, visited }
-    }
 }
 
 /// Iterator state for [`Dag::dfs`]. Advance it with
@@ -205,38 +176,6 @@ impl Bfs {
             if !self.visited[s.index()] {
                 self.visited[s.index()] = true;
                 self.queue.push_back(s);
-            }
-        }
-        Some(v)
-    }
-
-    /// Drains the traversal into a vector.
-    pub fn collect_in<N, E>(mut self, graph: &Dag<N, E>) -> Vec<NodeId> {
-        let mut out = Vec::new();
-        while let Some(v) = self.next_in(graph) {
-            out.push(v);
-        }
-        out
-    }
-}
-
-/// Iterator state for [`Dag::reverse_bfs`]. Advance it with
-/// [`next_in`](ReverseBfs::next_in), passing the graph each step.
-#[derive(Debug, Clone)]
-pub struct ReverseBfs {
-    queue: VecDeque<NodeId>,
-    visited: Vec<bool>,
-}
-
-impl ReverseBfs {
-    /// Returns the next node of the backward cone in breadth-first
-    /// order, or `None` when exhausted.
-    pub fn next_in<N, E>(&mut self, graph: &Dag<N, E>) -> Option<NodeId> {
-        let v = self.queue.pop_front()?;
-        for p in graph.predecessors(v) {
-            if !self.visited[p.index()] {
-                self.visited[p.index()] = true;
-                self.queue.push_back(p);
             }
         }
         Some(v)
@@ -368,33 +307,5 @@ mod tests {
     fn dfs_from_sink_sees_only_itself() {
         let (g, [.., d]) = diamond();
         assert_eq!(g.dfs(d).collect_in(&g), vec![d]);
-    }
-
-    #[test]
-    fn reverse_bfs_walks_backward_cone() {
-        let (g, [a, b, c, d]) = diamond();
-        let seen = g.reverse_bfs(&[d]).collect_in(&g);
-        assert_eq!(seen, vec![d, b, c, a]);
-        // Matches the input cone as a set.
-        let cone = g.input_cone(&[d]);
-        assert_eq!(seen.len(), cone.len());
-        assert!(seen.iter().all(|n| cone.contains(n)));
-    }
-
-    #[test]
-    fn reverse_bfs_multi_root_dedups() {
-        let (g, [a, b, c, _d]) = diamond();
-        let seen = g.reverse_bfs(&[b, c, b]).collect_in(&g);
-        assert_eq!(seen, vec![b, c, a]);
-        let unique: std::collections::HashSet<_> = seen.iter().collect();
-        assert_eq!(unique.len(), seen.len());
-    }
-
-    #[test]
-    fn reverse_bfs_from_source_sees_only_itself() {
-        let (g, [a, ..]) = diamond();
-        assert_eq!(g.reverse_bfs(&[a]).collect_in(&g), vec![a]);
-        // Empty root set yields nothing.
-        assert!(g.reverse_bfs(&[]).collect_in(&g).is_empty());
     }
 }

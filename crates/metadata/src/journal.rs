@@ -512,22 +512,6 @@ impl Journal {
         Framing::V1.encode_tail(self)
     }
 
-    /// The length in bytes of [`to_text`](Journal::to_text), measured
-    /// one record at a time instead of building the whole text.
-    pub(crate) fn text_len(&self) -> u64 {
-        let mut record = String::new();
-        let records: usize = self
-            .ops
-            .iter()
-            .map(|op| {
-                record.clear();
-                Framing::V1.encode_tail_record_into(op, &mut record);
-                record.len()
-            })
-            .sum();
-        (Framing::V1.tail_header().len() + 1 + records) as u64
-    }
-
     /// Synthesises the *minimal* redo journal whose replay reproduces
     /// `db` — the compaction emission. [`MetadataDb::recover`] of the
     /// returned journal yields a database whose

@@ -268,11 +268,12 @@ pub struct CompactionStats {
     /// Redo ops in the tail afterwards (always 0 for the persistent
     /// store; the compacted journal length for the arena).
     pub tail_ops_after: usize,
-    /// Bytes held by the engine before (snapshot + tail files, or the
-    /// journal text for the arena). The data segment, which compaction
-    /// never rewrites, is not counted.
+    /// Bytes the engine held in files before: the snapshot and the
+    /// tail. The data segment, which compaction never rewrites, is not
+    /// counted. Always 0 for the arena, which holds no files; its
+    /// journal's size shows in `tail_ops_before`.
     pub bytes_before: u64,
-    /// Bytes held afterwards.
+    /// Bytes held in files afterwards (0 for the arena).
     pub bytes_after: u64,
     /// The store generation after compaction. Handles minted before it
     /// are now stale.
@@ -627,10 +628,7 @@ impl Store for ArenaStore {
     fn compact(&mut self) -> Result<CompactionStats, StoreError> {
         self.db.check_alive()?;
         let had_journal = self.db.journal().is_some();
-        let (ops_before, bytes_before) = match self.db.journal() {
-            Some(j) => (j.len(), j.text_len()),
-            None => (0, 0),
-        };
+        let ops_before = self.db.journal().map_or(0, Journal::len);
         // Reload from our own dump at a bumped generation: slots are
         // preserved (dumps are allocation-ordered) but every handle
         // minted before this call is now stale.
@@ -638,20 +636,19 @@ impl Store for ArenaStore {
         let dump = self.db.dump();
         let mut fresh = MetadataDb::load_at(&dump, generation).map_err(StoreError::Load)?;
         let compacted = Journal::compacted_from(&fresh);
-        let (ops_after, bytes_after) = if had_journal {
+        let ops_after = if had_journal {
             let len = compacted.len();
-            let bytes = compacted.text_len();
             fresh.journal = Some(compacted);
-            (len, bytes)
+            len
         } else {
-            (0, 0)
+            0
         };
         self.db = fresh;
         Ok(CompactionStats {
             tail_ops_before: ops_before,
             tail_ops_after: ops_after,
-            bytes_before,
-            bytes_after,
+            bytes_before: 0,
+            bytes_after: 0,
             generation,
         })
     }

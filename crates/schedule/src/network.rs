@@ -365,52 +365,9 @@ impl ScheduleNetwork {
         self.dag.successors(id.0).map(ActivityId)
     }
 
-    /// Activities with no predecessors.
-    pub fn start_activities(&self) -> Vec<ActivityId> {
-        self.dag.sources().into_iter().map(ActivityId).collect()
-    }
-
     /// Activities with no successors.
     pub fn finish_activities(&self) -> Vec<ActivityId> {
         self.dag.sinks().into_iter().map(ActivityId).collect()
-    }
-
-    /// All activities downstream of `id` (including `id`) — the set a
-    /// slip in `id` can affect.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is not an activity of this network.
-    pub fn downstream(&self, id: ActivityId) -> Vec<ActivityId> {
-        let mut ids: Vec<ActivityId> = self
-            .dag
-            .output_cone(&[id.0])
-            .into_iter()
-            .map(ActivityId)
-            .collect();
-        ids.sort();
-        ids
-    }
-
-    /// All activities upstream of `id` (including `id`) — the backward
-    /// cone whose late dates and slack a change in `id` can affect.
-    ///
-    /// Mirror of [`downstream`](ScheduleNetwork::downstream), streamed
-    /// through [`flowgraph`]'s reverse-reachability iterator.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is not an activity of this network.
-    pub fn upstream(&self, id: ActivityId) -> Vec<ActivityId> {
-        let mut ids: Vec<ActivityId> = self
-            .dag
-            .reverse_bfs(&[id.0])
-            .collect_in(&self.dag)
-            .into_iter()
-            .map(ActivityId)
-            .collect();
-        ids.sort();
-        ids
     }
 
     /// Activities in precedence order (every predecessor before its
@@ -446,71 +403,6 @@ impl ScheduleNetwork {
     /// Raw milli-day durations, indexed by [`ActivityId::index`].
     pub(crate) fn durations_raw(&self) -> &[i64] {
         &self.durations
-    }
-}
-
-impl ScheduleNetwork {
-    /// Renders the network in Graphviz DOT, highlighting the critical
-    /// path in bold red (running [`analyze`](ScheduleNetwork::analyze)
-    /// internally).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`ScheduleError`] from the analysis (infallible for
-    /// networks built through the public API).
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use schedule::{ScheduleNetwork, WorkDays};
-    ///
-    /// # fn main() -> Result<(), schedule::ScheduleError> {
-    /// let mut net = ScheduleNetwork::new();
-    /// let a = net.add_activity("route", WorkDays::new(2.0))?;
-    /// let b = net.add_activity("signoff", WorkDays::new(1.0))?;
-    /// net.add_precedence(a, b)?;
-    /// let dot = net.to_dot()?;
-    /// assert!(dot.contains("color=red"));
-    /// # Ok(())
-    /// # }
-    /// ```
-    pub fn to_dot(&self) -> Result<String, ScheduleError> {
-        let cpm = self.analyze()?;
-        let mut out = String::from("digraph schedule {\n  rankdir=LR;\n");
-        for id in self.activities() {
-            let times = cpm.times(id);
-            let style = if cpm.is_critical(id) {
-                ", color=red, style=bold"
-            } else {
-                ""
-            };
-            out.push_str(&format!(
-                "  \"{}\" [label=\"{}\\n{} [{} .. {}]\"{}];\n",
-                self.name(id),
-                self.name(id),
-                self.duration(id),
-                times.early_start,
-                times.early_finish,
-                style
-            ));
-        }
-        for id in self.activities() {
-            for succ in self.successors(id) {
-                let style = if cpm.is_critical(id) && cpm.is_critical(succ) {
-                    " [color=red, style=bold]"
-                } else {
-                    ""
-                };
-                out.push_str(&format!(
-                    "  \"{}\" -> \"{}\"{};\n",
-                    self.name(id),
-                    self.name(succ),
-                    style
-                ));
-            }
-        }
-        out.push_str("}\n");
-        Ok(out)
     }
 }
 
@@ -608,7 +500,6 @@ mod tests {
         assert_eq!(net.precedence_count(), 1);
         assert_eq!(net.activity("B"), Some(b));
         assert_eq!(net.name(a), "A");
-        assert_eq!(net.start_activities(), vec![a]);
         assert_eq!(net.finish_activities(), vec![b]);
     }
 
@@ -645,35 +536,6 @@ mod tests {
     }
 
     #[test]
-    fn downstream_cone() {
-        let mut net = ScheduleNetwork::new();
-        let a = net.add_activity("A", WorkDays::ZERO).unwrap();
-        let b = net.add_activity("B", WorkDays::ZERO).unwrap();
-        let c = net.add_activity("C", WorkDays::ZERO).unwrap();
-        let d = net.add_activity("D", WorkDays::ZERO).unwrap();
-        net.add_precedence(a, b).unwrap();
-        net.add_precedence(b, c).unwrap();
-        net.add_precedence(a, d).unwrap();
-        assert_eq!(net.downstream(b), vec![b, c]);
-        assert_eq!(net.downstream(a).len(), 4);
-    }
-
-    #[test]
-    fn upstream_cone_mirrors_downstream() {
-        let mut net = ScheduleNetwork::new();
-        let a = net.add_activity("A", WorkDays::ZERO).unwrap();
-        let b = net.add_activity("B", WorkDays::ZERO).unwrap();
-        let c = net.add_activity("C", WorkDays::ZERO).unwrap();
-        let d = net.add_activity("D", WorkDays::ZERO).unwrap();
-        net.add_precedence(a, b).unwrap();
-        net.add_precedence(b, c).unwrap();
-        net.add_precedence(a, d).unwrap();
-        assert_eq!(net.upstream(c), vec![a, b, c]);
-        assert_eq!(net.upstream(a), vec![a]);
-        assert_eq!(net.upstream(d), vec![a, d]);
-    }
-
-    #[test]
     fn structure_revision_tracks_topology_not_durations() {
         let mut net = ScheduleNetwork::new();
         let r0 = net.structure_revision();
@@ -700,22 +562,6 @@ mod tests {
         assert_eq!(net.demands(a), [("designer".to_owned(), 2)]);
         net.set_duration(a, WorkDays::new(4.0)).unwrap();
         assert_eq!(net.duration(a), WorkDays::new(4.0));
-    }
-
-    #[test]
-    fn dot_export_marks_critical_path() {
-        let mut net = ScheduleNetwork::new();
-        let long = net.add_activity("long", WorkDays::new(5.0)).unwrap();
-        let short = net.add_activity("short", WorkDays::new(1.0)).unwrap();
-        let end = net.add_activity("end", WorkDays::new(1.0)).unwrap();
-        net.add_precedence(long, end).unwrap();
-        net.add_precedence(short, end).unwrap();
-        let dot = net.to_dot().unwrap();
-        assert!(dot.contains("\"long\" [label="));
-        // long and end are critical; short is not.
-        assert!(dot.contains("\"long\" -> \"end\" [color=red, style=bold];"));
-        assert!(dot.contains("\"short\" -> \"end\";"));
-        assert_eq!(dot.matches("color=red").count(), 3); // 2 nodes + 1 edge
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //! | GET | `/projects/{name}/export` | metadata-db dump |
 //! | POST | `/projects/{name}/plan?target=T` | propose a schedule |
 //! | POST | `/projects/{name}/replan?target=T` | replan (coalesced per project) |
-//! | POST | `/projects/{name}/run?target=T` | plan + execute (`&policy=P` scheduling policy, `&workers=N` simulated uniform cluster) |
+//! | POST | `/projects/{name}/run?target=T` | plan + execute (`&policy=P` scheduling policy, `&workers=N` simulated uniform cluster, N ≤ [`MAX_RUN_WORKERS`]) |
 //! | GET | `/trace/{scenario}?seed=N` | record a trace (503 while busy) |
 //!
 //! Kernel-level failures (unknown target, planning errors) map to 422;
@@ -40,7 +40,7 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use hercules::{
     ExecutionReport, Hercules, Project, ReplanOutcome, SchedulePlan, Workspace, WorkspaceError,
@@ -65,10 +65,6 @@ pub struct ApiConfig {
     pub tokens: TokenRegistry,
     /// Max in-flight requests per tenant before 429.
     pub per_tenant_cap: usize,
-    /// Simulated interactive-session latency, spent while holding the
-    /// project lock (mirrors the B12 `workspace_concurrent` kernel so
-    /// worker-scaling benches measure concurrency, not CPU).
-    pub session_latency: Duration,
     /// Structured JSONL access log, one line per request.
     pub access_log: Option<AccessLog>,
 }
@@ -78,7 +74,6 @@ impl Default for ApiConfig {
         ApiConfig {
             tokens: TokenRegistry::default(),
             per_tenant_cap: 64,
-            session_latency: Duration::ZERO,
             access_log: None,
         }
     }
@@ -130,13 +125,18 @@ struct RequestInfo {
 /// tail: fault bodies must stay small even with a large ring.
 const FAULT_TAIL: usize = 16;
 
+/// The largest simulated cluster `POST /projects/{name}/run?workers=N`
+/// accepts. A cluster allocates one named worker per slot before
+/// anything runs, so the bound keeps what one request can allocate
+/// small.
+pub const MAX_RUN_WORKERS: usize = 1024;
+
 /// The routing core shared by every worker thread.
 pub struct Api {
     ws: Arc<Workspace>,
     tokens: TokenRegistry,
     admission: Admission,
     coalescer: Coalescer,
-    session_latency: Duration,
     trace_busy: AtomicBool,
     access_log: Option<AccessLog>,
     started: Instant,
@@ -159,7 +159,6 @@ impl Api {
             tokens: config.tokens,
             admission: Admission::new(config.per_tenant_cap),
             coalescer: Coalescer::new(),
-            session_latency: config.session_latency,
             trace_busy: AtomicBool::new(false),
             access_log: config.access_log,
             started: Instant::now(),
@@ -370,22 +369,12 @@ impl Api {
         }
     }
 
-    /// Burns the configured simulated session latency (no-op at zero).
-    fn session_work(&self) {
-        if !self.session_latency.is_zero() {
-            std::thread::sleep(self.session_latency);
-        }
-    }
-
     fn project_status(&self, name: &str) -> Response {
         let project = match self.project(name) {
             Ok(p) => p,
             Err(resp) => return resp,
         };
-        let body = project.read(|h| {
-            self.session_work();
-            status_body(h)
-        });
+        let body = project.read(status_body);
         Response::text(200, body)
     }
 
@@ -408,10 +397,7 @@ impl Api {
             Ok(p) => p,
             Err(resp) => return resp,
         };
-        let result = project.update(|h| {
-            self.session_work();
-            h.plan(target)
-        });
+        let result = project.update(|h| h.plan(target));
         match result {
             Ok(plan) => Response::text(200, plan_body(name, target, &plan)),
             Err(e) => Response::error(422, e.to_string()),
@@ -431,10 +417,7 @@ impl Api {
         let (result, role) = self.coalescer.run(name, || {
             metrics().replan_passes.inc();
             project
-                .update(|h| {
-                    self.session_work();
-                    h.replan(&target)
-                })
+                .update(|h| h.replan(&target))
                 .map(|outcome| replan_body(&target, &outcome))
                 .map_err(|e| e.to_string())
         });
@@ -452,14 +435,13 @@ impl Api {
         let Some(target) = req.query_param("target") else {
             return Response::error(400, "run needs ?target=");
         };
-        // Per-request execution overrides: `?policy=` picks the
-        // scheduling policy, `?workers=N` a simulated uniform cluster.
-        // Neither is persisted to the session — two runs with different
-        // parameters stay independently reproducible.
+        // Per-request execution parameters: `?policy=` picks the
+        // scheduling policy (Fifo when absent), `?workers=N` a
+        // simulated uniform cluster (the implicit one when absent).
         let policy = match req.query_param("policy") {
-            None => None,
+            None => hercules::ExecutionPolicy::Fifo,
             Some(s) => match s.parse::<hercules::ExecutionPolicy>() {
-                Ok(p) => Some(p),
+                Ok(p) => p,
                 Err(e) => return Response::error(422, e),
             },
         };
@@ -467,6 +449,9 @@ impl Api {
             None => None,
             Some(s) => match s.parse::<usize>() {
                 Ok(0) => return Response::error(422, "workers wants at least 1"),
+                Ok(n) if n > MAX_RUN_WORKERS => {
+                    return Response::error(422, format!("workers wants at most {MAX_RUN_WORKERS}"))
+                }
                 Ok(n) => Some(n),
                 Err(e) => return Response::error(400, format!("workers: {e}")),
             },
@@ -476,13 +461,8 @@ impl Api {
             Err(resp) => return resp,
         };
         let result = project.update(|h| {
-            self.session_work();
-            let policy = policy.unwrap_or(h.execution_policy());
-            let cluster = match workers {
-                Some(n) => Some(simtools::cluster::Cluster::uniform(n)),
-                None => h.cluster().cloned(),
-            };
             h.plan(target)?;
+            let cluster = workers.map(simtools::cluster::Cluster::uniform);
             let report = h.execute_with(target, policy, cluster.as_ref())?;
             Ok::<_, hercules::HerculesError>(run_body(name, &report, h))
         });

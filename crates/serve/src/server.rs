@@ -42,8 +42,6 @@ pub struct ServerConfig {
     pub queue_cap: usize,
     /// Max in-flight requests per tenant before 429.
     pub per_tenant_cap: usize,
-    /// Simulated per-request session latency (benches).
-    pub session_latency: Duration,
     /// Bearer tokens; empty ⇒ open mode.
     pub tokens: TokenRegistry,
     /// Socket read/write timeout.
@@ -64,7 +62,6 @@ impl Default for ServerConfig {
             workers: 4,
             queue_cap: 128,
             per_tenant_cap: 64,
-            session_latency: Duration::ZERO,
             tokens: TokenRegistry::default(),
             io_timeout: DEFAULT_IO_TIMEOUT,
             flight_cap: 4096,
@@ -182,7 +179,6 @@ impl Server {
             ApiConfig {
                 tokens: config.tokens,
                 per_tenant_cap: config.per_tenant_cap,
-                session_latency: config.session_latency,
                 access_log,
             },
         ));

@@ -77,8 +77,10 @@ struct Options {
     estimates: Vec<(String, f64)>,
     save: Option<String>,
     load: Option<String>,
-    policy: Option<ExecutionPolicy>,
-    workers: Option<usize>,
+    policy: ExecutionPolicy,
+    /// The simulated cluster `run` and `ws run` execute on; `None` is
+    /// the implicit one-worker-per-designer substrate.
+    cluster: Option<Cluster>,
 }
 
 fn usage() -> ExitCode {
@@ -108,8 +110,8 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
         estimates: Vec::new(),
         save: None,
         load: None,
-        policy: None,
-        workers: None,
+        policy: ExecutionPolicy::Fifo,
+        cluster: None,
     };
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -143,14 +145,16 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
                 opts.load = Some(value("--load")?);
             }
             "--policy" => {
-                opts.policy = Some(value("--policy")?.parse()?);
+                opts.policy = value("--policy")?.parse()?;
             }
             "--workers" => {
-                opts.workers = Some(
-                    value("--workers")?
-                        .parse()
-                        .map_err(|e| format!("--workers: {e}"))?,
-                );
+                let n: usize = value("--workers")?
+                    .parse()
+                    .map_err(|e| format!("--workers: {e}"))?;
+                if n == 0 {
+                    return Err("--workers wants at least 1".to_owned());
+                }
+                opts.cluster = Some(Cluster::uniform(n));
             }
             "--estimate" => {
                 let spec = value("--estimate")?;
@@ -177,15 +181,6 @@ fn manager(source: &str, opts: &Options) -> Result<Hercules, String> {
     for (activity, days) in &opts.estimates {
         h.set_estimate(activity, WorkDays::new(*days))
             .map_err(|e| e.to_string())?;
-    }
-    if let Some(policy) = opts.policy {
-        h.set_execution_policy(policy);
-    }
-    if let Some(workers) = opts.workers {
-        if workers == 0 {
-            return Err("--workers wants at least 1".to_owned());
-        }
-        h.set_cluster(Cluster::uniform(workers));
     }
     if let Some(path) = &opts.load {
         let text =
@@ -234,7 +229,9 @@ fn cmd_plan(source: &str, target: &str, opts: &Options) -> Result<(), String> {
 fn cmd_run(source: &str, target: &str, opts: &Options) -> Result<(), String> {
     let mut h = manager(source, opts)?;
     h.plan(target).map_err(|e| e.to_string())?;
-    let report = h.execute(target).map_err(|e| e.to_string())?;
+    let report = h
+        .execute_with(target, opts.policy, opts.cluster.as_ref())
+        .map_err(|e| e.to_string())?;
     println!(
         "executed {} activities in {} runs, finished day {}",
         report.activities().len(),
@@ -615,19 +612,6 @@ fn ws_project(
             .update(|h| h.set_estimate(activity, WorkDays::new(*days)))
             .map_err(|e| e.to_string())?;
     }
-    if opts.policy.is_some() || opts.workers.is_some() {
-        if opts.workers == Some(0) {
-            return Err("--workers wants at least 1".to_owned());
-        }
-        project.update(|h| {
-            if let Some(policy) = opts.policy {
-                h.set_execution_policy(policy);
-            }
-            if let Some(workers) = opts.workers {
-                h.set_cluster(Cluster::uniform(workers));
-            }
-        });
-    }
     Ok(project)
 }
 
@@ -698,7 +682,7 @@ fn cmd_ws(args: &[String]) -> Result<(), String> {
             let report = project
                 .update(|h| {
                     h.plan(target)?;
-                    h.execute(target)
+                    h.execute_with(target, opts.policy, opts.cluster.as_ref())
                 })
                 .map_err(|e| e.to_string())?;
             println!(

@@ -89,9 +89,8 @@ harness::props! {
         let mut reference: Option<(BTreeSet<String>, BTreeSet<String>, BTreeSet<String>)> = None;
         for policy in ExecutionPolicy::ALL {
             let mut h = scenario.manager(false);
-            h.set_execution_policy(policy);
             let report = h
-                .execute(&scenario.target)
+                .execute_with(&scenario.target, policy, None)
                 .unwrap_or_else(|e| panic!("{policy} aborted on injected faults: {e}"));
             let sets = outcome_sets(&report);
             match &reference {
@@ -120,9 +119,7 @@ harness::props! {
         let workers = 1 + (seed / 4 % 4) as usize;
         for cluster in [None, Some(Cluster::heterogeneous(workers, seed).with_network(0.01, 0.02))] {
             let mut h = scenario.manager(true);
-            h.set_execution_policy(policy);
-            h.set_cluster(cluster);
-            h.execute(&scenario.target)
+            h.execute_with(&scenario.target, policy, cluster.as_ref())
                 .unwrap_or_else(|e| panic!("{policy} aborted on injected faults: {e}"));
             let journal = h.db().journal().expect("journal enabled");
             let replayed = MetadataDb::recover(journal).expect("replay succeeds");
@@ -140,10 +137,8 @@ harness::props! {
         let policy = ExecutionPolicy::ALL[(seed % 4) as usize];
         let run = |cluster: Option<Cluster>| {
             let mut h = scenario.manager(false);
-            h.set_execution_policy(policy);
-            h.set_cluster(cluster);
             let report = h
-                .execute(&scenario.target)
+                .execute_with(&scenario.target, policy, cluster.as_ref())
                 .unwrap_or_else(|e| panic!("{policy} aborted on injected faults: {e}"));
             outcome_sets(&report)
         };

@@ -299,6 +299,23 @@ fn run_policy_and_workers_params_are_transport_invariant() {
         .post("/projects/p0w0/run?target=performance&workers=0", b"")
         .expect("http run");
     assert_eq!(resp.status, 422, "{}", resp.body);
+    let resp = client
+        .post(
+            &format!(
+                "/projects/p0w0/run?target=performance&workers={}",
+                serve::api::MAX_RUN_WORKERS + 1
+            ),
+            b"",
+        )
+        .expect("http run");
+    assert_eq!(resp.status, 422, "{}", resp.body);
+    let resp = client
+        .post(
+            "/projects/nobody/run?target=performance&workers=9999999999",
+            b"",
+        )
+        .expect("http run");
+    assert_eq!(resp.status, 422, "{}", resp.body);
     server.shutdown();
 }
 
