@@ -120,9 +120,10 @@ fn looks_like_project(dir: &Path) -> bool {
 
 /// Scrubs every project under `root`; with `repair`, rebuilds each
 /// damaged-but-repairable store from its best recoverable state
-/// (quarantining the damaged files), and each healthy store whose data
-/// segment holds unreferenced bytes without them. See [`metadata::fsck`] for the
-/// per-store policy.
+/// (quarantining the damaged files), each healthy store whose data
+/// segment holds unreferenced bytes without them, and removes what
+/// uncommitted writes left. See [`metadata::fsck`] for the per-store
+/// policy.
 ///
 /// # Errors
 ///
@@ -170,13 +171,13 @@ pub fn fsck_workspace(
             repaired: None,
         };
         if repair {
-            // Repair what repair *can* fix: the store, damaged or
-            // holding unreferenced data-segment bytes. (A lost
+            // Repair what repair *can* fix: the store, damaged, holding
+            // unreferenced data-segment bytes, or beside the files of
+            // a write that never committed. (A lost
             // project.conf has no redundant copy to rebuild from; the
             // verdict tells the operator to re-open with an explicit
             // schema, which rewrites it.)
-            let store_clean =
-                matches!(&project.store, Ok(s) if s.healthy && s.unreferenced_bytes == 0);
+            let store_clean = matches!(&project.store, Ok(s) if s.clean());
             if !store_clean {
                 match metadata::fsck::repair(&vfs, &dir) {
                     Ok(outcome) => {

@@ -169,12 +169,13 @@ impl Hercules {
 
     /// Compacts the storage engine: folds the journal history into a
     /// fresh snapshot and bumps the store generation (see
-    /// [`Store::compact`]). Handles minted before the call — schedule
-    /// instances inside old [`SchedulePlan`](crate::SchedulePlan)s,
-    /// cached primary inputs — become stale, so the manager drops its
-    /// plan caches and rebuilds the primary-input registry from the
-    /// compacted state. It also drops the cached estimates, as a
-    /// restore does; the task trees stay.
+    /// [`Store::compact`]), restamping the live database in place.
+    /// Handles minted before the call — schedule instances inside old
+    /// [`SchedulePlan`](crate::SchedulePlan)s, cached primary inputs —
+    /// become stale, so the manager drops its plan caches and rebuilds
+    /// the primary-input registry from the restamped state. It also
+    /// drops the cached estimates, as a restore does; the task trees
+    /// stay.
     ///
     /// # Errors
     ///
@@ -183,7 +184,7 @@ impl Hercules {
     pub fn gc(&mut self) -> Result<CompactionStats, HerculesError> {
         let stats = self.store.compact()?;
         // Every id the manager cached is now stale: re-derive them from
-        // the freshly-stamped database. Session-local state (clock,
+        // the restamped database. Session-local state (clock,
         // blocked set, estimates) is untouched — gc is maintenance, not
         // a restore.
         self.view.reset(self.store.db().runs().len());

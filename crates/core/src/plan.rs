@@ -94,7 +94,8 @@ pub(crate) struct PlanCache {
     /// The k-th in-scope activity's schedule-container slot (`None`
     /// if the database has no container for it), so a pass reads
     /// current plans by position. Slots hold for the database's life;
-    /// a gc or a restore, which replace it, drops every plan cache.
+    /// a restore, which replaces it, and a gc, which restamps its ids,
+    /// drop every plan cache.
     slots: Vec<Option<usize>>,
     inc: IncrementalCpm,
     /// The last pass's levelled schedule: a pure function of `network`

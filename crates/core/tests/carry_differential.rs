@@ -12,7 +12,9 @@
 //! * the **reference** side, [`FullVersions`]: a persistent store whose
 //!   `carry_plan` writes every carried version in full through
 //!   `plan_activity` + `assign`, as planning did before versions were
-//!   carried.
+//!   carried. Every other `Store` method, write groups and `compact`
+//!   included, goes straight to the store it wraps, so both sides
+//!   write under the same grouping and compact the same way.
 //!
 //! After every step the two databases dump byte-identically, every op
 //! returns the same result on both, and reopening the delta store from
@@ -158,6 +160,18 @@ impl Store for FullVersions {
     }
     fn path(&self) -> Option<&Path> {
         self.0.path()
+    }
+    fn begin_write_group(&mut self) {
+        self.0.begin_write_group();
+    }
+    fn end_write_group(&mut self) -> Result<(), MetadataError> {
+        self.0.end_write_group()
+    }
+    fn wedged_reason(&self) -> Option<&str> {
+        Store::wedged_reason(&self.0)
+    }
+    fn release_files(&mut self) {
+        self.0.release_files();
     }
 }
 

@@ -18,23 +18,29 @@
 //!    of the recovered database replays back to the same dump and is
 //!    never longer than the raw journal (strictly shorter whenever a
 //!    crash left a torn tail op).
+//!
+//! A second test holds `gc`, which restamps the live database in place,
+//! to a reopen of the compacted files on seeded sessions over
+//! persistent stores: the same dump, then the same answers.
+
+use std::path::Path;
+use std::sync::Arc;
 
 use hercules::Hercules;
-use metadata::{Journal, MetadataDb};
-use schema::examples;
+use metadata::{Journal, MetadataDb, PersistentStore};
+use schedule::WorkDays;
+use schema::{examples, TaskSchema};
 use simtools::rng::{mix, SplitMix64};
+use simtools::vfs::{MemVfs, Vfs};
 use simtools::workload::Team;
 use simtools::{FaultPlan, ToolLibrary};
 
 const SEEDS: u64 = 64;
 
-/// Drives one chaos-style session and returns its raw journal, the
-/// compacted journal emitted from the *live* database (what `herc gc`
-/// snapshots), the live database's dump, and whether an injected crash
-/// actually fired (leaving a torn tail op in the raw journal).
-fn session_journal(seed: u64) -> (Journal, Journal, String, bool) {
-    let mut rng = SplitMix64::new(mix(&[seed, 0xC0_4AC7]));
-    let (schema, target) = match rng.next_below(4) {
+/// A random flow and its target: one of the example schemas, a
+/// pipeline or a layered flow.
+fn seeded_flow(rng: &mut SplitMix64) -> (TaskSchema, String) {
+    match rng.next_below(4) {
         0 => (examples::circuit_design(), "performance".to_owned()),
         1 => (examples::asic_flow(), "signoff_report".to_owned()),
         2 => {
@@ -46,7 +52,16 @@ fn session_journal(seed: u64) -> (Journal, Journal, String, bool) {
             let width = 2 + rng.next_below(2) as usize;
             (examples::layered(layers, width, 2), "merged".to_owned())
         }
-    };
+    }
+}
+
+/// Drives one chaos-style session and returns its raw journal, the
+/// compacted journal emitted from the *live* database (what `herc gc`
+/// snapshots), the live database's dump, and whether an injected crash
+/// actually fired (leaving a torn tail op in the raw journal).
+fn session_journal(seed: u64) -> (Journal, Journal, String, bool) {
+    let mut rng = SplitMix64::new(mix(&[seed, 0xC0_4AC7]));
+    let (schema, target) = seeded_flow(&mut rng);
     let team = Team::of_size(1 + rng.next_below(3) as usize);
     let mut h = Hercules::new(schema, ToolLibrary::standard(), team, rng.next_u64());
     h.enable_journal();
@@ -175,4 +190,92 @@ fn snapshot_plus_tail_replay_equals_full_replay() {
         shrunk_sessions >= torn_sessions,
         "compaction shrank {shrunk_sessions} sessions but {torn_sessions} had torn tails"
     );
+}
+
+/// A copy of every file in `dir` on a fresh filesystem.
+fn copy_dir(mem: &MemVfs, dir: &Path) -> Arc<MemVfs> {
+    let copy = MemVfs::new();
+    copy.create_dir_all(dir).expect("dir");
+    for file in mem.list_dir(dir).expect("listable") {
+        let bytes = mem.read(&file).expect("readable");
+        copy.write(&file, &bytes).expect("writable");
+    }
+    copy
+}
+
+/// Status, forecast, plan, replan, execution and status again: what a
+/// manager answers after a gc, op by op.
+fn answers(h: &mut Hercules, target: &str) -> Vec<String> {
+    vec![
+        format!("{:?}", h.status()),
+        format!("{:?}", h.forecast(target)),
+        format!("{:?}", h.plan(target)),
+        format!("{:?}", h.replan(target)),
+        format!("{:?}", h.execute(target).map(|r| r.finished_at())),
+        format!("{:?}", h.status()),
+        format!("{:?}", h.forecast(target)),
+    ]
+}
+
+/// `gc` restamps the live database at the next generation. On seeded
+/// sessions over persistent stores, a manager that compacted must
+/// answer exactly as one that
+/// reopened the compacted files (whose database is that snapshot,
+/// reloaded) under the same estimates and clock: the same dump, then
+/// the same status, forecast, plan, replan and execution, op by op.
+#[test]
+fn a_restamped_gc_answers_as_a_reloaded_one() {
+    let dir = Path::new("/project");
+    for seed in 0..16 {
+        let mut rng = SplitMix64::new(mix(&[seed, 0x2E57A]));
+        let (schema, target) = seeded_flow(&mut rng);
+        let team = 1 + rng.next_below(3) as usize;
+        let tools_seed = rng.next_u64();
+        let manager = |store: PersistentStore| {
+            let team = Team::of_size(team);
+            Hercules::with_store(
+                schema.clone(),
+                ToolLibrary::standard(),
+                team,
+                tools_seed,
+                Box::new(store),
+            )
+        };
+        let mem = MemVfs::new();
+        let db = MetadataDb::for_schema(&schema);
+        let mut live =
+            manager(PersistentStore::create_on(mem.clone() as Arc<dyn Vfs>, dir, db).unwrap());
+        live.plan(&target).unwrap();
+        live.execute(&target).unwrap();
+        let activities: Vec<String> = schema
+            .rules()
+            .iter()
+            .map(|r| r.activity().to_owned())
+            .collect();
+        let mut estimates = Vec::new();
+        for _ in 0..2 {
+            let activity = activities[rng.next_below(activities.len() as u64) as usize].clone();
+            let days = WorkDays::new(0.5 + rng.next_below(12) as f64 * 0.5);
+            live.set_estimate(&activity, days).unwrap();
+            estimates.push((activity, days));
+        }
+        live.replan(&target).unwrap();
+        let generation = live.gc().unwrap().generation;
+
+        let copy = copy_dir(&mem, dir);
+        let mut reloaded = manager(PersistentStore::open_on(copy as Arc<dyn Vfs>, dir).unwrap());
+        for (activity, days) in &estimates {
+            reloaded.set_estimate(activity, *days).unwrap();
+        }
+        reloaded.advance_clock(live.clock());
+        assert_eq!(reloaded.db().generation(), generation, "seed {seed}");
+        assert_eq!(live.db().dump(), reloaded.db().dump(), "seed {seed}");
+        assert_eq!(live.clock(), reloaded.clock(), "seed {seed}");
+        assert_eq!(
+            answers(&mut live, &target),
+            answers(&mut reloaded, &target),
+            "seed {seed}"
+        );
+        assert_eq!(live.db().dump(), reloaded.db().dump(), "seed {seed}");
+    }
 }

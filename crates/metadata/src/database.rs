@@ -133,6 +133,29 @@ impl MetadataDb {
         self.generation
     }
 
+    /// Restamps the database at store generation `gen` in place: every
+    /// id it stores, and every id it mints from now on, carries `gen`,
+    /// so handles minted before are stale
+    /// ([`MetadataError::StaleHandle`]). An armed crash is dropped. The
+    /// result is what [`load_at`](Self::load_at) of this database's dump
+    /// at `gen` builds, without writing or parsing the dump: how
+    /// compaction bumps the generation.
+    pub(crate) fn restamp(&mut self, gen: u32) {
+        self.generation = gen;
+        for id in self.class_containers.iter_mut().flatten() {
+            *id = id.with_gen(gen);
+        }
+        for id in self.containers.iter_mut().flat_map(|c| &mut c.versions) {
+            *id = id.with_gen(gen);
+        }
+        self.data.iter_mut().for_each(|d| d.restamp(gen));
+        self.entities.iter_mut().for_each(|e| e.restamp(gen));
+        self.runs.iter_mut().for_each(|r| r.restamp(gen));
+        self.schedules.iter_mut().for_each(|sc| sc.restamp(gen));
+        self.sessions.iter_mut().for_each(|s| s.restamp(gen));
+        self.crash_countdown = None;
+    }
+
     /// Rejects an id stamped with a generation other than the
     /// database's current one. `display` is the id's rendered form for
     /// the error message.
@@ -164,8 +187,8 @@ impl MetadataDb {
     /// The slot of `activity`'s schedule container, if it has one: a
     /// position [`current_plan_at`](Self::current_plan_at) reads
     /// without a name lookup. A slot stays valid for the database's
-    /// life; another database — a reload of this one's dump, such as
-    /// compaction's — may number its containers differently.
+    /// life, compactions included; another database — a reload of this
+    /// one's dump — may number its containers differently.
     pub fn container_slot(&self, activity: &str) -> Option<usize> {
         self.schedule_containers.slot(activity)
     }

@@ -29,12 +29,11 @@
 //! [`Extent`](crate::segment::Extent) in the segment, never its bytes.
 //! The loader accepts both.
 
-use std::fmt::Write as _;
-
 use crate::database::MetadataDb;
-use crate::fields::{days, index, indices, items, Fields};
+use crate::fields::{days, index, indices, items, line, Fields, HEX_DIGITS};
+use crate::framing;
 use crate::ids::{DataObjectId, EntityInstanceId, PlanningSessionId, RunId};
-use crate::journal::{parse_extent, write_extent, write_list};
+use crate::journal::parse_extent;
 use crate::objects::DataBody;
 use crate::store::StoreError;
 
@@ -69,36 +68,6 @@ impl std::fmt::Display for LoadError {
 
 impl std::error::Error for LoadError {}
 
-/// Lowercase hex digits, indexed by nibble.
-const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
-
-/// Writes the lowercase hex digits of `bytes` into the first
-/// `2 * bytes.len()` bytes of `dst`.
-pub(crate) fn hex_digits(bytes: &[u8], dst: &mut [u8]) {
-    for (&b, pair) in bytes.iter().zip(dst.chunks_exact_mut(2)) {
-        pair[0] = HEX_DIGITS[usize::from(b >> 4)];
-        pair[1] = HEX_DIGITS[usize::from(b & 0xf)];
-    }
-}
-
-/// Appends `bytes` to `out` as lowercase hex, or the explicit empty
-/// marker `-` for an empty payload (keeps the line format fixed).
-pub(crate) fn hex_encode_into(bytes: &[u8], out: &mut String) {
-    if bytes.is_empty() {
-        out.push('-');
-        return;
-    }
-    out.reserve(bytes.len() * 2);
-    // Digits are staged on the stack so `out` takes one checked
-    // `push_str` per 128 input bytes instead of one `push` per digit.
-    let mut buf = [0u8; 256];
-    for chunk in bytes.chunks(buf.len() / 2) {
-        let digits = &mut buf[..2 * chunk.len()];
-        hex_digits(chunk, digits);
-        out.push_str(std::str::from_utf8(digits).expect("hex digits are ASCII"));
-    }
-}
-
 /// Hex digit values (either case) by byte; `0xff` marks a non-digit.
 /// A lookup, not a `match` on digit ranges: payload digits are
 /// effectively random, and the range branches mispredict.
@@ -122,7 +91,8 @@ pub(crate) fn hex_u32(digits: [u8; 8]) -> Option<u32> {
     })
 }
 
-/// Decodes a payload written by [`hex_encode_into`]: `-` is empty,
+/// Decodes a payload written by
+/// [`hex_encode_into`](crate::fields::hex_encode_into): `-` is empty,
 /// anything else must be pairs of `[0-9a-fA-F]`.
 pub(crate) fn hex_decode(s: &str) -> Result<Vec<u8>, String> {
     if s == "-" {
@@ -191,34 +161,44 @@ impl MetadataDb {
             true => Some(self.segment_source()?.read()?),
             false => None,
         };
-        self.write_dump(DataLines::Inline(segment))
+        let mut out = String::new();
+        self.write_dump(DataLines::Inline(segment), &mut out)?;
+        Ok(out)
     }
 
-    /// The storage-v3 snapshot body: the dump with each stored datum as
-    /// a `data-ref` line. Reads no design data.
-    pub(crate) fn dump_by_ref(&self) -> String {
-        self.write_dump(DataLines::ByRef)
-            .expect("a by-reference dump reads nothing")
+    /// The storage-v3 snapshot file: the v2 framing line, then the dump
+    /// with each stored datum as a `data-ref` line, written into one
+    /// buffer of at least `capacity` bytes (the framing's checksum is
+    /// back-filled, so the body is never copied). Reads no design data.
+    pub(crate) fn snapshot_by_ref(&self, capacity: usize) -> String {
+        let mut out = String::with_capacity(capacity);
+        framing::frame_snapshot_v2(&mut out, |out| self.write_dump(DataLines::ByRef, out))
+            .expect("a by-reference dump reads nothing");
+        out
     }
 
     /// The one dump writer behind [`try_dump`](Self::try_dump) and
-    /// [`dump_by_ref`](Self::dump_by_ref).
-    fn write_dump(&self, data: DataLines) -> Result<String, StoreError> {
-        let mut out = String::from("metadata-db v1\n");
+    /// [`snapshot_by_ref`](Self::snapshot_by_ref): appends the dump to
+    /// `out`, each line through the one field writer
+    /// ([`crate::fields::Line`]).
+    fn write_dump(&self, data: DataLines, out: &mut String) -> Result<(), StoreError> {
+        out.push_str("metadata-db v1\n");
         for class in self.entity_classes() {
-            let _ = writeln!(out, "container entity {class}");
+            line(out, "container").field("entity").field(class).end();
         }
         for activity in self.activities() {
             let output = self.output_class_of(activity).unwrap_or("-");
-            let _ = writeln!(out, "container schedule {activity} {output}");
+            line(out, "container")
+                .field("schedule")
+                .field(activity)
+                .field(output)
+                .end();
         }
         for d in &self.data {
+            let name = d.name().as_bytes();
             let content = match (&d.body, &data) {
                 (DataBody::Stored(extent), DataLines::ByRef) => {
-                    out.push_str("data-ref ");
-                    hex_encode_into(d.name().as_bytes(), &mut out);
-                    let _ = write_extent(extent, &mut out);
-                    out.push('\n');
+                    line(out, "data-ref").hex(name).extent(extent).end();
                     continue;
                 }
                 (DataBody::Stored(extent), DataLines::Inline(segment)) => {
@@ -227,65 +207,54 @@ impl MetadataDb {
                 }
                 (DataBody::Inline(bytes), _) => &bytes[..],
             };
-            out.push_str("data ");
-            hex_encode_into(d.name().as_bytes(), &mut out);
-            out.push(' ');
-            hex_encode_into(content, &mut out);
-            out.push('\n');
+            line(out, "data").hex(name).hex(content).end();
         }
         for session in self.planning_sessions() {
-            let _ = writeln!(out, "session {}", session.created_at().millidays());
+            line(out, "session").field(session.created_at()).end();
         }
         for run in self.runs() {
-            let _ = write!(
-                out,
-                "run {} {} {} {}",
-                run.activity(),
-                run.operator(),
-                run.iteration(),
-                run.started_at().millidays()
-            );
-            if let Some(f) = run.finished_at() {
-                let _ = write!(out, " {}", f.millidays());
+            let mut run_line = line(out, "run");
+            run_line
+                .field(run.activity())
+                .field(run.operator())
+                .field(run.iteration())
+                .field(run.started_at());
+            if let Some(finished) = run.finished_at() {
+                run_line.field(finished);
             }
-            out.push('\n');
+            run_line.end();
         }
-        for idx in 0..self.entity_count() {
-            let e = self.entity_instance(EntityInstanceId::new(idx as u32, self.generation));
-            let _ = write!(
-                out,
-                "entity {} {} {}",
-                e.class(),
-                e.created_at().millidays(),
-                e.creator()
-            );
+        for e in &self.entities {
+            let mut entity = line(out, "entity");
+            entity
+                .field(e.class())
+                .field(e.created_at())
+                .field(e.creator());
             if let Some(run) = e.produced_by() {
-                let _ = write!(out, " run {}", run.index());
+                entity.field("run").field(run.index());
             }
-            out.push_str(" deps ");
-            let _ = write_list(e.depends_on().iter().map(|d| d.index()), &mut out);
-            let _ = writeln!(out, " data {}", e.data().index());
+            entity
+                .field("deps")
+                .list(e.depends_on().iter().map(|d| d.index()))
+                .field("data")
+                .field(e.data().index())
+                .end();
         }
-        for idx in 0..self.schedule_count() {
-            let sc = self.schedule_instance(crate::ids::ScheduleInstanceId::new(
-                idx as u32,
-                self.generation,
-            ));
-            let _ = write!(
-                out,
-                "sched {} {} {} {} assignees ",
-                sc.activity(),
-                sc.session().index(),
-                sc.planned_start().millidays(),
-                sc.planned_duration().millidays(),
-            );
-            let _ = write_list(sc.assignees(), &mut out);
+        for sc in &self.schedules {
+            let mut sched = line(out, "sched");
+            sched
+                .field(sc.activity())
+                .field(sc.session().index())
+                .field(sc.planned_start())
+                .field(sc.planned_duration())
+                .field("assignees")
+                .list(sc.assignees());
             if let Some(link) = sc.linked_entity() {
-                let _ = write!(out, " link {}", link.index());
+                sched.field("link").field(link.index());
             }
-            out.push('\n');
+            sched.end();
         }
-        Ok(out)
+        Ok(())
     }
 
     /// Loads a database from a dump produced by
@@ -302,11 +271,12 @@ impl MetadataDb {
 
     /// Like [`load`](MetadataDb::load), but the loaded database — and
     /// every handle it subsequently mints — is stamped at store
-    /// `generation`. Compaction reloads the database from its own dump
-    /// at a bumped generation so handles minted before the compaction
-    /// are detected as stale
-    /// ([`MetadataError::StaleHandle`](crate::MetadataError)) instead
-    /// of silently resolving against the renumbered slot space.
+    /// `generation`: how a store opens the snapshot of generation
+    /// `generation`. Handles minted under any other generation are
+    /// refused as stale
+    /// ([`MetadataError::StaleHandle`](crate::MetadataError)); a
+    /// compaction restamps its live database to match this load of its
+    /// snapshot.
     ///
     /// # Errors
     ///
@@ -505,6 +475,7 @@ struct LineScratch<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fields::hex_encode_into;
     use crate::store::{ArenaStore, Store};
     use schedule::WorkDays;
     use schema::examples;

@@ -1,4 +1,7 @@
-//! The one field reader behind both line parsers: the snapshot loader
+//! The one field reader behind both line parsers, and the one field
+//! writer behind both line writers.
+//!
+//! The reader serves the snapshot loader
 //! ([`MetadataDb::load_at`](crate::MetadataDb::load_at)) and the
 //! journal record parser behind [`Journal::parse`](crate::Journal::parse)
 //! and every tail record.
@@ -17,10 +20,19 @@
 //! Both parsers decode each kind of field through one typed reader:
 //! [`days`] a time into a [`WorkDays`], [`index`] an index into a
 //! `u32`, [`indices`] an index list. No stored byte skips the check.
+//!
+//! The writer is the reader's twin: the dump writer behind snapshots
+//! and the logical export, and the journal record encoder behind every
+//! tail record, write each line through one [`Line`]. It pushes decimal
+//! integers, milli-days, names, lists and hex straight into the output
+//! without `core::fmt`, byte for byte what `Display` and `{:08x}` print.
 
 use std::str::FromStr;
+use std::sync::Arc;
 
 use schedule::WorkDays;
+
+use crate::segment::Extent;
 
 /// Whether `b` is an ASCII white-space character, as
 /// `char::is_whitespace` decides it: `\t`, `\n`, `\x0B`, `\x0C`, `\r`
@@ -188,6 +200,177 @@ fn digits(bytes: &[u8]) -> Option<u64> {
     Some(value)
 }
 
+// ----------------------------------------------------------------------
+// The writer
+// ----------------------------------------------------------------------
+
+/// Lowercase hex digits, indexed by nibble.
+pub(crate) const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
+
+/// Appends the decimal digits of `value`, as `Display` prints it,
+/// staged on the stack and pushed at once.
+fn push_decimal(mut value: u64, out: &mut String) {
+    let mut buf = [0u8; 20];
+    let mut at = buf.len();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (value % 10) as u8;
+        value /= 10;
+        if value == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&buf[at..]).expect("decimal digits are ASCII"));
+}
+
+/// Writes the lowercase hex digits of `bytes` into the first
+/// `2 * bytes.len()` bytes of `dst`.
+pub(crate) fn hex_digits(bytes: &[u8], dst: &mut [u8]) {
+    for (&b, pair) in bytes.iter().zip(dst.chunks_exact_mut(2)) {
+        pair[0] = HEX_DIGITS[usize::from(b >> 4)];
+        pair[1] = HEX_DIGITS[usize::from(b & 0xf)];
+    }
+}
+
+/// Appends `bytes` to `out` as lowercase hex, or the explicit empty
+/// marker `-` for an empty payload (keeps the line format fixed).
+pub(crate) fn hex_encode_into(bytes: &[u8], out: &mut String) {
+    if bytes.is_empty() {
+        out.push('-');
+        return;
+    }
+    out.reserve(bytes.len() * 2);
+    // Digits are staged on the stack so `out` takes one checked
+    // `push_str` per 128 input bytes instead of one `push` per digit.
+    let mut buf = [0u8; 256];
+    for chunk in bytes.chunks(buf.len() / 2) {
+        let digits = &mut buf[..2 * chunk.len()];
+        hex_digits(chunk, digits);
+        out.push_str(std::str::from_utf8(digits).expect("hex digits are ASCII"));
+    }
+}
+
+/// A value one field holds, written as `Display` writes it.
+pub(crate) trait Field {
+    /// Appends the value's text to `out`.
+    fn push_to(&self, out: &mut String);
+}
+
+impl Field for u64 {
+    fn push_to(&self, out: &mut String) {
+        push_decimal(*self, out);
+    }
+}
+
+impl Field for u32 {
+    fn push_to(&self, out: &mut String) {
+        push_decimal(u64::from(*self), out);
+    }
+}
+
+impl Field for usize {
+    fn push_to(&self, out: &mut String) {
+        push_decimal(*self as u64, out);
+    }
+}
+
+/// A time or duration: its whole milli-days, what [`days`] reads back
+/// (a difference below zero, which no reader accepts, keeps its sign,
+/// as `Display` writes it).
+impl Field for WorkDays {
+    fn push_to(&self, out: &mut String) {
+        let md = self.millidays();
+        if md < 0 {
+            out.push('-');
+        }
+        push_decimal(md.unsigned_abs(), out);
+    }
+}
+
+impl Field for str {
+    fn push_to(&self, out: &mut String) {
+        out.push_str(self);
+    }
+}
+
+impl Field for Arc<str> {
+    fn push_to(&self, out: &mut String) {
+        out.push_str(self);
+    }
+}
+
+impl<T: Field + ?Sized> Field for &T {
+    fn push_to(&self, out: &mut String) {
+        (**self).push_to(out);
+    }
+}
+
+/// One line being written: its record kind, then each field after one
+/// space. [`end`](Line::end) closes it with a newline; a tail record,
+/// whose framing closes it, is left open.
+pub(crate) struct Line<'a>(&'a mut String);
+
+/// Starts a line of record kind `kind` at the end of `out`.
+pub(crate) fn line<'a>(out: &'a mut String, kind: &str) -> Line<'a> {
+    out.push_str(kind);
+    Line(out)
+}
+
+impl Line<'_> {
+    /// Writes ` <value>`.
+    pub(crate) fn field(&mut self, value: impl Field) -> &mut Self {
+        self.0.push(' ');
+        value.push_to(self.0);
+        self
+    }
+
+    /// Writes ` <items>`, comma-separated; nothing after the space when
+    /// there are none.
+    pub(crate) fn joined<T: Field>(&mut self, items: impl IntoIterator<Item = T>) -> &mut Self {
+        self.0.push(' ');
+        for (i, item) in items.into_iter().enumerate() {
+            if i > 0 {
+                self.0.push(',');
+            }
+            item.push_to(self.0);
+        }
+        self
+    }
+
+    /// Writes ` <items>`, comma-separated, or ` -` when there are none:
+    /// every index and name list the journal and the dump write, what
+    /// [`indices`] and [`items`] read back.
+    pub(crate) fn list<T: Field>(&mut self, items: impl IntoIterator<Item = T>) -> &mut Self {
+        let mut items = items.into_iter().peekable();
+        if items.peek().is_none() {
+            self.0.push_str(" -");
+            return self;
+        }
+        self.joined(items)
+    }
+
+    /// Writes ` <hex>`: `bytes` as lowercase hex, `-` when empty.
+    pub(crate) fn hex(&mut self, bytes: &[u8]) -> &mut Self {
+        self.0.push(' ');
+        hex_encode_into(bytes, self.0);
+        self
+    }
+
+    /// Writes ` <offset> <len> <crc08x>`: an extent's fields as the
+    /// journal and the dump write them.
+    pub(crate) fn extent(&mut self, extent: &Extent) -> &mut Self {
+        let mut crc = [0u8; 8];
+        hex_digits(&extent.crc.to_be_bytes(), &mut crc);
+        let crc = std::str::from_utf8(&crc).expect("hex digits are ASCII");
+        self.field(extent.offset).field(extent.len).field(crc)
+    }
+
+    /// Closes the line with a newline.
+    pub(crate) fn end(&mut self) {
+        self.0.push('\n');
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -326,5 +509,65 @@ mod tests {
             assert_eq!(parse_int::<i64>(f), f.parse::<i64>(), "{f:?}");
             assert_eq!(parse_int::<u64>(f), f.parse::<u64>(), "{f:?}");
         }
+    }
+
+    #[test]
+    fn written_numbers_are_display() {
+        let mut rng = simtools::rng::SplitMix64::new(0xD1617);
+        let mut values: Vec<u64> = vec![0, 1, 9, 10, 99, 100, 101, 999, 1000, u64::MAX];
+        values.extend((0..20).map(|k| 10u64.pow(k) - 1));
+        values.extend((0..20).map(|k| 10u64.pow(k)));
+        values.extend((0..2000).map(|_| rng.next_u64() >> (rng.next_u64() % 64)));
+        for v in values {
+            let mut out = String::new();
+            v.push_to(&mut out);
+            (v as u32).push_to(&mut out);
+            (v as usize).push_to(&mut out);
+            let md = v as i64 & i64::MAX;
+            let days = WorkDays::try_from_millidays(md).unwrap();
+            days.push_to(&mut out);
+            (WorkDays::ZERO - days).push_to(&mut out);
+            let extent = Extent {
+                offset: v,
+                len: v >> 7,
+                crc: v as u32,
+            };
+            line(&mut out, "").extent(&extent);
+            let want = format!(
+                "{v}{}{}{md}{} {v} {} {:08x}",
+                v as u32,
+                v as usize,
+                -md,
+                v >> 7,
+                v as u32
+            );
+            assert_eq!(out, want);
+        }
+    }
+
+    #[test]
+    fn written_lines_are_what_the_reader_splits() {
+        let mut out = String::new();
+        line(&mut out, "sched")
+            .field("Create")
+            .field(3u32)
+            .field(WorkDays::try_from_millidays(1500).unwrap())
+            .field("assignees")
+            .list(["alice", "bob"])
+            .field("deps")
+            .list(Vec::<u32>::new())
+            .hex(b"\x00\xff")
+            .hex(b"")
+            .joined(Vec::<u32>::new())
+            .extent(&Extent {
+                offset: 7,
+                len: 42,
+                crc: 0xab,
+            })
+            .end();
+        assert_eq!(
+            out,
+            "sched Create 3 1500 assignees alice,bob deps - 00ff -  7 42 000000ab\n"
+        );
     }
 }

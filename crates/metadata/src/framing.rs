@@ -27,7 +27,8 @@
 //! it surfaces a typed corruption report and lets `fsck` rebuild from
 //! the longest valid prefix).
 
-use crate::export::{hex_digits, LoadError};
+use crate::export::LoadError;
+use crate::fields::hex_digits;
 use crate::journal::{parse_op_line, Journal, JournalOp};
 use crate::names::NameCache;
 
@@ -223,17 +224,10 @@ impl Framing {
         match self {
             Framing::V1 => op.write_line(buf),
             Framing::V2 => {
-                const FIELD: &str = "00000000 ";
-                let start = buf.len();
-                buf.push_str(FIELD);
+                let field = buf.len();
+                buf.push_str("00000000 ");
                 op.write_line(buf);
-                let crc = crc32(&buf.as_bytes()[start + FIELD.len()..]);
-                let mut digits = [0u8; 8];
-                hex_digits(&crc.to_be_bytes(), &mut digits);
-                buf.replace_range(
-                    start..start + digits.len(),
-                    std::str::from_utf8(&digits).expect("hex digits are ASCII"),
-                );
+                backfill_crc(buf, field, field + 9);
             }
         }
         buf.push('\n');
@@ -252,13 +246,50 @@ impl Framing {
     pub fn encode_snapshot(self, dump: &str) -> String {
         match self {
             Framing::V1 => dump.to_owned(),
-            Framing::V2 => format!(
-                "{}{:08x}\n{dump}",
-                SNAPSHOT_MAGIC_V2,
-                crc32(dump.as_bytes())
-            ),
+            Framing::V2 => {
+                let mut out = String::with_capacity(SNAPSHOT_MAGIC_V2.len() + 9 + dump.len());
+                let Ok(()) = frame_snapshot_v2(&mut out, |out| {
+                    out.push_str(dump);
+                    Ok::<(), std::convert::Infallible>(())
+                });
+                out
+            }
         }
     }
+}
+
+/// Overwrites the eight `0` digits at `field` in `buf` with the CRC32
+/// of `buf[body..]`, in lowercase hex: how both v2 framings checksum
+/// what was written after the field without copying it.
+fn backfill_crc(buf: &mut String, field: usize, body: usize) {
+    let crc = crc32(&buf.as_bytes()[body..]);
+    let mut digits = [0u8; 8];
+    hex_digits(&crc.to_be_bytes(), &mut digits);
+    buf.replace_range(
+        field..field + digits.len(),
+        std::str::from_utf8(&digits).expect("hex digits are ASCII"),
+    );
+}
+
+/// Appends a v2 snapshot file to `out`: the framing line with its
+/// checksum field reserved, the dump `write_body` appends, then the
+/// body's CRC32 back-filled, so the body is never copied: the one v2
+/// snapshot framing, behind [`Framing::encode_snapshot`] and every
+/// snapshot a store commits.
+///
+/// # Errors
+///
+/// Whatever `write_body` returns; `out` then holds a partial file.
+pub(crate) fn frame_snapshot_v2<E>(
+    out: &mut String,
+    write_body: impl FnOnce(&mut String) -> Result<(), E>,
+) -> Result<(), E> {
+    let field = out.len() + SNAPSHOT_MAGIC_V2.len();
+    out.push_str(SNAPSHOT_MAGIC_V2);
+    out.push_str("00000000\n");
+    write_body(out)?;
+    backfill_crc(out, field, field + 9);
+    Ok(())
 }
 
 /// Why a snapshot file failed to decode.
@@ -850,6 +881,14 @@ mod tests {
         let dump = db.dump();
         // v2 wraps and unwraps.
         let v2 = Framing::V2.encode_snapshot(&dump);
+        // Framing in place appends the same bytes after what is there.
+        let mut framed = String::from("x");
+        frame_snapshot_v2(&mut framed, |out| {
+            out.push_str(&dump);
+            Ok::<(), ()>(())
+        })
+        .unwrap();
+        assert_eq!(framed[1..], v2);
         let (framing, body) = decode_snapshot(&v2).unwrap();
         assert_eq!(framing, Framing::V2);
         assert_eq!(body, dump);

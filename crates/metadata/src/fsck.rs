@@ -3,7 +3,7 @@
 //!
 //! [`scrub`] is **read-only**: it walks every store file in a
 //! directory (`CURRENT`, all `snapshot-*.txt` / `tail-*.journal`
-//! generations, the `data.seg` data segment, stray temp files). It
+//! generations, the `data.seg` data segment, leftover temp files). It
 //! reads each generation with the store's own reader
 //! (`store::read_generation`, the one `PersistentStore::open` uses),
 //! which verifies headers and checksums and replays every tail record
@@ -25,6 +25,15 @@
 //!   (a datum written before a crash took its record). Harmless to
 //!   serving; [`repair`] drops them.
 //!
+//! A commit writes the next generation's snapshot and tail in place and
+//! only then names it in `CURRENT` (see `store::commit_generation`), so
+//! a crash mid-commit leaves a half-written generation above `CURRENT`.
+//! Its files, and any leftover `.tmp` file, are `uncommitted`: nothing
+//! names them, so they do not touch `healthy`, and [`repair`] removes
+//! them. A generation above `CURRENT` that reads whole (a commit that
+//! died after its last fsync but before `CURRENT` moved) is scrubbed
+//! like any other.
+//!
 //! [`repair`] rebuilds from the **best recoverable state**: `CURRENT`'s
 //! generation when all of it serves, else the newest generation whose
 //! snapshot loads with verified data references, plus the longest
@@ -37,8 +46,8 @@
 //! overwritten) in storage v3, with the data segment
 //! rewritten to hold exactly the data that state references. Damaged
 //! files are renamed to `<name>.quarantine` for post-mortems (a
-//! segment with failing references included), and stray temp files are
-//! removed. Repair never deletes evidence and never guesses across a
+//! segment with failing references included), and uncommitted files
+//! are removed. Repair never deletes evidence and never guesses across a
 //! checksum failure — ops after a corrupt interior record are
 //! unreachable by design, because their ordering against the damage is
 //! unknowable.
@@ -74,9 +83,14 @@ pub enum FileStatus {
     Corrupt,
     /// Referenced by `CURRENT` but absent.
     Missing,
-    /// Not part of the live store: a leftover `.tmp` file or an
-    /// earlier repair's `.quarantine` file.
+    /// An earlier repair's `.quarantine` file: evidence, never part of
+    /// the live store.
     Stray,
+    /// The remains of a write that `CURRENT` never named: a leftover
+    /// `.tmp` file, or a half-written generation above `CURRENT` (a
+    /// commit that died before its commit point). Harmless to serving;
+    /// [`repair`] removes them.
+    Uncommitted,
     /// The data segment serves every reference but also holds bytes no
     /// reference covers (repair drops them).
     Slack,
@@ -90,6 +104,7 @@ impl std::fmt::Display for FileStatus {
             FileStatus::Corrupt => "CORRUPT",
             FileStatus::Missing => "MISSING",
             FileStatus::Stray => "stray",
+            FileStatus::Uncommitted => "uncommitted",
             FileStatus::Slack => "slack",
         };
         f.write_str(s)
@@ -133,6 +148,20 @@ impl StoreScrub {
             .iter()
             .filter(|v| matches!(v.status, FileStatus::Corrupt | FileStatus::Missing))
     }
+
+    /// Files whose verdict is [`FileStatus::Uncommitted`].
+    pub fn uncommitted(&self) -> impl Iterator<Item = &FileVerdict> {
+        self.verdicts
+            .iter()
+            .filter(|v| v.status == FileStatus::Uncommitted)
+    }
+
+    /// Whether [`repair`] has nothing to do: the store is healthy, its
+    /// segment holds no unreferenced bytes, and no uncommitted file is
+    /// left.
+    pub fn clean(&self) -> bool {
+        self.healthy && self.unreferenced_bytes == 0 && self.uncommitted().next().is_none()
+    }
 }
 
 /// What [`repair`] did.
@@ -140,7 +169,7 @@ impl StoreScrub {
 #[non_exhaustive]
 pub enum RepairOutcome {
     /// The store already opened cleanly with nothing to drop; only
-    /// stray temp files (if any) were removed.
+    /// uncommitted files (if any) were removed.
     AlreadyHealthy,
     /// The store was rebuilt.
     Repaired {
@@ -230,6 +259,12 @@ impl GenerationRead {
         })
     }
 
+    /// Whether both files read whole: the snapshot loads and the tail
+    /// decodes with no issue at all, as a commit leaves them.
+    fn complete(&self) -> bool {
+        self.snapshot.is_ok() && matches!(&self.tail, Ok(TailScan { issue: None, .. }))
+    }
+
     /// Whether the tail's records frame cleanly (a torn last record
     /// included) and every kept one replayed.
     fn tail_whole(&self) -> bool {
@@ -291,7 +326,7 @@ pub fn scrub(vfs: &dyn Vfs, dir: &Path) -> Result<StoreScrub, StoreError> {
         if name.ends_with(".tmp") {
             verdicts.push(FileVerdict {
                 path: path.clone(),
-                status: FileStatus::Stray,
+                status: FileStatus::Uncommitted,
                 detail: "leftover temp file from an interrupted write".into(),
             });
         } else if name.ends_with(".quarantine") {
@@ -312,7 +347,21 @@ pub fn scrub(vfs: &dyn Vfs, dir: &Path) -> Result<StoreScrub, StoreError> {
     for &seq in &seqs {
         let is_live = current_seq == Some(seq);
         let read = store::read_generation(vfs, dir, seq, None);
-        scrub_generation(&read, is_live, &mut verdicts);
+        match current_seq.filter(|&current| seq > current && !read.complete()) {
+            // A commit died writing this generation, before its commit
+            // point: each of its files is uncommitted.
+            Some(current) => verdicts.extend(
+                listed
+                    .iter()
+                    .filter(|path| store_file_seq(path) == Some(seq))
+                    .map(|path| FileVerdict {
+                        path: path.clone(),
+                        status: FileStatus::Uncommitted,
+                        detail: format!("half-written generation {seq}; CURRENT names {current}"),
+                    }),
+            ),
+            None => scrub_generation(&read, is_live, &mut verdicts),
+        }
         repairable |= read.snapshot_serves(&segment.bytes);
         verified.extend(
             read.refs()
@@ -342,13 +391,17 @@ pub fn scrub(vfs: &dyn Vfs, dir: &Path) -> Result<StoreScrub, StoreError> {
     })
 }
 
+/// The generation a snapshot or tail file at `path` belongs to.
+fn store_file_seq(path: &Path) -> Option<u64> {
+    parse_store_name(path.file_name()?.to_str()?).map(|(_, seq)| seq)
+}
+
 /// Every generation with a file in `listed`, plus the one `CURRENT`
 /// names, in ascending order.
 fn generations(listed: &[PathBuf], current_seq: Option<u64>) -> Vec<u64> {
     let mut seqs: Vec<u64> = listed
         .iter()
-        .filter_map(|path| parse_store_name(path.file_name()?.to_str()?))
-        .map(|(_, seq)| seq)
+        .filter_map(|path| store_file_seq(path))
         .chain(current_seq)
         .collect();
     seqs.sort_unstable();
@@ -562,14 +615,15 @@ fn framing_label(framing: Framing) -> &'static str {
 pub fn repair(vfs: &Arc<dyn Vfs>, dir: &Path) -> Result<RepairOutcome, StoreError> {
     let report = scrub(&**vfs, dir)?;
 
-    // Strays are removed in every case — they are never part of the
-    // live store.
-    for v in &report.verdicts {
-        if v.status == FileStatus::Stray && !v.detail.contains("quarantine") {
+    // Uncommitted files are removed in every case, once the store is
+    // committed without them: nothing names them.
+    let remove_uncommitted = || {
+        for v in report.uncommitted() {
             let _ = vfs.remove_file(&v.path);
         }
-    }
+    };
     if report.healthy && report.unreferenced_bytes == 0 {
+        remove_uncommitted();
         return Ok(RepairOutcome::AlreadyHealthy);
     }
 
@@ -653,7 +707,7 @@ pub fn repair(vfs: &Arc<dyn Vfs>, dir: &Path) -> Result<RepairOutcome, StoreErro
             })?;
     }
     let mut quarantined = Vec::new();
-    store::commit_generation(&**vfs, dir, new_seq, &db.dump_by_ref(), || {
+    store::commit_generation(&**vfs, dir, new_seq, &db.snapshot_by_ref(0), || {
         if rebuilt.is_none() {
             return Ok(());
         }
@@ -666,13 +720,12 @@ pub fn repair(vfs: &Arc<dyn Vfs>, dir: &Path) -> Result<RepairOutcome, StoreErro
                 quarantined.push(target);
             }
         }
-        vfs.rename(&seg_tmp, &seg_path)
-            .and_then(|()| vfs.sync_dir(dir))
-            .map_err(|e| StoreError::Io {
-                path: seg_path.clone(),
-                message: e.to_string(),
-            })
+        vfs.rename(&seg_tmp, &seg_path).map_err(|e| StoreError::Io {
+            path: seg_path.clone(),
+            message: e.to_string(),
+        })
     })?;
+    remove_uncommitted();
 
     // Quarantine the damaged files (rename, never delete: they are the
     // post-mortem evidence).
@@ -916,6 +969,35 @@ mod tests {
         let outcome = repair(&vfs, Path::new("/p")).unwrap();
         assert_eq!(outcome, RepairOutcome::AlreadyHealthy);
         assert!(!mem.exists(Path::new("/p/snapshot-9.tmp")));
+        let reopened = PersistentStore::open_on(vfs, "/p").unwrap();
+        assert_eq!(reopened.db().dump(), dump);
+    }
+
+    /// A commit that died writing the next generation leaves it
+    /// half-written above `CURRENT`: the store is healthy, the scrub
+    /// names each of its files uncommitted, and one repair removes them
+    /// and nothing else.
+    #[test]
+    fn a_half_written_next_generation_is_uncommitted_and_repair_removes_it() {
+        let (mem, vfs, dump) = seeded("/p");
+        let snapshot = mem.read(&Path::new("/p").join(snapshot_name(0))).unwrap();
+        let half = Path::new("/p").join(snapshot_name(1));
+        mem.write(&half, &snapshot[..snapshot.len() / 2]).unwrap();
+        let report = scrub(&*vfs, Path::new("/p")).unwrap();
+        assert!(report.healthy && !report.clean(), "{report:?}");
+        let uncommitted: Vec<&FileVerdict> = report.uncommitted().collect();
+        assert_eq!(uncommitted.len(), 1, "{report:?}");
+        assert_eq!(uncommitted[0].path, half);
+        assert_eq!(
+            uncommitted[0].detail,
+            "half-written generation 1; CURRENT names 0"
+        );
+        assert_eq!(
+            repair(&vfs, Path::new("/p")).unwrap(),
+            RepairOutcome::AlreadyHealthy
+        );
+        assert!(!mem.exists(&half));
+        assert!(scrub(&*vfs, Path::new("/p")).unwrap().clean());
         let reopened = PersistentStore::open_on(vfs, "/p").unwrap();
         assert_eq!(reopened.db().dump(), dump);
     }

@@ -7,7 +7,7 @@
 //!
 //! Every id carries a *generation* stamp alongside its dense slot
 //! index. The generation is the store generation the id was minted
-//! under: compaction (`herc gc`) reloads the database at a fresh
+//! under: compaction (`herc gc`) restamps the database at a fresh
 //! generation, so handles held across a compaction become *stale* and
 //! fallible mutations reject them with
 //! [`MetadataError::StaleHandle`](crate::MetadataError) instead of

@@ -67,15 +67,14 @@
 //! # }
 //! ```
 
-use std::fmt::Write as _;
 use std::sync::Arc;
 
 use schedule::WorkDays;
 
 use crate::database::MetadataDb;
 use crate::error::MetadataError;
-use crate::export::{hex_decode, hex_decode_name, hex_encode_into, hex_u32, LoadError};
-use crate::fields::{days, index, indices, items, parse_int, Fields};
+use crate::export::{hex_decode, hex_decode_name, hex_u32, LoadError};
+use crate::fields::{days, index, indices, items, line, parse_int, Field, Fields};
 use crate::framing::Framing;
 use crate::ids::{DataObjectId, EntityInstanceId, PlanningSessionId, RunId, ScheduleInstanceId};
 use crate::names::NameCache;
@@ -226,21 +225,19 @@ impl SlotRange {
     }
 }
 
-/// Appends `runs` as a comma-separated list of `first-last` / `first`.
-fn write_slot_ranges(runs: &[SlotRange], out: &mut String) -> std::fmt::Result {
-    for (i, run) in runs.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        match run.first == run.last {
-            true => write!(out, "{}", run.first)?,
-            false => write!(out, "{}-{}", run.first, run.last)?,
+/// A run of slots as one list item: `first-last`, or `first` alone
+/// when the run is one slot long.
+impl Field for SlotRange {
+    fn push_to(&self, out: &mut String) {
+        self.first.push_to(out);
+        if self.first != self.last {
+            out.push('-');
+            self.last.push_to(out);
         }
     }
-    Ok(())
 }
 
-/// Parses what [`write_slot_ranges`] writes, accepting only its
+/// Parses a `carry-plan` record's slot-range list, accepting only its
 /// canonical form: digits only, and `first-last` only with
 /// `first < last`.
 fn parse_slot_ranges(list: &str) -> Result<Vec<SlotRange>, String> {
@@ -261,32 +258,8 @@ fn parse_slot_ranges(list: &str) -> Result<Vec<SlotRange>, String> {
         .collect()
 }
 
-/// Appends `items` comma-separated, `-` when there are none: every
-/// index and name list the journal and the dump write.
-pub(crate) fn write_list<T: std::fmt::Display>(
-    items: impl IntoIterator<Item = T>,
-    out: &mut String,
-) -> std::fmt::Result {
-    let mut items = items.into_iter().peekable();
-    if items.peek().is_none() {
-        out.push('-');
-    }
-    for (i, item) in items.enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        write!(out, "{item}")?;
-    }
-    Ok(())
-}
-
-/// Appends ` <offset> <len> <crc08x>`: an extent's fields as the
-/// journal and the dump write them.
-pub(crate) fn write_extent(extent: &Extent, out: &mut String) -> std::fmt::Result {
-    write!(out, " {} {} {:08x}", extent.offset, extent.len, extent.crc)
-}
-
-/// Parses the three fields [`write_extent`] writes.
+/// Parses the three fields [`Line::extent`](crate::fields::Line::extent)
+/// writes.
 pub(crate) fn parse_extent(offset: &str, len: &str, crc: &str) -> Result<Extent, String> {
     // Digits only: `u64::from_str` would also take a leading `+`.
     let number = |s: &str| match s.bytes().all(|b| b.is_ascii_digit()) {
@@ -367,84 +340,90 @@ impl JournalOp {
     /// newline) to `out` — the unit the persistent store frames into
     /// its tail file. Payloads are hex-encoded straight into `out`.
     pub(crate) fn write_line(&self, out: &mut String) {
-        let _ = match self {
-            JournalOp::DeclareEntityContainer { class } => write!(out, "declare-entity {class}"),
+        match self {
+            JournalOp::DeclareEntityContainer { class } => {
+                line(out, "declare-entity").field(class);
+            }
             JournalOp::DeclareScheduleContainer {
                 activity,
                 output_class,
-            } => write!(out, "declare-schedule {activity} {output_class}"),
+            } => {
+                line(out, "declare-schedule")
+                    .field(activity)
+                    .field(output_class);
+            }
             JournalOp::StoreData { name, content } => {
-                out.push_str("store-data ");
-                hex_encode_into(name.as_bytes(), out);
-                out.push(' ');
-                hex_encode_into(content, out);
-                Ok(())
+                line(out, "store-data").hex(name.as_bytes()).hex(content);
             }
             JournalOp::StoreDataRef { name, extent } => {
-                out.push_str("store-data-ref ");
-                hex_encode_into(name.as_bytes(), out);
-                write_extent(extent, out)
+                line(out, "store-data-ref")
+                    .hex(name.as_bytes())
+                    .extent(extent);
             }
             JournalOp::BeginRun {
                 activity,
                 operator,
                 started,
-            } => write!(
-                out,
-                "begin-run {activity} {operator} {}",
-                started.millidays()
-            ),
+            } => {
+                line(out, "begin-run")
+                    .field(activity)
+                    .field(operator)
+                    .field(*started);
+            }
             JournalOp::FinishRun {
                 run,
                 output_class,
                 data,
                 finished,
                 inputs,
-            } => write!(
-                out,
-                "finish-run {} {output_class} {} {} inputs ",
-                run.index(),
-                data.index(),
-                finished.millidays()
-            )
-            .and_then(|()| write_list(inputs.iter().map(|i| i.index()), out)),
+            } => {
+                line(out, "finish-run")
+                    .field(run.index())
+                    .field(output_class)
+                    .field(data.index())
+                    .field(*finished)
+                    .field("inputs")
+                    .list(inputs.iter().map(|i| i.index()));
+            }
             JournalOp::SupplyInput {
                 class,
                 creator,
                 created,
                 data,
-            } => write!(
-                out,
-                "supply-input {class} {creator} {} {}",
-                created.millidays(),
-                data.index()
-            ),
+            } => {
+                line(out, "supply-input")
+                    .field(class)
+                    .field(creator)
+                    .field(*created)
+                    .field(data.index());
+            }
             JournalOp::BeginPlanning { at } => {
-                write!(out, "begin-planning {}", at.millidays())
+                line(out, "begin-planning").field(*at);
             }
             JournalOp::PlanActivity {
                 session,
                 activity,
                 start,
                 duration,
-            } => write!(
-                out,
-                "plan-activity {} {activity} {} {}",
-                session.index(),
-                start.millidays(),
-                duration.millidays()
-            ),
+            } => {
+                line(out, "plan-activity")
+                    .field(session.index())
+                    .field(activity)
+                    .field(*start)
+                    .field(*duration);
+            }
             JournalOp::CarryPlan { session, from } => {
-                write!(out, "carry-plan {} ", session.index())
-                    .and_then(|()| write_slot_ranges(from, out))
+                line(out, "carry-plan").field(session.index()).joined(from);
             }
             JournalOp::Assign { schedule, designer } => {
-                write!(out, "assign {} {designer}", schedule.index())
+                line(out, "assign").field(schedule.index()).field(designer);
             }
             JournalOp::LinkCompletion { schedule, entity } => {
-                write!(out, "link {} {}", schedule.index(), entity.index())
+                line(out, "link")
+                    .field(schedule.index())
+                    .field(entity.index());
             }
-        };
+        }
     }
 }
 

@@ -35,6 +35,11 @@ impl DataObject {
         DataObject { id, name, body }
     }
 
+    /// Restamps the object's id at generation `gen`.
+    pub(crate) fn restamp(&mut self, gen: u32) {
+        self.id = self.id.with_gen(gen);
+    }
+
     /// This object's id.
     pub fn id(&self) -> DataObjectId {
         self.id
@@ -110,6 +115,16 @@ impl EntityInstance {
             depends_on,
             data,
         }
+    }
+
+    /// Restamps every id the instance holds at generation `gen`.
+    pub(crate) fn restamp(&mut self, gen: u32) {
+        self.id = self.id.with_gen(gen);
+        self.produced_by = self.produced_by.map(|run| run.with_gen(gen));
+        for dep in &mut self.depends_on {
+            *dep = dep.with_gen(gen);
+        }
+        self.data = self.data.with_gen(gen);
     }
 
     /// This instance's id.
@@ -214,6 +229,12 @@ impl Run {
             finished_at: None,
             output: None,
         }
+    }
+
+    /// Restamps every id the run holds at generation `gen`.
+    pub(crate) fn restamp(&mut self, gen: u32) {
+        self.id = self.id.with_gen(gen);
+        self.output = self.output.map(|out| out.with_gen(gen));
     }
 
     pub(crate) fn finish(&mut self, finished_at: WorkDays, output: EntityInstanceId) {
@@ -434,6 +455,14 @@ impl ScheduleInstance {
         }
     }
 
+    /// Restamps every id the version holds at generation `gen`.
+    pub(crate) fn restamp(&mut self, gen: u32) {
+        self.id = self.id.with_gen(gen);
+        self.session = self.session.with_gen(gen);
+        self.derived_from = self.derived_from.map(|sc| sc.with_gen(gen));
+        self.linked_entity = self.linked_entity.map(|e| e.with_gen(gen));
+    }
+
     pub(crate) fn assign(&mut self, designer: Arc<str>) {
         if !self.assignees().contains(&designer) {
             Arc::make_mut(&mut self.body).assign(designer);
@@ -563,6 +592,14 @@ impl PlanningSession {
             id,
             created_at,
             instances: Vec::new(),
+        }
+    }
+
+    /// Restamps every id the session holds at generation `gen`.
+    pub(crate) fn restamp(&mut self, gen: u32) {
+        self.id = self.id.with_gen(gen);
+        for sc in &mut self.instances {
+            *sc = sc.with_gen(gen);
         }
     }
 

@@ -204,14 +204,18 @@ impl SegmentSource {
 }
 
 /// The append side of a store's data segment: its path, its length,
-/// and a held append handle (opened by the first append, like the
-/// journal tail's).
+/// how much of it this writer has synced, and a held append handle
+/// (opened by the first append, like the journal tail's).
 #[derive(Debug)]
 pub(crate) struct SegmentWriter {
     path: PathBuf,
     /// The segment's length, where the next datum lands; `None` while
     /// there is no segment.
     len: Option<u64>,
+    /// The length this writer's last fsync made durable; `None` before
+    /// its first. A segment found on disk may hold bytes no fsync
+    /// covered yet, so a new writer has synced nothing.
+    synced: Option<u64>,
     handle: Option<Box<dyn AppendFile>>,
 }
 
@@ -235,6 +239,7 @@ impl SegmentWriter {
         Ok(SegmentWriter {
             path,
             len,
+            synced: None,
             handle: None,
         })
     }
@@ -286,16 +291,22 @@ impl SegmentWriter {
         Ok(offset)
     }
 
-    /// Makes the segment's bytes durable (no-op while it holds none).
+    /// Makes the segment's bytes durable and returns whether that took
+    /// an fsync: none while the segment holds no bytes, or when this
+    /// writer's last fsync already covers its length (nothing was
+    /// appended since).
     ///
     /// # Errors
     ///
     /// [`StoreError::Io`] when the fsync fails.
-    pub(crate) fn sync(&self, vfs: &dyn Vfs) -> Result<(), StoreError> {
-        if self.len.unwrap_or(0) == 0 {
-            return Ok(());
+    pub(crate) fn sync(&mut self, vfs: &dyn Vfs) -> Result<bool, StoreError> {
+        if self.len.unwrap_or(0) == 0 || self.synced == self.len {
+            return Ok(false);
         }
-        vfs.sync_file(&self.path).map_err(|e| io_err(&self.path, e))
+        vfs.sync_file(&self.path)
+            .map_err(|e| io_err(&self.path, e))?;
+        self.synced = self.len;
+        Ok(true)
     }
 
     /// Drops the held append handle; the next append reopens by path.

@@ -11,7 +11,7 @@
 //!   the last snapshot (a [`MetadataDb::dump`]) plus a redo tail of
 //!   every op appended since. Opening replays snapshot then tail;
 //!   [`compact`](Store::compact) folds the tail into a fresh snapshot
-//!   with a crash-consistent temp/rename `CURRENT` swap (the VOV
+//!   and commits it with a crash-consistent `CURRENT` swap (the VOV
 //!   lesson: trace-based metadata only scales when the store is an
 //!   engine with compaction, not a grow-forever log).
 //!
@@ -65,10 +65,13 @@
 //! replay loop. It returns findings; open refuses or heals on them, and
 //! [`crate::fsck`] turns the same findings into verdicts. A generation
 //! is written in one place too: `commit_generation` writes the
-//! snapshot, then an empty tail, then names the generation in
-//! `CURRENT`, the commit point. Create, [`replace_db`](Store::replace_db),
-//! [`compact`](Store::compact) and `fsck --repair` all commit through
-//! it.
+//! snapshot and an empty tail in place, fsyncs each, syncs the
+//! directory once, and then names the generation in `CURRENT` (temp
+//! file and rename), the commit point. Until then nothing reads the new
+//! files, so they need no temp files of their own. Create,
+//! [`replace_db`](Store::replace_db), [`compact`](Store::compact) and
+//! `fsck --repair` all commit through it. The data segment is synced
+//! first, and only when it grew since this store last synced it.
 //!
 //! # Recovery policy
 //!
@@ -102,9 +105,10 @@
 //! # Generations
 //!
 //! Compaction renumbers nothing (dumps preserve allocation order) but
-//! **bumps the store generation**: the database is reloaded via
-//! [`MetadataDb::load_at`] at `N+1`, so ids held from before the
-//! compaction fail mutating calls with
+//! **bumps the store generation**: the live database is restamped at
+//! `N+1` in place — exactly what [`MetadataDb::load_at`] of the new
+//! snapshot would build, without parsing it — so ids held from before
+//! the compaction fail mutating calls with
 //! [`MetadataError::StaleHandle`] instead of silently resolving against
 //! the reused slot space. The files of generation `N` are kept as the
 //! fallback state for `fsck` (generation `N-1` is deleted), so one
@@ -627,23 +631,20 @@ impl Store for ArenaStore {
 
     fn compact(&mut self) -> Result<CompactionStats, StoreError> {
         self.db.check_alive()?;
-        let had_journal = self.db.journal().is_some();
         let ops_before = self.db.journal().map_or(0, Journal::len);
-        // Reload from our own dump at a bumped generation: slots are
-        // preserved (dumps are allocation-ordered) but every handle
-        // minted before this call is now stale.
+        // Restamp at a bumped generation: slots are preserved but every
+        // handle minted before this call is now stale.
         let generation = self.db.generation() + 1;
-        let dump = self.db.dump();
-        let mut fresh = MetadataDb::load_at(&dump, generation).map_err(StoreError::Load)?;
-        let compacted = Journal::compacted_from(&fresh);
-        let ops_after = if had_journal {
-            let len = compacted.len();
-            fresh.journal = Some(compacted);
-            len
-        } else {
-            0
+        self.db.restamp(generation);
+        let ops_after = match self.db.journal.is_some() {
+            true => {
+                let compacted = Journal::compacted_from(&self.db);
+                let len = compacted.len();
+                self.db.journal = Some(compacted);
+                len
+            }
+            false => 0,
         };
-        self.db = fresh;
         Ok(CompactionStats {
             tail_ops_before: ops_before,
             tail_ops_after: ops_after,
@@ -789,7 +790,7 @@ impl PersistentStore {
         let seq = 0u64;
         segment.spill(&vfs, &mut db)?;
         segment.sync(&*vfs)?;
-        commit_generation(&*vfs, &dir, seq, &db.dump_by_ref(), || Ok(()))?;
+        commit_generation(&*vfs, &dir, seq, &db.snapshot_by_ref(0), || Ok(()))?;
         db.segment = Some(segment.source(&vfs));
         Ok(PersistentStore {
             vfs,
@@ -990,9 +991,8 @@ impl PersistentStore {
     }
 
     /// Makes sequence `next` (already committed to `CURRENT`) the live
-    /// epoch, holding `db` with an empty v2 tail.
-    fn enter_epoch(&mut self, next: u64, db: MetadataDb) {
-        self.db = db;
+    /// epoch, with an empty v2 tail.
+    fn enter_epoch(&mut self, next: u64) {
         self.seq = next;
         self.tail_ops = 0;
         self.framing = Framing::V2;
@@ -1001,19 +1001,32 @@ impl PersistentStore {
     }
 
     /// Commits `db` as the generation after the live one and returns
-    /// its dump. Its inline data move to the segment first, which is
-    /// made durable before anything refers to it. If the commit fails,
-    /// the live epoch is intact and whatever half of the next one was
-    /// written is removed. Once it succeeds, the superseded generation
-    /// stays as the fsck fallback and the one before it is removed.
-    fn commit_next(&mut self, db: &mut MetadataDb) -> Result<String, StoreError> {
+    /// how many fsyncs that took. Its inline data move to the segment
+    /// first, which is made durable before anything refers to it; the
+    /// snapshot is written into a buffer of at least `capacity` bytes.
+    /// If the commit fails, the live epoch is intact and whatever half
+    /// of the next one was written is removed. Once it succeeds, the
+    /// superseded generation stays as the fsck fallback and the one
+    /// before it is removed.
+    fn commit_next(&mut self, db: &mut MetadataDb, capacity: usize) -> Result<u32, StoreError> {
         let next = self.seq + 1;
         let committed = (|| {
             self.segment.spill(&self.vfs, db)?;
-            self.segment.sync(&*self.vfs)?;
-            let dump = db.dump_by_ref();
-            commit_generation(&*self.vfs, &self.dir, next, &dump, || Ok(()))?;
-            Ok(dump)
+            let synced = {
+                let mut span = obs::span!("store.segment_sync");
+                let synced = self.segment.sync(&*self.vfs)?;
+                span.record("fsync", synced);
+                synced
+            };
+            let snapshot = {
+                let mut span = obs::span!("store.dump");
+                let snapshot = db.snapshot_by_ref(capacity);
+                span.record("bytes", snapshot.len());
+                snapshot
+            };
+            let _span = obs::span!("store.commit", seq = next);
+            commit_generation(&*self.vfs, &self.dir, next, &snapshot, || Ok(()))?;
+            Ok(u32::from(synced) + COMMIT_FSYNCS)
         })();
         let stale = if committed.is_ok() {
             self.seq.checked_sub(1)
@@ -1042,6 +1055,16 @@ impl PersistentStore {
 /// beyond plausible, but saturate rather than wrap if it happens.
 pub(crate) fn generation_of(seq: u64) -> u32 {
     u32::try_from(seq).unwrap_or(u32::MAX)
+}
+
+/// Whether `db` writes the same snapshot as the database a load of
+/// that snapshot builds at `db`'s generation: what a restamp keeps.
+fn reloads_to_itself(db: &MetadataDb) -> bool {
+    let snapshot = db.snapshot_by_ref(0);
+    framing::decode_snapshot(&snapshot)
+        .ok()
+        .and_then(|(_, body)| MetadataDb::load_at(body, db.generation()).ok())
+        .is_some_and(|reloaded| reloaded.snapshot_by_ref(0) == snapshot)
 }
 
 /// Reads the sequence number `CURRENT` names.
@@ -1230,27 +1253,43 @@ fn decode_snapshot_file<'a>(path: &Path, raw: &'a str) -> Result<(Framing, &'a s
     })
 }
 
-/// Commits generation `seq` of the store in `dir`, holding the state
-/// `dump`: the one commit behind create, [`Store::replace_db`],
-/// [`Store::compact`] and `fsck --repair`. It writes the generation's
-/// v2 snapshot and an empty v2 tail, runs `before_current` (where
-/// repair puts its rewritten data segment in place), and then names
-/// `seq` in `CURRENT`. That rename is the commit point: every file goes
-/// in through [`write_atomic`], so a crash on either side of it leaves
-/// a complete store, the new generation or the one `CURRENT` named
-/// before.
+/// Commits generation `seq` of the store in `dir`, holding the v2
+/// snapshot file `snapshot`: the one commit behind create,
+/// [`Store::replace_db`], [`Store::compact`] and `fsck --repair`.
+///
+/// The generation's snapshot and an empty v2 tail are written in place
+/// and fsynced each: nothing reads them before `CURRENT` names them, so
+/// they need no temp file and no rename. `before_current` runs next
+/// (where repair renames its rewritten data segment into place), then
+/// one directory fsync makes every new name durable, and `CURRENT` is
+/// replaced through [`write_atomic`]. That rename is the commit point:
+/// a crash before it leaves the generation `CURRENT` named before,
+/// whole, beside a next generation that nothing names; a crash after
+/// it, the new generation, whole.
 pub(crate) fn commit_generation(
     vfs: &dyn Vfs,
     dir: &Path,
     seq: u64,
-    dump: &str,
+    snapshot: &str,
     before_current: impl FnOnce() -> Result<(), StoreError>,
 ) -> Result<(), StoreError> {
-    let snapshot = Framing::V2.encode_snapshot(dump);
-    write_atomic(vfs, &dir.join(snapshot_name(seq)), &snapshot)?;
-    write_atomic(vfs, &dir.join(tail_name(seq)), &Framing::V2.empty_tail())?;
+    write_synced(vfs, &dir.join(snapshot_name(seq)), snapshot)?;
+    write_synced(vfs, &dir.join(tail_name(seq)), &Framing::V2.empty_tail())?;
     before_current()?;
+    vfs.sync_dir(dir).map_err(|e| io_err(dir, e))?;
     write_atomic(vfs, &dir.join(CURRENT), &format!("{seq}\n"))
+}
+
+/// The fsyncs [`commit_generation`] makes: the snapshot, the tail and
+/// the directory, then `CURRENT`'s temp file and the directory again.
+const COMMIT_FSYNCS: u32 = 5;
+
+/// Writes `content` to `path` in place and fsyncs it. The name is
+/// durable only after its directory is synced.
+fn write_synced(vfs: &dyn Vfs, path: &Path, content: &str) -> Result<(), StoreError> {
+    vfs.write(path, content.as_bytes())
+        .and_then(|()| vfs.sync_file(path))
+        .map_err(|e| io_err(path, e))
 }
 
 /// Writes `content` crash-consistently *and durably*: temp file in the
@@ -1456,9 +1495,10 @@ impl Store for PersistentStore {
         let mut db = db;
         db.generation = generation_of(self.seq + 1);
         db.journal = Some(Journal::new());
-        self.commit_next(&mut db)?;
+        self.commit_next(&mut db, 0)?;
         db.segment = Some(self.segment.source(&self.vfs));
-        self.enter_epoch(self.seq + 1, db);
+        self.db = db;
+        self.enter_epoch(self.seq + 1);
         Ok(())
     }
 
@@ -1483,8 +1523,8 @@ impl Store for PersistentStore {
         self.flush();
         self.check_wedged()?;
         let mut span = obs::span!("store.compact", seq = self.seq);
-        let bytes_before =
-            self.file_size(&snapshot_name(self.seq)) + self.file_size(&tail_name(self.seq));
+        let snapshot_before = self.file_size(&snapshot_name(self.seq));
+        let bytes_before = snapshot_before + self.file_size(&tail_name(self.seq));
         let tail_ops_before = self.tail_ops;
 
         // Data held inline (a v1/v2 root's) move to the segment, and
@@ -1493,22 +1533,27 @@ impl Store for PersistentStore {
         // live state stays, its inline data spilled as before.
         let next = self.seq + 1;
         let mut db = std::mem::take(&mut self.db);
-        let committed = self.commit_next(&mut db);
+        let committed = self.commit_next(&mut db, snapshot_before as usize);
         self.db = db;
-        let dump = committed?;
+        let fsyncs = committed?;
 
-        // Reload at the bumped generation: identical state, fresh
-        // handle stamps — ids from before this call are now stale. The
-        // dump holds metadata and data references only.
+        // The live database is the state just committed. Restamped at
+        // the bumped generation, it is what a load of the new snapshot
+        // builds: ids from before this call are stale. Its data already
+        // point into the segment it keeps reading.
         let generation = generation_of(next);
-        let mut db = MetadataDb::load_at(&dump, generation)?;
-        db.journal = Some(Journal::new());
-        db.segment = Some(self.segment.source(&self.vfs));
-        self.enter_epoch(next, db);
+        self.db.restamp(generation);
+        self.db.journal = Some(Journal::new());
+        debug_assert!(
+            reloads_to_itself(&self.db),
+            "a restamped database is its reloaded snapshot"
+        );
+        self.enter_epoch(next);
 
         let bytes_after = self.file_size(&snapshot_name(next)) + self.file_size(&tail_name(next));
         span.record("tail_ops_folded", tail_ops_before);
         span.record("bytes_after", bytes_after);
+        span.record("fsyncs", fsyncs);
         Ok(CompactionStats {
             tail_ops_before,
             tail_ops_after: 0,
@@ -1673,7 +1718,7 @@ mod tests {
         // And the store keeps working at the new generation.
         let mut reopened = reopened;
         let sc2 = reopened.db().schedule_container("Create").unwrap()[0];
-        // Container handles were re-minted at generation 1 by load_at.
+        // Reopening loads the snapshot at generation 1.
         reopened.assign(sc2, "bob").unwrap();
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -1944,12 +1989,14 @@ mod tests {
     /// A [`MemVfs`] with two data-segment faults: while `cut` is set,
     /// appends silently keep only half their bytes (the lying short
     /// write); while `stat_fails` is set, stats fail with EIO.
-    /// Everything else passes through.
+    /// Everything else passes through; fsyncs (file and directory) are
+    /// counted.
     #[derive(Debug)]
     struct SegmentFaults {
         mem: Arc<MemVfs>,
         cut: std::sync::atomic::AtomicBool,
         stat_fails: std::sync::atomic::AtomicBool,
+        fsyncs: std::sync::atomic::AtomicU64,
     }
 
     impl SegmentFaults {
@@ -1958,7 +2005,13 @@ mod tests {
                 mem: mem.clone(),
                 cut: false.into(),
                 stat_fails: false.into(),
+                fsyncs: 0.into(),
             })
+        }
+
+        /// Fsyncs so far.
+        fn fsyncs(&self) -> u64 {
+            self.fsyncs.load(std::sync::atomic::Ordering::SeqCst)
         }
     }
 
@@ -1992,9 +2045,13 @@ mod tests {
             self.mem.create_dir_all(path)
         }
         fn sync_file(&self, path: &Path) -> std::io::Result<()> {
+            self.fsyncs
+                .fetch_add(1, std::sync::atomic::Ordering::SeqCst);
             self.mem.sync_file(path)
         }
         fn sync_dir(&self, path: &Path) -> std::io::Result<()> {
+            self.fsyncs
+                .fetch_add(1, std::sync::atomic::Ordering::SeqCst);
             self.mem.sync_dir(path)
         }
         fn exists(&self, path: &Path) -> bool {
@@ -2276,5 +2333,90 @@ mod tests {
         let reopened = PersistentStore::open_on(mem, "/proj").unwrap();
         assert_eq!(reopened.db().dump(), dump_after);
         assert_eq!(reopened.sequence(), 0);
+    }
+
+    /// A compaction costs six fsyncs after a write to the segment (the
+    /// segment, the snapshot, the tail, the directory, `CURRENT`'s temp
+    /// file and the directory again) and five when nothing was appended
+    /// since the last one synced it; a store just opened syncs its
+    /// segment once. The span on `store.compact` says the same, and its
+    /// children show where the time goes.
+    #[test]
+    fn compaction_fsyncs_the_segment_only_when_it_grew() {
+        let (mem, mut store) = mem_store("/proj");
+        mutate(&mut store);
+        drop(store);
+        let vfs = SegmentFaults::over(&mem);
+        let mut store = PersistentStore::open_on(vfs.clone() as Arc<dyn Vfs>, "/proj").unwrap();
+        let fsyncs_of = |store: &mut PersistentStore| {
+            let before = vfs.fsyncs();
+            let session = obs::Collector::session();
+            store.compact().unwrap();
+            let trace = session.finish();
+            let compact = trace.first_span("store.compact").expect("a compact span");
+            let traced = compact.arg("fsyncs").cloned();
+            let spans = trace.spans();
+            for child in ["store.segment_sync", "store.dump", "store.commit"] {
+                let span = spans.iter().find(|s| s.name == child).expect(child);
+                assert_eq!(span.parent.map(|p| spans[p].name), Some("store.compact"));
+            }
+            let counted = vfs.fsyncs() - before;
+            assert_eq!(traced, Some(obs::ArgValue::from(counted as u32)));
+            counted
+        };
+        assert_eq!(fsyncs_of(&mut store), 6, "a freshly opened segment");
+        assert_eq!(fsyncs_of(&mut store), 5, "nothing appended since");
+        store.begin_planning(WorkDays::new(2.0));
+        assert_eq!(fsyncs_of(&mut store), 5, "metadata only");
+        store.store_data("v2.net", b"module v2".to_vec());
+        assert_eq!(fsyncs_of(&mut store), 6, "the segment grew");
+        let dump = store.db().dump();
+        drop(store);
+        let reopened = PersistentStore::open_on(mem as Arc<dyn Vfs>, "/proj").unwrap();
+        assert_eq!(reopened.db().dump(), dump);
+    }
+
+    /// Compaction restamps the live database: the state is a reload of
+    /// the new snapshot's byte for byte, every handle from before is
+    /// stale on both with the same refusal, handles read afterwards
+    /// work on both, and no temp file is left.
+    #[test]
+    fn compaction_restamps_exactly_as_a_reload_would() {
+        let (mem, mut store) = mem_store("/proj");
+        let sc = mutate(&mut store);
+        let run = store.db().runs()[0].id();
+        let session = store.db().schedule_instance(sc).session();
+        store.compact().unwrap();
+        let snapshot = mem
+            .read_to_string(&Path::new("/proj").join(snapshot_name(1)))
+            .unwrap();
+        let (_, body) = decode_snapshot_file(Path::new("snapshot"), &snapshot).unwrap();
+        let mut reloaded = MetadataDb::load_at(body, 1).unwrap();
+        assert_eq!(store.db().snapshot_by_ref(0), snapshot);
+        assert_eq!(reloaded.snapshot_by_ref(0), snapshot);
+        let live = &mut store.db;
+        let refusals = [&mut *live, &mut reloaded].map(|db| {
+            assert_eq!(db.generation(), 1);
+            let refusals = [
+                db.assign(sc, "bob").unwrap_err(),
+                db.plan_activity(session, "Create", WorkDays::ZERO, WorkDays::ZERO)
+                    .unwrap_err(),
+                db.finish_run(run, "netlist", DataObjectId::new(0, 0), WorkDays::ZERO, &[])
+                    .unwrap_err(),
+            ];
+            let fresh = db.current_plan("Create").unwrap().id();
+            assert_eq!(fresh.generation(), 1);
+            db.assign(fresh, "bob").unwrap();
+            refusals
+        });
+        assert!(refusals[0]
+            .iter()
+            .all(|e| matches!(e, MetadataError::StaleHandle(_))));
+        assert_eq!(refusals[0], refusals[1]);
+        assert_eq!(store.db().snapshot_by_ref(0), reloaded.snapshot_by_ref(0));
+        let files = mem.list_dir(Path::new("/proj")).unwrap();
+        assert!(files
+            .iter()
+            .all(|f| f.extension().is_none_or(|e| e != "tmp")));
     }
 }

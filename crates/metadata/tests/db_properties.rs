@@ -7,7 +7,9 @@
 //! failing operation sequence.
 
 use harness::prelude::*;
-use metadata::{EntityInstanceId, MetadataDb, ScheduleInstanceId};
+use metadata::{
+    ArenaStore, EntityInstanceId, MetadataDb, MetadataError, ScheduleInstanceId, Store,
+};
 use schedule::WorkDays;
 use schema::examples;
 
@@ -192,6 +194,61 @@ harness::props! {
             prop_assert_eq!(loaded.actual_finish(activity), db.actual_finish(activity));
             prop_assert_eq!(loaded.last_duration(activity), db.last_duration(activity));
         }
+    }
+
+    /// Compaction restamps the live database; a load of its dump at
+    /// the new generation is the reference. The two must not differ:
+    /// the same dump, every handle held across the compaction refused
+    /// with the same `StaleHandle`, and the same state after the same
+    /// further ops.
+    fn restamp_matches_reload_under_random_ops(
+        ops in vec(arb_op(), 0..40),
+        later in vec(arb_op(), 0..10),
+    ) {
+        let mut db = MetadataDb::for_schema(&examples::circuit_design());
+        let mut clock = 0.0;
+        for op in &ops {
+            apply(&mut db, op, &mut clock);
+        }
+        let mut restamped = ArenaStore::new(db.clone());
+        let stats = restamped.compact().expect("a live database compacts");
+        let reloaded = MetadataDb::load_at(&db.dump(), stats.generation).expect("own dumps load");
+        let mut dbs = [restamped.into_db(), reloaded];
+        prop_assert_eq!(dbs[0].generation(), dbs[1].generation());
+        prop_assert_eq!(dbs[0].dump(), dbs[1].dump());
+
+        let refusals = dbs.each_mut().map(|after| {
+            let mut refused: Vec<Result<(), MetadataError>> = Vec::new();
+            for session in db.planning_sessions() {
+                let plan = after.plan_activity(session.id(), "Create", WorkDays::ZERO, WorkDays::ZERO);
+                refused.push(plan.map(drop));
+                for &sc in session.instances() {
+                    refused.push(after.assign(sc, "carol"));
+                    refused.push(after.carry_plan(session.id(), &[sc]).map(drop));
+                }
+            }
+            for run in db.runs() {
+                let inputs: Vec<EntityInstanceId> = run.output().into_iter().collect();
+                for &entity in &inputs {
+                    let data = db.entity_instance(entity).data();
+                    let finish = after.finish_run(run.id(), "netlist", data, WorkDays::ZERO, &inputs);
+                    refused.push(finish.map(drop));
+                }
+            }
+            refused
+        });
+        prop_assert_eq!(&refusals[0], &refusals[1]);
+        prop_assert!(refusals[0]
+            .iter()
+            .all(|r| matches!(r, Err(MetadataError::StaleHandle(_)))));
+
+        let mut clocks = [clock; 2];
+        for op in &later {
+            for (after, clock) in dbs.iter_mut().zip(&mut clocks) {
+                apply(after, op, clock);
+            }
+        }
+        prop_assert_eq!(dbs[0].dump(), dbs[1].dump());
     }
 
     fn plan_evolution_is_a_version_chain(versions in 1usize..10) {

@@ -16,7 +16,7 @@
 //! | GET | `/metrics` | obs metrics (JSON; `?format=text` console form, `?format=prom` Prometheus exposition) |
 //! | GET | `/debug/flight` | flight-recorder dump (`?trace=<id>` for one request's records) |
 //! | GET | `/projects` | registered + on-disk project names, one per line |
-//! | POST | `/projects/{name}?team=N&seed=N` | create; body = schema source |
+//! | POST | `/projects/{name}?team=N&seed=N` | create (N ≤ [`MAX_TEAM`]); body = schema source |
 //! | DELETE | `/projects/{name}` | unregister and delete |
 //! | GET | `/projects/{name}/status` | status report (CLI `ws status` bytes) |
 //! | GET | `/projects/{name}/export` | metadata-db dump |
@@ -130,6 +130,11 @@ const FAULT_TAIL: usize = 16;
 /// anything runs, so the bound keeps what one request can allocate
 /// small.
 pub const MAX_RUN_WORKERS: usize = 1024;
+
+/// The largest design team `POST /projects/{name}?team=N` accepts. A
+/// team names each of its designers before the project exists, so the
+/// bound keeps what one create can allocate small.
+pub const MAX_TEAM: usize = 256;
 
 /// The routing core shared by every worker thread.
 pub struct Api {
@@ -309,6 +314,9 @@ impl Api {
 
     fn create_project(&self, name: &str, req: &Request) -> Response {
         let team = match parse_num(req, "team", 2usize) {
+            Ok(n) if n > MAX_TEAM => {
+                return Response::error(422, format!("team wants at most {MAX_TEAM}"))
+            }
             Ok(n) => n.max(1),
             Err(resp) => return resp,
         };

@@ -33,9 +33,16 @@
 #           property, the restored-vs-live property and the
 #           planner-metrics tests
 #   fsck    durability gate: the 64-seed fault-injection sweep over
-#           FaultVfs, the corruption-corpus goldens in
-#           artifacts/corrupt_roots/ (v3 data-segment cases and their
-#           repair included), the storage-v3 goldens and v1/v2
+#           FaultVfs, the commit crash sweep (a power loss at every
+#           write point of a compaction, a replace_db and a create
+#           reopens one generation; fsck heals each root in one
+#           repair), the restamp properties (a compacted database is
+#           its reloaded snapshot: same dump, same stale-handle
+#           refusals, same plans, status and forecasts), the fsync
+#           count of a gc, the corruption-corpus goldens in
+#           artifacts/corrupt_roots/ (v3 data-segment cases, a
+#           half-written next generation and their repair included),
+#           the storage-v3 goldens and v1/v2
 #           compatibility, write groups (ENOSPC at every write point
 #           and a crash at every mutation of plan + execute, the
 #           tail/segment golden of an asic_flow run, the store's group
@@ -271,9 +278,22 @@ stage_fsck() {
     # segment write and one tail append, under the same ENOSPC, crash
     # and golden-bytes contract as per-op appends; the CRC32 lane
     # kernel must equal a bit-at-a-time reference at every length.
+    # Commits: a power loss at every write point of a compaction, a
+    # replace_db and a create reopens the old generation or the new
+    # one, and fsck calls each crashed root healthy (naming what the
+    # dead commit left uncommitted) and heals it in one repair. A
+    # compaction restamps the live database instead of reloading it:
+    # the restamp properties hold it to the reload (dump, stale-handle
+    # refusals, then plans, status and forecasts), and a gc makes 6
+    # fsyncs, 5 when the segment did not grow.
     cargo test -q --offline --release -p simtools --lib vfs || return 1
     cargo test -q --offline --release -p metadata --lib -- \
-        framing::tests::crc32 store::tests::write_group || return 1
+        framing::tests::crc32 store::tests::write_group \
+        store::tests::compaction_ fsck::tests || return 1
+    cargo test -q --offline --release -p metadata \
+        --test commit_crash --test db_properties || return 1
+    cargo test -q --offline --release -p hercules \
+        --test compaction_property -- a_restamped_gc || return 1
     cargo test -q --offline --release -p hercules --lib -- \
         manager::tests::write_group || return 1
     cargo test -q --offline --release -p hercules \

@@ -478,7 +478,8 @@ fn cmd_metrics(args: &[String]) -> Result<(), String> {
 
 /// Compacts persisted project stores under a workspace root: folds
 /// each journal tail into a fresh snapshot (`snapshot-{N+1}` +
-/// empty tail, swapped in via temp/rename) and reports what shrank.
+/// empty tail, committed by renaming a new `CURRENT` into place) and
+/// reports what shrank.
 /// With no names, every on-disk project is compacted.
 fn cmd_gc(args: &[String]) -> Result<(), String> {
     let Some(root) = args.first() else {

@@ -3,7 +3,9 @@
 //! different kind of damage (none, torn tail, corrupt interior record,
 //! rotted snapshot, missing `CURRENT`, a `carry-plan` record that
 //! checksums but does not replay, a last record that checksums but does
-//! not parse (`negative_md`: a negative milli-day), and the data-segment
+//! not parse (`negative_md`: a negative milli-day), a compaction that
+//! died writing its next generation (`stray_next`: a half-written
+//! `snapshot-1.txt` that `CURRENT` never named), and the data-segment
 //! cases). The corpus pins the
 //! scrub verdicts — exit code, per-file classification, detail text —
 //! so a recovery-policy change shows up as a reviewable diff, and the
@@ -98,14 +100,18 @@ fn repair_fixes_exactly_the_repairable_cases() {
         "project healthy: ok",
         "project interior_rot: ok",
         "project negative_md: ok",
+        "project stray_next: ok",
         "project torn_tail: ok",
         "project headless: DAMAGED",
         "project snapshot_rot: DAMAGED",
     ] {
         assert!(stdout.contains(line), "missing {line:?} in:\n{stdout}");
     }
-    // The damage was quarantined, not deleted.
+    // The damage was quarantined, not deleted; the half-written
+    // generation nothing named is gone.
     assert!(root.join("interior_rot/tail-0.journal.quarantine").exists());
+    assert!(!root.join("stray_next/snapshot-1.txt").exists());
+    assert!(!stdout.contains("uncommitted"), "{stdout}");
     let _ = fs::remove_dir_all(&root);
 }
 
@@ -133,8 +139,8 @@ fn repair_keeps_every_record_before_an_unparsable_one() {
 }
 
 /// Open and scrub read a generation through one reader, so they agree
-/// on which corpus roots open: torn tails and segment slack heal or
-/// serve, interior damage, a carry that does not replay, a rotted
+/// on which corpus roots open: torn tails, segment slack and a
+/// half-written next generation heal or serve, interior damage, a carry that does not replay, a rotted
 /// snapshot and a missing `CURRENT` are refused. `data_rot` opens
 /// because open reads no design data, yet fsck reports it damaged: its
 /// one rotted datum fails its checksum when read.
@@ -146,6 +152,7 @@ fn open_agrees_with_scrub_on_every_corpus_root() {
         ("torn_tail", true, true),
         ("short_segment", true, true),
         ("segment_slack", true, true),
+        ("stray_next", true, true),
         ("data_rot", true, false),
         ("interior_rot", false, false),
         ("bad_carry", false, false),

@@ -316,6 +316,28 @@ fn run_policy_and_workers_params_are_transport_invariant() {
         )
         .expect("http run");
     assert_eq!(resp.status, 422, "{}", resp.body);
+    // An oversized team is refused before the schema is read, and no
+    // project is left behind; `team=0` still means a team of one.
+    let resp = client
+        .post(
+            &format!("/projects/huge?team={}", serve::api::MAX_TEAM + 1),
+            b"not a schema",
+        )
+        .expect("http create");
+    assert_eq!(resp.status, 422, "{}", resp.body);
+    assert!(resp.body.contains("team wants at most"), "{}", resp.body);
+    let resp = client.get("/projects").expect("http list");
+    assert!(
+        !resp.body.lines().any(|name| name == "huge"),
+        "{}",
+        resp.body
+    );
+    let resp = client
+        .post("/projects/solo?team=0&seed=5", source.as_bytes())
+        .expect("http create");
+    assert_eq!(resp.status, 201, "{}", resp.body);
+    let solo = ws.project("solo").expect("created");
+    assert_eq!(solo.read(|h| h.team().len()), 1);
     server.shutdown();
 }
 
