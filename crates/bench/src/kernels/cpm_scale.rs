@@ -4,25 +4,21 @@
 //! activities; this kernel is the scale gate for the data-oriented
 //! schedule core, measuring 10⁵–10⁶-activity graphs:
 //!
-//! * `full/{n}` — one complete `analyze()` (level-parallel passes with
-//!   the default worker count) on a wide layered DAG. Target: ≤ ~100 ms
-//!   at 10⁶ activities.
-//! * `full_serial/{n}` — the same analysis forced onto one thread
-//!   (`analyze_with_threads(1)`), isolating the flat-sweep speed from
-//!   level parallelism.
+//! * `full/{n}` — one complete `analyze()` (one flat forward and one
+//!   flat backward sweep) on a wide layered DAG. Target: ≤ ~100 ms at
+//!   10⁶ activities.
 //! * `inc_leaf/{n}` — a slack-absorbed leaf slip through
 //!   `IncrementalCpm`: the replan path must stay µs-scale no matter how
 //!   large the schedule grows.
 //!
 //! Graph shape: `width = n / 10` (so a 10⁶-activity network has
-//! 100 000-wide levels — wide enough for the scoped-thread chunking to
-//! engage), node `w` of each layer wired to nodes `w` and
+//! 100 000-wide levels), node `w` of each layer wired to nodes `w` and
 //! `(w + 1) % width` of the previous layer. Durations are dyadic so the
 //! incremental and full engines stay bit-identical.
 //!
 //! `tests/cpm_scale.rs` gates the scaling shape (subquadratic full
-//! pass, ≥100× incremental advantage, thread-count-invariant results)
-//! with host-independent ratios; the CI `scale` stage runs it plus a
+//! pass, ≥100× incremental advantage, an O(1) leaf-slip cone) with
+//! host-independent ratios; the CI `scale` stage runs it plus a
 //! quick pass of this kernel, uploading `target/cpm_scale.json`.
 
 use harness::bench::Record;
@@ -85,11 +81,6 @@ pub fn run(quick: bool) -> Vec<Record> {
 
         suite.bench(&format!("full/{n}"), Some(n as u64), || {
             net.analyze().expect("acyclic").project_duration()
-        });
-        suite.bench(&format!("full_serial/{n}"), Some(n as u64), || {
-            net.analyze_with_threads(1)
-                .expect("acyclic")
-                .project_duration()
         });
 
         let leaf = arm_leaf_slip(&mut net, &last);

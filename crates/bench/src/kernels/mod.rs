@@ -25,6 +25,7 @@ pub mod recover_journal;
 pub mod replan;
 pub mod replan_incremental;
 pub mod serve_load;
+pub mod slow_commits;
 pub mod store_durability;
 pub mod trace_overhead;
 pub mod workspace_concurrent;

@@ -4,14 +4,15 @@
 //!
 //! What this kernel measures is **lock granularity**, not CPU
 //! parallelism: every write session holds its project's exclusive lock
-//! across a fixed simulated tool/commit latency (the position a real
-//! session is in while a tool runs or a journal append reaches disk).
-//! Under the workspace's RwLock-per-project sharding, sessions against
-//! *different* projects overlap those waits, so total throughput rises
-//! with the thread count even on a single hardware core; a
-//! coarse-grained design (one lock around the whole store) would
-//! serialize the waits and show flat throughput. The acceptance gate —
-//! ≥2× ops/s from 1 → 4 threads, checked by
+//! across a fixed simulated commit latency (the position a real session
+//! is in while a journal append reaches disk), burned by the projects'
+//! store ([`slow_manager`], B13's latency model too) when the session's
+//! write group closes. Under the workspace's RwLock-per-project
+//! sharding, sessions against *different* projects overlap those
+//! waits, so total throughput rises with the thread count even on a
+//! single hardware core; a coarse-grained design (one lock around the
+//! whole store) would serialize the waits and show flat throughput.
+//! The acceptance gate — ≥2× ops/s from 1 → 4 threads, checked by
 //! `tests/workspace_scaling.rs` and the `ws` CI stage — is therefore a
 //! direct regression test on the sharding, portable to single-core
 //! containers.
@@ -19,29 +20,21 @@
 //! Workload shape per batch: 8 projects × `OPS_PER_PROJECT` operations,
 //! partitioned over the threads (each project is owned by exactly one
 //! thread per batch, as in real per-project sessions). Three of every
-//! four operations are incremental replans under the write lock + the
-//! simulated latency; every fourth is a status rollup under the shared
-//! read lock. Total work is identical at every thread count, so the
-//! per-element medians are directly comparable.
+//! four operations are incremental replans, each one write group that
+//! pays the simulated latency under the write lock; every fourth is a
+//! status rollup under the shared read lock. Total work is identical
+//! at every thread count, so the per-element medians are directly
+//! comparable.
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use harness::bench::Record;
 use hercules::Workspace;
-use schema::examples;
-use simtools::workload::Team;
-use simtools::ToolLibrary;
+
+use super::slow_commits::slow_manager;
 
 /// Projects in the workspace — also the maximum thread count.
 pub const PROJECTS: usize = 8;
-
-/// Simulated per-write tool/commit latency held under the project's
-/// exclusive lock. Long enough to dominate the CPU cost of an
-/// incremental replan even in unoptimized builds (so the scaling gate
-/// measures lock granularity, not build profile), short enough to keep
-/// the full sampling plan under a few seconds.
-pub const SESSION_LATENCY: Duration = Duration::from_millis(1);
 
 /// The thread counts the kernel sweeps.
 pub const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -50,19 +43,13 @@ fn project_name(k: usize) -> String {
     format!("p{k}")
 }
 
-/// A workspace with [`PROJECTS`] planned ASIC-flow projects, ready for
-/// replan/query traffic.
+/// A workspace with [`PROJECTS`] planned ASIC-flow projects, each made
+/// by [`slow_manager`], ready for replan/query traffic.
 pub fn seeded_workspace() -> Arc<Workspace> {
     let ws = Arc::new(Workspace::in_memory());
     for k in 0..PROJECTS {
         let project = ws
-            .create_project(
-                &project_name(k),
-                examples::asic_flow(),
-                ToolLibrary::standard(),
-                Team::of_size(3),
-                k as u64,
-            )
+            .register(&project_name(k), slow_manager(k as u64))
             .expect("fresh project");
         project
             .update(|h| h.plan("signoff_report"))
@@ -86,13 +73,12 @@ pub fn run_batch(ws: &Arc<Workspace>, threads: usize, ops_per_project: usize) {
                             let complete = project.read(|h| h.status().complete_count());
                             std::hint::black_box(complete);
                         } else {
-                            // Exclusive write: incremental replan, then
-                            // the simulated tool/commit latency *while
-                            // still holding the session's lock*.
-                            project.update(|h| {
-                                h.replan("signoff_report").expect("replan");
-                                std::thread::sleep(SESSION_LATENCY);
-                            });
+                            // Exclusive write: an incremental replan,
+                            // whose commit latency the store burns
+                            // while the session holds the lock.
+                            project
+                                .update(|h| h.replan("signoff_report"))
+                                .expect("replan");
                         }
                     }
                 }

@@ -9,8 +9,6 @@
 //! * an incremental slack-absorbed leaf slip stays ≥100× faster than a
 //!   full recompute at 10⁵ activities, with a dirty cone that never
 //!   grows with the schedule;
-//! * the level-parallel passes are thread-count invariant: one worker
-//!   and four produce the identical analysis, bit for bit;
 //! * a whole cache-hit plan (task-tree extraction, estimates, levelling
 //!   and the recorded versions) scales subquadratically from 501 to
 //!   2001 activities: every by-name lookup on the way is indexed.
@@ -32,17 +30,8 @@ fn best_secs<R>(tries: usize, mut f: impl FnMut() -> R) -> f64 {
 }
 
 #[test]
-fn threads_are_invisible_and_leaf_cone_is_constant() {
+fn leaf_cone_is_constant() {
     let (mut net, last) = scale_network(100_000);
-    // Identical analyses for any worker count, including the critical
-    // path and every per-activity date.
-    let serial = net.analyze_with_threads(1).expect("acyclic");
-    let parallel = net.analyze_with_threads(4).expect("acyclic");
-    assert_eq!(
-        serial, parallel,
-        "level-parallel CPM diverged from the serial sweep"
-    );
-
     // Slack-absorbed leaf slip: heavy sibling sinks, 1 <-> 2.5 toggle.
     for &id in &last {
         net.set_duration(id, WorkDays::new(5.0)).expect("known id");

@@ -1,9 +1,9 @@
-//! A project registered through `Workspace::register` with the B13
-//! bench's `slow_manager` serves the same bytes as one made by
+//! A project registered through `Workspace::register` with the B12
+//! and B13 benches' `slow_manager` serves the same bytes as one made by
 //! `Workspace::create_project`: the store's latency changes when a
 //! write lands, never what is written or rendered.
 
-use bench::kernels::serve_load::slow_manager;
+use bench::kernels::slow_commits::slow_manager;
 use hercules::Workspace;
 use schema::examples;
 use serve::{Client, Server, ServerConfig};

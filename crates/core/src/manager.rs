@@ -172,10 +172,11 @@ impl Hercules {
     /// [`Store::compact`]), restamping the live database in place.
     /// Handles minted before the call — schedule instances inside old
     /// [`SchedulePlan`](crate::SchedulePlan)s, cached primary inputs —
-    /// become stale, so the manager drops its plan caches and rebuilds
-    /// the primary-input registry from the restamped state. It also
-    /// drops the cached estimates, as a restore does; the task trees
-    /// stay.
+    /// become stale, so the manager rebuilds the primary-input registry
+    /// from the restamped state. The planning view stays: the restamped
+    /// database keeps every container slot a plan cache reads and every
+    /// run, link and intuition a kept estimate came from, so the next
+    /// plan is a cache hit.
     ///
     /// # Errors
     ///
@@ -183,11 +184,10 @@ impl Hercules {
     /// the snapshot fails.
     pub fn gc(&mut self) -> Result<CompactionStats, HerculesError> {
         let stats = self.store.compact()?;
-        // Every id the manager cached is now stale: re-derive them from
-        // the restamped database. Session-local state (clock,
-        // blocked set, estimates) is untouched — gc is maintenance, not
-        // a restore.
-        self.view.reset(self.store.db().runs().len());
+        // The supplied inputs are the only database ids the manager
+        // keeps: re-derive them from the restamped database. Everything
+        // else (clock, blocked set, planning view) is untouched — gc is
+        // maintenance, not a restore.
         self.rebuild_supplied();
         Ok(stats)
     }

@@ -32,8 +32,9 @@ use crate::task::TaskTree;
 ///   schedule-container slot. They name the team's designers; the team,
 ///   like the schema, is fixed for the manager's life.
 ///
-/// Replacing or compacting the database drops every estimate and plan
-/// cache; the trees stay.
+/// Replacing the database drops every estimate and plan cache; the
+/// trees stay. Compacting it drops nothing: the restamped database
+/// keeps every container slot and every input of the estimates.
 #[derive(Debug, Clone)]
 pub(crate) struct PlanningView {
     trees: HashMap<String, Arc<TaskTree>>,
@@ -93,9 +94,9 @@ pub(crate) struct PlanCache {
     ids: Vec<ActivityId>,
     /// The k-th in-scope activity's schedule-container slot (`None`
     /// if the database has no container for it), so a pass reads
-    /// current plans by position. Slots hold for the database's life;
-    /// a restore, which replaces it, and a gc, which restamps its ids,
-    /// drop every plan cache.
+    /// current plans by position. Slots hold for the database's life,
+    /// across a gc, which restamps ids but keeps slots; a restore,
+    /// which replaces the database, drops every plan cache.
     slots: Vec<Option<usize>>,
     inc: IncrementalCpm,
     /// The last pass's levelled schedule: a pure function of `network`
@@ -895,6 +896,36 @@ mod tests {
         let session = obs::Collector::session();
         h.plan_scope("performance", &skip).unwrap();
         assert!(arg_bool(&plan_span(&session.finish()), "cache_hit"));
+    }
+
+    #[test]
+    fn plan_after_gc_is_a_cache_hit() {
+        // A gc restamps ids but keeps every slot and estimate input, so
+        // the kept proposal stays valid: the next plan reuses it and
+        // records what a cold manager over the same database records.
+        let mut warm = Hercules::new(
+            examples::asic_flow(),
+            ToolLibrary::standard(),
+            Team::of_size(2),
+            3,
+        );
+        warm.execute("rtl").unwrap();
+        warm.plan("signoff_report").unwrap();
+        warm.gc().unwrap();
+        let mut cold = Hercules::with_store(
+            examples::asic_flow(),
+            ToolLibrary::standard(),
+            Team::of_size(2),
+            3,
+            Box::new(metadata::ArenaStore::new(warm.db().clone())),
+        );
+        let session = obs::Collector::session();
+        let warm_plan = warm.plan("signoff_report").unwrap();
+        let stats = plan_span(&session.finish());
+        assert!(arg_bool(&stats, "cache_hit"));
+        assert!(!arg_bool(&stats, "relevelled"));
+        assert_eq!(warm_plan, cold.plan("signoff_report").unwrap());
+        assert_eq!(warm.db().dump(), cold.db().dump());
     }
 
     #[test]

@@ -123,25 +123,10 @@ impl ScheduleNetwork {
     /// # }
     /// ```
     pub fn analyze(&self) -> Result<CpmAnalysis, ScheduleError> {
-        self.analyze_with_threads(crate::csr::default_threads(self.activity_count()))
-    }
-
-    /// [`analyze`](ScheduleNetwork::analyze) with an explicit worker
-    /// count for the level-synchronous passes. `threads <= 1` forces
-    /// the serial sweep. Results are bit-identical for every thread
-    /// count: each activity's dates are a pure fold over its
-    /// already-finished neighbors in fixed edge-insertion order, so
-    /// threading only changes who computes them, never the outcome.
-    ///
-    /// # Errors
-    ///
-    /// Infallible for networks built through the public API, like
-    /// [`analyze`](ScheduleNetwork::analyze).
-    pub fn analyze_with_threads(&self, threads: usize) -> Result<CpmAnalysis, ScheduleError> {
         let csr = self.csr();
         let dur = csr.gather(self.durations_raw());
-        let (es, ef) = csr.forward(&dur, threads);
-        let tail = csr.backward(&dur, threads);
+        let (es, ef) = csr.forward(&dur);
+        let tail = csr.backward(&dur);
         let project = csr.project(&ef);
         let times = csr.assemble_times(&dur, &es, &ef, &tail, project);
         let critical = csr.walk_critical(&es, &ef, &tail, project);

@@ -27,12 +27,14 @@
 //! `DirtyBits` bitsets drained in position
 //! order (ascending for the forward sweep, descending for the
 //! backward), which replaces the old binary-heap + generation-stamp
-//! scheme with two cache-resident words per 64 activities.
+//! scheme with two cache-resident words per 64 activities. A rebuild
+//! is the same flat sweep [`ScheduleNetwork::analyze`] runs.
 //!
 //! Structural edits (new activities or precedence constraints) change
-//! the topology itself; [`IncrementalCpm::update`] detects them through
-//! [`ScheduleNetwork::structure_revision`] and falls back to a full
-//! rebuild. In debug builds every update cross-checks itself against
+//! the topology itself and clear the network's cached view. The engine
+//! holds the view it was built on, so [`IncrementalCpm::update`] sees
+//! a different one and falls back to a full rebuild. In debug builds
+//! every update cross-checks itself against
 //! [`ScheduleNetwork::analyze`]; release builds skip the check.
 //!
 //! ```
@@ -57,7 +59,7 @@
 use std::sync::Arc;
 
 use crate::cpm::{ActivityTimes, CpmAnalysis};
-use crate::csr::{default_threads, CsrTopology, DirtyBits};
+use crate::csr::{same_topology, CsrTopology, DirtyBits};
 use crate::error::ScheduleError;
 use crate::network::{ActivityId, ScheduleNetwork, WorkDays};
 
@@ -100,11 +102,12 @@ impl UpdateStats {
 /// of duration changes. All cached arrays live in topological position
 /// space over a shared `CsrTopology`; accessors translate ids through
 /// its `pos` map. Accessors that hand back network-shaped results take
-/// the network again; the engine verifies it is the same network via
-/// the structural revision.
+/// the network again; the engine verifies that the network still
+/// caches the topology it was built on.
 #[derive(Debug, Clone)]
 pub struct IncrementalCpm {
-    /// Shared flat topology (one structural revision of the network).
+    /// Shared flat topology: the network's cached view when the engine
+    /// was last rebuilt, and the identity checked against it since.
     csr: Arc<CsrTopology>,
     /// Snapshot of activity durations (milli-days) the cached state
     /// was derived from, in position order.
@@ -116,7 +119,6 @@ pub struct IncrementalCpm {
     /// derive from it: `late_start = project − tail`.
     tail: Vec<i64>,
     project: i64,
-    structure_rev: u64,
     /// Reusable bitset worklists (self-clearing on drain).
     dirty_fwd: DirtyBits,
     dirty_bwd: DirtyBits,
@@ -143,7 +145,7 @@ impl IncrementalCpm {
     ///
     /// Infallible for networks built through the public API.
     pub fn new(network: &ScheduleNetwork) -> Result<Self, ScheduleError> {
-        let csr = network.csr();
+        let csr = Arc::clone(network.csr());
         let n = csr.len();
         let mut engine = IncrementalCpm {
             csr,
@@ -152,7 +154,6 @@ impl IncrementalCpm {
             early_finish: Vec::new(),
             tail: Vec::new(),
             project: 0,
-            structure_rev: network.structure_revision(),
             dirty_fwd: DirtyBits::new(n),
             dirty_bwd: DirtyBits::new(n),
         };
@@ -214,8 +215,8 @@ impl IncrementalCpm {
     /// # Panics
     ///
     /// Panics if `id` does not belong to the analyzed network, or if
-    /// `network` is not the network this engine was built from (checked
-    /// via the structural revision).
+    /// `network` no longer caches the topology this engine was built on
+    /// (a structural edit since, or another network).
     pub fn times(&self, network: &ScheduleNetwork, id: ActivityId) -> ActivityTimes {
         self.check_same_network(network);
         self.csr.times_at(
@@ -234,8 +235,8 @@ impl IncrementalCpm {
     ///
     /// # Panics
     ///
-    /// Panics if `network` is not the network this engine was built
-    /// from (checked via the structural revision).
+    /// Panics if `network` no longer caches the topology this engine
+    /// was built on (a structural edit since, or another network).
     pub fn analysis(&self, network: &ScheduleNetwork) -> CpmAnalysis {
         self.check_same_network(network);
         let times = self.csr.assemble_times(
@@ -262,7 +263,8 @@ impl IncrementalCpm {
     /// activities is allowed (it only costs their re-derivation). An
     /// empty `dirty` set is a no-op. Structural changes (activities or
     /// constraints added) are detected automatically and trigger a full
-    /// rebuild.
+    /// rebuild, as does a network other than the one the engine was
+    /// built on.
     ///
     /// In debug builds the result is cross-checked against a fresh
     /// [`ScheduleNetwork::analyze`]; see
@@ -278,8 +280,7 @@ impl IncrementalCpm {
         dirty: &[ActivityId],
     ) -> Result<UpdateStats, ScheduleError> {
         let n = network.activity_count();
-        if network.structure_revision() != self.structure_rev || n != self.durations.len() {
-            self.structure_rev = network.structure_revision();
+        if !same_topology(&self.csr, network) {
             self.rebuild(network);
             let stats = UpdateStats {
                 forward_recomputed: n,
@@ -391,23 +392,21 @@ impl IncrementalCpm {
     }
 
     fn check_same_network(&self, network: &ScheduleNetwork) {
-        assert_eq!(
-            network.structure_revision(),
-            self.structure_rev,
+        assert!(
+            same_topology(&self.csr, network),
             "IncrementalCpm used with a structurally different network; call update() first"
         );
     }
 
     /// Full recompute of every cached quantity on a fresh CSR view.
     fn rebuild(&mut self, network: &ScheduleNetwork) {
-        self.csr = network.csr();
+        self.csr = Arc::clone(network.csr());
         let n = self.csr.len();
-        let threads = default_threads(n);
         self.durations = self.csr.gather(network.durations_raw());
-        let (es, ef) = self.csr.forward(&self.durations, threads);
+        let (es, ef) = self.csr.forward(&self.durations);
         self.early_start = es;
         self.early_finish = ef;
-        self.tail = self.csr.backward(&self.durations, threads);
+        self.tail = self.csr.backward(&self.durations);
         self.project = self.csr.project(&self.early_finish);
         self.dirty_fwd.reset(n);
         self.dirty_bwd.reset(n);
@@ -634,8 +633,8 @@ mod tests {
         }
         let foreign = other.activity("x8").unwrap();
         let mut inc = net.analyze_incremental().unwrap();
-        // Force matching structure revisions so the id check (not the
-        // rebuild path) is exercised.
+        // The engine's own network, so the id check (not the rebuild
+        // path) is exercised.
         assert!(matches!(
             inc.update(&net, &[foreign]),
             Err(ScheduleError::UnknownActivity(_))
@@ -662,5 +661,17 @@ mod tests {
         let mut other = ScheduleNetwork::new();
         other.add_activity("solo", WorkDays::new(1.0)).unwrap();
         let _ = inc.analysis(&other);
+    }
+
+    /// A network built the same way is still another network: equal
+    /// activity and constraint counts do not make its topology the one
+    /// the engine holds.
+    #[test]
+    #[should_panic(expected = "structurally different network")]
+    fn twin_network_rejected_by_accessors() {
+        let (net, _) = diamond();
+        let inc = net.analyze_incremental().unwrap();
+        let (twin, [_, b, ..]) = diamond();
+        let _ = inc.times(&twin, b);
     }
 }

@@ -1,26 +1,31 @@
-//! Flat CSR (structure-of-arrays) view of a [`ScheduleNetwork`].
+//! Flat CSR (structure-of-arrays) view of a [`ScheduleNetwork`], and
+//! the one CPM sweep that runs on it.
 //!
 //! The public network API keeps its object-graph ergonomics (names,
-//! per-activity lookups, DOT export); this module is what the hot CPM
-//! paths actually run on. [`CsrTopology`] freezes the precedence
+//! per-activity lookups, DOT export); this module is what the CPM
+//! passes actually run on. [`CsrTopology`] freezes the precedence
 //! topology into contiguous `u32` arrays:
 //!
 //! - a **levelized topological order** (`order`/`pos`): positions are
 //!   grouped by level (longest-path depth) and sorted by activity id
-//!   within each level, so every level is one contiguous position range
-//!   (`level_off`) and within-level order equals insertion order;
+//!   within each level, so within-level order equals insertion order
+//!   and the sources lead;
 //! - **position-space predecessor/successor CSR** (`pred_off`/`preds`,
 //!   `succ_off`/`succs`), adjacency kept in edge-insertion order so
 //!   tie-breaking (critical-path walks, free-slack folds) matches the
 //!   original per-node iteration exactly;
 //! - the sink positions (`sink_pos`) the project duration folds over.
 //!
-//! On top of that layout the forward/backward passes become flat array
-//! sweeps, and each level can be computed in parallel with plain
-//! `split_at_mut` borrows (predecessors of level *l* live strictly
-//! before the level's first position; successors strictly after its
-//! last), so no `unsafe` and no locks are needed — matching this
-//! crate's `#![forbid(unsafe_code)]`.
+//! On that layout the forward and backward passes are each one flat
+//! sweep over the positions, ascending and descending.
+//!
+//! The network caches one topology behind an `Arc` and drops it on
+//! every structural edit (a new activity or a new precedence
+//! constraint); duration edits keep it. The `Arc` is therefore the
+//! identity of one structure: [`IncrementalCpm`](crate::IncrementalCpm)
+//! holds the one it was built on and rebuilds when the network's
+//! differs ([`same_topology`]). Holding it keeps the allocation alive,
+//! so its address cannot be reused by a later topology.
 //!
 //! [`DirtyBits`] is the companion worklist for the incremental engine:
 //! a position-indexed bitset drained in position order (ascending for
@@ -28,51 +33,26 @@
 //! `BinaryHeap` + generation-stamp scheme with two words of state per
 //! 64 activities.
 
+use std::sync::Arc;
+
 use flowgraph::NodeId;
 
 use crate::cpm::ActivityTimes;
 use crate::network::{ActivityId, ScheduleNetwork, WorkDays};
 
-/// Minimum level width before a level is split across threads: narrow
-/// levels are cheaper to sweep serially than to spawn for.
-#[cfg(not(test))]
-const MIN_PAR_LEVEL: usize = 8192;
-/// Unit tests drop the threshold so the scoped-thread chunking path is
-/// exercised on small graphs.
-#[cfg(test)]
-const MIN_PAR_LEVEL: usize = 8;
-
-/// Minimum activities per worker thread for a whole analysis, mirroring
-/// `montecarlo::MIN_SAMPLES_PER_THREAD`'s role: small graphs never pay
-/// spawn cost.
-const MIN_NODES_PER_THREAD: usize = 16 * 1024;
-
-/// Default worker count for one full CPM analysis over `n` activities.
-///
-/// The hardware probe is cached: `available_parallelism` re-reads
-/// cgroup quota files on Linux, which costs ~10 µs — more than an
-/// entire small-graph analysis.
-pub(crate) fn default_threads(n: usize) -> usize {
-    static HW: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    let hw = *HW.get_or_init(|| {
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-    });
-    hw.min(n / MIN_NODES_PER_THREAD).max(1)
+/// Whether `csr` is the topology `network` caches now: `false` once a
+/// structural edit has cleared the cache, or for another network.
+pub(crate) fn same_topology(csr: &Arc<CsrTopology>, network: &ScheduleNetwork) -> bool {
+    Arc::ptr_eq(csr, network.csr())
 }
 
-/// Frozen flat topology of one structural revision of a network.
+/// Frozen flat topology of one structure of a network.
 #[derive(Debug)]
 pub(crate) struct CsrTopology {
-    /// The [`ScheduleNetwork::structure_revision`] this was built from.
-    pub(crate) structure_rev: u64,
     /// Position → activity id (dense index).
     pub(crate) order: Vec<u32>,
     /// Activity id (dense index) → position.
     pub(crate) pos: Vec<u32>,
-    /// Level `l` occupies positions `level_off[l]..level_off[l + 1]`.
-    pub(crate) level_off: Vec<u32>,
     /// CSR offsets into `preds` (position space, length `n + 1`).
     pub(crate) pred_off: Vec<u32>,
     /// Predecessor positions, in edge-insertion order per node.
@@ -91,14 +71,13 @@ impl CsrTopology {
         let n = network.activity_count();
         let m = network.precedence_count();
         let dag = &network.dag;
-        // In-degrees drive the level-synchronous Kahn sweep.
+        // In-degrees drive a level-by-level Kahn sweep.
         let mut indeg = vec![0u32; n];
         for (i, d) in indeg.iter_mut().enumerate() {
             *d = dag.predecessors(NodeId::from_index(i)).count() as u32;
         }
         let mut order = Vec::with_capacity(n);
         let mut pos = vec![0u32; n];
-        let mut level_off = vec![0u32];
         let mut frontier: Vec<u32> = (0..n as u32).filter(|&i| indeg[i as usize] == 0).collect();
         let mut next = Vec::new();
         while !frontier.is_empty() {
@@ -106,7 +85,6 @@ impl CsrTopology {
                 pos[id as usize] = order.len() as u32;
                 order.push(id);
             }
-            level_off.push(order.len() as u32);
             for &id in &frontier {
                 for s in dag.successors(NodeId::from_index(id as usize)) {
                     let si = s.index();
@@ -146,10 +124,8 @@ impl CsrTopology {
             }
         }
         CsrTopology {
-            structure_rev: network.structure_revision(),
             order,
             pos,
-            level_off,
             pred_off,
             preds,
             succ_off,
@@ -184,72 +160,19 @@ impl CsrTopology {
     }
 
     /// Forward pass over position-space durations (milli-days):
-    /// earliest start and finish per position. Levels wider than the
-    /// parallel threshold are chunked across `threads` scoped workers;
-    /// results are identical for any thread count because every
-    /// position's value is a pure fold over already-finished earlier
-    /// levels, in fixed CSR order.
-    pub(crate) fn forward(&self, dur: &[i64], threads: usize) -> (Vec<i64>, Vec<i64>) {
+    /// earliest start and finish per position. Positions are
+    /// topologically sorted, so it is one flat sweep.
+    pub(crate) fn forward(&self, dur: &[i64]) -> (Vec<i64>, Vec<i64>) {
         let n = self.len();
         let mut es = vec![0i64; n];
         let mut ef = vec![0i64; n];
-        if threads <= 1 {
-            // Positions are topologically sorted: one flat sweep.
-            for p in 0..n {
-                let mut start = 0i64;
-                for &q in self.preds_of(p) {
-                    start = start.max(ef[q as usize]);
-                }
-                es[p] = start;
-                ef[p] = start + dur[p];
+        for p in 0..n {
+            let mut start = 0i64;
+            for &q in self.preds_of(p) {
+                start = start.max(ef[q as usize]);
             }
-            return (es, ef);
-        }
-        for lvl in 0..self.level_off.len() - 1 {
-            let a = self.level_off[lvl] as usize;
-            let b = self.level_off[lvl + 1] as usize;
-            let width = b - a;
-            if width < MIN_PAR_LEVEL {
-                for p in a..b {
-                    let mut start = 0i64;
-                    for &q in self.preds_of(p) {
-                        start = start.max(ef[q as usize]);
-                    }
-                    es[p] = start;
-                    ef[p] = start + dur[p];
-                }
-                continue;
-            }
-            // All predecessors of this level live strictly before `a`,
-            // so the finished prefix and the level being written are
-            // disjoint borrows.
-            let (ef_done, ef_rest) = ef.split_at_mut(a);
-            let ef_cur = &mut ef_rest[..width];
-            let es_cur = &mut es[a..b];
-            let chunk = width.div_ceil(threads);
-            let ef_done: &[i64] = ef_done;
-            std::thread::scope(|scope| {
-                for (k, (es_chunk, ef_chunk)) in es_cur
-                    .chunks_mut(chunk)
-                    .zip(ef_cur.chunks_mut(chunk))
-                    .enumerate()
-                {
-                    let base = a + k * chunk;
-                    scope.spawn(move || {
-                        for i in 0..es_chunk.len() {
-                            let p = base + i;
-                            let lo = self.pred_off[p] as usize;
-                            let hi = self.pred_off[p + 1] as usize;
-                            let mut start = 0i64;
-                            for &q in &self.preds[lo..hi] {
-                                start = start.max(ef_done[q as usize]);
-                            }
-                            es_chunk[i] = start;
-                            ef_chunk[i] = start + dur[p];
-                        }
-                    });
-                }
-            });
+            es[p] = start;
+            ef[p] = start + dur[p];
         }
         (es, ef)
     }
@@ -258,55 +181,15 @@ impl CsrTopology {
     /// longest duration path from its start to the project end
     /// (`tail[p] = dur[p] + max tail[succ]`). Late dates fall out as
     /// `late_start = project - tail`, `late_finish = late_start + dur`.
-    pub(crate) fn backward(&self, dur: &[i64], threads: usize) -> Vec<i64> {
+    pub(crate) fn backward(&self, dur: &[i64]) -> Vec<i64> {
         let n = self.len();
         let mut tail = vec![0i64; n];
-        if threads <= 1 {
-            for p in (0..n).rev() {
-                let mut t = 0i64;
-                for &q in self.succs_of(p) {
-                    t = t.max(tail[q as usize]);
-                }
-                tail[p] = t + dur[p];
+        for p in (0..n).rev() {
+            let mut t = 0i64;
+            for &q in self.succs_of(p) {
+                t = t.max(tail[q as usize]);
             }
-            return tail;
-        }
-        for lvl in (0..self.level_off.len() - 1).rev() {
-            let a = self.level_off[lvl] as usize;
-            let b = self.level_off[lvl + 1] as usize;
-            let width = b - a;
-            if width < MIN_PAR_LEVEL {
-                for p in (a..b).rev() {
-                    let mut t = 0i64;
-                    for &q in self.succs_of(p) {
-                        t = t.max(tail[q as usize]);
-                    }
-                    tail[p] = t + dur[p];
-                }
-                continue;
-            }
-            // Successors of this level live strictly at or after `b`.
-            let (head, tail_done) = tail.split_at_mut(b);
-            let cur = &mut head[a..b];
-            let chunk = width.div_ceil(threads);
-            let tail_done: &[i64] = tail_done;
-            std::thread::scope(|scope| {
-                for (k, cur_chunk) in cur.chunks_mut(chunk).enumerate() {
-                    let base = a + k * chunk;
-                    scope.spawn(move || {
-                        for (i, slot) in cur_chunk.iter_mut().enumerate() {
-                            let p = base + i;
-                            let lo = self.succ_off[p] as usize;
-                            let hi = self.succ_off[p + 1] as usize;
-                            let mut t = 0i64;
-                            for &q in &self.succs[lo..hi] {
-                                t = t.max(tail_done[q as usize - b]);
-                            }
-                            *slot = t + dur[p];
-                        }
-                    });
-                }
-            });
+            tail[p] = t + dur[p];
         }
         tail
     }
@@ -376,8 +259,8 @@ impl CsrTopology {
     }
 
     /// Walks one critical path in position space: from the first
-    /// critical source (level 0 is sorted by id, so "first" matches
-    /// insertion order), always stepping to the first critical
+    /// critical source (the sources lead the order, sorted by id, so
+    /// "first" matches insertion order), always stepping to the first critical
     /// successor whose early start equals our early finish — the same
     /// deterministic tie-breaking the object-graph walk used.
     pub(crate) fn walk_critical(
@@ -389,7 +272,7 @@ impl CsrTopology {
     ) -> Vec<ActivityId> {
         let is_crit = |p: usize| project - tail[p] == es[p];
         let mut critical = Vec::new();
-        let sources = self.level_off.get(1).copied().unwrap_or(0) as usize;
+        let sources = self.pred_off[1..].iter().take_while(|&&o| o == 0).count();
         let mut cur = (0..sources).find(|&p| is_crit(p));
         while let Some(p) = cur {
             critical.push(self.activity_id(p));
@@ -562,57 +445,32 @@ mod tests {
     #[test]
     fn levelized_order_groups_levels_contiguously() {
         let mut net = ScheduleNetwork::new();
-        let a = net.add_activity("a", WorkDays::new(1.0)).unwrap();
-        let b = net.add_activity("b", WorkDays::new(1.0)).unwrap();
-        let c = net.add_activity("c", WorkDays::new(1.0)).unwrap();
         let d = net.add_activity("d", WorkDays::new(1.0)).unwrap();
+        let c = net.add_activity("c", WorkDays::new(1.0)).unwrap();
+        let b = net.add_activity("b", WorkDays::new(1.0)).unwrap();
+        let a = net.add_activity("a", WorkDays::new(1.0)).unwrap();
+        let e = net.add_activity("e", WorkDays::new(1.0)).unwrap();
+        net.add_precedence(c, d).unwrap();
         net.add_precedence(a, c).unwrap();
         net.add_precedence(b, c).unwrap();
-        net.add_precedence(c, d).unwrap();
         let csr = CsrTopology::build(&net);
-        // Levels: {a, b}, {c}, {d}.
-        assert_eq!(csr.level_off, [0, 2, 3, 4]);
-        assert_eq!(csr.order, [0, 1, 2, 3]);
-        assert_eq!(csr.sink_pos, [3]);
-        assert_eq!(csr.preds_of(2), [0, 1]);
-        assert_eq!(csr.succs_of(2), [3]);
-    }
-
-    #[test]
-    fn forward_backward_match_any_thread_count() {
-        // 25-wide layers exceed the test-mode MIN_PAR_LEVEL, so the
-        // threads=4 run takes the scoped-thread chunking path and must
-        // produce bit-identical output to the serial sweep.
-        let mut net = ScheduleNetwork::new();
-        let mut prev: Vec<ActivityId> = Vec::new();
-        for layer in 0..20 {
-            let mut cur = Vec::new();
-            for w in 0..25 {
-                let id = net
-                    .add_activity(
-                        format!("n{layer}_{w}"),
-                        WorkDays::new(1.0 + f64::from(w % 4) * 0.5),
-                    )
-                    .unwrap();
-                if let Some(&p) = prev.get(w as usize) {
-                    net.add_precedence(p, id).unwrap();
-                }
-                if !prev.is_empty() {
-                    let q = prev[(w as usize + 1) % prev.len()];
-                    net.add_precedence(q, id).unwrap();
-                }
-                cur.push(id);
-            }
-            prev = cur;
+        // Levels {b, a, e}, {c}, {d}: each level follows the last, and
+        // within one the ids ascend.
+        let id = |x: ActivityId| x.index() as u32;
+        assert_eq!(csr.order, [id(b), id(a), id(e), id(c), id(d)]);
+        assert_eq!(csr.pos, [4, 3, 0, 1, 2]);
+        for (p, &node) in csr.order.iter().enumerate() {
+            assert_eq!(csr.pos[node as usize] as usize, p);
         }
-        let csr = net.csr();
+        assert_eq!(csr.sink_pos, [2, 4]);
+        assert_eq!(csr.preds_of(3), [1, 0]);
+        assert_eq!(csr.succs_of(3), [4]);
+        // The three sources lead: the critical walk starts among them.
         let dur = csr.gather(net.durations_raw());
-        let (es1, ef1) = csr.forward(&dur, 1);
-        let (es4, ef4) = csr.forward(&dur, 4);
-        assert_eq!(es1, es4);
-        assert_eq!(ef1, ef4);
-        let t1 = csr.backward(&dur, 1);
-        let t4 = csr.backward(&dur, 4);
-        assert_eq!(t1, t4);
+        let (es, ef) = csr.forward(&dur);
+        let tail = csr.backward(&dur);
+        let project = csr.project(&ef);
+        assert_eq!(project, 3000);
+        assert_eq!(csr.walk_critical(&es, &ef, &tail, project), [b, c, d]);
     }
 }

@@ -1,7 +1,7 @@
 use std::collections::HashMap;
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, OnceLock};
 
 use flowgraph::{Dag, NodeId};
 
@@ -146,7 +146,7 @@ pub(crate) struct ActivityData {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct ScheduleNetwork {
     pub(crate) dag: Dag<ActivityData, ()>,
     /// Durations in milli-days, indexed by [`ActivityId::index`] —
@@ -154,36 +154,11 @@ pub struct ScheduleNetwork {
     /// passes read one contiguous array instead of chasing node objects.
     pub(crate) durations: Vec<i64>,
     names: HashMap<String, ActivityId>,
-    /// Bumped on every *structural* change (activities/constraints, not
-    /// durations). Lets caches such as
-    /// [`IncrementalCpm`](crate::IncrementalCpm) detect when their
-    /// cached topology is stale and a full rebuild is required.
-    structure_rev: u64,
     /// Lazily built flat CSR view of the precedence topology, shared by
     /// [`analyze`](ScheduleNetwork::analyze) and
-    /// [`IncrementalCpm`](crate::IncrementalCpm). Invalidated by
-    /// comparing its recorded revision against `structure_rev` —
-    /// duration edits keep it warm.
-    csr_cache: Mutex<Option<Arc<CsrTopology>>>,
-}
-
-impl Clone for ScheduleNetwork {
-    fn clone(&self) -> Self {
-        // The CSR cache is cheap to share: `Arc` clones of an immutable
-        // topology stay valid as long as the revision matches.
-        let cached = self
-            .csr_cache
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone();
-        ScheduleNetwork {
-            dag: self.dag.clone(),
-            durations: self.durations.clone(),
-            names: self.names.clone(),
-            structure_rev: self.structure_rev,
-            csr_cache: Mutex::new(cached),
-        }
-    }
+    /// [`IncrementalCpm`](crate::IncrementalCpm). Structural edits
+    /// clear it; duration edits keep it, and a clone shares it.
+    csr: OnceLock<Arc<CsrTopology>>,
 }
 
 impl ScheduleNetwork {
@@ -228,17 +203,8 @@ impl ScheduleNetwork {
         debug_assert_eq!(id.index(), self.durations.len());
         self.durations.push(duration.0);
         self.names.insert(name, id);
-        self.structure_rev += 1;
+        self.csr.take();
         Ok(id)
-    }
-
-    /// The network's structural revision: incremented whenever an
-    /// activity or precedence constraint is added. Duration changes
-    /// (re-estimation, slips) do *not* bump it — they are exactly what
-    /// [`IncrementalCpm`](crate::IncrementalCpm) handles without a
-    /// rebuild.
-    pub fn structure_revision(&self) -> u64 {
-        self.structure_rev
     }
 
     /// Adds the finish-to-start constraint `from` must finish before
@@ -268,7 +234,7 @@ impl ScheduleNetwork {
         self.dag
             .add_edge(from.0, to.0, ())
             .map_err(|_| ScheduleError::PrecedenceCycle { from, to })?;
-        self.structure_rev += 1;
+        self.csr.take();
         Ok(())
     }
 
@@ -381,23 +347,10 @@ impl ScheduleNetwork {
             .collect()
     }
 
-    /// The flat CSR view of the precedence topology, rebuilt lazily when
-    /// the [`structure_revision`](ScheduleNetwork::structure_revision)
-    /// has moved and shared via `Arc` otherwise. Duration edits never
-    /// invalidate it.
-    pub(crate) fn csr(&self) -> Arc<CsrTopology> {
-        let mut cache = self
-            .csr_cache
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        if let Some(csr) = cache.as_ref() {
-            if csr.structure_rev == self.structure_rev {
-                return Arc::clone(csr);
-            }
-        }
-        let csr = Arc::new(CsrTopology::build(self));
-        *cache = Some(Arc::clone(&csr));
-        csr
+    /// The flat CSR view of the precedence topology, built on first
+    /// use after each structural edit. Duration edits never clear it.
+    pub(crate) fn csr(&self) -> &Arc<CsrTopology> {
+        self.csr.get_or_init(|| Arc::new(CsrTopology::build(self)))
     }
 
     /// Raw milli-day durations, indexed by [`ActivityId::index`].
@@ -536,22 +489,25 @@ mod tests {
     }
 
     #[test]
-    fn structure_revision_tracks_topology_not_durations() {
+    fn only_structural_edits_rebuild_the_incremental_engine() {
         let mut net = ScheduleNetwork::new();
-        let r0 = net.structure_revision();
         let a = net.add_activity("A", WorkDays::new(1.0)).unwrap();
         let b = net.add_activity("B", WorkDays::new(1.0)).unwrap();
-        assert!(net.structure_revision() > r0);
-        let r1 = net.structure_revision();
         net.add_precedence(a, b).unwrap();
-        assert!(net.structure_revision() > r1);
-        let r2 = net.structure_revision();
-        // Duplicate constraint: ignored, no bump.
-        net.add_precedence(a, b).unwrap();
-        assert_eq!(net.structure_revision(), r2);
-        // Duration changes never bump the structural revision.
+        let mut inc = net.analyze_incremental().unwrap();
+        // Duration changes keep the topology.
         net.set_duration(a, WorkDays::new(9.0)).unwrap();
-        assert_eq!(net.structure_revision(), r2);
+        assert!(!inc.update(&net, &[a]).unwrap().full_rebuild);
+        // A duplicate constraint is ignored and keeps it too.
+        net.add_precedence(a, b).unwrap();
+        assert!(!inc.update(&net, &[]).unwrap().full_rebuild);
+        // A new activity or a new constraint replaces it.
+        let c = net.add_activity("C", WorkDays::new(1.0)).unwrap();
+        assert!(inc.update(&net, &[]).unwrap().full_rebuild);
+        net.add_precedence(b, c).unwrap();
+        assert!(inc.update(&net, &[]).unwrap().full_rebuild);
+        assert!(!inc.update(&net, &[]).unwrap().full_rebuild);
+        assert_eq!(inc.project_duration(), WorkDays::new(11.0));
     }
 
     #[test]

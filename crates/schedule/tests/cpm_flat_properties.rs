@@ -152,20 +152,6 @@ harness::props! {
         assert_matches_reference(&net, &cpm);
     }
 
-    fn analysis_is_thread_count_invariant(net in arb_network()) {
-        // One worker and four produce the identical analysis — dates,
-        // slacks, and the chosen critical path. (Under cfg(test) the
-        // schedule crate's internal parallel threshold drops to 8
-        // nodes, so these small graphs do exercise the scoped-thread
-        // path in the crate's unit tests; here the guarantee under
-        // test is the public one: thread count is unobservable.)
-        let serial = net.analyze_with_threads(1).expect("acyclic");
-        let four = net.analyze_with_threads(4).expect("acyclic");
-        let default = net.analyze().expect("acyclic");
-        prop_assert_eq!(&serial, &four);
-        prop_assert_eq!(&serial, &default);
-    }
-
     fn critical_path_is_a_real_zero_slack_chain(net in arb_network()) {
         let cpm = net.analyze().expect("acyclic");
         let path = cpm.critical_path();
@@ -194,21 +180,31 @@ harness::props! {
         net in arb_network(),
         edits in vec((any_u16(), 0u32..20), 1..8),
     ) {
-        // set_duration must not stale the cached CSR: analyses after
-        // any sequence of re-estimates still match the reference run
-        // on the same (edited) network.
+        // set_duration must not stale the cached CSR: the incremental
+        // engine keeps its topology across re-estimates, and analyses
+        // after them still match the reference run on the same
+        // (edited) network.
         let mut net = net;
-        let rev = net.structure_revision();
         let ids: Vec<ActivityId> = net.activities().collect();
-        net.analyze().expect("acyclic"); // populate the cache
+        let mut inc = net.analyze_incremental().expect("acyclic");
+        let mut dirty = Vec::new();
         for (who, dur) in edits {
             let id = ids[(who as usize) % ids.len()];
             net.set_duration(id, WorkDays::new(f64::from(dur) * 0.5))
                 .expect("known activity");
+            dirty.push(id);
         }
-        // Duration edits are not structural.
-        prop_assert_eq!(rev, net.structure_revision());
+        // Re-adding an existing constraint is ignored, so not
+        // structural either.
+        let first = ids[0];
+        let next = net.successors(first).next();
+        if let Some(next) = next {
+            net.add_precedence(first, next).expect("existing edge");
+        }
+        let stats = inc.update(&net, &dirty).expect("known dirty set");
+        prop_assert!(!stats.full_rebuild, "duration edits are not structural");
         let cpm = net.analyze().expect("acyclic");
         assert_matches_reference(&net, &cpm);
+        prop_assert_eq!(inc.analysis(&net), cpm);
     }
 }

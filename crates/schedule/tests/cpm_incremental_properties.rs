@@ -195,9 +195,9 @@ harness::props! {
         dur in 0u32..20,
         attach in any_u16(),
     ) {
-        // Growing the network after the snapshot must be detected via
-        // the structure revision: the next update — even with an empty
-        // dirty set — rebuilds from scratch onto the new topology and
+        // Growing the network after the snapshot must be detected (it
+        // clears the network's cached topology): the next update — even
+        // with an empty dirty set — rebuilds from scratch onto the new topology and
         // tracks the full analysis again afterwards.
         let mut net = net;
         let mut inc = net.analyze_incremental().expect("acyclic");

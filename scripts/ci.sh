@@ -339,10 +339,10 @@ stage_serve() {
 stage_scale() {
     # Data-oriented CPM gate: the B14 acceptance tests assert the
     # *shape* of the flat core with host-independent ratios — the full
-    # pass scales subquadratically 10^4 -> 10^5, a slack-absorbed leaf
-    # slip stays >=100x faster than a full recompute with an O(1)
-    # dirty cone, the level-parallel passes are bit-identical for any
-    # worker count, and a whole cache-hit `Hercules::plan` (extraction,
+    # pass (one flat forward and one flat backward sweep) scales
+    # subquadratically 10^4 -> 10^5, a slack-absorbed leaf slip stays
+    # >=100x faster than a full recompute with an O(1) dirty cone,
+    # and a whole cache-hit `Hercules::plan` (extraction,
     # estimates, levelling, recorded versions) costs under 8x the time
     # for 4x the activities (501 -> 2001). Release mode: debug builds
     # cross-check every incremental update against a full pass, which
@@ -350,7 +350,7 @@ stage_scale() {
     cargo test -q --offline --release -p bench \
         --test cpm_scale || return 1
     # Quick B14 rerun at 10^5: the scale report CI uploads as an
-    # artifact (full / full_serial / inc_leaf medians).
+    # artifact (full / inc_leaf medians).
     cargo run -q --release --offline -p bench --bin benchmarks -- \
         cpm_scale --quick --out target/cpm_scale.json
 }
